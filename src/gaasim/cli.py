@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import __version__, casestudy, sim, synthesis
 from .model import ConfigError, Scenario, emit_config, parse_config
-from .numerics import InconsistentConstraints, NotPSD
+from .numerics import NumericsError
 from .refine import lift_initial
 from .synthesis import NotStabilizing, RefinementGains
 
@@ -45,8 +45,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--a1", type=float, default=None)
         p.add_argument("--step", type=float, default=None)
         p.add_argument("--horizon", type=float, default=None)
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized property scenarios")
 
     syn = sub.add_parser("synthesize", help="Compute gains and check every condition.")
     add_overrides(syn)
@@ -122,7 +120,7 @@ def _synthesize_pipeline(scenario: Scenario, force_s_zero: bool):
             scenario.epsilon, scenario.envelope, M=scenario.M,
             force_s_zero=force_s_zero,
         )
-    except (NotStabilizing, NotPSD, InconsistentConstraints) as exc:
+    except (NotStabilizing, NumericsError) as exc:
         record = synthesis.ConditionRecord(
             name="gains_constructible",
             value=float("inf"),

@@ -1,12 +1,14 @@
 """Dense real-matrix kernels used by the synthesis and runtime layers.
 
-Everything here is self-contained (numpy is used as the array container and
-for matrix products only): symmetric eigendecomposition by cyclic Jacobi
-rotations, general eigenvalues by Hessenberg reduction plus shifted QR,
-Sylvester/Lyapunov solves by Kronecker vectorization, PSD matrix square
-roots, spectral norms, and equality-constrained least squares by the
-null-space method.  All routines are pure functions sized for desk-scale
-problems (n up to a few tens).
+The factorizations are numpy's LAPACK routines: symmetric eigendecomposition
+(``eigh``), general eigenvalues (``eigvals``), and the SVD behind spectral
+norms and the pseudoinverse and null space of equality-constrained least
+squares.  This module adds input validation and the checks the callers rely
+on: symmetry, positive semidefiniteness, the Sylvester residual and the
+consistency of equality constraints.  Sylvester/Lyapunov equations are
+solved through the Kronecker operator (numpy has no Schur form), so their
+size is capped at n * k <= ``SYLVESTER_MAX_NK``.  LAPACK failures surface
+as ``NoConvergence``.
 """
 
 from __future__ import annotations
@@ -41,6 +43,10 @@ class NotPSD(NumericsError):
 
 
 class InconsistentConstraints(NumericsError):
+    pass
+
+
+class TooLarge(NumericsError):
     pass
 
 
@@ -84,172 +90,36 @@ class SymEigResult(NamedTuple):
 #: relative asymmetry accepted by sym_eig / psd_sqrt
 SYMMETRY_RTOL = 1e-12
 
-#: Jacobi sweep cap; convergence is quadratic, ~10 sweeps suffice at n <= 50
-_JACOBI_MAX_SWEEPS = 60
+
+def _lapack(routine, *args, **kwargs):
+    """Call a numpy.linalg routine, reporting LAPACK failures as NoConvergence."""
+    try:
+        return routine(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"{routine.__name__}: {exc}") from exc
 
 
 def sym_eig(A, rtol: float = SYMMETRY_RTOL) -> SymEigResult:
-    """Eigendecomposition of a symmetric matrix by cyclic Jacobi rotations."""
+    """Eigendecomposition of a symmetric matrix (LAPACK ``syevd``)."""
     A = as_matrix(A, "A")
     _require_square(A, "A")
-    scale = np.linalg.norm(A, "fro")
-    if np.linalg.norm(A - A.T, "fro") > rtol * max(scale, 1e-300):
-        raise NotSymmetric(
-            f"asymmetry {np.linalg.norm(A - A.T, 'fro'):.3e} exceeds "
-            f"{rtol:.1e} * ||A||_F"
-        )
-    n = A.shape[0]
-    a = 0.5 * (A + A.T)
-    v = np.eye(n)
-    if n == 1:
-        return SymEigResult(a[0].copy(), v)
-
-    tol = 1e-15 * max(scale, 1e-300)
-    for _ in range(_JACOBI_MAX_SWEEPS):
-        off = np.sqrt(np.sum(np.tril(a, -1) ** 2))
-        if off <= tol:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 0.1 * tol / n:
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = np.sign(theta) if theta != 0 else 1.0
-                t /= abs(theta) + np.sqrt(theta * theta + 1.0)
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
-    else:
-        raise NoConvergence("Jacobi sweeps exhausted without reaching tolerance")
-
-    values = np.diag(a).copy()
-    order = np.argsort(values, kind="stable")
-    return SymEigResult(values[order], v[:, order])
+    asym = np.linalg.norm(A - A.T, "fro")
+    if asym > rtol * max(np.linalg.norm(A, "fro"), 1e-300):
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {rtol:.1e} * ||A||_F")
+    values, vectors = _lapack(np.linalg.eigh, 0.5 * (A + A.T))
+    return SymEigResult(values, vectors)
 
 
 def spectral_norm(A) -> float:
-    """Largest singular value, computed as sqrt(lambda_max(A^T A))."""
-    A = as_matrix(A, "A")
-    gram = A.T @ A
-    values = sym_eig(0.5 * (gram + gram.T)).values
-    return float(np.sqrt(max(values[-1], 0.0)))
-
-
-def _hessenberg(A: np.ndarray) -> np.ndarray:
-    """Reduce to upper Hessenberg form by Householder reflections."""
-    h = A.astype(complex)
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1 :, k]
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            continue
-        v = x.copy()
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v[0] += phase * nx
-        v /= np.linalg.norm(v)
-        h[k + 1 :, :] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, :])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-    return h
-
-
-def _eig2x2(a, b, c, d) -> tuple[complex, complex]:
-    """Eigenvalues of [[a, b], [c, d]] by the quadratic formula."""
-    tr = a + d
-    disc = np.sqrt(complex((a - d) * (a - d) + 4.0 * b * c))
-    return (0.5 * (tr + disc), 0.5 * (tr - disc))
+    """Largest singular value."""
+    return float(_lapack(np.linalg.norm, as_matrix(A, "A"), 2))
 
 
 def eigenvalues(A) -> np.ndarray:
-    """All eigenvalues of a real square matrix.
-
-    Hessenberg reduction followed by shifted QR iteration (Wilkinson shift,
-    Givens-based sweeps) with deflation; trailing 1x1 and 2x2 blocks are
-    resolved directly.  Iteration budget is 100 * n^2 sweeps.
-    """
+    """All eigenvalues of a real square matrix, as a complex array."""
     A = as_matrix(A, "A")
     _require_square(A, "A")
-    n = A.shape[0]
-    if n == 1:
-        return A[0, 0] + 0j * np.zeros(1)
-    if n == 2:
-        return np.array(_eig2x2(A[0, 0], A[0, 1], A[1, 0], A[1, 1]))
-
-    h = _hessenberg(A)
-    scale = max(np.linalg.norm(A, "fro"), 1e-300)
-    eps = 1e-16
-    out: list[complex] = []
-    hi = n  # active block is h[:hi, :hi]
-    budget = 100 * n * n
-    stagnation = 0
-    while hi > 0 and budget > 0:
-        # deflate any negligible subdiagonal inside the active block
-        for k in range(hi - 1, 0, -1):
-            if abs(h[k, k - 1]) <= eps * (abs(h[k - 1, k - 1]) + abs(h[k, k]) + scale * 1e-4):
-                h[k, k - 1] = 0.0
-        if hi == 1 or h[hi - 1, hi - 2] == 0.0:
-            out.append(complex(h[hi - 1, hi - 1]))
-            hi -= 1
-            stagnation = 0
-            continue
-        if hi == 2 or h[hi - 2, hi - 3] == 0.0:
-            lam1, lam2 = _eig2x2(
-                h[hi - 2, hi - 2], h[hi - 2, hi - 1], h[hi - 1, hi - 2], h[hi - 1, hi - 1]
-            )
-            out.extend([lam1, lam2])
-            hi -= 2
-            stagnation = 0
-            continue
-
-        # Wilkinson shift: trailing 2x2 eigenvalue nearest h[hi-1, hi-1]
-        lam1, lam2 = _eig2x2(
-            h[hi - 2, hi - 2], h[hi - 2, hi - 1], h[hi - 1, hi - 2], h[hi - 1, hi - 1]
-        )
-        corner = h[hi - 1, hi - 1]
-        mu = lam1 if abs(lam1 - corner) <= abs(lam2 - corner) else lam2
-        stagnation += 1
-        if stagnation % 12 == 0:
-            # exceptional shift to break rare convergence stalls
-            mu = corner + 1.5 * abs(h[hi - 1, hi - 2])
-
-        # one implicit QR sweep on the active block via Givens rotations
-        for k in range(hi):
-            h[k, k] -= mu
-        rots = []
-        for k in range(hi - 1):
-            a_, b_ = h[k, k], h[k + 1, k]
-            r = np.sqrt(abs(a_) ** 2 + abs(b_) ** 2)
-            if r == 0.0:
-                c_, s_ = 1.0, 0.0j
-            else:
-                c_, s_ = a_ / r, b_ / r
-            rots.append((c_, s_))
-            row_k = h[k, k:hi].copy()
-            row_k1 = h[k + 1, k:hi].copy()
-            h[k, k:hi] = np.conj(c_) * row_k + np.conj(s_) * row_k1
-            h[k + 1, k:hi] = -s_ * row_k + c_ * row_k1
-        for k in range(hi - 1):
-            c_, s_ = rots[k]
-            col_k = h[: min(k + 2, hi), k].copy()
-            col_k1 = h[: min(k + 2, hi), k + 1].copy()
-            h[: min(k + 2, hi), k] = c_ * col_k + s_ * col_k1
-            h[: min(k + 2, hi), k + 1] = -np.conj(s_) * col_k + np.conj(c_) * col_k1
-        for k in range(hi):
-            h[k, k] += mu
-        budget -= 1
-
-    if hi > 0:
-        raise NoConvergence("shifted QR iteration cap exceeded")
-    return np.array(out[::-1])
+    return _lapack(np.linalg.eigvals, A).astype(complex)
 
 
 def real_spectral_abscissa(A) -> float:
@@ -257,12 +127,18 @@ def real_spectral_abscissa(A) -> float:
     return float(np.max(eigenvalues(A).real))
 
 
+#: largest n * k accepted by solve_sylvester; its dense (n k) x (n k)
+#: Kronecker operator then takes at most 3600^2 * 8 bytes, about 104 MB
+SYLVESTER_MAX_NK = 3600
+
+
 def solve_sylvester(F, G, W) -> np.ndarray:
     """Solve F X + X G = W by Kronecker vectorization.
 
-    F is n x n, G is k x k, W is n x k.  Raises SingularOperator when the
-    spectra of F and -G (nearly) intersect, which is exactly when the
-    Kronecker operator is (nearly) singular.
+    F is n x n, G is k x k, W is n x k, with n * k <= SYLVESTER_MAX_NK.
+    Raises SingularOperator when the spectra of F and -G (nearly)
+    intersect, which is exactly when the Kronecker operator is (nearly)
+    singular.
     """
     F = as_matrix(F, "F")
     G = as_matrix(G, "G")
@@ -272,6 +148,11 @@ def solve_sylvester(F, G, W) -> np.ndarray:
     n, k = F.shape[0], G.shape[0]
     if W.shape != (n, k):
         raise NumericsError(f"W: expected shape {(n, k)}, got {W.shape}")
+    if n * k > SYLVESTER_MAX_NK:
+        raise TooLarge(
+            f"Sylvester solve of size n*k = {n}*{k} = {n * k} exceeds the cap "
+            f"{SYLVESTER_MAX_NK} of the dense Kronecker operator"
+        )
 
     lam_f = eigenvalues(F)
     lam_g = eigenvalues(G)
@@ -312,20 +193,18 @@ def psd_sqrt(M) -> np.ndarray:
     return 0.5 * (root + root.T)
 
 
-#: relative rank cutoff on Gram-matrix eigenvalues for pseudoinverse solves
+#: relative rank cutoff on Gram-matrix eigenvalues (squared singular values)
+#: for pseudoinverse solves
 PINV_RANK_RTOL = 1e-10
 
 
-def _pinv_apply(A: np.ndarray, b: np.ndarray, rank_rtol: float) -> np.ndarray:
-    """Minimum-norm least-squares solution pinv(A) @ b via the Gram matrix."""
-    gram = A.T @ A
-    values, vectors = sym_eig(0.5 * (gram + gram.T))
-    lam_max = max(values[-1], 0.0)
-    keep = values > rank_rtol * max(lam_max, 1e-300)
-    if not np.any(keep):
-        return np.zeros(A.shape[1])
-    vr = vectors[:, keep]
-    return vr @ ((vr.T @ (A.T @ b)) / values[keep])
+def _lstsq(A: np.ndarray, b: np.ndarray, rank_rtol: float) -> np.ndarray:
+    """Minimum-norm least-squares solution pinv(A) @ b.
+
+    Singular values at or below sqrt(rank_rtol) * sigma_max count as zero,
+    which is the cutoff rank_rtol on the eigenvalues sigma^2 of A^T A.
+    """
+    return _lapack(np.linalg.lstsq, A, b, rcond=np.sqrt(rank_rtol))[0]
 
 
 def constrained_lstsq(
@@ -350,7 +229,7 @@ def constrained_lstsq(
     d = A.shape[1]
 
     if eq_map is None or np.size(eq_map) == 0:
-        return _pinv_apply(A, c, rank_rtol)
+        return _lstsq(A, c, rank_rtol)
 
     E = as_matrix(eq_map, "eq_map")
     b = as_vector(eq_rhs if eq_rhs is not None else np.zeros(E.shape[0]), "eq_rhs")
@@ -359,23 +238,18 @@ def constrained_lstsq(
     if b.size != E.shape[0]:
         raise NumericsError(f"eq_rhs: expected length {E.shape[0]}, got {b.size}")
 
-    gram = E.T @ E
-    values, vectors = sym_eig(0.5 * (gram + gram.T))
-    lam_max = max(values[-1], 0.0)
-    keep = values > rank_rtol * max(lam_max, 1e-300)
-    if np.any(keep):
-        vr = vectors[:, keep]
-        x_part = vr @ ((vr.T @ (E.T @ b)) / values[keep])
-    else:
-        x_part = np.zeros(d)
+    # one SVD of E gives the particular solution and the null-space basis,
+    # with the same rank cutoff as _lstsq
+    u, s, vt = _lapack(np.linalg.svd, E)
+    rank = int(np.count_nonzero(s > np.sqrt(rank_rtol) * s[0]))
+    x_part = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
+    null_basis = vt[rank:].T
     if np.linalg.norm(E @ x_part - b) > 1e-8 * max(np.linalg.norm(b), 1e-300):
         raise InconsistentConstraints(
             f"equality residual {np.linalg.norm(E @ x_part - b):.3e} "
             f"relative to ||rhs|| {np.linalg.norm(b):.3e}"
         )
-
-    null_basis = vectors[:, ~keep]
     if null_basis.shape[1] == 0:
         return x_part
-    z = _pinv_apply(A @ null_basis, c - A @ x_part, rank_rtol)
+    z = _lstsq(A @ null_basis, c - A @ x_part, rank_rtol)
     return x_part + null_basis @ z

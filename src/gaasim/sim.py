@@ -52,6 +52,14 @@ MIN_JUMP_SEPARATION_STEPS = 10
 DEFAULT_DECAY_SLACK = 1e-9
 
 
+def _is_jump(delta, before) -> bool:
+    """Whether an input change `delta` away from the value `before` is a jump:
+    its norm exceeds JUMP_VALUE_RTOL * max(1, ||before||)."""
+    return bool(
+        np.linalg.norm(delta) > JUMP_VALUE_RTOL * max(1.0, float(np.linalg.norm(before)))
+    )
+
+
 class PendingJump(NamedTuple):
     time: float
     cause: str
@@ -138,9 +146,7 @@ def eval_policy(
                     before = policy.segment_at(tau - 1e-15 * max(1.0, abs(tau)))
                     after = policy.segment_at(tau)
                     delta = after.value(tau) - before.value(tau)
-                    if np.linalg.norm(delta) > JUMP_VALUE_RTOL * max(
-                        1.0, np.linalg.norm(before.value(tau))
-                    ):
+                    if _is_jump(delta, before.value(tau)):
                         pending = PendingJump(tau, "segment_boundary", delta)
                         break
         return uhat, uhatdot, pending
@@ -343,9 +349,7 @@ def simulate(
             if b < t_end - 1e-12:
                 nxt = policy.segment_at(b)
                 delta = nxt.value(b) - seg.value(b)
-                if np.linalg.norm(delta) > JUMP_VALUE_RTOL * max(
-                    1.0, float(np.linalg.norm(seg.value(b)))
-                ):
+                if _is_jump(delta, seg.value(b)):
                     log_jump(b, delta, "segment_boundary")
         z_final = z
         final_regime = policy.segment_index(t_end)
@@ -460,9 +464,7 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
         gain_new = policy.regions[new_region].gain
         xhat_tau = z_tau[n:]
         delta = (gain_old - gain_new) @ xhat_tau
-        if np.linalg.norm(delta) > JUMP_VALUE_RTOL * max(
-            1.0, float(np.linalg.norm(gain_old @ xhat_tau))
-        ):
+        if _is_jump(delta, gain_old @ xhat_tau):
             log_jump(tau, delta, "region_crossing")
         region = new_region
         if split:
@@ -493,7 +495,7 @@ def _assemble_record(
     uhatdot = np.empty((count, m_r))
 
     # per contiguous regime run, vectorized input reconstruction
-    starts = [0] + [i for i in range(1, count) if regimes[i] != regimes[i - 1]] + [count]
+    starts = [0, *(np.flatnonzero(np.diff(regimes)) + 1).tolist(), count]
     for a, b in zip(starts, starts[1:]):
         idx = int(regimes[a])
         if policy.kind == "open_loop":

@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gaasim import casestudy
@@ -68,6 +69,29 @@ class TestSynthesize:
         gains = json.loads((out / "gains.json").read_text())
         assert gains["S"] == [[0.0], [0.0]]
         assert gains["rbar2"] > 1.0
+
+    def test_sylvester_size_cap_is_a_failing_record(self, tmp_path, capsys):
+        # a 61-state stable plant: its 61 x 61 Lyapunov solve is above the cap
+        n = 61
+        cfg = casestudy.ramp_config(horizon=1.0)
+        cfg["concrete"].update(
+            A=(-np.eye(n)).tolist(),
+            B=np.eye(n, 1).tolist(),
+            C=np.eye(1, n).tolist(),
+            x0_box=[[0.0, 0.0]] * n,
+        )
+        cfg["scenario"].update(K=np.zeros((1, n)).tolist(), x0=[0.0] * n)
+        del cfg["scenario"]["M"]
+        out = tmp_path / "big"
+        code = main(["synthesize", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        fails = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL  gains_constructible: value=inf tol=0"]
+        assert "Traceback" not in captured.out + captured.err
+        report = json.loads((out / "report.json").read_text())
+        assert report["records"][0]["detail"].startswith("TooLarge:")
 
 
 class TestSimulate:

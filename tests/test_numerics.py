@@ -123,6 +123,15 @@ class TestSylvester:
         with pytest.raises(nx.SingularOperator):
             nx.solve_sylvester([[1.0]], [[-1.0]], [[1.0]])
 
+    def test_size_cap_refuses_before_building_the_operator(self, monkeypatch):
+        def no_operator(*args):
+            raise AssertionError("Kronecker operator built above the size cap")
+
+        monkeypatch.setattr(np, "kron", no_operator)
+        f = -np.eye(61)
+        with pytest.raises(nx.NumericsError, match="cap"):
+            nx.solve_sylvester(f, f, np.ones((61, 61)))
+
     def test_residual_bound_random(self):
         rng = np.random.default_rng(17)
         for _ in range(150):
@@ -226,3 +235,15 @@ class TestConstrainedLstsq:
         a = np.array([[1.0, 0.0, 0.0]])
         x = nx.constrained_lstsq(a, [2.0], np.array([[0.0, 1.0, 0.0]]), [3.0])
         assert np.allclose(x, [2.0, 3.0, 0.0], atol=1e-10)
+
+    def test_rank_cutoff_relative_to_largest_singular_value(self):
+        # PINV_RANK_RTOL = 1e-10 bounds squared singular-value ratios, so a
+        # direction at ratio 2e-5 (squared 4e-10) is kept and one at ratio
+        # 5e-6 (squared 2.5e-11) is treated as zero
+        sv = np.diag([1.0, 2e-5, 5e-6])
+        x = nx.constrained_lstsq(sv, [1.0, 1.0, 1.0])
+        assert x == pytest.approx([1.0, 5e4, 0.0], rel=1e-9)
+        # as equality constraints, the dropped direction joins the null space
+        # and the objective then sets it
+        x = nx.constrained_lstsq(np.eye(3), [0.0, 0.0, 3.0], sv, [1.0, 2e-5, 0.0])
+        assert x == pytest.approx([1.0, 1.0, 3.0], rel=1e-9)
