@@ -6,7 +6,8 @@ Subcommands
     compare      config -> paired runs (full interface vs forced S = 0)
     casestudy    embedded double-integrator study, end to end
 
-Exit codes: 0 pass, 1 check/verification failure, 2 usage/config error.
+Exit codes: 0 pass, 1 check/verification failure, 2 usage/config error
+(including a run too large to sample in memory).
 All reports are machine-readable JSON; the printed tables render the same
 data.  CSV columns are documented in the README for external plotting.
 """
@@ -380,6 +381,10 @@ def main(argv=None) -> int:
     except (sim.NonFiniteState, sim.ZenoViolation) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory ({str(exc) or 'allocation failed'}); "
+              "shorten the horizon or enlarge the step", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

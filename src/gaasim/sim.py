@@ -4,12 +4,15 @@ trajectory-level verification.
 
 The joint state z = [x; xhat] evolves under classical fixed-step RK4.  For
 each control regime (an open-loop polynomial segment or a feedback region)
-the right-hand side is affine, so the RK4 step is applied through its exact
-per-regime step matrices; this is algebraically identical to stage-wise
-evaluation and keeps long horizons fast.  Open-loop breakpoints are inserted
-into the grid exactly; feedback region crossings are located by bisection
-and the enclosing step is split.  The grid sample at a jump time stores the
-right limit of the abstract input.
+the right-hand side is affine, so the RK4 step is an exact per-regime step
+map, algebraically identical to stage-wise evaluation.  Both regimes make
+that map autonomous and propagate whole stretches by repeated doubling
+(`_propagate`): a feedback region's closed loop is autonomous as it is, and
+an open-loop segment carries its polynomial drive on the augmented state
+[z; 1; s; ...; s^deg] of normalized local time s.  Open-loop breakpoints are
+inserted into the grid exactly; feedback region crossings are located by
+bisection and the enclosing step is split.  The grid sample at a jump time
+stores the right limit of the abstract input.
 
 A single run is strictly sequential; distinct runs share no mutable state
 and may execute in parallel.
@@ -209,6 +212,45 @@ def _poly_derivs(seg: OpenLoopSegment, times: np.ndarray) -> np.ndarray:
     return ((seg.coeffs[:, 1:] * k) @ powers).T
 
 
+def _binomial_shift(c: float, size: int) -> np.ndarray:
+    """Lower-triangular L with L[i, k] = C(i, k) c^(i - k).
+
+    A polynomial with ascending coefficients `coeffs` re-expands about c as
+    p(c + tau) = sum_k (coeffs @ L)[k] tau^k, and the monomials advance as
+    [(s + c)^i]_i = L [s^k]_k.
+    """
+    out = np.zeros((size, size))
+    for i in range(size):
+        for k in range(i + 1):
+            out[i, k] = math.comb(i, k) * c ** (i - k)
+    return out
+
+
+def _segment_step_map(F, N, seg: OpenLoopSegment, a: float, length: float, steps: int):
+    """RK4 step map of one open-loop segment on [a, a + length] as an
+    autonomous system on w = [z; 1; s; ...; s^deg], s = (t - a) / length.
+
+    The drive D1 u(t) + D2 u(t + h/2) + D3 u(t + h) of each step is the
+    segment polynomial re-expanded about the three stage offsets, hence
+    linear in the powers of s; s advances by 1/steps through a binomial
+    shift (Van Loan's augmented-matrix construction).
+    """
+    h_eff = length / steps
+    phi, d1, d2, d3 = _rk4_affine(F, N, h_eff)
+    size = seg.coeffs.shape[1]
+    scale = length ** np.arange(size)
+    drive = sum(
+        d @ ((seg.coeffs @ _binomial_shift(a + offset, size)) * scale)
+        for d, offset in ((d1, 0.0), (d2, 0.5 * h_eff), (d3, h_eff))
+    )
+    nz = phi.shape[0]
+    aug = np.zeros((nz + size, nz + size))
+    aug[:nz, :nz] = phi
+    aug[:nz, nz:] = drive
+    aug[nz:, nz:] = _binomial_shift(1.0 / steps, size)
+    return aug
+
+
 def _n_steps(a: float, b: float, h: float) -> int:
     return max(1, int(math.ceil((b - a) / h - 1e-9)))
 
@@ -276,6 +318,18 @@ def simulate(
     derived from `rbar_max` and logged.  `epsilon` defaults to the bundle's
     value and can be tightened per run.
     """
+    times, zs, regimes, jumps, initial_ok = _integrate(
+        concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon
+    )
+    return _assemble_record(
+        concrete, abstract, gains, policy, times, zs, regimes, jumps,
+        h, horizon, t0, initial_ok,
+    )
+
+
+def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon):
+    """Grid times, joint states z = [x; xhat], regime ids, the jump log and
+    the initial-membership flag of one run (see `simulate`)."""
     if h <= 0:
         raise ValueError("step h must be positive")
     if horizon < 0:
@@ -294,7 +348,7 @@ def simulate(
         warnings.warn(
             f"initial triple outside the relation: vg = {vg0:.6g} > "
             f"epsilon = {eps_run:.6g}",
-            stacklevel=2,
+            stacklevel=3,
         )
 
     F, N = _joint_matrices(concrete, abstract, gains)
@@ -331,21 +385,14 @@ def simulate(
             seg_idx = policy.segment_index(a)
             seg = policy.segments[seg_idx]
             steps = _n_steps(a, b, h)
-            h_eff = (b - a) / steps
-            phi, d1, d2, d3 = _rk4_affine(F, N, h_eff)
-            ts = a + h_eff * np.arange(steps)
-            u1 = _poly_values(seg, ts)
-            u2 = _poly_values(seg, ts + 0.5 * h_eff)
-            u3 = _poly_values(seg, ts + h_eff)
-            drive = u1 @ d1.T + u2 @ d2.T + u3 @ d3.T
-            zs = np.empty((steps, z.size))
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(steps):
-                    zs[j] = z
-                    z = phi @ z + drive[j]
-            _check_finite(zs, ts)
+            ts = a + ((b - a) / steps) * np.arange(steps)
+            aug = _segment_step_map(F, N, seg, a, b - a, steps)
+            w = np.concatenate([z, [1.0], np.zeros(aug.shape[0] - z.size - 1)])
+            zs = _propagate(aug, w, steps + 1)[:, : z.size]
+            z = zs[-1]
+            _check_finite(zs[:-1], ts)
             _check_finite(z, b)
-            rec.add_block(ts, zs, seg_idx)
+            rec.add_block(ts, zs[:-1], seg_idx)
             if b < t_end - 1e-12:
                 nxt = policy.segment_at(b)
                 delta = nxt.value(b) - seg.value(b)
@@ -363,10 +410,7 @@ def simulate(
     times = rec.t[: rec.count].copy()
     zs = rec.z[: rec.count].copy()
     regimes = rec.regime[: rec.count].copy()
-    return _assemble_record(
-        concrete, abstract, gains, policy, times, zs, regimes, jumps,
-        h, horizon, t0, initial_ok,
-    )
+    return times, zs, regimes, jumps, initial_ok
 
 
 def _propagate(phi: np.ndarray, z: np.ndarray, count: int) -> np.ndarray:
@@ -544,21 +588,35 @@ def simulate_calibrated(
 
     The slack kappa * h^4 absorbs the integration error of the sampled
     simulation-function values; kappa is estimated once per scenario from
-    the deviation between the h and h/2 runs on shared grid times.
+    the deviation between the h and h/2 runs on shared grid times.  The
+    h/2 run is integrated with all its checks, but only its rows at the
+    shared times are assembled.
     """
     rec = simulate(
         concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon
     )
-    rec_half = simulate(
+    times, zs, regimes, _, initial_ok = _integrate(
         concrete, abstract, gains, policy, x0, xhat0, horizon, h / 2.0, rbar_max, t0,
         epsilon,
     )
-    ta = np.round(rec.t, 9)
-    tb = np.round(rec_half.t, 9)
-    _, ia, ib = np.intersect1d(ta, tb, return_indices=True)
-    dev = float(np.max(np.abs(rec.vg[ia] - rec_half.vg[ib]))) if ia.size else 0.0
+    ia, ib = _shared_rows(rec.t, times)
+    half = _assemble_record(
+        concrete, abstract, gains, policy, times[ib], zs[ib], regimes[ib], [],
+        h / 2.0, horizon, t0, initial_ok,
+    )
+    dev = float(np.max(np.abs(rec.vg[ia] - half.vg))) if ia.size else 0.0
     rec.decay_slack = max(safety * dev, 1e-12)
     return rec
+
+
+def _shared_rows(t_a: np.ndarray, t_b: np.ndarray):
+    """Index pairs (ia, ib) with t_a[ia] == t_b[ib] at 1e-9 resolution, for
+    two strictly increasing time grids: one merge-style search."""
+    ta = np.round(t_a, 9)
+    tb = np.round(t_b, 9)
+    ib = np.minimum(np.searchsorted(tb, ta), tb.size - 1)
+    ia = np.flatnonzero(tb[ib] == ta)
+    return ia, ib[ia]
 
 
 @dataclass

@@ -153,6 +153,29 @@ class TestSimulate:
         ])
         assert code == 2
 
+    def test_horizon_too_long_to_sample_is_one_line_exit_2(
+        self, tmp_path, short_switched, monkeypatch, capsys
+    ):
+        syn = tmp_path / "syn"
+        main(["synthesize", "--config", str(short_switched), "--out", str(syn)])
+        capsys.readouterr()
+        huge = write_config(tmp_path, casestudy.ramp_config(horizon=1e9), "huge.json")
+
+        def no_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        # stands in for the real allocation, which must never be attempted
+        monkeypatch.setattr("gaasim.sim.simulate_calibrated", no_memory)
+        code = main([
+            "simulate", "--config", str(huge),
+            "--gains", str(syn / "gains.json"), "--out", str(tmp_path / "o3"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "7.28 TiB" in err
+        assert len(err.strip().splitlines()) == 1
+
 
 def square_input_config(uhat_const: float, horizon: float = 8.0) -> dict:
     """Two-input plant with invertible B: both interfaces achieve exact

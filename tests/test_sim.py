@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from gaasim import casestudy
+from gaasim import casestudy, sim
 from gaasim.model import (
     AbstractInputPolicy,
     AbstractLinearSystem,
@@ -279,11 +279,13 @@ class TestSimulate:
         abstract = AbstractLinearSystem(
             A=[[0.0]], B=[[1.0]], C=[[1.0]], initial_state_set=point_box([1.0]),
         )
-        sc = parse_config(open_loop_config(
-            [{"t_start": 0.0, "t_end": 60.0, "coeffs": [[0.0]]}], horizon=50.0))
-        with pytest.raises(NonFiniteState):
-            simulate(concrete, abstract, identity_gains(1), sc.policy,
-                     [1.0], [1.0], horizon=50.0, h=0.5)
+        # a zero and a cubic drive: both propagate through the augmented map
+        for coeffs in ([[0.0]], [[0.1, 0.0, 0.0, 1e-3]]):
+            sc = parse_config(open_loop_config(
+                [{"t_start": 0.0, "t_end": 60.0, "coeffs": coeffs}], horizon=50.0))
+            with pytest.raises(NonFiniteState):
+                simulate(concrete, abstract, identity_gains(1), sc.policy,
+                         [1.0], [1.0], horizon=50.0, h=0.5)
 
     def test_horizon_zero_single_sample(self, switched5):
         sc, gains, rmax = switched5
@@ -370,3 +372,123 @@ def test_step_size_invariance_of_verdicts(switched5):
     final_1 = np.concatenate([recs[1e-3].x[-1], recs[1e-3].xhat[-1]])
     final_2 = np.concatenate([recs[2e-3].x[-1], recs[2e-3].xhat[-1]])
     assert np.linalg.norm(final_1 - final_2) < 1e-6
+
+
+def rk4_reference(concrete, abstract, gains, seg, z0, a, b, h):
+    """Rows z(a), ..., z(b) of classical RK4 stepped one step at a time."""
+    F, N = sim._joint_matrices(concrete, abstract, gains)
+    steps = sim._n_steps(a, b, h)
+    h_eff = (b - a) / steps
+    phi, d1, d2, d3 = sim._rk4_affine(F, N, h_eff)
+    z = np.asarray(z0, dtype=float)
+    rows = [z]
+    for t in a + h_eff * np.arange(steps):
+        u1, u2, u3 = sim._poly_values(seg, np.array([t, t + 0.5 * h_eff, t + h_eff]))
+        z = phi @ z + d1 @ u1 + d2 @ u2 + d3 @ u3
+        rows.append(z)
+    return np.array(rows)
+
+
+def absolute_coeffs(local, t_start):
+    """Ascending coefficients in absolute t of sum_k local[k] (t - t_start)^k."""
+    shifted = np.polynomial.Polynomial(local)(np.polynomial.Polynomial([-t_start, 1.0]))
+    return np.pad(shifted.coef, (0, len(local) - shifted.coef.size))
+
+
+class TestOpenLoopKernel:
+    """Open-loop segments propagate by doubling an augmented RK4 map; the
+    rows must match sequential RK4 stepping."""
+
+    @staticmethod
+    def assert_matches_reference(concrete, abstract, gains, seg, x0, xhat0, h):
+        rec = simulate(concrete, abstract, gains, AbstractInputPolicy(
+            kind="open_loop", segments=(seg,)), x0, xhat0,
+            horizon=seg.t_end - seg.t_start, h=h, t0=seg.t_start)
+        z = np.hstack([rec.x, rec.xhat])
+        ref = rk4_reference(concrete, abstract, gains, seg, z[0],
+                            seg.t_start, seg.t_end, h)
+        assert z.shape == ref.shape
+        assert np.max(np.abs(z - ref)) <= 1e-10 * max(1.0, np.max(np.abs(ref)))
+
+    @pytest.fixture
+    def ramp_pair(self):
+        sc = parse_config(casestudy.ramp_config(horizon=20.0))
+        gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
+                                 sc.epsilon, sc.envelope, M=sc.M)
+        return sc, gains
+
+    def test_cubic_segment_late_start(self, ramp_pair):
+        sc, gains = ramp_pair
+        coeffs = absolute_coeffs([0.1, 0.02, -0.003, 0.0001], 500.0)
+        assert abs(coeffs[3] * 500.0**3) > 1e4  # absolute-t form cancels heavily
+        seg = OpenLoopSegment(t_start=500.0, t_end=520.0, coeffs=[coeffs])
+        x0 = lift_initial([2.0], seg.value(500.0), gains)
+        self.assert_matches_reference(sc.concrete, sc.abstract, gains, seg, x0, [2.0], 1e-3)
+
+    def test_two_channel_cubic_segment(self):
+        a = np.array([[-1.5, 0.4], [-0.3, -2.2]])
+        concrete = ConcreteLinearSystem(
+            A=a, B=np.eye(2), C=[[1.0, 0.0]],
+            input_ball_radius=50.0, initial_state_set=point_box([0.5, -0.2]),
+        )
+        abstract = AbstractLinearSystem(
+            A=a, B=np.eye(2), C=[[1.0, 0.0]],
+            initial_state_set=point_box([0.5, -0.2]),
+        )
+        seg = OpenLoopSegment(t_start=1.0, t_end=9.0, coeffs=[
+            [0.1, 0.05, -0.02, 0.004], [-0.2, 0.3, 0.01, -0.002]])
+        self.assert_matches_reference(concrete, abstract, identity_gains(2, epsilon=10.0),
+                                      seg, [0.6, -0.1], [0.5, -0.2], 2e-3)
+
+    def test_constant_segment(self, ramp_pair):
+        sc, gains = ramp_pair
+        seg = OpenLoopSegment(t_start=0.0, t_end=50.0, coeffs=[[0.3]])
+        x0 = lift_initial([40.1], seg.value(0.0), gains)
+        self.assert_matches_reference(sc.concrete, sc.abstract, gains, seg, x0, [40.1], 1e-2)
+
+
+class TestCalibration:
+    @staticmethod
+    def study(kind):
+        if kind == "switched":
+            cfg = casestudy.switched_config(horizon=320.0, step=5e-3)
+        else:
+            cfg = casestudy.ramp_config(horizon=120.0, step=5e-3)
+        sc = parse_config(cfg)
+        gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
+                                 sc.epsilon, sc.envelope, M=sc.M)
+        rmax, _, _ = feasibility(gains.rbar1, gains.rbar2, gains.rbar3,
+                                 sc.envelope, sc.a1, sc.epsilon)
+        x0 = sc.x0
+        if x0 is None:
+            x0 = lift_initial(sc.xhat0, sc.policy.segment_at(0.0).value(0.0), gains)
+        return (sc.concrete, sc.abstract, gains, sc.policy, x0, sc.xhat0,
+                sc.horizon, sc.step), rmax
+
+    @pytest.mark.parametrize("kind", ["switched", "ramp"])
+    def test_slack_equals_two_full_records(self, kind):
+        args, rmax = self.study(kind)
+        h = args[-1]
+        calibrated = simulate_calibrated(*args, rbar_max=rmax)
+        full = simulate(*args, rbar_max=rmax)
+        half = simulate(*args[:-1], h / 2.0, rbar_max=rmax)
+        _, ia, ib = np.intersect1d(np.round(full.t, 9), np.round(half.t, 9),
+                                   return_indices=True)
+        dev = float(np.max(np.abs(full.vg[ia] - half.vg[ib])))
+        assert abs(calibrated.decay_slack - max(20.0 * dev, 1e-12)) <= 1e-15
+        assert np.array_equal(calibrated.vg, full.vg)
+
+    def test_shared_rows_match_intersect1d(self):
+        args, rmax = self.study("switched")
+        h = args[-1]
+        full = simulate(*args, rbar_max=rmax)
+        half = simulate(*args[:-1], h / 2.0, rbar_max=rmax)
+        # located crossings add off-grid rows to both runs
+        assert full.jumps and half.jumps
+        steps = (full.t - full.t[0]) / h
+        assert np.any(np.abs(steps - np.round(steps)) > 1e-6)
+        ta, tb = np.round(full.t, 9), np.round(half.t, 9)
+        _, ia_ref, ib_ref = np.intersect1d(ta, tb, return_indices=True)
+        ia, ib = sim._shared_rows(full.t, half.t)
+        assert np.array_equal(ia, ia_ref)
+        assert np.array_equal(ib, ib_ref)
