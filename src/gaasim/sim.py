@@ -263,6 +263,7 @@ class _Recorder:
         self.z = np.empty((max(capacity, 16), nj))
         self.regime = np.empty(max(capacity, 16), dtype=np.int64)
         self.count = 0
+        self.grown = False
 
     def _grow(self, need: int):
         cap = self.t.size
@@ -271,6 +272,7 @@ class _Recorder:
         self.t = np.resize(self.t, cap)
         self.z = np.resize(self.z, (cap, self.z.shape[1]))
         self.regime = np.resize(self.regime, cap)
+        self.grown = True
 
     def add(self, t: float, z: np.ndarray, regime: int):
         if self.count + 1 > self.t.size:
@@ -288,6 +290,15 @@ class _Recorder:
         self.z[self.count : need] = zs
         self.regime[self.count : need] = regime
         self.count = need
+
+    def rows(self):
+        """The recorded (t, z, regime): views of the store, or trimmed copies
+        once it has grown, so that its spare capacity does not outlive the
+        run."""
+        rows = (self.t[: self.count], self.z[: self.count], self.regime[: self.count])
+        if self.grown:
+            return tuple(a.copy() for a in rows)
+        return rows
 
 
 def _check_finite(zs: np.ndarray, ts) -> None:
@@ -407,9 +418,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
         )
         rec.add(t_end, z_final, final_regime)
 
-    times = rec.t[: rec.count].copy()
-    zs = rec.z[: rec.count].copy()
-    regimes = rec.regime[: rec.count].copy()
+    times, zs, regimes = rec.rows()
     return times, zs, regimes, jumps, initial_ok
 
 
@@ -526,6 +535,31 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
     return z, region
 
 
+def _regime_runs(regimes: np.ndarray):
+    """(start, stop) of each contiguous run of one regime id."""
+    starts = [0, *(np.flatnonzero(np.diff(regimes)) + 1).tolist(), regimes.size]
+    return list(zip(starts, starts[1:]))
+
+
+def _abstract_input(policy, times, xhat, regimes) -> np.ndarray:
+    """uhat at each row, vectorized per contiguous regime run."""
+    uhat = np.empty((times.size, policy.m_r))
+    for a, b in _regime_runs(regimes):
+        idx = int(regimes[a])
+        if policy.kind == "open_loop":
+            uhat[a:b] = _poly_values(policy.segments[idx], times[a:b])
+        else:
+            uhat[a:b] = -(xhat[a:b] @ policy.regions[idx].gain.T)
+    return uhat
+
+
+def _relation_error(gains, x, xhat, uhat):
+    """Error vector e = x - P xhat - S uhat and vg = sqrt(e' M e) per row."""
+    e = x - xhat @ gains.P.T - uhat @ gains.S.T
+    vg = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", e, gains.M, e), 0.0))
+    return e, vg
+
+
 def _assemble_record(
     concrete, abstract, gains, policy, times, zs, regimes, jumps,
     h, horizon, t0, initial_ok,
@@ -533,30 +567,21 @@ def _assemble_record(
     n = concrete.n
     x = zs[:, :n]
     xhat = zs[:, n:]
-    count = times.size
-    m_r = abstract.m_r
-    uhat = np.empty((count, m_r))
-    uhatdot = np.empty((count, m_r))
-
-    # per contiguous regime run, vectorized input reconstruction
-    starts = [0, *(np.flatnonzero(np.diff(regimes)) + 1).tolist(), count]
-    for a, b in zip(starts, starts[1:]):
+    uhat = _abstract_input(policy, times, xhat, regimes)
+    uhatdot = np.empty_like(uhat)
+    for a, b in _regime_runs(regimes):
         idx = int(regimes[a])
         if policy.kind == "open_loop":
-            seg = policy.segments[idx]
-            uhat[a:b] = _poly_values(seg, times[a:b])
-            uhatdot[a:b] = _poly_derivs(seg, times[a:b])
+            uhatdot[a:b] = _poly_derivs(policy.segments[idx], times[a:b])
         else:
             gain = policy.regions[idx].gain
-            uhat[a:b] = -(xhat[a:b] @ gain.T)
             xhatdot = xhat[a:b] @ abstract.A.T + uhat[a:b] @ abstract.B.T
             uhatdot[a:b] = -(xhatdot @ gain.T)
 
-    e = x - xhat @ gains.P.T - uhat @ gains.S.T
+    e, vg = _relation_error(gains, x, xhat, uhat)
     u = e @ gains.K.T + xhat @ gains.Q.T + uhat @ gains.R.T
     y = x @ concrete.C.T
     yhat = xhat @ abstract.C.T
-    vg = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", e, gains.M, e), 0.0))
     err = np.linalg.norm(y - yhat, axis=1)
     return TrajectoryRecord(
         t=times,
@@ -589,22 +614,22 @@ def simulate_calibrated(
     The slack kappa * h^4 absorbs the integration error of the sampled
     simulation-function values; kappa is estimated once per scenario from
     the deviation between the h and h/2 runs on shared grid times.  The
-    h/2 run is integrated with all its checks, but only its rows at the
-    shared times are assembled.
+    h/2 run is integrated with all its checks, but only vg is computed,
+    and only at the shared times.
     """
     rec = simulate(
         concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon
     )
-    times, zs, regimes, _, initial_ok = _integrate(
+    times, zs, regimes, _, _ = _integrate(
         concrete, abstract, gains, policy, x0, xhat0, horizon, h / 2.0, rbar_max, t0,
         epsilon,
     )
     ia, ib = _shared_rows(rec.t, times)
-    half = _assemble_record(
-        concrete, abstract, gains, policy, times[ib], zs[ib], regimes[ib], [],
-        h / 2.0, horizon, t0, initial_ok,
-    )
-    dev = float(np.max(np.abs(rec.vg[ia] - half.vg))) if ia.size else 0.0
+    shared = zs[ib]
+    xhat = shared[:, concrete.n :]
+    uhat = _abstract_input(policy, times[ib], xhat, regimes[ib])
+    _, vg = _relation_error(gains, shared[:, : concrete.n], xhat, uhat)
+    dev = float(np.max(np.abs(rec.vg[ia] - vg))) if ia.size else 0.0
     rec.decay_slack = max(safety * dev, 1e-12)
     return rec
 
@@ -773,6 +798,14 @@ def verify_trajectory(
 
 # ---------------------------------------------------------------------------
 # CSV artifacts (15 significant digits, deterministic bytes)
+#
+# Trajectory values go through `textfmt`, whose bytes equal `'%.15g' % v`:
+# the 15 digits come from one longdouble product whose error is below
+# 1.01 eps_ld 1e15 (two roundings), and every value whose fraction lies
+# within 16 eps_ld 1e15 of 1/2 is formatted by Python instead.
+
+#: rows formatted and compressed per block of `trajectory_csv`
+_CSV_CHUNK_ROWS = 65536
 
 
 def _fmt(v: float) -> str:
@@ -780,6 +813,10 @@ def _fmt(v: float) -> str:
 
 
 def trajectory_csv(record: TrajectoryRecord) -> str:
+    # imported on first use: building its tables takes milliseconds that
+    # runs without CSV output need not pay at import
+    from . import textfmt
+
     n = record.x.shape[1]
     n_r = record.xhat.shape[1]
     m_r = record.uhat.shape[1]
@@ -796,24 +833,23 @@ def trajectory_csv(record: TrajectoryRecord) -> str:
         + [f"yhat{i + 1}" for i in range(p)]
         + ["vg", "err"]
     )
-    table = np.column_stack(
-        [
-            record.t,
-            record.x,
-            record.xhat,
-            record.uhat,
-            record.uhatdot,
-            record.u,
-            record.y,
-            record.yhat,
-            record.vg,
-            record.err,
-        ]
+    columns = (
+        record.t,
+        record.x,
+        record.xhat,
+        record.uhat,
+        record.uhatdot,
+        record.u,
+        record.y,
+        record.yhat,
+        record.vg,
+        record.err,
     )
-    row_fmt = ",".join(["%.15g"] * table.shape[1])
-    lines = [",".join(header)]
-    lines.extend(row_fmt % tuple(row) for row in table)
-    return "\n".join(lines) + "\n"
+    parts = [",".join(header) + "\n"]
+    for a in range(0, record.t.size, _CSV_CHUNK_ROWS):
+        block = np.column_stack([c[a : a + _CSV_CHUNK_ROWS] for c in columns])
+        parts.append(textfmt.csv_rows(block))
+    return "".join(parts)
 
 
 def jumps_csv(record: TrajectoryRecord) -> str:

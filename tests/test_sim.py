@@ -363,6 +363,83 @@ class TestCsv:
         assert float(value) == pytest.approx(rec.x[1, 1], rel=1e-14)
 
 
+def rowwise_trajectory_csv(record) -> str:
+    """The former row-wise writer: the reference for `trajectory_csv`."""
+    n, n_r = record.x.shape[1], record.xhat.shape[1]
+    m_r, m, p = record.uhat.shape[1], record.u.shape[1], record.y.shape[1]
+    header = (
+        ["t"]
+        + [f"x{i + 1}" for i in range(n)]
+        + [f"xhat{i + 1}" for i in range(n_r)]
+        + [f"uhat{i + 1}" for i in range(m_r)]
+        + [f"uhatdot{i + 1}" for i in range(m_r)]
+        + [f"u{i + 1}" for i in range(m)]
+        + [f"y{i + 1}" for i in range(p)]
+        + [f"yhat{i + 1}" for i in range(p)]
+        + ["vg", "err"]
+    )
+    table = np.column_stack([
+        record.t, record.x, record.xhat, record.uhat, record.uhatdot,
+        record.u, record.y, record.yhat, record.vg, record.err,
+    ])
+    row_fmt = ",".join(["%.15g"] * table.shape[1])
+    lines = [",".join(header)]
+    lines.extend(row_fmt % tuple(row) for row in table)
+    return "\n".join(lines) + "\n"
+
+
+class TestTrajectoryCsvBytes:
+    """`trajectory_csv` must write exactly the bytes of the row-wise writer."""
+
+    @staticmethod
+    def study_record(kind):
+        if kind == "switched":
+            cfg = casestudy.switched_config(horizon=330.0, step=5e-3)
+        else:
+            cfg = casestudy.ramp_config(horizon=60.0, step=2e-3)
+        sc = parse_config(cfg)
+        gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
+                                 sc.epsilon, sc.envelope, M=sc.M)
+        x0 = sc.x0
+        if x0 is None:
+            x0 = lift_initial(sc.xhat0, sc.policy.segment_at(0.0).value(0.0), gains)
+        return simulate(sc.concrete, sc.abstract, gains, sc.policy, x0, sc.xhat0,
+                        sc.horizon, sc.step)
+
+    @pytest.mark.parametrize("kind", ["switched", "ramp"])
+    def test_study_matches_rowwise_reference(self, kind):
+        rec = self.study_record(kind)
+        if kind == "switched":
+            assert rec.t.size > sim._CSV_CHUNK_ROWS  # crosses a real chunk boundary
+        assert trajectory_csv(rec) == rowwise_trajectory_csv(rec)
+
+    def test_injected_special_values(self):
+        rec = self.study_record("ramp")
+        special = np.array([
+            0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1e-310,
+            1e15, -1e16, 1e-5, 9.99999999999999e-05, 3.5e-7, -1.234e-300,
+            1.7976931348623157e308, 999999999999999.5, np.inf, -np.inf, np.nan,
+        ])
+        x = rec.x.copy()
+        x[: special.size, 0] = special
+        err = rec.err.copy()
+        err[-special.size :] = special[::-1]
+        injected = dataclasses.replace(rec, x=x, err=err)
+        text = trajectory_csv(injected)
+        assert text == rowwise_trajectory_csv(injected)
+        assert text.splitlines()[2].split(",")[1] == "-0"
+        assert text.splitlines()[3].split(",")[1] == "4.94065645841247e-324"
+
+    @pytest.mark.parametrize("chunk", [7, 10, 1])
+    def test_rows_crossing_chunk_boundaries(self, monkeypatch, switched5, chunk):
+        sc, gains, _ = switched5
+        rec = simulate(sc.concrete, sc.abstract, gains, sc.policy,
+                       sc.x0, sc.xhat0, horizon=0.3, h=1e-2)
+        assert rec.t.size % 7 != 0
+        monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", chunk)
+        assert trajectory_csv(rec) == rowwise_trajectory_csv(rec)
+
+
 def test_step_size_invariance_of_verdicts(switched5):
     sc, gains, rmax = switched5
     recs = {}
@@ -445,6 +522,26 @@ class TestOpenLoopKernel:
         seg = OpenLoopSegment(t_start=0.0, t_end=50.0, coeffs=[[0.3]])
         x0 = lift_initial([40.1], seg.value(0.0), gains)
         self.assert_matches_reference(sc.concrete, sc.abstract, gains, seg, x0, [40.1], 1e-2)
+
+
+class TestRecorderRows:
+    def test_views_while_within_capacity(self):
+        rec = sim._Recorder(3, 20)
+        rec.add_block(np.arange(5.0), np.ones((5, 3)), 0)
+        t, z, regime = rec.rows()
+        assert t.size == 5 and z.shape == (5, 3) and regime.size == 5
+        assert np.shares_memory(t, rec.t) and np.shares_memory(z, rec.z)
+
+    def test_trimmed_copies_after_growth(self):
+        rec = sim._Recorder(2, 16)
+        for i in range(50):
+            rec.add(float(i), np.array([i, -i]), i % 3)
+        t, z, regime = rec.rows()
+        assert rec.t.size > 50
+        assert not np.shares_memory(t, rec.t) and not np.shares_memory(z, rec.z)
+        assert np.array_equal(t, np.arange(50.0))
+        assert np.array_equal(z[:, 1], -np.arange(50.0))
+        assert np.array_equal(regime, np.arange(50) % 3)
 
 
 class TestCalibration:

@@ -1,0 +1,127 @@
+"""The vectorized `%.15g` kernel must give exactly Python's bytes."""
+
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from gaasim import textfmt
+
+
+def reference(values) -> str:
+    return "".join("%.15g\n" % v for v in np.asarray(values, dtype=float).tolist())
+
+
+def formatted(values) -> str:
+    return textfmt.csv_rows(np.asarray(values, dtype=float).reshape(-1, 1))
+
+
+@pytest.fixture
+def python_path(monkeypatch):
+    """Counts the values that go through Python's own formatting."""
+    seen = []
+    original = textfmt._python_fields
+
+    def spy(values):
+        seen.extend(values.tolist())
+        return original(values)
+
+    monkeypatch.setattr(textfmt, "_python_fields", spy)
+    return seen
+
+
+def test_random_bit_patterns():
+    rng = np.random.default_rng(20261018)
+    values = rng.integers(0, 2**64, size=1_000_000, dtype=np.uint64, endpoint=False)
+    values = values.view(np.float64)
+    assert formatted(values) == reference(values)
+
+
+def test_random_decimals_over_many_scales():
+    rng = np.random.default_rng(7)
+    scale = 10.0 ** rng.integers(-12, 24, size=200_000)
+    values = rng.standard_normal(200_000) * scale
+    values = np.concatenate([values, np.round(values, 3), np.round(values, -2)])
+    assert formatted(values) == reference(values)
+
+
+EDGE_VALUES = [
+    0.0, -0.0, np.inf, -np.inf, np.nan,
+    5e-324, -5e-324,  # smallest subnormal
+    2.2250738585072014e-308,  # smallest normal
+    1.7976931348623157e308, -1.7976931348623157e308,  # largest double
+    1e-5, 1e-4, 9.99999999999999e-5, 9.999999999999995e-5,
+    1e14, 1e15, 999999999999999.5, 999999999999999.4, 1e16,
+    99999999999999.95, 0.1, 1.0, -1.0, 12.5, 1e100, 1e-100, 1e22, 1e23,
+]
+
+
+@pytest.mark.parametrize("value", EDGE_VALUES, ids=repr)
+def test_edge_value(value):
+    assert formatted([value]) == reference([value])
+
+
+def test_sixteenth_digit_five():
+    """Decimals whose 16th digit is 5; their binary values lie 4e-3 to
+    1.1e-2 of a last-digit unit from the tie, outside the fallback margin,
+    so the kernel rounds them and their neighbours itself."""
+    values = [
+        float("1.000000000000005"),
+        float("123.4567890123455"),
+        float("-0.0001234567890123455"),
+        float("9.999999999999995e200"),
+    ]
+    values += [np.nextafter(v, d) for v in values for d in (-np.inf, np.inf)]
+    assert formatted(values) == reference(values)
+
+
+def test_exact_ties_take_the_fallback(python_path):
+    ties = [999999999999999.5, 123456789012345.5, -1234567890123.125, 2.0**-22]
+    assert formatted(ties) == reference(ties)
+    assert python_path == ties
+    neighbours = [np.nextafter(v, d) for v in ties for d in (-np.inf, np.inf)]
+    assert formatted(neighbours) == reference(neighbours)
+
+
+def test_zeros_nan_and_inf_take_the_fallback(python_path):
+    values = [0.0, -0.0, np.inf, -np.inf, 1.25]
+    assert formatted(values) == reference(values)
+    assert len(python_path) == 4 and 1.25 not in python_path
+
+
+def test_float64_margin_sends_every_value_to_python(monkeypatch, python_path):
+    """Where longdouble is plain float64 the margin exceeds 1/2: every
+    value falls back and the bytes stay exact."""
+    margin = textfmt._MARGIN_FACTOR * np.finfo(np.float64).eps * 1e15
+    assert margin > 0.5
+    monkeypatch.setattr(textfmt, "_HALF_MARGIN", margin)
+    values = np.random.default_rng(3).standard_normal(1000)
+    assert formatted(values) == reference(values)
+    assert len(python_path) == values.size
+
+
+def test_margin_follows_longdouble_precision():
+    eps = float(np.finfo(np.longdouble).eps)
+    assert textfmt._MARGIN_FACTOR >= 2
+    assert textfmt._HALF_MARGIN == textfmt._MARGIN_FACTOR * eps * 1e15
+
+
+def test_power_table_is_correctly_rounded():
+    for k in range(textfmt._P10_LOW, textfmt._P10_HIGH + 1):
+        p = textfmt._P10[k - textfmt._P10_LOW]
+        exact = Fraction(10) ** k
+        half_ulp = Fraction(*np.spacing(p).as_integer_ratio()) / 2
+        assert abs(Fraction(*p.as_integer_ratio()) - exact) <= half_ulp
+
+
+def test_fields_are_nul_padded_to_fixed_width():
+    fields = textfmt.g15_fields([1.5, -2.5e-300])
+    assert fields.shape == (2, textfmt.FIELD_WIDTH)
+    assert bytes(fields[0]).rstrip(b"\0") == b"1.5"
+    assert bytes(fields[1]).rstrip(b"\0") == b"-2.5e-300"
+
+
+def test_table_rows_and_separators():
+    table = np.array([[1.0, -0.0, 3.5e20], [np.nan, 2e-7, 0.25]])
+    assert textfmt.csv_rows(table) == "1,-0,3.5e+20\nnan,2e-07,0.25\n"
+    assert textfmt.csv_rows(np.empty((0, 3))) == ""
