@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from . import __version__, casestudy, sim, synthesis
-from .model import ConfigError, Scenario, emit_config, parse_config
+from .model import ConfigError, Scenario, emit_config, parse_config, replace_scalars
 from .numerics import NumericsError
 from .refine import lift_initial
 from .synthesis import NotStabilizing, RefinementGains
@@ -69,8 +69,8 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
     for name in ("epsilon", "a1", "step", "horizon"):
         value = getattr(args, name, None)
         if value is not None:
-            updates[name] = float(value)
-    return dataclasses.replace(scenario, **updates) if updates else scenario
+            updates[name] = value
+    return replace_scalars(scenario, **updates)
 
 
 def _load_scenario(args) -> Scenario:
@@ -83,9 +83,17 @@ def _digest(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
+#: characters encoded and written at a time by `_write`
+_WRITE_SLICE = 4 << 20
+
+
 def _write(path: Path, text: str) -> Path:
+    """Write `text` as `Path.write_text` would, encoding one slice at a time
+    so that no encoded copy of a whole trajectory is ever held."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    with path.open("w", encoding="utf-8") as f:
+        for a in range(0, len(text), _WRITE_SLICE):
+            f.write(text[a : a + _WRITE_SLICE])
     return path
 
 
@@ -254,15 +262,15 @@ def cmd_casestudy(args) -> int:
 
     switched_cfg = casestudy.switched_config(horizon=horizon, step=step)
     ramp_cfg = casestudy.ramp_config(horizon=ramp_horizon, step=step)
-    outputs = [
-        _write(out / "casestudy_switched.json", _json_text(switched_cfg)),
-        _write(out / "casestudy_ramp.json", _json_text(ramp_cfg)),
-    ]
     switched = _apply_overrides(parse_config(switched_cfg), args)
     ramp = _apply_overrides(
         parse_config(ramp_cfg),
         argparse.Namespace(epsilon=args.epsilon, a1=args.a1, step=None, horizon=None),
     )
+    outputs = [
+        _write(out / "casestudy_switched.json", _json_text(switched_cfg)),
+        _write(out / "casestudy_ramp.json", _json_text(ramp_cfg)),
+    ]
 
     gains, report = _synthesize_pipeline(switched, force_s_zero=False)
     if gains is None:

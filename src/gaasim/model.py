@@ -10,7 +10,8 @@ construction and safe for concurrent shared reads.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -402,7 +403,13 @@ def _get(d: dict, key: str, path: str, required: bool = True, default=None):
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number):  # JSON admits NaN and Infinity
+        raise SchemaError(f"{path}: expected a finite number, got {number}")
+    return number
 
 
 def _matrix(value, path: str) -> np.ndarray:
@@ -552,14 +559,7 @@ def parse_config(document) -> Scenario:
     raw_m = _get(s, "M", "scenario", required=False)
     M = None if raw_m is None else _matrix(raw_m, "scenario.M")
 
-    if epsilon <= 0:
-        raise InvariantViolation("scenario.epsilon must be positive")
-    if a1 <= 0:
-        raise InvariantViolation("scenario.a1 must be positive")
-    if step <= 0:
-        raise InvariantViolation("scenario.step must be positive")
-    if horizon < 0:
-        raise InvariantViolation("scenario.horizon must be nonnegative")
+    _check_scalars(policy, epsilon=epsilon, a1=a1, step=step, horizon=horizon)
     if K.shape != (concrete.m, concrete.n):
         raise DimensionMismatch(
             f"scenario.K shape {K.shape} != (m, n) = {(concrete.m, concrete.n)}"
@@ -575,13 +575,6 @@ def parse_config(document) -> Scenario:
             f"scenario.M shape {M.shape} != (n, n) = {(concrete.n, concrete.n)}"
         )
 
-    if policy.kind == "open_loop" and horizon > 0:
-        if policy.segments[0].t_start > 1e-12 or policy.t_end < horizon - 1e-12:
-            raise InvariantViolation(
-                f"open-loop segments cover [{policy.segments[0].t_start}, "
-                f"{policy.t_end}] but the horizon is [0, {horizon}]"
-            )
-
     return Scenario(
         concrete=concrete,
         abstract=abstract,
@@ -596,6 +589,35 @@ def parse_config(document) -> Scenario:
         x0=x0,
         M=M,
     )
+
+
+def _check_scalars(policy: AbstractInputPolicy, **values: float) -> None:
+    """Check scenario scalars (any of epsilon, a1, step, horizon) as a
+    configuration file would have them: finite, the horizon nonnegative and
+    covered by open-loop segments, the others positive."""
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise InvariantViolation(f"scenario.{name} must be finite, got {value}")
+        if name == "horizon":
+            if value < 0:
+                raise InvariantViolation("scenario.horizon must be nonnegative")
+        elif value <= 0:
+            raise InvariantViolation(f"scenario.{name} must be positive")
+    horizon = values.get("horizon", 0.0)
+    if policy.kind == "open_loop" and horizon > 0:
+        if policy.segments[0].t_start > 1e-12 or policy.t_end < horizon - 1e-12:
+            raise InvariantViolation(
+                f"open-loop segments cover [{policy.segments[0].t_start}, "
+                f"{policy.t_end}] but the horizon is [0, {horizon}]"
+            )
+
+
+def replace_scalars(scenario: Scenario, **values: float) -> Scenario:
+    """`scenario` with some of epsilon, a1, step and horizon replaced,
+    checked exactly as `parse_config` checks them."""
+    values = {name: float(value) for name, value in values.items()}
+    _check_scalars(scenario.policy, **values)
+    return replace(scenario, **values)
 
 
 def _matrix_lists(m: np.ndarray) -> list[list[float]]:

@@ -14,13 +14,17 @@ inserted into the grid exactly; feedback region crossings are located by
 bisection and the enclosing step is split.  The grid sample at a jump time
 stores the right limit of the abstract input.
 
-A single run is strictly sequential; distinct runs share no mutable state
-and may execute in parallel.
+Integration within a run is sequential; distinct runs share no mutable
+state and may execute in parallel.  `trajectory_csv` formats its row blocks
+on every CPU the process may use and joins them in row order.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -301,6 +305,30 @@ class _Recorder:
         return rows
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or infinity where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
+def _preflight(concrete, abstract, horizon: float, steps) -> None:
+    """Raise MemoryError, before anything is allocated, when runs over
+    `horizon` at each step in `steps` would hold more array bytes (rows x
+    record columns x 8) than the machine has physical memory."""
+    if not all(h > 0 for h in steps):
+        return  # `_integrate` refuses the step
+    columns = 4 + concrete.n + abstract.n_r + 2 * abstract.m_r + concrete.m + 2 * concrete.p
+    need = 8.0 * columns * sum(horizon / h + 1.0 for h in steps)
+    limit = _physical_memory()
+    if need > limit:
+        raise MemoryError(
+            f"the run needs about {need / 2**30:.3g} GiB of arrays, more than "
+            f"the {limit / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def _check_finite(zs: np.ndarray, ts) -> None:
     if not np.all(np.isfinite(zs)):
         bad = np.flatnonzero(~np.all(np.isfinite(np.atleast_2d(zs)), axis=1))[0]
@@ -327,8 +355,10 @@ def simulate(
     checked for relation membership (a warning is issued when it fails and
     the record carries the flag); each jump is checked against the budget
     derived from `rbar_max` and logged.  `epsilon` defaults to the bundle's
-    value and can be tightened per run.
+    value and can be tightened per run.  A run whose arrays would exceed
+    physical memory raises MemoryError before it allocates them.
     """
+    _preflight(concrete, abstract, horizon, (h,))
     times, zs, regimes, jumps, initial_ok = _integrate(
         concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon
     )
@@ -615,8 +645,10 @@ def simulate_calibrated(
     simulation-function values; kappa is estimated once per scenario from
     the deviation between the h and h/2 runs on shared grid times.  The
     h/2 run is integrated with all its checks, but only vg is computed,
-    and only at the shared times.
+    and only at the shared times.  Both runs are counted in the memory
+    preflight.
     """
+    _preflight(concrete, abstract, horizon, (h, h / 2.0))
     rec = simulate(
         concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon
     )
@@ -804,12 +836,59 @@ def verify_trajectory(
 # 1.01 eps_ld 1e15 (two roundings), and every value whose fraction lies
 # within 16 eps_ld 1e15 of 1/2 is formatted by Python instead.
 
-#: rows formatted and compressed per block of `trajectory_csv`
-_CSV_CHUNK_ROWS = 65536
+#: rows formatted and compressed per block of `trajectory_csv`; at 16,384
+#: rows one column's gather index (1.4 MB) fits in a 2 MB L2 cache
+_CSV_CHUNK_ROWS = 16384
 
 
 def _fmt(v: float) -> str:
     return f"{v:.15g}"
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+def _map_blocks(fn, count: int) -> list:
+    """[fn(0), ..., fn(count - 1)], computed on min(CPUs, count) threads.
+
+    The calling thread drains blocks too, so one CPU means no helper thread
+    and never more compute threads than CPUs.  After the first exception no
+    thread starts a new block; it is re-raised once every helper has been
+    joined.
+    """
+    results = [None] * count
+    errors = []
+    blocks = queue.SimpleQueue()
+    for i in range(count):
+        blocks.put(i)
+
+    def drain():
+        while not errors:
+            try:
+                i = blocks.get_nowait()
+            except queue.Empty:
+                return
+            try:
+                results[i] = fn(i)
+            except BaseException as exc:  # re-raised by the caller
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=drain) for _ in range(min(_cpus(), count) - 1)]
+    for thread in helpers:
+        thread.start()
+    try:
+        drain()
+    finally:
+        for thread in helpers:
+            thread.join()
+    if errors:
+        raise errors[0]
+    return results
 
 
 def trajectory_csv(record: TrajectoryRecord) -> str:
@@ -845,10 +924,16 @@ def trajectory_csv(record: TrajectoryRecord) -> str:
         record.vg,
         record.err,
     )
-    parts = [",".join(header) + "\n"]
-    for a in range(0, record.t.size, _CSV_CHUNK_ROWS):
-        block = np.column_stack([c[a : a + _CSV_CHUNK_ROWS] for c in columns])
-        parts.append(textfmt.csv_rows(block))
+    chunk = _CSV_CHUNK_ROWS
+
+    def block_text(k: int) -> str:
+        a = k * chunk
+        return textfmt.csv_rows(np.column_stack([c[a : a + chunk] for c in columns]))
+
+    # the header goes into the joined list: prefixing the joined blocks
+    # would copy the whole text once more
+    parts = _map_blocks(block_text, -(-record.t.size // chunk))
+    parts.insert(0, ",".join(header) + "\n")
     return "".join(parts)
 
 

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gaasim import casestudy
+from gaasim import casestudy, cli
 from gaasim.cli import main
 
 
@@ -175,6 +175,72 @@ class TestSimulate:
         assert err.startswith("error: ")
         assert "7.28 TiB" in err
         assert len(err.strip().splitlines()) == 1
+
+    def test_preflight_refuses_a_run_larger_than_memory(
+        self, tmp_path, short_switched, monkeypatch, capsys
+    ):
+        syn = tmp_path / "syn"
+        main(["synthesize", "--config", str(short_switched), "--out", str(syn)])
+        capsys.readouterr()
+        # 8,001 rows at h plus 16,001 at h/2, 12 columns: about 2.3 MB
+        monkeypatch.setattr("gaasim.sim._physical_memory", lambda: 1e6)
+        out = tmp_path / "o"
+        code = main([
+            "simulate", "--config", str(short_switched),
+            "--gains", str(syn / "gains.json"), "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory (the run needs about ")
+        assert len(err.strip().splitlines()) == 1
+        assert not (out / "trajectory.csv").exists()
+
+
+class TestOverrides:
+    BAD = [("--epsilon", "0"), ("--a1", "0"), ("--step", "nan"), ("--horizon", "inf"),
+           ("--horizon", "-1")]
+
+    @staticmethod
+    def one_line_config_error(capsys) -> str:
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert len(err.strip().splitlines()) == 1
+        return err
+
+    @pytest.mark.parametrize("flag, value", BAD)
+    def test_casestudy_refuses_before_any_artifact(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "case"
+        assert main(["casestudy", "--out", str(out), flag, value]) == 2
+        self.one_line_config_error(capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag, value", BAD)
+    def test_config_commands_check_overrides(
+        self, tmp_path, short_switched, capsys, flag, value
+    ):
+        out = tmp_path / "syn"
+        code = main(["synthesize", "--config", str(short_switched), "--out", str(out),
+                     flag, value])
+        assert code == 2
+        err = self.one_line_config_error(capsys)
+        assert f"scenario.{flag[2:]}" in err
+
+    def test_horizon_beyond_open_loop_segments(self, tmp_path, short_ramp, capsys):
+        code = main(["compare", "--config", str(short_ramp), "--out", str(tmp_path / "c"),
+                     "--horizon", "500"])
+        assert code == 2
+        assert "open-loop segments cover" in self.one_line_config_error(capsys)
+
+
+class TestWrite:
+    def test_slices_write_the_bytes_of_write_text(self, tmp_path, monkeypatch):
+        text = "t,x1\n" + "".join(f"{k},{k / 7:.15g}\u00b5\n" for k in range(50))
+        expected = tmp_path / "expected.csv"
+        expected.write_text(text, encoding="utf-8")
+        monkeypatch.setattr(cli, "_WRITE_SLICE", 3)
+        written = cli._write(tmp_path / "sub" / "sliced.csv", text)
+        assert written.read_bytes() == expected.read_bytes()
+        assert cli._write(tmp_path / "empty.csv", "").read_bytes() == b""
 
 
 def square_input_config(uhat_const: float, horizon: float = 8.0) -> dict:

@@ -19,6 +19,7 @@ from gaasim.model import (
     SchemaError,
     emit_config,
     parse_config,
+    replace_scalars,
     validate_pair,
 )
 
@@ -88,6 +89,21 @@ class TestParseConfig:
         cfg = casestudy.switched_config()
         cfg["scenario"]["a1"] = "fast"
         with pytest.raises(SchemaError, match=r"scenario\.a1"):
+            parse_config(cfg)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400", "1" + "0" * 400])
+    def test_non_finite_number_rejected(self, text):
+        document = json.dumps(casestudy.switched_config()).replace(
+            '"step": 0.001', f'"step": {text}'
+        )
+        assert f'"step": {text}' in document
+        with pytest.raises(SchemaError, match=r"scenario\.step: expected a finite number"):
+            parse_config(document)
+
+    def test_non_finite_matrix_entry_rejected(self):
+        cfg = casestudy.switched_config()
+        cfg["concrete"]["A"][0][1] = float("inf")
+        with pytest.raises(SchemaError, match=r"concrete\.A\[0\]\[1\]"):
             parse_config(cfg)
 
     def test_round_trip(self):
@@ -225,6 +241,35 @@ class TestPolicyEvaluationGrid:
             if not spans:
                 dv = abs(values[i + 1] - values[i])
                 assert dv <= max_gain * (xs[i + 1] - xs[i]) + 1e-12
+
+
+class TestReplaceScalars:
+    def test_valid_values_replace(self):
+        sc = parse_config(casestudy.switched_config())
+        out = replace_scalars(sc, epsilon=0.4, a1=1, step=2e-3, horizon=10.0)
+        assert (out.epsilon, out.a1, out.step, out.horizon) == (0.4, 1.0, 2e-3, 10.0)
+        assert isinstance(out.a1, float)
+        assert out.policy is sc.policy
+
+    @pytest.mark.parametrize("name, value, message", [
+        ("epsilon", 0.0, "must be positive"),
+        ("a1", -1.0, "must be positive"),
+        ("step", 0.0, "must be positive"),
+        ("horizon", -1.0, "must be nonnegative"),
+        ("step", float("nan"), "must be finite"),
+        ("horizon", float("inf"), "must be finite"),
+        ("epsilon", float("-inf"), "must be finite"),
+    ])
+    def test_checked_like_the_config(self, name, value, message):
+        sc = parse_config(casestudy.switched_config())
+        with pytest.raises(InvariantViolation, match=rf"scenario\.{name} {message}"):
+            replace_scalars(sc, **{name: value})
+
+    def test_horizon_beyond_open_loop_segments(self):
+        sc = parse_config(casestudy.ramp_config(horizon=100.0))
+        replace_scalars(sc, horizon=50.0)
+        with pytest.raises(InvariantViolation, match="open-loop segments cover"):
+            replace_scalars(sc, horizon=1000.0)
 
 
 def test_emit_equals_source_dict():

@@ -1,5 +1,7 @@
 import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -438,6 +440,99 @@ class TestTrajectoryCsvBytes:
         assert rec.t.size % 7 != 0
         monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", chunk)
         assert trajectory_csv(rec) == rowwise_trajectory_csv(rec)
+
+
+class TestTrajectoryCsvThreads:
+    """Blocks formatted on several threads join to the row-wise bytes."""
+
+    @pytest.fixture
+    def record(self, switched5):
+        sc, gains, _ = switched5
+        rec = simulate(sc.concrete, sc.abstract, gains, sc.policy,
+                       sc.x0, sc.xhat0, horizon=50.0, h=1e-2)
+        assert rec.t.size == 5001
+        return rec
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    def test_bytes_match_rowwise_reference(self, monkeypatch, record, cpus, chunk):
+        from gaasim import textfmt
+
+        threads = set()
+        csv_rows = textfmt.csv_rows
+
+        def recording(table):
+            threads.add(threading.get_ident())
+            return csv_rows(table)
+
+        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+        monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", chunk)
+        monkeypatch.setattr(textfmt, "csv_rows", recording)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        try:
+            text = trajectory_csv(record)
+        finally:
+            sys.setswitchinterval(interval)
+        assert text == rowwise_trajectory_csv(record)
+        assert threading.active_count() == before
+        assert threading.get_ident() in threads  # the caller drains blocks too
+        assert len(threads) <= cpus
+
+    def test_block_error_propagates_after_join(self, monkeypatch, record):
+        from gaasim import textfmt
+
+        csv_rows = textfmt.csv_rows
+
+        def failing(table):
+            if table[0, 0] == record.t[7 * 100]:
+                raise ValueError("block 100 failed")
+            return csv_rows(table)
+
+        monkeypatch.setattr(sim, "_cpus", lambda: 4)
+        monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", 7)
+        monkeypatch.setattr(textfmt, "csv_rows", failing)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="block 100 failed"):
+            trajectory_csv(record)
+        assert threading.active_count() == before
+
+    def test_empty_record_is_the_header(self, record):
+        empty = dataclasses.replace(record, **{
+            name: getattr(record, name)[:0]
+            for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err")
+        })
+        assert trajectory_csv(empty) == rowwise_trajectory_csv(empty)
+
+
+class TestPreflight:
+    """Runs are refused before allocation when their arrays exceed memory."""
+
+    def test_calibrated_counts_the_half_step_run(self, monkeypatch, switched5):
+        sc, gains, _ = switched5
+        args = (sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0, 1.0, 1e-2)
+        # 12 columns x 8 bytes: 101 rows at h alone, 101 + 201 with h/2
+        monkeypatch.setattr(sim, "_physical_memory", lambda: 12 * 8 * 200.0)
+        assert simulate(*args).t.size == 101
+        with pytest.raises(MemoryError, match="needs about .* GiB of arrays"):
+            simulate_calibrated(*args)
+
+    def test_refused_before_recorder_allocates(self, monkeypatch, switched5):
+        sc, gains, _ = switched5
+
+        def no_recorder(*a, **k):
+            raise AssertionError("the recorder must not be built")
+
+        monkeypatch.setattr(sim, "_physical_memory", lambda: 1e6)
+        monkeypatch.setattr(sim, "_Recorder", no_recorder)
+        with pytest.raises(MemoryError) as info:
+            simulate(sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0,
+                     horizon=1e9, h=1e-3)
+        assert len(str(info.value).splitlines()) == 1
+
+    def test_physical_memory_probe(self):
+        assert sim._physical_memory() > 0
 
 
 def test_step_size_invariance_of_verdicts(switched5):
