@@ -83,17 +83,17 @@ def _digest(config: dict) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-#: characters encoded and written at a time by `_write`
-_WRITE_SLICE = 4 << 20
-
-
 def _write(path: Path, text: str) -> Path:
-    """Write `text` as `Path.write_text` would, encoding one slice at a time
-    so that no encoded copy of a whole trajectory is ever held."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as f:
-        for a in range(0, len(text), _WRITE_SLICE):
-            f.write(text[a : a + _WRITE_SLICE])
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def _write_trajectory(path: Path, record) -> Path:
+    """Stream the trajectory CSV of `record` to `path`, never holding its text."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("wb") as f:
+        sim.write_trajectory_csv(record, f)
     return path
 
 
@@ -197,7 +197,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     record, verdict = _run_simulation(scenario, gains)
     outputs = [
-        _write(out / "trajectory.csv", sim.trajectory_csv(record)),
+        _write_trajectory(out / "trajectory.csv", record),
         _write(out / "jumps.csv", sim.jumps_csv(record)),
         _write(out / "verify.json", _json_text(verdict.to_dict())),
     ]
@@ -223,7 +223,7 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"{label}: gains not constructible: "
                               f"{report.records[0].detail}")
         record, verdict = _run_simulation(scenario, gains)
-        outputs.append(_write(out / f"trajectory_{label}.csv", sim.trajectory_csv(record)))
+        outputs.append(_write_trajectory(out / f"trajectory_{label}.csv", record))
         outputs.append(_write(out / f"jumps_{label}.csv", sim.jumps_csv(record)))
         results[label] = {
             "max_output_error": verdict.max_output_error,
@@ -289,7 +289,7 @@ def cmd_casestudy(args) -> int:
     ratio_allow = 2.0 * rmax_allow / gains.a1
 
     switched_rec, switched_verdict = _run_simulation(switched, gains)
-    outputs.append(_write(out / "trajectory_switched.csv", sim.trajectory_csv(switched_rec)))
+    outputs.append(_write_trajectory(out / "trajectory_switched.csv", switched_rec))
     outputs.append(_write(out / "jumps_switched.csv", sim.jumps_csv(switched_rec)))
     outputs.append(_write(out / "verify_switched.json", _json_text(switched_verdict.to_dict())))
 
@@ -297,7 +297,7 @@ def cmd_casestudy(args) -> int:
     for label, force in (("gaas", False), ("s_zero", True)):
         rgains, _ = _synthesize_pipeline(ramp, force)
         record, verdict = _run_simulation(ramp, rgains)
-        outputs.append(_write(out / f"trajectory_ramp_{label}.csv", sim.trajectory_csv(record)))
+        outputs.append(_write_trajectory(out / f"trajectory_ramp_{label}.csv", record))
         compare_results[label] = {
             "max_output_error": verdict.max_output_error,
             "max_vg": verdict.max_vg,

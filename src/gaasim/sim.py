@@ -15,19 +15,19 @@ bisection and the enclosing step is split.  The grid sample at a jump time
 stores the right limit of the abstract input.
 
 Integration within a run is sequential; distinct runs share no mutable
-state and may execute in parallel.  `trajectory_csv` formats its row blocks
-on every CPU the process may use and joins them in row order.
+state and may execute in parallel.  `write_trajectory_csv` streams CSV row
+blocks, formatted on every CPU the process may use, to a file in row order;
+`trajectory_csv` joins the same stream into one string.
 """
 
 from __future__ import annotations
 
 import math
 import os
-import queue
 import threading
 import warnings
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
@@ -835,8 +835,10 @@ def verify_trajectory(
 # the 15 digits come from one longdouble product whose error is below
 # 1.01 eps_ld 1e15 (two roundings), and every value whose fraction lies
 # within 16 eps_ld 1e15 of 1/2 is formatted by Python instead.
+# Threads format row blocks ahead of the writer, which writes them in row
+# order; at most 2 x CPUs blocks wait, so CSV memory is the record plus them.
 
-#: rows formatted and compressed per block of `trajectory_csv`; at 16,384
+#: rows formatted and compressed per block of `write_trajectory_csv`; at 16,384
 #: rows one column's gather index (1.4 MB) fits in a 2 MB L2 cache
 _CSV_CHUNK_ROWS = 16384
 
@@ -853,45 +855,72 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _map_blocks(fn, count: int) -> list:
-    """[fn(0), ..., fn(count - 1)], computed on min(CPUs, count) threads.
+def _stream_blocks(fn, count: int, sink) -> int:
+    """Call sink(fn(0)), ..., sink(fn(count - 1)) in this order, with the fn
+    calls spread over min(CPUs, count) threads, and return the total length
+    of the blocks.
 
-    The calling thread drains blocks too, so one CPU means no helper thread
-    and never more compute threads than CPUs.  After the first exception no
-    thread starts a new block; it is re-raised once every helper has been
-    joined.
+    The calling thread sinks each block as soon as it and every block before
+    it are done, and formats blocks while none is ready, so one CPU means no
+    helper thread and never more compute threads than CPUs.  At most
+    2 x CPUs blocks are started but not yet sunk; a helper waits while that
+    window is full.  After the first exception, from `fn` or from `sink`, no
+    thread starts a new block; it is re-raised once every helper is joined.
     """
-    results = [None] * count
+    window = 2 * _cpus()
+    cond = threading.Condition()
+    done = {}  # formatted blocks not yet sunk, by index
     errors = []
-    blocks = queue.SimpleQueue()
-    for i in range(count):
-        blocks.put(i)
+    started = sunk = total = 0
 
-    def drain():
-        while not errors:
-            try:
-                i = blocks.get_nowait()
-            except queue.Empty:
-                return
-            try:
-                results[i] = fn(i)
-            except BaseException as exc:  # re-raised by the caller
+    def work(sinks: bool) -> None:
+        nonlocal started, sunk, total
+        try:
+            while True:
+                with cond:
+                    while True:
+                        if errors or sunk == count or (started == count and not sinks):
+                            return
+                        if sinks and sunk in done:
+                            i, part = None, done.pop(sunk)
+                            break
+                        if started < count and started - sunk < window:
+                            i, started = started, started + 1
+                            break
+                        cond.wait()
+                if i is None:
+                    sink(part)
+                else:
+                    part = fn(i)
+                with cond:
+                    if i is None:
+                        sunk += 1
+                        total += len(part)
+                    else:
+                        done[i] = part
+                    cond.notify_all()
+        except BaseException as exc:  # re-raised by the caller after the join
+            with cond:
                 errors.append(exc)
+                cond.notify_all()
 
-    helpers = [threading.Thread(target=drain) for _ in range(min(_cpus(), count) - 1)]
+    helpers = [threading.Thread(target=work, args=(False,)) for _ in range(min(_cpus(), count) - 1)]
     for thread in helpers:
         thread.start()
     try:
-        drain()
+        work(True)
     finally:
         for thread in helpers:
             thread.join()
     if errors:
         raise errors[0]
-    return results
+    return total
 
 
-def trajectory_csv(record: TrajectoryRecord) -> str:
+def write_trajectory_csv(record: TrajectoryRecord, f: BinaryIO) -> int:
+    """Write the trajectory CSV of `record` to the binary file `f` and return
+    the number of bytes written.  Row blocks are formatted on every CPU and
+    written in row order, so at most 2 x CPUs blocks of text are held."""
     # imported on first use: building its tables takes milliseconds that
     # runs without CSV output need not pay at import
     from . import textfmt
@@ -926,15 +955,22 @@ def trajectory_csv(record: TrajectoryRecord) -> str:
     )
     chunk = _CSV_CHUNK_ROWS
 
-    def block_text(k: int) -> str:
+    def block_bytes(k: int) -> bytes:
         a = k * chunk
         return textfmt.csv_rows(np.column_stack([c[a : a + chunk] for c in columns]))
 
-    # the header goes into the joined list: prefixing the joined blocks
-    # would copy the whole text once more
-    parts = _map_blocks(block_text, -(-record.t.size // chunk))
-    parts.insert(0, ",".join(header) + "\n")
-    return "".join(parts)
+    head = (",".join(header) + "\n").encode("ascii")
+    f.write(head)
+    return len(head) + _stream_blocks(block_bytes, -(-record.t.size // chunk), f.write)
+
+
+def trajectory_csv(record: TrajectoryRecord) -> str:
+    """The text that `write_trajectory_csv` writes, as one string."""
+    import io
+
+    with io.BytesIO() as f:
+        write_trajectory_csv(record, f)
+        return f.getvalue().decode("ascii")
 
 
 def jumps_csv(record: TrajectoryRecord) -> str:

@@ -1,8 +1,8 @@
 """Exact vectorized `%.15g` text for float64 arrays.
 
 `g15_fields` gives, for every value, the bytes of `'%.15g' % v` padded with
-NUL to a fixed field width; `csv_rows` turns a 2-D table into CSV lines
-from those fields.  The output is byte-identical to Python's formatting.
+NUL to a fixed field width; `csv_rows` turns a 2-D table into ASCII CSV
+lines from those fields.  The output is byte-identical to Python's formatting.
 
 Significand.  With e = floor(log10|v|), the 15 significant digits are
 N = round(q), q = |v| 10^(14-e) (Python rounds the exact binary value, ties
@@ -181,14 +181,17 @@ def g15_fields(values) -> np.ndarray:
     return out
 
 
-def csv_rows(table: np.ndarray) -> str:
-    """CSV lines of a 2-D float table, each value as `'%.15g' % v`, every
-    line ending in a newline."""
+def csv_rows(table: np.ndarray) -> bytes:
+    """ASCII CSV lines of a 2-D float table, each value as `'%.15g' % v`,
+    every line ending in a newline.  A column whose bit patterns equal an
+    earlier column's is copied from it, not formatted again."""
     rows, cols = table.shape
     buf = np.empty((rows, cols, FIELD_WIDTH + 1), dtype=np.uint8)
     buf[:, :, FIELD_WIDTH] = ord(",")
     buf[:, -1, FIELD_WIDTH] = ord("\n")
+    first = {}  # a column's bytes -> the first column with those bytes
     for c in range(cols):
-        buf[:, c, :FIELD_WIDTH] = g15_fields(table[:, c])
+        d = first.setdefault(table[:, c].tobytes(), c)
+        buf[:, c, :FIELD_WIDTH] = g15_fields(table[:, c]) if d == c else buf[:, d, :FIELD_WIDTH]
     flat = buf.reshape(-1)
-    return flat[flat != 0].tobytes().decode("ascii")
+    return flat[flat != 0].tobytes()

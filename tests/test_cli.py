@@ -233,14 +233,28 @@ class TestOverrides:
 
 
 class TestWrite:
-    def test_slices_write_the_bytes_of_write_text(self, tmp_path, monkeypatch):
+    def test_writes_the_bytes_of_write_text(self, tmp_path):
         text = "t,x1\n" + "".join(f"{k},{k / 7:.15g}\u00b5\n" for k in range(50))
         expected = tmp_path / "expected.csv"
         expected.write_text(text, encoding="utf-8")
-        monkeypatch.setattr(cli, "_WRITE_SLICE", 3)
-        written = cli._write(tmp_path / "sub" / "sliced.csv", text)
+        written = cli._write(tmp_path / "sub" / "written.csv", text)
         assert written.read_bytes() == expected.read_bytes()
         assert cli._write(tmp_path / "empty.csv", "").read_bytes() == b""
+
+    def test_trajectory_is_streamed_in_binary(self, tmp_path):
+        from gaasim import sim
+        from gaasim.model import parse_config
+        from gaasim.synthesis import synthesize_gains
+
+        sc = parse_config(casestudy.switched_config(horizon=2.0, step=1e-2))
+        gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
+                                 sc.epsilon, sc.envelope, M=sc.M)
+        record = sim.simulate(sc.concrete, sc.abstract, gains, sc.policy,
+                              sc.x0, sc.xhat0, sc.horizon, sc.step)
+        written = cli._write_trajectory(tmp_path / "sub" / "trajectory.csv", record)
+        data = written.read_bytes()
+        assert data == sim.trajectory_csv(record).encode("ascii")
+        assert b"\r" not in data and data.count(b"\n") == record.t.size + 1
 
 
 def square_input_config(uhat_const: float, horizon: float = 8.0) -> dict:

@@ -1,7 +1,9 @@
 import dataclasses
+import io
 import math
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -504,6 +506,106 @@ class TestTrajectoryCsvThreads:
             for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err")
         })
         assert trajectory_csv(empty) == rowwise_trajectory_csv(empty)
+
+
+class TestWriteTrajectoryCsv:
+    """The streaming writer: row-order bytes, a bounded window of formatted
+    blocks, and a clean stop when the file fails."""
+
+    @pytest.fixture
+    def record(self, switched5):
+        sc, gains, _ = switched5
+        return simulate(sc.concrete, sc.abstract, gains, sc.policy,
+                        sc.x0, sc.xhat0, horizon=50.0, h=1e-2)
+
+    @staticmethod
+    def empty(record):
+        return dataclasses.replace(record, **{
+            name: getattr(record, name)[:0]
+            for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err")
+        })
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    @pytest.mark.parametrize("chunk", [7, 1000])
+    def test_bytes_match_rowwise_reference(self, monkeypatch, record, cpus, chunk):
+        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+        monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", chunk)
+        before = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for rec in (record, self.empty(record)):
+                f = io.BytesIO()
+                size = sim.write_trajectory_csv(rec, f)
+                expected = rowwise_trajectory_csv(rec).encode()
+                assert f.getvalue() == expected
+                assert size == len(expected)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("cpus", [1, 4])
+    def test_formatted_blocks_wait_for_a_slow_file(self, monkeypatch, record, cpus):
+        from gaasim import textfmt
+
+        lock = threading.Lock()
+        counts = {"formatted": 0, "writes": 0, "peak": 0}
+        csv_rows = textfmt.csv_rows
+
+        def recording(table):
+            part = csv_rows(table)
+            with lock:
+                counts["formatted"] += 1
+                # the first write is the header
+                unwritten = counts["formatted"] - max(counts["writes"] - 1, 0)
+                counts["peak"] = max(counts["peak"], unwritten)
+            return part
+
+        class SlowFile:
+            def write(self, data):
+                time.sleep(2e-3)
+                with lock:
+                    counts["writes"] += 1
+                return len(data)
+
+        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+        monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", 100)
+        monkeypatch.setattr(textfmt, "csv_rows", recording)
+        sim.write_trajectory_csv(record, SlowFile())
+        assert counts["writes"] == 1 + 51
+        assert counts["formatted"] == 51
+        assert 1 <= counts["peak"] <= 2 * cpus
+
+    def test_write_error_stops_new_blocks(self, monkeypatch, record):
+        from gaasim import textfmt
+
+        cpus = 4
+        started = []
+        csv_rows = textfmt.csv_rows
+
+        def recording(table):
+            started.append(table[0, 0])
+            return csv_rows(table)
+
+        class FailingFile:
+            calls = 0
+
+            def write(self, data):
+                self.calls += 1
+                if self.calls == 3:
+                    raise OSError("disk full")
+                return len(data)
+
+        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+        monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", 7)
+        monkeypatch.setattr(textfmt, "csv_rows", recording)
+        before = threading.active_count()
+        with pytest.raises(OSError, match="disk full"):
+            sim.write_trajectory_csv(record, FailingFile())
+        assert threading.active_count() == before
+        # the header and block 0 were written and block 1 failed: only the
+        # blocks the window already held were started, of 715
+        assert 2 <= len(started) <= 1 + 2 * cpus
 
 
 class TestPreflight:

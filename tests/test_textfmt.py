@@ -13,7 +13,7 @@ def reference(values) -> str:
 
 
 def formatted(values) -> str:
-    return textfmt.csv_rows(np.asarray(values, dtype=float).reshape(-1, 1))
+    return textfmt.csv_rows(np.asarray(values, dtype=float).reshape(-1, 1)).decode("ascii")
 
 
 @pytest.fixture
@@ -123,5 +123,37 @@ def test_fields_are_nul_padded_to_fixed_width():
 
 def test_table_rows_and_separators():
     table = np.array([[1.0, -0.0, 3.5e20], [np.nan, 2e-7, 0.25]])
-    assert textfmt.csv_rows(table) == "1,-0,3.5e+20\nnan,2e-07,0.25\n"
-    assert textfmt.csv_rows(np.empty((0, 3))) == ""
+    assert textfmt.csv_rows(table) == b"1,-0,3.5e+20\nnan,2e-07,0.25\n"
+    assert textfmt.csv_rows(np.empty((0, 3))) == b""
+
+
+def test_equal_columns_are_formatted_once(python_path):
+    """A column equal bit for bit to an earlier one is copied, not formatted
+    again; 0.0 and -0.0, and NaNs with different payloads, are not equal."""
+    rng = np.random.default_rng(7)
+    x = rng.standard_normal(200) * 10.0 ** rng.integers(-20, 20, 200)
+    quiet = np.array([0x7FF8000000000000], dtype=np.uint64).view(np.float64)[0]
+    payload = np.array([0x7FF8000000000001], dtype=np.uint64).view(np.float64)[0]
+    zeros, nans = np.zeros(200), np.full(200, quiet)
+    table = np.column_stack([x, zeros, -zeros, x, nans, np.full(200, payload), -x, x])
+    expected = "".join(",".join("%.15g" % v for v in row) + "\n" for row in table.tolist())
+    assert textfmt.csv_rows(table).decode("ascii") == expected
+    assert expected.split("\n", 1)[0].split(",")[1:3] == ["0", "-0"]
+    # the +0.0, -0.0 and both NaN columns each reach the fallback once
+    assert sum(v == 0.0 or v != v for v in python_path) == 4 * 200
+
+
+def test_equal_columns_skip_the_kernel(monkeypatch):
+    calls = []
+    original = textfmt.g15_fields
+
+    def counting(values):
+        calls.append(values.size)
+        return original(values)
+
+    monkeypatch.setattr(textfmt, "g15_fields", counting)
+    x = np.linspace(-3.0, 3.0, 50)
+    table = np.column_stack([x, x * 2.0, x, x * 2.0, x])
+    rows = textfmt.csv_rows(table).decode("ascii").splitlines()
+    assert rows == [",".join("%.15g" % v for v in row) for row in table.tolist()]
+    assert calls == [50, 50]
