@@ -75,7 +75,10 @@ def in_relation(point: RelationPoint, gains, epsilon: float) -> bool:
 
 
 def omega(tau: float, vg0: float, a1: float, rbar_max: float) -> float:
-    """Decay envelope exp(-a1 tau / 2) vg0 + (1 - exp(-a1 tau / 2)) 2 rbar_max / a1."""
+    """Decay envelope exp(-a1 tau / 2) vg0 + (1 - exp(-a1 tau / 2)) 2 rbar_max / a1.
+
+    It bounds V itself, not V^2, a time tau after a start where V <= vg0.
+    """
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     decay = math.exp(-0.5 * a1 * tau)
@@ -85,18 +88,19 @@ def omega(tau: float, vg0: float, a1: float, rbar_max: float) -> float:
 def jump_admissible(
     delta, tau: float, vg0: float, gains, epsilon: float, rbar_max: float
 ) -> tuple[float, float, bool]:
-    """Jump-budget check delta^T S^T M S delta <= (epsilon - sqrt(omega(tau)))^2.
+    """Jump-budget check delta^T S^T M S delta <= (epsilon - omega(tau))^2.
 
-    When omega(tau) exceeds epsilon^2 the budget is degenerate; the
-    right-hand side is reported as zero so that any nonzero effective jump
-    fails loudly rather than producing a complex bound.
+    omega(tau) bounds V just before the jump and sqrt(lhs) = ||M^{1/2} S
+    delta|| bounds how far the jump moves it, so a passing jump keeps
+    V <= epsilon.  `tau` and `vg0` are those of the current envelope: the
+    run start, or the previous jump, where the envelope restarts at
+    omega + sqrt(lhs).  When omega(tau) exceeds epsilon the budget is
+    degenerate; the right-hand side is reported as zero so that any nonzero
+    effective jump fails loudly rather than squaring the negative margin.
     """
     delta = np.asarray(delta, dtype=float).reshape(-1)
     s_delta = gains.S @ delta
     lhs = float(s_delta @ gains.M @ s_delta)
     w = omega(tau, vg0, gains.a1, rbar_max)
-    if w > epsilon * epsilon:
-        rhs = 0.0
-    else:
-        rhs = (epsilon - math.sqrt(w)) ** 2
+    rhs = 0.0 if w > epsilon else (epsilon - w) ** 2
     return lhs, rhs, lhs <= rhs

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 import os
-import threading
 import warnings
 from dataclasses import dataclass, field
 from typing import BinaryIO, NamedTuple
@@ -354,8 +353,9 @@ def simulate(
     Identical inputs produce bit-identical records.  The initial triple is
     checked for relation membership (a warning is issued when it fails and
     the record carries the flag); each jump is checked against the budget
-    derived from `rbar_max` and logged.  `epsilon` defaults to the bundle's
-    value and can be tightened per run.  A run whose arrays would exceed
+    of the envelope derived from `rbar_max`, which restarts after every
+    logged jump, and logged.  `epsilon` defaults to the bundle's value and
+    can be tightened per run.  A run whose arrays would exceed
     physical memory raises MemoryError before it allocates them.
     """
     _preflight(concrete, abstract, horizon, (h,))
@@ -368,13 +368,24 @@ def simulate(
     )
 
 
+def _judge_jump(anchor, tau, delta, gains, epsilon, rbar_max):
+    """Budget verdict (lhs, rhs, passed) of the jump `delta` at `tau`
+    against the envelope that starts at anchor = (t, v), and the anchor
+    after it: (tau, omega(tau - t, v) + ||M^{1/2} S delta||), the most V
+    can be just after the jump.  The first anchor is (t0, vg0)."""
+    t_prev, v_prev = anchor
+    lhs, rhs, ok = refine.jump_admissible(delta, tau - t_prev, v_prev, gains, epsilon, rbar_max)
+    restart = refine.omega(tau - t_prev, v_prev, gains.a1, rbar_max) + math.sqrt(lhs)
+    return lhs, rhs, ok, (tau, restart)
+
+
 def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon):
     """Grid times, joint states z = [x; xhat], regime ids, the jump log and
     the initial-membership flag of one run (see `simulate`)."""
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    if horizon < 0:
-        raise ValueError("horizon must be nonnegative")
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"step h must be positive and finite, got {h}")
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     eps_run = gains.epsilon if epsilon is None else float(epsilon)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     xhat0 = np.asarray(xhat0, dtype=float).reshape(-1)
@@ -398,16 +409,16 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
     rec = _Recorder(n + n_r, _n_steps(t0, max(t_end, t0 + h), h) + 16)
     jumps: list[JumpRecord] = []
     min_sep = MIN_JUMP_SEPARATION_STEPS * h
+    anchor = (t0, vg0)
 
     def log_jump(tau: float, delta: np.ndarray, cause: str):
+        nonlocal anchor
         if jumps and tau - jumps[-1].time < min_sep:
             raise ZenoViolation(
                 f"jumps at {jumps[-1].time:.6g} and {tau:.6g} violate the "
                 f"minimum separation {min_sep:.6g}"
             )
-        lhs, rhs, ok = refine.jump_admissible(
-            delta, tau - t0, vg0, gains, eps_run, rbar_max
-        )
+        lhs, rhs, ok, anchor = _judge_jump(anchor, tau, delta, gains, eps_run, rbar_max)
         jumps.append(JumpRecord(tau, delta.copy(), cause, lhs, rhs, ok))
 
     if horizon == 0.0:
@@ -452,14 +463,17 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
     return times, zs, regimes, jumps, initial_ok
 
 
-def _propagate(phi: np.ndarray, z: np.ndarray, count: int) -> np.ndarray:
-    """Rows z, phi z, ..., phi^(count-1) z by repeated doubling."""
+def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndarray:
+    """Rows z, phi z, ..., phi^(count-1) z by repeated doubling, or the rows
+    filled before the first doubling stage at which stop(rows) holds."""
     out = np.empty((count, z.size))
     out[0] = z
     filled = 1
     power = phi
     with np.errstate(over="ignore", invalid="ignore"):
         while filled < count:
+            if stop is not None and stop(out[:filled]):
+                return out[:filled]
             take = min(filled, count - filled)
             out[filled : filled + take] = out[:take] @ power.T
             filled += take
@@ -472,18 +486,20 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
     """Integrate the switched-feedback regime over [t0, t_end).
 
     Between crossings the closed loop is autonomous with a constant RK4
-    step map, so whole stretches are propagated at once; the first sample
-    outside the active region brackets the crossing, which is then located
-    by bisection and the enclosing step is split.  Emits rows on the fixed
-    grid plus one row at each located crossing time (carrying the post-jump
-    region).  Returns (z(t_end), final region).
+    step map, so each stretch is propagated by doubling until a sample
+    leaves the active region; the first sample outside brackets the
+    crossing, which is then located by bisection and the enclosing step is
+    split.  Emits rows on the fixed grid plus one row at each located
+    crossing time (carrying the post-jump region).  Returns (z(t_end),
+    final region).
     """
-
-    def region_of(xhat) -> int:
-        return policy.region_index(xhat)
 
     lows = np.array([r.box.lows for r in policy.regions])
     highs = np.array([r.box.highs for r in policy.regions])
+
+    def inside(rows: np.ndarray) -> np.ndarray:
+        xh = rows[..., n:]
+        return np.all((xh >= lows[region]) & (xh <= highs[region]), axis=-1)
 
     closed: dict[int, np.ndarray] = {}
 
@@ -500,16 +516,14 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
     ts = t0 + h_eff * np.arange(steps + 1)
     ts[steps] = t_end
     tol_t = max(1e-9 * (t_end - t0), 1e-15)
-    region = region_of(z0[n:])
+    region = policy.region_index(z0[n:])
     z = z0
     i = 0
     while i < steps:
         phi = _rk4_phi(f_closed(region), h_eff)
-        block = _propagate(phi, z, steps - i + 1)
+        block = _propagate(phi, z, steps - i + 1, stop=lambda rows: not inside(rows).all())
         _check_finite(block, ts[i:])
-        xh = block[:, n:]
-        inside = np.all((xh >= lows[region]) & (xh <= highs[region]), axis=1)
-        exits = np.flatnonzero(~inside)
+        exits = np.flatnonzero(~inside(block))
         if exits.size == 0:
             rec.add_block(ts[i:steps], block[:-1], region)
             return block[-1], region
@@ -528,8 +542,7 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
         lo_s, hi_s = 0.0, t_b - t_a
         while hi_s - lo_s > tol_t:
             mid = 0.5 * (lo_s + hi_s)
-            xh_mid = (_rk4_phi(ff, mid) @ z_a)[n:]
-            if np.all((xh_mid >= lows[region]) & (xh_mid <= highs[region])):
+            if inside(_rk4_phi(ff, mid) @ z_a):
                 lo_s = mid
             else:
                 hi_s = mid
@@ -542,7 +555,7 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
             # crossing at (numerically) the step end: snap to the grid point
             tau = t_b
             z_tau = z_b
-        new_region = region_of(z_b[n:])
+        new_region = policy.region_index(z_b[n:])
         gain_old = policy.regions[region].gain
         gain_new = policy.regions[new_region].gain
         xhat_tau = z_tau[n:]
@@ -553,8 +566,7 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
         if split:
             rec.add(tau, z_tau, region)
             z = _rk4_phi(f_closed(region), t_b - tau) @ z_tau
-            xh_end = z[n:]
-            if not np.all((xh_end >= lows[region]) & (xh_end <= highs[region])):
+            if not inside(z):
                 raise ZenoViolation(
                     f"second region crossing within one step at t ~ {t_b:.6g}"
                 )
@@ -754,7 +766,9 @@ def verify_trajectory(
     the between-jumps decay bound, and the logged jump budgets.
 
     The decay bound is verified between consecutive jump times, anchored at
-    each window's first sample, with slack for integration error.
+    each window's first sample, with slack for integration error.  Each jump
+    budget is recomputed against the envelope restarted at the previous
+    jump, as `simulate` logs it.
     """
     slack = record.decay_slack if decay_slack is None else decay_slack
     u_norm = np.linalg.norm(record.u, axis=1)
@@ -800,10 +814,9 @@ def verify_trajectory(
                 first_violation = t_bad
 
     jumps_passed = 0
+    anchor = (record.t0, record.vg0)
     for j in record.jumps:
-        lhs, rhs, ok = refine.jump_admissible(
-            j.delta, j.time - record.t0, record.vg0, gains, epsilon, rbar_max
-        )
+        lhs, _, ok, anchor = _judge_jump(anchor, j.time, j.delta, gains, epsilon, rbar_max)
         if ok and abs(lhs - j.lhs) <= 1e-9 * max(1.0, abs(j.lhs)):
             jumps_passed += 1
 
@@ -835,8 +848,9 @@ def verify_trajectory(
 # the 15 digits come from one longdouble product whose error is below
 # 1.01 eps_ld 1e15 (two roundings), and every value whose fraction lies
 # within 16 eps_ld 1e15 of 1/2 is formatted by Python instead.
-# Threads format row blocks ahead of the writer, which writes them in row
-# order; at most 2 x CPUs blocks wait, so CSV memory is the record plus them.
+# A pool of CPUs threads formats row blocks ahead of the calling thread,
+# which only writes them, in row order; at most 2 x CPUs blocks are submitted
+# but unwritten, so CSV memory is the record plus them.
 
 #: rows formatted and compressed per block of `write_trajectory_csv`; at 16,384
 #: rows one column's gather index (1.4 MB) fits in a 2 MB L2 cache
@@ -857,63 +871,35 @@ def _cpus() -> int:
 
 def _stream_blocks(fn, count: int, sink) -> int:
     """Call sink(fn(0)), ..., sink(fn(count - 1)) in this order, with the fn
-    calls spread over min(CPUs, count) threads, and return the total length
-    of the blocks.
+    calls run on a pool of CPUs threads and the calling thread only sinking,
+    and return the total length of the blocks.
 
-    The calling thread sinks each block as soon as it and every block before
-    it are done, and formats blocks while none is ready, so one CPU means no
-    helper thread and never more compute threads than CPUs.  At most
-    2 x CPUs blocks are started but not yet sunk; a helper waits while that
-    window is full.  After the first exception, from `fn` or from `sink`, no
-    thread starts a new block; it is re-raised once every helper is joined.
+    At most 2 x CPUs blocks are submitted but not yet sunk.  On the first
+    exception, from `fn` or from `sink`, the blocks not yet started are
+    cancelled and the error is re-raised once the pool is joined.
     """
+    # imported on first use: `concurrent.futures` imports `logging`, which
+    # runs without CSV output need not pay for
+    import collections
+    import concurrent.futures
+
     window = 2 * _cpus()
-    cond = threading.Condition()
-    done = {}  # formatted blocks not yet sunk, by index
-    errors = []
-    started = sunk = total = 0
-
-    def work(sinks: bool) -> None:
-        nonlocal started, sunk, total
+    pending = collections.deque()
+    total = 0
+    with concurrent.futures.ThreadPoolExecutor(max_workers=_cpus()) as pool:
         try:
-            while True:
-                with cond:
-                    while True:
-                        if errors or sunk == count or (started == count and not sinks):
-                            return
-                        if sinks and sunk in done:
-                            i, part = None, done.pop(sunk)
-                            break
-                        if started < count and started - sunk < window:
-                            i, started = started, started + 1
-                            break
-                        cond.wait()
-                if i is None:
+            for i in range(count + 1):
+                # sink the oldest block when the window is full, all at the end
+                while pending and (len(pending) == window or i == count):
+                    part = pending.popleft().result()
                     sink(part)
-                else:
-                    part = fn(i)
-                with cond:
-                    if i is None:
-                        sunk += 1
-                        total += len(part)
-                    else:
-                        done[i] = part
-                    cond.notify_all()
-        except BaseException as exc:  # re-raised by the caller after the join
-            with cond:
-                errors.append(exc)
-                cond.notify_all()
-
-    helpers = [threading.Thread(target=work, args=(False,)) for _ in range(min(_cpus(), count) - 1)]
-    for thread in helpers:
-        thread.start()
-    try:
-        work(True)
-    finally:
-        for thread in helpers:
-            thread.join()
-    if errors:
-        raise errors[0]
+                    total += len(part)
+                if i < count:
+                    pending.append(pool.submit(fn, i))
+        except BaseException:
+            for future in pending:
+                future.cancel()
+            raise
     return total
 
 

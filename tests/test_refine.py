@@ -164,25 +164,47 @@ class TestJumpAdmissible:
         assert lhs == pytest.approx(0.009**2 * M5[1, 1], rel=1e-12)
         assert lhs == pytest.approx(3.423e-4, abs=2e-7)
         w = omega(tau, 0.19886, gains5.a1, rbar_max)
-        assert rhs == pytest.approx((EPS5 - math.sqrt(w)) ** 2, rel=1e-12)
+        assert rhs == pytest.approx((EPS5 - w) ** 2, rel=1e-12)
         assert ok
 
     def test_boundary_violation_fails(self, gains5):
         rbar_max = 4.1115e-4
         w = omega(10.0, 0.19886, gains5.a1, rbar_max)
-        budget = (EPS5 - math.sqrt(w)) ** 2
+        budget = (EPS5 - w) ** 2
         delta_mag = math.sqrt((budget + 1e-6) / M5[1, 1])
         lhs, rhs, ok = jump_admissible([delta_mag], 10.0, 0.19886, gains5, EPS5, rbar_max)
         assert lhs > rhs
         assert not ok
 
     def test_degenerate_budget_reports_zero(self, gains5):
-        # saturated omega above eps^2: 2 rbar_max / a1 = 0.4 > 0.25
-        lhs, rhs, ok = jump_admissible([0.01], 300.0, 0.19886, gains5, EPS5, 0.1)
+        # saturated omega above eps: 2 rbar_max / a1 = 0.6 > 0.5
+        lhs, rhs, ok = jump_admissible([0.01], 300.0, 0.19886, gains5, EPS5, 0.15)
         assert rhs == 0.0
         assert not ok
-        _, rhs0, ok0 = jump_admissible([0.0], 300.0, 0.19886, gains5, EPS5, 0.1)
+        _, rhs0, ok0 = jump_admissible([0.0], 300.0, 0.19886, gains5, EPS5, 0.15)
         assert rhs0 == 0.0 and ok0
+
+    def test_budget_is_in_units_of_v(self, gains5):
+        # omega bounds V, not V^2: at eps = 5 with omega = 2.46 the budget
+        # (eps - sqrt(omega))^2 = 11.77 would admit a post-jump V of 5.89
+        eps, w = 5.0, 2.46
+        s_unit = gains5.S @ [1.0]
+        v_unit = math.sqrt(s_unit @ gains5.M @ s_unit)
+        # a pre-jump error of V = omega that the jump pushes straight outwards
+        e = -w * s_unit / v_unit
+
+        def post_jump_vg(lhs_target):
+            delta = np.array([math.sqrt(lhs_target) / v_unit])
+            lhs, rhs, ok = jump_admissible(delta, 0.0, w, gains5, eps, 0.0)
+            e_post = e - gains5.S @ delta
+            return lhs, rhs, ok, math.sqrt(e_post @ gains5.M @ e_post)
+
+        lhs, rhs, ok, vg_post = post_jump_vg(11.0)
+        assert lhs <= (eps - math.sqrt(w)) ** 2
+        assert rhs == pytest.approx((eps - w) ** 2, rel=1e-12)
+        assert vg_post > eps and not ok
+        lhs, rhs, ok, vg_post = post_jump_vg((1.0 - 1e-9) * (eps - w) ** 2)
+        assert ok and vg_post <= eps
 
     def test_pass_implies_post_jump_membership(self, gains5):
         rng = np.random.default_rng(5)

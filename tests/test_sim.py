@@ -12,13 +12,15 @@ from gaasim import casestudy, sim
 from gaasim.model import (
     AbstractInputPolicy,
     AbstractLinearSystem,
+    Box,
     ConcreteLinearSystem,
     DomainGap,
+    FeedbackRegion,
     OpenLoopSegment,
     OperatingEnvelope,
     parse_config,
 )
-from gaasim.refine import lift_initial
+from gaasim.refine import lift_initial, omega
 from gaasim.sim import (
     NonFiniteState,
     ZenoViolation,
@@ -29,7 +31,7 @@ from gaasim.sim import (
     trajectory_csv,
     verify_trajectory,
 )
-from gaasim.synthesis import RefinementGains, feasibility, synthesize_gains
+from gaasim.synthesis import RefinementGains, feasibility, max_feasible_a1, synthesize_gains
 
 from conftest import EPS5, M5, point_box
 
@@ -247,6 +249,32 @@ class TestSimulate:
         dev_h2 = np.linalg.norm(terminal(0.025) - ref)
         assert 12.0 <= dev_h / dev_h2 <= 20.0
 
+    def test_envelope_restarts_after_each_jump(self):
+        # two +0.24 steps 0.1 s apart from a lifted start: each is within the
+        # budget of an envelope anchored at t0, yet together they take vg
+        # past eps; anchored at the first jump, the second one fails
+        segments = [
+            {"t_start": 0.0, "t_end": 1.0, "coeffs": [[0.0]]},
+            {"t_start": 1.0, "t_end": 1.1, "coeffs": [[0.24]]},
+            {"t_start": 1.1, "t_end": 3.0, "coeffs": [[0.48]]},
+        ]
+        sc = parse_config(open_loop_config(segments, horizon=2.0))
+        gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
+                                 sc.epsilon, sc.envelope, M=sc.M)
+        x0 = lift_initial(sc.xhat0, [0.0], gains)
+        rec = simulate(sc.concrete, sc.abstract, gains, sc.policy, x0, sc.xhat0,
+                       horizon=2.0, h=1e-3, rbar_max=0.0)
+        assert rec.vg0 == 0.0 and np.max(rec.vg) > EPS5
+        first, second = rec.jumps
+        assert first.lhs == pytest.approx(0.24**2 * M5[1, 1], rel=1e-12)
+        assert first.lhs <= EPS5**2  # the budget of an envelope anchored at t0
+        assert first.rhs == pytest.approx(EPS5**2) and first.passed
+        restart = omega(0.1, math.sqrt(first.lhs), gains.a1, 0.0)
+        assert second.rhs == pytest.approx((EPS5 - restart) ** 2, rel=1e-12)
+        assert not second.passed
+        report = verify_trajectory(rec, gains, EPS5, sc.envelope, sc.b_U, 0.0)
+        assert (report.jumps_passed, report.jumps_total) == (1, 2)
+
     def test_determinism_bitwise(self, switched5):
         sc, gains, rmax = switched5
         args = (sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0)
@@ -298,6 +326,19 @@ class TestSimulate:
         assert rec.t.size == 1
         report = verify_trajectory(rec, gains, EPS5, sc.envelope, sc.b_U, rmax)
         assert report.passed
+
+    @pytest.mark.parametrize("horizon, h, message", [
+        (1.0, math.nan, "step h must be positive and finite"),
+        (1.0, math.inf, "step h must be positive and finite"),
+        (1.0, -math.inf, "step h must be positive and finite"),
+        (math.nan, 1e-2, "horizon must be nonnegative"),
+    ])
+    def test_non_finite_step_or_horizon_refused(self, switched5, horizon, h, message):
+        sc, gains, _ = switched5
+        for run in (simulate, simulate_calibrated):
+            with pytest.raises(ValueError, match=message):
+                run(sc.concrete, sc.abstract, gains, sc.policy,
+                    sc.x0, sc.xhat0, horizon=horizon, h=h)
 
 
 class TestVerify:
@@ -479,26 +520,34 @@ class TestTrajectoryCsvThreads:
             sys.setswitchinterval(interval)
         assert text == rowwise_trajectory_csv(record)
         assert threading.active_count() == before
-        assert threading.get_ident() in threads  # the caller drains blocks too
         assert len(threads) <= cpus
 
     def test_block_error_propagates_after_join(self, monkeypatch, record):
         from gaasim import textfmt
 
+        cpus = 4
+        started = []
         csv_rows = textfmt.csv_rows
 
         def failing(table):
+            started.append(table[0, 0])
             if table[0, 0] == record.t[7 * 100]:
                 raise ValueError("block 100 failed")
+            if table[0, 0] > record.t[7 * 100]:
+                time.sleep(0.2)  # keep the pool busy while the error surfaces
             return csv_rows(table)
 
-        monkeypatch.setattr(sim, "_cpus", lambda: 4)
+        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
         monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", 7)
         monkeypatch.setattr(textfmt, "csv_rows", failing)
         before = threading.active_count()
         with pytest.raises(ValueError, match="block 100 failed"):
             trajectory_csv(record)
         assert threading.active_count() == before
+        # of 715 blocks, only the window beyond block 100 was submitted, and
+        # the blocks queued behind the busy pool were cancelled
+        assert len(started) <= 101 + 2 * cpus
+        assert len(started) <= 101 + cpus
 
     def test_empty_record_is_the_header(self, record):
         empty = dataclasses.replace(record, **{
@@ -719,6 +768,60 @@ class TestOpenLoopKernel:
         seg = OpenLoopSegment(t_start=0.0, t_end=50.0, coeffs=[[0.3]])
         x0 = lift_initial([40.1], seg.value(0.0), gains)
         self.assert_matches_reference(sc.concrete, sc.abstract, gains, seg, x0, [40.1], 1e-2)
+
+
+class TestFeedbackStopsAtRegionExit:
+    """Each feedback stretch is propagated only until it leaves its region."""
+
+    @staticmethod
+    def run(monkeypatch, drop_stop: bool):
+        # an abstract oscillator whose xhat1 changes sign every pi / 2 s
+        # switches between two gains 64 times in 100 s
+        a = np.array([[0.0, 1.0], [0.0, 0.0]])
+        k = -a - np.eye(2)
+        concrete = ConcreteLinearSystem(
+            A=a, B=np.eye(2), C=np.eye(2), input_ball_radius=1e3,
+            initial_state_set=Box(-5 * np.ones(2), 5 * np.ones(2)),
+        )
+        abstract = AbstractLinearSystem(
+            A=[[0.0, 2.0], [-2.0, 0.0]], B=np.eye(2), C=np.eye(2),
+            initial_state_set=point_box([1.0, 0.0]),
+        )
+        gains = synthesize_gains(concrete, abstract, k, 0.5 * max_feasible_a1(a, np.eye(2), k),
+                                 0.5, OperatingEnvelope(10.0, 10.0, 10.0))
+        regions = (
+            FeedbackRegion(Box([0.0, -5.0], [5.0, 5.0]), 0.01 * np.eye(2)),
+            FeedbackRegion(Box([-5.0, -5.0], [0.0, 5.0]), np.zeros((2, 2))),
+        )
+        policy = AbstractInputPolicy(kind="switched_feedback", regions=regions)
+        xhat0 = np.array([1.0, 0.0])
+        x0 = lift_initial(xhat0, -regions[0].gain @ xhat0, gains)
+
+        computed = []
+        propagate = sim._propagate
+
+        def counting(phi, z, count, stop=None):
+            rows = propagate(phi, z, count, None if drop_stop else stop)
+            computed.append(rows.shape[0])
+            return rows
+
+        monkeypatch.setattr(sim, "_propagate", counting)
+        rec = simulate(concrete, abstract, gains, policy, x0, xhat0, horizon=100.0, h=1e-2)
+        return rec, sum(computed)
+
+    def test_rows_computed_within_4x_of_kept(self, monkeypatch):
+        rec, computed = self.run(monkeypatch, drop_stop=False)
+        assert len(rec.jumps) >= 50
+        assert all(j.cause == "region_crossing" for j in rec.jumps)
+        assert computed <= 4 * rec.t.size
+
+    def test_same_record_as_whole_horizon_propagation(self, monkeypatch):
+        rec, _ = self.run(monkeypatch, drop_stop=False)
+        ref, computed = self.run(monkeypatch, drop_stop=True)
+        assert computed > 4 * ref.t.size
+        for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err"):
+            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+        assert [j.to_dict() for j in rec.jumps] == [j.to_dict() for j in ref.jumps]
 
 
 class TestRecorderRows:
