@@ -164,9 +164,7 @@ def cmd_synthesize(args) -> int:
 def _run_simulation(scenario: Scenario, gains: RefinementGains):
     x0 = scenario.x0
     if x0 is None:
-        uhat0, _, _ = sim.eval_policy(
-            scenario.policy, scenario.abstract, 0.0, scenario.xhat0
-        )
+        uhat0 = scenario.policy.uhat_at(0.0, scenario.xhat0)
         x0 = lift_initial(scenario.xhat0, uhat0, gains)
     rbar_max = _rbar_max(gains, scenario)
     record = sim.simulate_calibrated(

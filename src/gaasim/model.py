@@ -70,9 +70,9 @@ class Box:
     def dim(self) -> int:
         return self.lows.size
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x) -> bool:
         x = np.asarray(x, dtype=float).reshape(-1)
-        return bool(np.all(x >= self.lows - tol) and np.all(x <= self.highs + tol))
+        return bool(np.all(x >= self.lows) and np.all(x <= self.highs))
 
     def clamp(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float).reshape(-1), self.lows, self.highs)
@@ -92,6 +92,28 @@ class Box:
         return [[float(lo), float(hi)] for lo, hi in zip(self.lows, self.highs)]
 
 
+def _check_lti(system, prefix: str) -> None:
+    """Coerce A, B, C of an LTI system to matrices and check their shapes and
+    the initial box against the state dimension; `prefix` starts each path."""
+    for name in ("A", "B", "C"):
+        object.__setattr__(system, name, as_matrix(getattr(system, name), f"{prefix}.{name}"))
+    n = system.A.shape[0]
+    if system.A.shape[1] != n:
+        raise DimensionMismatch(f"{prefix}.A must be square, got {system.A.shape}")
+    if system.B.shape[0] != n:
+        raise DimensionMismatch(
+            f"{prefix}.B row count {system.B.shape[0]} != state dimension {n}"
+        )
+    if system.C.shape[1] != n:
+        raise DimensionMismatch(
+            f"{prefix}.C column count {system.C.shape[1]} != state dimension {n}"
+        )
+    if system.initial_state_set.dim != n:
+        raise DimensionMismatch(
+            f"{prefix}.x0_box dimension {system.initial_state_set.dim} != {n}"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class ConcreteLinearSystem:
     """dx/dt = A x + B u, y = C x, with admissible inputs ||u|| <= input_ball_radius."""
@@ -103,26 +125,9 @@ class ConcreteLinearSystem:
     initial_state_set: Box
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A, "concrete.A"))
-        object.__setattr__(self, "B", as_matrix(self.B, "concrete.B"))
-        object.__setattr__(self, "C", as_matrix(self.C, "concrete.C"))
-        n = self.A.shape[0]
-        if self.A.shape[1] != n:
-            raise DimensionMismatch(f"concrete.A must be square, got {self.A.shape}")
-        if self.B.shape[0] != n:
-            raise DimensionMismatch(
-                f"concrete.B row count {self.B.shape[0]} != state dimension {n}"
-            )
-        if self.C.shape[1] != n:
-            raise DimensionMismatch(
-                f"concrete.C column count {self.C.shape[1]} != state dimension {n}"
-            )
+        _check_lti(self, "concrete")
         if not (np.isfinite(self.input_ball_radius) and self.input_ball_radius > 0):
             raise InvariantViolation("concrete.input_ball_radius must be positive")
-        if self.initial_state_set.dim != n:
-            raise DimensionMismatch(
-                f"concrete.x0_box dimension {self.initial_state_set.dim} != {n}"
-            )
 
     @property
     def n(self) -> int:
@@ -147,24 +152,7 @@ class AbstractLinearSystem:
     initial_state_set: Box
 
     def __post_init__(self):
-        object.__setattr__(self, "A", as_matrix(self.A, "abstract.A"))
-        object.__setattr__(self, "B", as_matrix(self.B, "abstract.B"))
-        object.__setattr__(self, "C", as_matrix(self.C, "abstract.C"))
-        n_r = self.A.shape[0]
-        if self.A.shape[1] != n_r:
-            raise DimensionMismatch(f"abstract.A must be square, got {self.A.shape}")
-        if self.B.shape[0] != n_r:
-            raise DimensionMismatch(
-                f"abstract.B row count {self.B.shape[0]} != state dimension {n_r}"
-            )
-        if self.C.shape[1] != n_r:
-            raise DimensionMismatch(
-                f"abstract.C column count {self.C.shape[1]} != state dimension {n_r}"
-            )
-        if self.initial_state_set.dim != n_r:
-            raise DimensionMismatch(
-                f"abstract.x0_box dimension {self.initial_state_set.dim} != {n_r}"
-            )
+        _check_lti(self, "abstract")
 
     @property
     def n_r(self) -> int:
@@ -212,16 +200,21 @@ class OpenLoopSegment:
                 f"segment needs t_end > t_start, got [{self.t_start}, {self.t_end}]"
             )
 
-    def value(self, t: float) -> np.ndarray:
-        powers = float(t) ** np.arange(self.coeffs.shape[1])
-        return self.coeffs @ powers
+    def value(self, t) -> np.ndarray:
+        """uhat at t: (m_r,) for a scalar t, (len(t), m_r) for a 1-D array."""
+        return self._poly(self.coeffs, np.arange(self.coeffs.shape[1]), t)
 
-    def derivative(self, t: float) -> np.ndarray:
-        deg = self.coeffs.shape[1]
-        if deg == 1:
-            return np.zeros(self.coeffs.shape[0])
-        k = np.arange(1, deg)
-        return (self.coeffs[:, 1:] * k) @ (float(t) ** (k - 1))
+    def derivative(self, t) -> np.ndarray:
+        """duhat/dt at t, shaped as `value`."""
+        k = np.arange(1, self.coeffs.shape[1])
+        return self._poly(self.coeffs[:, 1:] * k, k - 1, t)
+
+    @staticmethod
+    def _poly(coeffs: np.ndarray, exponents: np.ndarray, t) -> np.ndarray:
+        times = np.asarray(t, dtype=float)
+        powers = times.reshape(1, -1) ** exponents[:, None]
+        rows = (coeffs @ powers).T
+        return rows[0] if times.ndim == 0 else rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,6 +318,48 @@ class AbstractInputPolicy:
         if self.kind != "open_loop":
             return []
         return [seg.t_end for seg in self.segments[:-1]]
+
+    def uhat_at(self, t: float, xhat) -> np.ndarray:
+        """uhat at one time t and abstract state xhat: the polynomial of the
+        segment active at t, or -K xhat with the gain of the region that
+        holds xhat."""
+        if self.kind == "open_loop":
+            return self.segment_at(t).value(t)
+        xhat = np.asarray(xhat, dtype=float).reshape(-1)
+        return -self.regions[self.region_index(xhat)].gain @ xhat
+
+    def uhat(self, times: np.ndarray, xhat: np.ndarray, regimes: np.ndarray) -> np.ndarray:
+        """(len(times), m_r) uhat at rows (times, xhat) whose regime ids
+        (segment or region indices) are `regimes`, one vectorized evaluation
+        per run of one id."""
+        out = np.empty((times.size, self.m_r))
+        for a, b, idx in _runs(regimes):
+            if self.kind == "open_loop":
+                out[a:b] = self.segments[idx].value(times[a:b])
+            else:
+                out[a:b] = -(xhat[a:b] @ self.regions[idx].gain.T)
+        return out
+
+    def uhatdot(
+        self, abstract: "AbstractLinearSystem", times: np.ndarray, xhat: np.ndarray,
+        uhat: np.ndarray, regimes: np.ndarray,
+    ) -> np.ndarray:
+        """duhat/dt at the rows of `uhat`: the segment derivative, or
+        -K (A xhat + B uhat) of the region by the chain rule."""
+        out = np.empty_like(uhat)
+        for a, b, idx in _runs(regimes):
+            if self.kind == "open_loop":
+                out[a:b] = self.segments[idx].derivative(times[a:b])
+            else:
+                xhatdot = xhat[a:b] @ abstract.A.T + uhat[a:b] @ abstract.B.T
+                out[a:b] = -(xhatdot @ self.regions[idx].gain.T)
+        return out
+
+
+def _runs(regimes: np.ndarray) -> list[tuple[int, int, int]]:
+    """(start, stop, id) of each contiguous run of one regime id."""
+    starts = [0, *(np.flatnonzero(np.diff(regimes)) + 1).tolist(), regimes.size]
+    return [(a, b, int(regimes[a])) for a, b in zip(starts, starts[1:])]
 
 
 @dataclass(frozen=True, eq=False)

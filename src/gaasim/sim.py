@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import BinaryIO, NamedTuple
 
 import numpy as np
@@ -57,6 +57,10 @@ MIN_JUMP_SEPARATION_STEPS = 10
 #: decay-bound slack applied when no step-halving calibration was run
 DEFAULT_DECAY_SLACK = 1e-9
 
+#: factor on the measured h vs h/2 deviation of vg that `simulate_calibrated`
+#: takes as the decay slack
+CALIBRATION_SAFETY = 20.0
+
 
 def _is_jump(delta, before) -> bool:
     """Whether an input change `delta` away from the value `before` is a jump:
@@ -80,16 +84,6 @@ class JumpRecord:
     lhs: float
     rhs: float
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "time": self.time,
-            "delta": [float(v) for v in self.delta],
-            "cause": self.cause,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "passed": self.passed,
-        }
 
 
 @dataclass
@@ -134,33 +128,33 @@ def eval_policy(
 ):
     """Abstract input, its exact derivative, and any pending jump.
 
-    Open-loop segments evaluate the active polynomial and its derivative;
-    switched feedback uses uhat = -K xhat with uhatdot = -K (A xhat + B uhat)
-    by the chain rule.  A pending jump descriptor is returned when a segment
-    boundary with a value discontinuity lies in (t, t_next]; feedback region
-    crossings are state-dependent and located by the simulator instead.
+    uhat and duhat/dt come from the policy (`AbstractInputPolicy.uhat_at`
+    and `.uhatdot`): the active polynomial and its derivative, or uhat =
+    -K xhat with uhatdot = -K (A xhat + B uhat).  A pending jump descriptor
+    is returned when a segment boundary with a value discontinuity lies in
+    (t, t_next]; feedback region crossings are state-dependent and located
+    by the simulator instead.
     """
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
+    uhat = policy.uhat_at(t, xhat)
     if policy.kind == "open_loop":
-        seg = policy.segment_at(t)
-        uhat = seg.value(t)
-        uhatdot = seg.derivative(t)
-        pending = None
-        if t_next is not None:
-            for tau in policy.breakpoints():
-                if t < tau <= t_next:
-                    before = policy.segment_at(tau - 1e-15 * max(1.0, abs(tau)))
-                    after = policy.segment_at(tau)
-                    delta = after.value(tau) - before.value(tau)
-                    if _is_jump(delta, before.value(tau)):
-                        pending = PendingJump(tau, "segment_boundary", delta)
-                        break
-        return uhat, uhatdot, pending
-    idx = policy.region_index(xhat)
-    gain = policy.regions[idx].gain
-    uhat = -gain @ xhat
-    uhatdot = -gain @ (abstract.A @ xhat + abstract.B @ uhat)
-    return uhat, uhatdot, None
+        regime = policy.segment_index(t)
+    else:
+        regime = policy.region_index(xhat)
+    uhatdot = policy.uhatdot(
+        abstract, np.array([t]), xhat[None], uhat[None], np.array([regime])
+    )[0]
+    pending = None
+    if t_next is not None:
+        for tau in policy.breakpoints():
+            if t < tau <= t_next:
+                before = policy.segment_at(tau - 1e-15 * max(1.0, abs(tau)))
+                after = policy.segment_at(tau)
+                delta = after.value(tau) - before.value(tau)
+                if _is_jump(delta, before.value(tau)):
+                    pending = PendingJump(tau, "segment_boundary", delta)
+                    break
+    return uhat, uhatdot, pending
 
 
 # ---------------------------------------------------------------------------
@@ -198,21 +192,6 @@ def _joint_matrices(concrete, abstract, gains):
     F[n:, n:] = abstract.A
     N = np.vstack([B @ (R - K @ S), abstract.B])
     return F, N
-
-
-def _poly_values(seg: OpenLoopSegment, times: np.ndarray) -> np.ndarray:
-    """(len(times), m_r) polynomial values of one segment."""
-    powers = times[None, :] ** np.arange(seg.coeffs.shape[1])[:, None]
-    return (seg.coeffs @ powers).T
-
-
-def _poly_derivs(seg: OpenLoopSegment, times: np.ndarray) -> np.ndarray:
-    deg = seg.coeffs.shape[1]
-    if deg == 1:
-        return np.zeros((times.size, seg.coeffs.shape[0]))
-    k = np.arange(1, deg)
-    powers = times[None, :] ** (k - 1)[:, None]
-    return ((seg.coeffs[:, 1:] * k) @ powers).T
 
 
 def _binomial_shift(c: float, size: int) -> np.ndarray:
@@ -393,7 +372,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
     if x0.size != n or xhat0.size != n_r:
         raise ValueError(f"initial states must have sizes {(n, n_r)}")
 
-    uhat0, _, _ = eval_policy(policy, abstract, t0, xhat0)
+    uhat0 = policy.uhat_at(t0, xhat0)
     vg0 = refine.vg(refine.RelationPoint(x0, xhat0, uhat0), gains)
     initial_ok = vg0 <= eps_run
     if not initial_ok:
@@ -577,24 +556,6 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
     return z, region
 
 
-def _regime_runs(regimes: np.ndarray):
-    """(start, stop) of each contiguous run of one regime id."""
-    starts = [0, *(np.flatnonzero(np.diff(regimes)) + 1).tolist(), regimes.size]
-    return list(zip(starts, starts[1:]))
-
-
-def _abstract_input(policy, times, xhat, regimes) -> np.ndarray:
-    """uhat at each row, vectorized per contiguous regime run."""
-    uhat = np.empty((times.size, policy.m_r))
-    for a, b in _regime_runs(regimes):
-        idx = int(regimes[a])
-        if policy.kind == "open_loop":
-            uhat[a:b] = _poly_values(policy.segments[idx], times[a:b])
-        else:
-            uhat[a:b] = -(xhat[a:b] @ policy.regions[idx].gain.T)
-    return uhat
-
-
 def _relation_error(gains, x, xhat, uhat):
     """Error vector e = x - P xhat - S uhat and vg = sqrt(e' M e) per row."""
     e = x - xhat @ gains.P.T - uhat @ gains.S.T
@@ -609,17 +570,8 @@ def _assemble_record(
     n = concrete.n
     x = zs[:, :n]
     xhat = zs[:, n:]
-    uhat = _abstract_input(policy, times, xhat, regimes)
-    uhatdot = np.empty_like(uhat)
-    for a, b in _regime_runs(regimes):
-        idx = int(regimes[a])
-        if policy.kind == "open_loop":
-            uhatdot[a:b] = _poly_derivs(policy.segments[idx], times[a:b])
-        else:
-            gain = policy.regions[idx].gain
-            xhatdot = xhat[a:b] @ abstract.A.T + uhat[a:b] @ abstract.B.T
-            uhatdot[a:b] = -(xhatdot @ gain.T)
-
+    uhat = policy.uhat(times, xhat, regimes)
+    uhatdot = policy.uhatdot(abstract, times, xhat, uhat, regimes)
     e, vg = _relation_error(gains, x, xhat, uhat)
     u = e @ gains.K.T + xhat @ gains.Q.T + uhat @ gains.R.T
     y = x @ concrete.C.T
@@ -649,7 +601,6 @@ def _assemble_record(
 def simulate_calibrated(
     concrete, abstract, gains, policy, x0, xhat0, horizon, h,
     rbar_max: float = 0.0, t0: float = 0.0, epsilon: float | None = None,
-    safety: float = 20.0,
 ) -> TrajectoryRecord:
     """Simulate and calibrate the decay-check slack by step halving.
 
@@ -671,10 +622,10 @@ def simulate_calibrated(
     ia, ib = _shared_rows(rec.t, times)
     shared = zs[ib]
     xhat = shared[:, concrete.n :]
-    uhat = _abstract_input(policy, times[ib], xhat, regimes[ib])
+    uhat = policy.uhat(times[ib], xhat, regimes[ib])
     _, vg = _relation_error(gains, shared[:, : concrete.n], xhat, uhat)
     dev = float(np.max(np.abs(rec.vg[ia] - vg))) if ia.size else 0.0
-    rec.decay_slack = max(safety * dev, 1e-12)
+    rec.decay_slack = max(CALIBRATION_SAFETY * dev, 1e-12)
     return rec
 
 
@@ -731,26 +682,9 @@ class VerificationReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "max_output_error": self.max_output_error,
-            "max_vg": self.max_vg,
-            "max_u_norm": self.max_u_norm,
-            "output_error_ok": self.output_error_ok,
-            "vg_ok": self.vg_ok,
-            "input_ok": self.input_ok,
-            "envelope_ok": self.envelope_ok,
-            "envelope_violation_count": self.envelope_violation_count,
-            "envelope_violations": self.envelope_violations,
-            "jumps_total": self.jumps_total,
-            "jumps_passed": self.jumps_passed,
-            "jumps_ok": self.jumps_ok,
-            "decay_violations": self.decay_violations,
-            "first_decay_violation_time": self.first_decay_violation_time,
-            "decay_ok": self.decay_ok,
-            "initial_membership": self.initial_membership,
-            "decay_slack": self.decay_slack,
-        }
+        """Every field plus the four verdicts."""
+        verdicts = ("passed", "envelope_ok", "jumps_ok", "decay_ok")
+        return {**asdict(self), **{name: getattr(self, name) for name in verdicts}}
 
 
 def verify_trajectory(
@@ -760,17 +694,15 @@ def verify_trajectory(
     envelope: OperatingEnvelope,
     b_U: float,
     rbar_max: float,
-    decay_slack: float | None = None,
 ) -> VerificationReport:
     """Check the record against the relation, the input ball, the envelope,
     the between-jumps decay bound, and the logged jump budgets.
 
     The decay bound is verified between consecutive jump times, anchored at
-    each window's first sample, with slack for integration error.  Each jump
-    budget is recomputed against the envelope restarted at the previous
-    jump, as `simulate` logs it.
+    each window's first sample, with the record's `decay_slack` for
+    integration error.  Each jump budget is recomputed against the envelope
+    restarted at the previous jump, as `simulate` logs it.
     """
-    slack = record.decay_slack if decay_slack is None else decay_slack
     u_norm = np.linalg.norm(record.u, axis=1)
     xhat_norm = np.linalg.norm(record.xhat, axis=1)
     uhat_norm = np.linalg.norm(record.uhat, axis=1)
@@ -805,8 +737,8 @@ def verify_trajectory(
             continue
         ts = record.t[sel]
         vgs = record.vg[sel]
-        bound = np.exp(-0.5 * gains.a1 * (ts - ts[0])) * (vgs[0] - limit) + limit + slack
-        bad = np.flatnonzero(vgs > bound)
+        bound = np.exp(-0.5 * gains.a1 * (ts - ts[0])) * (vgs[0] - limit) + limit
+        bad = np.flatnonzero(vgs > bound + record.decay_slack)
         if bad.size:
             decay_violations += int(bad.size)
             t_bad = float(ts[bad[0]])
@@ -837,7 +769,7 @@ def verify_trajectory(
         decay_violations=decay_violations,
         first_decay_violation_time=first_violation,
         initial_membership=record.initial_membership,
-        decay_slack=slack,
+        decay_slack=record.decay_slack,
     )
 
 

@@ -13,7 +13,7 @@ output weight is dominated, or supplied by the user and validated.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -43,6 +43,8 @@ RESOLVE_TOL = 1e-10
 class RefinementGains:
     """Full parameter bundle of the simulation function and interface."""
 
+    _MATRICES = ("M", "M_sqrt", "K", "P", "Q", "S", "R")
+
     M: np.ndarray
     M_sqrt: np.ndarray
     K: np.ndarray
@@ -59,7 +61,7 @@ class RefinementGains:
     input_bound: float
 
     def __post_init__(self):
-        for name in ("M", "M_sqrt", "K", "P", "Q", "S", "R"):
+        for name in self._MATRICES:
             object.__setattr__(self, name, as_matrix(getattr(self, name), name))
         n = self.M.shape[0]
         m, n_r = self.Q.shape
@@ -82,24 +84,11 @@ class RefinementGains:
             raise ValueError("gains require a1 > 0 and epsilon > 0")
 
     def to_dict(self) -> dict:
-        def rows(m):
-            return [[float(v) for v in row] for row in m]
-
+        """Every field; matrices as lists of rows."""
         return {
-            "M": rows(self.M),
-            "M_sqrt": rows(self.M_sqrt),
-            "K": rows(self.K),
-            "P": rows(self.P),
-            "Q": rows(self.Q),
-            "S": rows(self.S),
-            "R": rows(self.R),
-            "a1": self.a1,
-            "epsilon": self.epsilon,
-            "rbar1": self.rbar1,
-            "rbar2": self.rbar2,
-            "rbar3": self.rbar3,
-            "lambda_min_M": self.lambda_min_M,
-            "input_bound": self.input_bound,
+            f.name: getattr(self, f.name).tolist() if f.name in self._MATRICES
+            else getattr(self, f.name)
+            for f in fields(self)
         }
 
     def to_json(self) -> str:
@@ -107,20 +96,11 @@ class RefinementGains:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RefinementGains":
-        kwargs = {}
-        for name in ("M", "M_sqrt", "K", "P", "Q", "S", "R"):
-            kwargs[name] = np.array(d[name], dtype=float)
-        for name in (
-            "a1",
-            "epsilon",
-            "rbar1",
-            "rbar2",
-            "rbar3",
-            "lambda_min_M",
-            "input_bound",
-        ):
-            kwargs[name] = float(d[name])
-        return cls(**kwargs)
+        return cls(**{
+            f.name: np.array(d[f.name], dtype=float) if f.name in cls._MATRICES
+            else float(d[f.name])
+            for f in fields(cls)
+        })
 
     @classmethod
     def from_json(cls, text: str) -> "RefinementGains":
@@ -136,13 +116,7 @@ class ConditionRecord:
     detail: str = ""
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "value": self.value,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -371,15 +345,6 @@ def synthesize_gains(
     )
 
 
-def _policy_uhat0(policy: AbstractInputPolicy | None, xhat0: np.ndarray, m_r: int):
-    if policy is None:
-        return np.zeros(m_r)
-    if policy.kind == "open_loop":
-        return policy.segments[0].value(policy.segments[0].t_start)
-    idx = policy.region_index(xhat0)
-    return -policy.regions[idx].gain @ xhat0
-
-
 def check_assumption(
     concrete: ConcreteLinearSystem,
     abstract: AbstractLinearSystem,
@@ -393,7 +358,8 @@ def check_assumption(
     domination of M, the Lyapunov decay inequality at a1, optimality of the
     couplings against fresh re-solves, the input bound against the input
     ball, the disturbance-budget feasibility, and the initial-set lift over
-    the corner points of the abstract initial box.
+    the corner points of the abstract initial box, each with the input the
+    policy gives it at t = 0 (zero without a policy), as a run lifts x0.
     """
     A, B, C = concrete.A, concrete.B, concrete.C
     M, K = gains.M, gains.K
@@ -502,7 +468,10 @@ def check_assumption(
     try:
         worst = 0.0
         for corner in abstract.initial_state_set.corners():
-            uhat0 = _policy_uhat0(policy, corner, gains.S.shape[1])
+            if policy is None:
+                uhat0 = np.zeros(gains.S.shape[1])
+            else:
+                uhat0 = policy.uhat_at(0.0, corner)
             lifted = refine.lift_initial(corner, uhat0, gains)
             witness = concrete.initial_state_set.clamp(lifted)
             worst = max(worst, refine.vg(refine.RelationPoint(witness, corner, uhat0), gains))

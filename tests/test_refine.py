@@ -208,25 +208,31 @@ class TestJumpAdmissible:
 
     def test_pass_implies_post_jump_membership(self, gains5):
         rng = np.random.default_rng(5)
-        for _ in range(300):
-            w = rng.uniform(0.0, EPS5**2)
-            e = sample_in_weighted_ball(rng, gains5, math.sqrt(w))
-            budget = (EPS5 - math.sqrt(w)) ** 2
-            delta = rng.standard_normal(1)
-            s_delta = gains5.S @ delta
-            lhs_raw = float(s_delta @ gains5.M @ s_delta)
-            if lhs_raw > 0:
-                delta *= rng.uniform(0.0, 1.0) * math.sqrt(budget / lhs_raw)
-            vg0 = EPS5  # worst-case start: omega(0) = eps^2 >= w for any tau
-            tau = -2.0 / gains5.a1 * math.log(
-                max((w - 2 * 0.0 / gains5.a1) / EPS5, 1e-300)
-            )  # omega(tau) = w when rbar_max = 0
-            lhs, rhs, ok = jump_admissible(delta, tau, vg0, gains5, EPS5, 0.0)
-            if not ok:
-                continue
-            e_post = e - gains5.S @ delta
-            vg_post = math.sqrt(e_post @ gains5.M @ e_post)
-            assert vg_post <= EPS5 + 1e-9
+        for eps in (0.5, 5.0, 50.0):
+            for i in range(300):
+                # w bounds V just before the jump; omega(tau) = w from
+                # vg0 = eps when rbar_max = 0
+                w = rng.uniform(0.0, eps)
+                tau = -2.0 / gains5.a1 * math.log(max(w / eps, 1e-300))
+                # a jump that moves V by up to 25 % more than the budget allows
+                delta = rng.standard_normal(1)
+                s_delta = gains5.S @ delta
+                reach = rng.uniform(0.0, 1.25) * (eps - w)
+                delta *= reach / math.sqrt(s_delta @ gains5.M @ s_delta)
+                # every other pre-jump error is the worst case: V = w aligned
+                # against S delta, so that V = w + reach after the jump
+                aligned = i % 2 == 0
+                if aligned:
+                    e = -w / reach * (gains5.S @ delta)
+                else:
+                    e = sample_in_weighted_ball(rng, gains5, w)
+                lhs, rhs, ok = jump_admissible(delta, tau, eps, gains5, eps, 0.0)
+                e_post = e - gains5.S @ delta
+                vg_post = math.sqrt(e_post @ gains5.M @ e_post)
+                if ok:
+                    assert vg_post <= eps + 1e-9
+                elif aligned:
+                    assert vg_post > eps - 1e-9  # the rejection is not spurious
 
 
 def test_output_closeness_inside_relation(sys5, gains5):

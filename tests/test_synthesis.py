@@ -1,13 +1,16 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
+from gaasim import casestudy
 from gaasim import numerics as nx
 from gaasim.model import (
     AbstractLinearSystem,
     ConcreteLinearSystem,
     OperatingEnvelope,
+    parse_config,
 )
 from gaasim.synthesis import (
     NotStabilizing,
@@ -225,6 +228,29 @@ class TestCheckAssumption:
         bad = dataclasses.replace(gains5, a1=1.5)
         report = check_assumption(concrete, abstract, bad, env5)
         assert not report.record("lyapunov_decay").passed
+
+    @pytest.mark.parametrize("t_start", [-10.0, 0.0])
+    def test_initial_lift_uses_the_input_at_time_zero(self, t_start):
+        # uhat = 0.5 + 0.05401 t: uhat(-10) = -0.0401 would match the concrete
+        # start [40, -0.0401] (vg 0.1989), but a run lifts x0 with uhat(0) = 0.5
+        cfg = casestudy.ramp_config(horizon=20.0)
+        cfg["policy"]["segments"] = [
+            {"t_start": t_start, "t_end": 21.0, "coeffs": [[0.5, 0.05401]]}
+        ]
+        cfg["envelope"].update(uhat_max=2.0, uhatdot_max=0.06)
+        del cfg["scenario"]["x0"]
+        sc = parse_config(cfg)
+        gains = synthesize_gains(
+            sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon, sc.envelope, M=sc.M
+        )
+        report = check_assumption(sc.concrete, sc.abstract, gains, sc.envelope, policy=sc.policy)
+        lift = report.record("initial_lift")
+        # the lift [40.1, 0.5] at t = 0, clamped into the point box [40, -0.0401]
+        e = np.array([-0.1, -0.5401])
+        expected = math.sqrt(e @ M5 @ e)
+        assert expected == pytest.approx(1.1832, abs=1e-4)
+        assert lift.value == pytest.approx(expected, rel=1e-9)
+        assert not lift.passed
 
     def test_report_json_stable_names(self, sys5, env5, gains5):
         concrete, abstract = sys5
