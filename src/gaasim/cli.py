@@ -25,7 +25,6 @@ from pathlib import Path
 from . import __version__, casestudy, sim, synthesis
 from .model import ConfigError, Scenario, emit_config, parse_config, replace_scalars
 from .numerics import NumericsError
-from .refine import lift_initial
 from .synthesis import NotStabilizing, RefinementGains
 
 
@@ -164,8 +163,7 @@ def cmd_synthesize(args) -> int:
 def _run_simulation(scenario: Scenario, gains: RefinementGains):
     x0 = scenario.x0
     if x0 is None:
-        uhat0 = scenario.policy.uhat_at(0.0, scenario.xhat0)
-        x0 = lift_initial(scenario.xhat0, uhat0, gains)
+        x0, _ = synthesis.lifted_start(scenario.concrete, gains, scenario.policy, scenario.xhat0)
     rbar_max = _rbar_max(gains, scenario)
     record = sim.simulate_calibrated(
         scenario.concrete, scenario.abstract, gains, scenario.policy,
@@ -186,11 +184,14 @@ def cmd_simulate(args) -> int:
         gains = RefinementGains.from_json(Path(args.gains).read_text(encoding="utf-8"))
     except (KeyError, ValueError, json.JSONDecodeError) as exc:
         raise ConfigError(f"gains file {args.gains}: {exc}") from exc
-    n, n_r = scenario.concrete.n, scenario.abstract.n_r
-    if gains.P.shape != (n, n_r) or gains.S.shape != (n, scenario.abstract.m_r):
+    bundle = (gains.M.shape[0], *gains.Q.shape, gains.S.shape[1])
+    systems = (
+        scenario.concrete.n, scenario.concrete.m, scenario.abstract.n_r, scenario.abstract.m_r
+    )
+    if bundle != systems:
         raise ConfigError(
-            f"gains dimensions {gains.P.shape}/{gains.S.shape} do not match "
-            f"the configured systems (n={n}, n_r={n_r}, m_r={scenario.abstract.m_r})"
+            f"gains dimensions (n, m, n_r, m_r) = {bundle} do not match the "
+            f"configured systems {systems}"
         )
     out = Path(args.out)
     record, verdict = _run_simulation(scenario, gains)
@@ -258,16 +259,16 @@ def cmd_casestudy(args) -> int:
     step = args.step if args.step is not None else 1e-3
     ramp_horizon = min(horizon, 200.0)
 
-    switched_cfg = casestudy.switched_config(horizon=horizon, step=step)
-    ramp_cfg = casestudy.ramp_config(horizon=ramp_horizon, step=step)
-    switched = _apply_overrides(parse_config(switched_cfg), args)
+    switched = _apply_overrides(
+        parse_config(casestudy.switched_config(horizon=horizon, step=step)), args
+    )
     ramp = _apply_overrides(
-        parse_config(ramp_cfg),
+        parse_config(casestudy.ramp_config(horizon=ramp_horizon, step=step)),
         argparse.Namespace(epsilon=args.epsilon, a1=args.a1, step=None, horizon=None),
     )
     outputs = [
-        _write(out / "casestudy_switched.json", _json_text(switched_cfg)),
-        _write(out / "casestudy_ramp.json", _json_text(ramp_cfg)),
+        _write(out / "casestudy_switched.json", _json_text(emit_config(switched))),
+        _write(out / "casestudy_ramp.json", _json_text(emit_config(ramp))),
     ]
 
     gains, report = _synthesize_pipeline(switched, force_s_zero=False)
@@ -340,7 +341,7 @@ def cmd_casestudy(args) -> int:
         "checks": checks,
     }
     outputs.append(_write(out / "casestudy_summary.json", _json_text(summary)))
-    outputs.append(_manifest(out, "casestudy", _digest(switched_cfg), outputs, started))
+    outputs.append(_manifest(out, "casestudy", _digest(emit_config(switched)), outputs, started))
 
     rows = [
         ("input bound b", f"{gains.input_bound:.6g}", f"<= ball {switched.b_U}"),

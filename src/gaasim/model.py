@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -70,9 +70,12 @@ class Box:
     def dim(self) -> int:
         return self.lows.size
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float).reshape(-1)
-        return bool(np.all(x >= self.lows) and np.all(x <= self.highs))
+    def contains(self, x):
+        """Whether x lies in the box: a bool for one point, one bool per
+        row for rows of points."""
+        x = np.asarray(x, dtype=float)
+        inside = np.all((x >= self.lows) & (x <= self.highs), axis=-1)
+        return bool(inside) if inside.ndim == 0 else inside
 
     def clamp(self, x) -> np.ndarray:
         return np.clip(np.asarray(x, dtype=float).reshape(-1), self.lows, self.highs)
@@ -384,33 +387,6 @@ class Scenario:
         return self.concrete.input_ball_radius
 
 
-@dataclass(frozen=True)
-class PairReport:
-    """Per-check outcome of validate_pair."""
-
-    checks: dict[str, bool]
-    details: dict[str, str] = field(default_factory=dict)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(self.checks.values())
-
-
-def validate_pair(concrete: ConcreteLinearSystem, abstract: AbstractLinearSystem) -> PairReport:
-    """Dimension compatibility report for a concrete/abstract pair."""
-    checks = {
-        "state_dim_reduced": abstract.n_r <= concrete.n,
-        "input_dim_reduced": abstract.m_r <= concrete.m,
-        "output_dim_equal": abstract.p == concrete.p,
-    }
-    details = {
-        "state_dim_reduced": f"n_r={abstract.n_r} vs n={concrete.n}",
-        "input_dim_reduced": f"m_r={abstract.m_r} vs m={concrete.m}",
-        "output_dim_equal": f"p_hat={abstract.p} vs p={concrete.p}",
-    }
-    return PairReport(checks, details)
-
-
 # ---------------------------------------------------------------------------
 # JSON ingestion
 
@@ -460,19 +436,13 @@ def _matrix(value, path: str) -> np.ndarray:
         elif len(row) != width:
             raise SchemaError(f"{path}[{i}]: ragged row (expected {width} entries)")
         rows.append([_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
-    m = np.array(rows, dtype=float)
-    if not np.all(np.isfinite(m)):
-        raise InvariantViolation(f"{path}: non-finite entries")
-    return m
+    return np.array(rows, dtype=float)
 
 
 def _vector(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
         raise SchemaError(f"{path}: expected a non-empty array of numbers")
-    v = np.array([_number(x, f"{path}[{i}]") for i, x in enumerate(value)], dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise InvariantViolation(f"{path}: non-finite entries")
-    return v
+    return np.array([_number(x, f"{path}[{i}]") for i, x in enumerate(value)], dtype=float)
 
 
 def _box(value, path: str) -> Box:
@@ -554,12 +524,14 @@ def parse_config(document) -> Scenario:
         initial_state_set=_box(_get(a, "x0_box", "abstract"), "abstract.x0_box"),
     )
 
-    pair = validate_pair(concrete, abstract)
-    if not pair.all_ok:
-        failed = [name for name, ok in pair.checks.items() if not ok]
-        raise DimensionMismatch(
-            "; ".join(f"{name} failed ({pair.details[name]})" for name in failed)
-        )
+    pair = (
+        ("state_dim_reduced", abstract.n_r <= concrete.n, f"n_r={abstract.n_r} vs n={concrete.n}"),
+        ("input_dim_reduced", abstract.m_r <= concrete.m, f"m_r={abstract.m_r} vs m={concrete.m}"),
+        ("output_dim_equal", abstract.p == concrete.p, f"p_hat={abstract.p} vs p={concrete.p}"),
+    )
+    failed = [f"{name} failed ({detail})" for name, ok, detail in pair if not ok]
+    if failed:
+        raise DimensionMismatch("; ".join(failed))
 
     e = _expect_dict(_get(doc, "envelope", "$"), "envelope")
     _reject_unknown(e, ["xhat_max", "uhat_max", "uhatdot_max"], "envelope")

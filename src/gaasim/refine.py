@@ -4,62 +4,75 @@ for discontinuous abstract inputs.
 
 All functions are pure and stateless.  The output metric is the Euclidean
 norm; the interface never clamps the concrete input, it only flags when the
-bound is exceeded.
+bound is exceeded.  `error_vector`, `vg`, `interface_u` and `omega` take one
+point or rows of points; a point is evaluated as a one-row array, by the
+expression that evaluates a record's rows, so these formulas are written
+only here.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
 
 
 class RelationPoint(NamedTuple):
-    """A triple (x, xhat, uhat) in the joint relation space."""
+    """A triple (x, xhat, uhat) in the joint relation space: one point of
+    vectors, or rows of 2-D arrays, one point per row."""
 
     x: np.ndarray
     xhat: np.ndarray
     uhat: np.ndarray
 
 
-def _as_point(point, gains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = np.asarray(point.x, dtype=float).reshape(-1)
-    xhat = np.asarray(point.xhat, dtype=float).reshape(-1)
-    uhat = np.asarray(point.uhat, dtype=float).reshape(-1)
-    n, n_r = gains.P.shape
-    m_r = gains.S.shape[1]
-    if x.size != n or xhat.size != n_r or uhat.size != m_r:
-        raise ValueError(
-            f"point dimensions {(x.size, xhat.size, uhat.size)} do not match "
-            f"gains {(n, n_r, m_r)}"
-        )
-    return x, xhat, uhat
+def _rows(point, gains) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """x, xhat, uhat as 2-D row arrays, and whether `point` is one point."""
+    single = np.ndim(point.x) < 2
+    rows = [np.asarray(v, dtype=float) for v in point]
+    if single:
+        rows = [v.reshape(1, -1) for v in rows]
+    dims, expected = tuple(v.shape[1] for v in rows), (*gains.P.shape, gains.S.shape[1])
+    if dims != expected:
+        raise ValueError(f"point dimensions {dims} do not match gains {expected}")
+    return (*rows, single)
 
 
 def error_vector(point: RelationPoint, gains) -> np.ndarray:
-    """e = x - P xhat - S uhat."""
-    x, xhat, uhat = _as_point(point, gains)
-    return x - gains.P @ xhat - gains.S @ uhat
+    """e = x - P xhat - S uhat: (n,) for one point, (rows, n) for rows."""
+    x, xhat, uhat, single = _rows(point, gains)
+    e = x - xhat @ gains.P.T - uhat @ gains.S.T
+    return e[0] if single else e
 
 
-def vg(point: RelationPoint, gains) -> float:
-    """Simulation-function value sqrt(e^T M e); zero exactly when e = 0."""
-    e = error_vector(point, gains)
-    return float(math.sqrt(max(e @ gains.M @ e, 0.0)))
+def vg(point: RelationPoint, gains, e=None):
+    """Simulation-function value sqrt(e' M e), zero exactly when e = 0: a
+    float for one point, an array for rows.  `e` is the point's
+    `error_vector`, where the caller has formed it already."""
+    if e is None:
+        e = error_vector(point, gains)
+    rows = e.reshape(1, -1) if e.ndim == 1 else e
+    values = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", rows, gains.M, rows), 0.0))
+    return float(values[0]) if e.ndim == 1 else values
 
 
-def interface_u(point: RelationPoint, gains) -> tuple[np.ndarray, bool]:
-    """Refined concrete input K e + Q xhat + R uhat.
+def interface_u(point: RelationPoint, gains, e=None):
+    """Refined concrete input u = K e + Q xhat + R uhat (`e` as in `vg`) and
+    whether ||u|| exceeds the certified input bound; u is never clamped.
+    For rows, u has a row per point and the flag is None: `verify_trajectory`
+    judges the input norms of a whole record."""
+    _, xhat, uhat, single = _rows(point, gains)
+    if e is None:
+        e = error_vector(point, gains)
+    u = e.reshape(len(xhat), -1) @ gains.K.T + xhat @ gains.Q.T + uhat @ gains.R.T
+    if not single:
+        return u, None
+    return u[0], bool(np.linalg.norm(u[0]) > gains.input_bound + 1e-12)
 
-    Returns (u, exceeded) where `exceeded` flags ||u|| above the gains'
-    certified input bound; the input is reported as-is, never clamped.
-    """
-    x, xhat, uhat = _as_point(point, gains)
-    e = x - gains.P @ xhat - gains.S @ uhat
-    u = gains.K @ e + gains.Q @ xhat + gains.R @ uhat
-    exceeded = bool(np.linalg.norm(u) > gains.input_bound + 1e-12)
-    return u, exceeded
+
+def interface_gains(gains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(K, Q - K P, R - K S): the interface u as a linear map of (x, xhat, uhat)."""
+    return gains.K, gains.Q - gains.K @ gains.P, gains.R - gains.K @ gains.S
 
 
 def lift_initial(xhat0, uhat0, gains) -> np.ndarray:
@@ -74,15 +87,18 @@ def in_relation(point: RelationPoint, gains, epsilon: float) -> bool:
     return vg(point, gains) <= epsilon
 
 
-def omega(tau: float, vg0: float, a1: float, rbar_max: float) -> float:
+def omega(tau, vg0: float, a1: float, rbar_max: float):
     """Decay envelope exp(-a1 tau / 2) vg0 + (1 - exp(-a1 tau / 2)) 2 rbar_max / a1.
 
-    It bounds V itself, not V^2, a time tau after a start where V <= vg0.
+    It bounds V itself, not V^2, a time tau after a start where V <= vg0: a
+    float for one tau, an array for an array of them.
     """
-    if tau < 0:
-        raise ValueError(f"tau must be nonnegative, got {tau}")
-    decay = math.exp(-0.5 * a1 * tau)
-    return decay * vg0 + (1.0 - decay) * (2.0 * rbar_max / a1)
+    tau = np.asarray(tau, dtype=float)
+    if (tau < 0).any():
+        raise ValueError(f"tau must be nonnegative, got {np.min(tau)}")
+    decay = np.exp(-0.5 * a1 * tau)
+    w = decay * vg0 + (1.0 - decay) * (2.0 * rbar_max / a1)
+    return float(w) if w.ndim == 0 else w
 
 
 def jump_admissible(

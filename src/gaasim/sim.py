@@ -26,7 +26,7 @@ import math
 import os
 import warnings
 from dataclasses import asdict, dataclass, field
-from typing import BinaryIO, NamedTuple
+from typing import BinaryIO
 
 import numpy as np
 
@@ -68,12 +68,6 @@ def _is_jump(delta, before) -> bool:
     return bool(
         np.linalg.norm(delta) > JUMP_VALUE_RTOL * max(1.0, float(np.linalg.norm(before)))
     )
-
-
-class PendingJump(NamedTuple):
-    time: float
-    cause: str
-    delta: np.ndarray
 
 
 @dataclass
@@ -119,42 +113,18 @@ class TrajectoryRecord:
         return float(self.vg[0])
 
 
-def eval_policy(
-    policy: AbstractInputPolicy,
-    abstract: AbstractLinearSystem,
-    t: float,
-    xhat,
-    t_next: float | None = None,
-):
-    """Abstract input, its exact derivative, and any pending jump.
-
-    uhat and duhat/dt come from the policy (`AbstractInputPolicy.uhat_at`
-    and `.uhatdot`): the active polynomial and its derivative, or uhat =
-    -K xhat with uhatdot = -K (A xhat + B uhat).  A pending jump descriptor
-    is returned when a segment boundary with a value discontinuity lies in
-    (t, t_next]; feedback region crossings are state-dependent and located
-    by the simulator instead.
-    """
+def eval_policy(policy: AbstractInputPolicy, abstract: AbstractLinearSystem, t: float, xhat):
+    """(uhat, duhat/dt, None) at one time t and abstract state xhat, from
+    `AbstractInputPolicy.uhat_at` and `.uhatdot`: the active polynomial and its
+    derivative, or -K xhat and -K (A xhat + B uhat).  The third entry, always
+    None, keeps the 3-tuple that callers unpack."""
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
     uhat = policy.uhat_at(t, xhat)
-    if policy.kind == "open_loop":
-        regime = policy.segment_index(t)
-    else:
-        regime = policy.region_index(xhat)
+    regime = policy.segment_index(t) if policy.kind == "open_loop" else policy.region_index(xhat)
     uhatdot = policy.uhatdot(
         abstract, np.array([t]), xhat[None], uhat[None], np.array([regime])
     )[0]
-    pending = None
-    if t_next is not None:
-        for tau in policy.breakpoints():
-            if t < tau <= t_next:
-                before = policy.segment_at(tau - 1e-15 * max(1.0, abs(tau)))
-                after = policy.segment_at(tau)
-                delta = after.value(tau) - before.value(tau)
-                if _is_jump(delta, before.value(tau)):
-                    pending = PendingJump(tau, "segment_boundary", delta)
-                    break
-    return uhat, uhatdot, pending
+    return uhat, uhatdot, None
 
 
 # ---------------------------------------------------------------------------
@@ -184,13 +154,13 @@ def _rk4_affine(F: np.ndarray, N: np.ndarray, s: float):
 def _joint_matrices(concrete, abstract, gains):
     """F and N of the interconnected dynamics with the refined input."""
     A, B = concrete.A, concrete.B
-    K, P, Q, S, R = gains.K, gains.P, gains.Q, gains.S, gains.R
+    on_x, on_xhat, on_uhat = refine.interface_gains(gains)
     n, n_r = A.shape[0], abstract.A.shape[0]
     F = np.zeros((n + n_r, n + n_r))
-    F[:n, :n] = A + B @ K
-    F[:n, n:] = B @ (Q - K @ P)
+    F[:n, :n] = A + B @ on_x
+    F[:n, n:] = B @ on_xhat
     F[n:, n:] = abstract.A
-    N = np.vstack([B @ (R - K @ S), abstract.B])
+    N = np.vstack([B @ on_uhat, abstract.B])
     return F, N
 
 
@@ -473,12 +443,8 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
     final region).
     """
 
-    lows = np.array([r.box.lows for r in policy.regions])
-    highs = np.array([r.box.highs for r in policy.regions])
-
-    def inside(rows: np.ndarray) -> np.ndarray:
-        xh = rows[..., n:]
-        return np.all((xh >= lows[region]) & (xh <= highs[region]), axis=-1)
+    def inside(rows: np.ndarray):
+        return policy.regions[region].box.contains(rows[..., n:])
 
     closed: dict[int, np.ndarray] = {}
 
@@ -556,13 +522,6 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
     return z, region
 
 
-def _relation_error(gains, x, xhat, uhat):
-    """Error vector e = x - P xhat - S uhat and vg = sqrt(e' M e) per row."""
-    e = x - xhat @ gains.P.T - uhat @ gains.S.T
-    vg = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", e, gains.M, e), 0.0))
-    return e, vg
-
-
 def _assemble_record(
     concrete, abstract, gains, policy, times, zs, regimes, jumps,
     h, horizon, t0, initial_ok,
@@ -572,8 +531,10 @@ def _assemble_record(
     xhat = zs[:, n:]
     uhat = policy.uhat(times, xhat, regimes)
     uhatdot = policy.uhatdot(abstract, times, xhat, uhat, regimes)
-    e, vg = _relation_error(gains, x, xhat, uhat)
-    u = e @ gains.K.T + xhat @ gains.Q.T + uhat @ gains.R.T
+    rows = refine.RelationPoint(x, xhat, uhat)
+    e = refine.error_vector(rows, gains)
+    vg = refine.vg(rows, gains, e)
+    u, _ = refine.interface_u(rows, gains, e)
     y = x @ concrete.C.T
     yhat = xhat @ abstract.C.T
     err = np.linalg.norm(y - yhat, axis=1)
@@ -623,7 +584,7 @@ def simulate_calibrated(
     shared = zs[ib]
     xhat = shared[:, concrete.n :]
     uhat = policy.uhat(times[ib], xhat, regimes[ib])
-    _, vg = _relation_error(gains, shared[:, : concrete.n], xhat, uhat)
+    vg = refine.vg(refine.RelationPoint(shared[:, : concrete.n], xhat, uhat), gains)
     dev = float(np.max(np.abs(rec.vg[ia] - vg))) if ia.size else 0.0
     rec.decay_slack = max(CALIBRATION_SAFETY * dev, 1e-12)
     return rec
@@ -728,7 +689,6 @@ def verify_trajectory(
     decay_violations = 0
     first_violation = None
     window_edges = [record.t[0]] + [j.time for j in record.jumps] + [record.t[-1]]
-    limit = 2.0 * rbar_max / gains.a1
     for i, (a, b) in enumerate(zip(window_edges, window_edges[1:])):
         final = i == len(window_edges) - 2
         upper = record.t <= b if final else record.t < b
@@ -737,7 +697,7 @@ def verify_trajectory(
             continue
         ts = record.t[sel]
         vgs = record.vg[sel]
-        bound = np.exp(-0.5 * gains.a1 * (ts - ts[0])) * (vgs[0] - limit) + limit
+        bound = refine.omega(ts - ts[0], vgs[0], gains.a1, rbar_max)
         bad = np.flatnonzero(vgs > bound + record.decay_slack)
         if bad.size:
             decay_violations += int(bad.size)

@@ -345,6 +345,20 @@ def synthesize_gains(
     )
 
 
+def lifted_start(
+    concrete: ConcreteLinearSystem,
+    gains: RefinementGains,
+    policy: AbstractInputPolicy | None,
+    xhat0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(x0, uhat0) of a run that starts from xhat0 with no concrete state
+    given: uhat0 is the policy's input at t = 0 (zero without a policy), and
+    x0 is the lift P xhat0 + S uhat0 clamped into the concrete initial box."""
+    uhat0 = np.zeros(gains.S.shape[1]) if policy is None else policy.uhat_at(0.0, xhat0)
+    x0 = concrete.initial_state_set.clamp(refine.lift_initial(xhat0, uhat0, gains))
+    return x0, uhat0
+
+
 def check_assumption(
     concrete: ConcreteLinearSystem,
     abstract: AbstractLinearSystem,
@@ -358,8 +372,8 @@ def check_assumption(
     domination of M, the Lyapunov decay inequality at a1, optimality of the
     couplings against fresh re-solves, the input bound against the input
     ball, the disturbance-budget feasibility, and the initial-set lift over
-    the corner points of the abstract initial box, each with the input the
-    policy gives it at t = 0 (zero without a policy), as a run lifts x0.
+    the corner points of the abstract initial box, each judged at the start
+    `lifted_start` gives it, the start a run without x0 takes.
     """
     A, B, C = concrete.A, concrete.B, concrete.C
     M, K = gains.M, gains.K
@@ -462,18 +476,12 @@ def check_assumption(
         )
     )
 
-    # initial lift: every corner of the abstract initial box must admit a
-    # concrete initial state within epsilon; the lift (clamped into the
-    # concrete initial box) is the witness
+    # initial lift: each corner of the abstract initial box must admit a
+    # concrete start within epsilon, witnessed by the start a run takes
     try:
         worst = 0.0
         for corner in abstract.initial_state_set.corners():
-            if policy is None:
-                uhat0 = np.zeros(gains.S.shape[1])
-            else:
-                uhat0 = policy.uhat_at(0.0, corner)
-            lifted = refine.lift_initial(corner, uhat0, gains)
-            witness = concrete.initial_state_set.clamp(lifted)
+            witness, uhat0 = lifted_start(concrete, gains, policy, corner)
             worst = max(worst, refine.vg(refine.RelationPoint(witness, corner, uhat0), gains))
         records.append(
             ConditionRecord(

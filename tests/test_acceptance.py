@@ -6,7 +6,7 @@ import time
 
 import numpy as np
 
-from gaasim import casestudy
+from gaasim import casestudy, sim
 from gaasim import numerics as nx
 from gaasim.model import (
     AbstractInputPolicy,
@@ -16,7 +16,7 @@ from gaasim.model import (
     OperatingEnvelope,
     parse_config,
 )
-from gaasim.refine import jump_admissible, lift_initial
+from gaasim.refine import lift_initial, omega
 from gaasim.sim import eval_policy, simulate, simulate_calibrated, verify_trajectory
 from gaasim.synthesis import (
     check_assumption,
@@ -314,45 +314,61 @@ def test_criterion_7c_jump_budget_implies_membership(gains5):
     checked = dict.fromkeys((0.5, 5.0, 50.0), 0)
     worst = -np.inf
     inv_root = np.linalg.inv(gains5.M_sqrt)
+
+    def draw_jump(w, eps, aligned):
+        """A jump that moves V by up to 25 % more than the budget (eps - w)^2
+        allows, from a pre-jump error with V <= w; the aligned worst case is
+        V = w against S delta.  Returns the jump and V just after it."""
+        delta = rng.standard_normal(1)
+        s_delta = gains5.S @ delta
+        reach = rng.uniform(0.0, 1.25) * (eps - w)
+        delta *= reach / math.sqrt(s_delta @ gains5.M @ s_delta)
+        if aligned:
+            e = -w / reach * (gains5.S @ delta)
+        else:
+            e = inv_root @ rng.standard_normal(2)
+            e *= rng.uniform(0.0, 1.0) * w / math.sqrt(e @ gains5.M @ e)
+        e_post = e - gains5.S @ delta
+        return delta, math.sqrt(e_post @ gains5.M @ e_post)
+
     for eps in checked:
         draw = 0
         while checked[eps] < 1000:
             draw += 1
-            # w bounds V just before the jump: pick tau so the envelope from
-            # vg0 >= w with budget rmax is exactly w there
-            w = rng.uniform(0.0, eps)
-            rmax = rng.uniform(0.0, 0.3) * gains5.a1 * w / 2.0
-            limit = 2.0 * rmax / gains5.a1
-            vg0 = rng.uniform(w, eps)
-            frac = (w - limit) / (vg0 - limit)
-            tau = -2.0 / gains5.a1 * math.log(max(frac, 1e-300))
-            # a jump that moves V by up to 25 % more than the budget allows
-            delta = rng.standard_normal(1)
-            s_delta = gains5.S @ delta
-            reach = rng.uniform(0.0, 1.25) * (eps - w)
-            delta *= reach / math.sqrt(s_delta @ gains5.M @ s_delta)
-            # a pre-jump error with V <= w; every other draw is the worst
-            # case, V = w aligned against S delta
+            # every other sequence is the worst case at both jumps
             aligned = draw % 2 == 0
-            if aligned:
-                e = -w / reach * (gains5.S @ delta)
-            else:
-                e = inv_root @ rng.standard_normal(2)
-                e *= rng.uniform(0.0, 1.0) * w / math.sqrt(e @ gains5.M @ e)
-            lhs, rhs, ok = jump_admissible(delta, tau, vg0, gains5, eps, rmax)
-            e_post = e - gains5.S @ delta
-            vg_post = math.sqrt(e_post @ gains5.M @ e_post)
-            if not ok:
+            # w1 bounds V just before the first jump: pick tau1 so the
+            # envelope from vg0 >= w1 with budget rmax is exactly w1 there
+            w1 = rng.uniform(0.0, eps)
+            rmax = rng.uniform(0.0, 0.3) * gains5.a1 * w1 / 2.0
+            limit = 2.0 * rmax / gains5.a1
+            vg0 = rng.uniform(w1, eps)
+            frac = (w1 - limit) / (vg0 - limit)
+            tau1 = -2.0 / gains5.a1 * math.log(max(frac, 1e-300))
+            delta1, vg_post1 = draw_jump(w1, eps, aligned)
+            _, _, ok1, anchor = sim._judge_jump((0.0, vg0), tau1, delta1, gains5, eps, rmax)
+            if not ok1:
                 # a rejected worst-case jump really leaves the relation
-                assert not aligned or vg_post > eps - 1e-9
+                assert not aligned or vg_post1 > eps - 1e-9
                 continue
-            worst = max(worst, vg_post - eps)
-            assert vg_post <= eps + 1e-9
+            assert vg_post1 <= eps + 1e-9
+            # a second jump later on: V before it is at most the envelope
+            # restarted from V just after the first jump, and is judged from
+            # the restarted anchor that `simulate` carries
+            tau2 = tau1 + rng.exponential(2.0 / gains5.a1)
+            w2 = omega(tau2 - tau1, vg_post1, gains5.a1, rmax)
+            delta2, vg_post2 = draw_jump(w2, eps, aligned)
+            _, _, ok2, _ = sim._judge_jump(anchor, tau2, delta2, gains5, eps, rmax)
+            if not ok2:
+                assert not aligned or vg_post2 > eps - 1e-9
+                continue
+            worst = max(worst, vg_post1 - eps, vg_post2 - eps)
+            assert vg_post2 <= eps + 1e-9
             checked[eps] += 1
     _SUITE_TIMES["7c"] = time.perf_counter() - t_start
     report(
-        "criterion 7c (admissible jumps keep post-jump membership, 10^3 draws "
-        "at each eps in 0.5, 5, 50)",
+        "criterion 7c (admissible jumps keep post-jump membership, 10^3 "
+        "two-jump sequences at each eps in 0.5, 5, 50)",
         all(c == 1000 for c in checked.values()) and worst <= 1e-9,
         f"max(vg_post - eps)={worst:.2e}",
     )

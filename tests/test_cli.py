@@ -153,6 +153,56 @@ class TestSimulate:
         ])
         assert code == 2
 
+    def test_gains_for_another_input_dimension_exit_2(self, tmp_path, short_switched, capsys):
+        # a bundle for m = 1 against a plant with m = 2 used to end in a
+        # matmul traceback when the joint dynamics were formed
+        syn = tmp_path / "syn"
+        main(["synthesize", "--config", str(short_switched), "--out", str(syn)])
+        capsys.readouterr()
+        cfg = casestudy.switched_config(horizon=40.0, step=5e-3)
+        cfg["concrete"]["B"] = [[0.0, 0.0], [1.0, 1.0]]
+        cfg["scenario"]["K"] = [[-1.3298, -1.4108], [0.0, 0.0]]
+        two_inputs = write_config(tmp_path, cfg, "m2.json")
+        code = main([
+            "simulate", "--config", str(two_inputs),
+            "--gains", str(syn / "gains.json"), "--out", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            "config error: gains dimensions (n, m, n_r, m_r) = (2, 1, 1, 1) do not "
+            "match the configured systems (2, 2, 1, 1)\n"
+        )
+
+    def test_start_without_x0_is_the_clamped_lift(self, tmp_path):
+        # uhat(0) = 0.5 lifts xhat0 = 40.1 to [40.1, 0.5], outside the point
+        # box [40, -0.0401]; the run starts in the box, where synthesize's
+        # initial_lift judges it, and fails with it
+        cfg = casestudy.ramp_config(horizon=20.0, step=1e-2)
+        cfg["policy"]["segments"] = [
+            {"t_start": -10.0, "t_end": 21.0, "coeffs": [[0.5, 0.05401]]}
+        ]
+        cfg["envelope"].update(uhat_max=2.0, uhatdot_max=0.06)
+        del cfg["scenario"]["x0"]
+        config = write_config(tmp_path, cfg)
+        syn = tmp_path / "syn"
+        assert main(["synthesize", "--config", str(config), "--out", str(syn)]) == 1
+        report = json.loads((syn / "report.json").read_text())
+        lift = next(r for r in report["records"] if r["name"] == "initial_lift")
+        assert lift["value"] == pytest.approx(1.18316, abs=1e-5) and not lift["passed"]
+        out = tmp_path / "run"
+        with pytest.warns(UserWarning, match="outside the relation"):
+            code = main([
+                "simulate", "--config", str(config),
+                "--gains", str(syn / "gains.json"), "--out", str(out),
+            ])
+        assert code == 1
+        first = (out / "trajectory.csv").read_text().splitlines()[1].split(",")
+        assert first[:4] == ["0", "40", "-0.0401", "40.1"]
+        verify = json.loads((out / "verify.json").read_text())
+        assert verify["max_vg"] == pytest.approx(lift["value"], rel=1e-12)
+        assert not verify["vg_ok"]
+
     def test_horizon_too_long_to_sample_is_one_line_exit_2(
         self, tmp_path, short_switched, monkeypatch, capsys
     ):
@@ -360,6 +410,34 @@ class TestCaseStudy:
             summary = json.loads((out / "casestudy_summary.json").read_text())
             results[label] = summary
         assert results["default"] == results["explicit"]
+
+    def test_writes_and_digests_the_configs_it_runs(self, tmp_path):
+        digests = {}
+        for label, extra in (
+            ("default", []), ("epsilon", ["--epsilon", "0.45"]), ("a1", ["--a1", "0.4"])
+        ):
+            out = tmp_path / label
+            main(["casestudy", "--out", str(out), "--horizon", "320", "--step", "0.01",
+                  *extra])
+            digests[label] = json.loads((out / "manifest.json").read_text())["config_digest"]
+            written = json.loads((out / "casestudy_switched.json").read_text())
+            assert cli._digest(written) == digests[label]
+            if label == "default":
+                continue
+            # the written config carries the override, so simulate on it
+            # reproduces the run, whose jump budget depends on eps and a1
+            run = tmp_path / f"{label}_sim"
+            main(["simulate", "--config", str(out / "casestudy_switched.json"),
+                  "--gains", str(out / "gains.json"), "--out", str(run)])
+            for mine, study in (
+                ("trajectory.csv", "trajectory_switched.csv"),
+                ("jumps.csv", "jumps_switched.csv"),
+                ("verify.json", "verify_switched.json"),
+            ):
+                assert (run / mine).read_bytes() == (out / study).read_bytes()
+        assert len(set(digests.values())) == 3
+        assert json.loads((tmp_path / "epsilon" / "casestudy_ramp.json").read_text())[
+            "scenario"]["epsilon"] == 0.45
 
     def test_short_run_all_checks(self, tmp_path):
         out = tmp_path / "cs"

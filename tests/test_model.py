@@ -20,7 +20,6 @@ from gaasim.model import (
     emit_config,
     parse_config,
     replace_scalars,
-    validate_pair,
 )
 
 from conftest import point_box
@@ -121,36 +120,31 @@ class TestParseConfig:
 
 
 class TestValidatePair:
-    def test_study_pair_passes(self, sys5):
-        report = validate_pair(*sys5)
-        assert report.all_ok
-        assert set(report.checks) == {
-            "state_dim_reduced",
-            "input_dim_reduced",
-            "output_dim_equal",
-        }
+    """The dimension checks of a concrete/abstract pair, in parse_config."""
 
-    def test_oversized_abstract_state(self, sys5):
-        concrete, _ = sys5
-        abstract = AbstractLinearSystem(
-            A=np.zeros((3, 3)),
-            B=np.zeros((3, 1)),
-            C=np.ones((1, 3)),
-            initial_state_set=point_box([0.0, 0.0, 0.0]),
-        )
-        report = validate_pair(concrete, abstract)
-        assert not report.checks["state_dim_reduced"]
+    def test_study_pair_passes(self):
+        for cfg in (casestudy.switched_config(), casestudy.ramp_config()):
+            sc = parse_config(cfg)
+            assert sc.abstract.n_r <= sc.concrete.n
+            assert sc.abstract.m_r <= sc.concrete.m
+            assert sc.abstract.p == sc.concrete.p
 
-    def test_output_dim_mismatch(self, sys5):
-        concrete, _ = sys5
-        abstract = AbstractLinearSystem(
-            A=[[0.0]],
-            B=[[1.0]],
-            C=[[1.0], [0.0]],
-            initial_state_set=point_box([0.0]),
+    def test_oversized_abstract_state(self):
+        cfg = casestudy.switched_config()
+        cfg["abstract"].update(
+            A=np.zeros((3, 3)).tolist(), B=np.zeros((3, 1)).tolist(),
+            C=np.ones((1, 3)).tolist(), x0_box=[[0.0, 0.0]] * 3,
         )
-        report = validate_pair(concrete, abstract)
-        assert not report.checks["output_dim_equal"]
+        with pytest.raises(DimensionMismatch) as info:
+            parse_config(cfg)
+        assert str(info.value) == "state_dim_reduced failed (n_r=3 vs n=2)"
+
+    def test_output_dim_mismatch(self):
+        cfg = casestudy.switched_config()
+        cfg["abstract"]["C"] = [[1.0], [0.0]]
+        with pytest.raises(DimensionMismatch) as info:
+            parse_config(cfg)
+        assert str(info.value) == "output_dim_equal failed (p_hat=2 vs p=1)"
 
 
 class TestTypes:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from gaasim.model import Box
 from gaasim.refine import (
     RelationPoint,
+    error_vector,
     in_relation,
     interface_u,
     jump_admissible,
@@ -12,6 +14,7 @@ from gaasim.refine import (
     omega,
     vg,
 )
+from gaasim.synthesis import RefinementGains
 
 from conftest import EPS5, M5
 
@@ -233,6 +236,87 @@ class TestJumpAdmissible:
                     assert vg_post <= eps + 1e-9
                 elif aligned:
                     assert vg_post > eps - 1e-9  # the rejection is not spurious
+
+
+def random_bundle(rng, n, m, n_r, m_r) -> RefinementGains:
+    """Gains of random couplings and a random positive definite M."""
+    root = rng.standard_normal((n, n))
+    root = root @ root.T + np.eye(n)
+    return RefinementGains(
+        M=root @ root, M_sqrt=root, K=rng.standard_normal((m, n)),
+        P=rng.standard_normal((n, n_r)), Q=rng.standard_normal((m, n_r)),
+        S=rng.standard_normal((n, m_r)), R=rng.standard_normal((m, m_r)),
+        a1=0.5, epsilon=1.0, rbar1=0.0, rbar2=0.0, rbar3=0.0,
+        lambda_min_M=1.0, input_bound=1.0,
+    )
+
+
+class TestRowsMatchPoints:
+    """error_vector, vg, interface_u, omega and Box.contains over rows
+    against the same functions called on each point and stacked."""
+
+    @pytest.mark.parametrize("dims", [None, (4, 3, 2, 2)])
+    def test_relation(self, gains5, dims):
+        rng = np.random.default_rng(10)
+        gains = gains5 if dims is None else random_bundle(rng, *dims)
+        (m, n_r), m_r = gains.Q.shape, gains.S.shape[1]
+        count = 2000
+        x = rng.uniform(-50.0, 50.0, (count, gains.M.shape[0]))
+        xhat = rng.uniform(-50.0, 50.0, (count, n_r))
+        uhat = rng.uniform(-1.0, 1.0, (count, m_r))
+        rows = RelationPoint(x, xhat, uhat)
+        e_rows = error_vector(rows, gains)
+        v_rows = vg(rows, gains, e_rows)
+        u_rows, exceeded = interface_u(rows, gains, e_rows)
+        assert e_rows.shape == x.shape and v_rows.shape == (count,)
+        assert u_rows.shape == (count, m) and exceeded is None
+        assert np.array_equal(v_rows, vg(rows, gains))
+        assert np.array_equal(u_rows, interface_u(rows, gains)[0])
+
+        points = [RelationPoint(*p) for p in zip(x, xhat, uhat)]
+        e_pts = np.array([error_vector(p, gains) for p in points])
+        v_pts = np.array([vg(p, gains) for p in points])
+        u_pts = np.array([interface_u(p, gains)[0] for p in points])
+        for i in range(0, count, 97):
+            # a point is a one-row array through the rows expression
+            one = RelationPoint(x[i : i + 1], xhat[i : i + 1], uhat[i : i + 1])
+            assert np.array_equal(error_vector(one, gains), e_pts[i : i + 1])
+            assert np.array_equal(vg(one, gains), v_pts[i : i + 1])
+            assert np.array_equal(interface_u(one, gains)[0], u_pts[i : i + 1])
+        # numpy sends a one-row product to its dot/gemv kernels and a batch
+        # to gemv/gemm, whose fused multiply-adds round differently, so the
+        # stacked points agree with the rows to the rounding of the terms
+        tol = 8.0 * np.finfo(float).eps
+        e_scale = np.abs(x) + np.abs(xhat) @ np.abs(gains.P.T) + np.abs(uhat) @ np.abs(gains.S.T)
+        assert np.all(np.abs(e_pts - e_rows) <= tol * e_scale)
+        v_scale = np.einsum("ij,jk,ik->i", e_scale, np.abs(gains.M), e_scale)
+        assert np.all(np.abs(v_pts**2 - v_rows**2) <= 2.0 * tol * v_scale)
+        u_scale = (
+            e_scale @ np.abs(gains.K.T) + np.abs(xhat) @ np.abs(gains.Q.T)
+            + np.abs(uhat) @ np.abs(gains.R.T)
+        )
+        assert np.all(np.abs(u_pts - u_rows) <= 2.0 * tol * u_scale)
+
+    def test_omega(self):
+        rng = np.random.default_rng(11)
+        taus = np.concatenate([[0.0], rng.exponential(4.0, 999)])
+        for vg0, a1, rmax in ((0.19886, 0.5, 4.1e-4), (3.0, 0.05, 0.2), (0.0, 2.0, 1.0)):
+            rows = omega(taus, vg0, a1, rmax)
+            assert np.array_equal(rows, [omega(t, vg0, a1, rmax) for t in taus])
+        with pytest.raises(ValueError):
+            omega(np.array([1.0, -1e-9]), 0.1, 0.5, 0.0)
+
+    def test_box_contains(self):
+        rng = np.random.default_rng(12)
+        lows = np.array([-1.0, 0.5, 2.0])
+        box = Box(lows, np.array([1.0, 0.5, 3.0]))  # the middle axis is a point
+        pts = rng.uniform(-1.5, 3.5, (3000, 3))
+        pts[::3, 1] = 0.5
+        pts[::7] = np.clip(pts[::7], lows, box.highs)  # inside, often on a face
+        rows = box.contains(pts)
+        assert rows.dtype == bool and 0 < rows.sum() < rows.size
+        assert np.array_equal(rows, [box.contains(p) for p in pts])
+        assert all(isinstance(box.contains(p), bool) for p in pts[:5])
 
 
 def test_output_closeness_inside_relation(sys5, gains5):

@@ -58,7 +58,7 @@ def switched5():
 class TestEvalPolicy:
     def test_ramp_value_and_derivative(self):
         sc = parse_config(casestudy.ramp_config(horizon=200.0))
-        uhat, uhatdot, pending = eval_policy(sc.policy, sc.abstract, 10.0, [0.0], t_next=10.001)
+        uhat, uhatdot, pending = eval_policy(sc.policy, sc.abstract, 10.0, [0.0])
         assert uhat[0] == pytest.approx(0.2)
         assert uhatdot[0] == pytest.approx(0.02)
         assert pending is None
@@ -75,17 +75,6 @@ class TestEvalPolicy:
         sc = parse_config(casestudy.ramp_config(horizon=200.0))
         _, uhatdot, _ = eval_policy(sc.policy, sc.abstract, 80.0, [0.0])
         assert uhatdot[0] == 0.0
-
-    def test_pending_jump_descriptor(self):
-        segments = [
-            {"t_start": 0.0, "t_end": 1.0, "coeffs": [[0.0]]},
-            {"t_start": 1.0, "t_end": 2.0, "coeffs": [[0.5]]},
-        ]
-        sc = parse_config(open_loop_config(segments, horizon=2.0))
-        _, _, pending = eval_policy(sc.policy, sc.abstract, 0.9995, [0.0], t_next=1.0005)
-        assert pending is not None
-        assert pending.time == pytest.approx(1.0)
-        assert pending.delta[0] == pytest.approx(0.5)
 
     def test_domain_gap(self):
         sc = parse_config(casestudy.switched_config())
