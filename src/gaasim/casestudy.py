@@ -98,11 +98,13 @@ def ramp_config(horizon: float = 200.0, step: float = 1e-3) -> dict:
     """Open-loop comparison scenario: uhat = 0.02 t on [0, 50], then 1.
 
     The ramp value is continuous at t = 50 (only its slope jumps), so the
-    run has no input jumps.  The concrete start [40, 0] matches uhat(0) = 0;
+    run has no input jumps.  The concrete start [40, 0], which is also its
+    (point) initial box, matches uhat(0) = 0;
     the abstract state grows to ~40.1 + 25 + (horizon - 50), which sizes the
     envelope bound on ||xhat||.
     """
     cfg = copy.deepcopy(_SYSTEMS)
+    cfg["concrete"]["x0_box"] = [[40.0, 40.0], [0.0, 0.0]]
     xhat_peak = 40.1 + 25.0 + max(0.0, horizon - 50.0)
     cfg["envelope"] = {
         "xhat_max": xhat_peak * 1.01,

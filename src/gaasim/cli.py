@@ -165,7 +165,7 @@ def _run_simulation(scenario: Scenario, gains: RefinementGains):
     if x0 is None:
         x0, _ = synthesis.lifted_start(scenario.concrete, gains, scenario.policy, scenario.xhat0)
     rbar_max = _rbar_max(gains, scenario)
-    record = sim.simulate_calibrated(
+    record = sim.simulate(
         scenario.concrete, scenario.abstract, gains, scenario.policy,
         x0, scenario.xhat0, scenario.horizon, scenario.step,
         rbar_max=rbar_max, epsilon=scenario.epsilon,

@@ -455,42 +455,31 @@ def _box(value, path: str) -> Box:
 def _parse_policy(d: dict, path: str) -> AbstractInputPolicy:
     d = _expect_dict(d, path)
     kind = _get(d, "kind", path)
-    if kind == "open_loop":
-        _reject_unknown(d, ["kind", "segments"], path)
-        raw = _get(d, "segments", path)
-        if not isinstance(raw, list):
-            raise SchemaError(f"{path}.segments: expected an array")
-        segments = []
-        for i, s in enumerate(raw):
-            spath = f"{path}.segments[{i}]"
-            s = _expect_dict(s, spath)
-            _reject_unknown(s, ["t_start", "t_end", "coeffs"], spath)
-            segments.append(
-                OpenLoopSegment(
-                    t_start=_number(_get(s, "t_start", spath), f"{spath}.t_start"),
-                    t_end=_number(_get(s, "t_end", spath), f"{spath}.t_end"),
-                    coeffs=_matrix(_get(s, "coeffs", spath), f"{spath}.coeffs"),
-                )
-            )
-        return AbstractInputPolicy(kind="open_loop", segments=tuple(segments))
-    if kind == "switched_feedback":
-        _reject_unknown(d, ["kind", "regions"], path)
-        raw = _get(d, "regions", path)
-        if not isinstance(raw, list):
-            raise SchemaError(f"{path}.regions: expected an array")
-        regions = []
-        for i, r in enumerate(raw):
-            rpath = f"{path}.regions[{i}]"
-            r = _expect_dict(r, rpath)
-            _reject_unknown(r, ["box", "gain"], rpath)
-            regions.append(
-                FeedbackRegion(
-                    box=_box(_get(r, "box", rpath), f"{rpath}.box"),
-                    gain=_matrix(_get(r, "gain", rpath), f"{rpath}.gain"),
-                )
-            )
-        return AbstractInputPolicy(kind="switched_feedback", regions=tuple(regions))
-    raise SchemaError(f"{path}.kind: unknown kind {kind!r}")
+    if kind not in ("open_loop", "switched_feedback"):
+        raise SchemaError(f"{path}.kind: unknown kind {kind!r}")
+    key = "segments" if kind == "open_loop" else "regions"
+    _reject_unknown(d, ["kind", key], path)
+    raw = _get(d, key, path)
+    if not isinstance(raw, list):
+        raise SchemaError(f"{path}.{key}: expected an array")
+    items = []
+    for i, item in enumerate(raw):
+        ipath = f"{path}.{key}[{i}]"
+        item = _expect_dict(item, ipath)
+        if kind == "open_loop":
+            _reject_unknown(item, ["t_start", "t_end", "coeffs"], ipath)
+            items.append(OpenLoopSegment(
+                t_start=_number(_get(item, "t_start", ipath), f"{ipath}.t_start"),
+                t_end=_number(_get(item, "t_end", ipath), f"{ipath}.t_end"),
+                coeffs=_matrix(_get(item, "coeffs", ipath), f"{ipath}.coeffs"),
+            ))
+        else:
+            _reject_unknown(item, ["box", "gain"], ipath)
+            items.append(FeedbackRegion(
+                box=_box(_get(item, "box", ipath), f"{ipath}.box"),
+                gain=_matrix(_get(item, "gain", ipath), f"{ipath}.gain"),
+            ))
+    return AbstractInputPolicy(kind=kind, **{key: tuple(items)})
 
 
 def parse_config(document) -> Scenario:
@@ -577,6 +566,12 @@ def parse_config(document) -> Scenario:
         )
     if x0 is not None and x0.size != concrete.n:
         raise DimensionMismatch(f"scenario.x0 length {x0.size} != n {concrete.n}")
+    for name, start, where, box in (
+        ("x0", x0, "concrete", concrete.initial_state_set),
+        ("xhat0", xhat0, "abstract", abstract.initial_state_set),
+    ):
+        if start is not None and not box.contains(start):
+            raise InvariantViolation(f"scenario.{name} {start.tolist()} outside {where}.x0_box")
     if M is not None and M.shape != (concrete.n, concrete.n):
         raise DimensionMismatch(
             f"scenario.M shape {M.shape} != (n, n) = {(concrete.n, concrete.n)}"
@@ -633,27 +628,23 @@ def _matrix_lists(m: np.ndarray) -> list[list[float]]:
 
 def emit_config(scenario: Scenario) -> dict:
     """Inverse of parse_config: a JSON-ready dict that parses back equal."""
-    policy: dict
-    if scenario.policy.kind == "open_loop":
-        policy = {
-            "kind": "open_loop",
-            "segments": [
-                {
-                    "t_start": float(seg.t_start),
-                    "t_end": float(seg.t_end),
-                    "coeffs": _matrix_lists(seg.coeffs),
-                }
-                for seg in scenario.policy.segments
-            ],
-        }
+    policy = scenario.policy
+    if policy.kind == "open_loop":
+        items = [
+            {"t_start": float(seg.t_start), "t_end": float(seg.t_end),
+             "coeffs": _matrix_lists(seg.coeffs)}
+            for seg in policy.segments
+        ]
     else:
-        policy = {
-            "kind": "switched_feedback",
-            "regions": [
-                {"box": r.box.as_lists(), "gain": _matrix_lists(r.gain)}
-                for r in scenario.policy.regions
-            ],
+        items = [{"box": r.box.as_lists(), "gain": _matrix_lists(r.gain)} for r in policy.regions]
+    systems = {
+        name: {
+            **{key: _matrix_lists(getattr(system, key)) for key in ("A", "B", "C")},
+            "x0_box": system.initial_state_set.as_lists(),
         }
+        for name, system in (("concrete", scenario.concrete), ("abstract", scenario.abstract))
+    }
+    systems["concrete"]["input_ball_radius"] = scenario.concrete.input_ball_radius
     s: dict = {
         "epsilon": scenario.epsilon,
         "a1": scenario.a1,
@@ -666,25 +657,12 @@ def emit_config(scenario: Scenario) -> dict:
         s["x0"] = [float(v) for v in scenario.x0]
     if scenario.M is not None:
         s["M"] = _matrix_lists(scenario.M)
+    key = "segments" if policy.kind == "open_loop" else "regions"
     return {
-        "concrete": {
-            "A": _matrix_lists(scenario.concrete.A),
-            "B": _matrix_lists(scenario.concrete.B),
-            "C": _matrix_lists(scenario.concrete.C),
-            "input_ball_radius": scenario.concrete.input_ball_radius,
-            "x0_box": scenario.concrete.initial_state_set.as_lists(),
-        },
-        "abstract": {
-            "A": _matrix_lists(scenario.abstract.A),
-            "B": _matrix_lists(scenario.abstract.B),
-            "C": _matrix_lists(scenario.abstract.C),
-            "x0_box": scenario.abstract.initial_state_set.as_lists(),
-        },
+        **systems,
         "envelope": {
-            "xhat_max": scenario.envelope.xhat_max,
-            "uhat_max": scenario.envelope.uhat_max,
-            "uhatdot_max": scenario.envelope.uhatdot_max,
+            k: getattr(scenario.envelope, k) for k in ("xhat_max", "uhat_max", "uhatdot_max")
         },
-        "policy": policy,
+        "policy": {"kind": policy.kind, key: items},
         "scenario": s,
     }

@@ -75,6 +75,13 @@ def interface_gains(gains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return gains.K, gains.Q - gains.K @ gains.P, gains.R - gains.K @ gains.S
 
 
+def error_map(gains, uhat_gain=None) -> np.ndarray:
+    """[I, -P - S L]: e as a linear map of z = [x; xhat] where uhat = L xhat
+    with L = `uhat_gain`, or where uhat does not depend on z (None)."""
+    on_xhat = gains.P if uhat_gain is None else gains.P + gains.S @ uhat_gain
+    return np.hstack([np.eye(gains.P.shape[0]), -on_xhat])
+
+
 def lift_initial(xhat0, uhat0, gains) -> np.ndarray:
     """x0 = P xhat0 + S uhat0; the lifted triple has vg = 0 by construction."""
     xhat0 = np.asarray(xhat0, dtype=float).reshape(-1)

@@ -12,7 +12,9 @@ an open-loop segment carries its polynomial drive on the augmented state
 [z; 1; s; ...; s^deg] of normalized local time s.  Open-loop breakpoints are
 inserted into the grid exactly; feedback region crossings are located by
 bisection and the enclosing step is split.  The grid sample at a jump time
-stores the right limit of the abstract input.
+stores the right limit of the abstract input.  Each run proves a bound on
+the integration error of its sampled vg from its own rows (`_ErrorBound`)
+and records it as `decay_slack`.
 
 Integration within a run is sequential; distinct runs share no mutable
 state and may execute in parallel.  `write_trajectory_csv` streams CSV row
@@ -54,12 +56,11 @@ class ZenoViolation(RuntimeError):
 #: minimum admissible spacing between jump events, in units of the step h
 MIN_JUMP_SEPARATION_STEPS = 10
 
-#: decay-bound slack applied when no step-halving calibration was run
-DEFAULT_DECAY_SLACK = 1e-9
+#: rows per slice of `_ErrorBound.stretch`, so that its temporaries stay small
+_BOUND_ROWS = 65536
 
-#: factor on the measured h vs h/2 deviation of vg that `simulate_calibrated`
-#: takes as the decay slack
-CALIBRATION_SAFETY = 20.0
+#: unit roundoff of float64
+_U = 2.0**-53
 
 
 def _is_jump(delta, before) -> bool:
@@ -86,7 +87,9 @@ class TrajectoryRecord:
 
     Rows are strictly increasing in time, cover [t0, t0 + horizon], and
     every jump time appears exactly on the grid (its row stores the
-    post-jump abstract input).
+    post-jump abstract input).  `vg0` is the value at (x0, xhat0) that the
+    run anchored its jump envelope and initial membership on, and
+    `decay_slack` bounds the integration error of `vg` (see `simulate`).
     """
 
     t: np.ndarray
@@ -106,11 +109,8 @@ class TrajectoryRecord:
     horizon: float
     t0: float
     initial_membership: bool
-    decay_slack: float = DEFAULT_DECAY_SLACK
-
-    @property
-    def vg0(self) -> float:
-        return float(self.vg[0])
+    vg0: float
+    decay_slack: float
 
 
 def eval_policy(policy: AbstractInputPolicy, abstract: AbstractLinearSystem, t: float, xhat):
@@ -203,6 +203,18 @@ def _segment_step_map(F, N, seg: OpenLoopSegment, a: float, length: float, steps
     return aug
 
 
+def _segment_generator(F, N, seg: OpenLoopSegment, a: float, length: float):
+    """Exact generator of the augmented system of `_segment_step_map`:
+    dz/dt = F z + N uhat(a + length s), d(s^j)/dt = j s^(j-1) / length."""
+    size = seg.coeffs.shape[1]
+    nz = F.shape[0]
+    gen = np.zeros((nz + size, nz + size))
+    gen[:nz, :nz] = F
+    gen[:nz, nz:] = N @ ((seg.coeffs @ _binomial_shift(a, size)) * length ** np.arange(size))
+    gen[nz:, nz:] = np.diag(np.arange(1.0, size), -1) / length
+    return gen
+
+
 def _n_steps(a: float, b: float, h: float) -> int:
     return max(1, int(math.ceil((b - a) / h - 1e-9)))
 
@@ -261,14 +273,14 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _preflight(concrete, abstract, horizon: float, steps) -> None:
-    """Raise MemoryError, before anything is allocated, when runs over
-    `horizon` at each step in `steps` would hold more array bytes (rows x
-    record columns x 8) than the machine has physical memory."""
-    if not all(h > 0 for h in steps):
+def _preflight(concrete, abstract, horizon: float, h: float) -> None:
+    """Raise MemoryError, before anything is allocated, when a run over
+    `horizon` at step h would hold more array bytes (rows x record columns
+    x 8) than the machine has physical memory."""
+    if not h > 0:
         return  # `_integrate` refuses the step
     columns = 4 + concrete.n + abstract.n_r + 2 * abstract.m_r + concrete.m + 2 * concrete.p
-    need = 8.0 * columns * sum(horizon / h + 1.0 for h in steps)
+    need = 8.0 * columns * (horizon / h + 1.0)
     limit = _physical_memory()
     if need > limit:
         raise MemoryError(
@@ -282,6 +294,137 @@ def _check_finite(zs: np.ndarray, ts) -> None:
         bad = np.flatnonzero(~np.all(np.isfinite(np.atleast_2d(zs)), axis=1))[0]
         t_bad = float(np.atleast_1d(ts)[min(bad, np.atleast_1d(ts).size - 1)])
         raise NonFiniteState(f"non-finite state near t = {t_bad:.6g}")
+
+
+def _norm_bound(a: np.ndarray) -> float:
+    """sqrt(|a|_1 |a|_inf), an upper bound on the spectral norm of `a`."""
+    a = np.abs(a)
+    return math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->i", a, a))
+
+
+def _exp(x: float) -> float:
+    """exp(x), or infinity where that overflows: a step far too large for the
+    bound then gives a vacuous, infinite slack rather than an error."""
+    return math.exp(x) if x < 700.0 else math.inf
+
+
+def _max_row_norm(a: np.ndarray) -> float:
+    """An upper bound on the largest row norm of `a`: sqrt(width) max |a_ij|."""
+    return math.sqrt(a.shape[1]) * max(float(a.max()), -float(a.min()))
+
+
+def _linear_recursion(b0: float, powers: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """b_1, ..., b_K of b_{k+1} = rho b_k + c_k >= 0 from b_0, given powers =
+    rho^1..rho^L with rho^-L <= e^40, as discounted prefix sums over blocks
+    of L rows, each rounded up by its count of roundings."""
+    out = np.empty(c.size)
+    for k0 in range(0, c.size, powers.size):
+        p = powers[: c.size - k0]
+        out[k0 : k0 + p.size] = p * (b0 + np.cumsum(c[k0 : k0 + p.size] / p))
+        out[k0 : k0 + p.size] *= 1.0 + 4.0 * (p.size + 2) * _U
+        b0 = out[k0 + p.size - 1]
+    return out
+
+
+class _ErrorBound:
+    """A-posteriori bound on the integration error of the sampled vg of one
+    run, from its rows alone (defect control; the derivation is in README,
+    "What `decay_slack` bounds").  Per regime stretch of generator G and step
+    h, the local defect d_k = z_{k+1} - [exp(hG) w_k]_z is evaluated as
+    z_{k+1} - z_k - Y w_k, Y = sum_{j=1..8} (hG)^j / j!, up to the Taylor
+    remainder and rounding.  In (e, xhat) coordinates a >= |eps_xhat| and
+    b >= |eps_e|_M then obey a' <= beta a + |d_xhat| and b' <= rho b + gamma
+    a + |d_e|_M, solved row by row in vector form.  `slack` is the largest b
+    plus the rounding of e from a row; `v_rounding` is that of V from e,
+    relative to V."""
+
+    def __init__(self, concrete, gains):
+        self.n, self.gains = concrete.n, gains
+        # log-norm of A + BK in the M-norm: |exp(h (A + BK))|_M <= e^(mu h)
+        a_m = gains.M_sqrt @ (concrete.A + concrete.B @ gains.K) @ np.linalg.inv(gains.M_sqrt)
+        self.mu = float(np.linalg.eigvalsh(a_m + a_m.T).max()) / 2.0
+        terms = gains.P.shape[1] + gains.S.shape[1] + 2
+        self.e_rounding = 2 * terms * _U * _norm_bound(gains.M_sqrt)
+        self.v_rounding = 2 * (self.n**2 + 4) * _U * _norm_bound(gains.M) / gains.lambda_min_M
+        self.p_abs, self.s_abs = _norm_bound(gains.P), _norm_bound(gains.S)
+        self.slack = 0.0
+        self.restart()
+
+    def restart(self) -> None:
+        """A logged jump: the next window's reference starts at this row."""
+        self.a = self.b = 0.0
+        self.e_map = None
+
+    def stretch(self, gen, h: float, rows, gain=None, steps=None, seg=None, span=(0.0, 0.0)):
+        """Advance over `rows`, samples h apart under the generator `gen`: a
+        region's closed loop with uhat = -gain xhat, or, given `steps`, the
+        augmented generator of `seg` on the time span `span`, with s = k /
+        steps at row k."""
+        g, n, nz, count = self.gains, self.n, rows.shape[1], rows.shape[0] - 1
+        theta = 1.0  # weighs s^j by the drive, so the bound scales with the states
+        if steps is not None:
+            theta = _norm_bound(gen[:nz, nz:]) / max(_norm_bound(gen[:nz, :nz]), 1.0 / (h * steps))
+            gen = gen.copy()
+            gen[:nz, nz:] = gen[:nz, nz:] / theta if theta > 0 else 0.0
+        to_e = np.eye(nz)  # eps -> (eps_e, eps_xhat)
+        to_e[:n] = refine.error_map(g, None if gain is None else -gain)
+        e_map = g.M_sqrt @ to_e[:n]
+        if self.e_map is not None:  # a region change within the window
+            self.b += _norm_bound(e_map[:, n:] - self.e_map[:, n:]) * self.a
+        self.e_map = e_map
+        from_e = 2 * np.eye(nz) - to_e
+        gt = to_e @ gen[:nz, :nz] @ from_e
+        mu_x = float(np.linalg.eigvalsh(gt[n:, n:] + gt[n:, n:].T).max()) / 2.0
+        gamma = h * _norm_bound(g.M_sqrt @ gt[:n, n:]) * _exp(h * max(self.mu, mu_x, 0.0))
+        beta = _exp(max(mu_x, 0.0) * h * count)  # >= beta^k here
+        hg, eye = h * gen, np.eye(gen.shape[0])
+        inner = eye
+        for j in range(8, 1, -1):
+            inner = eye + hg @ inner / j
+        y = (hg @ inner)[:nz]
+        # |d_k - v_k| <= per_w |w_k| + 3 u |v_k|: the remainder, and the rounding
+        # of Y, of the exact powers of s, of Y w_k and of v_k
+        g_abs = _norm_bound(hg)
+        per_w = (min(g_abs, 700.0) ** 8 / 362880.0 + (9 * gen.shape[0] + 30) * _U) * g_abs
+        per_w *= _exp(g_abs)
+        e_abs = _norm_bound(e_map)
+        block = min(count, _BOUND_ROWS, max(1, int(40.0 / abs(self.mu * h or 1.0))))
+        powers = _exp(max(self.mu * h, -700.0)) ** np.arange(1.0, block + 1.0)
+        acc, b, b_max, z_max = self.a, self.b, self.b, float(np.linalg.norm(rows[-1]))
+        # an overflow anywhere below ends as an infinite, vacuous bound, and a
+        # NaN is kept by np.max and read as infinity at the end
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k0 in range(0, count, _BOUND_ROWS):
+                z = rows[k0 : k0 + _BOUND_ROWS + 1]
+                w = z[:-1]
+                if steps is not None:
+                    s = np.arange(k0, k0 + w.shape[0]) / steps
+                    w = np.hstack([w, theta * s[:, None] ** np.arange(gen.shape[0] - nz)])
+                v = z[1:] - z[:-1] - w @ y.T
+                w_max = _max_row_norm(w)
+                local = per_w * w_max + 3 * _U * _max_row_norm(v)  # on the whole slice
+                d_x = _row_norms(v[:, n:]) + local
+                sums = np.cumsum(d_x)
+                c = _row_norms(v @ e_map.T)
+                c += gamma * beta * (acc + sums - d_x) + e_abs * local
+                bs = _linear_recursion(b, powers, c)
+                acc += float(sums[-1])
+                b, b_max = float(bs[-1]), float(np.max((b_max, bs.max())))
+                z_max = max(z_max, w_max)
+        self.a, self.b, b_max = (q if q <= math.inf else math.inf for q in (beta * acc, b, b_max))
+        # the absolute terms sum_j |c_j| |t|^j of the record's uhat bound its rounding
+        if seg is None:
+            u_terms = 0.0 if gain is None else _norm_bound(gain) * z_max
+        else:
+            t_pow = max(map(abs, span)) ** np.arange(seg.coeffs.shape[1])
+            u_terms = float(np.linalg.norm(np.abs(seg.coeffs) @ t_pow))
+        self.slack = max(self.slack, b_max + self.e_rounding * (
+            (1.0 + self.p_abs) * z_max + self.s_abs * u_terms
+        ))
 
 
 def simulate(
@@ -306,14 +449,24 @@ def simulate(
     logged jump, and logged.  `epsilon` defaults to the bundle's value and
     can be tightened per run.  A run whose arrays would exceed
     physical memory raises MemoryError before it allocates them.
+
+    The record's `decay_slack` is a proven bound on |vg(t_k) - vg_exact(t_k)|
+    at every sample of a decay window (the rows between logged jumps), where
+    vg_exact is the exact flow of the recorded regime sequence started from
+    the window's first row, taken over the steps the run made.  It is built
+    from this run alone (`_ErrorBound`) and does not depend on `rbar_max`.
+    So a window that passes `verify_trajectory` has vg_exact(t_k) <=
+    omega(t_k - t_a, vg(t_a)) + 2 decay_slack at its samples.  The error of
+    locating region crossings by bisection (to 1e-9 of the horizon) is
+    outside the bound.
     """
-    _preflight(concrete, abstract, horizon, (h,))
-    times, zs, regimes, jumps, initial_ok = _integrate(
+    _preflight(concrete, abstract, horizon, h)
+    times, zs, regimes, jumps, initial_ok, vg0, bound = _integrate(
         concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon
     )
     return _assemble_record(
         concrete, abstract, gains, policy, times, zs, regimes, jumps,
-        h, horizon, t0, initial_ok,
+        h, horizon, t0, initial_ok, vg0, bound,
     )
 
 
@@ -329,8 +482,9 @@ def _judge_jump(anchor, tau, delta, gains, epsilon, rbar_max):
 
 
 def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon):
-    """Grid times, joint states z = [x; xhat], regime ids, the jump log and
-    the initial-membership flag of one run (see `simulate`)."""
+    """Grid times, joint states z = [x; xhat], regime ids, the jump log, the
+    initial-membership flag, vg0 and the `_ErrorBound` of one run (see
+    `simulate`)."""
     if not (h > 0 and math.isfinite(h)):
         raise ValueError(f"step h must be positive and finite, got {h}")
     if not horizon >= 0:
@@ -359,6 +513,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
     jumps: list[JumpRecord] = []
     min_sep = MIN_JUMP_SEPARATION_STEPS * h
     anchor = (t0, vg0)
+    bound = _ErrorBound(concrete, gains)
 
     def log_jump(tau: float, delta: np.ndarray, cause: str):
         nonlocal anchor
@@ -369,12 +524,15 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
             )
         lhs, rhs, ok, anchor = _judge_jump(anchor, tau, delta, gains, eps_run, rbar_max)
         jumps.append(JumpRecord(tau, delta.copy(), cause, lhs, rhs, ok))
+        bound.restart()
 
     if horizon == 0.0:
-        rec.add(t0, z0, 0)
         z_final = z0
         final_regime = 0 if policy.kind == "open_loop" else policy.region_index(xhat0)
-        rec.regime[0] = final_regime
+        if policy.kind == "open_loop":
+            bound.stretch(F, h, z0[None], seg=policy.segment_at(t0), span=(t0, t0))
+        else:
+            bound.stretch(F, h, z0[None], policy.regions[final_regime].gain)
     elif policy.kind == "open_loop":
         breaks = [t0]
         for tau in policy.breakpoints():
@@ -393,6 +551,8 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
             z = zs[-1]
             _check_finite(zs[:-1], ts)
             _check_finite(z, b)
+            bound.stretch(_segment_generator(F, N, seg, a, b - a), (b - a) / steps, zs,
+                          steps=steps, seg=seg, span=(a, b))
             rec.add_block(ts, zs[:-1], seg_idx)
             if b < t_end - 1e-12:
                 nxt = policy.segment_at(b)
@@ -401,15 +561,14 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
                     log_jump(b, delta, "segment_boundary")
         z_final = z
         final_regime = policy.segment_index(t_end)
-        rec.add(t_end, z_final, final_regime)
     else:
         z_final, final_regime = _run_feedback(
-            policy, F, N, z0, n, t0, t_end, h, rec, log_jump
+            policy, F, N, z0, n, t0, t_end, h, rec, log_jump, bound
         )
-        rec.add(t_end, z_final, final_regime)
+    rec.add(t_end, z_final, final_regime)
 
     times, zs, regimes = rec.rows()
-    return times, zs, regimes, jumps, initial_ok
+    return times, zs, regimes, jumps, initial_ok, vg0, bound
 
 
 def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndarray:
@@ -431,7 +590,7 @@ def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndar
     return out
 
 
-def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
+def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump, bound):
     """Integrate the switched-feedback regime over [t0, t_end).
 
     Between crossings the closed loop is autonomous with a constant RK4
@@ -439,8 +598,8 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
     leaves the active region; the first sample outside brackets the
     crossing, which is then located by bisection and the enclosing step is
     split.  Emits rows on the fixed grid plus one row at each located
-    crossing time (carrying the post-jump region).  Returns (z(t_end),
-    final region).
+    crossing time (carrying the post-jump region), and advances `bound`
+    over every step in order.  Returns (z(t_end), final region).
     """
 
     def inside(rows: np.ndarray):
@@ -469,8 +628,10 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
         block = _propagate(phi, z, steps - i + 1, stop=lambda rows: not inside(rows).all())
         _check_finite(block, ts[i:])
         exits = np.flatnonzero(~inside(block))
+        gain_old = policy.regions[region].gain
         if exits.size == 0:
             rec.add_block(ts[i:steps], block[:-1], region)
+            bound.stretch(f_closed(region), h_eff, block, gain_old)
             return block[-1], region
 
         j = int(exits[0])  # first sample outside; j >= 1 since z is inside
@@ -496,12 +657,14 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
         if split:
             tau = t_a + s_cross
             z_tau = _rk4_phi(ff, s_cross) @ z_a
+            bound.stretch(ff, h_eff, block[:j], gain_old)
+            bound.stretch(ff, s_cross, np.stack([z_a, z_tau]), gain_old)
         else:
             # crossing at (numerically) the step end: snap to the grid point
             tau = t_b
             z_tau = z_b
+            bound.stretch(ff, h_eff, block[: j + 1], gain_old)
         new_region = policy.region_index(z_b[n:])
-        gain_old = policy.regions[region].gain
         gain_new = policy.regions[new_region].gain
         xhat_tau = z_tau[n:]
         delta = (gain_old - gain_new) @ xhat_tau
@@ -511,6 +674,7 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
         if split:
             rec.add(tau, z_tau, region)
             z = _rk4_phi(f_closed(region), t_b - tau) @ z_tau
+            bound.stretch(f_closed(region), t_b - tau, np.stack([z_tau, z]), gain_new)
             if not inside(z):
                 raise ZenoViolation(
                     f"second region crossing within one step at t ~ {t_b:.6g}"
@@ -524,7 +688,7 @@ def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump):
 
 def _assemble_record(
     concrete, abstract, gains, policy, times, zs, regimes, jumps,
-    h, horizon, t0, initial_ok,
+    h, horizon, t0, initial_ok, vg0, bound,
 ) -> TrajectoryRecord:
     n = concrete.n
     x = zs[:, :n]
@@ -556,48 +720,14 @@ def _assemble_record(
         horizon=horizon,
         t0=t0,
         initial_membership=initial_ok,
+        vg0=vg0,
+        decay_slack=bound.slack + bound.v_rounding * float(np.max(vg)),
     )
 
 
-def simulate_calibrated(
-    concrete, abstract, gains, policy, x0, xhat0, horizon, h,
-    rbar_max: float = 0.0, t0: float = 0.0, epsilon: float | None = None,
-) -> TrajectoryRecord:
-    """Simulate and calibrate the decay-check slack by step halving.
-
-    The slack kappa * h^4 absorbs the integration error of the sampled
-    simulation-function values; kappa is estimated once per scenario from
-    the deviation between the h and h/2 runs on shared grid times.  The
-    h/2 run is integrated with all its checks, but only vg is computed,
-    and only at the shared times.  Both runs are counted in the memory
-    preflight.
-    """
-    _preflight(concrete, abstract, horizon, (h, h / 2.0))
-    rec = simulate(
-        concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon
-    )
-    times, zs, regimes, _, _ = _integrate(
-        concrete, abstract, gains, policy, x0, xhat0, horizon, h / 2.0, rbar_max, t0,
-        epsilon,
-    )
-    ia, ib = _shared_rows(rec.t, times)
-    shared = zs[ib]
-    xhat = shared[:, concrete.n :]
-    uhat = policy.uhat(times[ib], xhat, regimes[ib])
-    vg = refine.vg(refine.RelationPoint(shared[:, : concrete.n], xhat, uhat), gains)
-    dev = float(np.max(np.abs(rec.vg[ia] - vg))) if ia.size else 0.0
-    rec.decay_slack = max(CALIBRATION_SAFETY * dev, 1e-12)
-    return rec
-
-
-def _shared_rows(t_a: np.ndarray, t_b: np.ndarray):
-    """Index pairs (ia, ib) with t_a[ia] == t_b[ib] at 1e-9 resolution, for
-    two strictly increasing time grids: one merge-style search."""
-    ta = np.round(t_a, 9)
-    tb = np.round(t_b, 9)
-    ib = np.minimum(np.searchsorted(tb, ta), tb.size - 1)
-    ia = np.flatnonzero(tb[ib] == ta)
-    return ia, ib[ia]
+def simulate_calibrated(*args, **kwargs) -> TrajectoryRecord:
+    """`simulate`, kept for callers of the former step-halving calibration."""
+    return simulate(*args, **kwargs)
 
 
 @dataclass
@@ -617,7 +747,7 @@ class VerificationReport:
     decay_violations: int = 0
     first_decay_violation_time: float | None = None
     initial_membership: bool = True
-    decay_slack: float = DEFAULT_DECAY_SLACK
+    decay_slack: float = 0.0
 
     @property
     def envelope_ok(self) -> bool:
@@ -660,9 +790,10 @@ def verify_trajectory(
     the between-jumps decay bound, and the logged jump budgets.
 
     The decay bound is verified between consecutive jump times, anchored at
-    each window's first sample, with the record's `decay_slack` for
-    integration error.  Each jump budget is recomputed against the envelope
-    restarted at the previous jump, as `simulate` logs it.
+    each window's first sample, with the record's `decay_slack`: the bound
+    on the integration error of vg that `simulate` proves.  Each jump budget
+    is recomputed against the envelope restarted at the previous jump,
+    anchored at the record's `vg0`, as `simulate` logs it.
     """
     u_norm = np.linalg.norm(record.u, axis=1)
     xhat_norm = np.linalg.norm(record.xhat, axis=1)

@@ -379,102 +379,49 @@ def check_assumption(
     M, K = gains.M, gains.K
     records: list[ConditionRecord] = []
 
+    def check(name: str, value, tolerance, passed, detail: str) -> None:
+        records.append(ConditionRecord(name, float(value), tolerance, bool(passed), detail))
+
     cp = float(np.linalg.norm(C @ gains.P - abstract.C, "fro"))
-    records.append(
-        ConditionRecord("CP_equals_Chat", cp, STRUCT_TOL, cp <= STRUCT_TOL, "||C P - Chat||_F")
-    )
+    check("CP_equals_Chat", cp, STRUCT_TOL, cp <= STRUCT_TOL, "||C P - Chat||_F")
     cs = float(np.linalg.norm(C @ gains.S, "fro"))
-    records.append(ConditionRecord("CS_zero", cs, STRUCT_TOL, cs <= STRUCT_TOL, "||C S||_F"))
+    check("CS_zero", cs, STRUCT_TOL, cs <= STRUCT_TOL, "||C S||_F")
 
     m_eigs = numerics.sym_eig(M).values
-    records.append(
-        ConditionRecord(
-            "M_positive_definite",
-            float(m_eigs[0]),
-            0.0,
-            bool(m_eigs[0] > 0),
-            "lambda_min(M)",
-        )
-    )
+    check("M_positive_definite", m_eigs[0], 0.0, m_eigs[0] > 0, "lambda_min(M)")
     gap = numerics.sym_eig(M - C.T @ C).values[0]
     gap_tol = -1e-9 * float(m_eigs[-1])
-    records.append(
-        ConditionRecord(
-            "output_weight_dominated",
-            float(gap),
-            gap_tol,
-            bool(gap >= gap_tol),
-            "lambda_min(M - C^T C)",
-        )
-    )
+    check("output_weight_dominated", gap, gap_tol, gap >= gap_tol, "lambda_min(M - C^T C)")
 
     acl = A + B @ K
     lyap = acl.T @ M + M @ acl + gains.a1 * M
     lyap_top = float(numerics.sym_eig(0.5 * (lyap + lyap.T)).values[-1])
     lyap_tol = 1e-9 * numerics.spectral_norm(M)
-    records.append(
-        ConditionRecord(
-            "lyapunov_decay",
-            lyap_top,
-            lyap_tol,
-            lyap_top <= lyap_tol,
-            "lambda_max((A+BK)^T M + M (A+BK) + a1 M)",
-        )
-    )
+    check("lyapunov_decay", lyap_top, lyap_tol, lyap_top <= lyap_tol,
+          "lambda_max((A+BK)^T M + M (A+BK) + a1 M)")
 
     P_new, Q_new, _ = solve_PQ(A, abstract.A, B, C, abstract.C, gains.M_sqrt)
-    pq_dev = float(
-        max(np.max(np.abs(P_new - gains.P)), np.max(np.abs(Q_new - gains.Q)))
-    )
-    records.append(
-        ConditionRecord(
-            "PQ_optimal", pq_dev, RESOLVE_TOL, pq_dev <= RESOLVE_TOL, "max re-solve deviation"
-        )
-    )
+    pq_dev = float(max(np.max(np.abs(P_new - gains.P)), np.max(np.abs(Q_new - gains.Q))))
+    check("PQ_optimal", pq_dev, RESOLVE_TOL, pq_dev <= RESOLVE_TOL, "max re-solve deviation")
     S_new, R_new, _ = solve_SR(A, B, C, gains.P, abstract.B, gains.M_sqrt)
-    sr_dev = float(
-        max(np.max(np.abs(S_new - gains.S)), np.max(np.abs(R_new - gains.R)))
-    )
-    records.append(
-        ConditionRecord(
-            "SR_optimal", sr_dev, RESOLVE_TOL, sr_dev <= RESOLVE_TOL, "max re-solve deviation"
-        )
-    )
+    sr_dev = float(max(np.max(np.abs(S_new - gains.S)), np.max(np.abs(R_new - gains.R))))
+    check("SR_optimal", sr_dev, RESOLVE_TOL, sr_dev <= RESOLVE_TOL, "max re-solve deviation")
 
-    r3 = rbar3_of(gains.M_sqrt, gains.S)
-    r3_dev = abs(r3 - gains.rbar3)
-    records.append(
-        ConditionRecord(
-            "rbar3_consistent", r3_dev, STRUCT_TOL, r3_dev <= STRUCT_TOL, "| ||M^{1/2}S|| - rbar3 |"
-        )
-    )
+    r3_dev = abs(rbar3_of(gains.M_sqrt, gains.S) - gains.rbar3)
+    check("rbar3_consistent", r3_dev, STRUCT_TOL, r3_dev <= STRUCT_TOL,
+          "| ||M^{1/2}S|| - rbar3 |")
 
     b, b_ok = input_bound(
         K, gains.Q, gains.R, gains.lambda_min_M, gains.epsilon, envelope,
         concrete.input_ball_radius,
     )
-    records.append(
-        ConditionRecord(
-            "input_bound",
-            b,
-            concrete.input_ball_radius,
-            b_ok,
-            "b vs input ball radius",
-        )
-    )
+    check("input_bound", b, concrete.input_ball_radius, b_ok, "b vs input ball radius")
 
     rbar_max, margin, feas_ok = feasibility(
         gains.rbar1, gains.rbar2, gains.rbar3, envelope, gains.a1, gains.epsilon
     )
-    records.append(
-        ConditionRecord(
-            "feasibility",
-            2.0 * rbar_max / gains.a1,
-            gains.epsilon,
-            feas_ok,
-            f"2 rbar_max / a1 vs epsilon (rbar_max={rbar_max:.6g}, margin={margin:.6g})",
-        )
-    )
+    check("feasibility", 2.0 * rbar_max / gains.a1, gains.epsilon, feas_ok,
+          f"2 rbar_max / a1 vs epsilon (rbar_max={rbar_max:.6g}, margin={margin:.6g})")
 
     # initial lift: each corner of the abstract initial box must admit a
     # concrete start within epsilon, witnessed by the start a run takes
@@ -483,18 +430,9 @@ def check_assumption(
         for corner in abstract.initial_state_set.corners():
             witness, uhat0 = lifted_start(concrete, gains, policy, corner)
             worst = max(worst, refine.vg(refine.RelationPoint(witness, corner, uhat0), gains))
-        records.append(
-            ConditionRecord(
-                "initial_lift",
-                worst,
-                gains.epsilon,
-                worst <= gains.epsilon,
-                "max vg over lifted corners of the abstract initial box",
-            )
-        )
+        check("initial_lift", worst, gains.epsilon, worst <= gains.epsilon,
+              "max vg over lifted corners of the abstract initial box")
     except DomainGap as exc:
-        records.append(
-            ConditionRecord("initial_lift", np.inf, gains.epsilon, False, str(exc))
-        )
+        check("initial_lift", np.inf, gains.epsilon, False, str(exc))
 
     return ConditionReport(tuple(records))

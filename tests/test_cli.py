@@ -183,6 +183,7 @@ class TestSimulate:
             {"t_start": -10.0, "t_end": 21.0, "coeffs": [[0.5, 0.05401]]}
         ]
         cfg["envelope"].update(uhat_max=2.0, uhatdot_max=0.06)
+        cfg["concrete"]["x0_box"] = [[40.0, 40.0], [-0.0401, -0.0401]]
         del cfg["scenario"]["x0"]
         config = write_config(tmp_path, cfg)
         syn = tmp_path / "syn"
@@ -215,7 +216,7 @@ class TestSimulate:
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
         # stands in for the real allocation, which must never be attempted
-        monkeypatch.setattr("gaasim.sim.simulate_calibrated", no_memory)
+        monkeypatch.setattr("gaasim.sim.simulate", no_memory)
         code = main([
             "simulate", "--config", str(huge),
             "--gains", str(syn / "gains.json"), "--out", str(tmp_path / "o3"),
@@ -232,8 +233,8 @@ class TestSimulate:
         syn = tmp_path / "syn"
         main(["synthesize", "--config", str(short_switched), "--out", str(syn)])
         capsys.readouterr()
-        # 8,001 rows at h plus 16,001 at h/2, 12 columns: about 2.3 MB
-        monkeypatch.setattr("gaasim.sim._physical_memory", lambda: 1e6)
+        # 8,001 rows at h, 12 columns: about 0.77 MB
+        monkeypatch.setattr("gaasim.sim._physical_memory", lambda: 5e5)
         out = tmp_path / "o"
         code = main([
             "simulate", "--config", str(short_switched),
@@ -244,6 +245,21 @@ class TestSimulate:
         assert err.startswith("error: out of memory (the run needs about ")
         assert len(err.strip().splitlines()) == 1
         assert not (out / "trajectory.csv").exists()
+
+
+class TestInitialSets:
+    @pytest.mark.parametrize("key, value", [("x0", [40.3, -0.0401]), ("xhat0", [40.05])])
+    def test_start_outside_its_box_exits_2(self, tmp_path, capsys, key, value):
+        cfg = casestudy.switched_config(horizon=5.0, step=0.01)
+        cfg["scenario"][key] = value
+        config = write_config(tmp_path, cfg)
+        for command in (["synthesize"], ["simulate", "--gains", str(tmp_path / "g.json")]):
+            code = main([*command, "--config", str(config), "--out", str(tmp_path / "o")])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: scenario.{key} ")
+            assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "o").exists()
 
 
 class TestOverrides:

@@ -1,0 +1,134 @@
+"""Metamorphic properties of the certificates.
+
+Scaling the states, the inputs, epsilon, the envelope, the input ball and
+(through the envelope) rbar_max by one factor c cannot change the truth of
+any certificate, and neither can shifting the start time of a run.  So every
+condition record, jump verdict and decay verdict must come out the same, and
+the proven decay slack must scale with c.
+
+Condition records carry no time (a configuration's runs start at t = 0), so
+a shift is checked on the run verdicts only.  The coordinate change x -> T x
+is not covered yet.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from gaasim import casestudy, sim
+from gaasim.model import (
+    AbstractInputPolicy,
+    Box,
+    FeedbackRegion,
+    OpenLoopSegment,
+    OperatingEnvelope,
+    Scenario,
+    parse_config,
+)
+from gaasim.synthesis import check_assumption, feasibility, synthesize_gains
+
+from conftest import EPS5
+from test_acceptance import _random_feasible_scenario
+
+SCALES = (1e-3, 1.0, 1e3)
+SHIFT = 10.0
+
+
+def _box(box: Box, c: float) -> Box:
+    return Box(c * box.lows, c * box.highs)
+
+
+def _policy(policy: AbstractInputPolicy, c: float = 1.0, shift: float = 0.0):
+    """`policy` with its values scaled by c and its time moved by `shift`."""
+    if policy.kind == "switched_feedback":
+        regions = tuple(FeedbackRegion(_box(r.box, c), r.gain) for r in policy.regions)
+        return AbstractInputPolicy(kind=policy.kind, regions=regions)
+    segments = tuple(
+        OpenLoopSegment(
+            t_start=seg.t_start + shift,
+            t_end=seg.t_end + shift,
+            coeffs=c * seg.coeffs @ sim._binomial_shift(-shift, seg.coeffs.shape[1]),
+        )
+        for seg in policy.segments
+    )
+    return AbstractInputPolicy(kind=policy.kind, segments=segments)
+
+
+def _scaled(sc: Scenario, c: float) -> Scenario:
+    env = sc.envelope
+    return dataclasses.replace(
+        sc,
+        concrete=dataclasses.replace(
+            sc.concrete,
+            input_ball_radius=c * sc.concrete.input_ball_radius,
+            initial_state_set=_box(sc.concrete.initial_state_set, c),
+        ),
+        abstract=dataclasses.replace(
+            sc.abstract, initial_state_set=_box(sc.abstract.initial_state_set, c)
+        ),
+        envelope=OperatingEnvelope(c * env.xhat_max, c * env.uhat_max, c * env.uhatdot_max),
+        policy=_policy(sc.policy, c),
+        epsilon=c * sc.epsilon,
+        xhat0=c * sc.xhat0,
+        x0=c * sc.x0,
+    )
+
+
+def _certify(sc: Scenario, force_s_zero: bool = False, shift: float = 0.0):
+    """The verdicts of synthesis, checks, run and verification, and the
+    run's decay slack."""
+    gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon,
+                             sc.envelope, M=sc.M, force_s_zero=force_s_zero)
+    report = check_assumption(sc.concrete, sc.abstract, gains, sc.envelope, policy=sc.policy)
+    rmax, _, _ = feasibility(gains.rbar1, gains.rbar2, gains.rbar3, sc.envelope,
+                             sc.a1, sc.epsilon)
+    rec = sim.simulate(sc.concrete, sc.abstract, gains, _policy(sc.policy, shift=shift),
+                       sc.x0, sc.xhat0, sc.horizon, sc.step, rbar_max=rmax, t0=shift,
+                       epsilon=sc.epsilon)
+    verdict = sim.verify_trajectory(rec, gains, sc.epsilon, sc.envelope, sc.b_U, rmax)
+    run = {
+        "jumps": [(j.cause, j.passed) for j in rec.jumps],
+        "jumps_passed": verdict.jumps_passed,
+        "decay_violations": verdict.decay_violations,
+        "passed": verdict.passed,
+    }
+    return [(r.name, r.passed) for r in report.records], run, rec.decay_slack
+
+
+def _assert_invariant(sc: Scenario, force_s_zero: bool = False) -> None:
+    records, run, slack = _certify(sc, force_s_zero)
+    for c in SCALES:
+        records_c, run_c, slack_c = _certify(_scaled(sc, c), force_s_zero)
+        assert records_c == records
+        assert run_c == run
+        assert 0.5 <= slack_c / c / slack <= 2.0
+    _, run_shifted, slack_shifted = _certify(sc, force_s_zero, shift=SHIFT)
+    assert run_shifted == run
+    assert 0.5 <= slack_shifted / slack <= 2.0
+
+
+@pytest.mark.parametrize("kind", ["switched", "ramp", "ramp_s_zero"])
+def test_study_verdicts_are_invariant(kind):
+    if kind == "switched":
+        cfg = casestudy.switched_config(horizon=320.0, step=5e-3)
+    else:
+        cfg = casestudy.ramp_config(horizon=120.0, step=5e-3)
+    sc = parse_config(cfg)
+    _assert_invariant(sc, force_s_zero=kind == "ramp_s_zero")
+
+
+def test_random_scenario_verdicts_are_invariant():
+    rng = np.random.default_rng(11)
+    for _ in range(10):
+        concrete, abstract, gains, policy, x0, xhat0, horizon = _random_feasible_scenario(rng)
+        probe = sim.simulate(concrete, abstract, gains, policy, x0, xhat0, horizon, 2e-3)
+        # the envelope is the realized suprema, as in acceptance test 7b
+        envelope = OperatingEnvelope(*(
+            float(np.max(np.linalg.norm(rows, axis=1))) * (1 + 1e-9)
+            for rows in (probe.xhat, probe.uhat, probe.uhatdot)
+        ))
+        sc = Scenario(concrete=concrete, abstract=abstract, envelope=envelope,
+                      policy=policy, epsilon=EPS5, a1=gains.a1, K=gains.K,
+                      horizon=horizon, step=2e-3, xhat0=xhat0, x0=x0, M=gains.M)
+        _assert_invariant(sc)

@@ -118,6 +118,23 @@ class TestParseConfig:
         sc = parse_config(cfg)
         assert sc.x0 is None and sc.M is None
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("x0", [40.3, -0.0401], r"scenario.x0 \[40.3, -0.0401\] outside concrete.x0_box"),
+        ("xhat0", [40.05], r"scenario.xhat0 \[40.05\] outside abstract.x0_box"),
+    ])
+    def test_start_outside_its_initial_box_rejected(self, key, value, message):
+        # both boxes of the study are points: [40, -0.0401] and [40.1]
+        cfg = casestudy.switched_config(horizon=5.0, step=0.01)
+        cfg["scenario"][key] = value
+        with pytest.raises(InvariantViolation, match=message):
+            parse_config(cfg)
+
+    def test_study_starts_lie_in_their_boxes(self):
+        for cfg in (casestudy.switched_config(), casestudy.ramp_config()):
+            sc = parse_config(cfg)
+            assert sc.concrete.initial_state_set.contains(sc.x0)
+            assert sc.abstract.initial_state_set.contains(sc.xhat0)
+
 
 class TestValidatePair:
     """The dimension checks of a concrete/abstract pair, in parse_config."""

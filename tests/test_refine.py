@@ -6,6 +6,7 @@ import pytest
 from gaasim.model import Box
 from gaasim.refine import (
     RelationPoint,
+    error_map,
     error_vector,
     in_relation,
     interface_u,
@@ -249,6 +250,20 @@ def random_bundle(rng, n, m, n_r, m_r) -> RefinementGains:
         a1=0.5, epsilon=1.0, rbar1=0.0, rbar2=0.0, rbar3=0.0,
         lambda_min_M=1.0, input_bound=1.0,
     )
+
+
+@pytest.mark.parametrize("dims", [None, (4, 3, 2, 2)])
+def test_error_map_is_the_error_vector_of_a_linear_input(gains5, dims):
+    rng = np.random.default_rng(12)
+    gains = gains5 if dims is None else random_bundle(rng, *dims)
+    (_, n_r), m_r = gains.Q.shape, gains.S.shape[1]
+    x = rng.uniform(-50.0, 50.0, (100, gains.M.shape[0]))
+    xhat = rng.uniform(-50.0, 50.0, (100, n_r))
+    z = np.hstack([x, xhat])
+    uhat_gain = rng.standard_normal((m_r, n_r))
+    for gain, uhat in ((None, np.zeros((100, m_r))), (uhat_gain, xhat @ uhat_gain.T)):
+        e = error_vector(RelationPoint(x, xhat, uhat), gains)
+        assert np.allclose(z @ error_map(gains, gain).T, e, rtol=0.0, atol=1e-12)
 
 
 class TestRowsMatchPoints:

@@ -238,6 +238,7 @@ class TestCheckAssumption:
             {"t_start": t_start, "t_end": 21.0, "coeffs": [[0.5, 0.05401]]}
         ]
         cfg["envelope"].update(uhat_max=2.0, uhatdot_max=0.06)
+        cfg["concrete"]["x0_box"] = [[40.0, 40.0], [-0.0401, -0.0401]]
         del cfg["scenario"]["x0"]
         sc = parse_config(cfg)
         gains = synthesize_gains(
