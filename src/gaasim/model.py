@@ -74,11 +74,14 @@ class Box:
         """Whether x lies in the box: a bool for one point, one bool per
         row for rows of points."""
         x = np.asarray(x, dtype=float)
-        inside = np.all((x >= self.lows) & (x <= self.highs), axis=-1)
+        inside = np.ones(x.shape[:-1], dtype=bool)
+        for k in range(self.dim):  # one pass per column of rows
+            inside &= (x[..., k] >= self.lows[k]) & (x[..., k] <= self.highs[k])
         return bool(inside) if inside.ndim == 0 else inside
 
     def clamp(self, x) -> np.ndarray:
-        return np.clip(np.asarray(x, dtype=float).reshape(-1), self.lows, self.highs)
+        """x, or each row of x, clamped into the box."""
+        return np.clip(np.asarray(x, dtype=float), self.lows, self.highs)
 
     def corners(self) -> np.ndarray:
         """All 2^d corner points (deduplicated for degenerate axes)."""
@@ -332,36 +335,36 @@ class AbstractInputPolicy:
         return -self.regions[self.region_index(xhat)].gain @ xhat
 
     def uhat(self, times: np.ndarray, xhat: np.ndarray, regimes: np.ndarray) -> np.ndarray:
-        """(len(times), m_r) uhat at rows (times, xhat) whose regime ids
-        (segment or region indices) are `regimes`, one vectorized evaluation
-        per run of one id."""
-        out = np.empty((times.size, self.m_r))
+        """(len(times), m_r) uhat, F-contiguous, at rows (times, xhat) whose
+        regime ids (segment or region indices) are `regimes`, one vectorized
+        evaluation per run of one id."""
+        out = np.empty((times.size, self.m_r), order="F")
         for a, b, idx in _runs(regimes):
             if self.kind == "open_loop":
                 out[a:b] = self.segments[idx].value(times[a:b])
             else:
-                out[a:b] = -(xhat[a:b] @ self.regions[idx].gain.T)
+                out[a:b] = -(self.regions[idx].gain @ xhat[a:b].T).T
         return out
 
     def uhatdot(
         self, abstract: "AbstractLinearSystem", times: np.ndarray, xhat: np.ndarray,
         uhat: np.ndarray, regimes: np.ndarray,
     ) -> np.ndarray:
-        """duhat/dt at the rows of `uhat`: the segment derivative, or
-        -K (A xhat + B uhat) of the region by the chain rule."""
+        """duhat/dt at the rows of `uhat`, laid out as `uhat`: the segment
+        derivative, or -K (A xhat + B uhat) of the region by the chain rule."""
         out = np.empty_like(uhat)
         for a, b, idx in _runs(regimes):
             if self.kind == "open_loop":
                 out[a:b] = self.segments[idx].derivative(times[a:b])
             else:
-                xhatdot = xhat[a:b] @ abstract.A.T + uhat[a:b] @ abstract.B.T
-                out[a:b] = -(xhatdot @ self.regions[idx].gain.T)
+                xhatdot = abstract.A @ xhat[a:b].T + abstract.B @ uhat[a:b].T
+                out[a:b] = -(self.regions[idx].gain @ xhatdot).T
         return out
 
 
 def _runs(regimes: np.ndarray) -> list[tuple[int, int, int]]:
     """(start, stop, id) of each contiguous run of one regime id."""
-    starts = [0, *(np.flatnonzero(np.diff(regimes)) + 1).tolist(), regimes.size]
+    starts = [0, *(np.flatnonzero(regimes[1:] != regimes[:-1]) + 1).tolist(), regimes.size]
     return [(a, b, int(regimes[a])) for a, b in zip(starts, starts[1:])]
 
 

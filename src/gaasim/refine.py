@@ -7,7 +7,9 @@ norm; the interface never clamps the concrete input, it only flags when the
 bound is exceeded.  `error_vector`, `vg`, `interface_u` and `omega` take one
 point or rows of points; a point is evaluated as a one-row array, by the
 expression that evaluates a record's rows, so these formulas are written
-only here.
+only here.  Rows come as (rows, k) arrays and are evaluated column by column
+(`_dot`), so a record stored column-major is read contiguously, and a
+point gives the bits its row gives within any record.
 """
 
 from __future__ import annotations
@@ -26,48 +28,76 @@ class RelationPoint(NamedTuple):
     uhat: np.ndarray
 
 
-def _rows(point, gains) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """x, xhat, uhat as 2-D row arrays, and whether `point` is one point."""
+def _columns(point, gains) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """x, xhat, uhat as (k, rows) arrays, one row per coordinate, and whether
+    `point` is one point."""
     single = np.ndim(point.x) < 2
-    rows = [np.asarray(v, dtype=float) for v in point]
-    if single:
-        rows = [v.reshape(1, -1) for v in rows]
-    dims, expected = tuple(v.shape[1] for v in rows), (*gains.P.shape, gains.S.shape[1])
+    cols = [np.asarray(v, dtype=float) for v in point]
+    cols = [v.reshape(-1, 1) if single else v.T for v in cols]
+    dims, expected = tuple(v.shape[0] for v in cols), (*gains.P.shape, gains.S.shape[1])
     if dims != expected:
         raise ValueError(f"point dimensions {dims} do not match gains {expected}")
-    return (*rows, single)
+    return (*cols, single)
+
+
+def _dot(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """a @ cols for columns of points (width, rows): row i adds a[i, j]
+    cols[j] to zero over j in order, each product and sum rounded once, so a
+    point's bits depend neither on the other rows, nor on their layout, nor
+    on the BLAS."""
+    out = a[:, 0, None] * cols[0]
+    out += 0.0  # the sum starts at zero: a product -0 adds up to +0
+    for j in range(1, a.shape[1]):
+        out += a[:, j, None] * cols[j]
+    return out
+
+
+def _error_columns(point, gains) -> np.ndarray:
+    x, xhat, uhat, _ = _columns(point, gains)
+    e = x - _dot(gains.P, xhat)
+    e -= _dot(gains.S, uhat)
+    return e
+
+
+def _points(e) -> np.ndarray:
+    """An error vector, or rows of them, as (n, rows) columns."""
+    return np.reshape(e, (-1, np.shape(e)[-1])).T
 
 
 def error_vector(point: RelationPoint, gains) -> np.ndarray:
-    """e = x - P xhat - S uhat: (n,) for one point, (rows, n) for rows."""
-    x, xhat, uhat, single = _rows(point, gains)
-    e = x - xhat @ gains.P.T - uhat @ gains.S.T
-    return e[0] if single else e
+    """e = x - P xhat - S uhat: (n,) for one point, (rows, n) F-contiguous
+    for rows."""
+    e = _error_columns(point, gains)
+    return e[:, 0] if np.ndim(point.x) < 2 else e.T
 
 
 def vg(point: RelationPoint, gains, e=None):
     """Simulation-function value sqrt(e' M e), zero exactly when e = 0: a
     float for one point, an array for rows.  `e` is the point's
-    `error_vector`, where the caller has formed it already."""
-    if e is None:
-        e = error_vector(point, gains)
-    rows = e.reshape(1, -1) if e.ndim == 1 else e
-    values = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", rows, gains.M, rows), 0.0))
-    return float(values[0]) if e.ndim == 1 else values
+    `error_vector`, where the caller has formed it already.  e' M e adds
+    (e_j M_jk) e_k to zero over j, then k, in order."""
+    cols = _error_columns(point, gains) if e is None else _points(e)
+    q = np.zeros(cols.shape[1])
+    for j, k in np.ndindex(gains.M.shape):
+        term = cols[j] * gains.M[j, k]
+        term *= cols[k]
+        q += term
+    values = np.sqrt(np.maximum(q, 0.0))
+    return float(values[0]) if np.ndim(point.x) < 2 else values
 
 
 def interface_u(point: RelationPoint, gains, e=None):
     """Refined concrete input u = K e + Q xhat + R uhat (`e` as in `vg`) and
     whether ||u|| exceeds the certified input bound; u is never clamped.
-    For rows, u has a row per point and the flag is None: `verify_trajectory`
-    judges the input norms of a whole record."""
-    _, xhat, uhat, single = _rows(point, gains)
-    if e is None:
-        e = error_vector(point, gains)
-    u = e.reshape(len(xhat), -1) @ gains.K.T + xhat @ gains.Q.T + uhat @ gains.R.T
+    For rows, u has a row per point, F-contiguous, and the flag is None:
+    `verify_trajectory` judges the input norms of a whole record."""
+    _, xhat, uhat, single = _columns(point, gains)
+    e = _error_columns(point, gains) if e is None else _points(e)
+    u = _dot(gains.K, e) + _dot(gains.Q, xhat)
+    u += _dot(gains.R, uhat)
     if not single:
-        return u, None
-    return u[0], bool(np.linalg.norm(u[0]) > gains.input_bound + 1e-12)
+        return u.T, None
+    return u[:, 0], bool(np.linalg.norm(u[:, 0]) > gains.input_bound + 1e-12)
 
 
 def interface_gains(gains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -83,10 +113,13 @@ def error_map(gains, uhat_gain=None) -> np.ndarray:
 
 
 def lift_initial(xhat0, uhat0, gains) -> np.ndarray:
-    """x0 = P xhat0 + S uhat0; the lifted triple has vg = 0 by construction."""
-    xhat0 = np.asarray(xhat0, dtype=float).reshape(-1)
-    uhat0 = np.asarray(uhat0, dtype=float).reshape(-1)
-    return gains.P @ xhat0 + gains.S @ uhat0
+    """x0 = P xhat0 + S uhat0: (n,) for one point, (rows, n) for rows, with
+    the products summed as `error_vector` sums them, so the lifted triple
+    has vg = 0 whenever that sum is exact, as it is when S uhat0 = 0."""
+    xhat0 = np.asarray(xhat0, dtype=float)
+    x0 = _dot(gains.P, np.reshape(xhat0, (-1, gains.P.shape[1])).T)
+    x0 += _dot(gains.S, np.reshape(np.asarray(uhat0, dtype=float), (-1, gains.S.shape[1])).T)
+    return x0[:, 0] if xhat0.ndim < 2 else x0.T
 
 
 def in_relation(point: RelationPoint, gains, epsilon: float) -> bool:

@@ -14,7 +14,9 @@ inserted into the grid exactly; feedback region crossings are located by
 bisection and the enclosing step is split.  The grid sample at a jump time
 stores the right limit of the abstract input.  Each run proves a bound on
 the integration error of its sampled vg from its own rows (`_ErrorBound`)
-and records it as `decay_slack`.
+and records it as `decay_slack`.  Samples are held column-major from the
+propagation to the record, so every per-sample formula runs over
+contiguous columns.
 
 Integration within a run is sequential; distinct runs share no mutable
 state and may execute in parallel.  `write_trajectory_csv` streams CSV row
@@ -90,6 +92,10 @@ class TrajectoryRecord:
     post-jump abstract input).  `vg0` is the value at (x0, xhat0) that the
     run anchored its jump envelope and initial membership on, and
     `decay_slack` bounds the integration error of `vg` (see `simulate`).
+    Each array is (rows,) or (rows, k) and F-contiguous: `x` and `xhat` are
+    views of the run's column-major store, one contiguous column per
+    coordinate, and the other arrays share that layout.  A caller that
+    needs C order copies with `np.ascontiguousarray`.
     """
 
     t: np.ndarray
@@ -220,11 +226,12 @@ def _n_steps(a: float, b: float, h: float) -> int:
 
 
 class _Recorder:
-    """Grow-able row store for (t, z, regime id)."""
+    """Grow-able store for (t, z, regime id) that holds z column-major, as
+    (n + n_r, capacity): each state is one contiguous column of samples."""
 
     def __init__(self, nj: int, capacity: int):
         self.t = np.empty(max(capacity, 16))
-        self.z = np.empty((max(capacity, 16), nj))
+        self.z = np.empty((nj, max(capacity, 16)))
         self.regime = np.empty(max(capacity, 16), dtype=np.int64)
         self.count = 0
         self.grown = False
@@ -234,35 +241,37 @@ class _Recorder:
         while cap < need:
             cap = int(cap * 1.5) + 16
         self.t = np.resize(self.t, cap)
-        self.z = np.resize(self.z, (cap, self.z.shape[1]))
+        z = np.empty((self.z.shape[0], cap))
+        z[:, : self.count] = self.z[:, : self.count]
+        self.z = z
         self.regime = np.resize(self.regime, cap)
         self.grown = True
 
     def add(self, t: float, z: np.ndarray, regime: int):
-        if self.count + 1 > self.t.size:
-            self._grow(self.count + 1)
-        self.t[self.count] = t
-        self.z[self.count] = z
-        self.regime[self.count] = regime
-        self.count += 1
+        self.add_block(np.array([t]), np.reshape(z, (1, -1)), regime)
 
     def add_block(self, ts: np.ndarray, zs: np.ndarray, regime: int):
+        """Append the rows (ts, zs), zs shaped (rows, n + n_r)."""
         need = self.count + ts.size
         if need > self.t.size:
             self._grow(need)
         self.t[self.count : need] = ts
-        self.z[self.count : need] = zs
+        self.z[:, self.count : need] = zs.T
         self.regime[self.count : need] = regime
         self.count = need
 
     def rows(self):
-        """The recorded (t, z, regime): views of the store, or trimmed copies
-        once it has grown, so that its spare capacity does not outlive the
-        run."""
-        rows = (self.t[: self.count], self.z[: self.count], self.regime[: self.count])
+        """The recorded (t, z, regime), z shaped (rows, n + n_r) and
+        F-contiguous, which ends the recording.  They are views of the store,
+        its columns moved together in place, or trimmed copies once it has
+        grown, so that its spare capacity does not outlive the run."""
+        count, (nj, cap) = self.count, self.z.shape
         if self.grown:
-            return tuple(a.copy() for a in rows)
-        return rows
+            return self.t[:count].copy(), self.z[:, :count].copy().T, self.regime[:count].copy()
+        flat = self.z.reshape(-1)
+        for j in range(1, nj):
+            flat[j * count : (j + 1) * count] = flat[j * cap : j * cap + count]
+        return self.t[:count], flat[: nj * count].reshape(nj, count).T, self.regime[:count]
 
 
 def _physical_memory() -> float:
@@ -302,8 +311,8 @@ def _norm_bound(a: np.ndarray) -> float:
     return math.sqrt(float(a.sum(axis=0).max()) * float(a.sum(axis=1).max()))
 
 
-def _row_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->i", a, a))
+def _column_norms(a: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.einsum("ij,ij->j", a, a))
 
 
 def _exp(x: float) -> float:
@@ -312,9 +321,9 @@ def _exp(x: float) -> float:
     return math.exp(x) if x < 700.0 else math.inf
 
 
-def _max_row_norm(a: np.ndarray) -> float:
-    """An upper bound on the largest row norm of `a`: sqrt(width) max |a_ij|."""
-    return math.sqrt(a.shape[1]) * max(float(a.max()), -float(a.min()))
+def _max_column_norm(a: np.ndarray) -> float:
+    """An upper bound on the largest column norm of `a`: sqrt(height) max |a_ij|."""
+    return math.sqrt(a.shape[0]) * max(float(a.max()), -float(a.min()))
 
 
 def _linear_recursion(b0: float, powers: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -394,22 +403,23 @@ class _ErrorBound:
         e_abs = _norm_bound(e_map)
         block = min(count, _BOUND_ROWS, max(1, int(40.0 / abs(self.mu * h or 1.0))))
         powers = _exp(max(self.mu * h, -700.0)) ** np.arange(1.0, block + 1.0)
-        acc, b, b_max, z_max = self.a, self.b, self.b, float(np.linalg.norm(rows[-1]))
+        columns = rows.T  # one sample per column
+        acc, b, b_max, z_max = self.a, self.b, self.b, float(np.linalg.norm(columns[:, -1]))
         # an overflow anywhere below ends as an infinite, vacuous bound, and a
         # NaN is kept by np.max and read as infinity at the end
         with np.errstate(over="ignore", invalid="ignore"):
             for k0 in range(0, count, _BOUND_ROWS):
-                z = rows[k0 : k0 + _BOUND_ROWS + 1]
-                w = z[:-1]
+                z = columns[:, k0 : k0 + _BOUND_ROWS + 1]
+                w = z[:, :-1]
                 if steps is not None:
-                    s = np.arange(k0, k0 + w.shape[0]) / steps
-                    w = np.hstack([w, theta * s[:, None] ** np.arange(gen.shape[0] - nz)])
-                v = z[1:] - z[:-1] - w @ y.T
-                w_max = _max_row_norm(w)
-                local = per_w * w_max + 3 * _U * _max_row_norm(v)  # on the whole slice
-                d_x = _row_norms(v[:, n:]) + local
+                    s = np.arange(k0, k0 + w.shape[1]) / steps
+                    w = np.vstack([w, theta * s ** np.arange(gen.shape[0] - nz)[:, None]])
+                v = z[:, 1:] - z[:, :-1] - y @ w
+                w_max = _max_column_norm(w)
+                local = per_w * w_max + 3 * _U * _max_column_norm(v)  # on the whole slice
+                d_x = _column_norms(v[n:]) + local
                 sums = np.cumsum(d_x)
-                c = _row_norms(v @ e_map.T)
+                c = _column_norms(e_map @ v)
                 c += gamma * beta * (acc + sums - d_x) + e_abs * local
                 bs = _linear_recursion(b, powers, c)
                 acc += float(sums[-1])
@@ -572,22 +582,23 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
 
 
 def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndarray:
-    """Rows z, phi z, ..., phi^(count-1) z by repeated doubling, or the rows
-    filled before the first doubling stage at which stop(rows) holds."""
-    out = np.empty((count, z.size))
-    out[0] = z
-    filled = 1
+    """Rows z, phi z, ..., phi^(count-1) z by repeated doubling, shaped
+    (count, z.size) with contiguous columns, or the rows filled before the
+    first doubling stage whose new rows make stop(new rows) hold."""
+    out = np.empty((z.size, count))
+    out[:, 0] = z
+    last, filled = 0, 1
     power = phi
     with np.errstate(over="ignore", invalid="ignore"):
         while filled < count:
-            if stop is not None and stop(out[:filled]):
-                return out[:filled]
+            if stop is not None and stop(out[:, last:filled].T):
+                return out[:, :filled].T
             take = min(filled, count - filled)
-            out[filled : filled + take] = out[:take] @ power.T
-            filled += take
+            out[:, filled : filled + take] = power @ out[:, :take]
+            last, filled = filled, filled + take
             if filled < count:
                 power = power @ power
-    return out
+    return out.T
 
 
 def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump, bound):
@@ -699,8 +710,8 @@ def _assemble_record(
     e = refine.error_vector(rows, gains)
     vg = refine.vg(rows, gains, e)
     u, _ = refine.interface_u(rows, gains, e)
-    y = x @ concrete.C.T
-    yhat = xhat @ abstract.C.T
+    y = (concrete.C @ x.T).T
+    yhat = (abstract.C @ xhat.T).T
     err = np.linalg.norm(y - yhat, axis=1)
     return TrajectoryRecord(
         t=times,
@@ -819,15 +830,12 @@ def verify_trajectory(
     # opens, not the one it closes
     decay_violations = 0
     first_violation = None
-    window_edges = [record.t[0]] + [j.time for j in record.jumps] + [record.t[-1]]
-    for i, (a, b) in enumerate(zip(window_edges, window_edges[1:])):
-        final = i == len(window_edges) - 2
-        upper = record.t <= b if final else record.t < b
-        sel = np.flatnonzero((record.t >= a) & upper)
-        if sel.size == 0:
+    starts = np.searchsorted(record.t, [record.t[0]] + [j.time for j in record.jumps])
+    for lo, hi in zip(starts, [*starts[1:], record.t.size]):
+        if lo == hi:
             continue
-        ts = record.t[sel]
-        vgs = record.vg[sel]
+        ts = record.t[lo:hi]
+        vgs = record.vg[lo:hi]
         bound = refine.omega(ts - ts[0], vgs[0], gains.a1, rbar_max)
         bad = np.flatnonzero(vgs > bound + record.decay_slack)
         if bad.size:

@@ -350,11 +350,17 @@ def lifted_start(
     gains: RefinementGains,
     policy: AbstractInputPolicy | None,
     xhat0,
+    t0: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(x0, uhat0) of a run that starts from xhat0 with no concrete state
-    given: uhat0 is the policy's input at t = 0 (zero without a policy), and
-    x0 is the lift P xhat0 + S uhat0 clamped into the concrete initial box."""
-    uhat0 = np.zeros(gains.S.shape[1]) if policy is None else policy.uhat_at(0.0, xhat0)
+    """(x0, uhat0) of a run that starts at t0 from xhat0 with no concrete
+    state given, or of one such run per row of xhat0: uhat0 is the policy's
+    input at t0 (zero without a policy), and x0 is the lift P xhat0 + S uhat0
+    clamped into the concrete initial box."""
+    xhat0 = np.asarray(xhat0, dtype=float)
+    if policy is None:
+        uhat0 = np.zeros((*xhat0.shape[:-1], gains.S.shape[1]))
+    else:
+        uhat0 = np.apply_along_axis(lambda p: policy.uhat_at(t0, p), -1, xhat0)
     x0 = concrete.initial_state_set.clamp(refine.lift_initial(xhat0, uhat0, gains))
     return x0, uhat0
 
@@ -365,6 +371,7 @@ def check_assumption(
     gains: RefinementGains,
     envelope: OperatingEnvelope,
     policy: AbstractInputPolicy | None = None,
+    t0: float = 0.0,
 ) -> ConditionReport:
     """One record per standing condition, with numeric residual or margin.
 
@@ -373,7 +380,7 @@ def check_assumption(
     couplings against fresh re-solves, the input bound against the input
     ball, the disturbance-budget feasibility, and the initial-set lift over
     the corner points of the abstract initial box, each judged at the start
-    `lifted_start` gives it, the start a run without x0 takes.
+    `lifted_start` gives it at t0, the start a run from t0 without x0 takes.
     """
     A, B, C = concrete.A, concrete.B, concrete.C
     M, K = gains.M, gains.K
@@ -426,10 +433,9 @@ def check_assumption(
     # initial lift: each corner of the abstract initial box must admit a
     # concrete start within epsilon, witnessed by the start a run takes
     try:
-        worst = 0.0
-        for corner in abstract.initial_state_set.corners():
-            witness, uhat0 = lifted_start(concrete, gains, policy, corner)
-            worst = max(worst, refine.vg(refine.RelationPoint(witness, corner, uhat0), gains))
+        corners = abstract.initial_state_set.corners()
+        witness, uhat0 = lifted_start(concrete, gains, policy, corners, t0)
+        worst = float(np.max(refine.vg(refine.RelationPoint(witness, corners, uhat0), gains)))
         check("initial_lift", worst, gains.epsilon, worst <= gains.epsilon,
               "max vg over lifted corners of the abstract initial box")
     except DomainGap as exc:

@@ -2,13 +2,11 @@
 
 Scaling the states, the inputs, epsilon, the envelope, the input ball and
 (through the envelope) rbar_max by one factor c cannot change the truth of
-any certificate, and neither can shifting the start time of a run.  So every
-condition record, jump verdict and decay verdict must come out the same, and
-the proven decay slack must scale with c.
+any certificate, and neither can shifting the start time of a run together
+with its policy.  So every condition record, jump verdict and decay verdict
+must come out the same, and the proven decay slack must scale with c.
 
-Condition records carry no time (a configuration's runs start at t = 0), so
-a shift is checked on the run verdicts only.  The coordinate change x -> T x
-is not covered yet.
+The coordinate change x -> T x is not covered yet.
 """
 
 import dataclasses
@@ -77,15 +75,16 @@ def _scaled(sc: Scenario, c: float) -> Scenario:
 
 def _certify(sc: Scenario, force_s_zero: bool = False, shift: float = 0.0):
     """The verdicts of synthesis, checks, run and verification, and the
-    run's decay slack."""
+    run's decay slack, with the run and its policy started `shift` later."""
     gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon,
                              sc.envelope, M=sc.M, force_s_zero=force_s_zero)
-    report = check_assumption(sc.concrete, sc.abstract, gains, sc.envelope, policy=sc.policy)
+    policy = _policy(sc.policy, shift=shift)
+    report = check_assumption(sc.concrete, sc.abstract, gains, sc.envelope, policy=policy,
+                              t0=shift)
     rmax, _, _ = feasibility(gains.rbar1, gains.rbar2, gains.rbar3, sc.envelope,
                              sc.a1, sc.epsilon)
-    rec = sim.simulate(sc.concrete, sc.abstract, gains, _policy(sc.policy, shift=shift),
-                       sc.x0, sc.xhat0, sc.horizon, sc.step, rbar_max=rmax, t0=shift,
-                       epsilon=sc.epsilon)
+    rec = sim.simulate(sc.concrete, sc.abstract, gains, policy, sc.x0, sc.xhat0,
+                       sc.horizon, sc.step, rbar_max=rmax, t0=shift, epsilon=sc.epsilon)
     verdict = sim.verify_trajectory(rec, gains, sc.epsilon, sc.envelope, sc.b_U, rmax)
     run = {
         "jumps": [(j.cause, j.passed) for j in rec.jumps],
@@ -103,7 +102,8 @@ def _assert_invariant(sc: Scenario, force_s_zero: bool = False) -> None:
         assert records_c == records
         assert run_c == run
         assert 0.5 <= slack_c / c / slack <= 2.0
-    _, run_shifted, slack_shifted = _certify(sc, force_s_zero, shift=SHIFT)
+    records_shifted, run_shifted, slack_shifted = _certify(sc, force_s_zero, shift=SHIFT)
+    assert records_shifted == records
     assert run_shifted == run
     assert 0.5 <= slack_shifted / slack <= 2.0
 
@@ -132,3 +132,23 @@ def test_random_scenario_verdicts_are_invariant():
                       policy=policy, epsilon=EPS5, a1=gains.a1, K=gains.K,
                       horizon=horizon, step=2e-3, xhat0=xhat0, x0=x0, M=gains.M)
         _assert_invariant(sc)
+
+
+def test_initial_lift_is_judged_at_the_start_time():
+    """The ramp's abstract start lifts with uhat(t0): shifted by 10 s, its
+    policy is judged at t0 = 10 s, not at t = 0, where its first segment
+    (from 10 s) would give uhat = -0.2."""
+    sc = parse_config(casestudy.ramp_config(horizon=120.0, step=5e-3))
+    gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon,
+                             sc.envelope, M=sc.M)
+
+    def initial_lift(policy, t0):
+        report = check_assumption(sc.concrete, sc.abstract, gains, sc.envelope,
+                                  policy=policy, t0=t0)
+        return next(r.value for r in report.records if r.name == "initial_lift")
+
+    unshifted = initial_lift(sc.policy, 0.0)
+    assert unshifted == pytest.approx(0.19886, abs=1e-5)
+    shifted = _policy(sc.policy, shift=SHIFT)
+    assert initial_lift(shifted, SHIFT) == pytest.approx(unshifted, rel=1e-12)
+    assert initial_lift(shifted, 0.0) == pytest.approx(0.40171, abs=1e-5)

@@ -298,19 +298,11 @@ class TestRowsMatchPoints:
             assert np.array_equal(error_vector(one, gains), e_pts[i : i + 1])
             assert np.array_equal(vg(one, gains), v_pts[i : i + 1])
             assert np.array_equal(interface_u(one, gains)[0], u_pts[i : i + 1])
-        # numpy sends a one-row product to its dot/gemv kernels and a batch
-        # to gemv/gemm, whose fused multiply-adds round differently, so the
-        # stacked points agree with the rows to the rounding of the terms
-        tol = 8.0 * np.finfo(float).eps
-        e_scale = np.abs(x) + np.abs(xhat) @ np.abs(gains.P.T) + np.abs(uhat) @ np.abs(gains.S.T)
-        assert np.all(np.abs(e_pts - e_rows) <= tol * e_scale)
-        v_scale = np.einsum("ij,jk,ik->i", e_scale, np.abs(gains.M), e_scale)
-        assert np.all(np.abs(v_pts**2 - v_rows**2) <= 2.0 * tol * v_scale)
-        u_scale = (
-            e_scale @ np.abs(gains.K.T) + np.abs(xhat) @ np.abs(gains.Q.T)
-            + np.abs(uhat) @ np.abs(gains.R.T)
-        )
-        assert np.all(np.abs(u_pts - u_rows) <= 2.0 * tol * u_scale)
+        # refine fixes the order of every sum, so the stacked points are the
+        # rows bit for bit
+        assert np.array_equal(e_pts, e_rows)
+        assert np.array_equal(v_pts, v_rows)
+        assert np.array_equal(u_pts, u_rows)
 
     def test_omega(self):
         rng = np.random.default_rng(11)

@@ -21,7 +21,15 @@ from gaasim.model import (
     OperatingEnvelope,
     parse_config,
 )
-from gaasim.refine import RelationPoint, jump_admissible, lift_initial, omega, vg
+from gaasim.refine import (
+    RelationPoint,
+    error_vector,
+    interface_u,
+    jump_admissible,
+    lift_initial,
+    omega,
+    vg,
+)
 from gaasim.sim import (
     NonFiniteState,
     ZenoViolation,
@@ -766,9 +774,10 @@ class TestFeedbackStopsAtRegionExit:
     """Each feedback stretch is propagated only until it leaves its region."""
 
     @staticmethod
-    def run(monkeypatch, drop_stop: bool):
-        # an abstract oscillator whose xhat1 changes sign every pi / 2 s
-        # switches between two gains 64 times in 100 s
+    def scenario():
+        """(concrete, abstract, gains, policy, x0, xhat0): an abstract
+        oscillator whose xhat1 changes sign every pi / 2 s switches between
+        two gains 64 times in 100 s."""
         a = np.array([[0.0, 1.0], [0.0, 0.0]])
         k = -a - np.eye(2)
         concrete = ConcreteLinearSystem(
@@ -788,7 +797,10 @@ class TestFeedbackStopsAtRegionExit:
         policy = AbstractInputPolicy(kind="switched_feedback", regions=regions)
         xhat0 = np.array([1.0, 0.0])
         x0 = lift_initial(xhat0, -regions[0].gain @ xhat0, gains)
+        return concrete, abstract, gains, policy, x0, xhat0
 
+    @classmethod
+    def run(cls, monkeypatch, drop_stop: bool):
         computed = []
         propagate = sim._propagate
 
@@ -798,7 +810,7 @@ class TestFeedbackStopsAtRegionExit:
             return rows
 
         monkeypatch.setattr(sim, "_propagate", counting)
-        rec = simulate(concrete, abstract, gains, policy, x0, xhat0, horizon=100.0, h=1e-2)
+        rec = simulate(*cls.scenario(), horizon=100.0, h=1e-2)
         return rec, sum(computed)
 
     def test_rows_computed_within_4x_of_kept(self, monkeypatch):
@@ -818,14 +830,46 @@ class TestFeedbackStopsAtRegionExit:
             assert (j.time, j.cause, j.lhs, j.rhs, j.passed) == (k.time, k.cause, k.lhs, k.rhs, k.passed)
             assert np.array_equal(j.delta, k.delta)
 
+    def test_decay_windows_match_a_per_window_reference(self):
+        """`verify_trajectory` finds each decay window by binary search; over
+        64 crossings it counts the violations a per-window mask counts."""
+        concrete, abstract, gains, policy, x0, xhat0 = self.scenario()
+        rec = simulate(concrete, abstract, gains, policy, x0 + [0.05, -0.03], xhat0,
+                       horizon=100.0, h=1e-2)
+        assert len(rec.jumps) >= 50
+        env = OperatingEnvelope(10.0, 10.0, 10.0)
+        spiked = rec.vg.copy()
+        late = int(np.searchsorted(rec.t, rec.jumps[30].time)) + 7
+        spiked[late] += 0.01
+        found = []
+        for a1, rmax, values in ((gains.a1, 0.0, rec.vg), (4 * gains.a1, 0.0, rec.vg),
+                                 (40 * gains.a1, 1e-3, rec.vg), (gains.a1, 0.0, spiked)):
+            run = dataclasses.replace(rec, vg=values)
+            report = verify_trajectory(run, dataclasses.replace(gains, a1=a1), 0.5, env,
+                                       1e3, rmax)
+            count, first = 0, None
+            for sel in _decay_windows(run):
+                ts, vgs = run.t[sel], run.vg[sel]
+                bad = np.flatnonzero(vgs > omega(ts - ts[0], vgs[0], a1, rmax) + run.decay_slack)
+                count += bad.size
+                if bad.size and first is None:
+                    first = float(ts[bad[0]])
+            assert (report.decay_violations, report.first_decay_violation_time) == (count, first)
+            found.append(first)
+        assert found[0] is None and found[1] is not None and found[3] == rec.t[late]
+
 
 class TestRecorderRows:
     def test_views_while_within_capacity(self):
         rec = sim._Recorder(3, 20)
-        rec.add_block(np.arange(5.0), np.ones((5, 3)), 0)
+        zs = np.arange(15.0).reshape(5, 3)
+        rec.add_block(np.arange(4.0), zs[:4], 0)
+        rec.add(4.0, zs[4], 1)
         t, z, regime = rec.rows()
         assert t.size == 5 and z.shape == (5, 3) and regime.size == 5
+        assert z.flags.f_contiguous
         assert np.shares_memory(t, rec.t) and np.shares_memory(z, rec.z)
+        assert np.array_equal(z, zs) and np.array_equal(regime, [0, 0, 0, 0, 1])
 
     def test_trimmed_copies_after_growth(self):
         rec = sim._Recorder(2, 16)
@@ -834,9 +878,51 @@ class TestRecorderRows:
         t, z, regime = rec.rows()
         assert rec.t.size > 50
         assert not np.shares_memory(t, rec.t) and not np.shares_memory(z, rec.z)
+        assert z.shape == (50, 2) and z.flags.f_contiguous
         assert np.array_equal(t, np.arange(50.0))
         assert np.array_equal(z[:, 1], -np.arange(50.0))
         assert np.array_equal(regime, np.arange(50) % 3)
+
+
+class TestRecordLayout:
+    """Every record array keeps its (rows, k) shape over a column-major
+    store, and its relation columns are `refine`'s one-point values."""
+
+    @staticmethod
+    def runs():
+        for kind in ("switched", "ramp", "ramp_s_zero"):
+            args, _ = TestDecaySlack.study(kind)
+            yield args[2], simulate(*args)
+        from test_acceptance import _random_feasible_scenario
+
+        concrete, abstract, gains, policy, x0, xhat0, horizon = (
+            _random_feasible_scenario(np.random.default_rng(4))
+        )
+        assert policy.kind == "open_loop" and abstract.n_r == 1 and concrete.n >= 2
+        yield gains, simulate(concrete, abstract, gains, policy, x0, xhat0, horizon, 2e-3)
+
+    def test_arrays_are_f_contiguous_rows(self):
+        for gains, rec in self.runs():
+            rows = rec.t.size
+            widths = {"x": rec.concrete.n, "xhat": rec.abstract.n_r, "uhat": rec.abstract.m_r,
+                      "uhatdot": rec.abstract.m_r, "u": rec.concrete.m, "y": rec.concrete.p,
+                      "yhat": rec.abstract.p}
+            for name in ("t", "vg", "err"):
+                assert getattr(rec, name).shape == (rows,), name
+            for name, k in widths.items():
+                values = getattr(rec, name)
+                assert values.shape == (rows, k) and values.flags.f_contiguous, name
+
+    def test_relation_columns_are_the_one_point_values(self):
+        for gains, rec in self.runs():
+            picks = np.unique(np.r_[np.linspace(0, rec.t.size - 1, 400).astype(int),
+                                    rec.t.size - np.arange(1, 6)])
+            e = error_vector(RelationPoint(rec.x, rec.xhat, rec.uhat), gains)
+            for i in picks:
+                point = RelationPoint(rec.x[i], rec.xhat[i], rec.uhat[i])
+                assert np.array_equal(error_vector(point, gains), e[i])
+                assert vg(point, gains) == rec.vg[i]
+                assert np.array_equal(interface_u(point, gains)[0], rec.u[i])
 
 
 def _decay_windows(rec):

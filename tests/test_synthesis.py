@@ -17,6 +17,7 @@ from gaasim.synthesis import (
     check_assumption,
     feasibility,
     input_bound,
+    lifted_start,
     max_feasible_a1,
     rbar3_of,
     solve_PQ,
@@ -252,6 +253,22 @@ class TestCheckAssumption:
         assert expected == pytest.approx(1.1832, abs=1e-4)
         assert lift.value == pytest.approx(expected, rel=1e-9)
         assert not lift.passed
+
+    @pytest.mark.parametrize("make", [casestudy.switched_config, casestudy.ramp_config, None])
+    def test_lifted_start_rows_equal_its_points(self, make):
+        # check_assumption lifts all corners in one call; each row must be
+        # the start a run from that corner takes, bit for bit
+        sc = parse_config((make or casestudy.switched_config)(horizon=20.0))
+        gains = synthesize_gains(
+            sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon, sc.envelope, M=sc.M
+        )
+        policy = sc.policy if make else None
+        xhats = np.random.default_rng(7).uniform(0.5, 40.0, (50, 1))
+        x0, uhat0 = lifted_start(sc.concrete, gains, policy, xhats, 3.0)
+        assert x0.shape == (50, 2) and uhat0.shape == (50, 1)
+        for xhat, x, u in zip(xhats, x0, uhat0):
+            px, pu = lifted_start(sc.concrete, gains, policy, xhat, 3.0)
+            assert px.tobytes() == x.tobytes() and pu.tobytes() == u.tobytes()
 
     def test_report_json_stable_names(self, sys5, env5, gains5):
         concrete, abstract = sys5
