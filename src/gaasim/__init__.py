@@ -13,7 +13,7 @@ from .model import (
     Scenario,
     parse_config,
 )
-from .refine import RelationPoint, in_relation, interface_u, jump_admissible, lift_initial, omega, vg
+from .refine import RelationPoint, interface_u, jump_admissible, lift_initial, omega, vg
 from .synthesis import RefinementGains, check_assumption, synthesize_gains
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "RelationPoint",
     "Scenario",
     "check_assumption",
-    "in_relation",
     "interface_u",
     "jump_admissible",
     "lift_initial",

@@ -210,11 +210,11 @@ def cmd_simulate(args) -> int:
     return 0 if verdict.passed else 1
 
 
-def cmd_compare(args) -> int:
-    started = time.monotonic()
-    scenario = _load_scenario(args)
-    out = Path(args.out)
-    outputs = []
+def _compare_runs(scenario: Scenario, out: Path, prefix: str, outputs: list) -> dict:
+    """Run `scenario` with the full interface ("gaas") and with S = 0
+    ("s_zero"), write trajectory_{prefix}{label}.csv and
+    jumps_{prefix}{label}.csv for each to `out`, appending their paths to
+    `outputs`, and return each run's figures by label."""
     results = {}
     for label, force in (("gaas", False), ("s_zero", True)):
         gains, report = _synthesize_pipeline(scenario, force)
@@ -222,8 +222,8 @@ def cmd_compare(args) -> int:
             raise ConfigError(f"{label}: gains not constructible: "
                               f"{report.records[0].detail}")
         record, verdict = _run_simulation(scenario, gains)
-        outputs.append(_write_trajectory(out / f"trajectory_{label}.csv", record))
-        outputs.append(_write(out / f"jumps_{label}.csv", sim.jumps_csv(record)))
+        outputs.append(_write_trajectory(out / f"trajectory_{prefix}{label}.csv", record))
+        outputs.append(_write(out / f"jumps_{prefix}{label}.csv", sim.jumps_csv(record)))
         results[label] = {
             "max_output_error": verdict.max_output_error,
             "max_vg": verdict.max_vg,
@@ -234,6 +234,15 @@ def cmd_compare(args) -> int:
             "rbar3": gains.rbar3,
             "input_bound": gains.input_bound,
         }
+    return results
+
+
+def cmd_compare(args) -> int:
+    started = time.monotonic()
+    scenario = _load_scenario(args)
+    out = Path(args.out)
+    outputs = []
+    results = _compare_runs(scenario, out, "", outputs)
     eps = scenario.epsilon
     gaas_ok = results["gaas"]["max_output_error"] <= eps
     base_ok = results["s_zero"]["max_output_error"] <= eps
@@ -292,17 +301,7 @@ def cmd_casestudy(args) -> int:
     outputs.append(_write(out / "jumps_switched.csv", sim.jumps_csv(switched_rec)))
     outputs.append(_write(out / "verify_switched.json", _json_text(switched_verdict.to_dict())))
 
-    compare_results = {}
-    for label, force in (("gaas", False), ("s_zero", True)):
-        rgains, _ = _synthesize_pipeline(ramp, force)
-        record, verdict = _run_simulation(ramp, rgains)
-        outputs.append(_write_trajectory(out / f"trajectory_ramp_{label}.csv", record))
-        compare_results[label] = {
-            "max_output_error": verdict.max_output_error,
-            "max_vg": verdict.max_vg,
-            "max_u_norm": verdict.max_u_norm,
-            "verification_passed": verdict.passed,
-        }
+    compare_results = _compare_runs(ramp, out, "ramp_", outputs)
 
     lo, hi = casestudy.EXPECTED["input_bound"]
     rlo, rhi = casestudy.EXPECTED["rbar_max_allowance"]

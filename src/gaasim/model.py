@@ -217,10 +217,14 @@ class OpenLoopSegment:
 
     @staticmethod
     def _poly(coeffs: np.ndarray, exponents: np.ndarray, t) -> np.ndarray:
+        """sum_j coeffs[:, j] t^exponents[j], added to zero in the order of j,
+        so a time gives the same bits alone as among others."""
         times = np.asarray(t, dtype=float)
         powers = times.reshape(1, -1) ** exponents[:, None]
-        rows = (coeffs @ powers).T
-        return rows[0] if times.ndim == 0 else rows
+        rows = np.zeros((coeffs.shape[0], times.size))
+        for j in range(exponents.size):
+            rows += coeffs[:, j, None] * powers[j]
+        return rows.T[0] if times.ndim == 0 else rows.T
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,9 +312,6 @@ class AbstractInputPolicy:
             return len(self.segments) - 1
         return 0
 
-    def segment_at(self, t: float) -> OpenLoopSegment:
-        return self.segments[self.segment_index(t)]
-
     def region_index(self, xhat) -> int:
         if self.kind != "switched_feedback":
             raise ValueError("region_index on an open-loop policy")
@@ -318,6 +319,13 @@ class AbstractInputPolicy:
             if region.box.contains(xhat):
                 return i
         raise DomainGap(f"abstract state {np.asarray(xhat).tolist()} outside all regions")
+
+    def regime_index(self, t: float, xhat) -> int:
+        """The regime active at time t and abstract state xhat: the index of
+        the segment that holds t, or of the first region that holds xhat."""
+        if self.kind == "open_loop":
+            return self.segment_index(t)
+        return self.region_index(xhat)
 
     def breakpoints(self) -> list[float]:
         """Interior open-loop segment boundaries (candidate jump times)."""
@@ -329,10 +337,11 @@ class AbstractInputPolicy:
         """uhat at one time t and abstract state xhat: the polynomial of the
         segment active at t, or -K xhat with the gain of the region that
         holds xhat."""
-        if self.kind == "open_loop":
-            return self.segment_at(t).value(t)
         xhat = np.asarray(xhat, dtype=float).reshape(-1)
-        return -self.regions[self.region_index(xhat)].gain @ xhat
+        index = self.regime_index(t, xhat)
+        if self.kind == "open_loop":
+            return self.segments[index].value(t)
+        return -self.regions[index].gain @ xhat
 
     def uhat(self, times: np.ndarray, xhat: np.ndarray, regimes: np.ndarray) -> np.ndarray:
         """(len(times), m_r) uhat, F-contiguous, at rows (times, xhat) whose

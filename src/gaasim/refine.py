@@ -1,6 +1,6 @@
 """Runtime evaluation of the simulation function, the control-refinement
-interface, relation membership, initial-state lifting, and the jump budget
-for discontinuous abstract inputs.
+interface, initial-state lifting, and the jump budget for discontinuous
+abstract inputs.
 
 All functions are pure and stateless.  The output metric is the Euclidean
 norm; the interface never clamps the concrete input, it only flags when the
@@ -120,11 +120,6 @@ def lift_initial(xhat0, uhat0, gains) -> np.ndarray:
     x0 = _dot(gains.P, np.reshape(xhat0, (-1, gains.P.shape[1])).T)
     x0 += _dot(gains.S, np.reshape(np.asarray(uhat0, dtype=float), (-1, gains.S.shape[1])).T)
     return x0[:, 0] if xhat0.ndim < 2 else x0.T
-
-
-def in_relation(point: RelationPoint, gains, epsilon: float) -> bool:
-    """Membership in the epsilon-sublevel set of the simulation function."""
-    return vg(point, gains) <= epsilon
 
 
 def omega(tau, vg0: float, a1: float, rbar_max: float):

@@ -5,13 +5,17 @@ trajectory-level verification.
 The joint state z = [x; xhat] evolves under classical fixed-step RK4.  For
 each control regime (an open-loop polynomial segment or a feedback region)
 the right-hand side is affine, so the RK4 step is an exact per-regime step
-map, algebraically identical to stage-wise evaluation.  Both regimes make
-that map autonomous and propagate whole stretches by repeated doubling
-(`_propagate`): a feedback region's closed loop is autonomous as it is, and
-an open-loop segment carries its polynomial drive on the augmented state
-[z; 1; s; ...; s^deg] of normalized local time s.  Open-loop breakpoints are
-inserted into the grid exactly; feedback region crossings are located by
-bisection and the enclosing step is split.  The grid sample at a jump time
+map, algebraically identical to stage-wise evaluation.  Both kinds of
+regime (`_Regime`) make that map autonomous: a feedback region's closed
+loop is autonomous as it is, and an open-loop segment carries its
+polynomial drive on the augmented state [z; 1; s; ...; s^deg] of
+normalized local time s.  One driver integrates a run span by span between
+the open-loop breakpoints, which it inserts into the grid exactly (a
+feedback run is one span): it propagates by repeated doubling
+(`_propagate`) until a sample leaves the regime's box, which a segment does
+not have, locates the crossing by bisection, splits the enclosing step
+there, and switches regime.  One rule (`_is_jump`) decides whether the
+input change at a switch is a jump.  The grid sample at a jump time
 stores the right limit of the abstract input.  Each run proves a bound on
 the integration error of its sampled vg from its own rows (`_ErrorBound`)
 and records it as `decay_slack`.  Samples are held column-major from the
@@ -20,8 +24,7 @@ contiguous columns.
 
 Integration within a run is sequential; distinct runs share no mutable
 state and may execute in parallel.  `write_trajectory_csv` streams CSV row
-blocks, formatted on every CPU the process may use, to a file in row order;
-`trajectory_csv` joins the same stream into one string.
+blocks, formatted on every CPU the process may use, to a file in row order.
 """
 
 from __future__ import annotations
@@ -38,8 +41,8 @@ from . import refine
 from .model import (
     AbstractInputPolicy,
     AbstractLinearSystem,
+    Box,
     ConcreteLinearSystem,
-    DomainGap,
     OpenLoopSegment,
     OperatingEnvelope,
     JUMP_VALUE_RTOL,
@@ -126,7 +129,7 @@ def eval_policy(policy: AbstractInputPolicy, abstract: AbstractLinearSystem, t: 
     None, keeps the 3-tuple that callers unpack."""
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
     uhat = policy.uhat_at(t, xhat)
-    regime = policy.segment_index(t) if policy.kind == "open_loop" else policy.region_index(xhat)
+    regime = policy.regime_index(t, xhat)
     uhatdot = policy.uhatdot(
         abstract, np.array([t]), xhat[None], uhat[None], np.array([regime])
     )[0]
@@ -184,41 +187,56 @@ def _binomial_shift(c: float, size: int) -> np.ndarray:
     return out
 
 
-def _segment_step_map(F, N, seg: OpenLoopSegment, a: float, length: float, steps: int):
-    """RK4 step map of one open-loop segment on [a, a + length] as an
-    autonomous system on w = [z; 1; s; ...; s^deg], s = (t - a) / length.
+def _segment_maps(F, N, seg: OpenLoopSegment, a: float, length: float, steps: int):
+    """Exact generator and RK4 step map of one open-loop segment on [a, a +
+    length], in `steps` steps, as an autonomous system on w = [z; 1; s; ...;
+    s^deg], s = (t - a) / length.
 
-    The drive D1 u(t) + D2 u(t + h/2) + D3 u(t + h) of each step is the
-    segment polynomial re-expanded about the three stage offsets, hence
-    linear in the powers of s; s advances by 1/steps through a binomial
-    shift (Van Loan's augmented-matrix construction).
+    The generator is dz/dt = F z + N uhat(a + length s), d(s^j)/dt = j
+    s^(j-1) / length.  The drive D1 u(t) + D2 u(t + h/2) + D3 u(t + h) of
+    each step is the segment polynomial re-expanded about the three stage
+    offsets, hence linear in the powers of s; s advances by 1/steps through a
+    binomial shift (Van Loan's augmented-matrix construction).
     """
     h_eff = length / steps
     phi, d1, d2, d3 = _rk4_affine(F, N, h_eff)
-    size = seg.coeffs.shape[1]
+    size, nz = seg.coeffs.shape[1], F.shape[0]
     scale = length ** np.arange(size)
     drive = sum(
         d @ ((seg.coeffs @ _binomial_shift(a + offset, size)) * scale)
         for d, offset in ((d1, 0.0), (d2, 0.5 * h_eff), (d3, h_eff))
     )
-    nz = phi.shape[0]
-    aug = np.zeros((nz + size, nz + size))
-    aug[:nz, :nz] = phi
-    aug[:nz, nz:] = drive
-    aug[nz:, nz:] = _binomial_shift(1.0 / steps, size)
-    return aug
-
-
-def _segment_generator(F, N, seg: OpenLoopSegment, a: float, length: float):
-    """Exact generator of the augmented system of `_segment_step_map`:
-    dz/dt = F z + N uhat(a + length s), d(s^j)/dt = j s^(j-1) / length."""
-    size = seg.coeffs.shape[1]
-    nz = F.shape[0]
     gen = np.zeros((nz + size, nz + size))
     gen[:nz, :nz] = F
-    gen[:nz, nz:] = N @ ((seg.coeffs @ _binomial_shift(a, size)) * length ** np.arange(size))
+    gen[:nz, nz:] = N @ ((seg.coeffs @ _binomial_shift(a, size)) * scale)
     gen[nz:, nz:] = np.diag(np.arange(1.0, size), -1) / length
-    return gen
+    step_map = np.zeros_like(gen)
+    step_map[:nz, :nz] = phi
+    step_map[:nz, nz:] = drive
+    step_map[nz:, nz:] = _binomial_shift(1.0 / steps, size)
+    return gen, step_map
+
+
+@dataclass(frozen=True, eq=False)
+class _Regime:
+    """One control regime of a run, for a span [a, b] of it: a feedback
+    region with its box and gain, whose propagated state w is z, or an
+    open-loop segment, whose w is [z; 1; s; ...; s^deg] with s = (t - a) /
+    (b - a), and which has no box, so it never exits.  `gen` is the exact
+    generator of w and `phi` its RK4 map over one of the `steps` steps of
+    length `step` that cover the span (an empty span takes none, and a
+    segment there has no maps); `tail` is w after z at a."""
+
+    index: int
+    step: float
+    steps: int
+    gen: np.ndarray | None
+    phi: np.ndarray | None
+    tail: np.ndarray
+    box: Box | None = None
+    gain: np.ndarray | None = None
+    seg: OpenLoopSegment | None = None
+    span: tuple[float, float] = (0.0, 0.0)
 
 
 def _n_steps(a: float, b: float, h: float) -> int:
@@ -368,70 +386,75 @@ class _ErrorBound:
         self.a = self.b = 0.0
         self.e_map = None
 
-    def stretch(self, gen, h: float, rows, gain=None, steps=None, seg=None, span=(0.0, 0.0)):
-        """Advance over `rows`, samples h apart under the generator `gen`: a
-        region's closed loop with uhat = -gain xhat, or, given `steps`, the
-        augmented generator of `seg` on the time span `span`, with s = k /
-        steps at row k."""
+    def stretch(self, regime: _Regime, h: float, rows) -> None:
+        """Advance over `rows`, samples h apart under `regime`: a region's
+        closed loop with uhat = -gain xhat, or a segment's augmented system,
+        with s = k / steps at row k of its span.  A single row takes no step
+        and adds only its rounding."""
         g, n, nz, count = self.gains, self.n, rows.shape[1], rows.shape[0] - 1
-        theta = 1.0  # weighs s^j by the drive, so the bound scales with the states
-        if steps is not None:
-            theta = _norm_bound(gen[:nz, nz:]) / max(_norm_bound(gen[:nz, :nz]), 1.0 / (h * steps))
-            gen = gen.copy()
-            gen[:nz, nz:] = gen[:nz, nz:] / theta if theta > 0 else 0.0
         to_e = np.eye(nz)  # eps -> (eps_e, eps_xhat)
-        to_e[:n] = refine.error_map(g, None if gain is None else -gain)
+        to_e[:n] = refine.error_map(g, None if regime.gain is None else -regime.gain)
         e_map = g.M_sqrt @ to_e[:n]
         if self.e_map is not None:  # a region change within the window
             self.b += _norm_bound(e_map[:, n:] - self.e_map[:, n:]) * self.a
         self.e_map = e_map
-        from_e = 2 * np.eye(nz) - to_e
-        gt = to_e @ gen[:nz, :nz] @ from_e
-        mu_x = float(np.linalg.eigvalsh(gt[n:, n:] + gt[n:, n:].T).max()) / 2.0
-        gamma = h * _norm_bound(g.M_sqrt @ gt[:n, n:]) * _exp(h * max(self.mu, mu_x, 0.0))
-        beta = _exp(max(mu_x, 0.0) * h * count)  # >= beta^k here
-        hg, eye = h * gen, np.eye(gen.shape[0])
-        inner = eye
-        for j in range(8, 1, -1):
-            inner = eye + hg @ inner / j
-        y = (hg @ inner)[:nz]
-        # |d_k - v_k| <= per_w |w_k| + 3 u |v_k|: the remainder, and the rounding
-        # of Y, of the exact powers of s, of Y w_k and of v_k
-        g_abs = _norm_bound(hg)
-        per_w = (min(g_abs, 700.0) ** 8 / 362880.0 + (9 * gen.shape[0] + 30) * _U) * g_abs
-        per_w *= _exp(g_abs)
-        e_abs = _norm_bound(e_map)
-        block = min(count, _BOUND_ROWS, max(1, int(40.0 / abs(self.mu * h or 1.0))))
-        powers = _exp(max(self.mu * h, -700.0)) ** np.arange(1.0, block + 1.0)
-        columns = rows.T  # one sample per column
-        acc, b, b_max, z_max = self.a, self.b, self.b, float(np.linalg.norm(columns[:, -1]))
-        # an overflow anywhere below ends as an infinite, vacuous bound, and a
-        # NaN is kept by np.max and read as infinity at the end
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k0 in range(0, count, _BOUND_ROWS):
-                z = columns[:, k0 : k0 + _BOUND_ROWS + 1]
-                w = z[:, :-1]
-                if steps is not None:
-                    s = np.arange(k0, k0 + w.shape[1]) / steps
-                    w = np.vstack([w, theta * s ** np.arange(gen.shape[0] - nz)[:, None]])
-                v = z[:, 1:] - z[:, :-1] - y @ w
-                w_max = _max_column_norm(w)
-                local = per_w * w_max + 3 * _U * _max_column_norm(v)  # on the whole slice
-                d_x = _column_norms(v[n:]) + local
-                sums = np.cumsum(d_x)
-                c = _column_norms(e_map @ v)
-                c += gamma * beta * (acc + sums - d_x) + e_abs * local
-                bs = _linear_recursion(b, powers, c)
-                acc += float(sums[-1])
-                b, b_max = float(bs[-1]), float(np.max((b_max, bs.max())))
-                z_max = max(z_max, w_max)
-        self.a, self.b, b_max = (q if q <= math.inf else math.inf for q in (beta * acc, b, b_max))
+        acc, b, b_max, z_max = self.a, self.b, self.b, float(np.linalg.norm(rows[-1]))
+        if count:
+            # theta weighs s^j by the drive, so the bound scales with the states
+            gen, theta = regime.gen, 1.0
+            if regime.seg is not None:
+                theta = _norm_bound(gen[:nz, nz:]) / max(
+                    _norm_bound(gen[:nz, :nz]), 1.0 / (h * regime.steps)
+                )
+                gen = gen.copy()
+                gen[:nz, nz:] = gen[:nz, nz:] / theta if theta > 0 else 0.0
+            from_e = 2 * np.eye(nz) - to_e
+            gt = to_e @ gen[:nz, :nz] @ from_e
+            mu_x = float(np.linalg.eigvalsh(gt[n:, n:] + gt[n:, n:].T).max()) / 2.0
+            gamma = h * _norm_bound(g.M_sqrt @ gt[:n, n:]) * _exp(h * max(self.mu, mu_x, 0.0))
+            beta = _exp(max(mu_x, 0.0) * h * count)  # >= beta^k here
+            hg, eye = h * gen, np.eye(gen.shape[0])
+            inner = eye
+            for j in range(8, 1, -1):
+                inner = eye + hg @ inner / j
+            y = (hg @ inner)[:nz]
+            # |d_k - v_k| <= per_w |w_k| + 3 u |v_k|: the remainder, and the
+            # rounding of Y, of the exact powers of s, of Y w_k and of v_k
+            g_abs = _norm_bound(hg)
+            per_w = (min(g_abs, 700.0) ** 8 / 362880.0 + (9 * gen.shape[0] + 30) * _U) * g_abs
+            per_w *= _exp(g_abs)
+            e_abs = _norm_bound(e_map)
+            block = min(count, _BOUND_ROWS, max(1, int(40.0 / abs(self.mu * h or 1.0))))
+            powers = _exp(max(self.mu * h, -700.0)) ** np.arange(1.0, block + 1.0)
+            columns = rows.T  # one sample per column
+            # an overflow anywhere below ends as an infinite, vacuous bound,
+            # and a NaN is kept by np.max and read as infinity at the end
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k0 in range(0, count, _BOUND_ROWS):
+                    z = columns[:, k0 : k0 + _BOUND_ROWS + 1]
+                    w = z[:, :-1]
+                    if regime.seg is not None:
+                        s = np.arange(k0, k0 + w.shape[1]) / regime.steps
+                        w = np.vstack([w, theta * s ** np.arange(gen.shape[0] - nz)[:, None]])
+                    v = z[:, 1:] - z[:, :-1] - y @ w
+                    w_max = _max_column_norm(w)
+                    local = per_w * w_max + 3 * _U * _max_column_norm(v)  # on the whole slice
+                    d_x = _column_norms(v[n:]) + local
+                    sums = np.cumsum(d_x)
+                    c = _column_norms(e_map @ v)
+                    c += gamma * beta * (acc + sums - d_x) + e_abs * local
+                    bs = _linear_recursion(b, powers, c)
+                    acc += float(sums[-1])
+                    b, b_max = float(bs[-1]), float(np.max((b_max, bs.max())))
+                    z_max = max(z_max, w_max)
+            acc *= beta
+        self.a, self.b, b_max = (q if q <= math.inf else math.inf for q in (acc, b, b_max))
         # the absolute terms sum_j |c_j| |t|^j of the record's uhat bound its rounding
-        if seg is None:
-            u_terms = 0.0 if gain is None else _norm_bound(gain) * z_max
+        if regime.seg is None:
+            u_terms = _norm_bound(regime.gain) * z_max
         else:
-            t_pow = max(map(abs, span)) ** np.arange(seg.coeffs.shape[1])
-            u_terms = float(np.linalg.norm(np.abs(seg.coeffs) @ t_pow))
+            t_pow = max(map(abs, regime.span)) ** np.arange(regime.seg.coeffs.shape[1])
+            u_terms = float(np.linalg.norm(np.abs(regime.seg.coeffs) @ t_pow))
         self.slack = max(self.slack, b_max + self.e_rounding * (
             (1.0 + self.p_abs) * z_max + self.s_abs * u_terms
         ))
@@ -494,7 +517,10 @@ def _judge_jump(anchor, tau, delta, gains, epsilon, rbar_max):
 def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon):
     """Grid times, joint states z = [x; xhat], regime ids, the jump log, the
     initial-membership flag, vg0 and the `_ErrorBound` of one run (see
-    `simulate`)."""
+    `simulate`).  The grid has a row at every step and at each located
+    region crossing, which carries the regime after it; `bound` advances
+    over every step in order.
+    """
     if not (h > 0 and math.isfinite(h)):
         raise ValueError(f"step h must be positive and finite, got {h}")
     if not horizon >= 0:
@@ -517,7 +543,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
         )
 
     F, N = _joint_matrices(concrete, abstract, gains)
-    z0 = np.concatenate([x0, xhat0])
+    to_xhat = np.eye(n + n_r)[n:]
     t_end = t0 + horizon
     rec = _Recorder(n + n_r, _n_steps(t0, max(t_end, t0 + h), h) + 16)
     jumps: list[JumpRecord] = []
@@ -525,57 +551,113 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
     anchor = (t0, vg0)
     bound = _ErrorBound(concrete, gains)
 
-    def log_jump(tau: float, delta: np.ndarray, cause: str):
-        nonlocal anchor
-        if jumps and tau - jumps[-1].time < min_sep:
-            raise ZenoViolation(
-                f"jumps at {jumps[-1].time:.6g} and {tau:.6g} violate the "
-                f"minimum separation {min_sep:.6g}"
-            )
-        lhs, rhs, ok, anchor = _judge_jump(anchor, tau, delta, gains, eps_run, rbar_max)
-        jumps.append(JumpRecord(tau, delta.copy(), cause, lhs, rhs, ok))
-        bound.restart()
-
-    if horizon == 0.0:
-        z_final = z0
-        final_regime = 0 if policy.kind == "open_loop" else policy.region_index(xhat0)
+    def regime(index: int, a: float, b: float) -> _Regime:
+        """The policy's regime `index` for the span [a, b]."""
+        steps = _n_steps(a, b, h) if b > a else 0
+        step = (b - a) / max(steps, 1)
         if policy.kind == "open_loop":
-            bound.stretch(F, h, z0[None], seg=policy.segment_at(t0), span=(t0, t0))
+            seg = policy.segments[index]
+            maps = _segment_maps(F, N, seg, a, b - a, steps) if steps else (None, None)
+            tail = np.eye(seg.coeffs.shape[1])[0]
+            return _Regime(index, step, steps, *maps, tail, seg=seg, span=(a, b))
+        region = policy.regions[index]
+        gen = F - N @ (region.gain @ to_xhat)
+        return _Regime(index, step, steps, gen, _rk4_phi(gen, step), np.empty(0),
+                       region.box, region.gain)
+
+    def outside(r: _Regime, rows: np.ndarray) -> np.ndarray:
+        """Indices of the rows of z outside r's box: none for a segment."""
+        if r.box is None:
+            return np.empty(0, dtype=int)
+        return np.flatnonzero(~r.box.contains(rows[:, n:]))
+
+    def switch(old, tau: float, xhat_next, xhat_tau, a: float, b: float) -> _Regime:
+        """The regime after `old` at tau, picked at xhat_next, for [a, b].
+        Its input change at tau (at xhat_tau for a region) is judged and
+        logged when it is a jump; the first regime (old None) has none."""
+        nonlocal anchor
+        new = regime(policy.regime_index(tau, xhat_next), a, b)
+        if old is None:
+            return new
+        if policy.kind == "open_loop":
+            before = old.seg.value(tau)
+            delta, cause = new.seg.value(tau) - before, "segment_boundary"
         else:
-            bound.stretch(F, h, z0[None], policy.regions[final_regime].gain)
-    elif policy.kind == "open_loop":
-        breaks = [t0]
-        for tau in policy.breakpoints():
-            if t0 + 1e-12 < tau < t_end - 1e-12:
-                breaks.append(tau)
-        breaks.append(t_end)
-        z = z0
-        for a, b in zip(breaks, breaks[1:]):
-            seg_idx = policy.segment_index(a)
-            seg = policy.segments[seg_idx]
-            steps = _n_steps(a, b, h)
-            ts = a + ((b - a) / steps) * np.arange(steps)
-            aug = _segment_step_map(F, N, seg, a, b - a, steps)
-            w = np.concatenate([z, [1.0], np.zeros(aug.shape[0] - z.size - 1)])
-            zs = _propagate(aug, w, steps + 1)[:, : z.size]
-            z = zs[-1]
-            _check_finite(zs[:-1], ts)
-            _check_finite(z, b)
-            bound.stretch(_segment_generator(F, N, seg, a, b - a), (b - a) / steps, zs,
-                          steps=steps, seg=seg, span=(a, b))
-            rec.add_block(ts, zs[:-1], seg_idx)
-            if b < t_end - 1e-12:
-                nxt = policy.segment_at(b)
-                delta = nxt.value(b) - seg.value(b)
-                if _is_jump(delta, seg.value(b)):
-                    log_jump(b, delta, "segment_boundary")
-        z_final = z
-        final_regime = policy.segment_index(t_end)
-    else:
-        z_final, final_regime = _run_feedback(
-            policy, F, N, z0, n, t0, t_end, h, rec, log_jump, bound
-        )
-    rec.add(t_end, z_final, final_regime)
+            before = old.gain @ xhat_tau
+            delta, cause = (old.gain - new.gain) @ xhat_tau, "region_crossing"
+        if _is_jump(delta, before):
+            if jumps and tau - jumps[-1].time < min_sep:
+                raise ZenoViolation(
+                    f"jumps at {jumps[-1].time:.6g} and {tau:.6g} violate the "
+                    f"minimum separation {min_sep:.6g}"
+                )
+            lhs, rhs, ok, anchor = _judge_jump(anchor, tau, delta, gains, eps_run, rbar_max)
+            jumps.append(JumpRecord(tau, delta, cause, lhs, rhs, ok))
+            bound.restart()
+        return new
+
+    def run_span(r: _Regime, a: float, b: float, z: np.ndarray):
+        """Integrate from z at a to b, starting in r: (z at b, the regime
+        there).  Records every row but the one at b."""
+        ts = a + r.step * np.arange(r.steps + 1)
+        ts[r.steps] = b
+        tol_t = max(1e-9 * (b - a), 1e-15)
+        i = 0
+        while True:
+            stop = None if r.box is None else (lambda rows: outside(r, rows).size > 0)
+            w = np.concatenate([z, r.tail])
+            block = _propagate(r.phi, w, r.steps - i + 1, stop)[:, : z.size]
+            _check_finite(block, ts[i:])
+            exits = outside(r, block)
+            if exits.size == 0:
+                rec.add_block(ts[i : r.steps], block[:-1], r.index)
+                bound.stretch(r, r.step, block)
+                return block[-1], r
+
+            j = int(exits[0])  # first sample outside; j >= 1 since z is inside
+            rec.add_block(ts[i : i + j], block[:j], r.index)
+            z_a, z_b = block[j - 1], block[j]
+            t_a, t_b = ts[i + j - 1], ts[i + j]
+            # bisect the crossing inside (t_a, t_b]
+            lo_s, hi_s = 0.0, t_b - t_a
+            while hi_s - lo_s > tol_t:
+                mid = 0.5 * (lo_s + hi_s)
+                if r.box.contains((_rk4_phi(r.gen, mid) @ z_a)[n:]):
+                    lo_s = mid
+                else:
+                    hi_s = mid
+            s_cross = max(hi_s, tol_t)
+            split = (t_b - t_a) - s_cross > tol_t
+            if split:
+                tau, z_tau = t_a + s_cross, _rk4_phi(r.gen, s_cross) @ z_a
+                bound.stretch(r, r.step, block[:j])
+                bound.stretch(r, s_cross, np.stack([z_a, z_tau]))
+            else:
+                # crossing at (numerically) the step end: snap to the grid point
+                tau, z_tau = t_b, z_b
+                bound.stretch(r, r.step, block[: j + 1])
+            r = switch(r, tau, z_b[n:], z_tau[n:], a, b)
+            if split:
+                rec.add(tau, z_tau, r.index)
+                z = _rk4_phi(r.gen, t_b - tau) @ z_tau
+                bound.stretch(r, t_b - tau, np.stack([z_tau, z]))
+                if not r.box.contains(z[n:]):
+                    raise ZenoViolation(
+                        f"second region crossing within one step at t ~ {t_b:.6g}"
+                    )
+            else:
+                z = z_tau
+            _check_finite(z, t_b)
+            i += j
+
+    breaks = [t0, *(tau for tau in policy.breakpoints() if t0 + 1e-12 < tau < t_end - 1e-12)]
+    z, r = np.concatenate([x0, xhat0]), None
+    for a, b in zip(breaks, [*breaks[1:], t_end]):
+        r = switch(r, a, z[n:], z[n:], a, b)
+        z, r = run_span(r, a, b, z)
+    # a segment ends at t_end, where the next one may start
+    final = r.index if r.box is not None else policy.regime_index(t_end, z[n:])
+    rec.add(t_end, z, final)
 
     times, zs, regimes = rec.rows()
     return times, zs, regimes, jumps, initial_ok, vg0, bound
@@ -599,102 +681,6 @@ def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndar
             if filled < count:
                 power = power @ power
     return out.T
-
-
-def _run_feedback(policy, F, N, z0, n, t0, t_end, h, rec, log_jump, bound):
-    """Integrate the switched-feedback regime over [t0, t_end).
-
-    Between crossings the closed loop is autonomous with a constant RK4
-    step map, so each stretch is propagated by doubling until a sample
-    leaves the active region; the first sample outside brackets the
-    crossing, which is then located by bisection and the enclosing step is
-    split.  Emits rows on the fixed grid plus one row at each located
-    crossing time (carrying the post-jump region), and advances `bound`
-    over every step in order.  Returns (z(t_end), final region).
-    """
-
-    def inside(rows: np.ndarray):
-        return policy.regions[region].box.contains(rows[..., n:])
-
-    closed: dict[int, np.ndarray] = {}
-
-    def f_closed(idx: int) -> np.ndarray:
-        if idx not in closed:
-            gain = policy.regions[idx].gain
-            sel = np.zeros((gain.shape[1], F.shape[0]))
-            sel[:, n:] = np.eye(gain.shape[1])
-            closed[idx] = F - N @ (gain @ sel)
-        return closed[idx]
-
-    steps = _n_steps(t0, t_end, h)
-    h_eff = (t_end - t0) / steps
-    ts = t0 + h_eff * np.arange(steps + 1)
-    ts[steps] = t_end
-    tol_t = max(1e-9 * (t_end - t0), 1e-15)
-    region = policy.region_index(z0[n:])
-    z = z0
-    i = 0
-    while i < steps:
-        phi = _rk4_phi(f_closed(region), h_eff)
-        block = _propagate(phi, z, steps - i + 1, stop=lambda rows: not inside(rows).all())
-        _check_finite(block, ts[i:])
-        exits = np.flatnonzero(~inside(block))
-        gain_old = policy.regions[region].gain
-        if exits.size == 0:
-            rec.add_block(ts[i:steps], block[:-1], region)
-            bound.stretch(f_closed(region), h_eff, block, gain_old)
-            return block[-1], region
-
-        j = int(exits[0])  # first sample outside; j >= 1 since z is inside
-        if j == 0:
-            raise DomainGap(
-                f"state at t = {ts[i]:.6g} inconsistent with its region"
-            )
-        rec.add_block(ts[i : i + j], block[:j], region)
-        z_a, z_b = block[j - 1], block[j]
-        t_a, t_b = ts[i + j - 1], ts[i + j]
-
-        # bisect the crossing inside (t_a, t_b]
-        ff = f_closed(region)
-        lo_s, hi_s = 0.0, t_b - t_a
-        while hi_s - lo_s > tol_t:
-            mid = 0.5 * (lo_s + hi_s)
-            if inside(_rk4_phi(ff, mid) @ z_a):
-                lo_s = mid
-            else:
-                hi_s = mid
-        s_cross = max(hi_s, tol_t)
-        split = (t_b - t_a) - s_cross > tol_t
-        if split:
-            tau = t_a + s_cross
-            z_tau = _rk4_phi(ff, s_cross) @ z_a
-            bound.stretch(ff, h_eff, block[:j], gain_old)
-            bound.stretch(ff, s_cross, np.stack([z_a, z_tau]), gain_old)
-        else:
-            # crossing at (numerically) the step end: snap to the grid point
-            tau = t_b
-            z_tau = z_b
-            bound.stretch(ff, h_eff, block[: j + 1], gain_old)
-        new_region = policy.region_index(z_b[n:])
-        gain_new = policy.regions[new_region].gain
-        xhat_tau = z_tau[n:]
-        delta = (gain_old - gain_new) @ xhat_tau
-        if _is_jump(delta, gain_old @ xhat_tau):
-            log_jump(tau, delta, "region_crossing")
-        region = new_region
-        if split:
-            rec.add(tau, z_tau, region)
-            z = _rk4_phi(f_closed(region), t_b - tau) @ z_tau
-            bound.stretch(f_closed(region), t_b - tau, np.stack([z_tau, z]), gain_new)
-            if not inside(z):
-                raise ZenoViolation(
-                    f"second region crossing within one step at t ~ {t_b:.6g}"
-                )
-        else:
-            z = z_tau
-        _check_finite(z, t_b)
-        i = i + j
-    return z, region
 
 
 def _assemble_record(
@@ -979,15 +965,6 @@ def write_trajectory_csv(record: TrajectoryRecord, f: BinaryIO) -> int:
     head = (",".join(header) + "\n").encode("ascii")
     f.write(head)
     return len(head) + _stream_blocks(block_bytes, -(-record.t.size // chunk), f.write)
-
-
-def trajectory_csv(record: TrajectoryRecord) -> str:
-    """The text that `write_trajectory_csv` writes, as one string."""
-    import io
-
-    with io.BytesIO() as f:
-        write_trajectory_csv(record, f)
-        return f.getvalue().decode("ascii")
 
 
 def jumps_csv(record: TrajectoryRecord) -> str:

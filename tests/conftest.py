@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from gaasim import sim
 from gaasim.model import (
     AbstractLinearSystem,
     Box,
@@ -14,6 +17,13 @@ M5 = np.array([[3.9544, 1.1805], [1.1805, 4.2262]])
 K5 = np.array([[-1.3298, -1.4108]])
 A1_5 = 0.5
 EPS5 = 0.5
+
+
+def csv_text(record) -> str:
+    """The trajectory CSV of `record`, as `sim.write_trajectory_csv` writes it."""
+    with io.BytesIO() as f:
+        sim.write_trajectory_csv(record, f)
+        return f.getvalue().decode("ascii")
 
 
 def point_box(values) -> Box:

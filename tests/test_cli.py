@@ -7,6 +7,8 @@ import pytest
 from gaasim import casestudy, cli
 from gaasim.cli import main
 
+from conftest import csv_text
+
 
 def write_config(tmp_path: Path, cfg: dict, name: str = "config.json") -> Path:
     path = tmp_path / name
@@ -319,7 +321,7 @@ class TestWrite:
                               sc.x0, sc.xhat0, sc.horizon, sc.step)
         written = cli._write_trajectory(tmp_path / "sub" / "trajectory.csv", record)
         data = written.read_bytes()
-        assert data == sim.trajectory_csv(record).encode("ascii")
+        assert data == csv_text(record).encode("ascii")
         assert b"\r" not in data and data.count(b"\n") == record.t.size + 1
 
 

@@ -230,8 +230,7 @@ class TestPolicyEvaluationGrid:
         lip = 0.03  # |duhat/dt| <= 0.02 on the ramp, 0 afterwards
         values = []
         for t in ts:
-            seg = policy.segment_at(t)
-            values.append(seg.value(t))
+            values.append(policy.uhat_at(t, [0.0]))
         values = np.array(values)
         for i in range(len(ts) - 1):
             spans_break = any(ts[i] < b <= ts[i + 1] for b in breaks)
@@ -252,6 +251,20 @@ class TestPolicyEvaluationGrid:
             if not spans:
                 dv = abs(values[i + 1] - values[i])
                 assert dv <= max_gain * (xs[i + 1] - xs[i]) + 1e-12
+
+    def test_cubic_segment_time_alone_equals_its_row(self):
+        """A time evaluated alone (as `uhat_at` does) gives the bits of its
+        row among others (as a record's `uhat` does), for value and
+        derivative alike."""
+        rng = np.random.default_rng(4)
+        mismatches = 0
+        for _ in range(10):
+            t_start = rng.uniform(0.0, 3.0)
+            seg = OpenLoopSegment(t_start, t_start + 3.0, [rng.uniform(-1.0, 1.0, 4)])
+            times = rng.uniform(seg.t_start, seg.t_end, 82)
+            for rows, at in ((seg.value(times), seg.value), (seg.derivative(times), seg.derivative)):
+                mismatches += sum(not np.array_equal(at(t), row) for t, row in zip(times, rows))
+        assert mismatches == 0
 
 
 class TestReplaceScalars:

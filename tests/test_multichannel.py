@@ -15,13 +15,15 @@ from gaasim.model import (
     OperatingEnvelope,
 )
 from gaasim.refine import lift_initial
-from gaasim.sim import eval_policy, simulate, trajectory_csv, verify_trajectory
+from gaasim.sim import eval_policy, simulate, verify_trajectory
 from gaasim.synthesis import (
     check_assumption,
     feasibility,
     max_feasible_a1,
     synthesize_gains,
 )
+
+from conftest import csv_text
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +89,7 @@ def test_two_channel_open_loop_with_single_channel_jump(mimo_pair):
     verdict = verify_trajectory(rec, gains, gains.epsilon, env,
                                 concrete.input_ball_radius, rmax)
     assert verdict.passed
-    header = trajectory_csv(rec).splitlines()[0]
+    header = csv_text(rec).splitlines()[0]
     assert header == (
         "t,x1,x2,x3,x4,xhat1,xhat2,uhat1,uhat2,uhatdot1,uhatdot2,"
         "u1,u2,u3,u4,y1,y2,yhat1,yhat2,vg,err"

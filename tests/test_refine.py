@@ -8,7 +8,6 @@ from gaasim.refine import (
     RelationPoint,
     error_map,
     error_vector,
-    in_relation,
     interface_u,
     jump_admissible,
     lift_initial,
@@ -116,15 +115,15 @@ class TestLift:
 class TestInRelation:
     def test_study_initial(self, gains5):
         point = RelationPoint([40.0, -0.0401], [40.1], [-0.0401])
-        assert in_relation(point, gains5, 0.5)
-        assert not in_relation(point, gains5, 0.15)
+        assert vg(point, gains5) <= 0.5
+        assert not vg(point, gains5) <= 0.15
 
     def test_boundary(self, gains5):
         rng = np.random.default_rng(4)
         e = sample_in_weighted_ball(rng, gains5, 1.0)
         e *= 0.51 / math.sqrt(e @ gains5.M @ e)
         x = gains5.P @ [1.0] + gains5.S @ [0.1] + e
-        assert not in_relation(RelationPoint(x, [1.0], [0.1]), gains5, 0.5)
+        assert not vg(RelationPoint(x, [1.0], [0.1]), gains5) <= 0.5
 
 
 class TestOmega:

@@ -37,12 +37,11 @@ from gaasim.sim import (
     jumps_csv,
     simulate,
     simulate_calibrated,
-    trajectory_csv,
     verify_trajectory,
 )
 from gaasim.synthesis import RefinementGains, feasibility, max_feasible_a1, synthesize_gains
 
-from conftest import EPS5, M5, point_box
+from conftest import EPS5, M5, csv_text, point_box
 
 
 def open_loop_config(segments, horizon, **scenario_extra):
@@ -278,7 +277,7 @@ class TestSimulate:
         args = (sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0)
         rec1 = simulate(*args, horizon=350.0, h=2e-3, rbar_max=rmax)
         rec2 = simulate(*args, horizon=350.0, h=2e-3, rbar_max=rmax)
-        assert trajectory_csv(rec1) == trajectory_csv(rec2)
+        assert csv_text(rec1) == csv_text(rec2)
         assert jumps_csv(rec1) == jumps_csv(rec2)
 
     def test_membership_warning(self, switched5):
@@ -324,6 +323,17 @@ class TestSimulate:
         assert rec.t.size == 1
         report = verify_trajectory(rec, gains, EPS5, sc.envelope, sc.b_U, rmax)
         assert report.passed
+
+    @pytest.mark.filterwarnings("ignore:initial triple outside the relation")
+    @pytest.mark.parametrize("t0", [10.0, 60.0])  # in the first and the second segment
+    def test_horizon_zero_records_the_segment_active_at_t0(self, t0):
+        sc = parse_config(casestudy.ramp_config())
+        gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
+                                 sc.epsilon, sc.envelope, M=sc.M)
+        rec = simulate(sc.concrete, sc.abstract, gains, sc.policy,
+                       sc.x0, sc.xhat0, horizon=0.0, h=1e-3, t0=t0)
+        assert rec.uhat[0, 0] == sc.policy.uhat_at(t0, sc.xhat0)[0]
+        assert rec.vg[0] == rec.vg0
 
     @pytest.mark.parametrize("horizon, h, message", [
         (1.0, math.nan, "step h must be positive and finite"),
@@ -385,7 +395,7 @@ class TestCsv:
         sc, gains, rmax = switched5
         rec = simulate(sc.concrete, sc.abstract, gains, sc.policy,
                        sc.x0, sc.xhat0, horizon=0.1, h=1e-2)
-        text = trajectory_csv(rec)
+        text = csv_text(rec)
         header = text.splitlines()[0]
         assert header == "t,x1,x2,xhat1,uhat1,uhatdot1,u1,y1,yhat1,vg,err"
         assert len(text.splitlines()) == rec.t.size + 1
@@ -400,14 +410,14 @@ class TestCsv:
         sc, gains, rmax = switched5
         rec = simulate(sc.concrete, sc.abstract, gains, sc.policy,
                        sc.x0, sc.xhat0, horizon=0.01, h=1e-3)
-        row = trajectory_csv(rec).splitlines()[2]
+        row = csv_text(rec).splitlines()[2]
         value = row.split(",")[2]  # x2 entry, irrational-ish
         assert len(value.replace("-", "").replace(".", "").lstrip("0")) >= 15
         assert float(value) == pytest.approx(rec.x[1, 1], rel=1e-14)
 
 
 def rowwise_trajectory_csv(record) -> str:
-    """The former row-wise writer: the reference for `trajectory_csv`."""
+    """The former row-wise writer: the reference for `write_trajectory_csv`."""
     n, n_r = record.x.shape[1], record.xhat.shape[1]
     m_r, m, p = record.uhat.shape[1], record.u.shape[1], record.y.shape[1]
     header = (
@@ -432,7 +442,7 @@ def rowwise_trajectory_csv(record) -> str:
 
 
 class TestTrajectoryCsvBytes:
-    """`trajectory_csv` must write exactly the bytes of the row-wise writer."""
+    """`write_trajectory_csv` must write exactly the bytes of the row-wise writer."""
 
     @staticmethod
     def study_record(kind):
@@ -445,7 +455,7 @@ class TestTrajectoryCsvBytes:
                                  sc.epsilon, sc.envelope, M=sc.M)
         x0 = sc.x0
         if x0 is None:
-            x0 = lift_initial(sc.xhat0, sc.policy.segment_at(0.0).value(0.0), gains)
+            x0 = lift_initial(sc.xhat0, sc.policy.uhat_at(0.0, sc.xhat0), gains)
         return simulate(sc.concrete, sc.abstract, gains, sc.policy, x0, sc.xhat0,
                         sc.horizon, sc.step)
 
@@ -454,7 +464,7 @@ class TestTrajectoryCsvBytes:
         rec = self.study_record(kind)
         if kind == "switched":
             assert rec.t.size > sim._CSV_CHUNK_ROWS  # crosses a real chunk boundary
-        assert trajectory_csv(rec) == rowwise_trajectory_csv(rec)
+        assert csv_text(rec) == rowwise_trajectory_csv(rec)
 
     def test_injected_special_values(self):
         rec = self.study_record("ramp")
@@ -468,7 +478,7 @@ class TestTrajectoryCsvBytes:
         err = rec.err.copy()
         err[-special.size :] = special[::-1]
         injected = dataclasses.replace(rec, x=x, err=err)
-        text = trajectory_csv(injected)
+        text = csv_text(injected)
         assert text == rowwise_trajectory_csv(injected)
         assert text.splitlines()[2].split(",")[1] == "-0"
         assert text.splitlines()[3].split(",")[1] == "4.94065645841247e-324"
@@ -480,7 +490,7 @@ class TestTrajectoryCsvBytes:
                        sc.x0, sc.xhat0, horizon=0.3, h=1e-2)
         assert rec.t.size % 7 != 0
         monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", chunk)
-        assert trajectory_csv(rec) == rowwise_trajectory_csv(rec)
+        assert csv_text(rec) == rowwise_trajectory_csv(rec)
 
 
 class TestTrajectoryCsvThreads:
@@ -513,7 +523,7 @@ class TestTrajectoryCsvThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the threads finely
         try:
-            text = trajectory_csv(record)
+            text = csv_text(record)
         finally:
             sys.setswitchinterval(interval)
         assert text == rowwise_trajectory_csv(record)
@@ -540,7 +550,7 @@ class TestTrajectoryCsvThreads:
         monkeypatch.setattr(textfmt, "csv_rows", failing)
         before = threading.active_count()
         with pytest.raises(ValueError, match="block 100 failed"):
-            trajectory_csv(record)
+            csv_text(record)
         assert threading.active_count() == before
         # of 715 blocks, only the window beyond block 100 was submitted, and
         # the blocks queued behind the busy pool were cancelled
@@ -552,7 +562,7 @@ class TestTrajectoryCsvThreads:
             name: getattr(record, name)[:0]
             for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err")
         })
-        assert trajectory_csv(empty) == rowwise_trajectory_csv(empty)
+        assert csv_text(empty) == rowwise_trajectory_csv(empty)
 
 
 class TestWriteTrajectoryCsv:
