@@ -208,23 +208,23 @@ class OpenLoopSegment:
 
     def value(self, t) -> np.ndarray:
         """uhat at t: (m_r,) for a scalar t, (len(t), m_r) for a 1-D array."""
-        return self._poly(self.coeffs, np.arange(self.coeffs.shape[1]), t)
+        return self._poly(self.coeffs, t)
 
     def derivative(self, t) -> np.ndarray:
         """duhat/dt at t, shaped as `value`."""
-        k = np.arange(1, self.coeffs.shape[1])
-        return self._poly(self.coeffs[:, 1:] * k, k - 1, t)
+        return self._poly(self.coeffs[:, 1:] * np.arange(1, self.coeffs.shape[1]), t)
 
     @staticmethod
-    def _poly(coeffs: np.ndarray, exponents: np.ndarray, t) -> np.ndarray:
-        """sum_j coeffs[:, j] t^exponents[j], added to zero in the order of j,
-        so a time gives the same bits alone as among others."""
-        times = np.asarray(t, dtype=float)
-        powers = times.reshape(1, -1) ** exponents[:, None]
-        rows = np.zeros((coeffs.shape[0], times.size))
-        for j in range(exponents.size):
-            rows += coeffs[:, j, None] * powers[j]
-        return rows.T[0] if times.ndim == 0 else rows.T
+    def _poly(coeffs: np.ndarray, t) -> np.ndarray:
+        """sum_j coeffs[:, j] t^j, added to zero in the order of j, with t^j
+        the product t^(j-1) t, so a time gives the same bits alone as among
+        others."""
+        times = np.asarray(t, dtype=float).reshape(-1)
+        rows, power = np.zeros((coeffs.shape[0], times.size)), np.ones_like(times)
+        for j in range(coeffs.shape[1]):
+            rows += coeffs[:, j, None] * power
+            power = power * times
+        return rows.T[0] if np.ndim(t) == 0 else rows.T
 
 
 @dataclass(frozen=True, eq=False)

@@ -20,7 +20,9 @@ stores the right limit of the abstract input.  Each run proves a bound on
 the integration error of its sampled vg from its own rows (`_ErrorBound`)
 and records it as `decay_slack`.  Samples are held column-major from the
 propagation to the record, so every per-sample formula runs over
-contiguous columns.
+contiguous columns; the row-local ones (`refine`'s relation formulas, the
+norms, the decay envelope) run over cache-sized blocks of rows
+(`_blocks`), which give each row the bits it has in one whole-run block.
 
 Integration within a run is sequential; distinct runs share no mutable
 state and may execute in parallel.  `write_trajectory_csv` streams CSV row
@@ -64,8 +66,17 @@ MIN_JUMP_SEPARATION_STEPS = 10
 #: rows per slice of `_ErrorBound.stretch`, so that its temporaries stay small
 _BOUND_ROWS = 65536
 
+#: rows per block of the row-local formulas of `_assemble_record` and
+#: `verify_trajectory`: at 32,768 rows a block's columns stay in cache
+_BLOCK_ROWS = 32768
+
 #: unit roundoff of float64
 _U = 2.0**-53
+
+
+def _blocks(lo: int, hi: int):
+    """Slices of at most `_BLOCK_ROWS` rows that cover rows lo..hi in order."""
+    return (slice(a, min(a + _BLOCK_ROWS, hi)) for a in range(lo, hi, _BLOCK_ROWS))
 
 
 def _is_jump(delta, before) -> bool:
@@ -302,8 +313,9 @@ def _physical_memory() -> float:
 
 def _preflight(concrete, abstract, horizon: float, h: float) -> None:
     """Raise MemoryError, before anything is allocated, when a run over
-    `horizon` at step h would hold more array bytes (rows x record columns
-    x 8) than the machine has physical memory."""
+    `horizon` at step h would hold more array bytes (rows x (record columns
+    + the regime ids) x 8) than the machine has physical memory.  Beyond
+    the record, its assembly holds only blocks of rows, a few MB."""
     if not h > 0:
         return  # `_integrate` refuses the step
     columns = 4 + concrete.n + abstract.n_r + 2 * abstract.m_r + concrete.m + 2 * concrete.p
@@ -494,11 +506,11 @@ def simulate(
     outside the bound.
     """
     _preflight(concrete, abstract, horizon, h)
-    times, zs, regimes, jumps, initial_ok, vg0, bound = _integrate(
+    times, zs, uhat, uhatdot, jumps, initial_ok, vg0, bound = _integrate(
         concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon
     )
     return _assemble_record(
-        concrete, abstract, gains, policy, times, zs, regimes, jumps,
+        concrete, abstract, gains, times, zs, uhat, uhatdot, jumps,
         h, horizon, t0, initial_ok, vg0, bound,
     )
 
@@ -515,11 +527,11 @@ def _judge_jump(anchor, tau, delta, gains, epsilon, rbar_max):
 
 
 def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon):
-    """Grid times, joint states z = [x; xhat], regime ids, the jump log, the
-    initial-membership flag, vg0 and the `_ErrorBound` of one run (see
-    `simulate`).  The grid has a row at every step and at each located
-    region crossing, which carries the regime after it; `bound` advances
-    over every step in order.
+    """Grid times, joint states z = [x; xhat], the policy's uhat and
+    duhat/dt at them, the jump log, the initial-membership flag, vg0 and the
+    `_ErrorBound` of one run (see `simulate`).  The grid has a row at every
+    step and at each located region crossing, which carries the regime after
+    it; `bound` advances over every step in order.
     """
     if not (h > 0 and math.isfinite(h)):
         raise ValueError(f"step h must be positive and finite, got {h}")
@@ -616,7 +628,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
 
             j = int(exits[0])  # first sample outside; j >= 1 since z is inside
             rec.add_block(ts[i : i + j], block[:j], r.index)
-            z_a, z_b = block[j - 1], block[j]
+            z_a, z_b = block[j - 1].copy(), block[j].copy()
             t_a, t_b = ts[i + j - 1], ts[i + j]
             # bisect the crossing inside (t_a, t_b]
             lo_s, hi_s = 0.0, t_b - t_a
@@ -648,6 +660,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
             else:
                 z = z_tau
             _check_finite(z, t_b)
+            del block  # its rows are recorded; free them before the next block
             i += j
 
     breaks = [t0, *(tau for tau in policy.breakpoints() if t0 + 1e-12 < tau < t_end - 1e-12)]
@@ -659,8 +672,12 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
     final = r.index if r.box is not None else policy.regime_index(t_end, z[n:])
     rec.add(t_end, z, final)
 
+    # the input rows are the regime ids' last use, so these are freed before
+    # the record's other columns are allocated
     times, zs, regimes = rec.rows()
-    return times, zs, regimes, jumps, initial_ok, vg0, bound
+    uhat = policy.uhat(times, zs[:, n:], regimes)
+    uhatdot = policy.uhatdot(abstract, times, zs[:, n:], uhat, regimes)
+    return times, zs, uhat, uhatdot, jumps, initial_ok, vg0, bound
 
 
 def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndarray:
@@ -684,21 +701,22 @@ def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndar
 
 
 def _assemble_record(
-    concrete, abstract, gains, policy, times, zs, regimes, jumps,
+    concrete, abstract, gains, times, zs, uhat, uhatdot, jumps,
     h, horizon, t0, initial_ok, vg0, bound,
 ) -> TrajectoryRecord:
-    n = concrete.n
+    n, rows = concrete.n, times.size
     x = zs[:, :n]
     xhat = zs[:, n:]
-    uhat = policy.uhat(times, xhat, regimes)
-    uhatdot = policy.uhatdot(abstract, times, xhat, uhat, regimes)
-    rows = refine.RelationPoint(x, xhat, uhat)
-    e = refine.error_vector(rows, gains)
-    vg = refine.vg(rows, gains, e)
-    u, _ = refine.interface_u(rows, gains, e)
     y = (concrete.C @ x.T).T
     yhat = (abstract.C @ xhat.T).T
-    err = np.linalg.norm(y - yhat, axis=1)
+    vg, err = np.empty(rows), np.empty(rows)
+    u = np.empty((rows, concrete.m), order="F")
+    for b in _blocks(0, rows):
+        block = refine.RelationPoint(x[b], xhat[b], uhat[b])
+        e = refine.error_vector(block, gains)
+        vg[b] = refine.vg(block, gains, e)
+        u[b] = refine.interface_u(block, gains, e)[0]
+        err[b] = np.linalg.norm(y[b] - yhat[b], axis=1)
     return TrajectoryRecord(
         t=times,
         x=x,
@@ -792,24 +810,21 @@ def verify_trajectory(
     is recomputed against the envelope restarted at the previous jump,
     anchored at the record's `vg0`, as `simulate` logs it.
     """
-    u_norm = np.linalg.norm(record.u, axis=1)
-    xhat_norm = np.linalg.norm(record.xhat, axis=1)
-    uhat_norm = np.linalg.norm(record.uhat, axis=1)
-    uhatdot_norm = np.linalg.norm(record.uhatdot, axis=1)
-
-    violations: list[dict] = []
-    count = 0
-    for name, values, bound in (
-        ("xhat_max", xhat_norm, envelope.xhat_max),
-        ("uhat_max", uhat_norm, envelope.uhat_max),
-        ("uhatdot_max", uhatdot_norm, envelope.uhatdot_max),
-    ):
-        bad = np.flatnonzero(values > bound)
-        count += bad.size
-        for i in bad[:10]:
-            violations.append(
-                {"time": float(record.t[i]), "bound": name, "value": float(values[i])}
-            )
+    names = ("xhat_max", "uhat_max", "uhatdot_max")
+    found: dict[str, list[dict]] = {name: [] for name in names}
+    count, max_u = 0, 0.0
+    for b in _blocks(0, record.t.size):
+        # np.maximum, like np.max over all rows, keeps a NaN
+        max_u = float(np.maximum(max_u, np.max(np.linalg.norm(record.u[b], axis=1))))
+        for name, values in zip(names, (record.xhat[b], record.uhat[b], record.uhatdot[b])):
+            norms = np.linalg.norm(values, axis=1)
+            bad = np.flatnonzero(norms > getattr(envelope, name))
+            count += bad.size
+            found[name] += [
+                {"time": float(record.t[b][i]), "bound": name, "value": float(norms[i])}
+                for i in bad[: 10 - len(found[name])]
+            ]
+    violations = [v for name in names for v in found[name]]
 
     # decay bound per inter-jump window, anchored at the window start sample;
     # a jump-time row stores the post-jump value and belongs to the window it
@@ -818,17 +833,13 @@ def verify_trajectory(
     first_violation = None
     starts = np.searchsorted(record.t, [record.t[0]] + [j.time for j in record.jumps])
     for lo, hi in zip(starts, [*starts[1:], record.t.size]):
-        if lo == hi:
-            continue
-        ts = record.t[lo:hi]
-        vgs = record.vg[lo:hi]
-        bound = refine.omega(ts - ts[0], vgs[0], gains.a1, rbar_max)
-        bad = np.flatnonzero(vgs > bound + record.decay_slack)
-        if bad.size:
+        for b in _blocks(lo, hi):
+            ts = record.t[b]
+            bound = refine.omega(ts - record.t[lo], record.vg[lo], gains.a1, rbar_max)
+            bad = np.flatnonzero(record.vg[b] > bound + record.decay_slack)
             decay_violations += int(bad.size)
-            t_bad = float(ts[bad[0]])
-            if first_violation is None or t_bad < first_violation:
-                first_violation = t_bad
+            if bad.size and first_violation is None:  # windows and blocks in time order
+                first_violation = float(ts[bad[0]])
 
     jumps_passed = 0
     anchor = (record.t0, record.vg0)
@@ -839,7 +850,6 @@ def verify_trajectory(
 
     max_err = float(np.max(record.err))
     max_vg = float(np.max(record.vg))
-    max_u = float(np.max(u_norm)) if u_norm.size else 0.0
     return VerificationReport(
         max_output_error=max_err,
         max_vg=max_vg,

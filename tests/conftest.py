@@ -26,6 +26,29 @@ def csv_text(record) -> str:
         return f.getvalue().decode("ascii")
 
 
+RECORD_ARRAYS = ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err")
+
+
+def under_row_blocks(monkeypatch, run):
+    """run() with `sim` blocking its row-local formulas by 1,000 rows, and
+    with one block over every row."""
+    results = []
+    for rows in (1000, 1 << 40):
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", rows)
+        results.append(run())
+    return results
+
+
+def assert_same_bits(blocked, whole) -> None:
+    """Two (record, verify_trajectory report) pairs hold the same bits."""
+    (rec, report), (ref, ref_report) = blocked, whole
+    for name in RECORD_ARRAYS:
+        a, b = getattr(rec, name), getattr(ref, name)
+        assert a.flags.f_contiguous and a.tobytes("F") == b.tobytes("F"), name
+    assert rec.decay_slack == ref.decay_slack
+    assert report.to_dict() == ref_report.to_dict()
+
+
 def point_box(values) -> Box:
     v = np.asarray(values, dtype=float)
     return Box(v, v)

@@ -266,6 +266,17 @@ class TestPolicyEvaluationGrid:
                 mismatches += sum(not np.array_equal(at(t), row) for t, row in zip(times, rows))
         assert mismatches == 0
 
+    def test_every_row_of_a_long_grid_equals_its_time_alone(self):
+        """On a 30,001-row grid, as long as a record's, every row of value and
+        derivative has the bits of its time evaluated alone: the powers of t
+        do not depend on how many times are evaluated together."""
+        rng = np.random.default_rng(4)
+        seg = OpenLoopSegment(0.0, 6.0, rng.uniform(-1.0, 1.0, (2, 4)))
+        times = np.linspace(0.0, 6.0, 30_001)
+        for rows, at in ((seg.value(times), seg.value), (seg.derivative(times), seg.derivative)):
+            assert rows.shape == (times.size, 2)
+            assert all(np.array_equal(at(t), row) for t, row in zip(times, rows))
+
 
 class TestReplaceScalars:
     def test_valid_values_replace(self):

@@ -23,7 +23,7 @@ from gaasim.synthesis import (
     synthesize_gains,
 )
 
-from conftest import csv_text
+from conftest import assert_same_bits, csv_text, under_row_blocks
 
 
 @pytest.fixture(scope="module")
@@ -65,8 +65,9 @@ def test_couplings_exact_for_invertible_b(mimo_pair):
     assert gains.P.shape == (4, 2) and gains.S.shape == (4, 2)
 
 
-def test_two_channel_open_loop_with_single_channel_jump(mimo_pair):
-    concrete, abstract, gains = mimo_pair
+def two_channel_open_loop():
+    """(policy, xhat0, horizon, rbar_max): two-channel segments whose first
+    channel jumps at t = 3."""
     policy = AbstractInputPolicy(
         kind="open_loop",
         segments=(
@@ -74,11 +75,32 @@ def test_two_channel_open_loop_with_single_channel_jump(mimo_pair):
             OpenLoopSegment(3.0, 8.0, [[0.08, 0.01], [0.02, -0.005]]),
         ),
     )
-    xhat0 = np.array([1.0, -0.5])
+    return policy, np.array([1.0, -0.5]), 6.0, 0.01
+
+
+def two_dim_regions():
+    """(policy, xhat0, horizon, rbar_max): two gain regions split at xhat1 = 2."""
+    regions = (
+        FeedbackRegion(box=Box([2.0, -10.0], [10.0, 10.0]), gain=0.05 * np.eye(2)),
+        FeedbackRegion(box=Box([-10.0, -10.0], [2.0, 10.0]), gain=0.12 * np.eye(2)),
+    )
+    policy = AbstractInputPolicy(kind="switched_feedback", regions=regions)
+    return policy, np.array([4.0, 1.0]), 12.0, 1e-3
+
+
+def simulate_lifted(mimo_pair, policy, xhat0, horizon, rbar_max):
+    """The run at h = 1e-3 from xhat0 and its lift onto the relation."""
+    concrete, abstract, gains = mimo_pair
     uhat0, _, _ = eval_policy(policy, abstract, 0.0, xhat0)
     x0 = lift_initial(xhat0, uhat0, gains)
-    rec = simulate(concrete, abstract, gains, policy, x0, xhat0,
-                   horizon=6.0, h=1e-3, rbar_max=0.01)
+    return simulate(concrete, abstract, gains, policy, x0, xhat0,
+                    horizon=horizon, h=1e-3, rbar_max=rbar_max)
+
+
+def test_two_channel_open_loop_with_single_channel_jump(mimo_pair):
+    concrete, abstract, gains = mimo_pair
+    policy, *_ = run = two_channel_open_loop()
+    rec = simulate_lifted(mimo_pair, *run)
     assert len(rec.jumps) == 1
     assert np.allclose(rec.jumps[0].delta, [0.03, 0.0], atol=1e-12)
     env = realized_envelope(rec)
@@ -99,17 +121,8 @@ def test_two_channel_open_loop_with_single_channel_jump(mimo_pair):
 
 
 def test_two_dim_region_crossing(mimo_pair):
-    concrete, abstract, gains = mimo_pair
-    regions = (
-        FeedbackRegion(box=Box([2.0, -10.0], [10.0, 10.0]), gain=0.05 * np.eye(2)),
-        FeedbackRegion(box=Box([-10.0, -10.0], [2.0, 10.0]), gain=0.12 * np.eye(2)),
-    )
-    policy = AbstractInputPolicy(kind="switched_feedback", regions=regions)
-    xhat0 = np.array([4.0, 1.0])
-    uhat0, _, _ = eval_policy(policy, abstract, 0.0, xhat0)
-    x0 = lift_initial(xhat0, uhat0, gains)
-    rec = simulate(concrete, abstract, gains, policy, x0, xhat0,
-                   horizon=12.0, h=1e-3, rbar_max=1e-3)
+    policy, *_ = run = two_dim_regions()
+    rec = simulate_lifted(mimo_pair, *run)
     assert len(rec.jumps) == 1
     jump = rec.jumps[0]
     assert jump.cause == "region_crossing"
@@ -117,6 +130,26 @@ def test_two_dim_region_crossing(mimo_pair):
     # coordinate sits on the boundary plane
     idx = int(np.flatnonzero(rec.t == jump.time)[0])
     assert rec.xhat[idx, 0] == pytest.approx(2.0, abs=1e-6)
+    regions = policy.regions
     expected_delta = (regions[0].gain - regions[1].gain) @ rec.xhat[idx]
     assert np.allclose(jump.delta, expected_delta, atol=1e-12)
     assert jump.passed
+
+
+@pytest.mark.parametrize("scenario", [two_channel_open_loop, two_dim_regions])
+def test_row_blocks_give_the_bits_of_one_block(monkeypatch, mimo_pair, scenario):
+    """`sim` evaluates a record's row-local formulas in blocks of rows: with
+    several blocks every array and verdict has the bits of one block."""
+    concrete, _, gains = mimo_pair
+
+    def run():
+        rec = simulate_lifted(mimo_pair, *scenario())
+        # a tenth of the realized suprema: each bound is violated in many blocks
+        env = realized_envelope(rec)
+        env = OperatingEnvelope(env.xhat_max / 10, env.uhat_max / 10, env.uhatdot_max / 10)
+        return rec, verify_trajectory(rec, gains, gains.epsilon, env,
+                                      concrete.input_ball_radius, 0.0)
+
+    blocked, whole = under_row_blocks(monkeypatch, run)
+    assert blocked[0].t.size > 6000 and blocked[1].envelope_violation_count > 3000
+    assert_same_bits(blocked, whole)

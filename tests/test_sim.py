@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,7 +42,15 @@ from gaasim.sim import (
 )
 from gaasim.synthesis import RefinementGains, feasibility, max_feasible_a1, synthesize_gains
 
-from conftest import EPS5, M5, csv_text, point_box
+from conftest import (
+    EPS5,
+    M5,
+    RECORD_ARRAYS,
+    assert_same_bits,
+    csv_text,
+    point_box,
+    under_row_blocks,
+)
 
 
 def open_loop_config(segments, horizon, **scenario_extra):
@@ -933,6 +942,111 @@ class TestRecordLayout:
                 assert np.array_equal(error_vector(point, gains), e[i])
                 assert vg(point, gains) == rec.vg[i]
                 assert np.array_equal(interface_u(point, gains)[0], rec.u[i])
+
+
+class TestRowBlocks:
+    """`_assemble_record` and `verify_trajectory` evaluate their row-local
+    formulas a block of rows at a time; 1,000-row blocks give the bits of
+    one block over the whole record."""
+
+    @staticmethod
+    def crossing_run():
+        """The run of `TestFeedbackStopsAtRegionExit`, started off the
+        relation: 10,001 steps and a row at each of its 64 region crossings."""
+        concrete, abstract, gains, policy, x0, xhat0 = TestFeedbackStopsAtRegionExit.scenario()
+        rec = simulate(concrete, abstract, gains, policy, x0 + [0.05, -0.03], xhat0,
+                       horizon=100.0, h=1e-2)
+        assert rec.t.size == 10_065 and len(rec.jumps) == 64
+        return gains, rec
+
+    def test_feedback_run_with_region_crossings(self, monkeypatch):
+        env = OperatingEnvelope(10.0, 10.0, 10.0)
+
+        def run():
+            gains, rec = self.crossing_run()
+            # at 4 a1 the decay envelope is violated in many windows
+            fast = dataclasses.replace(gains, a1=4 * gains.a1)
+            return rec, verify_trajectory(rec, fast, 0.5, env, 1e3, 0.0)
+
+        blocked, whole = under_row_blocks(monkeypatch, run)
+        assert blocked[1].decay_violations > 0
+        assert_same_bits(blocked, whole)
+
+    def test_open_loop_run_with_a_jump(self, monkeypatch):
+        from test_acceptance import _random_feasible_scenario
+
+        concrete, abstract, gains, policy, x0, xhat0, horizon = (
+            _random_feasible_scenario(np.random.default_rng(4))
+        )
+
+        def run():
+            rec = simulate(concrete, abstract, gains, policy, x0, xhat0, horizon, 2e-4)
+            # half the realized suprema: every bound is violated, in many blocks
+            env = OperatingEnvelope(*(0.5 * np.max(np.linalg.norm(a, axis=1))
+                                      for a in (rec.xhat, rec.uhat, rec.uhatdot)))
+            return rec, verify_trajectory(rec, gains, gains.epsilon, env,
+                                          concrete.input_ball_radius, 0.0)
+
+        blocked, whole = under_row_blocks(monkeypatch, run)
+        rec, report = blocked
+        assert rec.t.size == 30_001 and len(rec.jumps) == 1
+        assert {v["bound"] for v in report.envelope_violations} == {
+            "xhat_max", "uhat_max", "uhatdot_max"
+        }
+        assert_same_bits(blocked, whole)
+
+    def test_decay_window_across_a_block_boundary(self, monkeypatch):
+        gains, rec = self.crossing_run()
+        window = next(w for w in _decay_windows(rec) if w[0] // 1000 < w[-1] // 1000)
+        k = window[-1] // 1000 * 1000  # the first row of a block, not the window's
+        spiked = rec.vg.copy()
+        spiked[[k - 1, k]] += 0.01
+        run = dataclasses.replace(rec, vg=spiked)
+        env = OperatingEnvelope(10.0, 10.0, 10.0)
+        blocked, whole = under_row_blocks(
+            monkeypatch, lambda: verify_trajectory(run, gains, 0.5, env, 1e3, 0.0)
+        )
+        assert blocked.to_dict() == whole.to_dict()
+        assert (blocked.decay_violations, blocked.first_decay_violation_time) == (2, rec.t[k - 1])
+
+    def test_first_ten_envelope_violations_across_blocks(self, monkeypatch):
+        gains, rec = self.crossing_run()
+        rows = [3, 999, 1000, 1001, 2999, 3000, 5000, 7001, 8999, 9000, 9999, 10_000]
+        uhat = rec.uhat.copy(order="F")
+        uhat[rows] = 20.0
+        run = dataclasses.replace(rec, uhat=uhat)
+        env = OperatingEnvelope(10.0, 10.0, 10.0)
+        blocked, whole = under_row_blocks(
+            monkeypatch, lambda: verify_trajectory(run, gains, 0.5, env, 1e3, 0.0)
+        )
+        assert blocked.to_dict() == whole.to_dict()
+        assert blocked.envelope_violation_count == len(rows)
+        assert [v["time"] for v in blocked.envelope_violations] == rec.t[rows[:10]].tolist()
+
+
+class TestRowBlockMemory:
+    def test_peaks_above_the_record_do_not_grow_with_the_run(self):
+        """Beyond the record itself, `simulate` and `verify_trajectory` hold
+        no more memory over 400,002 rows than over 100,001."""
+        args, rmax = TestDecaySlack.study("switched", step=1e-3)
+        sc = parse_config(casestudy.switched_config())
+        extra = []
+        for horizon in (100.0, 400.0):
+            tracemalloc.start()
+            try:
+                rec = simulate(*args[:-2], horizon, args[-1], rbar_max=rmax)
+                simulate_peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.reset_peak()
+                verify_trajectory(rec, args[2], sc.epsilon, sc.envelope, sc.b_U, rmax)
+                verify_peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            size = sum(getattr(rec, name).nbytes for name in RECORD_ARRAYS)
+            extra.append((simulate_peak - size, verify_peak - size))
+        assert rec.t.size == 400_002
+        (simulate_short, verify_short), (simulate_long, verify_long) = extra
+        assert simulate_long <= simulate_short + 2**20
+        assert verify_long <= verify_short + 2**20
 
 
 def _decay_windows(rec):
