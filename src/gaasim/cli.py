@@ -73,8 +73,7 @@ def _apply_overrides(scenario: Scenario, args) -> Scenario:
 
 
 def _load_scenario(args) -> Scenario:
-    text = Path(args.config).read_text(encoding="utf-8")
-    return _apply_overrides(parse_config(text), args)
+    return _apply_overrides(parse_config(Path(args.config).read_bytes()), args)
 
 
 def _digest(config: dict) -> str:
@@ -381,8 +380,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"input not found: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing input, a directory as a file, a file as --out
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except (sim.NonFiniteState, sim.ZenoViolation) as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)

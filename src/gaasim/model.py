@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Sequence
 
 import numpy as np
 
@@ -226,6 +225,18 @@ class OpenLoopSegment:
             power = power * times
         return rows.T[0] if np.ndim(t) == 0 else rows.T
 
+    def holds(self, t: float, xhat) -> bool:
+        """Whether the segment ends after t."""
+        return t < self.t_end
+
+    def uhat(self, t, xhat) -> np.ndarray:
+        """uhat at t (one time, or one per row of xhat), shaped as `value`."""
+        return self.value(t)
+
+    def uhatdot(self, abstract, t, xhat, uhat) -> np.ndarray:
+        """duhat/dt at the rows (t, xhat, uhat): the segment derivative."""
+        return self.derivative(t)
+
 
 @dataclass(frozen=True, eq=False)
 class FeedbackRegion:
@@ -234,6 +245,9 @@ class FeedbackRegion:
     box: Box
     gain: np.ndarray
 
+    #: a region holds at every time it holds xhat, so it has no end
+    t_end = math.inf
+
     def __post_init__(self):
         object.__setattr__(self, "gain", as_matrix(self.gain, "region.gain"))
         if self.gain.shape[1] != self.box.dim:
@@ -241,14 +255,27 @@ class FeedbackRegion:
                 f"region gain columns {self.gain.shape[1]} != box dimension {self.box.dim}"
             )
 
+    def holds(self, t: float, xhat) -> bool:
+        """Whether the box holds xhat."""
+        return self.box.contains(xhat)
+
+    def uhat(self, t, xhat: np.ndarray) -> np.ndarray:
+        """-K xhat at one abstract state, or at each row of xhat."""
+        return -(self.gain @ xhat.T).T
+
+    def uhatdot(self, abstract, t, xhat: np.ndarray, uhat: np.ndarray) -> np.ndarray:
+        """duhat/dt at the rows (t, xhat, uhat): -K (A xhat + B uhat), by the
+        chain rule."""
+        return -(self.gain @ (abstract.A @ xhat.T + abstract.B @ uhat.T)).T
+
 
 @dataclass(frozen=True, eq=False)
 class AbstractInputPolicy:
     """Piecewise abstract control: open-loop segments or switched feedback.
 
-    Switched-feedback region lookup is first-match in declared order; with
-    regions listed from high to low this reproduces half-open interval
-    semantics on shared boundaries.
+    The active regime is the first one in declared order that holds (see
+    `regime_index`); with regions listed from high to low this reproduces
+    half-open interval semantics on shared boundaries.
     """
 
     kind: str
@@ -256,8 +283,7 @@ class AbstractInputPolicy:
     regions: tuple[FeedbackRegion, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("open_loop", "switched_feedback"):
-            raise SchemaError(f"policy.kind: unknown kind {self.kind!r}")
+        _kind(self.kind, "policy.kind")
         if self.kind == "open_loop":
             if not self.segments:
                 raise InvariantViolation("open_loop policy needs at least one segment")
@@ -291,6 +317,11 @@ class AbstractInputPolicy:
                         )
 
     @property
+    def regimes(self) -> tuple:
+        """The segments or the regions, in declared order."""
+        return getattr(self, _POLICY_KINDS[self.kind][0])
+
+    @property
     def m_r(self) -> int:
         if self.kind == "open_loop":
             return self.segments[0].coeffs.shape[0]
@@ -298,83 +329,53 @@ class AbstractInputPolicy:
 
     @property
     def t_end(self) -> float:
-        if self.kind == "open_loop":
-            return self.segments[-1].t_end
-        return np.inf
-
-    def segment_index(self, t: float) -> int:
-        if self.kind != "open_loop":
-            raise ValueError("segment_index on a feedback policy")
-        for i, seg in enumerate(self.segments):
-            if seg.t_start <= t < seg.t_end:
-                return i
-        if t >= self.segments[-1].t_end:
-            return len(self.segments) - 1
-        return 0
-
-    def region_index(self, xhat) -> int:
-        if self.kind != "switched_feedback":
-            raise ValueError("region_index on an open-loop policy")
-        for i, region in enumerate(self.regions):
-            if region.box.contains(xhat):
-                return i
-        raise DomainGap(f"abstract state {np.asarray(xhat).tolist()} outside all regions")
+        return self.regimes[-1].t_end
 
     def regime_index(self, t: float, xhat) -> int:
-        """The regime active at time t and abstract state xhat: the index of
-        the segment that holds t, or of the first region that holds xhat."""
-        if self.kind == "open_loop":
-            return self.segment_index(t)
-        return self.region_index(xhat)
+        """The index of the first regime that holds at time t and abstract
+        state xhat: the first segment that ends after t, and the last one
+        from its end on, or the first region whose box holds xhat."""
+        for i, regime in enumerate(self.regimes):
+            if regime.holds(t, xhat):
+                return i
+        if t >= self.t_end:
+            return len(self.regimes) - 1
+        raise DomainGap(f"abstract state {np.asarray(xhat).tolist()} outside all regions")
 
     def breakpoints(self) -> list[float]:
         """Interior open-loop segment boundaries (candidate jump times)."""
-        if self.kind != "open_loop":
-            return []
-        return [seg.t_end for seg in self.segments[:-1]]
+        return [r.t_end for r in self.regimes[:-1] if r.t_end < math.inf]
 
     def uhat_at(self, t: float, xhat) -> np.ndarray:
-        """uhat at one time t and abstract state xhat: the polynomial of the
-        segment active at t, or -K xhat with the gain of the region that
-        holds xhat."""
+        """uhat at one time t and abstract state xhat, from the regime that
+        `regime_index` picks there."""
         xhat = np.asarray(xhat, dtype=float).reshape(-1)
-        index = self.regime_index(t, xhat)
-        if self.kind == "open_loop":
-            return self.segments[index].value(t)
-        return -self.regions[index].gain @ xhat
+        return self.regimes[self.regime_index(t, xhat)].uhat(t, xhat)
 
-    def uhat(self, times: np.ndarray, xhat: np.ndarray, regimes: np.ndarray) -> np.ndarray:
+    def uhat(self, times: np.ndarray, xhat: np.ndarray, ids: np.ndarray) -> np.ndarray:
         """(len(times), m_r) uhat, F-contiguous, at rows (times, xhat) whose
-        regime ids (segment or region indices) are `regimes`, one vectorized
-        evaluation per run of one id."""
+        regime indices are `ids`, one vectorized evaluation per run of one
+        index."""
         out = np.empty((times.size, self.m_r), order="F")
-        for a, b, idx in _runs(regimes):
-            if self.kind == "open_loop":
-                out[a:b] = self.segments[idx].value(times[a:b])
-            else:
-                out[a:b] = -(self.regions[idx].gain @ xhat[a:b].T).T
+        for a, b, idx in _runs(ids):
+            out[a:b] = self.regimes[idx].uhat(times[a:b], xhat[a:b])
         return out
 
     def uhatdot(
         self, abstract: "AbstractLinearSystem", times: np.ndarray, xhat: np.ndarray,
-        uhat: np.ndarray, regimes: np.ndarray,
+        uhat: np.ndarray, ids: np.ndarray,
     ) -> np.ndarray:
-        """duhat/dt at the rows of `uhat`, laid out as `uhat`: the segment
-        derivative, or -K (A xhat + B uhat) of the region by the chain rule."""
+        """duhat/dt at the rows of `uhat`, laid out as `uhat`."""
         out = np.empty_like(uhat)
-        for a, b, idx in _runs(regimes):
-            if self.kind == "open_loop":
-                out[a:b] = self.segments[idx].derivative(times[a:b])
-            else:
-                xhatdot = abstract.A @ xhat[a:b].T + abstract.B @ uhat[a:b].T
-                out[a:b] = -(self.regions[idx].gain @ xhatdot).T
+        for a, b, idx in _runs(ids):
+            out[a:b] = self.regimes[idx].uhatdot(abstract, times[a:b], xhat[a:b], uhat[a:b])
         return out
 
 
-def _runs(regimes: np.ndarray) -> list[tuple[int, int, int]]:
+def _runs(ids: np.ndarray) -> list[tuple[int, int, int]]:
     """(start, stop, id) of each contiguous run of one regime id."""
-    starts = [0, *(np.flatnonzero(regimes[1:] != regimes[:-1]) + 1).tolist(), regimes.size]
-    return [(a, b, int(regimes[a])) for a, b in zip(starts, starts[1:])]
+    starts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
+    return [(a, b, int(ids[a])) for a, b in zip(starts, starts[1:])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,24 +404,40 @@ class Scenario:
 # JSON ingestion
 
 
-def _expect_dict(value, path: str) -> dict:
+def _section(value, path: str, table: dict) -> dict:
+    """The parsed value of every key of `table`, read from the object `value`
+    at `path`.  The table maps each key to its parser, or to (parser,
+    default) when the key may be left out; a key whose default is None may
+    also be given as null."""
     if not isinstance(value, dict):
         raise SchemaError(f"{path}: expected an object, got {type(value).__name__}")
+    unknown = set(value) - set(table)
+    if unknown:
+        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+    fields = {}
+    for key, entry in table.items():
+        parse, *default = entry if isinstance(entry, tuple) else (entry,)
+        if key not in value and not default:
+            raise SchemaError(f"{path}.{key}: required key missing")
+        raw = value.get(key, *default)
+        fields[key] = None if raw is None and default == [None] else parse(raw, f"{path}.{key}")
+    return fields
+
+
+def _any(value, path: str):
     return value
 
 
-def _reject_unknown(d: dict, allowed: Sequence[str], path: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+def _array(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{path}: expected an array")
+    return value
 
 
-def _get(d: dict, key: str, path: str, required: bool = True, default=None):
-    if key not in d:
-        if required:
-            raise SchemaError(f"{path}.{key}: required key missing")
-        return default
-    return d[key]
+def _kind(value, path: str) -> str:
+    if value not in list(_POLICY_KINDS):  # compared by ==: a JSON value may be unhashable
+        raise SchemaError(f"{path}: unknown kind {value!r}")
+    return value
 
 
 def _number(value, path: str) -> float:
@@ -464,34 +481,53 @@ def _box(value, path: str) -> Box:
     return Box(m[:, 0], m[:, 1])
 
 
-def _parse_policy(d: dict, path: str) -> AbstractInputPolicy:
-    d = _expect_dict(d, path)
-    kind = _get(d, "kind", path)
-    if kind not in ("open_loop", "switched_feedback"):
-        raise SchemaError(f"{path}.kind: unknown kind {kind!r}")
-    key = "segments" if kind == "open_loop" else "regions"
-    _reject_unknown(d, ["kind", key], path)
-    raw = _get(d, key, path)
-    if not isinstance(raw, list):
-        raise SchemaError(f"{path}.{key}: expected an array")
-    items = []
-    for i, item in enumerate(raw):
-        ipath = f"{path}.{key}[{i}]"
-        item = _expect_dict(item, ipath)
-        if kind == "open_loop":
-            _reject_unknown(item, ["t_start", "t_end", "coeffs"], ipath)
-            items.append(OpenLoopSegment(
-                t_start=_number(_get(item, "t_start", ipath), f"{ipath}.t_start"),
-                t_end=_number(_get(item, "t_end", ipath), f"{ipath}.t_end"),
-                coeffs=_matrix(_get(item, "coeffs", ipath), f"{ipath}.coeffs"),
-            ))
-        else:
-            _reject_unknown(item, ["box", "gain"], ipath)
-            items.append(FeedbackRegion(
-                box=_box(_get(item, "box", ipath), f"{ipath}.box"),
-                gain=_matrix(_get(item, "gain", ipath), f"{ipath}.gain"),
-            ))
-    return AbstractInputPolicy(kind=kind, **{key: tuple(items)})
+#: the key table of each section of a configuration but the policy: a key
+#: maps to its parser, or to (parser, default) when it may be left out
+_SECTIONS = {
+    "concrete": {
+        "A": _matrix, "B": _matrix, "C": _matrix, "input_ball_radius": _number, "x0_box": _box,
+    },
+    "abstract": {"A": _matrix, "B": _matrix, "C": _matrix, "x0_box": _box},
+    "envelope": {"xhat_max": _number, "uhat_max": _number, "uhatdot_max": _number},
+    "scenario": {
+        "epsilon": (_number, DEFAULT_EPSILON), "a1": _number, "K": _matrix, "horizon": _number,
+        "step": (_number, DEFAULT_STEP), "xhat0": _vector, "x0": (_vector, None),
+        "M": (_matrix, None),
+    },
+}
+
+#: the policy's key table beside its items
+_POLICY = {"kind": _kind}
+
+#: each policy kind: the key of its items, and their class and key table
+_POLICY_KINDS = {
+    "open_loop": (
+        "segments", OpenLoopSegment, {"t_start": _number, "t_end": _number, "coeffs": _matrix},
+    ),
+    "switched_feedback": ("regions", FeedbackRegion, {"box": _box, "gain": _matrix}),
+}
+
+#: config keys whose value an object holds under another attribute name
+_ATTRIBUTE = {"x0_box": "initial_state_set"}
+
+
+def _fields(doc: dict, name: str) -> dict:
+    """Section `name` of the document, parsed, by attribute name."""
+    fields = _section(doc[name], name, _SECTIONS[name])
+    return {_ATTRIBUTE.get(key, key): value for key, value in fields.items()}
+
+
+def _parse_policy(value, path: str) -> AbstractInputPolicy:
+    """The policy at `path`: its kind first, then the items of that kind."""
+    any_items = {key: (_any, None) for key, _, _ in _POLICY_KINDS.values()}
+    kind = _section(value, path, {**_POLICY, **any_items})["kind"]
+    key, item_class, item_table = _POLICY_KINDS[kind]
+    fields = _section(value, path, {**_POLICY, key: _array})
+    fields[key] = tuple(
+        item_class(**_section(item, f"{path}.{key}[{i}]", item_table))
+        for i, item in enumerate(fields[key])
+    )
+    return AbstractInputPolicy(**fields)
 
 
 def parse_config(document) -> Scenario:
@@ -499,31 +535,11 @@ def parse_config(document) -> Scenario:
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SchemaError(f"malformed JSON: {exc}") from exc
-    doc = _expect_dict(document, "$")
-    _reject_unknown(doc, ["concrete", "abstract", "envelope", "policy", "scenario"], "$")
-
-    c = _expect_dict(_get(doc, "concrete", "$"), "concrete")
-    _reject_unknown(c, ["A", "B", "C", "input_ball_radius", "x0_box"], "concrete")
-    concrete = ConcreteLinearSystem(
-        A=_matrix(_get(c, "A", "concrete"), "concrete.A"),
-        B=_matrix(_get(c, "B", "concrete"), "concrete.B"),
-        C=_matrix(_get(c, "C", "concrete"), "concrete.C"),
-        input_ball_radius=_number(
-            _get(c, "input_ball_radius", "concrete"), "concrete.input_ball_radius"
-        ),
-        initial_state_set=_box(_get(c, "x0_box", "concrete"), "concrete.x0_box"),
-    )
-
-    a = _expect_dict(_get(doc, "abstract", "$"), "abstract")
-    _reject_unknown(a, ["A", "B", "C", "x0_box"], "abstract")
-    abstract = AbstractLinearSystem(
-        A=_matrix(_get(a, "A", "abstract"), "abstract.A"),
-        B=_matrix(_get(a, "B", "abstract"), "abstract.B"),
-        C=_matrix(_get(a, "C", "abstract"), "abstract.C"),
-        initial_state_set=_box(_get(a, "x0_box", "abstract"), "abstract.x0_box"),
-    )
+    doc = _section(document, "$", dict.fromkeys([*_SECTIONS, "policy"], _any))
+    concrete = ConcreteLinearSystem(**_fields(doc, "concrete"))
+    abstract = AbstractLinearSystem(**_fields(doc, "abstract"))
 
     pair = (
         ("state_dim_reduced", abstract.n_r <= concrete.n, f"n_r={abstract.n_r} vs n={concrete.n}"),
@@ -534,15 +550,8 @@ def parse_config(document) -> Scenario:
     if failed:
         raise DimensionMismatch("; ".join(failed))
 
-    e = _expect_dict(_get(doc, "envelope", "$"), "envelope")
-    _reject_unknown(e, ["xhat_max", "uhat_max", "uhatdot_max"], "envelope")
-    envelope = OperatingEnvelope(
-        xhat_max=_number(_get(e, "xhat_max", "envelope"), "envelope.xhat_max"),
-        uhat_max=_number(_get(e, "uhat_max", "envelope"), "envelope.uhat_max"),
-        uhatdot_max=_number(_get(e, "uhatdot_max", "envelope"), "envelope.uhatdot_max"),
-    )
-
-    policy = _parse_policy(_get(doc, "policy", "$"), "policy")
+    envelope = OperatingEnvelope(**_fields(doc, "envelope"))
+    policy = _parse_policy(doc["policy"], "policy")
     if policy.m_r != abstract.m_r:
         raise DimensionMismatch(
             f"policy channel count {policy.m_r} != abstract input dimension {abstract.m_r}"
@@ -552,57 +561,29 @@ def parse_config(document) -> Scenario:
             f"policy region dimension {policy.regions[0].box.dim} != n_r {abstract.n_r}"
         )
 
-    s = _expect_dict(_get(doc, "scenario", "$"), "scenario")
-    _reject_unknown(
-        s, ["epsilon", "a1", "K", "horizon", "step", "x0", "xhat0", "M"], "scenario"
-    )
-    epsilon = _number(_get(s, "epsilon", "scenario", required=False, default=DEFAULT_EPSILON), "scenario.epsilon")
-    a1 = _number(_get(s, "a1", "scenario"), "scenario.a1")
-    K = _matrix(_get(s, "K", "scenario"), "scenario.K")
-    horizon = _number(_get(s, "horizon", "scenario"), "scenario.horizon")
-    step = _number(_get(s, "step", "scenario", required=False, default=DEFAULT_STEP), "scenario.step")
-    xhat0 = _vector(_get(s, "xhat0", "scenario"), "scenario.xhat0")
-    raw_x0 = _get(s, "x0", "scenario", required=False)
-    x0 = None if raw_x0 is None else _vector(raw_x0, "scenario.x0")
-    raw_m = _get(s, "M", "scenario", required=False)
-    M = None if raw_m is None else _matrix(raw_m, "scenario.M")
-
-    _check_scalars(policy, epsilon=epsilon, a1=a1, step=step, horizon=horizon)
-    if K.shape != (concrete.m, concrete.n):
+    sc = Scenario(concrete, abstract, envelope, policy, **_fields(doc, "scenario"))
+    _check_scalars(policy, epsilon=sc.epsilon, a1=sc.a1, step=sc.step, horizon=sc.horizon)
+    if sc.K.shape != (concrete.m, concrete.n):
         raise DimensionMismatch(
-            f"scenario.K shape {K.shape} != (m, n) = {(concrete.m, concrete.n)}"
+            f"scenario.K shape {sc.K.shape} != (m, n) = {(concrete.m, concrete.n)}"
         )
-    if xhat0.size != abstract.n_r:
+    if sc.xhat0.size != abstract.n_r:
         raise DimensionMismatch(
-            f"scenario.xhat0 length {xhat0.size} != n_r {abstract.n_r}"
+            f"scenario.xhat0 length {sc.xhat0.size} != n_r {abstract.n_r}"
         )
-    if x0 is not None and x0.size != concrete.n:
-        raise DimensionMismatch(f"scenario.x0 length {x0.size} != n {concrete.n}")
+    if sc.x0 is not None and sc.x0.size != concrete.n:
+        raise DimensionMismatch(f"scenario.x0 length {sc.x0.size} != n {concrete.n}")
     for name, start, where, box in (
-        ("x0", x0, "concrete", concrete.initial_state_set),
-        ("xhat0", xhat0, "abstract", abstract.initial_state_set),
+        ("x0", sc.x0, "concrete", concrete.initial_state_set),
+        ("xhat0", sc.xhat0, "abstract", abstract.initial_state_set),
     ):
         if start is not None and not box.contains(start):
             raise InvariantViolation(f"scenario.{name} {start.tolist()} outside {where}.x0_box")
-    if M is not None and M.shape != (concrete.n, concrete.n):
+    if sc.M is not None and sc.M.shape != (concrete.n, concrete.n):
         raise DimensionMismatch(
-            f"scenario.M shape {M.shape} != (n, n) = {(concrete.n, concrete.n)}"
+            f"scenario.M shape {sc.M.shape} != (n, n) = {(concrete.n, concrete.n)}"
         )
-
-    return Scenario(
-        concrete=concrete,
-        abstract=abstract,
-        envelope=envelope,
-        policy=policy,
-        epsilon=epsilon,
-        a1=a1,
-        K=K,
-        horizon=horizon,
-        step=step,
-        xhat0=xhat0,
-        x0=x0,
-        M=M,
-    )
+    return sc
 
 
 def _check_scalars(policy: AbstractInputPolicy, **values: float) -> None:
@@ -634,47 +615,32 @@ def replace_scalars(scenario: Scenario, **values: float) -> Scenario:
     return replace(scenario, **values)
 
 
-def _matrix_lists(m: np.ndarray) -> list[list[float]]:
-    return [[float(v) for v in row] for row in np.atleast_2d(m)]
+def _lists(a) -> list:
+    return np.asarray(a, dtype=float).tolist()
+
+
+#: the JSON form of a parsed value, by the parser that read it
+_JSON = {_number: float, _vector: _lists, _matrix: _lists, _box: Box.as_lists, _kind: str}
+
+
+def _emit(obj, table: dict) -> dict:
+    """The config object of `obj` under the key table `table`; an attribute
+    that is None is left out."""
+    out = {}
+    for key, entry in table.items():
+        value = getattr(obj, _ATTRIBUTE.get(key, key))
+        if value is not None:
+            out[key] = _JSON[entry[0] if isinstance(entry, tuple) else entry](value)
+    return out
 
 
 def emit_config(scenario: Scenario) -> dict:
     """Inverse of parse_config: a JSON-ready dict that parses back equal."""
     policy = scenario.policy
-    if policy.kind == "open_loop":
-        items = [
-            {"t_start": float(seg.t_start), "t_end": float(seg.t_end),
-             "coeffs": _matrix_lists(seg.coeffs)}
-            for seg in policy.segments
-        ]
-    else:
-        items = [{"box": r.box.as_lists(), "gain": _matrix_lists(r.gain)} for r in policy.regions]
-    systems = {
-        name: {
-            **{key: _matrix_lists(getattr(system, key)) for key in ("A", "B", "C")},
-            "x0_box": system.initial_state_set.as_lists(),
-        }
-        for name, system in (("concrete", scenario.concrete), ("abstract", scenario.abstract))
-    }
-    systems["concrete"]["input_ball_radius"] = scenario.concrete.input_ball_radius
-    s: dict = {
-        "epsilon": scenario.epsilon,
-        "a1": scenario.a1,
-        "K": _matrix_lists(scenario.K),
-        "horizon": scenario.horizon,
-        "step": scenario.step,
-        "xhat0": [float(v) for v in scenario.xhat0],
-    }
-    if scenario.x0 is not None:
-        s["x0"] = [float(v) for v in scenario.x0]
-    if scenario.M is not None:
-        s["M"] = _matrix_lists(scenario.M)
-    key = "segments" if policy.kind == "open_loop" else "regions"
+    key, _, item_table = _POLICY_KINDS[policy.kind]
+    # the scenario section's keys are fields of the Scenario itself
+    sections = {name: getattr(scenario, name, scenario) for name in _SECTIONS}
     return {
-        **systems,
-        "envelope": {
-            k: getattr(scenario.envelope, k) for k in ("xhat_max", "uhat_max", "uhatdot_max")
-        },
-        "policy": {"kind": policy.kind, key: items},
-        "scenario": s,
+        **{name: _emit(obj, _SECTIONS[name]) for name, obj in sections.items()},
+        "policy": {**_emit(policy, _POLICY), key: [_emit(r, item_table) for r in policy.regimes]},
     }

@@ -99,13 +99,13 @@ def _lapack(routine, *args, **kwargs):
         raise NoConvergence(f"{routine.__name__}: {exc}") from exc
 
 
-def sym_eig(A, rtol: float = SYMMETRY_RTOL) -> SymEigResult:
+def sym_eig(A) -> SymEigResult:
     """Eigendecomposition of a symmetric matrix (LAPACK ``syevd``)."""
     A = as_matrix(A, "A")
     _require_square(A, "A")
     asym = np.linalg.norm(A - A.T, "fro")
-    if asym > rtol * max(np.linalg.norm(A, "fro"), 1e-300):
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {rtol:.1e} * ||A||_F")
+    if asym > SYMMETRY_RTOL * max(np.linalg.norm(A, "fro"), 1e-300):
+        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * ||A||_F")
     values, vectors = _lapack(np.linalg.eigh, 0.5 * (A + A.T))
     return SymEigResult(values, vectors)
 
@@ -198,27 +198,18 @@ def psd_sqrt(M) -> np.ndarray:
 PINV_RANK_RTOL = 1e-10
 
 
-def _lstsq(A: np.ndarray, b: np.ndarray, rank_rtol: float) -> np.ndarray:
-    """Minimum-norm least-squares solution pinv(A) @ b.
-
-    Singular values at or below sqrt(rank_rtol) * sigma_max count as zero,
-    which is the cutoff rank_rtol on the eigenvalues sigma^2 of A^T A.
-    """
-    return _lapack(np.linalg.lstsq, A, b, rcond=np.sqrt(rank_rtol))[0]
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution pinv(A) @ b, with the singular
+    values at or below sqrt(PINV_RANK_RTOL) * sigma_max counted as zero."""
+    return _lapack(np.linalg.lstsq, A, b, rcond=np.sqrt(PINV_RANK_RTOL))[0]
 
 
-def constrained_lstsq(
-    obj_map,
-    obj_rhs,
-    eq_map=None,
-    eq_rhs=None,
-    rank_rtol: float = PINV_RANK_RTOL,
-) -> np.ndarray:
+def constrained_lstsq(obj_map, obj_rhs, eq_map=None, eq_rhs=None) -> np.ndarray:
     """Minimize ||obj_map @ x - obj_rhs|| subject to eq_map @ x = eq_rhs.
 
     Null-space method: a particular solution of the equality system comes
-    from the pseudoinverse (rank cutoff `rank_rtol` relative to the largest
-    Gram eigenvalue), the objective is then minimized over the orthonormal
+    from the pseudoinverse (rank cutoff PINV_RANK_RTOL relative to the
+    largest Gram eigenvalue), the objective is then minimized over the orthonormal
     null-space basis.  Among objective minimizers the minimum-norm point is
     returned.  Passing eq_map=None solves the unconstrained problem.
     """
@@ -229,7 +220,7 @@ def constrained_lstsq(
     d = A.shape[1]
 
     if eq_map is None or np.size(eq_map) == 0:
-        return _lstsq(A, c, rank_rtol)
+        return _lstsq(A, c)
 
     E = as_matrix(eq_map, "eq_map")
     b = as_vector(eq_rhs if eq_rhs is not None else np.zeros(E.shape[0]), "eq_rhs")
@@ -241,7 +232,7 @@ def constrained_lstsq(
     # one SVD of E gives the particular solution and the null-space basis,
     # with the same rank cutoff as _lstsq
     u, s, vt = _lapack(np.linalg.svd, E)
-    rank = int(np.count_nonzero(s > np.sqrt(rank_rtol) * s[0]))
+    rank = int(np.count_nonzero(s > np.sqrt(PINV_RANK_RTOL) * s[0]))
     x_part = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
     null_basis = vt[rank:].T
     if np.linalg.norm(E @ x_part - b) > 1e-8 * max(np.linalg.norm(b), 1e-300):
@@ -251,5 +242,5 @@ def constrained_lstsq(
         )
     if null_basis.shape[1] == 0:
         return x_part
-    z = _lstsq(A @ null_basis, c - A @ x_part, rank_rtol)
+    z = _lstsq(A @ null_basis, c - A @ x_part)
     return x_part + null_basis @ z

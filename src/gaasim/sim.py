@@ -134,17 +134,14 @@ class TrajectoryRecord:
 
 
 def eval_policy(policy: AbstractInputPolicy, abstract: AbstractLinearSystem, t: float, xhat):
-    """(uhat, duhat/dt, None) at one time t and abstract state xhat, from
-    `AbstractInputPolicy.uhat_at` and `.uhatdot`: the active polynomial and its
-    derivative, or -K xhat and -K (A xhat + B uhat).  The third entry, always
-    None, keeps the 3-tuple that callers unpack."""
+    """(uhat, duhat/dt, None) at one time t and abstract state xhat, from the
+    regime that `AbstractInputPolicy.regime_index` picks: the active
+    polynomial and its derivative, or -K xhat and -K (A xhat + B uhat).  The
+    third entry, always None, keeps the 3-tuple that callers unpack."""
     xhat = np.asarray(xhat, dtype=float).reshape(-1)
-    uhat = policy.uhat_at(t, xhat)
-    regime = policy.regime_index(t, xhat)
-    uhatdot = policy.uhatdot(
-        abstract, np.array([t]), xhat[None], uhat[None], np.array([regime])
-    )[0]
-    return uhat, uhatdot, None
+    regime = policy.regimes[policy.regime_index(t, xhat)]
+    uhat = regime.uhat(t, xhat)
+    return uhat, regime.uhatdot(abstract, np.array([t]), xhat[None], uhat[None])[0], None
 
 
 # ---------------------------------------------------------------------------
@@ -567,15 +564,14 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
         """The policy's regime `index` for the span [a, b]."""
         steps = _n_steps(a, b, h) if b > a else 0
         step = (b - a) / max(steps, 1)
-        if policy.kind == "open_loop":
-            seg = policy.segments[index]
-            maps = _segment_maps(F, N, seg, a, b - a, steps) if steps else (None, None)
-            tail = np.eye(seg.coeffs.shape[1])[0]
-            return _Regime(index, step, steps, *maps, tail, seg=seg, span=(a, b))
-        region = policy.regions[index]
-        gen = F - N @ (region.gain @ to_xhat)
+        item = policy.regimes[index]
+        if isinstance(item, OpenLoopSegment):
+            maps = _segment_maps(F, N, item, a, b - a, steps) if steps else (None, None)
+            tail = np.eye(item.coeffs.shape[1])[0]
+            return _Regime(index, step, steps, *maps, tail, seg=item, span=(a, b))
+        gen = F - N @ (item.gain @ to_xhat)
         return _Regime(index, step, steps, gen, _rk4_phi(gen, step), np.empty(0),
-                       region.box, region.gain)
+                       item.box, item.gain)
 
     def outside(r: _Regime, rows: np.ndarray) -> np.ndarray:
         """Indices of the rows of z outside r's box: none for a segment."""
@@ -591,11 +587,10 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
         new = regime(policy.regime_index(tau, xhat_next), a, b)
         if old is None:
             return new
-        if policy.kind == "open_loop":
-            before = old.seg.value(tau)
+        before = policy.regimes[old.index].uhat(tau, xhat_tau)
+        if old.seg is not None:
             delta, cause = new.seg.value(tau) - before, "segment_boundary"
         else:
-            before = old.gain @ xhat_tau
             delta, cause = (old.gain - new.gain) @ xhat_tau, "region_crossing"
         if _is_jump(delta, before):
             if jumps and tau - jumps[-1].time < min_sep:

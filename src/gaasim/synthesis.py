@@ -82,6 +82,14 @@ class RefinementGains:
                 )
         if not (self.a1 > 0 and self.epsilon > 0):
             raise ValueError("gains require a1 > 0 and epsilon > 0")
+        if not (np.isfinite(self.lambda_min_M) and self.lambda_min_M > 0):
+            raise ValueError(f"gains.lambda_min_M must be positive and finite, "
+                             f"got {self.lambda_min_M}")
+        if numerics.sym_eig(self.M).values[0] <= 0:
+            raise ValueError("gains.M is not positive definite")
+        miss = np.linalg.norm(self.M_sqrt @ self.M_sqrt - self.M)
+        if not miss <= 1e-9 * np.linalg.norm(self.M):
+            raise ValueError(f"gains.M_sqrt squared misses M by {miss:.3e}, beyond 1e-9 ||M||")
 
     def to_dict(self) -> dict:
         """Every field; matrices as lists of rows."""
@@ -184,10 +192,17 @@ def synthesize_M(A, B, C, K, a1: float) -> tuple[np.ndarray, np.ndarray, float]:
     weight = inv_sqrt @ (C.T @ C) @ inv_sqrt
     lam_top = numerics.sym_eig(0.5 * (weight + weight.T)).values[-1]
     scale = max(1.0, lam_top * (1.0 + 1e-6))
-    M = scale * m0
+    return _weight(scale * m0)
+
+
+def _weight(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """(M, M^{1/2}, lambda_min(M)) of a symmetric M, which must be positive
+    definite."""
     M_sqrt = numerics.psd_sqrt(M)
-    lam_min = numerics.sym_eig(M).values[0]
-    return M, M_sqrt, float(lam_min)
+    lam_min = float(numerics.sym_eig(M).values[0])
+    if lam_min <= 0:
+        raise numerics.NotPSD(f"M has lambda_min {lam_min:.3e} <= 0")
+    return M, M_sqrt, lam_min
 
 
 def _vec(m: np.ndarray) -> np.ndarray:
@@ -198,6 +213,26 @@ def _unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
     return v.reshape((rows, cols), order="F")
 
 
+def _coupling(A, B, C, M_sqrt, G, W, H, x_free: bool = True):
+    """(X, Y, ||M^{1/2}((A X - X G + B Y) - W)||) at the minimizer of that
+    weighted residual's Frobenius norm subject to C X = H, or over Y alone
+    with X = 0 when not `x_free` (the S = 0 baseline).  Among minimizers,
+    the one of least norm of (vec X, vec Y)."""
+    n, m, k = A.shape[0], B.shape[1], G.shape[0]
+    eye = np.eye(k)
+    on_y = np.kron(eye, M_sqrt @ B)
+    target = _vec(M_sqrt @ W)
+    if x_free:
+        obj = np.hstack([np.kron(eye, M_sqrt @ A) - np.kron(G.T, M_sqrt), on_y])
+        eq = np.hstack([np.kron(eye, C), np.zeros((C.shape[0] * k, m * k))])
+        sol = numerics.constrained_lstsq(obj, target, eq, _vec(H))
+        X, Y = _unvec(sol[: n * k], n, k), _unvec(sol[n * k :], m, k)
+    else:
+        X, Y = np.zeros((n, k)), _unvec(numerics.constrained_lstsq(on_y, target), m, k)
+    residual = ((A @ X - X @ G) + B @ Y) - W
+    return X, Y, numerics.spectral_norm(M_sqrt @ residual)
+
+
 def solve_PQ(A, Ahat, B, C, Chat, M_sqrt) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimize ||M^{1/2}(A P - P Ahat + B Q)|| subject to C P = Chat.
 
@@ -206,22 +241,8 @@ def solve_PQ(A, Ahat, B, C, Chat, M_sqrt) -> tuple[np.ndarray, np.ndarray, float
     """
     A, Ahat = as_matrix(A, "A"), as_matrix(Ahat, "Ahat")
     B, C, Chat = as_matrix(B, "B"), as_matrix(C, "C"), as_matrix(Chat, "Chat")
-    M_sqrt = as_matrix(M_sqrt, "M_sqrt")
-    n, m, n_r = A.shape[0], B.shape[1], Ahat.shape[0]
-
-    eye_r = np.eye(n_r)
-    obj = np.hstack(
-        [
-            np.kron(eye_r, M_sqrt @ A) - np.kron(Ahat.T, M_sqrt),
-            np.kron(eye_r, M_sqrt @ B),
-        ]
-    )
-    eq = np.hstack([np.kron(eye_r, C), np.zeros((C.shape[0] * n_r, m * n_r))])
-    sol = numerics.constrained_lstsq(obj, np.zeros(obj.shape[0]), eq, _vec(Chat))
-    P = _unvec(sol[: n * n_r], n, n_r)
-    Q = _unvec(sol[n * n_r :], m, n_r)
-    rbar1 = numerics.spectral_norm(M_sqrt @ (A @ P - P @ Ahat + B @ Q))
-    return P, Q, rbar1
+    W = np.zeros((A.shape[0], Ahat.shape[0]))
+    return _coupling(A, B, C, as_matrix(M_sqrt, "M_sqrt"), Ahat, W, Chat)
 
 
 def solve_SR(
@@ -234,25 +255,11 @@ def solve_SR(
     """
     A, B, C = as_matrix(A, "A"), as_matrix(B, "B"), as_matrix(C, "C")
     P, Bhat = as_matrix(P, "P"), as_matrix(Bhat, "Bhat")
-    M_sqrt = as_matrix(M_sqrt, "M_sqrt")
-    n, m, m_r = A.shape[0], B.shape[1], Bhat.shape[1]
-    eye_r = np.eye(m_r)
-    target = _vec(M_sqrt @ (P @ Bhat))
-
-    if force_s_zero:
-        obj = np.kron(eye_r, M_sqrt @ B)
-        R = _unvec(numerics.constrained_lstsq(obj, target), m, m_r)
-        S = np.zeros((n, m_r))
-    else:
-        obj = np.hstack([np.kron(eye_r, M_sqrt @ A), np.kron(eye_r, M_sqrt @ B)])
-        eq = np.hstack(
-            [np.kron(eye_r, C), np.zeros((C.shape[0] * m_r, m * m_r))]
-        )
-        sol = numerics.constrained_lstsq(obj, target, eq, np.zeros(eq.shape[0]))
-        S = _unvec(sol[: n * m_r], n, m_r)
-        R = _unvec(sol[n * m_r :], m, m_r)
-    rbar2 = numerics.spectral_norm(M_sqrt @ (A @ S + B @ R - P @ Bhat))
-    return S, R, rbar2
+    m_r = Bhat.shape[1]
+    return _coupling(
+        A, B, C, as_matrix(M_sqrt, "M_sqrt"), np.zeros((m_r, m_r)), P @ Bhat,
+        np.zeros((C.shape[0], m_r)), x_free=not force_s_zero,
+    )
 
 
 def rbar3_of(M_sqrt, S) -> float:
@@ -317,11 +324,7 @@ def synthesize_gains(
         M, M_sqrt, lam_min = synthesize_M(concrete.A, concrete.B, concrete.C, K, a1)
     else:
         M = as_matrix(M, "M")
-        M = 0.5 * (M + M.T)
-        M_sqrt = numerics.psd_sqrt(M)
-        lam_min = float(numerics.sym_eig(M).values[0])
-        if lam_min <= 0:
-            raise numerics.NotPSD(f"supplied M has lambda_min {lam_min:.3e} <= 0")
+        M, M_sqrt, lam_min = _weight(0.5 * (M + M.T))
 
     P, Q, rbar1 = solve_PQ(concrete.A, abstract.A, concrete.B, concrete.C, abstract.C, M_sqrt)
     S, R, rbar2 = solve_SR(concrete.A, concrete.B, concrete.C, P, abstract.B, M_sqrt, force_s_zero)

@@ -300,6 +300,56 @@ class TestOverrides:
         assert "open-loop segments cover" in self.one_line_config_error(capsys)
 
 
+class TestBadFilesExit2:
+    """Bad input files end in exit 2 and one line on stderr, never a traceback."""
+
+    @staticmethod
+    def exits_2_with_one_line(capsys, argv):
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_out_naming_an_existing_file(self, tmp_path, short_switched, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        self.exits_2_with_one_line(
+            capsys, ["synthesize", "--config", str(short_switched), "--out", str(taken)]
+        )
+
+    def test_config_naming_a_directory(self, tmp_path, capsys):
+        self.exits_2_with_one_line(
+            capsys, ["synthesize", "--config", str(tmp_path), "--out", str(tmp_path / "o")]
+        )
+
+    def test_config_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_bytes(b"\xff\xfe{")
+        self.exits_2_with_one_line(
+            capsys, ["synthesize", "--config", str(config), "--out", str(tmp_path / "o")]
+        )
+
+    @pytest.mark.parametrize("fault", ["lambda_min_M zero", "M zero", "M_sqrt not a root"])
+    def test_gains_bundle_without_a_positive_definite_weight(
+        self, tmp_path, short_switched, capsys, fault
+    ):
+        syn = tmp_path / "syn"
+        assert main(["synthesize", "--config", str(short_switched), "--out", str(syn)]) == 0
+        bundle = json.loads((syn / "gains.json").read_text())
+        if fault == "lambda_min_M zero":
+            bundle["lambda_min_M"] = 0
+        elif fault == "M zero":
+            bundle["M"] = bundle["M_sqrt"] = np.zeros_like(bundle["M"]).tolist()
+        else:
+            bundle["M_sqrt"] = bundle["M"]
+        gains = tmp_path / "gains.json"
+        gains.write_text(json.dumps(bundle))
+        self.exits_2_with_one_line(capsys, [
+            "simulate", "--config", str(short_switched), "--gains", str(gains),
+            "--out", str(tmp_path / "run"),
+        ])
+
+
 class TestWrite:
     def test_writes_the_bytes_of_write_text(self, tmp_path):
         text = "t,x1\n" + "".join(f"{k},{k / 7:.15g}\u00b5\n" for k in range(50))

@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import numpy as np
 import pytest
@@ -215,10 +216,10 @@ class TestTypes:
     def test_region_lookup_first_match(self):
         sc = parse_config(casestudy.switched_config())
         # shared boundary 30 belongs to the earlier-declared (upper) region
-        assert sc.policy.region_index([30.0]) == 0
-        assert sc.policy.region_index([29.999]) == 1
+        assert sc.policy.regime_index(0.0, [30.0]) == 0
+        assert sc.policy.regime_index(0.0, [29.999]) == 1
         with pytest.raises(DomainGap):
-            sc.policy.region_index([100.0])
+            sc.policy.regime_index(0.0, [100.0])
 
 
 class TestPolicyEvaluationGrid:
@@ -243,7 +244,7 @@ class TestPolicyEvaluationGrid:
         policy = sc.policy
         boundaries = {30.0, 20.0, 10.0}
         xs = np.linspace(0.0, 40.1, 10_000)
-        gains = np.array([policy.regions[policy.region_index([x])].gain[0, 0] for x in xs])
+        gains = np.array([policy.regions[policy.regime_index(0.0, [x])].gain[0, 0] for x in xs])
         values = -gains * xs
         max_gain = max(r.gain[0, 0] for r in policy.regions)
         for i in range(len(xs) - 1):
@@ -308,9 +309,53 @@ class TestReplaceScalars:
 
 
 def test_emit_equals_source_dict():
-    cfg = casestudy.switched_config()
-    emitted = emit_config(parse_config(copy.deepcopy(cfg)))
-    assert emitted == cfg
+    for cfg in (casestudy.switched_config(), casestudy.ramp_config()):
+        emitted = emit_config(parse_config(copy.deepcopy(cfg)))
+        assert emitted == cfg
+
+
+def _path_name(path) -> str:
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)[1:]
+
+
+def _schema_keys(optional: bool):
+    """A case (study config, path) for every key of the configuration
+    schema, the keys that may be left out among them when `optional`."""
+    sections = {
+        "concrete": ("A", "B", "C", "input_ball_radius", "x0_box"),
+        "abstract": ("A", "B", "C", "x0_box"),
+        "envelope": ("xhat_max", "uhat_max", "uhatdot_max"),
+        "scenario": ("a1", "K", "horizon", "xhat0") + (("epsilon", "step", "x0", "M") * optional),
+        "policy": ("kind", "regions"),
+    }
+    switched, ramp = casestudy.switched_config, casestudy.ramp_config
+    keys = [(switched, (name, key)) for name, keys in sections.items() for key in keys]
+    keys += [(switched, ("policy", "regions", 0, key)) for key in ("box", "gain")]
+    keys += [(ramp, ("policy", "segments"))]
+    keys += [(ramp, ("policy", "segments", 0, key)) for key in ("t_start", "t_end", "coeffs")]
+    return [pytest.param(config, path, id=_path_name(path)) for config, path in keys]
+
+
+def _parse_with(config, path, change):
+    """parse_config of `config()` after change(parent object, last key)."""
+    cfg = config()
+    node = cfg
+    for step in path[:-1]:
+        node = node[step]
+    change(node, path[-1])
+    return parse_config(cfg)
+
+
+@pytest.mark.parametrize("config, path", _schema_keys(optional=False))
+def test_missing_key_names_its_path(config, path):
+    with pytest.raises(SchemaError, match=re.escape(f"{_path_name(path)}: required key missing")):
+        _parse_with(config, path, lambda node, key: node.pop(key))
+
+
+@pytest.mark.parametrize("config, path", _schema_keys(optional=True))
+def test_wrongly_typed_value_names_its_path(config, path):
+    with pytest.raises(SchemaError, match=re.escape(f"{_path_name(path)}: ")):
+        _parse_with(config, path, lambda node, key: node.__setitem__(key, "text"))
 
 
 def test_parser_mutation_fuzz_raises_only_config_errors():

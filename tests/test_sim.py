@@ -199,6 +199,23 @@ class TestSimulate:
         idx = int(np.flatnonzero(rec.t == 0.985)[0])
         assert rec.uhat[idx, 0] == pytest.approx(0.4)
 
+    def test_segment_starting_just_after_its_predecessor_ends_takes_over(self):
+        """Segments may abut within 1e-12: the one that starts 5e-13 after
+        80 runs from 80 on, and the input jumps there by +0.5."""
+        segments = [
+            {"t_start": 0.0, "t_end": 40.0, "coeffs": [[0.0]]},
+            {"t_start": 40.0, "t_end": 80.0, "coeffs": [[0.5]]},
+            {"t_start": 80.0 + 5e-13, "t_end": 121.0, "coeffs": [[1.0]]},
+        ]
+        sc = parse_config(open_loop_config(segments, horizon=120.0))
+        assert sc.policy.regime_index(80.0, sc.xhat0) == 2
+        gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
+                                 sc.epsilon, sc.envelope, M=sc.M)
+        rec = simulate(sc.concrete, sc.abstract, gains, sc.policy,
+                       sc.x0, sc.xhat0, horizon=120.0, h=0.1)
+        assert np.all(rec.uhat[rec.t >= 80.0, 0] == 1.0)
+        assert [(j.time, float(j.delta[0])) for j in rec.jumps] == [(40.0, 0.5), (80.0, 0.5)]
+
     def test_continuous_breakpoint_is_not_a_jump(self):
         sc = parse_config(casestudy.ramp_config(horizon=120.0))
         gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
