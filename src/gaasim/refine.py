@@ -77,11 +77,12 @@ def vg(point: RelationPoint, gains, e=None):
     `error_vector`, where the caller has formed it already.  e' M e adds
     (e_j M_jk) e_k to zero over j, then k, in order."""
     cols = _error_columns(point, gains) if e is None else _points(e)
-    q = np.zeros(cols.shape[1])
-    for j, k in np.ndindex(gains.M.shape):
-        term = cols[j] * gains.M[j, k]
-        term *= cols[k]
-        q += term
+    q, terms = np.zeros(cols.shape[1]), np.empty_like(cols)
+    for j in range(gains.M.shape[0]):
+        np.multiply(cols[j], gains.M[j, :, None], out=terms)
+        terms *= cols
+        for term in terms:
+            q += term
     values = np.sqrt(np.maximum(q, 0.0))
     return float(values[0]) if np.ndim(point.x) < 2 else values
 

@@ -49,6 +49,7 @@ from .model import (
     OperatingEnvelope,
     JUMP_VALUE_RTOL,
 )
+from .numerics import physical_memory as _physical_memory
 from .synthesis import RefinementGains
 
 
@@ -298,14 +299,6 @@ class _Recorder:
         for j in range(1, nj):
             flat[j * count : (j + 1) * count] = flat[j * cap : j * cap + count]
         return self.t[:count], flat[: nj * count].reshape(nj, count).T, self.regime[:count]
-
-
-def _physical_memory() -> float:
-    """Bytes of physical memory, or infinity where the platform does not say."""
-    try:
-        return float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
-    except (AttributeError, ValueError, OSError):
-        return math.inf
 
 
 def _preflight(concrete, abstract, horizon: float, h: float) -> None:
@@ -879,10 +872,6 @@ def verify_trajectory(
 _CSV_CHUNK_ROWS = 16384
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.15g}"
-
-
 def _cpus() -> int:
     """CPUs this process may run on."""
     try:
@@ -977,10 +966,6 @@ def jumps_csv(record: TrajectoryRecord) -> str:
     header = ["tau"] + [f"delta{i + 1}" for i in range(m_r)] + ["lhs", "rhs", "pass"]
     lines = [",".join(header)]
     for j in record.jumps:
-        row = [_fmt(j.time)] + [_fmt(v) for v in j.delta] + [
-            _fmt(j.lhs),
-            _fmt(j.rhs),
-            "true" if j.passed else "false",
-        ]
-        lines.append(",".join(row))
+        values = ",".join(f"{v:.15g}" for v in (j.time, *j.delta, j.lhs, j.rhs))
+        lines.append(f"{values},{'true' if j.passed else 'false'}")
     return "\n".join(lines) + "\n"

@@ -217,8 +217,12 @@ def _coupling(A, B, C, M_sqrt, G, W, H, x_free: bool = True):
     """(X, Y, ||M^{1/2}((A X - X G + B Y) - W)||) at the minimizer of that
     weighted residual's Frobenius norm subject to C X = H, or over Y alone
     with X = 0 when not `x_free` (the S = 0 baseline).  Among minimizers,
-    the one of least norm of (vec X, vec Y)."""
+    the one of least norm of (vec X, vec Y).  Raises TooLarge before any
+    np.kron when the Kronecker operator's doubles exceed physical memory."""
     n, m, k = A.shape[0], B.shape[1], G.shape[0]
+    need = 8.0 * k * k * ((n + C.shape[0]) * (n + m) if x_free else n * m)
+    if need > numerics.physical_memory():
+        raise numerics.TooLarge(f"Kronecker operator of {need / 2**30:.3g} GiB > physical memory")
     eye = np.eye(k)
     on_y = np.kron(eye, M_sqrt @ B)
     target = _vec(M_sqrt @ W)

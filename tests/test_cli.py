@@ -72,9 +72,10 @@ class TestSynthesize:
         assert gains["S"] == [[0.0], [0.0]]
         assert gains["rbar2"] > 1.0
 
-    def test_sylvester_size_cap_is_a_failing_record(self, tmp_path, capsys):
-        # a 61-state stable plant: its 61 x 61 Lyapunov solve is above the cap
-        n = 61
+    @staticmethod
+    def stable_plant_config(tmp_path, n):
+        """The ramp study with an n-state plant A = -I, B = e1, C = e1^T,
+        K = 0 and no M, so synthesize solves an n x n Lyapunov equation."""
         cfg = casestudy.ramp_config(horizon=1.0)
         cfg["concrete"].update(
             A=(-np.eye(n)).tolist(),
@@ -84,8 +85,18 @@ class TestSynthesize:
         )
         cfg["scenario"].update(K=np.zeros((1, n)).tolist(), x0=[0.0] * n)
         del cfg["scenario"]["M"]
+        return write_config(tmp_path, cfg)
+
+    def test_sylvester_size_cap_is_a_failing_record(self, tmp_path, capsys, monkeypatch):
+        # physical memory below the (P, Q) coupling's Kronecker operator
+        # (62 x 62 doubles, 30 kB): refused before np.kron, as one record
+        def no_operator(*args):
+            raise AssertionError("Kronecker operator built above the size cap")
+
+        monkeypatch.setattr("gaasim.numerics.physical_memory", lambda: 3e4)
+        monkeypatch.setattr(np, "kron", no_operator)
         out = tmp_path / "big"
-        code = main(["synthesize", "--config", str(write_config(tmp_path, cfg)),
+        code = main(["synthesize", "--config", str(self.stable_plant_config(tmp_path, 61)),
                      "--out", str(out)])
         assert code == 1
         captured = capsys.readouterr()
@@ -94,6 +105,22 @@ class TestSynthesize:
         assert "Traceback" not in captured.out + captured.err
         report = json.loads((out / "report.json").read_text())
         assert report["records"][0]["detail"].startswith("TooLarge:")
+
+    def test_plant_above_the_old_size_cap_synthesizes(self, tmp_path, capsys):
+        # 61 states: the Kronecker Lyapunov solve refused it (n^2 > 3600)
+        out = tmp_path / "big"
+        code = main(["synthesize", "--config", str(self.stable_plant_config(tmp_path, 61)),
+                     "--out", str(out)])
+        assert code in (0, 1)  # the ramp study's input ball and boxes do not fit this plant
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        by_name = {r["name"]: r for r in json.loads((out / "report.json").read_text())["records"]}
+        assert "gains_constructible" not in by_name
+        for name in ("lyapunov_decay", "M_positive_definite", "output_weight_dominated",
+                     "CP_equals_Chat", "CS_zero", "PQ_optimal", "SR_optimal"):
+            assert by_name[name]["passed"], name
+        gains = json.loads((out / "gains.json").read_text())
+        assert np.array(gains["M"]).shape == (61, 61)
 
 
 class TestSimulate:

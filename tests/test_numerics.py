@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from gaasim import numerics as nx
+from gaasim import synthesis
 
 from conftest import M5
 
@@ -95,6 +98,13 @@ class TestSpectralAbscissa:
             assert nx.real_spectral_abscissa(a) == pytest.approx(ref, abs=1e-8 * max(1, abs(ref)))
 
 
+def kron_oracle(f, g, w):
+    """F X + X G = W solved through its dense Kronecker operator."""
+    n, k = w.shape
+    op = np.kron(np.eye(k), f) + np.kron(g.T, np.eye(n))
+    return np.linalg.solve(op, w.reshape(-1, order="F")).reshape((n, k), order="F")
+
+
 class TestSylvester:
     def test_scalar(self):
         x = nx.solve_sylvester([[-1.0]], [[-1.0]], [[-2.0]])
@@ -124,13 +134,92 @@ class TestSylvester:
             nx.solve_sylvester([[1.0]], [[-1.0]], [[1.0]])
 
     def test_size_cap_refuses_before_building_the_operator(self, monkeypatch):
+        # the coupling of a 10-state plant (m = p = 1) with a 3-state
+        # abstraction: its operators have 3*11 x 3*11 and 3*1 x 3*11 doubles
         def no_operator(*args):
             raise AssertionError("Kronecker operator built above the size cap")
 
+        n, k = 10, 3
+        args = (-np.eye(n), np.eye(n, 1), np.eye(1, n), np.eye(n),
+                -np.eye(k), np.zeros((n, k)), np.zeros((1, k)))
+        need = 8.0 * k * k * (n + 1) * (n + 1)
+        monkeypatch.setattr(nx, "physical_memory", lambda: need)
+        synthesis._coupling(*args)  # fits exactly
+        # the S = 0 baseline builds only the (n k) x (m k) operator on Y
+        monkeypatch.setattr(nx, "physical_memory", lambda: 8.0 * k * k * n)
+        synthesis._coupling(*args, x_free=False)
+        monkeypatch.setattr(nx, "physical_memory", lambda: need - 1.0)
         monkeypatch.setattr(np, "kron", no_operator)
-        f = -np.eye(61)
-        with pytest.raises(nx.NumericsError, match="cap"):
-            nx.solve_sylvester(f, f, np.ones((61, 61)))
+        with pytest.raises(nx.TooLarge, match="physical memory") as info:
+            synthesis._coupling(*args)
+        assert len(str(info.value).splitlines()) == 1
+
+    @pytest.mark.parametrize("n, lam", [(2, -1.0), (6, -0.5), (12, -1.0)])
+    def test_jordan_blocks(self, n, lam):
+        # one defective eigenvalue: F^T and F have a single Jordan block
+        j = lam * np.eye(n) + np.eye(n, k=1)
+        w = np.random.default_rng(n).standard_normal((n, n))
+        for f, g, rhs in ((j.T, j, -np.eye(n)), (j, j.T, -np.eye(n)), (j, j, w)):
+            x = nx.solve_sylvester(f, g, rhs)
+            ref = kron_oracle(f, g, rhs)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("f", [
+        [[-1e-4]],
+        [[-1e-4, 1.0], [-1.0, -1e-4]],  # a complex pair 1e-4 from the axis
+        np.diag([-1e-4, -1.0, -100.0]),
+    ])
+    def test_pole_near_the_imaginary_axis(self, f, monkeypatch):
+        f, steps, inv = np.array(f), [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: steps.append(1) or inv(a))
+        x = nx.solve_sylvester(f.T, f, -np.eye(len(f)))
+        ref = kron_oracle(f.T, f, -np.eye(len(f)))
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert len(steps) <= 8  # the unscaled iteration takes 18 to 19
+
+    @pytest.mark.parametrize("f, g", [
+        ([[1.0]], [[-1.0]]),  # F anti-stable
+        ([[-1.0, 0.0], [0.0, 2.0]], [[-1.0]]),  # one unstable mode of F
+        ([[-1.0]], [[0.0, 1.0], [-1.0, 0.0]]),  # G on the imaginary axis
+        ([[0.0, 1.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]]),  # F exactly singular
+        ([[0.0]], [[-1.0]]),
+    ])
+    def test_refuses_a_pair_that_is_not_hurwitz(self, f, g):
+        f, g = np.array(f), np.array(g)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(nx.SingularOperator) as info:
+                nx.solve_sylvester(f, g, np.ones((len(f), len(g))))
+        assert len(str(info.value).splitlines()) == 1
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_residual_bound_large(self, n):
+        rng = np.random.default_rng(n)
+        f = rng.standard_normal((n, n)) / np.sqrt(n)
+        f -= (nx.real_spectral_abscissa(f) + 0.05) * np.eye(n)
+        jordan = -np.eye(7) + np.eye(7, k=1)
+        for g, w in ((f.T, -np.eye(n)), (jordan, rng.standard_normal((n, 7)))):
+            x = nx.solve_sylvester(f, g, w)
+            resid = np.linalg.norm(f @ x + x @ g - w)
+            scale = np.linalg.norm(f) * np.linalg.norm(x)
+            scale += np.linalg.norm(x) * np.linalg.norm(g) + np.linalg.norm(w)
+            assert resid <= 1e-8 * scale
+
+    def test_agrees_with_kronecker_oracle(self):
+        rng = np.random.default_rng(23)
+        for i in range(60):
+            n = int(rng.integers(1, 21))
+            f = rng.standard_normal((n, n))
+            f -= (nx.real_spectral_abscissa(f) + 0.5) * np.eye(n)
+            if i % 2:
+                g, w = f.T, -np.eye(n)
+            else:
+                k = int(rng.integers(1, 21))
+                g = rng.standard_normal((k, k))
+                g -= (nx.real_spectral_abscissa(g) + 0.5) * np.eye(k)
+                w = rng.standard_normal((n, k))
+            ref = kron_oracle(f, g, w)
+            assert np.linalg.norm(nx.solve_sylvester(f, g, w) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_residual_bound_random(self):
         rng = np.random.default_rng(17)

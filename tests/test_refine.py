@@ -325,6 +325,34 @@ class TestRowsMatchPoints:
         assert all(isinstance(box.contains(p), bool) for p in pts[:5])
 
 
+def vg_by_entries(point, gains):
+    """The reference e' M e: (e_j M_jk) e_k added to zero one entry of M at
+    a time, over j, then k."""
+    cols = error_vector(point, gains).reshape(-1, gains.M.shape[0]).T
+    q = np.zeros(cols.shape[1])
+    for j, k in np.ndindex(gains.M.shape):
+        term = cols[j] * gains.M[j, k]
+        term *= cols[k]
+        q += term
+    return np.sqrt(np.maximum(q, 0.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 32])
+def test_vg_adds_in_the_order_of_the_entries(n):
+    rng = np.random.default_rng(40 + n)
+    gains = random_bundle(rng, n, 2, 3, 2)
+    count = 300
+    x = rng.uniform(-50.0, 50.0, (count, n))
+    xhat = rng.uniform(-50.0, 50.0, (count, 3))
+    uhat = rng.uniform(-1.0, 1.0, (count, 2))
+    x[:3] = lift_initial(xhat[:3], uhat[:3], gains)  # e at rounding level, some e_j = 0
+    rows = RelationPoint(x, xhat, uhat)
+    assert np.array_equal(vg(rows, gains), vg_by_entries(rows, gains))
+    for i in range(0, count, 37):
+        point = RelationPoint(x[i], xhat[i], uhat[i])
+        assert vg(point, gains) == vg_by_entries(point, gains)[0]
+
+
 def test_output_closeness_inside_relation(sys5, gains5):
     concrete, abstract = sys5
     rng = np.random.default_rng(6)
