@@ -35,7 +35,6 @@ EXPECTED = {
     "input_bound": (0.5685, 0.5695),
     "rbar_max_allowance": (0.0995, 0.1003),
     "decay_ratio_allowance": (0.398, 0.401),
-    "rbar3": 2.0557723609388274,
 }
 
 _SYSTEMS = {

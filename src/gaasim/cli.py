@@ -148,9 +148,9 @@ def cmd_synthesize(args) -> int:
     scenario = _load_scenario(args)
     out = Path(args.out)
     gains, report = _synthesize_pipeline(scenario, args.force_s_zero)
-    outputs = [_write(out / "report.json", report.to_json())]
+    outputs = [_write(out / "report.json", _json_text(report.to_dict()))]
     if gains is not None:
-        outputs.append(_write(out / "gains.json", gains.to_json()))
+        outputs.append(_write(out / "gains.json", _json_text(gains.to_dict())))
     outputs.append(_manifest(out, "synthesize", _digest(emit_config(scenario)), outputs, started))
     for record in report.records:
         status = "pass" if record.passed else "FAIL"
@@ -180,8 +180,8 @@ def cmd_simulate(args) -> int:
     started = time.monotonic()
     scenario = _load_scenario(args)
     try:
-        gains = RefinementGains.from_json(Path(args.gains).read_text(encoding="utf-8"))
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        gains = RefinementGains.from_dict(json.loads(Path(args.gains).read_text(encoding="utf-8")))
+    except ValueError as exc:
         raise ConfigError(f"gains file {args.gains}: {exc}") from exc
     bundle = (gains.M.shape[0], *gains.Q.shape, gains.S.shape[1])
     systems = (
@@ -283,8 +283,8 @@ def cmd_casestudy(args) -> int:
     if gains is None:
         print(f"gains not constructible: {report.records[0].detail}", file=sys.stderr)
         return 1
-    outputs.append(_write(out / "gains.json", gains.to_json()))
-    outputs.append(_write(out / "report.json", report.to_json()))
+    outputs.append(_write(out / "gains.json", _json_text(gains.to_dict())))
+    outputs.append(_write(out / "report.json", _json_text(report.to_dict())))
 
     # feasibility arithmetic at the quoted input-rate allowance
     allowance = dataclasses.replace(
@@ -383,7 +383,7 @@ def main(argv=None) -> int:
     except OSError as exc:  # a missing input, a directory as a file, a file as --out
         print(f"file error: {exc}", file=sys.stderr)
         return 2
-    except (sim.NonFiniteState, sim.ZenoViolation) as exc:
+    except sim.SimulationError as exc:
         print(f"simulation failed: {exc}", file=sys.stderr)
         return 1
     except MemoryError as exc:

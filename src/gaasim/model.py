@@ -27,19 +27,8 @@ JUMP_VALUE_RTOL = 1e-12
 
 
 class ConfigError(ValueError):
-    """Base class for configuration ingestion failures."""
-
-
-class SchemaError(ConfigError):
-    """Missing, unknown, or wrongly-typed field; message names the path."""
-
-
-class DimensionMismatch(ConfigError):
-    pass
-
-
-class InvariantViolation(ConfigError):
-    pass
+    """A missing, unknown or wrongly-typed field, a dimension mismatch or a
+    violated invariant of the configuration; the message names the path."""
 
 
 class DomainGap(ConfigError):
@@ -59,11 +48,11 @@ class Box:
         object.__setattr__(self, "lows", lows)
         object.__setattr__(self, "highs", highs)
         if lows.shape != highs.shape:
-            raise DimensionMismatch("box lows/highs length mismatch")
+            raise ConfigError("box lows/highs length mismatch")
         if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(highs))):
-            raise InvariantViolation("box bounds must be finite")
+            raise ConfigError("box bounds must be finite")
         if np.any(lows > highs):
-            raise InvariantViolation("box requires lo <= hi in every axis")
+            raise ConfigError("box requires lo <= hi in every axis")
 
     @property
     def dim(self) -> int:
@@ -104,17 +93,17 @@ def _check_lti(system, prefix: str) -> None:
         object.__setattr__(system, name, as_matrix(getattr(system, name), f"{prefix}.{name}"))
     n = system.A.shape[0]
     if system.A.shape[1] != n:
-        raise DimensionMismatch(f"{prefix}.A must be square, got {system.A.shape}")
+        raise ConfigError(f"{prefix}.A must be square, got {system.A.shape}")
     if system.B.shape[0] != n:
-        raise DimensionMismatch(
+        raise ConfigError(
             f"{prefix}.B row count {system.B.shape[0]} != state dimension {n}"
         )
     if system.C.shape[1] != n:
-        raise DimensionMismatch(
+        raise ConfigError(
             f"{prefix}.C column count {system.C.shape[1]} != state dimension {n}"
         )
     if system.initial_state_set.dim != n:
-        raise DimensionMismatch(
+        raise ConfigError(
             f"{prefix}.x0_box dimension {system.initial_state_set.dim} != {n}"
         )
 
@@ -132,7 +121,7 @@ class ConcreteLinearSystem:
     def __post_init__(self):
         _check_lti(self, "concrete")
         if not (np.isfinite(self.input_ball_radius) and self.input_ball_radius > 0):
-            raise InvariantViolation("concrete.input_ball_radius must be positive")
+            raise ConfigError("concrete.input_ball_radius must be positive")
 
     @property
     def n(self) -> int:
@@ -185,7 +174,7 @@ class OperatingEnvelope:
             v = float(getattr(self, name))
             object.__setattr__(self, name, v)
             if not (np.isfinite(v) and v >= 0):
-                raise InvariantViolation(f"envelope.{name} must be finite and >= 0")
+                raise ConfigError(f"envelope.{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,9 +188,9 @@ class OpenLoopSegment:
     def __post_init__(self):
         object.__setattr__(self, "coeffs", as_matrix(self.coeffs, "segment.coeffs"))
         if self.coeffs.shape[1] > 4:
-            raise InvariantViolation("segment polynomial degree exceeds 3")
+            raise ConfigError("segment polynomial degree exceeds 3")
         if not self.t_end > self.t_start:
-            raise InvariantViolation(
+            raise ConfigError(
                 f"segment needs t_end > t_start, got [{self.t_start}, {self.t_end}]"
             )
 
@@ -251,7 +240,7 @@ class FeedbackRegion:
     def __post_init__(self):
         object.__setattr__(self, "gain", as_matrix(self.gain, "region.gain"))
         if self.gain.shape[1] != self.box.dim:
-            raise DimensionMismatch(
+            raise ConfigError(
                 f"region gain columns {self.gain.shape[1]} != box dimension {self.box.dim}"
             )
 
@@ -286,33 +275,33 @@ class AbstractInputPolicy:
         _kind(self.kind, "policy.kind")
         if self.kind == "open_loop":
             if not self.segments:
-                raise InvariantViolation("open_loop policy needs at least one segment")
+                raise ConfigError("open_loop policy needs at least one segment")
             for a, b in zip(self.segments, self.segments[1:]):
                 if b.t_start < a.t_end - 1e-12 or b.t_start > a.t_end + 1e-12:
-                    raise InvariantViolation(
+                    raise ConfigError(
                         f"segments must abut: [{a.t_start}, {a.t_end}] then "
                         f"[{b.t_start}, {b.t_end}]"
                     )
             widths = {seg.coeffs.shape[0] for seg in self.segments}
             if len(widths) != 1:
-                raise DimensionMismatch("all segments must share the channel count")
+                raise ConfigError("all segments must share the channel count")
         else:
             if not self.regions:
-                raise InvariantViolation("switched_feedback policy needs regions")
+                raise ConfigError("switched_feedback policy needs regions")
             dims = {r.box.dim for r in self.regions}
             gains = {r.gain.shape[0] for r in self.regions}
             if len(dims) != 1 or len(gains) != 1:
-                raise DimensionMismatch("regions must share box dimension and gain rows")
+                raise ConfigError("regions must share box dimension and gain rows")
             for i, ri in enumerate(self.regions):
                 for rj in self.regions[i + 1 :]:
                     if ri.box.interior_overlaps(rj.box):
-                        raise InvariantViolation("region interiors must be disjoint")
+                        raise ConfigError("region interiors must be disjoint")
             if next(iter(dims)) == 1:
                 # 1-D coverage: sorted regions must tile without gaps
                 spans = sorted((r.box.lows[0], r.box.highs[0]) for r in self.regions)
                 for (_, hi_a), (lo_b, _) in zip(spans, spans[1:]):
                     if lo_b > hi_a + 1e-12:
-                        raise InvariantViolation(
+                        raise ConfigError(
                             f"coverage gap between regions at {hi_a} .. {lo_b}"
                         )
 
@@ -410,15 +399,15 @@ def _section(value, path: str, table: dict) -> dict:
     default) when the key may be left out; a key whose default is None may
     also be given as null."""
     if not isinstance(value, dict):
-        raise SchemaError(f"{path}: expected an object, got {type(value).__name__}")
+        raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
     unknown = set(value) - set(table)
     if unknown:
-        raise SchemaError(f"{path}: unknown keys {sorted(unknown)}")
+        raise ConfigError(f"{path}: unknown keys {sorted(unknown)}")
     fields = {}
     for key, entry in table.items():
         parse, *default = entry if isinstance(entry, tuple) else (entry,)
         if key not in value and not default:
-            raise SchemaError(f"{path}.{key}: required key missing")
+            raise ConfigError(f"{path}.{key}: required key missing")
         raw = value.get(key, *default)
         fields[key] = None if raw is None and default == [None] else parse(raw, f"{path}.{key}")
     return fields
@@ -430,54 +419,54 @@ def _any(value, path: str):
 
 def _array(value, path: str) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{path}: expected an array")
+        raise ConfigError(f"{path}: expected an array")
     return value
 
 
 def _kind(value, path: str) -> str:
     if value not in list(_POLICY_KINDS):  # compared by ==: a JSON value may be unhashable
-        raise SchemaError(f"{path}: unknown kind {value!r}")
+        raise ConfigError(f"{path}: unknown kind {value!r}")
     return value
 
 
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number, got {type(value).__name__}")
+        raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number):  # JSON admits NaN and Infinity
-        raise SchemaError(f"{path}: expected a finite number, got {number}")
+        raise ConfigError(f"{path}: expected a finite number, got {number}")
     return number
 
 
 def _matrix(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
-        raise SchemaError(f"{path}: expected a non-empty array of arrays")
+        raise ConfigError(f"{path}: expected a non-empty array of arrays")
     rows = []
     width = None
     for i, row in enumerate(value):
         if not isinstance(row, list) or not row:
-            raise SchemaError(f"{path}[{i}]: expected a non-empty array of numbers")
+            raise ConfigError(f"{path}[{i}]: expected a non-empty array of numbers")
         if width is None:
             width = len(row)
         elif len(row) != width:
-            raise SchemaError(f"{path}[{i}]: ragged row (expected {width} entries)")
+            raise ConfigError(f"{path}[{i}]: ragged row (expected {width} entries)")
         rows.append([_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
     return np.array(rows, dtype=float)
 
 
 def _vector(value, path: str) -> np.ndarray:
     if not isinstance(value, list) or not value:
-        raise SchemaError(f"{path}: expected a non-empty array of numbers")
+        raise ConfigError(f"{path}: expected a non-empty array of numbers")
     return np.array([_number(x, f"{path}[{i}]") for i, x in enumerate(value)], dtype=float)
 
 
 def _box(value, path: str) -> Box:
     m = _matrix(value, path)
     if m.shape[1] != 2:
-        raise SchemaError(f"{path}: expected [lo, hi] pairs per axis")
+        raise ConfigError(f"{path}: expected [lo, hi] pairs per axis")
     return Box(m[:, 0], m[:, 1])
 
 
@@ -536,7 +525,7 @@ def parse_config(document) -> Scenario:
         try:
             document = json.loads(document)
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise SchemaError(f"malformed JSON: {exc}") from exc
+            raise ConfigError(f"malformed JSON: {exc}") from exc
     doc = _section(document, "$", dict.fromkeys([*_SECTIONS, "policy"], _any))
     concrete = ConcreteLinearSystem(**_fields(doc, "concrete"))
     abstract = AbstractLinearSystem(**_fields(doc, "abstract"))
@@ -548,39 +537,39 @@ def parse_config(document) -> Scenario:
     )
     failed = [f"{name} failed ({detail})" for name, ok, detail in pair if not ok]
     if failed:
-        raise DimensionMismatch("; ".join(failed))
+        raise ConfigError("; ".join(failed))
 
     envelope = OperatingEnvelope(**_fields(doc, "envelope"))
     policy = _parse_policy(doc["policy"], "policy")
     if policy.m_r != abstract.m_r:
-        raise DimensionMismatch(
+        raise ConfigError(
             f"policy channel count {policy.m_r} != abstract input dimension {abstract.m_r}"
         )
     if policy.kind == "switched_feedback" and policy.regions[0].box.dim != abstract.n_r:
-        raise DimensionMismatch(
+        raise ConfigError(
             f"policy region dimension {policy.regions[0].box.dim} != n_r {abstract.n_r}"
         )
 
     sc = Scenario(concrete, abstract, envelope, policy, **_fields(doc, "scenario"))
     _check_scalars(policy, epsilon=sc.epsilon, a1=sc.a1, step=sc.step, horizon=sc.horizon)
     if sc.K.shape != (concrete.m, concrete.n):
-        raise DimensionMismatch(
+        raise ConfigError(
             f"scenario.K shape {sc.K.shape} != (m, n) = {(concrete.m, concrete.n)}"
         )
     if sc.xhat0.size != abstract.n_r:
-        raise DimensionMismatch(
+        raise ConfigError(
             f"scenario.xhat0 length {sc.xhat0.size} != n_r {abstract.n_r}"
         )
     if sc.x0 is not None and sc.x0.size != concrete.n:
-        raise DimensionMismatch(f"scenario.x0 length {sc.x0.size} != n {concrete.n}")
+        raise ConfigError(f"scenario.x0 length {sc.x0.size} != n {concrete.n}")
     for name, start, where, box in (
         ("x0", sc.x0, "concrete", concrete.initial_state_set),
         ("xhat0", sc.xhat0, "abstract", abstract.initial_state_set),
     ):
         if start is not None and not box.contains(start):
-            raise InvariantViolation(f"scenario.{name} {start.tolist()} outside {where}.x0_box")
+            raise ConfigError(f"scenario.{name} {start.tolist()} outside {where}.x0_box")
     if sc.M is not None and sc.M.shape != (concrete.n, concrete.n):
-        raise DimensionMismatch(
+        raise ConfigError(
             f"scenario.M shape {sc.M.shape} != (n, n) = {(concrete.n, concrete.n)}"
         )
     return sc
@@ -592,16 +581,16 @@ def _check_scalars(policy: AbstractInputPolicy, **values: float) -> None:
     covered by open-loop segments, the others positive."""
     for name, value in values.items():
         if not math.isfinite(value):
-            raise InvariantViolation(f"scenario.{name} must be finite, got {value}")
+            raise ConfigError(f"scenario.{name} must be finite, got {value}")
         if name == "horizon":
             if value < 0:
-                raise InvariantViolation("scenario.horizon must be nonnegative")
+                raise ConfigError("scenario.horizon must be nonnegative")
         elif value <= 0:
-            raise InvariantViolation(f"scenario.{name} must be positive")
+            raise ConfigError(f"scenario.{name} must be positive")
     horizon = values.get("horizon", 0.0)
     if policy.kind == "open_loop" and horizon > 0:
         if policy.segments[0].t_start > 1e-12 or policy.t_end < horizon - 1e-12:
-            raise InvariantViolation(
+            raise ConfigError(
                 f"open-loop segments cover [{policy.segments[0].t_start}, "
                 f"{policy.t_end}] but the horizon is [0, {horizon}]"
             )

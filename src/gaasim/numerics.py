@@ -8,7 +8,9 @@ the checks the callers rely on: symmetry, positive semidefiniteness, the
 Sylvester residual and the consistency of equality constraints.
 Sylvester/Lyapunov equations with Hurwitz coefficients are solved by the
 scaled matrix-sign iteration in O((n + k)^3) time, O(n^3) for Lyapunov
-(numpy has no Schur form).  LAPACK failures surface as ``NoConvergence``.
+(numpy has no Schur form).  Every failure, LAPACK's included, is a
+``NumericsError`` whose message says what failed; ``TooLarge`` is the one
+told apart, a problem refused for its size.
 """
 
 from __future__ import annotations
@@ -21,35 +23,11 @@ import numpy as np
 
 
 class NumericsError(ValueError):
-    """Base class for kernel-level failures."""
-
-
-class NonSquare(NumericsError):
-    pass
-
-
-class NotSymmetric(NumericsError):
-    pass
-
-
-class NoConvergence(NumericsError):
-    pass
-
-
-class SingularOperator(NumericsError):
-    pass
-
-
-class NotPSD(NumericsError):
-    pass
-
-
-class InconsistentConstraints(NumericsError):
-    pass
+    """A kernel-level failure; the message says what failed."""
 
 
 class TooLarge(NumericsError):
-    pass
+    """A problem whose dense operator would not fit in physical memory."""
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -87,7 +65,7 @@ def physical_memory() -> float:
 
 def _require_square(a: np.ndarray, name: str) -> None:
     if a.shape[0] != a.shape[1]:
-        raise NonSquare(f"{name}: expected square, got {a.shape}")
+        raise NumericsError(f"{name}: expected square, got {a.shape}")
 
 
 class SymEigResult(NamedTuple):
@@ -101,21 +79,22 @@ class SymEigResult(NamedTuple):
 SYMMETRY_RTOL = 1e-12
 
 
-def _lapack(routine, *args, error=NoConvergence, **kwargs):
-    """Call a numpy.linalg routine, reporting LAPACK failures as `error`."""
+def _lapack(routine, *args, **kwargs):
+    """Call a numpy.linalg routine, reporting LAPACK failures as NumericsError."""
     try:
         return routine(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise error(f"{routine.__name__}: {exc}") from exc
+        raise NumericsError(f"{routine.__name__}: {exc}") from exc
 
 
-def sym_eig(A) -> SymEigResult:
-    """Eigendecomposition of a symmetric matrix (LAPACK ``syevd``)."""
-    A = as_matrix(A, "A")
-    _require_square(A, "A")
+def sym_eig(A, name: str = "A") -> SymEigResult:
+    """Eigendecomposition of a symmetric matrix (LAPACK ``syevd``); `name`
+    starts the message of a failure."""
+    A = as_matrix(A, name)
+    _require_square(A, name)
     asym = np.linalg.norm(A - A.T, "fro")
     if asym > SYMMETRY_RTOL * max(np.linalg.norm(A, "fro"), 1e-300):
-        raise NotSymmetric(f"asymmetry {asym:.3e} exceeds {SYMMETRY_RTOL:.1e} * ||A||_F")
+        raise NumericsError(f"{name} not symmetric: ||{name} - {name}^T||_F = {asym:.3e}")
     values, vectors = _lapack(np.linalg.eigh, 0.5 * (A + A.T))
     return SymEigResult(values, vectors)
 
@@ -149,7 +128,7 @@ def solve_sylvester(F, G, W) -> np.ndarray:
     A <- (mu A + A^-1 / mu) / 2 and C <- (mu C + A^-1 C A^-T / mu) / 2 until
     A reaches -I; then Y = C / 2.  D = F when G = F^T; else D = diag(F, G^T),
     V has W as its top right block, and so has Y the solution X.  Raises
-    SingularOperator when an iterate is singular, when A does not reach -I in
+    NumericsError when an iterate is singular, when A does not reach -I in
     SIGN_STEPS steps, or when the residual exceeds 1e-8 of its scale.
     """
     F = as_matrix(F, "F")
@@ -169,7 +148,7 @@ def solve_sylvester(F, G, W) -> np.ndarray:
     eye, last = np.eye(a.shape[0]), False
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(SIGN_STEPS):
-            a_inv = _lapack(np.linalg.inv, a, error=SingularOperator)
+            a_inv = _lapack(np.linalg.inv, a)
             # Frobenius-norm scaling mu, as up = mu / 2 and down = 1 / (2 mu),
             # but for the last step, which follows the first within 1e-8 of -I
             up = 0.5 if last else 0.5 * float(np.vdot(a_inv, a_inv) / np.vdot(a, a)) ** 0.25
@@ -181,13 +160,13 @@ def solve_sylvester(F, G, W) -> np.ndarray:
             gap = a + eye
             last = np.vdot(gap, gap) <= 1e-16
         else:
-            raise SingularOperator(f"sign iteration did not reach -I in {SIGN_STEPS} steps")
+            raise NumericsError(f"sign iteration did not reach -I in {SIGN_STEPS} steps")
     X = 0.5 * c[:n, -k:]
 
     resid = np.linalg.norm(F @ X + X @ G - W)
     scale = (np.linalg.norm(F) + np.linalg.norm(G)) * np.linalg.norm(X) + np.linalg.norm(W)
     if not resid <= 1e-8 * max(scale, 1e-300):
-        raise SingularOperator(f"residual {resid:.3e} exceeds 1e-8 of its scale {scale:.3e}")
+        raise NumericsError(f"Sylvester residual {resid:.3e} > 1e-8 of its scale {scale:.3e}")
     return X
 
 
@@ -198,7 +177,7 @@ def psd_sqrt(M) -> np.ndarray:
     values, vectors = sym_eig(M)
     lam_max = max(values[-1], 0.0)
     if values[0] < -1e-10 * max(lam_max, 1e-300):
-        raise NotPSD(f"eigenvalue {values[0]:.3e} below PSD tolerance")
+        raise NumericsError(f"M not positive semidefinite: eigenvalue {values[0]:.3e}")
     root = vectors @ np.diag(np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
     return 0.5 * (root + root.T)
 
@@ -245,10 +224,10 @@ def constrained_lstsq(obj_map, obj_rhs, eq_map=None, eq_rhs=None) -> np.ndarray:
     rank = int(np.count_nonzero(s > np.sqrt(PINV_RANK_RTOL) * s[0]))
     x_part = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
     null_basis = vt[rank:].T
-    if np.linalg.norm(E @ x_part - b) > 1e-8 * max(np.linalg.norm(b), 1e-300):
-        raise InconsistentConstraints(
-            f"equality residual {np.linalg.norm(E @ x_part - b):.3e} "
-            f"relative to ||rhs|| {np.linalg.norm(b):.3e}"
+    resid, scale = np.linalg.norm(E @ x_part - b), np.linalg.norm(b)
+    if resid > 1e-8 * max(scale, 1e-300):
+        raise NumericsError(
+            f"inconsistent equality constraints: residual {resid:.3e} vs ||rhs|| {scale:.3e}"
         )
     if null_basis.shape[1] == 0:
         return x_part

@@ -3,17 +3,19 @@ interface, initial-state lifting, and the jump budget for discontinuous
 abstract inputs.
 
 All functions are pure and stateless.  The output metric is the Euclidean
-norm; the interface never clamps the concrete input, it only flags when the
-bound is exceeded.  `error_vector`, `vg`, `interface_u` and `omega` take one
-point or rows of points; a point is evaluated as a one-row array, by the
-expression that evaluates a record's rows, so these formulas are written
-only here.  Rows come as (rows, k) arrays and are evaluated column by column
-(`_dot`), so a record stored column-major is read contiguously, and a
-point gives the bits its row gives within any record.
+norm; the interface never clamps the concrete input, whose norm
+`sim.verify_trajectory` judges against the input ball.  `error_vector`,
+`vg`, `interface_u` and `omega` take one point or rows of points; a point
+is evaluated as a one-row array, by the expression that evaluates a
+record's rows, so these formulas are written only here.  Rows come as
+(rows, k) arrays and are evaluated column by column (`_dot`), so a record
+stored column-major is read contiguously, and a point gives the bits its
+row gives within any record.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -87,18 +89,14 @@ def vg(point: RelationPoint, gains, e=None):
     return float(values[0]) if np.ndim(point.x) < 2 else values
 
 
-def interface_u(point: RelationPoint, gains, e=None):
-    """Refined concrete input u = K e + Q xhat + R uhat (`e` as in `vg`) and
-    whether ||u|| exceeds the certified input bound; u is never clamped.
-    For rows, u has a row per point, F-contiguous, and the flag is None:
-    `verify_trajectory` judges the input norms of a whole record."""
+def interface_u(point: RelationPoint, gains, e=None) -> np.ndarray:
+    """Refined concrete input u = K e + Q xhat + R uhat (`e` as in `vg`),
+    never clamped: (m,) for one point, (rows, m) F-contiguous for rows."""
     _, xhat, uhat, single = _columns(point, gains)
     e = _error_columns(point, gains) if e is None else _points(e)
     u = _dot(gains.K, e) + _dot(gains.Q, xhat)
     u += _dot(gains.R, uhat)
-    if not single:
-        return u.T, None
-    return u[:, 0], bool(np.linalg.norm(u[:, 0]) > gains.input_bound + 1e-12)
+    return u[:, 0] if single else u.T
 
 
 def interface_gains(gains) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -127,11 +125,14 @@ def omega(tau, vg0: float, a1: float, rbar_max: float):
     """Decay envelope exp(-a1 tau / 2) vg0 + (1 - exp(-a1 tau / 2)) 2 rbar_max / a1.
 
     It bounds V itself, not V^2, a time tau after a start where V <= vg0: a
-    float for one tau, an array for an array of them.
+    float for one tau, an array for an array of them.  A NaN or infinite
+    rbar_max would make every bound vacuous, so it is refused.
     """
     tau = np.asarray(tau, dtype=float)
     if (tau < 0).any():
         raise ValueError(f"tau must be nonnegative, got {np.min(tau)}")
+    if not 0.0 <= rbar_max < math.inf:
+        raise ValueError(f"rbar_max must be finite and nonnegative, got {rbar_max}")
     decay = np.exp(-0.5 * a1 * tau)
     w = decay * vg0 + (1.0 - decay) * (2.0 * rbar_max / a1)
     return float(w) if w.ndim == 0 else w

@@ -53,12 +53,10 @@ from .numerics import physical_memory as _physical_memory
 from .synthesis import RefinementGains
 
 
-class NonFiniteState(RuntimeError):
-    """Integration produced NaN/Inf (divergence)."""
-
-
-class ZenoViolation(RuntimeError):
-    """Two input jumps closer than the minimum separation of 10 steps."""
+class SimulationError(RuntimeError):
+    """A run that cannot go on: a non-finite state (divergence), two input
+    jumps closer than the minimum separation of 10 steps, or two region
+    crossings within one step."""
 
 
 #: minimum admissible spacing between jump events, in units of the step h
@@ -100,7 +98,8 @@ class JumpRecord:
 
 @dataclass
 class TrajectoryRecord:
-    """Sampled joint evolution plus the jump log.
+    """Sampled joint evolution plus the jump log; the systems, the step and
+    the horizon stay with the caller, who passed them to `simulate`.
 
     Rows are strictly increasing in time, cover [t0, t0 + horizon], and
     every jump time appears exactly on the grid (its row stores the
@@ -124,10 +123,6 @@ class TrajectoryRecord:
     vg: np.ndarray
     err: np.ndarray
     jumps: list[JumpRecord]
-    concrete: ConcreteLinearSystem
-    abstract: AbstractLinearSystem
-    h: float
-    horizon: float
     t0: float
     initial_membership: bool
     vg0: float
@@ -322,7 +317,7 @@ def _check_finite(zs: np.ndarray, ts) -> None:
     if not np.all(np.isfinite(zs)):
         bad = np.flatnonzero(~np.all(np.isfinite(np.atleast_2d(zs)), axis=1))[0]
         t_bad = float(np.atleast_1d(ts)[min(bad, np.atleast_1d(ts).size - 1)])
-        raise NonFiniteState(f"non-finite state near t = {t_bad:.6g}")
+        raise SimulationError(f"non-finite state near t = {t_bad:.6g}")
 
 
 def _norm_bound(a: np.ndarray) -> float:
@@ -501,7 +496,7 @@ def simulate(
     )
     return _assemble_record(
         concrete, abstract, gains, times, zs, uhat, uhatdot, jumps,
-        h, horizon, t0, initial_ok, vg0, bound,
+        t0, initial_ok, vg0, bound,
     )
 
 
@@ -587,7 +582,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
             delta, cause = (old.gain - new.gain) @ xhat_tau, "region_crossing"
         if _is_jump(delta, before):
             if jumps and tau - jumps[-1].time < min_sep:
-                raise ZenoViolation(
+                raise SimulationError(
                     f"jumps at {jumps[-1].time:.6g} and {tau:.6g} violate the "
                     f"minimum separation {min_sep:.6g}"
                 )
@@ -642,7 +637,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
                 z = _rk4_phi(r.gen, t_b - tau) @ z_tau
                 bound.stretch(r, t_b - tau, np.stack([z_tau, z]))
                 if not r.box.contains(z[n:]):
-                    raise ZenoViolation(
+                    raise SimulationError(
                         f"second region crossing within one step at t ~ {t_b:.6g}"
                     )
             else:
@@ -690,7 +685,7 @@ def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndar
 
 def _assemble_record(
     concrete, abstract, gains, times, zs, uhat, uhatdot, jumps,
-    h, horizon, t0, initial_ok, vg0, bound,
+    t0, initial_ok, vg0, bound,
 ) -> TrajectoryRecord:
     n, rows = concrete.n, times.size
     x = zs[:, :n]
@@ -703,7 +698,7 @@ def _assemble_record(
         block = refine.RelationPoint(x[b], xhat[b], uhat[b])
         e = refine.error_vector(block, gains)
         vg[b] = refine.vg(block, gains, e)
-        u[b] = refine.interface_u(block, gains, e)[0]
+        u[b] = refine.interface_u(block, gains, e)
         err[b] = np.linalg.norm(y[b] - yhat[b], axis=1)
     return TrajectoryRecord(
         t=times,
@@ -717,10 +712,6 @@ def _assemble_record(
         vg=vg,
         err=err,
         jumps=jumps,
-        concrete=concrete,
-        abstract=abstract,
-        h=h,
-        horizon=horizon,
         t0=t0,
         initial_membership=initial_ok,
         vg0=vg0,

@@ -12,12 +12,12 @@ output weight is dominated, or supplied by the user and validated.
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from . import numerics, refine
+from . import model, numerics, refine
 from .model import (
     AbstractInputPolicy,
     AbstractLinearSystem,
@@ -44,6 +44,8 @@ class RefinementGains:
     """Full parameter bundle of the simulation function and interface."""
 
     _MATRICES = ("M", "M_sqrt", "K", "P", "Q", "S", "R")
+    #: the scalars that must be positive; the others must be nonnegative
+    _POSITIVE = ("a1", "epsilon", "lambda_min_M")
 
     M: np.ndarray
     M_sqrt: np.ndarray
@@ -80,12 +82,13 @@ class RefinementGains:
                 raise ValueError(
                     f"gains.{name}: expected shape {shape}, got {getattr(self, name).shape}"
                 )
-        if not (self.a1 > 0 and self.epsilon > 0):
-            raise ValueError("gains require a1 > 0 and epsilon > 0")
-        if not (np.isfinite(self.lambda_min_M) and self.lambda_min_M > 0):
-            raise ValueError(f"gains.lambda_min_M must be positive and finite, "
-                             f"got {self.lambda_min_M}")
-        if numerics.sym_eig(self.M).values[0] <= 0:
+        for name in (f.name for f in fields(self) if f.name not in self._MATRICES):
+            value, positive = float(getattr(self, name)), name in self._POSITIVE
+            object.__setattr__(self, name, value)
+            if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
+                rule = "> 0" if positive else ">= 0"
+                raise ValueError(f"gains.{name} must be finite and {rule}, got {value}")
+        if numerics.sym_eig(self.M, "gains.M").values[0] <= 0:
             raise ValueError("gains.M is not positive definite")
         miss = np.linalg.norm(self.M_sqrt @ self.M_sqrt - self.M)
         if not miss <= 1e-9 * np.linalg.norm(self.M):
@@ -99,20 +102,13 @@ class RefinementGains:
             for f in fields(self)
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
-
     @classmethod
-    def from_dict(cls, d: dict) -> "RefinementGains":
-        return cls(**{
-            f.name: np.array(d[f.name], dtype=float) if f.name in cls._MATRICES
-            else float(d[f.name])
-            for f in fields(cls)
-        })
-
-    @classmethod
-    def from_json(cls, text: str) -> "RefinementGains":
-        return cls.from_dict(json.loads(text))
+    def from_dict(cls, d) -> "RefinementGains":
+        """The bundle of a parsed gains document, read as a config section:
+        unknown or missing keys and non-finite numbers are refused."""
+        table = {f.name: model._matrix if f.name in cls._MATRICES else model._number
+                 for f in fields(cls)}
+        return cls(**model._section(d, "gains", table))
 
 
 @dataclass(frozen=True)
@@ -135,17 +131,8 @@ class ConditionReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.records)
 
-    def record(self, name: str) -> ConditionRecord:
-        for r in self.records:
-            if r.name == name:
-                return r
-        raise KeyError(name)
-
     def to_dict(self) -> dict:
         return {"passed": self.passed, "records": [r.to_dict() for r in self.records]}
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
 
 def max_feasible_a1(A, B, K) -> float:
@@ -201,7 +188,7 @@ def _weight(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     M_sqrt = numerics.psd_sqrt(M)
     lam_min = float(numerics.sym_eig(M).values[0])
     if lam_min <= 0:
-        raise numerics.NotPSD(f"M has lambda_min {lam_min:.3e} <= 0")
+        raise numerics.NumericsError(f"M has lambda_min {lam_min:.3e} <= 0")
     return M, M_sqrt, lam_min
 
 

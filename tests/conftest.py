@@ -49,6 +49,11 @@ def assert_same_bits(blocked, whole) -> None:
     assert report.to_dict() == ref_report.to_dict()
 
 
+def condition(report, name: str):
+    """The record `name` of a `check_assumption` report."""
+    return next(r for r in report.records if r.name == name)
+
+
 def point_box(values) -> Box:
     v = np.asarray(values, dtype=float)
     return Box(v, v)

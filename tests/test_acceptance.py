@@ -28,7 +28,7 @@ from gaasim.synthesis import (
     synthesize_gains,
 )
 
-from conftest import A1_5, EPS5, K5, M5, point_box
+from conftest import A1_5, EPS5, K5, M5, condition, point_box
 
 A5 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B5 = np.array([[0.0], [1.0]])
@@ -67,8 +67,8 @@ def test_criterion_1_assumption_validation(sys5, env5, gains5):
     ok = (
         lam_top <= 1e-9
         and dominated >= -1e-9 * nx.sym_eig(M5).values[-1]
-        and checker.record("lyapunov_decay").passed
-        and checker.record("output_weight_dominated").passed
+        and condition(checker, "lyapunov_decay").passed
+        and condition(checker, "output_weight_dominated").passed
         and elapsed < 1.0
     )
     report(

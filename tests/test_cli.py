@@ -106,6 +106,30 @@ class TestSynthesize:
         report = json.loads((out / "report.json").read_text())
         assert report["records"][0]["detail"].startswith("TooLarge:")
 
+    @pytest.mark.parametrize("fault, detail", [
+        ("K not stabilizing", "NotStabilizing: A + B K has spectral abscissa 1.61803 >= 0"),
+        ("M indefinite", "NumericsError: M not positive semidefinite: eigenvalue -1.000e+00"),
+    ])
+    def test_bundle_that_cannot_be_built_is_one_failing_record(
+        self, tmp_path, capsys, fault, detail
+    ):
+        cfg = casestudy.switched_config(horizon=40.0, step=5e-3)
+        if fault == "K not stabilizing":
+            cfg["scenario"]["K"] = [[1.0, 1.0]]
+            del cfg["scenario"]["M"]
+        else:
+            cfg["scenario"]["M"] = [[1.0, 0.0], [0.0, -1.0]]
+        out = tmp_path / "syn"
+        code = main(["synthesize", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        fails = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+        assert fails == ["FAIL  gains_constructible: value=inf tol=0"]
+        assert "Traceback" not in captured.out + captured.err
+        report = json.loads((out / "report.json").read_text())
+        assert report["records"][0]["detail"] == detail
+
     def test_plant_above_the_old_size_cap_synthesizes(self, tmp_path, capsys):
         # 61 states: the Kronecker Lyapunov solve refused it (n^2 > 3600)
         out = tmp_path / "big"
@@ -336,6 +360,7 @@ class TestBadFilesExit2:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
+        return err
 
     def test_out_naming_an_existing_file(self, tmp_path, short_switched, capsys):
         taken = tmp_path / "taken"
@@ -356,25 +381,60 @@ class TestBadFilesExit2:
             capsys, ["synthesize", "--config", str(config), "--out", str(tmp_path / "o")]
         )
 
+    def simulate_edited_bundle(self, tmp_path, config, capsys, edit) -> str:
+        """The one stderr line of `simulate` on `config` with the study's
+        gains file replaced by edit(its bundle)."""
+        syn = tmp_path / "syn"
+        assert main(["synthesize", "--config", str(config), "--out", str(syn)]) == 0
+        gains = tmp_path / "gains.json"
+        gains.write_text(json.dumps(edit(json.loads((syn / "gains.json").read_text()))))
+        err = self.exits_2_with_one_line(capsys, [
+            "simulate", "--config", str(config), "--gains", str(gains),
+            "--out", str(tmp_path / "run"),
+        ])
+        assert err.startswith(f"config error: gains file {gains}: ")
+        return err
+
     @pytest.mark.parametrize("fault", ["lambda_min_M zero", "M zero", "M_sqrt not a root"])
     def test_gains_bundle_without_a_positive_definite_weight(
         self, tmp_path, short_switched, capsys, fault
     ):
-        syn = tmp_path / "syn"
-        assert main(["synthesize", "--config", str(short_switched), "--out", str(syn)]) == 0
-        bundle = json.loads((syn / "gains.json").read_text())
-        if fault == "lambda_min_M zero":
-            bundle["lambda_min_M"] = 0
-        elif fault == "M zero":
-            bundle["M"] = bundle["M_sqrt"] = np.zeros_like(bundle["M"]).tolist()
-        else:
-            bundle["M_sqrt"] = bundle["M"]
-        gains = tmp_path / "gains.json"
-        gains.write_text(json.dumps(bundle))
-        self.exits_2_with_one_line(capsys, [
-            "simulate", "--config", str(short_switched), "--gains", str(gains),
-            "--out", str(tmp_path / "run"),
-        ])
+        def edit(bundle):
+            if fault == "lambda_min_M zero":
+                bundle["lambda_min_M"] = 0
+            elif fault == "M zero":
+                bundle["M"] = bundle["M_sqrt"] = np.zeros_like(bundle["M"]).tolist()
+            else:
+                bundle["M_sqrt"] = bundle["M"]
+            return bundle
+
+        self.simulate_edited_bundle(tmp_path, short_switched, capsys, edit)
+
+    @pytest.mark.parametrize("fault, names", [
+        ("array", "gains: expected an object"),
+        ("a1 null", "gains.a1: expected a number"),
+        ("rbar2 a list", "gains.rbar2: expected a number"),
+        ("rbar1 NaN", "gains.rbar1: expected a finite number"),
+        ("rbar1 Infinity", "gains.rbar1: expected a finite number"),
+        ("rbar3 negative", "gains.rbar3 must be finite and >= 0"),
+        ("unknown key", "gains: unknown keys ['mystery']"),
+        ("M asymmetric", "gains.M not symmetric"),
+    ])
+    def test_gains_file_that_is_not_a_bundle(
+        self, tmp_path, short_switched, capsys, fault, names
+    ):
+        # each used to end in a traceback, or, for NaN, in a vacuous pass
+        changes = {
+            "a1 null": {"a1": None}, "rbar2 a list": {"rbar2": [0]},
+            "rbar1 NaN": {"rbar1": float("nan")}, "rbar1 Infinity": {"rbar1": float("inf")},
+            "rbar3 negative": {"rbar3": -1.0}, "unknown key": {"mystery": 1},
+            "M asymmetric": {"M": [[4.0, 1.0], [1.5, 4.0]]},
+        }
+
+        def edit(bundle):
+            return [bundle] if fault == "array" else {**bundle, **changes[fault]}
+
+        assert names in self.simulate_edited_bundle(tmp_path, short_switched, capsys, edit)
 
 
 class TestWrite:

@@ -35,9 +35,9 @@ class TestSymEig:
         assert res.values == pytest.approx([2.9019, 5.2787], abs=2e-4)
 
     def test_errors(self):
-        with pytest.raises(nx.NonSquare):
+        with pytest.raises(nx.NumericsError, match=r"expected square, got \(2, 3\)"):
             nx.sym_eig(np.ones((2, 3)))
-        with pytest.raises(nx.NotSymmetric):
+        with pytest.raises(nx.NumericsError, match="not symmetric"):
             nx.sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
     def test_reconstruction_random(self):
@@ -130,7 +130,7 @@ class TestSylvester:
         assert np.all(eig2_sym_oracle(x) > 0)
 
     def test_singular_detection(self):
-        with pytest.raises(nx.SingularOperator):
+        with pytest.raises(nx.NumericsError, match="sign iteration did not reach -I"):
             nx.solve_sylvester([[1.0]], [[-1.0]], [[1.0]])
 
     def test_size_cap_refuses_before_building_the_operator(self, monkeypatch):
@@ -177,6 +177,9 @@ class TestSylvester:
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         assert len(steps) <= 8  # the unscaled iteration takes 18 to 19
 
+    #: what solve_sylvester says of a pair that is not Hurwitz
+    NOT_HURWITZ = "sign iteration did not reach -I|inv: Singular matrix|Sylvester residual"
+
     @pytest.mark.parametrize("f, g", [
         ([[1.0]], [[-1.0]]),  # F anti-stable
         ([[-1.0, 0.0], [0.0, 2.0]], [[-1.0]]),  # one unstable mode of F
@@ -188,7 +191,7 @@ class TestSylvester:
         f, g = np.array(f), np.array(g)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(nx.SingularOperator) as info:
+            with pytest.raises(nx.NumericsError, match=self.NOT_HURWITZ) as info:
                 nx.solve_sylvester(f, g, np.ones((len(f), len(g))))
         assert len(str(info.value).splitlines()) == 1
 
@@ -254,7 +257,7 @@ class TestPsdSqrt:
         assert np.allclose(r, r.T)
 
     def test_not_psd(self):
-        with pytest.raises(nx.NotPSD):
+        with pytest.raises(nx.NumericsError, match="not positive semidefinite: eigenvalue -5"):
             nx.psd_sqrt(np.diag([1.0, -0.5]))
 
     def test_orthogonal_conjugation(self):
@@ -295,7 +298,7 @@ class TestConstrainedLstsq:
         assert np.allclose(x, [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_inconsistent(self):
-        with pytest.raises(nx.InconsistentConstraints):
+        with pytest.raises(nx.NumericsError, match="inconsistent equality constraints"):
             nx.constrained_lstsq(
                 np.eye(2), np.zeros(2), np.array([[1.0, 0.0], [1.0, 0.0]]), [0.0, 1.0]
             )

@@ -62,17 +62,15 @@ class TestVg:
 class TestInterface:
     def test_zero_error_zero_input(self, gains5):
         x = lift_initial([7.0], [0.3], gains5)
-        u, exceeded = interface_u(RelationPoint(x, [7.0], [0.3]), gains5)
+        u = interface_u(RelationPoint(x, [7.0], [0.3]), gains5)
         assert np.allclose(u, 0.0, atol=1e-12)
-        assert not exceeded
 
     def test_study_point(self, gains5):
         point = RelationPoint([40.0, -0.0401], [40.1], [-0.0401])
-        u, exceeded = interface_u(point, gains5)
+        u = interface_u(point, gains5)
         # u = K e with e = [-0.1, 0]
         assert u[0] == pytest.approx(-1.3298 * -0.1, abs=1e-12)
         assert u[0] == pytest.approx(0.13298)
-        assert not exceeded
 
     def test_bounded_inside_relation(self, gains5):
         rng = np.random.default_rng(1)
@@ -80,9 +78,8 @@ class TestInterface:
             xhat = rng.uniform(-41, 41, size=1)
             uhat = rng.uniform(-0.05, 0.05, size=1)
             x = gains5.P @ xhat + gains5.S @ uhat + e
-            u, exceeded = interface_u(RelationPoint(x, xhat, uhat), gains5)
+            u = interface_u(RelationPoint(x, xhat, uhat), gains5)
             assert np.linalg.norm(u) <= 0.5690 + 1e-4
-            assert not exceeded
 
     def test_affine_in_error(self, gains5):
         rng = np.random.default_rng(2)
@@ -90,8 +87,8 @@ class TestInterface:
         base = gains5.P @ xhat + gains5.S @ uhat
         for _ in range(20):
             e1, e2 = rng.standard_normal(2), rng.standard_normal(2)
-            u1, _ = interface_u(RelationPoint(base + e1, xhat, uhat), gains5)
-            u12, _ = interface_u(RelationPoint(base + e1 + e2, xhat, uhat), gains5)
+            u1 = interface_u(RelationPoint(base + e1, xhat, uhat), gains5)
+            u12 = interface_u(RelationPoint(base + e1 + e2, xhat, uhat), gains5)
             assert np.allclose(u12 - u1, gains5.K @ e2, atol=1e-10)
 
 
@@ -151,6 +148,12 @@ class TestOmega:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             omega(-1.0, 0.1, 0.5, 0.0)
+
+    @pytest.mark.parametrize("rbar_max", [math.nan, math.inf, -1e-3])
+    def test_vacuous_or_negative_budget_rejected(self, rbar_max):
+        # a NaN or infinite budget makes every bound vacuous
+        with pytest.raises(ValueError, match="rbar_max must be finite and nonnegative"):
+            omega(np.array([0.0, 1.0]), 0.1, 0.5, rbar_max)
 
 
 class TestJumpAdmissible:
@@ -281,22 +284,22 @@ class TestRowsMatchPoints:
         rows = RelationPoint(x, xhat, uhat)
         e_rows = error_vector(rows, gains)
         v_rows = vg(rows, gains, e_rows)
-        u_rows, exceeded = interface_u(rows, gains, e_rows)
+        u_rows = interface_u(rows, gains, e_rows)
         assert e_rows.shape == x.shape and v_rows.shape == (count,)
-        assert u_rows.shape == (count, m) and exceeded is None
+        assert u_rows.shape == (count, m)
         assert np.array_equal(v_rows, vg(rows, gains))
-        assert np.array_equal(u_rows, interface_u(rows, gains)[0])
+        assert np.array_equal(u_rows, interface_u(rows, gains))
 
         points = [RelationPoint(*p) for p in zip(x, xhat, uhat)]
         e_pts = np.array([error_vector(p, gains) for p in points])
         v_pts = np.array([vg(p, gains) for p in points])
-        u_pts = np.array([interface_u(p, gains)[0] for p in points])
+        u_pts = np.array([interface_u(p, gains) for p in points])
         for i in range(0, count, 97):
             # a point is a one-row array through the rows expression
             one = RelationPoint(x[i : i + 1], xhat[i : i + 1], uhat[i : i + 1])
             assert np.array_equal(error_vector(one, gains), e_pts[i : i + 1])
             assert np.array_equal(vg(one, gains), v_pts[i : i + 1])
-            assert np.array_equal(interface_u(one, gains)[0], u_pts[i : i + 1])
+            assert np.array_equal(interface_u(one, gains), u_pts[i : i + 1])
         # refine fixes the order of every sum, so the stacked points are the
         # rows bit for bit
         assert np.array_equal(e_pts, e_rows)

@@ -32,8 +32,7 @@ from gaasim.refine import (
     vg,
 )
 from gaasim.sim import (
-    NonFiniteState,
-    ZenoViolation,
+    SimulationError,
     eval_policy,
     jumps_csv,
     simulate,
@@ -322,7 +321,7 @@ class TestSimulate:
         sc = parse_config(open_loop_config(segments, horizon=1.0))
         gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
                                  sc.epsilon, sc.envelope, M=sc.M)
-        with pytest.raises(ZenoViolation):
+        with pytest.raises(SimulationError, match="violate the minimum separation"):
             simulate(sc.concrete, sc.abstract, gains, sc.policy,
                      [40.0, 0.0], [40.1], horizon=1.0, h=0.01)
 
@@ -338,7 +337,7 @@ class TestSimulate:
         for coeffs in ([[0.0]], [[0.1, 0.0, 0.0, 1e-3]]):
             sc = parse_config(open_loop_config(
                 [{"t_start": 0.0, "t_end": 60.0, "coeffs": coeffs}], horizon=50.0))
-            with pytest.raises(NonFiniteState):
+            with pytest.raises(SimulationError, match="non-finite state near t = "):
                 simulate(concrete, abstract, identity_gains(1), sc.policy,
                          [1.0], [1.0], horizon=50.0, h=0.5)
 
@@ -926,23 +925,26 @@ class TestRecordLayout:
 
     @staticmethod
     def runs():
+        """(concrete, abstract, gains, record) of each run."""
         for kind in ("switched", "ramp", "ramp_s_zero"):
             args, _ = TestDecaySlack.study(kind)
-            yield args[2], simulate(*args)
+            yield *args[:3], simulate(*args)
         from test_acceptance import _random_feasible_scenario
 
         concrete, abstract, gains, policy, x0, xhat0, horizon = (
             _random_feasible_scenario(np.random.default_rng(4))
         )
         assert policy.kind == "open_loop" and abstract.n_r == 1 and concrete.n >= 2
-        yield gains, simulate(concrete, abstract, gains, policy, x0, xhat0, horizon, 2e-3)
+        yield concrete, abstract, gains, simulate(
+            concrete, abstract, gains, policy, x0, xhat0, horizon, 2e-3
+        )
 
     def test_arrays_are_f_contiguous_rows(self):
-        for gains, rec in self.runs():
+        for concrete, abstract, _, rec in self.runs():
             rows = rec.t.size
-            widths = {"x": rec.concrete.n, "xhat": rec.abstract.n_r, "uhat": rec.abstract.m_r,
-                      "uhatdot": rec.abstract.m_r, "u": rec.concrete.m, "y": rec.concrete.p,
-                      "yhat": rec.abstract.p}
+            widths = {"x": concrete.n, "xhat": abstract.n_r, "uhat": abstract.m_r,
+                      "uhatdot": abstract.m_r, "u": concrete.m, "y": concrete.p,
+                      "yhat": abstract.p}
             for name in ("t", "vg", "err"):
                 assert getattr(rec, name).shape == (rows,), name
             for name, k in widths.items():
@@ -950,7 +952,7 @@ class TestRecordLayout:
                 assert values.shape == (rows, k) and values.flags.f_contiguous, name
 
     def test_relation_columns_are_the_one_point_values(self):
-        for gains, rec in self.runs():
+        for _, _, gains, rec in self.runs():
             picks = np.unique(np.r_[np.linspace(0, rec.t.size - 1, 400).astype(int),
                                     rec.t.size - np.arange(1, 6)])
             e = error_vector(RelationPoint(rec.x, rec.xhat, rec.uhat), gains)
@@ -958,7 +960,7 @@ class TestRecordLayout:
                 point = RelationPoint(rec.x[i], rec.xhat[i], rec.uhat[i])
                 assert np.array_equal(error_vector(point, gains), e[i])
                 assert vg(point, gains) == rec.vg[i]
-                assert np.array_equal(interface_u(point, gains)[0], rec.u[i])
+                assert np.array_equal(interface_u(point, gains), rec.u[i])
 
 
 class TestRowBlocks:
@@ -1125,6 +1127,19 @@ class TestDecaySlack:
         # the switched run crosses into a second gain region near t = 290
         assert len(_decay_windows(rec)) == (2 if kind == "switched" else 1)
         assert checked > 0.99 * 2 * rec.t.size
+
+    def test_a_vacuous_budget_is_refused(self):
+        # one late sample raised to 0.45: within eps, but above the envelope;
+        # a NaN or infinite rbar_max used to pass it
+        args, rmax = self.study("ramp")
+        rec, gains = simulate(*args), args[2]
+        rec.vg[-100] = 0.45
+        envelope = parse_config(casestudy.ramp_config(horizon=120.0)).envelope
+        report = verify_trajectory(rec, gains, EPS5, envelope, 0.57, rmax)
+        assert report.decay_violations == 1 and not report.decay_ok
+        for vacuous in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="rbar_max must be finite and nonnegative"):
+                verify_trajectory(rec, gains, EPS5, envelope, 0.57, vacuous)
 
     @pytest.mark.parametrize("step", [2e-3, 0.05])
     def test_bound_covers_random_scenarios(self, step):

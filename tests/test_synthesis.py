@@ -26,7 +26,7 @@ from gaasim.synthesis import (
     synthesize_gains,
 )
 
-from conftest import A1_5, EPS5, K5, M5
+from conftest import A1_5, EPS5, K5, M5, condition
 
 A5 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B5 = np.array([[0.0], [1.0]])
@@ -198,6 +198,21 @@ class TestScalars:
         assert not ok
 
 
+class TestRefinementGains:
+    @pytest.mark.parametrize("name, value", [
+        ("a1", 0.0), ("epsilon", -0.5), ("epsilon", math.inf), ("lambda_min_M", math.nan),
+        ("rbar1", math.nan), ("rbar2", math.inf), ("rbar3", -1e-3), ("input_bound", -math.inf),
+    ])
+    def test_bad_scalar_refused(self, gains5, name, value):
+        # a NaN rbar1 used to be accepted, and to make the decay check vacuous
+        with pytest.raises(ValueError, match=rf"^gains\.{name} must be finite and >=? 0, got "):
+            dataclasses.replace(gains5, **{name: value})
+
+    def test_zero_budget_terms_accepted(self, gains5):
+        bundle = dataclasses.replace(gains5, rbar1=0, rbar2=0.0, rbar3=0.0, input_bound=0.0)
+        assert bundle.rbar1 == 0.0 and isinstance(bundle.rbar1, float)
+
+
 class TestCheckAssumption:
     def test_study_bundle_all_pass(self, sys5, env5, gains5):
         concrete, abstract = sys5
@@ -221,14 +236,14 @@ class TestCheckAssumption:
         concrete, abstract = sys5
         bad = dataclasses.replace(gains5, S=np.array([[0.1], [1.0]]))
         report = check_assumption(concrete, abstract, bad, env5)
-        assert not report.record("CS_zero").passed
-        assert report.record("CS_zero").value == pytest.approx(0.1)
+        assert not condition(report, "CS_zero").passed
+        assert condition(report, "CS_zero").value == pytest.approx(0.1)
 
     def test_infeasible_a1_fails_decay_record(self, sys5, env5, gains5):
         concrete, abstract = sys5
         bad = dataclasses.replace(gains5, a1=1.5)
         report = check_assumption(concrete, abstract, bad, env5)
-        assert not report.record("lyapunov_decay").passed
+        assert not condition(report, "lyapunov_decay").passed
 
     @pytest.mark.parametrize("t_start", [-10.0, 0.0])
     def test_initial_lift_uses_the_input_at_time_zero(self, t_start):
@@ -246,7 +261,7 @@ class TestCheckAssumption:
             sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon, sc.envelope, M=sc.M
         )
         report = check_assumption(sc.concrete, sc.abstract, gains, sc.envelope, policy=sc.policy)
-        lift = report.record("initial_lift")
+        lift = condition(report, "initial_lift")
         # the lift [40.1, 0.5] at t = 0, clamped into the point box [40, -0.0401]
         e = np.array([-0.1, -0.5401])
         expected = math.sqrt(e @ M5 @ e)
@@ -289,7 +304,7 @@ class TestInvariants:
                 lambda_min_M=c * gains5.lambda_min_M,
             )
             report = check_assumption(concrete, abstract, scaled, env5)
-            assert report.record("lyapunov_decay").passed
+            assert condition(report, "lyapunov_decay").passed
 
     def test_resolve_idempotence(self, sys5, gains5):
         concrete, abstract = sys5
@@ -349,5 +364,5 @@ def test_baseline_bundle_fails_sr_optimality(sys5, env5):
         concrete, abstract, K5, A1_5, EPS5, env5, M=M5, force_s_zero=True
     )
     report = check_assumption(concrete, abstract, gains, env5)
-    assert not report.record("SR_optimal").passed
+    assert not condition(report, "SR_optimal").passed
     assert gains.rbar2 > 1.0
