@@ -21,10 +21,6 @@ from .numerics import as_matrix
 DEFAULT_EPSILON = 0.5
 DEFAULT_STEP = 1e-3
 
-#: input-value changes below this (relative) threshold at a segment boundary
-#: are treated as continuous, not as jumps
-JUMP_VALUE_RTOL = 1e-12
-
 
 class ConfigError(ValueError):
     """A missing, unknown or wrongly-typed field, a dimension mismatch or a

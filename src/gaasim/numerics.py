@@ -128,8 +128,9 @@ def solve_sylvester(F, G, W) -> np.ndarray:
     A <- (mu A + A^-1 / mu) / 2 and C <- (mu C + A^-1 C A^-T / mu) / 2 until
     A reaches -I; then Y = C / 2.  D = F when G = F^T; else D = diag(F, G^T),
     V has W as its top right block, and so has Y the solution X.  Raises
-    NumericsError when an iterate is singular, when A does not reach -I in
-    SIGN_STEPS steps, or when the residual exceeds 1e-8 of its scale.
+    NumericsError that F or G is not Hurwitz when an iterate is singular or
+    A does not reach -I in SIGN_STEPS steps, or when the residual exceeds
+    1e-8 of its scale.
     """
     F = as_matrix(F, "F")
     G = as_matrix(G, "G")
@@ -146,9 +147,13 @@ def solve_sylvester(F, G, W) -> np.ndarray:
         a = np.block([[F, np.zeros((n, k))], [np.zeros((k, n)), G.T]])
         c = np.block([[np.zeros((n, n)), -W], [np.zeros((k, n + k))]])
     eye, last = np.eye(a.shape[0]), False
+    not_hurwitz = "F or G is not Hurwitz: the sign iteration did not reach -I"
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(SIGN_STEPS):
-            a_inv = _lapack(np.linalg.inv, a)
+            try:
+                a_inv = np.linalg.inv(a)
+            except np.linalg.LinAlgError:  # a singular iterate
+                raise NumericsError(not_hurwitz) from None
             # Frobenius-norm scaling mu, as up = mu / 2 and down = 1 / (2 mu),
             # but for the last step, which follows the first within 1e-8 of -I
             up = 0.5 if last else 0.5 * float(np.vdot(a_inv, a_inv) / np.vdot(a, a)) ** 0.25
@@ -160,7 +165,7 @@ def solve_sylvester(F, G, W) -> np.ndarray:
             gap = a + eye
             last = np.vdot(gap, gap) <= 1e-16
         else:
-            raise NumericsError(f"sign iteration did not reach -I in {SIGN_STEPS} steps")
+            raise NumericsError(not_hurwitz)
     X = 0.5 * c[:n, -k:]
 
     resid = np.linalg.norm(F @ X + X @ G - W)

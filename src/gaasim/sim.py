@@ -15,11 +15,11 @@ feedback run is one span): it propagates by repeated doubling
 (`_propagate`) until a sample leaves the regime's box, which a segment does
 not have, locates the crossing by bisection, splits the enclosing step
 there, and switches regime.  One rule (`_is_jump`) decides whether the
-input change at a switch is a jump.  The grid sample at a jump time
+input change at a switch (new minus old uhat) is a jump.  A jump time's row
 stores the right limit of the abstract input.  Each run proves a bound on
 the integration error of its sampled vg from its own rows (`_ErrorBound`)
 and records it as `decay_slack`.  Samples are held column-major from the
-propagation to the record, so every per-sample formula runs over
+propagated blocks, joined once, to the record, so per-sample formulas run over
 contiguous columns; the row-local ones (`refine`'s relation formulas, the
 norms, the decay envelope) run over cache-sized blocks of rows
 (`_blocks`), which give each row the bits it has in one whole-run block.
@@ -47,7 +47,6 @@ from .model import (
     ConcreteLinearSystem,
     OpenLoopSegment,
     OperatingEnvelope,
-    JUMP_VALUE_RTOL,
 )
 from .numerics import physical_memory as _physical_memory
 from .synthesis import RefinementGains
@@ -78,6 +77,10 @@ def _blocks(lo: int, hi: int):
     return (slice(a, min(a + _BLOCK_ROWS, hi)) for a in range(lo, hi, _BLOCK_ROWS))
 
 
+#: relative threshold of `_is_jump`: a smaller input change is continuous
+JUMP_VALUE_RTOL = 1e-12
+
+
 def _is_jump(delta, before) -> bool:
     """Whether an input change `delta` away from the value `before` is a jump:
     its norm exceeds JUMP_VALUE_RTOL * max(1, ||before||)."""
@@ -90,7 +93,6 @@ def _is_jump(delta, before) -> bool:
 class JumpRecord:
     time: float
     delta: np.ndarray
-    cause: str  # segment_boundary | region_crossing
     lhs: float
     rhs: float
     passed: bool
@@ -107,9 +109,9 @@ class TrajectoryRecord:
     run anchored its jump envelope and initial membership on, and
     `decay_slack` bounds the integration error of `vg` (see `simulate`).
     Each array is (rows,) or (rows, k) and F-contiguous: `x` and `xhat` are
-    views of the run's column-major store, one contiguous column per
-    coordinate, and the other arrays share that layout.  A caller that
-    needs C order copies with `np.ascontiguousarray`.
+    views of the run's joined states, one contiguous column per coordinate,
+    and the other arrays share that layout.  A caller that needs C order
+    copies with `np.ascontiguousarray`.
     """
 
     t: np.ndarray
@@ -245,55 +247,6 @@ class _Regime:
 
 def _n_steps(a: float, b: float, h: float) -> int:
     return max(1, int(math.ceil((b - a) / h - 1e-9)))
-
-
-class _Recorder:
-    """Grow-able store for (t, z, regime id) that holds z column-major, as
-    (n + n_r, capacity): each state is one contiguous column of samples."""
-
-    def __init__(self, nj: int, capacity: int):
-        self.t = np.empty(max(capacity, 16))
-        self.z = np.empty((nj, max(capacity, 16)))
-        self.regime = np.empty(max(capacity, 16), dtype=np.int64)
-        self.count = 0
-        self.grown = False
-
-    def _grow(self, need: int):
-        cap = self.t.size
-        while cap < need:
-            cap = int(cap * 1.5) + 16
-        self.t = np.resize(self.t, cap)
-        z = np.empty((self.z.shape[0], cap))
-        z[:, : self.count] = self.z[:, : self.count]
-        self.z = z
-        self.regime = np.resize(self.regime, cap)
-        self.grown = True
-
-    def add(self, t: float, z: np.ndarray, regime: int):
-        self.add_block(np.array([t]), np.reshape(z, (1, -1)), regime)
-
-    def add_block(self, ts: np.ndarray, zs: np.ndarray, regime: int):
-        """Append the rows (ts, zs), zs shaped (rows, n + n_r)."""
-        need = self.count + ts.size
-        if need > self.t.size:
-            self._grow(need)
-        self.t[self.count : need] = ts
-        self.z[:, self.count : need] = zs.T
-        self.regime[self.count : need] = regime
-        self.count = need
-
-    def rows(self):
-        """The recorded (t, z, regime), z shaped (rows, n + n_r) and
-        F-contiguous, which ends the recording.  They are views of the store,
-        its columns moved together in place, or trimmed copies once it has
-        grown, so that its spare capacity does not outlive the run."""
-        count, (nj, cap) = self.count, self.z.shape
-        if self.grown:
-            return self.t[:count].copy(), self.z[:, :count].copy().T, self.regime[:count].copy()
-        flat = self.z.reshape(-1)
-        for j in range(1, nj):
-            flat[j * count : (j + 1) * count] = flat[j * cap : j * cap + count]
-        return self.t[:count], flat[: nj * count].reshape(nj, count).T, self.regime[:count]
 
 
 def _preflight(concrete, abstract, horizon: float, h: float) -> None:
@@ -491,13 +444,10 @@ def simulate(
     outside the bound.
     """
     _preflight(concrete, abstract, horizon, h)
-    times, zs, uhat, uhatdot, jumps, initial_ok, vg0, bound = _integrate(
+    run = _integrate(
         concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon
     )
-    return _assemble_record(
-        concrete, abstract, gains, times, zs, uhat, uhatdot, jumps,
-        t0, initial_ok, vg0, bound,
-    )
+    return _assemble_record(concrete, abstract, gains, t0, *run)
 
 
 def _judge_jump(anchor, tau, delta, gains, epsilon, rbar_max):
@@ -542,7 +492,8 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
     F, N = _joint_matrices(concrete, abstract, gains)
     to_xhat = np.eye(n + n_r)[n:]
     t_end = t0 + horizon
-    rec = _Recorder(n + n_r, _n_steps(t0, max(t_end, t0 + h), h) + 16)
+    # the kept rows: time blocks, (n + n_r, rows) state blocks, their regime ids
+    kept_t, kept_z, kept_ids = [], [], []
     jumps: list[JumpRecord] = []
     min_sep = MIN_JUMP_SEPARATION_STEPS * h
     anchor = (t0, vg0)
@@ -561,6 +512,12 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
         return _Regime(index, step, steps, gen, _rk4_phi(gen, step), np.empty(0),
                        item.box, item.gain)
 
+    def keep(ts: np.ndarray, rows: np.ndarray, index: int) -> None:
+        """Keep the rows (ts, rows) of regime `index` as a trimmed copy."""
+        kept_t.append(ts)
+        kept_z.append(rows.T.copy())
+        kept_ids.append(index)
+
     def outside(r: _Regime, rows: np.ndarray) -> np.ndarray:
         """Indices of the rows of z outside r's box: none for a segment."""
         if r.box is None:
@@ -569,17 +526,14 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
 
     def switch(old, tau: float, xhat_next, xhat_tau, a: float, b: float) -> _Regime:
         """The regime after `old` at tau, picked at xhat_next, for [a, b].
-        Its input change at tau (at xhat_tau for a region) is judged and
-        logged when it is a jump; the first regime (old None) has none."""
+        Its input change, new minus old uhat at (tau, xhat_tau), is judged
+        and logged when it is a jump; the first regime (old None) has none."""
         nonlocal anchor
         new = regime(policy.regime_index(tau, xhat_next), a, b)
         if old is None:
             return new
-        before = policy.regimes[old.index].uhat(tau, xhat_tau)
-        if old.seg is not None:
-            delta, cause = new.seg.value(tau) - before, "segment_boundary"
-        else:
-            delta, cause = (old.gain - new.gain) @ xhat_tau, "region_crossing"
+        before, after = (policy.regimes[q.index].uhat(tau, xhat_tau) for q in (old, new))
+        delta = after - before
         if _is_jump(delta, before):
             if jumps and tau - jumps[-1].time < min_sep:
                 raise SimulationError(
@@ -587,13 +541,13 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
                     f"minimum separation {min_sep:.6g}"
                 )
             lhs, rhs, ok, anchor = _judge_jump(anchor, tau, delta, gains, eps_run, rbar_max)
-            jumps.append(JumpRecord(tau, delta, cause, lhs, rhs, ok))
+            jumps.append(JumpRecord(tau, delta, lhs, rhs, ok))
             bound.restart()
         return new
 
     def run_span(r: _Regime, a: float, b: float, z: np.ndarray):
         """Integrate from z at a to b, starting in r: (z at b, the regime
-        there).  Records every row but the one at b."""
+        there).  Keeps every row but the one at b."""
         ts = a + r.step * np.arange(r.steps + 1)
         ts[r.steps] = b
         tol_t = max(1e-9 * (b - a), 1e-15)
@@ -605,12 +559,12 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
             _check_finite(block, ts[i:])
             exits = outside(r, block)
             if exits.size == 0:
-                rec.add_block(ts[i : r.steps], block[:-1], r.index)
+                keep(ts[i : r.steps], block[:-1], r.index)
                 bound.stretch(r, r.step, block)
                 return block[-1], r
 
             j = int(exits[0])  # first sample outside; j >= 1 since z is inside
-            rec.add_block(ts[i : i + j], block[:j], r.index)
+            keep(ts[i : i + j], block[:j], r.index)
             z_a, z_b = block[j - 1].copy(), block[j].copy()
             t_a, t_b = ts[i + j - 1], ts[i + j]
             # bisect the crossing inside (t_a, t_b]
@@ -633,7 +587,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
                 bound.stretch(r, r.step, block[: j + 1])
             r = switch(r, tau, z_b[n:], z_tau[n:], a, b)
             if split:
-                rec.add(tau, z_tau, r.index)
+                keep(np.array([tau]), z_tau[None], r.index)
                 z = _rk4_phi(r.gen, t_b - tau) @ z_tau
                 bound.stretch(r, t_b - tau, np.stack([z_tau, z]))
                 if not r.box.contains(z[n:]):
@@ -643,7 +597,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
             else:
                 z = z_tau
             _check_finite(z, t_b)
-            del block  # its rows are recorded; free them before the next block
+            del block  # its rows are kept; free them before the next block
             i += j
 
     breaks = [t0, *(tau for tau in policy.breakpoints() if t0 + 1e-12 < tau < t_end - 1e-12)]
@@ -653,11 +607,13 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
         z, r = run_span(r, a, b, z)
     # a segment ends at t_end, where the next one may start
     final = r.index if r.box is not None else policy.regime_index(t_end, z[n:])
-    rec.add(t_end, z, final)
+    keep(np.array([t_end]), z[None], final)
 
-    # the input rows are the regime ids' last use, so these are freed before
-    # the record's other columns are allocated
-    times, zs, regimes = rec.rows()
+    # one join of the kept blocks; the input rows are the regime ids' last
+    # use, so these are freed before the record's other columns are allocated
+    times, zs = np.concatenate(kept_t), np.concatenate(kept_z, axis=1).T
+    regimes = np.repeat(kept_ids, [ts.size for ts in kept_t])
+    del kept_t[:], kept_z[:]  # free the joined blocks
     uhat = policy.uhat(times, zs[:, n:], regimes)
     uhatdot = policy.uhatdot(abstract, times, zs[:, n:], uhat, regimes)
     return times, zs, uhat, uhatdot, jumps, initial_ok, vg0, bound
@@ -684,8 +640,8 @@ def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndar
 
 
 def _assemble_record(
-    concrete, abstract, gains, times, zs, uhat, uhatdot, jumps,
-    t0, initial_ok, vg0, bound,
+    concrete, abstract, gains, t0, times, zs, uhat, uhatdot, jumps,
+    initial_ok, vg0, bound,
 ) -> TrajectoryRecord:
     n, rows = concrete.n, times.size
     x = zs[:, :n]
@@ -862,6 +818,10 @@ def verify_trajectory(
 #: rows one column's gather index (1.4 MB) fits in a 2 MB L2 cache
 _CSV_CHUNK_ROWS = 16384
 
+#: the record arrays of the trajectory CSV, in column order; a 2-D array
+#: `name` of width k gives the columns name1 .. namek
+_CSV_COLUMNS = ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err")
+
 
 def _cpus() -> int:
     """CPUs this process may run on."""
@@ -913,34 +873,10 @@ def write_trajectory_csv(record: TrajectoryRecord, f: BinaryIO) -> int:
     # runs without CSV output need not pay at import
     from . import textfmt
 
-    n = record.x.shape[1]
-    n_r = record.xhat.shape[1]
-    m_r = record.uhat.shape[1]
-    m = record.u.shape[1]
-    p = record.y.shape[1]
-    header = (
-        ["t"]
-        + [f"x{i + 1}" for i in range(n)]
-        + [f"xhat{i + 1}" for i in range(n_r)]
-        + [f"uhat{i + 1}" for i in range(m_r)]
-        + [f"uhatdot{i + 1}" for i in range(m_r)]
-        + [f"u{i + 1}" for i in range(m)]
-        + [f"y{i + 1}" for i in range(p)]
-        + [f"yhat{i + 1}" for i in range(p)]
-        + ["vg", "err"]
-    )
-    columns = (
-        record.t,
-        record.x,
-        record.xhat,
-        record.uhat,
-        record.uhatdot,
-        record.u,
-        record.y,
-        record.yhat,
-        record.vg,
-        record.err,
-    )
+    columns = [getattr(record, name) for name in _CSV_COLUMNS]
+    header = []
+    for name, c in zip(_CSV_COLUMNS, columns):
+        header += [name] if c.ndim == 1 else [f"{name}{i + 1}" for i in range(c.shape[1])]
     chunk = _CSV_CHUNK_ROWS
 
     def block_bytes(k: int) -> bytes:

@@ -518,6 +518,26 @@ class TestCompare:
         assert summary["runs"]["s_zero"]["max_output_error"] <= 1e-9
         assert summary["verdict"] == "both_pass"
 
+    @pytest.mark.parametrize("command", ["synthesize", "compare"])
+    def test_bundle_that_cannot_be_built_exits_1(self, tmp_path, capsys, command):
+        """A K that does not stabilize fails one check in `synthesize`, and
+        ends `compare` in one stderr line: both exit 1, as a failed check."""
+        cfg = casestudy.ramp_config(horizon=120.0, step=5e-3)
+        cfg["scenario"]["K"] = [[1.0, 1.0]]
+        del cfg["scenario"]["M"]
+        path = write_config(tmp_path, cfg)
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.out + captured.err
+        detail = "gains not constructible: NotStabilizing: A + B K has spectral abscissa"
+        if command == "synthesize":
+            fails = [line for line in captured.out.splitlines() if line.startswith("FAIL")]
+            assert fails == ["FAIL  gains_constructible: value=inf tol=0"]
+            assert captured.err == ""
+        else:
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith(f"gaas: {detail}")
+
     def test_zero_dynamics_zero_input(self, tmp_path):
         cfg = square_input_config(0.0)
         cfg["concrete"]["A"] = [[0.0, 0.0], [0.0, 0.0]]

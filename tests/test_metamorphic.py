@@ -87,7 +87,7 @@ def _certify(sc: Scenario, force_s_zero: bool = False, shift: float = 0.0):
                        sc.horizon, sc.step, rbar_max=rmax, t0=shift, epsilon=sc.epsilon)
     verdict = sim.verify_trajectory(rec, gains, sc.epsilon, sc.envelope, sc.b_U, rmax)
     run = {
-        "jumps": [(j.cause, j.passed) for j in rec.jumps],
+        "jumps": [(j.time - shift, j.passed) for j in rec.jumps],
         "jumps_passed": verdict.jumps_passed,
         "decay_violations": verdict.decay_violations,
         "passed": verdict.passed,

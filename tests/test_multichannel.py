@@ -125,10 +125,10 @@ def test_two_dim_region_crossing(mimo_pair):
     rec = simulate_lifted(mimo_pair, *run)
     assert len(rec.jumps) == 1
     jump = rec.jumps[0]
-    assert jump.cause == "region_crossing"
-    # the jump time row carries the post-crossing abstract state; the first
-    # coordinate sits on the boundary plane
+    # the jump time row, inserted inside a step, carries the post-crossing
+    # abstract state; the first coordinate sits on the boundary plane
     idx = int(np.flatnonzero(rec.t == jump.time)[0])
+    assert rec.t[idx + 1] - rec.t[idx - 1] == pytest.approx(1e-3)
     assert rec.xhat[idx, 0] == pytest.approx(2.0, abs=1e-6)
     regions = policy.regions
     expected_delta = (regions[0].gain - regions[1].gain) @ rec.xhat[idx]

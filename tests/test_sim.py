@@ -193,7 +193,7 @@ class TestSimulate:
         assert len(rec.jumps) == 1
         assert rec.jumps[0].time == pytest.approx(0.985)
         assert rec.jumps[0].delta[0] == pytest.approx(0.4)
-        assert rec.jumps[0].cause == "segment_boundary"
+        assert rec.jumps[0].time in sc.policy.breakpoints()
         # row at the jump time stores the right limit
         idx = int(np.flatnonzero(rec.t == 0.985)[0])
         assert rec.uhat[idx, 0] == pytest.approx(0.4)
@@ -705,13 +705,15 @@ class TestPreflight:
             simulate(*args)
 
     def test_refused_before_recorder_allocates(self, monkeypatch, switched5):
+        """A run keeps the blocks `_propagate` returns; a refused run never
+        calls it."""
         sc, gains, _ = switched5
 
-        def no_recorder(*a, **k):
-            raise AssertionError("the recorder must not be built")
+        def no_propagation(*a, **k):
+            raise AssertionError("nothing may be propagated")
 
         monkeypatch.setattr(sim, "_physical_memory", lambda: 1e6)
-        monkeypatch.setattr(sim, "_Recorder", no_recorder)
+        monkeypatch.setattr(sim, "_propagate", no_propagation)
         with pytest.raises(MemoryError) as info:
             simulate(sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0,
                      horizon=1e9, h=1e-3)
@@ -851,18 +853,22 @@ class TestFeedbackStopsAtRegionExit:
     def test_rows_computed_within_4x_of_kept(self, monkeypatch):
         rec, computed = self.run(monkeypatch, drop_stop=False)
         assert len(rec.jumps) >= 50
-        assert all(j.cause == "region_crossing" for j in rec.jumps)
+        for j in rec.jumps:  # a located crossing: a row inserted inside a step
+            i = int(np.searchsorted(rec.t, j.time))
+            assert rec.t[i] == j.time and rec.t[i + 1] - rec.t[i - 1] == pytest.approx(1e-2)
         assert computed <= 4 * rec.t.size
 
     def test_same_record_as_whole_horizon_propagation(self, monkeypatch):
         rec, _ = self.run(monkeypatch, drop_stop=False)
         ref, computed = self.run(monkeypatch, drop_stop=True)
         assert computed > 4 * ref.t.size
+        # joined from a kept block per crossing, the states are still columns
+        assert rec.x.flags.f_contiguous and rec.xhat.flags.f_contiguous
         for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err"):
             assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
         assert len(rec.jumps) == len(ref.jumps)
         for j, k in zip(rec.jumps, ref.jumps):
-            assert (j.time, j.cause, j.lhs, j.rhs, j.passed) == (k.time, k.cause, k.lhs, k.rhs, k.passed)
+            assert (j.time, j.lhs, j.rhs, j.passed) == (k.time, k.lhs, k.rhs, k.passed)
             assert np.array_equal(j.delta, k.delta)
 
     def test_decay_windows_match_a_per_window_reference(self):
@@ -892,31 +898,6 @@ class TestFeedbackStopsAtRegionExit:
             assert (report.decay_violations, report.first_decay_violation_time) == (count, first)
             found.append(first)
         assert found[0] is None and found[1] is not None and found[3] == rec.t[late]
-
-
-class TestRecorderRows:
-    def test_views_while_within_capacity(self):
-        rec = sim._Recorder(3, 20)
-        zs = np.arange(15.0).reshape(5, 3)
-        rec.add_block(np.arange(4.0), zs[:4], 0)
-        rec.add(4.0, zs[4], 1)
-        t, z, regime = rec.rows()
-        assert t.size == 5 and z.shape == (5, 3) and regime.size == 5
-        assert z.flags.f_contiguous
-        assert np.shares_memory(t, rec.t) and np.shares_memory(z, rec.z)
-        assert np.array_equal(z, zs) and np.array_equal(regime, [0, 0, 0, 0, 1])
-
-    def test_trimmed_copies_after_growth(self):
-        rec = sim._Recorder(2, 16)
-        for i in range(50):
-            rec.add(float(i), np.array([i, -i]), i % 3)
-        t, z, regime = rec.rows()
-        assert rec.t.size > 50
-        assert not np.shares_memory(t, rec.t) and not np.shares_memory(z, rec.z)
-        assert z.shape == (50, 2) and z.flags.f_contiguous
-        assert np.array_equal(t, np.arange(50.0))
-        assert np.array_equal(z[:, 1], -np.arange(50.0))
-        assert np.array_equal(regime, np.arange(50) % 3)
 
 
 class TestRecordLayout:
