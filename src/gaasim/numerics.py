@@ -48,8 +48,11 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return m
 
 
-def as_vector(a, name: str = "vector") -> np.ndarray:
-    v = np.asarray(a, dtype=float).reshape(-1)
+def _rhs(a, rows: int, name: str) -> np.ndarray:
+    """A right-hand side of `rows` entries, or one such column per problem."""
+    v = np.asarray(a, dtype=float)
+    if v.ndim not in (1, 2) or v.shape[0] != rows:
+        raise NumericsError(f"{name}: expected length {rows}, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise NumericsError(f"{name}: non-finite entries")
     return v
@@ -205,29 +208,29 @@ def constrained_lstsq(obj_map, obj_rhs, eq_map=None, eq_rhs=None) -> np.ndarray:
     from the pseudoinverse (rank cutoff PINV_RANK_RTOL relative to the
     largest Gram eigenvalue), the objective is then minimized over the orthonormal
     null-space basis.  Among objective minimizers the minimum-norm point is
-    returned.  Passing eq_map=None solves the unconstrained problem.
+    returned.  Passing eq_map=None solves the unconstrained problem.  With
+    one column per problem in obj_rhs and eq_rhs, one factorization solves
+    them all, one column of the result each.
     """
     A = as_matrix(obj_map, "obj_map")
-    c = as_vector(obj_rhs, "obj_rhs")
-    if c.size != A.shape[0]:
-        raise NumericsError(f"obj_rhs: expected length {A.shape[0]}, got {c.size}")
+    c = _rhs(obj_rhs, A.shape[0], "obj_rhs")
     d = A.shape[1]
 
     if eq_map is None or np.size(eq_map) == 0:
         return _lstsq(A, c)
 
     E = as_matrix(eq_map, "eq_map")
-    b = as_vector(eq_rhs if eq_rhs is not None else np.zeros(E.shape[0]), "eq_rhs")
-    if E.shape[1] != d:
-        raise NumericsError(f"eq_map: expected {d} columns, got {E.shape[1]}")
-    if b.size != E.shape[0]:
-        raise NumericsError(f"eq_rhs: expected length {E.shape[0]}, got {b.size}")
+    b = _rhs(np.zeros(E.shape[:1] + c.shape[1:]) if eq_rhs is None else eq_rhs,
+             E.shape[0], "eq_rhs")
+    if E.shape[1] != d or b.shape[1:] != c.shape[1:]:
+        raise NumericsError(f"eq_map, eq_rhs: shapes {E.shape}, {b.shape} do not fit "
+                            f"{d} unknowns and obj_rhs {c.shape}")
 
     # one SVD of E gives the particular solution and the null-space basis,
     # with the same rank cutoff as _lstsq
     u, s, vt = _lapack(np.linalg.svd, E)
     rank = int(np.count_nonzero(s > np.sqrt(PINV_RANK_RTOL) * s[0]))
-    x_part = vt[:rank].T @ ((u[:, :rank].T @ b) / s[:rank])
+    x_part = vt[:rank].T @ ((u[:, :rank].T @ b).T / s[:rank]).T
     null_basis = vt[rank:].T
     resid, scale = np.linalg.norm(E @ x_part - b), np.linalg.norm(b)
     if resid > 1e-8 * max(scale, 1e-300):

@@ -204,22 +204,33 @@ def _coupling(A, B, C, M_sqrt, G, W, H, x_free: bool = True):
     """(X, Y, ||M^{1/2}((A X - X G + B Y) - W)||) at the minimizer of that
     weighted residual's Frobenius norm subject to C X = H, or over Y alone
     with X = 0 when not `x_free` (the S = 0 baseline).  Among minimizers,
-    the one of least norm of (vec X, vec Y).  Raises TooLarge before any
-    np.kron when the Kronecker operator's doubles exceed physical memory."""
+    the one of least norm of (vec X, vec Y).  Without X, or in (X V, Y V)
+    for a symmetric G = V diag(lam) V^T, the columns are separate problems
+    in A - lam_j I, one solve per distinct lam_j: V is orthogonal, so the
+    norms, the minimizer and its tie-break are unchanged (Golub, Nash & Van
+    Loan 1979).  Only a non-symmetric G builds the Kronecker operator, and
+    TooLarge is raised before any np.kron when its doubles exceed memory."""
     n, m, k = A.shape[0], B.shape[1], G.shape[0]
-    need = 8.0 * k * k * ((n + C.shape[0]) * (n + m) if x_free else n * m)
-    if need > numerics.physical_memory():
-        raise numerics.TooLarge(f"Kronecker operator of {need / 2**30:.3g} GiB > physical memory")
-    eye = np.eye(k)
-    on_y = np.kron(eye, M_sqrt @ B)
-    target = _vec(M_sqrt @ W)
-    if x_free:
-        obj = np.hstack([np.kron(eye, M_sqrt @ A) - np.kron(G.T, M_sqrt), on_y])
-        eq = np.hstack([np.kron(eye, C), np.zeros((C.shape[0] * k, m * k))])
-        sol = numerics.constrained_lstsq(obj, target, eq, _vec(H))
-        X, Y = _unvec(sol[: n * k], n, k), _unvec(sol[n * k :], m, k)
+    if not x_free:
+        X, Y = np.zeros((n, k)), numerics.constrained_lstsq(M_sqrt @ B, M_sqrt @ W)
+    elif np.array_equal(G, G.T):
+        lam, V = numerics.sym_eig(G, "G")
+        target, eq_rhs, sol = M_sqrt @ W @ V, H @ V, np.empty((n + m, k))
+        eq = np.hstack([C, np.zeros((C.shape[0], m))])
+        for value in np.unique(lam):
+            cols, obj = lam == value, np.hstack([M_sqrt @ A - value * M_sqrt, M_sqrt @ B])
+            sol[:, cols] = numerics.constrained_lstsq(obj, target[:, cols], eq, eq_rhs[:, cols])
+        X, Y = sol[:n] @ V.T, sol[n:] @ V.T
     else:
-        X, Y = np.zeros((n, k)), _unvec(numerics.constrained_lstsq(on_y, target), m, k)
+        need = 8.0 * k * k * (n + C.shape[0]) * (n + m)
+        if need > numerics.physical_memory():
+            raise numerics.TooLarge(
+                f"Kronecker operator of {need / 2**30:.3g} GiB > physical memory")
+        eye = np.eye(k)
+        obj = np.hstack([np.kron(eye, M_sqrt @ A) - np.kron(G.T, M_sqrt), np.kron(eye, M_sqrt @ B)])
+        eq = np.hstack([np.kron(eye, C), np.zeros((C.shape[0] * k, m * k))])
+        sol = numerics.constrained_lstsq(obj, _vec(M_sqrt @ W), eq, _vec(H))
+        X, Y = _unvec(sol[: n * k], n, k), _unvec(sol[n * k :], m, k)
     residual = ((A @ X - X @ G) + B @ Y) - W
     return X, Y, numerics.spectral_norm(M_sqrt @ residual)
 
@@ -425,14 +436,22 @@ def check_assumption(
           f"2 rbar_max / a1 vs epsilon (rbar_max={rbar_max:.6g}, margin={margin:.6g})")
 
     # initial lift: each corner of the abstract initial box must admit a
-    # concrete start within epsilon, witnessed by the start a run takes
+    # concrete start within epsilon, witnessed by the start a run takes;
+    # a box whose corners and lifts would not fit in memory is not enumerated
+    box = abstract.initial_state_set
+    axes = int(np.count_nonzero(box.lows < box.highs))
+    width = A.shape[0] + box.dim + gains.S.shape[1]
     try:
-        corners = abstract.initial_state_set.corners()
+        if 8 * 2**axes * width > numerics.physical_memory():  # int: exact for any axes
+            raise numerics.TooLarge(f"2^{axes} corners of {width} doubles > physical memory")
+        corners = box.corners()
         witness, uhat0 = lifted_start(concrete, gains, policy, corners, t0)
         worst = float(np.max(refine.vg(refine.RelationPoint(witness, corners, uhat0), gains)))
         check("initial_lift", worst, gains.epsilon, worst <= gains.epsilon,
               "max vg over lifted corners of the abstract initial box")
     except DomainGap as exc:
         check("initial_lift", np.inf, gains.epsilon, False, str(exc))
+    except numerics.TooLarge as exc:
+        check("initial_lift", np.inf, gains.epsilon, False, f"TooLarge: {exc}")
 
     return ConditionReport(tuple(records))

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from gaasim import numerics as nx
 from gaasim import sim
 from gaasim.model import (
     AbstractLinearSystem,
@@ -17,6 +18,21 @@ M5 = np.array([[3.9544, 1.1805], [1.1805, 4.2262]])
 K5 = np.array([[-1.3298, -1.4108]])
 A1_5 = 0.5
 EPS5 = 0.5
+
+
+def kron_coupling(A, B, C, M_sqrt, G, W, H, x_free=True):
+    """(X, Y) of `synthesis._coupling`'s problem, solved through its dense
+    Kronecker operator by the same constrained least squares."""
+    n, m, k = A.shape[0], B.shape[1], G.shape[0]
+    eye, vec = np.eye(k), (lambda a: a.reshape(-1, order="F"))
+    on_y = np.kron(eye, M_sqrt @ B)
+    if not x_free:
+        return np.zeros((n, k)), nx.constrained_lstsq(on_y, vec(M_sqrt @ W)).reshape(
+            (m, k), order="F")
+    obj = np.hstack([np.kron(eye, M_sqrt @ A) - np.kron(G.T, M_sqrt), on_y])
+    eq = np.hstack([np.kron(eye, C), np.zeros((C.shape[0] * k, m * k))])
+    sol = nx.constrained_lstsq(obj, vec(M_sqrt @ W), eq, vec(H))
+    return sol[: n * k].reshape((n, k), order="F"), sol[n * k :].reshape((m, k), order="F")
 
 
 def csv_text(record) -> str:

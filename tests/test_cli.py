@@ -73,9 +73,11 @@ class TestSynthesize:
         assert gains["rbar2"] > 1.0
 
     @staticmethod
-    def stable_plant_config(tmp_path, n):
+    def stable_plant_config(tmp_path, n, abstract_A=None):
         """The ramp study with an n-state plant A = -I, B = e1, C = e1^T,
-        K = 0 and no M, so synthesize solves an n x n Lyapunov equation."""
+        K = 0 and no M, so synthesize solves an n x n Lyapunov equation.  A
+        k x k `abstract_A` replaces the 1-state abstraction, with B = e1,
+        C = e1^T and the point initial box 40.1 e1."""
         cfg = casestudy.ramp_config(horizon=1.0)
         cfg["concrete"].update(
             A=(-np.eye(n)).tolist(),
@@ -84,20 +86,27 @@ class TestSynthesize:
             x0_box=[[0.0, 0.0]] * n,
         )
         cfg["scenario"].update(K=np.zeros((1, n)).tolist(), x0=[0.0] * n)
+        if abstract_A is not None:
+            k = len(abstract_A)
+            start = [40.1] + [0.0] * (k - 1)
+            cfg["abstract"].update(A=abstract_A, B=np.eye(k, 1).tolist(),
+                                   C=np.eye(1, k).tolist(), x0_box=[[v, v] for v in start])
+            cfg["scenario"]["xhat0"] = start
         del cfg["scenario"]["M"]
         return write_config(tmp_path, cfg)
 
     def test_sylvester_size_cap_is_a_failing_record(self, tmp_path, capsys, monkeypatch):
-        # physical memory below the (P, Q) coupling's Kronecker operator
-        # (62 x 62 doubles, 30 kB): refused before np.kron, as one record
+        # physical memory below the (P, Q) coupling's Kronecker operator, which
+        # the non-symmetric 2-state abstraction needs (2*62 x 2*62 doubles,
+        # 123 kB): refused before np.kron, as one record
         def no_operator(*args):
             raise AssertionError("Kronecker operator built above the size cap")
 
+        config = self.stable_plant_config(tmp_path, 61, abstract_A=[[0.0, 1.0], [0.0, 0.0]])
         monkeypatch.setattr("gaasim.numerics.physical_memory", lambda: 3e4)
         monkeypatch.setattr(np, "kron", no_operator)
         out = tmp_path / "big"
-        code = main(["synthesize", "--config", str(self.stable_plant_config(tmp_path, 61)),
-                     "--out", str(out)])
+        code = main(["synthesize", "--config", str(config), "--out", str(out)])
         assert code == 1
         captured = capsys.readouterr()
         fails = [line for line in captured.out.splitlines() if line.startswith("FAIL")]

@@ -135,21 +135,22 @@ class TestSylvester:
 
     def test_size_cap_refuses_before_building_the_operator(self, monkeypatch):
         # the coupling of a 10-state plant (m = p = 1) with a 3-state
-        # abstraction: its operators have 3*11 x 3*11 and 3*1 x 3*11 doubles
+        # abstraction whose G = -I + N (N nilpotent) is not symmetric, so it
+        # needs the Kronecker operators, of 3*11 x 3*11 and 3*1 x 3*11 doubles
         def no_operator(*args):
             raise AssertionError("Kronecker operator built above the size cap")
 
         n, k = 10, 3
         args = (-np.eye(n), np.eye(n, 1), np.eye(1, n), np.eye(n),
-                -np.eye(k), np.zeros((n, k)), np.zeros((1, k)))
+                -np.eye(k) + np.eye(k, k=1), np.zeros((n, k)), np.zeros((1, k)))
         need = 8.0 * k * k * (n + 1) * (n + 1)
         monkeypatch.setattr(nx, "physical_memory", lambda: need)
         synthesis._coupling(*args)  # fits exactly
-        # the S = 0 baseline builds only the (n k) x (m k) operator on Y
-        monkeypatch.setattr(nx, "physical_memory", lambda: 8.0 * k * k * n)
-        synthesis._coupling(*args, x_free=False)
         monkeypatch.setattr(nx, "physical_memory", lambda: need - 1.0)
         monkeypatch.setattr(np, "kron", no_operator)
+        # the S = 0 baseline builds no operator: with X = 0 the columns of Y
+        # are separate problems, whatever G is
+        synthesis._coupling(*args, x_free=False)
         with pytest.raises(nx.TooLarge, match="physical memory") as info:
             synthesis._coupling(*args)
         assert len(str(info.value).splitlines()) == 1

@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from gaasim import casestudy
+from gaasim import casestudy, synthesis
 from gaasim import numerics as nx
 from gaasim.model import (
     AbstractLinearSystem,
+    Box,
     ConcreteLinearSystem,
     OperatingEnvelope,
     parse_config,
@@ -26,7 +27,7 @@ from gaasim.synthesis import (
     synthesize_gains,
 )
 
-from conftest import A1_5, EPS5, K5, M5, condition
+from conftest import A1_5, EPS5, K5, M5, condition, kron_coupling
 
 A5 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B5 = np.array([[0.0], [1.0]])
@@ -123,6 +124,62 @@ class TestSolvePQ:
         # spectral and Frobenius norms coincide
         assert rbar1 <= resid_oracle + 1e-9
         assert rbar1 == pytest.approx(resid_oracle, abs=1e-6)
+
+
+class TestCouplingColumnSplit:
+    """A symmetric G is solved column by column in its eigenbasis: the same
+    minimizer and the same minimum-norm tie-break as the Kronecker operator."""
+
+    @staticmethod
+    def problem(G, m=3, seed=5):
+        """A 6-state plant with p = 2; with m >= 2 its last input column is a
+        combination of the others, so B Y does not fix Y and the tie-break
+        chooses among the minimizers."""
+        rng = np.random.default_rng(seed)
+        n, k = 6, G.shape[0]
+        B = rng.standard_normal((n, m))
+        if m >= 2:
+            B[:, -1] = B[:, 0] - 2.0 * B[:, -2]
+        root = rng.standard_normal((n, n))
+        return (rng.standard_normal((n, n)), B, rng.standard_normal((2, n)),
+                nx.psd_sqrt(root @ root.T + np.eye(n)), G,
+                rng.standard_normal((n, k)), rng.standard_normal((2, k)))
+
+    @staticmethod
+    def dense_with_repeated_eigenvalue():
+        q = np.linalg.qr(np.random.default_rng(3).standard_normal((4, 4)))[0]
+        g = q @ np.diag([-1.0, -1.0, -2.0, -0.5]) @ q.T
+        return 0.5 * (g + g.T)
+
+    @pytest.mark.parametrize("x_free", [True, False])
+    @pytest.mark.parametrize("G", [
+        np.diag([-1.0, -0.25, 0.5, -1.0]),
+        dense_with_repeated_eigenvalue(),
+        np.zeros((3, 3)),
+    ], ids=["diagonal", "dense_repeated", "zero"])
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_matches_the_kronecker_reference(self, G, m, x_free, monkeypatch):
+        args = self.problem(G, m)
+        ref_x, ref_y = kron_coupling(*args, x_free=x_free)
+        # the split builds no operator, so it needs no room for one
+        monkeypatch.setattr(np, "kron", None)
+        monkeypatch.setattr(nx, "physical_memory", lambda: 1.0)
+        x, y, rbar = synthesis._coupling(*args, x_free=x_free)
+        ref, got = np.vstack([ref_x, ref_y]), np.vstack([x, y])
+        # deviation relative to the largest entry of the reference
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        a, b, _, root, g, w, _ = args
+        resid = root @ (a @ ref_x - ref_x @ g + b @ ref_y - w)
+        assert rbar == pytest.approx(nx.spectral_norm(resid), rel=1e-12)
+
+    @pytest.mark.parametrize("x_free", [True, False])
+    def test_one_state_abstraction_is_bit_identical(self, x_free):
+        # k = 1: the column problem is the Kronecker operator itself,
+        # M^{1/2} A - g M^{1/2} beside M^{1/2} B, with the same right-hand side
+        args = self.problem(np.array([[-0.7]]), m=2)
+        x, y, _ = synthesis._coupling(*args, x_free=x_free)
+        ref_x, ref_y = kron_coupling(*args, x_free=x_free)
+        assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
 
 
 class TestSolveSR:
@@ -284,6 +341,23 @@ class TestCheckAssumption:
         for xhat, x, u in zip(xhats, x0, uhat0):
             px, pu = lifted_start(sc.concrete, gains, policy, xhat, 3.0)
             assert px.tobytes() == x.tobytes() and pu.tobytes() == u.tobytes()
+
+    def test_initial_lift_refuses_corners_beyond_memory(self, sys5, env5, gains5, monkeypatch):
+        # two corners of (n + n_r + m_r) = 4 doubles each: 64 bytes
+        concrete, abstract = sys5
+        abstract = dataclasses.replace(abstract, initial_state_set=Box([40.0], [40.2]))
+        monkeypatch.setattr(nx, "physical_memory", lambda: 64.0)
+        lift = condition(check_assumption(concrete, abstract, gains5, env5), "initial_lift")
+        assert lift.detail.startswith("max vg") and math.isfinite(lift.value)
+
+        def no_corners(self):
+            raise AssertionError("corner grid built beyond physical memory")
+
+        monkeypatch.setattr(nx, "physical_memory", lambda: 63.0)
+        monkeypatch.setattr(Box, "corners", no_corners)
+        lift = condition(check_assumption(concrete, abstract, gains5, env5), "initial_lift")
+        assert not lift.passed and lift.value == math.inf
+        assert lift.detail.startswith("TooLarge:") and len(lift.detail.splitlines()) == 1
 
     def test_report_json_stable_names(self, sys5, env5, gains5):
         concrete, abstract = sys5
