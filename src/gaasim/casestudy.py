@@ -61,6 +61,11 @@ _GAINS = {
 }
 
 
+def _scenario(horizon: float, step: float, x0: list[float]) -> dict:
+    """The scenario section of both studies: the study gains, the run and its start."""
+    return {**copy.deepcopy(_GAINS), "horizon": horizon, "step": step, "x0": x0, "xhat0": [40.1]}
+
+
 def switched_config(horizon: float = 1000.0, step: float = 1e-3) -> dict:
     """Switched-feedback scenario (region gains 0.001 / 0.0013 / 0.002 / 0.004).
 
@@ -80,16 +85,7 @@ def switched_config(horizon: float = 1000.0, step: float = 1e-3) -> dict:
             {"box": [[0.0, 10.0]], "gain": [[0.004]]},
         ],
     }
-    cfg["scenario"] = {
-        "epsilon": _GAINS["epsilon"],
-        "a1": _GAINS["a1"],
-        "K": copy.deepcopy(_GAINS["K"]),
-        "M": copy.deepcopy(_GAINS["M"]),
-        "horizon": horizon,
-        "step": step,
-        "x0": [40.0, -0.0401],
-        "xhat0": [40.1],
-    }
+    cfg["scenario"] = _scenario(horizon, step, [40.0, -0.0401])
     return cfg
 
 
@@ -117,14 +113,5 @@ def ramp_config(horizon: float = 200.0, step: float = 1e-3) -> dict:
             {"t_start": 50.0, "t_end": max(horizon, 50.0) + 1.0, "coeffs": [[1.0]]},
         ],
     }
-    cfg["scenario"] = {
-        "epsilon": _GAINS["epsilon"],
-        "a1": _GAINS["a1"],
-        "K": copy.deepcopy(_GAINS["K"]),
-        "M": copy.deepcopy(_GAINS["M"]),
-        "horizon": horizon,
-        "step": step,
-        "x0": [40.0, 0.0],
-        "xhat0": [40.1],
-    }
+    cfg["scenario"] = _scenario(horizon, step, [40.0, 0.0])
     return cfg

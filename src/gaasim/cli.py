@@ -87,12 +87,14 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
-def _write_trajectory(path: Path, record) -> Path:
-    """Stream the trajectory CSV of `record` to `path`, never holding its text."""
+def _write_run(out: Path, stem: str, record) -> list[Path]:
+    """Write trajectory{stem}.csv, streamed, never holding its text, and
+    jumps{stem}.csv of `record` to `out`; return their paths."""
+    path = out / f"trajectory{stem}.csv"
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("wb") as f:
         sim.write_trajectory_csv(record, f)
-    return path
+    return [path, _write(out / f"jumps{stem}.csv", sim.jumps_csv(record))]
 
 
 def _json_text(payload) -> str:
@@ -194,11 +196,8 @@ def cmd_simulate(args) -> int:
         )
     out = Path(args.out)
     record, verdict = _run_simulation(scenario, gains)
-    outputs = [
-        _write_trajectory(out / "trajectory.csv", record),
-        _write(out / "jumps.csv", sim.jumps_csv(record)),
-        _write(out / "verify.json", _json_text(verdict.to_dict())),
-    ]
+    outputs = _write_run(out, "", record)
+    outputs.append(_write(out / "verify.json", _json_text(verdict.to_dict())))
     outputs.append(_manifest(out, "simulate", _digest(emit_config(scenario)), outputs, started))
     print(
         f"max |y - yhat| = {verdict.max_output_error:.6g}, max vg = "
@@ -223,8 +222,7 @@ def _compare_runs(scenario: Scenario, out: Path, prefix: str, outputs: list) -> 
                   file=sys.stderr)
             return None
         record, verdict = _run_simulation(scenario, gains)
-        outputs.append(_write_trajectory(out / f"trajectory_{prefix}{label}.csv", record))
-        outputs.append(_write(out / f"jumps_{prefix}{label}.csv", sim.jumps_csv(record)))
+        outputs += _write_run(out, f"_{prefix}{label}", record)
         results[label] = {
             "max_output_error": verdict.max_output_error,
             "max_vg": verdict.max_vg,
@@ -300,8 +298,7 @@ def cmd_casestudy(args) -> int:
     ratio_allow = 2.0 * rmax_allow / gains.a1
 
     switched_rec, switched_verdict = _run_simulation(switched, gains)
-    outputs.append(_write_trajectory(out / "trajectory_switched.csv", switched_rec))
-    outputs.append(_write(out / "jumps_switched.csv", sim.jumps_csv(switched_rec)))
+    outputs += _write_run(out, "_switched", switched_rec)
     outputs.append(_write(out / "verify_switched.json", _json_text(switched_verdict.to_dict())))
 
     compare_results = _compare_runs(ramp, out, "ramp_", outputs)

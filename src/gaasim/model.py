@@ -190,14 +190,6 @@ class OpenLoopSegment:
                 f"segment needs t_end > t_start, got [{self.t_start}, {self.t_end}]"
             )
 
-    def value(self, t) -> np.ndarray:
-        """uhat at t: (m_r,) for a scalar t, (len(t), m_r) for a 1-D array."""
-        return self._poly(self.coeffs, t)
-
-    def derivative(self, t) -> np.ndarray:
-        """duhat/dt at t, shaped as `value`."""
-        return self._poly(self.coeffs[:, 1:] * np.arange(1, self.coeffs.shape[1]), t)
-
     @staticmethod
     def _poly(coeffs: np.ndarray, t) -> np.ndarray:
         """sum_j coeffs[:, j] t^j, added to zero in the order of j, with t^j
@@ -215,12 +207,12 @@ class OpenLoopSegment:
         return t < self.t_end
 
     def uhat(self, t, xhat) -> np.ndarray:
-        """uhat at t (one time, or one per row of xhat), shaped as `value`."""
-        return self.value(t)
+        """uhat at t: (m_r,) for a scalar t, (len(t), m_r) for a 1-D array."""
+        return self._poly(self.coeffs, t)
 
     def uhatdot(self, abstract, t, xhat, uhat) -> np.ndarray:
-        """duhat/dt at the rows (t, xhat, uhat): the segment derivative."""
-        return self.derivative(t)
+        """duhat/dt at t, shaped as `uhat`: the segment derivative."""
+        return self._poly(self.coeffs[:, 1:] * np.arange(1, self.coeffs.shape[1]), t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -548,26 +540,17 @@ def parse_config(document) -> Scenario:
 
     sc = Scenario(concrete, abstract, envelope, policy, **_fields(doc, "scenario"))
     _check_scalars(policy, epsilon=sc.epsilon, a1=sc.a1, step=sc.step, horizon=sc.horizon)
-    if sc.K.shape != (concrete.m, concrete.n):
-        raise ConfigError(
-            f"scenario.K shape {sc.K.shape} != (m, n) = {(concrete.m, concrete.n)}"
-        )
-    if sc.xhat0.size != abstract.n_r:
-        raise ConfigError(
-            f"scenario.xhat0 length {sc.xhat0.size} != n_r {abstract.n_r}"
-        )
-    if sc.x0 is not None and sc.x0.size != concrete.n:
-        raise ConfigError(f"scenario.x0 length {sc.x0.size} != n {concrete.n}")
+    n, m, n_r = concrete.n, concrete.m, abstract.n_r
+    for name, shape in (("K", (m, n)), ("xhat0", (n_r,)), ("x0", (n,)), ("M", (n, n))):
+        value = getattr(sc, name)
+        if value is not None and value.shape != shape:
+            raise ConfigError(f"scenario.{name} shape {value.shape} != {shape}")
     for name, start, where, box in (
         ("x0", sc.x0, "concrete", concrete.initial_state_set),
         ("xhat0", sc.xhat0, "abstract", abstract.initial_state_set),
     ):
         if start is not None and not box.contains(start):
             raise ConfigError(f"scenario.{name} {start.tolist()} outside {where}.x0_box")
-    if sc.M is not None and sc.M.shape != (concrete.n, concrete.n):
-        raise ConfigError(
-            f"scenario.M shape {sc.M.shape} != (n, n) = {(concrete.n, concrete.n)}"
-        )
     return sc
 
 

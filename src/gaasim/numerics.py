@@ -10,7 +10,7 @@ Sylvester/Lyapunov equations with Hurwitz coefficients are solved by the
 scaled matrix-sign iteration in O((n + k)^3) time, O(n^3) for Lyapunov
 (numpy has no Schur form).  Every failure, LAPACK's included, is a
 ``NumericsError`` whose message says what failed; ``TooLarge`` is the one
-told apart, a problem refused for its size.
+told apart, a problem refused for its size (`require_memory`).
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ class NumericsError(ValueError):
     """A kernel-level failure; the message says what failed."""
 
 
-class TooLarge(NumericsError):
-    """A problem whose dense operator would not fit in physical memory."""
+class TooLarge(NumericsError, MemoryError):
+    """A problem whose arrays would not fit in physical memory."""
 
 
 def as_matrix(a, name: str = "matrix") -> np.ndarray:
@@ -64,6 +64,17 @@ def physical_memory() -> float:
         return float(os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE"))
     except (AttributeError, ValueError, OSError):
         return math.inf
+
+
+def require_memory(nbytes, what: str) -> None:
+    """Raise TooLarge when `what` needs `nbytes` bytes of arrays, more than
+    physical memory; an int compares exactly and prints, however large."""
+    limit = physical_memory()
+    if nbytes > limit:
+        from decimal import Decimal  # imported on first use: 0.4 MB, only for a refusal
+        need, have = (f"{Decimal(b) / 2**30:.3g}" for b in (nbytes, limit))
+        raise TooLarge(f"{what} needs about {need} GiB of arrays, more than "
+                       f"the {have} GiB of physical memory")
 
 
 def _require_square(a: np.ndarray, name: str) -> None:
@@ -180,9 +191,7 @@ def solve_sylvester(F, G, W) -> np.ndarray:
 
 def psd_sqrt(M) -> np.ndarray:
     """Symmetric PSD square root; eigenvalues within -1e-10*lambda_max clamp to 0."""
-    M = as_matrix(M, "M")
-    _require_square(M, "M")
-    values, vectors = sym_eig(M)
+    values, vectors = sym_eig(M, "M")
     lam_max = max(values[-1], 0.0)
     if values[0] < -1e-10 * max(lam_max, 1e-300):
         raise NumericsError(f"M not positive semidefinite: eigenvalue {values[0]:.3e}")

@@ -39,7 +39,7 @@ from typing import BinaryIO
 
 import numpy as np
 
-from . import refine
+from . import numerics, refine
 from .model import (
     AbstractInputPolicy,
     AbstractLinearSystem,
@@ -48,7 +48,6 @@ from .model import (
     OpenLoopSegment,
     OperatingEnvelope,
 )
-from .numerics import physical_memory as _physical_memory
 from .synthesis import RefinementGains
 
 
@@ -105,7 +104,7 @@ class TrajectoryRecord:
 
     Rows are strictly increasing in time, cover [t0, t0 + horizon], and
     every jump time appears exactly on the grid (its row stores the
-    post-jump abstract input).  `vg0` is the value at (x0, xhat0) that the
+    post-jump abstract input).  `vg0` is the value at t[0] = t0 that the
     run anchored its jump envelope and initial membership on, and
     `decay_slack` bounds the integration error of `vg` (see `simulate`).
     Each array is (rows,) or (rows, k) and F-contiguous: `x` and `xhat` are
@@ -125,7 +124,6 @@ class TrajectoryRecord:
     vg: np.ndarray
     err: np.ndarray
     jumps: list[JumpRecord]
-    t0: float
     initial_membership: bool
     vg0: float
     decay_slack: float
@@ -249,21 +247,26 @@ def _n_steps(a: float, b: float, h: float) -> int:
     return max(1, int(math.ceil((b - a) / h - 1e-9)))
 
 
-def _preflight(concrete, abstract, horizon: float, h: float) -> None:
-    """Raise MemoryError, before anything is allocated, when a run over
-    `horizon` at step h would hold more array bytes (rows x (record columns
-    + the regime ids) x 8) than the machine has physical memory.  Beyond
-    the record, its assembly holds only blocks of rows, a few MB."""
-    if not h > 0:
-        return  # `_integrate` refuses the step
-    columns = 4 + concrete.n + abstract.n_r + 2 * abstract.m_r + concrete.m + 2 * concrete.p
-    need = 8.0 * columns * (horizon / h + 1.0)
-    limit = _physical_memory()
-    if need > limit:
-        raise MemoryError(
-            f"the run needs about {need / 2**30:.3g} GiB of arrays, more than "
-            f"the {limit / 2**30:.3g} GiB of physical memory"
-        )
+def _preflight(concrete, abstract, policy, horizon: float, h: float) -> None:
+    """Refuse a run before anything is allocated: ValueError for a step that
+    is not positive and finite or a negative horizon, and TooLarge, a
+    MemoryError, when its largest live set would exceed physical memory.
+    Each set is counted in doubles per row, plus per row of a slice or block
+    (README, "What a run holds in memory")."""
+    if not (h > 0 and math.isfinite(h)):
+        raise ValueError(f"step h must be positive and finite, got {h}")
+    if not horizon >= 0:
+        raise ValueError(f"horizon must be nonnegative, got {horizon}")
+    n, n_r, m, m_r, p = concrete.n, abstract.n_r, concrete.m, abstract.m_r, concrete.p
+    nz = n + n_r
+    w = nz + max((seg.coeffs.shape[1] for seg in policy.segments), default=0)
+    rows = horizon / h + 1.0
+    need = max(rows * per_row + min(rows, size) * per_slice for per_row, per_slice, size in (
+        (1 + nz + 1.5 * w, w + 3 * nz + 8, _BOUND_ROWS),  # integrating, and a bound slice
+        (nz + 2 + 4 * m_r + 3 * n_r, 0, 0),  # evaluating the policy
+        (4 + nz + 2 * m_r + m + 2 * p, 3 * n + 4 * m + p + 4, _BLOCK_ROWS),  # the record
+    ))
+    numerics.require_memory(8.0 * need, "the run")
 
 
 def _check_finite(zs: np.ndarray, ts) -> None:
@@ -431,7 +434,7 @@ def simulate(
     of the envelope derived from `rbar_max`, which restarts after every
     logged jump, and logged.  `epsilon` defaults to the bundle's value and
     can be tightened per run.  A run whose arrays would exceed
-    physical memory raises MemoryError before it allocates them.
+    physical memory raises TooLarge, a MemoryError, before it allocates them.
 
     The record's `decay_slack` is a proven bound on |vg(t_k) - vg_exact(t_k)|
     at every sample of a decay window (the rows between logged jumps), where
@@ -443,11 +446,11 @@ def simulate(
     locating region crossings by bisection (to 1e-9 of the horizon) is
     outside the bound.
     """
-    _preflight(concrete, abstract, horizon, h)
+    _preflight(concrete, abstract, policy, horizon, h)
     run = _integrate(
         concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon
     )
-    return _assemble_record(concrete, abstract, gains, t0, *run)
+    return _assemble_record(concrete, abstract, gains, *run)
 
 
 def _judge_jump(anchor, tau, delta, gains, epsilon, rbar_max):
@@ -468,10 +471,6 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
     step and at each located region crossing, which carries the regime after
     it; `bound` advances over every step in order.
     """
-    if not (h > 0 and math.isfinite(h)):
-        raise ValueError(f"step h must be positive and finite, got {h}")
-    if not horizon >= 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
     eps_run = gains.epsilon if epsilon is None else float(epsilon)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     xhat0 = np.asarray(xhat0, dtype=float).reshape(-1)
@@ -640,7 +639,7 @@ def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndar
 
 
 def _assemble_record(
-    concrete, abstract, gains, t0, times, zs, uhat, uhatdot, jumps,
+    concrete, abstract, gains, times, zs, uhat, uhatdot, jumps,
     initial_ok, vg0, bound,
 ) -> TrajectoryRecord:
     n, rows = concrete.n, times.size
@@ -668,7 +667,6 @@ def _assemble_record(
         vg=vg,
         err=err,
         jumps=jumps,
-        t0=t0,
         initial_membership=initial_ok,
         vg0=vg0,
         decay_slack=bound.slack + bound.v_rounding * float(np.max(vg)),
@@ -743,7 +741,7 @@ def verify_trajectory(
     each window's first sample, with the record's `decay_slack`: the bound
     on the integration error of vg that `simulate` proves.  Each jump budget
     is recomputed against the envelope restarted at the previous jump,
-    anchored at the record's `vg0`, as `simulate` logs it.
+    anchored at the record's (t[0], vg0), as `simulate` logs it.
     """
     names = ("xhat_max", "uhat_max", "uhatdot_max")
     found: dict[str, list[dict]] = {name: [] for name in names}
@@ -777,7 +775,7 @@ def verify_trajectory(
                 first_violation = float(ts[bad[0]])
 
     jumps_passed = 0
-    anchor = (record.t0, record.vg0)
+    anchor = (record.t[0], record.vg0)
     for j in record.jumps:
         lhs, _, ok, anchor = _judge_jump(anchor, j.time, j.delta, gains, epsilon, rbar_max)
         if ok and abs(lhs - j.lhs) <= 1e-9 * max(1.0, abs(j.lhs)):

@@ -192,14 +192,6 @@ def _weight(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     return M, M_sqrt, lam_min
 
 
-def _vec(m: np.ndarray) -> np.ndarray:
-    return m.reshape(-1, order="F")
-
-
-def _unvec(v: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    return v.reshape((rows, cols), order="F")
-
-
 def _coupling(A, B, C, M_sqrt, G, W, H, x_free: bool = True):
     """(X, Y, ||M^{1/2}((A X - X G + B Y) - W)||) at the minimizer of that
     weighted residual's Frobenius norm subject to C X = H, or over Y alone
@@ -222,15 +214,13 @@ def _coupling(A, B, C, M_sqrt, G, W, H, x_free: bool = True):
             sol[:, cols] = numerics.constrained_lstsq(obj, target[:, cols], eq, eq_rhs[:, cols])
         X, Y = sol[:n] @ V.T, sol[n:] @ V.T
     else:
-        need = 8.0 * k * k * (n + C.shape[0]) * (n + m)
-        if need > numerics.physical_memory():
-            raise numerics.TooLarge(
-                f"Kronecker operator of {need / 2**30:.3g} GiB > physical memory")
+        numerics.require_memory(8 * k * k * (n + C.shape[0]) * (n + m), "the Kronecker operator")
         eye = np.eye(k)
         obj = np.hstack([np.kron(eye, M_sqrt @ A) - np.kron(G.T, M_sqrt), np.kron(eye, M_sqrt @ B)])
         eq = np.hstack([np.kron(eye, C), np.zeros((C.shape[0] * k, m * k))])
-        sol = numerics.constrained_lstsq(obj, _vec(M_sqrt @ W), eq, _vec(H))
-        X, Y = _unvec(sol[: n * k], n, k), _unvec(sol[n * k :], m, k)
+        sol = numerics.constrained_lstsq(
+            obj, (M_sqrt @ W).reshape(-1, order="F"), eq, H.reshape(-1, order="F"))
+        X, Y = (part.reshape((-1, k), order="F") for part in (sol[: n * k], sol[n * k :]))
     residual = ((A @ X - X @ G) + B @ Y) - W
     return X, Y, numerics.spectral_norm(M_sqrt @ residual)
 
@@ -380,8 +370,8 @@ def check_assumption(
 ) -> ConditionReport:
     """One record per standing condition, with numeric residual or margin.
 
-    Structural equalities, positive definiteness and output-weight
-    domination of M, the Lyapunov decay inequality at a1, optimality of the
+    Structural equalities, output-weight domination of M (positive definite
+    in any bundle), the Lyapunov decay inequality at a1, optimality of the
     couplings against fresh re-solves, the input bound against the input
     ball, the disturbance-budget feasibility, and the initial-set lift over
     the corner points of the abstract initial box, each judged at the start
@@ -399,16 +389,15 @@ def check_assumption(
     cs = float(np.linalg.norm(C @ gains.S, "fro"))
     check("CS_zero", cs, STRUCT_TOL, cs <= STRUCT_TOL, "||C S||_F")
 
-    m_eigs = numerics.sym_eig(M).values
-    check("M_positive_definite", m_eigs[0], 0.0, m_eigs[0] > 0, "lambda_min(M)")
+    m_norm = numerics.spectral_norm(M)
     gap = numerics.sym_eig(M - C.T @ C).values[0]
-    gap_tol = -1e-9 * float(m_eigs[-1])
+    gap_tol = -1e-9 * m_norm
     check("output_weight_dominated", gap, gap_tol, gap >= gap_tol, "lambda_min(M - C^T C)")
 
     acl = A + B @ K
     lyap = acl.T @ M + M @ acl + gains.a1 * M
     lyap_top = float(numerics.sym_eig(0.5 * (lyap + lyap.T)).values[-1])
-    lyap_tol = 1e-9 * numerics.spectral_norm(M)
+    lyap_tol = 1e-9 * m_norm
     check("lyapunov_decay", lyap_top, lyap_tol, lyap_top <= lyap_tol,
           "lambda_max((A+BK)^T M + M (A+BK) + a1 M)")
 
@@ -442,8 +431,7 @@ def check_assumption(
     axes = int(np.count_nonzero(box.lows < box.highs))
     width = A.shape[0] + box.dim + gains.S.shape[1]
     try:
-        if 8 * 2**axes * width > numerics.physical_memory():  # int: exact for any axes
-            raise numerics.TooLarge(f"2^{axes} corners of {width} doubles > physical memory")
+        numerics.require_memory(8 * 2**axes * width, f"the lift of 2^{axes} corners")
         corners = box.corners()
         witness, uhat0 = lifted_start(concrete, gains, policy, corners, t0)
         worst = float(np.max(refine.vg(refine.RelationPoint(witness, corners, uhat0), gains)))

@@ -113,7 +113,8 @@ class TestSynthesize:
         assert fails == ["FAIL  gains_constructible: value=inf tol=0"]
         assert "Traceback" not in captured.out + captured.err
         report = json.loads((out / "report.json").read_text())
-        assert report["records"][0]["detail"].startswith("TooLarge:")
+        assert report["records"][0]["detail"].startswith(
+            "TooLarge: the Kronecker operator needs about ")
 
     @pytest.mark.parametrize("fault, detail", [
         ("K not stabilizing", "NotStabilizing: A + B K has spectral abscissa 1.61803 >= 0"),
@@ -149,7 +150,7 @@ class TestSynthesize:
         assert "Traceback" not in captured.out + captured.err
         by_name = {r["name"]: r for r in json.loads((out / "report.json").read_text())["records"]}
         assert "gains_constructible" not in by_name
-        for name in ("lyapunov_decay", "M_positive_definite", "output_weight_dominated",
+        for name in ("lyapunov_decay", "output_weight_dominated",
                      "CP_equals_Chat", "CS_zero", "PQ_optimal", "SR_optimal"):
             assert by_name[name]["passed"], name
         gains = json.loads((out / "gains.json").read_text())
@@ -295,8 +296,8 @@ class TestSimulate:
         syn = tmp_path / "syn"
         main(["synthesize", "--config", str(short_switched), "--out", str(syn)])
         capsys.readouterr()
-        # 8,001 rows at h, 12 columns: about 0.77 MB
-        monkeypatch.setattr("gaasim.sim._physical_memory", lambda: 5e5)
+        # 8,001 rows at h, integrating: about 1.8 MB
+        monkeypatch.setattr("gaasim.numerics.physical_memory", lambda: 5e5)
         out = tmp_path / "o"
         code = main([
             "simulate", "--config", str(short_switched),
@@ -310,6 +311,20 @@ class TestSimulate:
 
 
 class TestInitialSets:
+    @pytest.mark.parametrize("key, value, message", [
+        ("K", [[-1.3298, -1.4108, 0.0]], "scenario.K shape (1, 3) != (1, 2)"),
+        ("xhat0", [40.1, 0.0], "scenario.xhat0 shape (2,) != (1,)"),
+        ("x0", [40.0], "scenario.x0 shape (1,) != (2,)"),
+        ("M", [[1.0]], "scenario.M shape (1, 1) != (2, 2)"),
+    ])
+    def test_wrong_scenario_shape_is_one_line(self, tmp_path, capsys, key, value, message):
+        cfg = casestudy.switched_config(horizon=5.0, step=0.01)
+        cfg["scenario"][key] = value
+        code = main(["synthesize", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
     @pytest.mark.parametrize("key, value", [("x0", [40.3, -0.0401]), ("xhat0", [40.05])])
     def test_start_outside_its_box_exits_2(self, tmp_path, capsys, key, value):
         cfg = casestudy.switched_config(horizon=5.0, step=0.01)
@@ -465,10 +480,12 @@ class TestWrite:
                                  sc.epsilon, sc.envelope, M=sc.M)
         record = sim.simulate(sc.concrete, sc.abstract, gains, sc.policy,
                               sc.x0, sc.xhat0, sc.horizon, sc.step)
-        written = cli._write_trajectory(tmp_path / "sub" / "trajectory.csv", record)
-        data = written.read_bytes()
+        trajectory, jumps = cli._write_run(tmp_path / "sub", "_x", record)
+        assert (trajectory.name, jumps.name) == ("trajectory_x.csv", "jumps_x.csv")
+        data = trajectory.read_bytes()
         assert data == csv_text(record).encode("ascii")
         assert b"\r" not in data and data.count(b"\n") == record.t.size + 1
+        assert jumps.read_text(encoding="utf-8") == sim.jumps_csv(record)
 
 
 def square_input_config(uhat_const: float, horizon: float = 8.0) -> dict:

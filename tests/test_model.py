@@ -261,8 +261,9 @@ class TestPolicyEvaluationGrid:
             t_start = rng.uniform(0.0, 3.0)
             seg = OpenLoopSegment(t_start, t_start + 3.0, [rng.uniform(-1.0, 1.0, 4)])
             times = rng.uniform(seg.t_start, seg.t_end, 82)
-            for rows, at in ((seg.value(times), seg.value), (seg.derivative(times), seg.derivative)):
-                mismatches += sum(not np.array_equal(at(t), row) for t, row in zip(times, rows))
+            for at in (seg.uhat, lambda t, xhat: seg.uhatdot(None, t, xhat, None)):
+                rows = at(times, None)
+                mismatches += sum(not np.array_equal(at(t, None), row) for t, row in zip(times, rows))
         assert mismatches == 0
 
     def test_every_row_of_a_long_grid_equals_its_time_alone(self):
@@ -272,9 +273,10 @@ class TestPolicyEvaluationGrid:
         rng = np.random.default_rng(4)
         seg = OpenLoopSegment(0.0, 6.0, rng.uniform(-1.0, 1.0, (2, 4)))
         times = np.linspace(0.0, 6.0, 30_001)
-        for rows, at in ((seg.value(times), seg.value), (seg.derivative(times), seg.derivative)):
+        for at in (seg.uhat, lambda t, xhat: seg.uhatdot(None, t, xhat, None)):
+            rows = at(times, None)
             assert rows.shape == (times.size, 2)
-            assert all(np.array_equal(at(t), row) for t, row in zip(times, rows))
+            assert all(np.array_equal(at(t, None), row) for t, row in zip(times, rows))
 
 
 class TestReplaceScalars:

@@ -151,7 +151,7 @@ class TestSylvester:
         # the S = 0 baseline builds no operator: with X = 0 the columns of Y
         # are separate problems, whatever G is
         synthesis._coupling(*args, x_free=False)
-        with pytest.raises(nx.TooLarge, match="physical memory") as info:
+        with pytest.raises(nx.TooLarge, match="^the Kronecker operator needs about ") as info:
             synthesis._coupling(*args)
         assert len(str(info.value).splitlines()) == 1
 
@@ -341,3 +341,24 @@ class TestConstrainedLstsq:
         # and the objective then sets it
         x = nx.constrained_lstsq(np.eye(3), [0.0, 0.0, 3.0], sv, [1.0, 2e-5, 0.0])
         assert x == pytest.approx([1.0, 1.0, 3.0], rel=1e-9)
+
+
+class TestRequireMemory:
+    def test_refusal_is_one_memory_error(self, monkeypatch):
+        monkeypatch.setattr(nx, "physical_memory", lambda: 1e9)
+        nx.require_memory(10**9, "a fit")
+        with pytest.raises(nx.TooLarge) as info:
+            nx.require_memory(1.5e9, "the test")
+        assert isinstance(info.value, MemoryError) and isinstance(info.value, nx.NumericsError)
+        assert str(info.value) == ("the test needs about 1.40 GiB of arrays, more than "
+                                   "the 0.931 GiB of physical memory")
+
+    def test_compares_and_prints_any_int(self, monkeypatch):
+        monkeypatch.setattr(nx, "physical_memory", lambda: 2.0**60)
+        nx.require_memory(2**60, "a fit")
+        # one byte more, which float(2**60 + 1) would round away
+        with pytest.raises(nx.TooLarge, match="needs about 1.07e[+]9 GiB of arrays"):
+            nx.require_memory(2**60 + 1, "one byte more")
+        # 8 * 2^1100 bytes: beyond any float, where nbytes / 2**30 overflows
+        with pytest.raises(nx.TooLarge, match="needs about 1.01e[+]323 GiB of arrays"):
+            nx.require_memory(8 * 2**1100, "2^1100 corners")

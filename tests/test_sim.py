@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gaasim import casestudy, sim
+from gaasim import casestudy, numerics, sim
 from gaasim.model import (
     AbstractInputPolicy,
     AbstractLinearSystem,
@@ -690,18 +690,35 @@ class TestWriteTrajectoryCsv:
         assert 2 <= len(started) <= 1 + 2 * cpus
 
 
+def plant_config(n: int, kind: str):
+    """The study's policy of `kind` over 1000 s at h = 0.005 on the plant
+    A = -I, B = e1, C = e1^T of n states with K = 0 and M solved, started
+    on the relation."""
+    cfg = (casestudy.ramp_config if kind == "open_loop" else casestudy.switched_config)(
+        horizon=1000.0, step=0.005)
+    eye, start = np.eye(n), [40.1] + [0.0] * (n - 1)
+    cfg["concrete"].update(A=(-eye).tolist(), B=eye[:, :1].tolist(), C=eye[:1].tolist(),
+                           x0_box=[[v, v] for v in start])
+    cfg["scenario"].update(K=[[0.0] * n], x0=start)
+    del cfg["scenario"]["M"]
+    return parse_config(cfg)
+
+
 class TestPreflight:
     """Runs are refused before allocation when their arrays exceed memory."""
 
     def test_counts_the_run_at_h_only(self, monkeypatch, switched5):
         sc, gains, _ = switched5
         args = (sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0, 1.0, 1e-2)
-        # 12 columns x 8 bytes: 101 rows at h; no second run at h/2 is made
-        monkeypatch.setattr(sim, "_physical_memory", lambda: 12 * 8 * 101.0)
+        # 101 rows at h, integrating: 101 x (1 + 3 + 1.5 x 3) doubles and a
+        # bound slice of 101 x (3 + 3 x 3 + 8); no second run at h/2 is made
+        need = 8 * 101 * (8.5 + 20.0)
+        monkeypatch.setattr(numerics, "physical_memory", lambda: need)
         assert simulate(*args).t.size == 101
         assert simulate_calibrated(*args).t.size == 101
-        monkeypatch.setattr(sim, "_physical_memory", lambda: 12 * 8 * 100.0)
-        with pytest.raises(MemoryError, match="needs about .* GiB of arrays"):
+        monkeypatch.setattr(numerics, "physical_memory", lambda: need - 1.0)
+        with pytest.raises(numerics.TooLarge, match="^the run needs about .* GiB of arrays, "
+                           "more than the .* GiB of physical memory$"):
             simulate(*args)
 
     def test_refused_before_recorder_allocates(self, monkeypatch, switched5):
@@ -712,7 +729,7 @@ class TestPreflight:
         def no_propagation(*a, **k):
             raise AssertionError("nothing may be propagated")
 
-        monkeypatch.setattr(sim, "_physical_memory", lambda: 1e6)
+        monkeypatch.setattr(numerics, "physical_memory", lambda: 1e6)
         monkeypatch.setattr(sim, "_propagate", no_propagation)
         with pytest.raises(MemoryError) as info:
             simulate(sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0,
@@ -720,7 +737,36 @@ class TestPreflight:
         assert len(str(info.value).splitlines()) == 1
 
     def test_physical_memory_probe(self):
-        assert sim._physical_memory() > 0
+        assert numerics.physical_memory() > 0
+
+    @pytest.mark.parametrize("kind", ["open_loop", "switched_feedback"])
+    @pytest.mark.parametrize("n", [2, 20, 60])
+    def test_count_covers_the_traced_peak(self, monkeypatch, n, kind):
+        """200,001 rows at h = 0.005: the count is at least the traced peak of
+        `simulate`; from n = 20 on, where the peak is well above the record
+        alone, a memory between the two, which a count of the record alone
+        accepted, refuses the run."""
+        sc = plant_config(n, kind)
+        gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon, sc.envelope)
+        args = (sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0, sc.horizon, sc.step)
+        counted = []
+        monkeypatch.setattr(numerics, "require_memory", lambda nbytes, what: counted.append(nbytes))
+        tracemalloc.start()
+        try:
+            rows = simulate(*args).t.size
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rows >= 200_001 and counted[0] >= peak
+        monkeypatch.undo()
+        if n < 20:
+            return
+        record = 8 * 200_001 * (4 + n + 1 + 2 * 1 + 1 + 2 * 1)
+        limit = 0.5 * (record + peak)
+        assert record < limit < peak
+        monkeypatch.setattr(numerics, "physical_memory", lambda: limit)
+        with pytest.raises(numerics.TooLarge):
+            simulate(*args)
 
 
 def test_step_size_invariance_of_verdicts(switched5):
@@ -743,7 +789,7 @@ def rk4_reference(concrete, abstract, gains, seg, z0, a, b, h):
     z = np.asarray(z0, dtype=float)
     rows = [z]
     for t in a + h_eff * np.arange(steps):
-        u1, u2, u3 = seg.value(np.array([t, t + 0.5 * h_eff, t + h_eff]))
+        u1, u2, u3 = seg.uhat(np.array([t, t + 0.5 * h_eff, t + h_eff]), None)
         z = phi @ z + d1 @ u1 + d2 @ u2 + d3 @ u3
         rows.append(z)
     return np.array(rows)
@@ -782,7 +828,7 @@ class TestOpenLoopKernel:
         coeffs = absolute_coeffs([0.1, 0.02, -0.003, 0.0001], 500.0)
         assert abs(coeffs[3] * 500.0**3) > 1e4  # absolute-t form cancels heavily
         seg = OpenLoopSegment(t_start=500.0, t_end=520.0, coeffs=[coeffs])
-        x0 = lift_initial([2.0], seg.value(500.0), gains)
+        x0 = lift_initial([2.0], seg.uhat(500.0, None), gains)
         self.assert_matches_reference(sc.concrete, sc.abstract, gains, seg, x0, [2.0], 1e-3)
 
     def test_two_channel_cubic_segment(self):
@@ -803,7 +849,7 @@ class TestOpenLoopKernel:
     def test_constant_segment(self, ramp_pair):
         sc, gains = ramp_pair
         seg = OpenLoopSegment(t_start=0.0, t_end=50.0, coeffs=[[0.3]])
-        x0 = lift_initial([40.1], seg.value(0.0), gains)
+        x0 = lift_initial([40.1], seg.uhat(0.0, None), gains)
         self.assert_matches_reference(sc.concrete, sc.abstract, gains, seg, x0, [40.1], 1e-2)
 
 

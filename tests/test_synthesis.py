@@ -279,7 +279,6 @@ class TestCheckAssumption:
         assert {
             "CP_equals_Chat",
             "CS_zero",
-            "M_positive_definite",
             "output_weight_dominated",
             "lyapunov_decay",
             "PQ_optimal",
@@ -288,6 +287,8 @@ class TestCheckAssumption:
             "feasibility",
             "initial_lift",
         } <= names
+        # a bundle's M is positive definite by construction: no record restates it
+        assert "M_positive_definite" not in names
 
     def test_perturbed_s_fails_cs_record(self, sys5, env5, gains5):
         concrete, abstract = sys5
@@ -357,7 +358,8 @@ class TestCheckAssumption:
         monkeypatch.setattr(Box, "corners", no_corners)
         lift = condition(check_assumption(concrete, abstract, gains5, env5), "initial_lift")
         assert not lift.passed and lift.value == math.inf
-        assert lift.detail.startswith("TooLarge:") and len(lift.detail.splitlines()) == 1
+        assert lift.detail.startswith("TooLarge: the lift of 2^1 corners needs about ")
+        assert lift.detail.endswith(" GiB of physical memory") and len(lift.detail.splitlines()) == 1
 
     def test_report_json_stable_names(self, sys5, env5, gains5):
         concrete, abstract = sys5
