@@ -23,7 +23,7 @@ import time
 from pathlib import Path
 
 from . import __version__, casestudy, sim, synthesis
-from .model import ConfigError, Scenario, emit_config, parse_config, replace_scalars
+from .model import ConfigError, Scenario, emit_config, parse_config
 from .numerics import NumericsError
 from .synthesis import NotStabilizing, RefinementGains
 
@@ -63,17 +63,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(scenario: Scenario, args) -> Scenario:
-    updates = {}
-    for name in ("epsilon", "a1", "step", "horizon"):
-        value = getattr(args, name, None)
-        if value is not None:
-            updates[name] = value
-    return replace_scalars(scenario, **updates)
-
-
 def _load_scenario(args) -> Scenario:
-    return _apply_overrides(parse_config(Path(args.config).read_bytes()), args)
+    scalars = {name: getattr(args, name) for name in ("epsilon", "a1", "step", "horizon")}
+    return parse_config(Path(args.config).read_bytes(), **scalars)
 
 
 def _digest(config: dict) -> str:
@@ -269,13 +261,9 @@ def cmd_casestudy(args) -> int:
     step = args.step if args.step is not None else 1e-3
     ramp_horizon = min(horizon, 200.0)
 
-    switched = _apply_overrides(
-        parse_config(casestudy.switched_config(horizon=horizon, step=step)), args
-    )
-    ramp = _apply_overrides(
-        parse_config(casestudy.ramp_config(horizon=ramp_horizon, step=step)),
-        argparse.Namespace(epsilon=args.epsilon, a1=args.a1, step=None, horizon=None),
-    )
+    scalars = {"epsilon": args.epsilon, "a1": args.a1}
+    switched = parse_config(casestudy.switched_config(horizon=horizon, step=step), **scalars)
+    ramp = parse_config(casestudy.ramp_config(horizon=ramp_horizon, step=step), **scalars)
     outputs = [
         _write(out / "casestudy_switched.json", _json_text(emit_config(switched))),
         _write(out / "casestudy_ramp.json", _json_text(emit_config(ramp))),
@@ -344,19 +332,27 @@ def cmd_casestudy(args) -> int:
     outputs.append(_write(out / "casestudy_summary.json", _json_text(summary)))
     outputs.append(_manifest(out, "casestudy", _digest(emit_config(switched)), outputs, started))
 
+    def note(check: str, claim: str) -> str:
+        """`claim` where the check `check` holds, else that it failed."""
+        return claim if checks[check] else f"FAILED {check}"
+
     rows = [
-        ("input bound b", f"{gains.input_bound:.6g}", f"<= ball {switched.b_U}"),
+        ("input bound b", f"{gains.input_bound:.6g}",
+         note("input_bound_in_window", f"<= ball {switched.b_U}")),
         ("rbar1", f"{gains.rbar1:.3g}", ""),
         ("rbar2", f"{gains.rbar2:.3g}", ""),
         ("rbar3", f"{gains.rbar3:.6g}", "often misread as 0.1; see note"),
-        ("rbar_max @ allowance 0.0486", f"{rmax_allow:.6g}", "matches the quoted 0.1"),
-        ("2 rbar_max / a1 @ allowance", f"{ratio_allow:.6g}", f"<= eps {gains.epsilon}"),
+        ("rbar_max @ allowance 0.0486", f"{rmax_allow:.6g}",
+         note("allowance_rbar_max_in_window", "matches the quoted 0.1")),
+        ("2 rbar_max / a1 @ allowance", f"{ratio_allow:.6g}",
+         note("allowance_decay_ratio_in_window", f"<= eps {gains.epsilon}")),
         ("scenario rbar_max", f"{_rbar_max(gains, switched):.6g}", "runtime envelope"),
         ("switched max |y - yhat|", f"{switched_verdict.max_output_error:.6g}",
          f"jumps {switched_verdict.jumps_passed}/{switched_verdict.jumps_total}"),
-        ("ramp gaas max |y - yhat|", f"{compare_results['gaas']['max_output_error']:.6g}", ""),
+        ("ramp gaas max |y - yhat|", f"{compare_results['gaas']['max_output_error']:.6g}",
+         note("ramp_gaas_within_epsilon", f"<= eps {ramp.epsilon}")),
         ("ramp S=0 max |y - yhat|", f"{compare_results['s_zero']['max_output_error']:.6g}",
-         "exceeds eps as expected"),
+         note("ramp_baseline_exceeds_epsilon", "exceeds eps as expected")),
     ]
     width = max(len(r[0]) for r in rows)
     print(f"{'quantity':<{width}}  value        note")

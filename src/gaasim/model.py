@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -507,8 +507,10 @@ def _parse_policy(value, path: str) -> AbstractInputPolicy:
     return AbstractInputPolicy(**fields)
 
 
-def parse_config(document) -> Scenario:
-    """Parse and validate a configuration document (JSON text or dict)."""
+def parse_config(document, **overrides: float | None) -> Scenario:
+    """Parse and validate a configuration document (JSON text or dict).  The
+    `overrides` that are not None replace scenario scalars (epsilon, a1,
+    step, horizon) before those are checked."""
     if isinstance(document, (str, bytes)):
         try:
             document = json.loads(document)
@@ -538,7 +540,8 @@ def parse_config(document) -> Scenario:
             f"policy region dimension {policy.regions[0].box.dim} != n_r {abstract.n_r}"
         )
 
-    sc = Scenario(concrete, abstract, envelope, policy, **_fields(doc, "scenario"))
+    scalars = {name: float(value) for name, value in overrides.items() if value is not None}
+    sc = Scenario(concrete, abstract, envelope, policy, **{**_fields(doc, "scenario"), **scalars})
     _check_scalars(policy, epsilon=sc.epsilon, a1=sc.a1, step=sc.step, horizon=sc.horizon)
     n, m, n_r = concrete.n, concrete.m, abstract.n_r
     for name, shape in (("K", (m, n)), ("xhat0", (n_r,)), ("x0", (n,)), ("M", (n, n))):
@@ -573,14 +576,6 @@ def _check_scalars(policy: AbstractInputPolicy, **values: float) -> None:
                 f"open-loop segments cover [{policy.segments[0].t_start}, "
                 f"{policy.t_end}] but the horizon is [0, {horizon}]"
             )
-
-
-def replace_scalars(scenario: Scenario, **values: float) -> Scenario:
-    """`scenario` with some of epsilon, a1, step and horizon replaced,
-    checked exactly as `parse_config` checks them."""
-    values = {name: float(value) for name, value in values.items()}
-    _check_scalars(scenario.policy, **values)
-    return replace(scenario, **values)
 
 
 def _lists(a) -> list:

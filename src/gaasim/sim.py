@@ -2,14 +2,13 @@
 under a piecewise abstract input policy, with jump-event handling and
 trajectory-level verification.
 
-The joint state z = [x; xhat] evolves under classical fixed-step RK4.  For
-each control regime (an open-loop polynomial segment or a feedback region)
-the right-hand side is affine, so the RK4 step is an exact per-regime step
-map, algebraically identical to stage-wise evaluation.  Both kinds of
-regime (`_Regime`) make that map autonomous: a feedback region's closed
-loop is autonomous as it is, and an open-loop segment carries its
-polynomial drive on the augmented state [z; 1; s; ...; s^deg] of
-normalized local time s.  One driver integrates a run span by span between
+The joint state z = [x; xhat] evolves under classical fixed-step RK4.  Each
+control regime (`_Regime`) has an exact autonomous generator: a feedback
+region's closed loop is autonomous as it is, and an open-loop segment
+carries its polynomial drive on the augmented state [z; 1; s; ...; s^deg]
+of normalized local time s.  The step map of every regime is RK4 of its
+generator, one matrix (`_rk4_phi`); on a segment's powers of s it is their
+exact flow.  One driver integrates a run span by span between
 the open-loop breakpoints, which it inserts into the grid exactly (a
 feedback run is one span): it propagates by repeated doubling
 (`_propagate`) until a sample leaves the regime's box, which a segment does
@@ -141,27 +140,15 @@ def eval_policy(policy: AbstractInputPolicy, abstract: AbstractLinearSystem, t: 
 
 
 # ---------------------------------------------------------------------------
-# RK4 step matrices for the per-regime affine dynamics dz/dt = F z + N uhat
+# Generators of the per-regime dynamics dz/dt = F z + N uhat and their RK4 map
 
 
 def _rk4_phi(F: np.ndarray, s: float) -> np.ndarray:
+    """Classical RK4's map of dw/dt = F w over a step s: exp(sF) to 4th order."""
     eye = np.eye(F.shape[0])
     F2 = F @ F
     F3 = F2 @ F
     return eye + s * F + (s * s / 2.0) * F2 + (s**3 / 6.0) * F3 + (s**4 / 24.0) * F2 @ F2
-
-
-def _rk4_affine(F: np.ndarray, N: np.ndarray, s: float):
-    """Step matrices (Phi, D1, D2, D3) of classical RK4 for dz = F z + N u(t):
-    z+ = Phi z + D1 u(t) + D2 u(t + s/2) + D3 u(t + s)."""
-    FN = F @ N
-    F2N = F @ FN
-    F3N = F @ F2N
-    phi = _rk4_phi(F, s)
-    d1 = (s / 6.0) * N + (s * s / 6.0) * FN + (s**3 / 12.0) * F2N + (s**4 / 24.0) * F3N
-    d2 = (2.0 * s / 3.0) * N + (s * s / 3.0) * FN + (s**3 / 12.0) * F2N
-    d3 = (s / 6.0) * N
-    return phi, d1, d2, d3
 
 
 def _joint_matrices(concrete, abstract, gains):
@@ -178,12 +165,9 @@ def _joint_matrices(concrete, abstract, gains):
 
 
 def _binomial_shift(c: float, size: int) -> np.ndarray:
-    """Lower-triangular L with L[i, k] = C(i, k) c^(i - k).
-
-    A polynomial with ascending coefficients `coeffs` re-expands about c as
-    p(c + tau) = sum_k (coeffs @ L)[k] tau^k, and the monomials advance as
-    [(s + c)^i]_i = L [s^k]_k.
-    """
+    """Lower-triangular L with L[i, k] = C(i, k) c^(i - k): a polynomial with
+    ascending coefficients `coeffs` re-expands about c as p(c + tau) = sum_k
+    (coeffs @ L)[k] tau^k."""
     out = np.zeros((size, size))
     for i in range(size):
         for k in range(i + 1):
@@ -191,34 +175,17 @@ def _binomial_shift(c: float, size: int) -> np.ndarray:
     return out
 
 
-def _segment_maps(F, N, seg: OpenLoopSegment, a: float, length: float, steps: int):
-    """Exact generator and RK4 step map of one open-loop segment on [a, a +
-    length], in `steps` steps, as an autonomous system on w = [z; 1; s; ...;
-    s^deg], s = (t - a) / length.
-
-    The generator is dz/dt = F z + N uhat(a + length s), d(s^j)/dt = j
-    s^(j-1) / length.  The drive D1 u(t) + D2 u(t + h/2) + D3 u(t + h) of
-    each step is the segment polynomial re-expanded about the three stage
-    offsets, hence linear in the powers of s; s advances by 1/steps through a
-    binomial shift (Van Loan's augmented-matrix construction).
-    """
-    h_eff = length / steps
-    phi, d1, d2, d3 = _rk4_affine(F, N, h_eff)
+def _segment_generator(F, N, seg: OpenLoopSegment, a: float, length: float):
+    """Exact generator of one open-loop segment on [a, a + length] as an
+    autonomous system on w = [z; 1; s; ...; s^deg], s = (t - a) / length:
+    dz/dt = F z + N uhat(a + length s), d(s^j)/dt = j s^(j-1) / length (Van
+    Loan's augmented-matrix construction)."""
     size, nz = seg.coeffs.shape[1], F.shape[0]
-    scale = length ** np.arange(size)
-    drive = sum(
-        d @ ((seg.coeffs @ _binomial_shift(a + offset, size)) * scale)
-        for d, offset in ((d1, 0.0), (d2, 0.5 * h_eff), (d3, h_eff))
-    )
     gen = np.zeros((nz + size, nz + size))
     gen[:nz, :nz] = F
-    gen[:nz, nz:] = N @ ((seg.coeffs @ _binomial_shift(a, size)) * scale)
+    gen[:nz, nz:] = N @ ((seg.coeffs @ _binomial_shift(a, size)) * length ** np.arange(size))
     gen[nz:, nz:] = np.diag(np.arange(1.0, size), -1) / length
-    step_map = np.zeros_like(gen)
-    step_map[:nz, :nz] = phi
-    step_map[:nz, nz:] = drive
-    step_map[nz:, nz:] = _binomial_shift(1.0 / steps, size)
-    return gen, step_map
+    return gen
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,9 +194,9 @@ class _Regime:
     region with its box and gain, whose propagated state w is z, or an
     open-loop segment, whose w is [z; 1; s; ...; s^deg] with s = (t - a) /
     (b - a), and which has no box, so it never exits.  `gen` is the exact
-    generator of w and `phi` its RK4 map over one of the `steps` steps of
-    length `step` that cover the span (an empty span takes none, and a
-    segment there has no maps); `tail` is w after z at a."""
+    generator of w and `phi` = `_rk4_phi(gen, step)` its RK4 map over one of
+    the `steps` steps of length `step` that cover the span (an empty span
+    takes none, and a segment there has neither); `tail` is w after z at a."""
 
     index: int
     step: float
@@ -262,7 +229,7 @@ def _preflight(concrete, abstract, policy, horizon: float, h: float) -> None:
     w = nz + max((seg.coeffs.shape[1] for seg in policy.segments), default=0)
     rows = horizon / h + 1.0
     need = max(rows * per_row + min(rows, size) * per_slice for per_row, per_slice, size in (
-        (1 + nz + 1.5 * w, w + 3 * nz + 8, _BOUND_ROWS),  # integrating, and a bound slice
+        (1 + nz + 1.5 * w, w + 2 * nz + 8, _BOUND_ROWS),  # integrating, and a bound slice
         (nz + 2 + 4 * m_r + 3 * n_r, 0, 0),  # evaluating the policy
         (4 + nz + 2 * m_r + m + 2 * p, 3 * n + 4 * m + p + 4, _BLOCK_ROWS),  # the record
     ))
@@ -389,7 +356,8 @@ class _ErrorBound:
                     if regime.seg is not None:
                         s = np.arange(k0, k0 + w.shape[1]) / regime.steps
                         w = np.vstack([w, theta * s ** np.arange(gen.shape[0] - nz)[:, None]])
-                    v = z[:, 1:] - z[:, :-1] - y @ w
+                    v = z[:, 1:] - z[:, :-1]
+                    v -= y @ w
                     w_max = _max_column_norm(w)
                     local = per_w * w_max + 3 * _U * _max_column_norm(v)  # on the whole slice
                     d_x = _column_norms(v[n:]) + local
@@ -504,12 +472,13 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
         step = (b - a) / max(steps, 1)
         item = policy.regimes[index]
         if isinstance(item, OpenLoopSegment):
-            maps = _segment_maps(F, N, item, a, b - a, steps) if steps else (None, None)
-            tail = np.eye(item.coeffs.shape[1])[0]
-            return _Regime(index, step, steps, *maps, tail, seg=item, span=(a, b))
-        gen = F - N @ (item.gain @ to_xhat)
-        return _Regime(index, step, steps, gen, _rk4_phi(gen, step), np.empty(0),
-                       item.box, item.gain)
+            gen = _segment_generator(F, N, item, a, b - a) if steps else None
+            kind = dict(tail=np.eye(item.coeffs.shape[1])[0], seg=item, span=(a, b))
+        else:
+            gen = F - N @ (item.gain @ to_xhat)
+            kind = dict(tail=np.empty(0), box=item.box, gain=item.gain)
+        phi = None if gen is None else _rk4_phi(gen, step)
+        return _Regime(index, step, steps, gen, phi, **kind)
 
     def keep(ts: np.ndarray, rows: np.ndarray, index: int) -> None:
         """Keep the rows (ts, rows) of regime `index` as a trimmed copy."""
@@ -560,7 +529,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
             if exits.size == 0:
                 keep(ts[i : r.steps], block[:-1], r.index)
                 bound.stretch(r, r.step, block)
-                return block[-1], r
+                return block[-1].copy(), r  # not a view that keeps the block
 
             j = int(exits[0])  # first sample outside; j >= 1 since z is inside
             keep(ts[i : i + j], block[:j], r.index)

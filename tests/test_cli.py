@@ -657,3 +657,13 @@ class TestCaseStudy:
         assert summary["switched"]["jumps_total"] == 1
         assert summary["switched"]["passed"] is True
         assert all(summary["checks"].values())
+
+    def test_table_notes_follow_the_checks(self, tmp_path, capsys):
+        """At horizon 0 the S = 0 baseline cannot leave eps: the run fails
+        that check, and the table says so instead of stating the note."""
+        code = main(["casestudy", "--out", str(tmp_path / "cs"), "--horizon", "0"])
+        printed = capsys.readouterr().out
+        assert code == 1
+        assert "exceeds eps as expected" not in printed
+        assert "FAILED ramp_baseline_exceeds_epsilon" in printed
+        assert "matches the quoted 0.1" in printed  # a check that holds keeps its note

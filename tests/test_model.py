@@ -18,7 +18,6 @@ from gaasim.model import (
     OperatingEnvelope,
     emit_config,
     parse_config,
-    replace_scalars,
 )
 
 from conftest import point_box
@@ -280,12 +279,16 @@ class TestPolicyEvaluationGrid:
 
 
 class TestReplaceScalars:
+    """`parse_config`'s overrides replace scenario scalars before the checks."""
+
     def test_valid_values_replace(self):
-        sc = parse_config(casestudy.switched_config())
-        out = replace_scalars(sc, epsilon=0.4, a1=1, step=2e-3, horizon=10.0)
+        cfg = casestudy.switched_config()
+        out = parse_config(cfg, epsilon=0.4, a1=1, step=2e-3, horizon=10.0)
         assert (out.epsilon, out.a1, out.step, out.horizon) == (0.4, 1.0, 2e-3, 10.0)
         assert isinstance(out.a1, float)
-        assert out.policy is sc.policy
+        cfg["scenario"].update(epsilon=0.4, a1=1.0, step=2e-3, horizon=10.0)
+        assert emit_config(out) == cfg
+        assert emit_config(parse_config(cfg, epsilon=None)) == cfg  # None replaces nothing
 
     @pytest.mark.parametrize("name, value, message", [
         ("epsilon", 0.0, "must be positive"),
@@ -297,15 +300,19 @@ class TestReplaceScalars:
         ("epsilon", float("-inf"), "must be finite"),
     ])
     def test_checked_like_the_config(self, name, value, message):
-        sc = parse_config(casestudy.switched_config())
         with pytest.raises(ConfigError, match=rf"scenario\.{name} {message}"):
-            replace_scalars(sc, **{name: value})
+            parse_config(casestudy.switched_config(), **{name: value})
 
     def test_horizon_beyond_open_loop_segments(self):
-        sc = parse_config(casestudy.ramp_config(horizon=100.0))
-        replace_scalars(sc, horizon=50.0)
+        cfg = casestudy.ramp_config(horizon=100.0)
+        parse_config(cfg, horizon=50.0)
         with pytest.raises(ConfigError, match="open-loop segments cover"):
-            replace_scalars(sc, horizon=1000.0)
+            parse_config(cfg, horizon=1000.0)
+        # the effective value is checked: an overridden file value is not
+        cfg["scenario"]["horizon"] = 1000.0
+        with pytest.raises(ConfigError, match="open-loop segments cover"):
+            parse_config(cfg)
+        assert parse_config(cfg, horizon=50.0).horizon == 50.0
 
 
 def test_emit_equals_source_dict():

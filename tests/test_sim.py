@@ -6,6 +6,7 @@ import threading
 import time
 import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -710,9 +711,11 @@ class TestPreflight:
     def test_counts_the_run_at_h_only(self, monkeypatch, switched5):
         sc, gains, _ = switched5
         args = (sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0, 1.0, 1e-2)
-        # 101 rows at h, integrating: 101 x (1 + 3 + 1.5 x 3) doubles and a
-        # bound slice of 101 x (3 + 3 x 3 + 8); no second run at h/2 is made
-        need = 8 * 101 * (8.5 + 20.0)
+        # 101 rows at h, the largest set is the record's: 101 x (4 + 3 + 2 +
+        # 1 + 2) doubles and a block of 101 x (6 + 4 + 1 + 4); integrating,
+        # 101 x (1 + 3 + 1.5 x 3) and a bound slice of 101 x (3 + 2 x 3 + 8)
+        # stay below it; no second run at h/2 is made
+        need = 8 * 101 * (12 + 15)
         monkeypatch.setattr(numerics, "physical_memory", lambda: need)
         assert simulate(*args).t.size == 101
         assert simulate_calibrated(*args).t.size == 101
@@ -769,6 +772,26 @@ class TestPreflight:
             simulate(*args)
 
 
+def test_a_span_frees_its_buffer_before_the_next(monkeypatch):
+    """The state carried from one span to the next is a copy: when the
+    second span starts propagating, the first span's buffer is gone."""
+    sc = parse_config(casestudy.ramp_config(horizon=100.0, step=1e-2))
+    gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon, sc.envelope,
+                             M=sc.M)
+    buffers, alive = [], []
+    propagate = sim._propagate
+
+    def tracing(*args, **kwargs):
+        alive.append([ref() is not None for ref in buffers])
+        rows = propagate(*args, **kwargs)
+        buffers.append(weakref.ref(rows.base))
+        return rows
+
+    monkeypatch.setattr(sim, "_propagate", tracing)
+    simulate(sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0, sc.horizon, sc.step)
+    assert alive == [[], [False]]
+
+
 def test_step_size_invariance_of_verdicts(switched5):
     sc, gains, rmax = switched5
     recs = {}
@@ -781,16 +804,23 @@ def test_step_size_invariance_of_verdicts(switched5):
 
 
 def rk4_reference(concrete, abstract, gains, seg, z0, a, b, h):
-    """Rows z(a), ..., z(b) of classical RK4 stepped one step at a time."""
+    """Rows z(a), ..., z(b) of classical RK4 stepped one step at a time,
+    stage by stage, on f(t, z) = F z + N uhat(t)."""
     F, N = sim._joint_matrices(concrete, abstract, gains)
     steps = sim._n_steps(a, b, h)
     h_eff = (b - a) / steps
-    phi, d1, d2, d3 = sim._rk4_affine(F, N, h_eff)
+
+    def f(t, z):
+        return F @ z + N @ seg.uhat(t, None)
+
     z = np.asarray(z0, dtype=float)
     rows = [z]
     for t in a + h_eff * np.arange(steps):
-        u1, u2, u3 = seg.uhat(np.array([t, t + 0.5 * h_eff, t + h_eff]), None)
-        z = phi @ z + d1 @ u1 + d2 @ u2 + d3 @ u3
+        k1 = f(t, z)
+        k2 = f(t + 0.5 * h_eff, z + 0.5 * h_eff * k1)
+        k3 = f(t + 0.5 * h_eff, z + 0.5 * h_eff * k2)
+        k4 = f(t + h_eff, z + h_eff * k3)
+        z = z + (h_eff / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         rows.append(z)
     return np.array(rows)
 
