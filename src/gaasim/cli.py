@@ -37,34 +37,32 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_overrides(p, with_config=True):
+    def add_overrides(p, *names, with_config=True):  # names: the scalars it uses
         if with_config:
             p.add_argument("--config", required=True, metavar="JSON")
         p.add_argument("--out", required=True, metavar="DIR")
-        p.add_argument("--epsilon", type=float, default=None)
-        p.add_argument("--a1", type=float, default=None)
-        p.add_argument("--step", type=float, default=None)
-        p.add_argument("--horizon", type=float, default=None)
+        for name in names:
+            p.add_argument(f"--{name}", type=float, default=None)
 
     syn = sub.add_parser("synthesize", help="Compute gains and check every condition.")
-    add_overrides(syn)
+    add_overrides(syn, "epsilon", "a1")
     syn.add_argument("--force-s-zero", action="store_true",
                      help="baseline interface with S = 0")
 
     simp = sub.add_parser("simulate", help="Co-simulate and verify one scenario.")
-    add_overrides(simp)
+    add_overrides(simp, "epsilon", "step", "horizon")
     simp.add_argument("--gains", required=True, metavar="JSON")
 
     comp = sub.add_parser("compare", help="Run full interface vs S = 0 baseline.")
-    add_overrides(comp)
+    add_overrides(comp, "epsilon", "a1", "step", "horizon")
 
     case = sub.add_parser("casestudy", help="Run the embedded case study end to end.")
-    add_overrides(case, with_config=False)
+    add_overrides(case, "epsilon", "a1", "step", "horizon", with_config=False)
     return parser
 
 
 def _load_scenario(args) -> Scenario:
-    scalars = {name: getattr(args, name) for name in ("epsilon", "a1", "step", "horizon")}
+    scalars = {name: getattr(args, name, None) for name in ("epsilon", "a1", "step", "horizon")}
     return parse_config(Path(args.config).read_bytes(), **scalars)
 
 
@@ -126,7 +124,6 @@ def _synthesize_pipeline(scenario: Scenario, force_s_zero: bool):
             name="gains_constructible",
             value=float("inf"),
             tolerance=0.0,
-            passed=False,
             detail=f"{type(exc).__name__}: {exc}",
         )
         return None, synthesis.ConditionReport((record,))
@@ -287,7 +284,8 @@ def cmd_casestudy(args) -> int:
 
     switched_rec, switched_verdict = _run_simulation(switched, gains)
     outputs += _write_run(out, "_switched", switched_rec)
-    outputs.append(_write(out / "verify_switched.json", _json_text(switched_verdict.to_dict())))
+    verified = switched_verdict.to_dict()
+    outputs.append(_write(out / "verify_switched.json", _json_text(verified)))
 
     compare_results = _compare_runs(ramp, out, "ramp_", outputs)
     if compare_results is None:
@@ -304,7 +302,7 @@ def cmd_casestudy(args) -> int:
         "allowance_rbar_max_in_window": rlo <= rmax_allow <= rhi,
         "allowance_decay_ratio_in_window": dlo <= ratio_allow <= dhi and feas_allow,
         "switched_verification_passed": switched_verdict.passed,
-        "switched_jumps_all_pass": switched_verdict.jumps_ok,
+        "switched_jumps_all_pass": verified["jumps_ok"],
         "ramp_gaas_within_epsilon": compare_results["gaas"]["max_output_error"] <= ramp.epsilon,
         "ramp_baseline_exceeds_epsilon": compare_results["s_zero"]["max_output_error"] > ramp.epsilon,
     }
@@ -325,7 +323,7 @@ def cmd_casestudy(args) -> int:
             "uhatdot allowance, not to rbar3 itself (which is "
             f"{gains.rbar3:.6g}); both are reported"
         ),
-        "switched": switched_verdict.to_dict(),
+        "switched": verified,
         "ramp_compare": compare_results,
         "checks": checks,
     }

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import os
 import warnings
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, fields
 from typing import BinaryIO
 
 import numpy as np
@@ -47,7 +47,7 @@ from .model import (
     OpenLoopSegment,
     OperatingEnvelope,
 )
-from .synthesis import RefinementGains
+from .synthesis import ConditionRecord, RefinementGains
 
 
 class SimulationError(RuntimeError):
@@ -103,9 +103,9 @@ class TrajectoryRecord:
 
     Rows are strictly increasing in time, cover [t0, t0 + horizon], and
     every jump time appears exactly on the grid (its row stores the
-    post-jump abstract input).  `vg0` is the value at t[0] = t0 that the
-    run anchored its jump envelope and initial membership on, and
-    `decay_slack` bounds the integration error of `vg` (see `simulate`).
+    post-jump abstract input).  `vg[0]` is the value at t[0] = t0 that the
+    run anchored its jump envelope on, and `decay_slack` bounds the
+    integration error of `vg` (see `simulate`).
     Each array is (rows,) or (rows, k) and F-contiguous: `x` and `xhat` are
     views of the run's joined states, one contiguous column per coordinate,
     and the other arrays share that layout.  A caller that needs C order
@@ -123,8 +123,6 @@ class TrajectoryRecord:
     vg: np.ndarray
     err: np.ndarray
     jumps: list[JumpRecord]
-    initial_membership: bool
-    vg0: float
     decay_slack: float
 
 
@@ -396,11 +394,12 @@ def simulate(
 ) -> TrajectoryRecord:
     """Co-simulate the refined interconnection over [t0, t0 + horizon].
 
-    Identical inputs produce bit-identical records.  The initial triple is
-    checked for relation membership (a warning is issued when it fails and
-    the record carries the flag); each jump is checked against the budget
-    of the envelope derived from `rbar_max`, which restarts after every
-    logged jump, and logged.  `epsilon` defaults to the bundle's value and
+    Identical inputs produce bit-identical records.  A warning is issued
+    when the initial triple is outside the relation at `epsilon`; the
+    verdict on it is `verify_trajectory`'s, at the epsilon given there.
+    Each jump is checked against the budget of the envelope derived from
+    `rbar_max`, which restarts after every logged jump, and logged.
+    `epsilon` defaults to the bundle's value and
     can be tightened per run.  A run whose arrays would exceed
     physical memory raises TooLarge, a MemoryError, before it allocates them.
 
@@ -434,8 +433,8 @@ def _judge_jump(anchor, tau, delta, gains, epsilon, rbar_max):
 
 def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon):
     """Grid times, joint states z = [x; xhat], the policy's uhat and
-    duhat/dt at them, the jump log, the initial-membership flag, vg0 and the
-    `_ErrorBound` of one run (see `simulate`).  The grid has a row at every
+    duhat/dt at them, the jump log and the `_ErrorBound` of one run (see
+    `simulate`).  The grid has a row at every
     step and at each located region crossing, which carries the regime after
     it; `bound` advances over every step in order.
     """
@@ -448,8 +447,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
 
     uhat0 = policy.uhat_at(t0, xhat0)
     vg0 = refine.vg(refine.RelationPoint(x0, xhat0, uhat0), gains)
-    initial_ok = vg0 <= eps_run
-    if not initial_ok:
+    if not vg0 <= eps_run:
         warnings.warn(
             f"initial triple outside the relation: vg = {vg0:.6g} > "
             f"epsilon = {eps_run:.6g}",
@@ -584,7 +582,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
     del kept_t[:], kept_z[:]  # free the joined blocks
     uhat = policy.uhat(times, zs[:, n:], regimes)
     uhatdot = policy.uhatdot(abstract, times, zs[:, n:], uhat, regimes)
-    return times, zs, uhat, uhatdot, jumps, initial_ok, vg0, bound
+    return times, zs, uhat, uhatdot, jumps, bound
 
 
 def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndarray:
@@ -608,8 +606,7 @@ def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndar
 
 
 def _assemble_record(
-    concrete, abstract, gains, times, zs, uhat, uhatdot, jumps,
-    initial_ok, vg0, bound,
+    concrete, abstract, gains, times, zs, uhat, uhatdot, jumps, bound,
 ) -> TrajectoryRecord:
     n, rows = concrete.n, times.size
     x = zs[:, :n]
@@ -636,8 +633,6 @@ def _assemble_record(
         vg=vg,
         err=err,
         jumps=jumps,
-        initial_membership=initial_ok,
-        vg0=vg0,
         decay_slack=bound.slack + bound.v_rounding * float(np.max(vg)),
     )
 
@@ -649,50 +644,29 @@ def simulate_calibrated(*args, **kwargs) -> TrajectoryRecord:
 
 @dataclass
 class VerificationReport:
-    """Sample-wise and budget checks of one trajectory record."""
+    """Sample-wise and budget checks of one trajectory record: its figures,
+    and `checks`, one record per verdict, each judged from its own numbers."""
 
     max_output_error: float
     max_vg: float
     max_u_norm: float
-    output_error_ok: bool
-    vg_ok: bool
-    input_ok: bool
     envelope_violation_count: int
-    envelope_violations: list[dict] = field(default_factory=list)
-    jumps_total: int = 0
-    jumps_passed: int = 0
-    decay_violations: int = 0
-    first_decay_violation_time: float | None = None
-    initial_membership: bool = True
-    decay_slack: float = 0.0
-
-    @property
-    def envelope_ok(self) -> bool:
-        return self.envelope_violation_count == 0
-
-    @property
-    def jumps_ok(self) -> bool:
-        return self.jumps_passed == self.jumps_total
-
-    @property
-    def decay_ok(self) -> bool:
-        return self.decay_violations == 0
+    envelope_violations: list[dict]
+    jumps_total: int
+    jumps_passed: int
+    decay_violations: int
+    first_decay_violation_time: float | None
+    decay_slack: float
+    checks: tuple[ConditionRecord, ...]
 
     @property
     def passed(self) -> bool:
-        return (
-            self.output_error_ok
-            and self.vg_ok
-            and self.input_ok
-            and self.envelope_ok
-            and self.jumps_ok
-            and self.decay_ok
-        )
+        return all(c.passed for c in self.checks)
 
     def to_dict(self) -> dict:
-        """Every field plus the four verdicts."""
-        verdicts = ("passed", "envelope_ok", "jumps_ok", "decay_ok")
-        return {**asdict(self), **{name: getattr(self, name) for name in verdicts}}
+        """Every figure, each check's verdict under its name, and `passed`."""
+        figures = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "checks"}
+        return {**figures, **{c.name: c.passed for c in self.checks}, "passed": self.passed}
 
 
 def verify_trajectory(
@@ -710,7 +684,11 @@ def verify_trajectory(
     each window's first sample, with the record's `decay_slack`: the bound
     on the integration error of vg that `simulate` proves.  Each jump budget
     is recomputed against the envelope restarted at the previous jump,
-    anchored at the record's (t[0], vg0), as `simulate` logs it.
+    anchored at the record's (t[0], vg[0]), as `simulate` logs it.
+    `vg_ok` and `output_error_ok` judge the sampled maxima plus
+    `decay_slack`, which also bounds the output's integration error where M
+    dominates C^T C, so they hold for the exact flow at the samples;
+    `initial_membership` judges vg[0] alone.
     """
     names = ("xhat_max", "uhat_max", "uhatdot_max")
     found: dict[str, list[dict]] = {name: [] for name in names}
@@ -744,7 +722,7 @@ def verify_trajectory(
                 first_violation = float(ts[bad[0]])
 
     jumps_passed = 0
-    anchor = (record.t[0], record.vg0)
+    anchor = (record.t[0], float(record.vg[0]))
     for j in record.jumps:
         lhs, _, ok, anchor = _judge_jump(anchor, j.time, j.delta, gains, epsilon, rbar_max)
         if ok and abs(lhs - j.lhs) <= 1e-9 * max(1.0, abs(j.lhs)):
@@ -752,21 +730,28 @@ def verify_trajectory(
 
     max_err = float(np.max(record.err))
     max_vg = float(np.max(record.vg))
+    slack = record.decay_slack
     return VerificationReport(
         max_output_error=max_err,
         max_vg=max_vg,
         max_u_norm=max_u,
-        output_error_ok=bool(max_err <= epsilon),
-        vg_ok=bool(max_vg <= epsilon),
-        input_ok=bool(max_u <= b_U),
         envelope_violation_count=int(count),
         envelope_violations=violations,
         jumps_total=len(record.jumps),
         jumps_passed=jumps_passed,
         decay_violations=decay_violations,
         first_decay_violation_time=first_violation,
-        initial_membership=record.initial_membership,
-        decay_slack=record.decay_slack,
+        decay_slack=slack,
+        checks=(
+            ConditionRecord("output_error_ok", max_err + slack, epsilon, "max |y - yhat| + slack"),
+            ConditionRecord("vg_ok", max_vg + slack, epsilon, "max vg + slack"),
+            ConditionRecord("input_ok", max_u, b_U, "max |u| vs the input ball"),
+            ConditionRecord("envelope_ok", float(count), 0.0, "envelope violations"),
+            ConditionRecord("jumps_ok", float(len(record.jumps) - jumps_passed), 0.0,
+                            "failed jumps"),
+            ConditionRecord("decay_ok", float(decay_violations), 0.0, "decay-bound violations"),
+            ConditionRecord("initial_membership", float(record.vg[0]), epsilon, "vg at t[0]"),
+        ),
     )
 
 

@@ -113,14 +113,25 @@ class RefinementGains:
 
 @dataclass(frozen=True)
 class ConditionRecord:
+    """One check, which judges itself: `value` against `tolerance`, an upper
+    bound on it, or a lower bound for the names in `LOWER_BOUNDED`.  A NaN
+    value never passes."""
+
+    LOWER_BOUNDED = ("output_weight_dominated",)
+
     name: str
     value: float
     tolerance: float
-    passed: bool
     detail: str = ""
 
+    @property
+    def passed(self) -> bool:
+        if self.name in self.LOWER_BOUNDED:
+            return bool(self.value >= self.tolerance)
+        return bool(self.value <= self.tolerance)
+
     def to_dict(self) -> dict:
-        return asdict(self)
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -381,47 +392,47 @@ def check_assumption(
     M, K = gains.M, gains.K
     records: list[ConditionRecord] = []
 
-    def check(name: str, value, tolerance, passed, detail: str) -> None:
-        records.append(ConditionRecord(name, float(value), tolerance, bool(passed), detail))
+    def check(name: str, value, tolerance, detail: str) -> None:
+        records.append(ConditionRecord(name, float(value), tolerance, detail))
 
     cp = float(np.linalg.norm(C @ gains.P - abstract.C, "fro"))
-    check("CP_equals_Chat", cp, STRUCT_TOL, cp <= STRUCT_TOL, "||C P - Chat||_F")
+    check("CP_equals_Chat", cp, STRUCT_TOL, "||C P - Chat||_F")
     cs = float(np.linalg.norm(C @ gains.S, "fro"))
-    check("CS_zero", cs, STRUCT_TOL, cs <= STRUCT_TOL, "||C S||_F")
+    check("CS_zero", cs, STRUCT_TOL, "||C S||_F")
 
     m_norm = numerics.spectral_norm(M)
     gap = numerics.sym_eig(M - C.T @ C).values[0]
     gap_tol = -1e-9 * m_norm
-    check("output_weight_dominated", gap, gap_tol, gap >= gap_tol, "lambda_min(M - C^T C)")
+    check("output_weight_dominated", gap, gap_tol, "lambda_min(M - C^T C)")
 
     acl = A + B @ K
     lyap = acl.T @ M + M @ acl + gains.a1 * M
     lyap_top = float(numerics.sym_eig(0.5 * (lyap + lyap.T)).values[-1])
     lyap_tol = 1e-9 * m_norm
-    check("lyapunov_decay", lyap_top, lyap_tol, lyap_top <= lyap_tol,
+    check("lyapunov_decay", lyap_top, lyap_tol,
           "lambda_max((A+BK)^T M + M (A+BK) + a1 M)")
 
     P_new, Q_new, _ = solve_PQ(A, abstract.A, B, C, abstract.C, gains.M_sqrt)
     pq_dev = float(max(np.max(np.abs(P_new - gains.P)), np.max(np.abs(Q_new - gains.Q))))
-    check("PQ_optimal", pq_dev, RESOLVE_TOL, pq_dev <= RESOLVE_TOL, "max re-solve deviation")
+    check("PQ_optimal", pq_dev, RESOLVE_TOL, "max re-solve deviation")
     S_new, R_new, _ = solve_SR(A, B, C, gains.P, abstract.B, gains.M_sqrt)
     sr_dev = float(max(np.max(np.abs(S_new - gains.S)), np.max(np.abs(R_new - gains.R))))
-    check("SR_optimal", sr_dev, RESOLVE_TOL, sr_dev <= RESOLVE_TOL, "max re-solve deviation")
+    check("SR_optimal", sr_dev, RESOLVE_TOL, "max re-solve deviation")
 
     r3_dev = abs(rbar3_of(gains.M_sqrt, gains.S) - gains.rbar3)
-    check("rbar3_consistent", r3_dev, STRUCT_TOL, r3_dev <= STRUCT_TOL,
+    check("rbar3_consistent", r3_dev, STRUCT_TOL,
           "| ||M^{1/2}S|| - rbar3 |")
 
-    b, b_ok = input_bound(
+    b, _ = input_bound(
         K, gains.Q, gains.R, gains.lambda_min_M, gains.epsilon, envelope,
         concrete.input_ball_radius,
     )
-    check("input_bound", b, concrete.input_ball_radius, b_ok, "b vs input ball radius")
+    check("input_bound", b, concrete.input_ball_radius, "b vs input ball radius")
 
-    rbar_max, margin, feas_ok = feasibility(
+    rbar_max, margin, _ = feasibility(
         gains.rbar1, gains.rbar2, gains.rbar3, envelope, gains.a1, gains.epsilon
     )
-    check("feasibility", 2.0 * rbar_max / gains.a1, gains.epsilon, feas_ok,
+    check("feasibility", 2.0 * rbar_max / gains.a1, gains.epsilon,
           f"2 rbar_max / a1 vs epsilon (rbar_max={rbar_max:.6g}, margin={margin:.6g})")
 
     # initial lift: each corner of the abstract initial box must admit a
@@ -435,11 +446,11 @@ def check_assumption(
         corners = box.corners()
         witness, uhat0 = lifted_start(concrete, gains, policy, corners, t0)
         worst = float(np.max(refine.vg(refine.RelationPoint(witness, corners, uhat0), gains)))
-        check("initial_lift", worst, gains.epsilon, worst <= gains.epsilon,
+        check("initial_lift", worst, gains.epsilon,
               "max vg over lifted corners of the abstract initial box")
     except DomainGap as exc:
-        check("initial_lift", np.inf, gains.epsilon, False, str(exc))
+        check("initial_lift", np.inf, gains.epsilon, str(exc))
     except numerics.TooLarge as exc:
-        check("initial_lift", np.inf, gains.epsilon, False, f"TooLarge: {exc}")
+        check("initial_lift", np.inf, gains.epsilon, f"TooLarge: {exc}")
 
     return ConditionReport(tuple(records))

@@ -144,7 +144,7 @@ def test_criterion_5_switched_feedback_run():
         verdict.max_output_error <= 0.5
         and verdict.max_vg <= 0.5
         and verdict.jumps_total >= 3
-        and verdict.jumps_ok
+        and verdict.to_dict()["jumps_ok"]
         and elapsed < 30.0
     )
     report(

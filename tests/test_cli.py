@@ -6,6 +6,7 @@ import pytest
 
 from gaasim import casestudy, cli
 from gaasim.cli import main
+from gaasim.model import parse_config
 
 from conftest import csv_text
 
@@ -361,12 +362,32 @@ class TestOverrides:
     def test_config_commands_check_overrides(
         self, tmp_path, short_switched, capsys, flag, value
     ):
-        out = tmp_path / "syn"
-        code = main(["synthesize", "--config", str(short_switched), "--out", str(out),
+        # synthesize takes the synthesis scalars; compare also the run's
+        command = "synthesize" if flag in ("--epsilon", "--a1") else "compare"
+        out = tmp_path / "out"
+        code = main([command, "--config", str(short_switched), "--out", str(out),
                      flag, value])
         assert code == 2
         err = self.one_line_config_error(capsys)
         assert f"scenario.{flag[2:]}" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, flag", [
+        ("simulate", "--a1"), ("synthesize", "--step"), ("synthesize", "--horizon"),
+    ])
+    def test_flags_a_command_does_not_use_exit_2(
+        self, tmp_path, short_switched, capsys, command, flag
+    ):
+        # simulate runs on the bundle's a1; synthesize runs nothing over time
+        argv = [command, "--config", str(short_switched), "--out", str(tmp_path / "o"),
+                flag, "0.05"]
+        if command == "simulate":
+            argv += ["--gains", str(tmp_path / "gains.json")]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 0.05" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_horizon_beyond_open_loop_segments(self, tmp_path, short_ramp, capsys):
         code = main(["compare", "--config", str(short_ramp), "--out", str(tmp_path / "c"),
@@ -667,3 +688,58 @@ class TestCaseStudy:
         assert "exceeds eps as expected" not in printed
         assert "FAILED ramp_baseline_exceeds_epsilon" in printed
         assert "matches the quoted 0.1" in printed  # a check that holds keeps its note
+
+
+class TestFrozenReaders:
+    """What CI's checks and the benchmark harness read, neither of which
+    follows a rename: the keys of `verify.json` and `report.json`, and the
+    attributes of the reports and the record that `bench/workloads.py` uses."""
+
+    VERIFY_KEYS = {
+        "max_output_error", "max_vg", "max_u_norm", "envelope_violation_count",
+        "envelope_violations", "jumps_total", "jumps_passed", "decay_violations",
+        "first_decay_violation_time", "decay_slack", "initial_membership", "passed",
+        "output_error_ok", "vg_ok", "input_ok", "envelope_ok", "jumps_ok", "decay_ok",
+    }
+    RECORD_NAMES = [
+        "CP_equals_Chat", "CS_zero", "output_weight_dominated", "lyapunov_decay",
+        "PQ_optimal", "SR_optimal", "rbar3_consistent", "input_bound", "feasibility",
+        "initial_lift",
+    ]
+
+    def test_artifact_keys_and_library_attributes(self, tmp_path):
+        document = casestudy.switched_config(horizon=320.0, step=0.05)
+        config = write_config(tmp_path, document)
+        syn, run = tmp_path / "syn", tmp_path / "run"
+        assert main(["synthesize", "--config", str(config), "--out", str(syn)]) == 0
+        assert main(["simulate", "--config", str(config), "--gains", str(syn / "gains.json"),
+                     "--out", str(run)]) == 0
+        verify = json.loads((run / "verify.json").read_text())
+        assert set(verify) == self.VERIFY_KEYS
+        oks = [key for key in verify if key.endswith("_ok")]
+        assert len(oks) == 6 and verify["passed"] is all(verify[key] for key in oks)
+        assert verify["decay_ok"] and 0 < verify["decay_slack"] <= 1e-6
+        report = json.loads((syn / "report.json").read_text())
+        assert set(report) == {"passed", "records"}
+        assert [r["name"] for r in report["records"]] == self.RECORD_NAMES
+        for r in report["records"]:
+            assert set(r) == {"name", "value", "tolerance", "passed", "detail"}
+            value, tolerance = r["value"], r["tolerance"]
+            lower = r["name"] == "output_weight_dominated"
+            assert r["passed"] is (value >= tolerance if lower else value <= tolerance)
+
+        scenario = parse_config(document)
+        gains, conditions = cli._synthesize_pipeline(scenario, force_s_zero=False)
+        record, verdict = cli._run_simulation(scenario, gains)
+        assert verdict.to_dict() == verify
+        for r in conditions.records:
+            assert type(r.value) is float and type(r.passed) is bool and r.name
+        assert type(verdict.passed) is bool
+        for name in ("jumps_total", "jumps_passed", "decay_violations"):
+            assert type(getattr(verdict, name)) is int
+        for name in ("max_output_error", "max_vg"):
+            assert type(getattr(verdict, name)) is float
+        assert verdict.jumps_total == len(record.jumps) == 1
+        assert all(type(j.lhs) is float and type(j.rhs) is float for j in record.jumps)
+        for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "vg"):
+            assert len(getattr(record, name)) == record.t.size

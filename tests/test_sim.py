@@ -287,7 +287,7 @@ class TestSimulate:
         x0 = lift_initial(sc.xhat0, [0.0], gains)
         rec = simulate(sc.concrete, sc.abstract, gains, sc.policy, x0, sc.xhat0,
                        horizon=2.0, h=1e-3, rbar_max=0.0)
-        assert rec.vg0 == 0.0 and np.max(rec.vg) > EPS5
+        assert rec.vg[0] == 0.0 and np.max(rec.vg) > EPS5
         first, second = rec.jumps
         assert first.lhs == pytest.approx(0.24**2 * M5[1, 1], rel=1e-12)
         assert first.lhs <= EPS5**2  # the budget of an envelope anchored at t0
@@ -311,7 +311,8 @@ class TestSimulate:
         with pytest.warns(UserWarning, match="outside the relation"):
             rec = simulate(sc.concrete, sc.abstract, gains, sc.policy,
                            [45.0, 0.0], sc.xhat0, horizon=1.0, h=1e-2)
-        assert not rec.initial_membership
+        report = verify_trajectory(rec, gains, EPS5, sc.envelope, sc.b_U, rmax)
+        assert not report.to_dict()["initial_membership"]
 
     def test_zeno_guard(self):
         segments = [
@@ -358,8 +359,9 @@ class TestSimulate:
                                  sc.epsilon, sc.envelope, M=sc.M)
         rec = simulate(sc.concrete, sc.abstract, gains, sc.policy,
                        sc.x0, sc.xhat0, horizon=0.0, h=1e-3, t0=t0)
-        assert rec.uhat[0, 0] == sc.policy.uhat_at(t0, sc.xhat0)[0]
-        assert rec.vg[0] == rec.vg0
+        uhat0 = sc.policy.uhat_at(t0, sc.xhat0)
+        assert rec.uhat[0, 0] == uhat0[0]
+        assert rec.vg[0] == vg(RelationPoint(sc.x0, sc.xhat0, uhat0), gains)
 
     @pytest.mark.parametrize("horizon, h, message", [
         (1.0, math.nan, "step h must be positive and finite"),
@@ -384,7 +386,7 @@ class TestVerify:
         rec.vg[50] = EPS5 + 0.01
         report = verify_trajectory(rec, gains, EPS5, sc.envelope, sc.b_U, rmax)
         assert not report.passed
-        assert not report.vg_ok
+        assert not report.to_dict()["vg_ok"]
         assert report.max_vg == pytest.approx(EPS5 + 0.01)
 
     def test_decay_calibration_and_pass(self, switched5):
@@ -403,8 +405,29 @@ class TestVerify:
         rec = simulate(sc.concrete, sc.abstract, gains, sc.policy,
                        sc.x0, sc.xhat0, horizon=1.0, h=1e-2, rbar_max=rmax)
         report = verify_trajectory(rec, gains, EPS5, tight, sc.b_U, rmax)
-        assert not report.envelope_ok
+        assert not report.to_dict()["envelope_ok"]
         assert report.envelope_violations[0]["bound"] == "xhat_max"
+
+    @pytest.mark.parametrize("check, figure", [
+        ("vg_ok", "max_vg"), ("output_error_ok", "max_output_error"),
+    ])
+    def test_sampled_maximum_within_the_slack_of_epsilon_fails(
+        self, switched5, check, figure
+    ):
+        """A sampled maximum less than `decay_slack` below epsilon proves
+        nothing about the exact flow, so the check adds the slack to it; the
+        report keeps the sampled maximum."""
+        sc, gains, rmax = switched5
+        rec = simulate(sc.concrete, sc.abstract, gains, sc.policy,
+                       sc.x0, sc.xhat0, horizon=2.0, h=1e-2, rbar_max=rmax)
+        slack = rec.decay_slack
+        raw = getattr(verify_trajectory(rec, gains, EPS5, sc.envelope, sc.b_U, rmax), figure)
+        assert 0 < slack and raw < raw + slack / 2
+        for eps, holds in ((raw + 2 * slack, True), (raw + slack / 2, False)):
+            report = verify_trajectory(rec, gains, eps, sc.envelope, sc.b_U, rmax)
+            assert getattr(report, figure) == raw
+            assert report.to_dict()[check] is holds
+        assert not report.passed
 
 
 def test_output_columns_recompute(switched5):
@@ -1193,7 +1216,7 @@ class TestDecaySlack:
         rec.vg[-100] = 0.45
         envelope = parse_config(casestudy.ramp_config(horizon=120.0)).envelope
         report = verify_trajectory(rec, gains, EPS5, envelope, 0.57, rmax)
-        assert report.decay_violations == 1 and not report.decay_ok
+        assert report.decay_violations == 1 and not report.to_dict()["decay_ok"]
         for vacuous in (math.nan, math.inf):
             with pytest.raises(ValueError, match="rbar_max must be finite and nonnegative"):
                 verify_trajectory(rec, gains, EPS5, envelope, 0.57, vacuous)
@@ -1228,7 +1251,7 @@ class TestDecaySlack:
         gains, eps = args[2], args[2].epsilon
         env = parse_config(casestudy.switched_config()).envelope
         b_u = args[0].input_ball_radius
-        assert verify_trajectory(rec, gains, eps, env, b_u, rmax).decay_ok
+        assert verify_trajectory(rec, gains, eps, env, b_u, rmax).to_dict()["decay_ok"]
         window = _decay_windows(rec)[1]
         k = window[len(window) // 2]
         bound = omega(rec.t[k] - rec.t[window[0]], rec.vg[window[0]], gains.a1, rmax)
@@ -1241,8 +1264,8 @@ class TestDecaySlack:
         assert report.first_decay_violation_time == rec.t[k]
 
     def test_vg0_is_the_anchor_of_the_run(self):
-        """`vg0` is the one-point value the jump envelope and the initial
-        membership were anchored on, not the batch-evaluated `vg[0]`."""
+        """The record's `vg[0]` has the bits of the one-point value at the
+        start, on which the run anchored its jump envelope."""
         from test_acceptance import _random_feasible_scenario
 
         for seed in (1, 2, 3):
@@ -1253,7 +1276,7 @@ class TestDecaySlack:
                 )
                 rec = simulate(concrete, abstract, gains, policy, x0, xhat0, horizon, 2e-3)
                 anchor = vg(RelationPoint(x0, xhat0, policy.uhat_at(0.0, xhat0)), gains)
-                assert rec.vg0 == anchor
+                assert rec.vg[0] == anchor
                 assert rec.jumps[0].rhs == jump_admissible(
                     rec.jumps[0].delta, rec.jumps[0].time, anchor, gains, gains.epsilon, 0.0
                 )[1]
