@@ -89,11 +89,16 @@ def _is_jump(delta, before) -> bool:
 
 @dataclass
 class JumpRecord:
+    """One logged input jump, judged by its own budget: lhs <= rhs."""
+
     time: float
     delta: np.ndarray
     lhs: float
     rhs: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.lhs <= self.rhs)
 
 
 @dataclass
@@ -421,14 +426,14 @@ def simulate(
 
 
 def _judge_jump(anchor, tau, delta, gains, epsilon, rbar_max):
-    """Budget verdict (lhs, rhs, passed) of the jump `delta` at `tau`
-    against the envelope that starts at anchor = (t, v), and the anchor
-    after it: (tau, omega(tau - t, v) + ||M^{1/2} S delta||), the most V
-    can be just after the jump.  The first anchor is (t0, vg0)."""
+    """The `JumpRecord` of the jump `delta` at `tau`, judged against the
+    envelope that starts at anchor = (t, v), and the anchor after it:
+    (tau, omega(tau - t, v) + ||M^{1/2} S delta||), the most V can be just
+    after the jump.  The first anchor is (t0, vg0)."""
     t_prev, v_prev = anchor
-    lhs, rhs, ok = refine.jump_admissible(delta, tau - t_prev, v_prev, gains, epsilon, rbar_max)
+    lhs, rhs, _ = refine.jump_admissible(delta, tau - t_prev, v_prev, gains, epsilon, rbar_max)
     restart = refine.omega(tau - t_prev, v_prev, gains.a1, rbar_max) + math.sqrt(lhs)
-    return lhs, rhs, ok, (tau, restart)
+    return JumpRecord(tau, delta, lhs, rhs), (tau, restart)
 
 
 def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon):
@@ -506,8 +511,8 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
                     f"jumps at {jumps[-1].time:.6g} and {tau:.6g} violate the "
                     f"minimum separation {min_sep:.6g}"
                 )
-            lhs, rhs, ok, anchor = _judge_jump(anchor, tau, delta, gains, eps_run, rbar_max)
-            jumps.append(JumpRecord(tau, delta, lhs, rhs, ok))
+            jump, anchor = _judge_jump(anchor, tau, delta, gains, eps_run, rbar_max)
+            jumps.append(jump)
             bound.restart()
         return new
 
@@ -724,8 +729,8 @@ def verify_trajectory(
     jumps_passed = 0
     anchor = (record.t[0], float(record.vg[0]))
     for j in record.jumps:
-        lhs, _, ok, anchor = _judge_jump(anchor, j.time, j.delta, gains, epsilon, rbar_max)
-        if ok and abs(lhs - j.lhs) <= 1e-9 * max(1.0, abs(j.lhs)):
+        again, anchor = _judge_jump(anchor, j.time, j.delta, gains, epsilon, rbar_max)
+        if again.passed and abs(again.lhs - j.lhs) <= 1e-9 * max(1.0, abs(j.lhs)):
             jumps_passed += 1
 
     max_err = float(np.max(record.err))

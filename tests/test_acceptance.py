@@ -103,7 +103,7 @@ def test_criterion_2_structural_synthesis():
 
 def test_criterion_3_input_bound(env5):
     lam_min = nx.sym_eig(M5).values[0]
-    b, _ = input_bound(K5, np.zeros((1, 1)), np.zeros((1, 1)), lam_min, EPS5, env5, 0.57)
+    b = input_bound(K5, np.zeros((1, 1)), np.zeros((1, 1)), lam_min, EPS5, env5)
     ok = 0.5685 <= b <= 0.5695
     report("criterion 3 (input bound near 0.5690)", ok, f"b={b:.6f}")
 
@@ -346,8 +346,8 @@ def test_criterion_7c_jump_budget_implies_membership(gains5):
             frac = (w1 - limit) / (vg0 - limit)
             tau1 = -2.0 / gains5.a1 * math.log(max(frac, 1e-300))
             delta1, vg_post1 = draw_jump(w1, eps, aligned)
-            _, _, ok1, anchor = sim._judge_jump((0.0, vg0), tau1, delta1, gains5, eps, rmax)
-            if not ok1:
+            first, anchor = sim._judge_jump((0.0, vg0), tau1, delta1, gains5, eps, rmax)
+            if not first.passed:
                 # a rejected worst-case jump really leaves the relation
                 assert not aligned or vg_post1 > eps - 1e-9
                 continue
@@ -358,8 +358,8 @@ def test_criterion_7c_jump_budget_implies_membership(gains5):
             tau2 = tau1 + rng.exponential(2.0 / gains5.a1)
             w2 = omega(tau2 - tau1, vg_post1, gains5.a1, rmax)
             delta2, vg_post2 = draw_jump(w2, eps, aligned)
-            _, _, ok2, _ = sim._judge_jump(anchor, tau2, delta2, gains5, eps, rmax)
-            if not ok2:
+            second, _ = sim._judge_jump(anchor, tau2, delta2, gains5, eps, rmax)
+            if not second.passed:
                 assert not aligned or vg_post2 > eps - 1e-9
                 continue
             worst = max(worst, vg_post1 - eps, vg_post2 - eps)

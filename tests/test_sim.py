@@ -298,6 +298,16 @@ class TestSimulate:
         report = verify_trajectory(rec, gains, EPS5, sc.envelope, sc.b_U, 0.0)
         assert (report.jumps_passed, report.jumps_total) == (1, 2)
 
+    def test_jump_record_judges_itself(self):
+        # `passed` is no stored field but lhs <= rhs, like a condition record
+        assert [f.name for f in dataclasses.fields(sim.JumpRecord)] == [
+            "time", "delta", "lhs", "rhs"]
+        jump = sim.JumpRecord(1.0, np.array([0.5]), 0.25, 0.25)
+        assert jump.passed is True
+        jump.lhs = 0.26
+        assert jump.passed is False
+        assert sim.JumpRecord(1.0, np.array([0.5]), math.nan, 1.0).passed is False
+
     def test_determinism_bitwise(self, switched5):
         sc, gains, rmax = switched5
         args = (sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0)

@@ -216,23 +216,21 @@ class TestScalars:
 
     def test_input_bound_study(self, env5):
         lam_min = nx.sym_eig(M5).values[0]
-        b, ok = input_bound(K5, np.zeros((1, 1)), np.zeros((1, 1)), lam_min, EPS5, env5, 0.57)
+        b = input_bound(K5, np.zeros((1, 1)), np.zeros((1, 1)), lam_min, EPS5, env5)
         k_norm = np.sqrt(1.3298**2 + 1.4108**2)
         assert b == pytest.approx(k_norm * 0.5 / np.sqrt(lam_min), abs=1e-12)
         assert 0.5685 <= b <= 0.5695  # quoted bound 0.5690
-        assert ok
+        assert b <= 0.57  # inside the study's input ball
 
     def test_input_bound_zero_gains(self, env5):
-        b, ok = input_bound(
-            np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1)), 1.0, EPS5, env5, 1.0
-        )
-        assert b == 0.0 and ok
+        b = input_bound(np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1)), 1.0, EPS5, env5)
+        assert b == 0.0
 
     def test_input_bound_linear_in_epsilon(self, env5):
         lam_min = nx.sym_eig(M5).values[0]
         zero = np.zeros((1, 1))
-        b1, _ = input_bound(K5, zero, zero, lam_min, EPS5, env5, 1.0)
-        b2, _ = input_bound(K5, zero, zero, lam_min, 2 * EPS5, env5, 1.0)
+        b1 = input_bound(K5, zero, zero, lam_min, EPS5, env5)
+        b2 = input_bound(K5, zero, zero, lam_min, 2 * EPS5, env5)
         assert b2 == pytest.approx(2 * b1, rel=1e-12)
 
     def test_feasibility_study_numbers(self):
@@ -281,8 +279,9 @@ class TestCheckAssumption:
             "CS_zero",
             "output_weight_dominated",
             "lyapunov_decay",
-            "PQ_optimal",
-            "SR_optimal",
+            "rbar1_consistent",
+            "rbar2_consistent",
+            "rbar3_consistent",
             "input_bound",
             "feasibility",
             "initial_lift",
@@ -434,11 +433,69 @@ def test_synthesized_m_end_to_end(sys5, env5):
     assert gains.rbar1 < 1e-9 and gains.rbar2 < 1e-9
 
 
-def test_baseline_bundle_fails_sr_optimality(sys5, env5):
+@pytest.mark.parametrize("make, failing", [
+    (casestudy.switched_config, ["input_bound"]),
+    (casestudy.ramp_config, ["input_bound", "feasibility"]),
+], ids=["switched", "ramp"])
+def test_baseline_bundle_states_its_own_residual(make, failing):
+    # S = 0 is not the least-squares (S, R), but the bundle states the
+    # residual it leaves; its report fails only on the numbers that fail
+    sc = parse_config(make(horizon=20.0))
+    gains = synthesize_gains(
+        sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon, sc.envelope, M=sc.M,
+        force_s_zero=True,
+    )
+    report = check_assumption(sc.concrete, sc.abstract, gains, sc.envelope, policy=sc.policy)
+    assert condition(report, "rbar2_consistent").passed
+    assert gains.rbar2 > 1.0
+    assert [r.name for r in report.records if not r.passed] == failing
+
+
+def test_equally_good_coupling_with_another_tie_break_passes(sys5, env5):
+    # B = [b, b] with K split between the columns: any Q + [t; -t] leaves
+    # the same rbar1 = 0, while a re-solve returns the least-norm Q and
+    # would flag this bundle by t = 0.01
+    concrete, abstract = sys5
+    concrete = dataclasses.replace(concrete, B=[[0.0, 0.0], [1.0, 1.0]])
+    gains = synthesize_gains(
+        concrete, abstract, np.vstack([K5, K5]) / 2, A1_5, EPS5, env5, M=M5
+    )
+    tied = dataclasses.replace(gains, Q=gains.Q + [[0.01], [-0.01]])
+    record = condition(check_assumption(concrete, abstract, tied, env5), "rbar1_consistent")
+    assert record.passed and record.value <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["rbar1", "rbar2"])
+def test_stated_residual_below_its_own_fails(sys5, env5, name):
+    # rbar1: a Q that leaves ||M^{1/2} B Q|| > 0 against a stated 0;
+    # rbar2: the S = 0 bundle's rbar2 (about 1.90) stated as 1.0
     concrete, abstract = sys5
     gains = synthesize_gains(
-        concrete, abstract, K5, A1_5, EPS5, env5, M=M5, force_s_zero=True
+        concrete, abstract, K5, A1_5, EPS5, env5, M=M5, force_s_zero=name == "rbar2"
     )
-    report = check_assumption(concrete, abstract, gains, env5)
-    assert not condition(report, "SR_optimal").passed
-    assert gains.rbar2 > 1.0
+    change = {"rbar1": {"Q": [[0.1]]}, "rbar2": {"rbar2": 1.0}}[name]
+    bad = dataclasses.replace(gains, **change)
+    record = condition(check_assumption(concrete, abstract, bad, env5), f"{name}_consistent")
+    assert not record.passed and record.value > 0.1
+
+
+def test_check_assumption_solves_no_coupling(sys5, env5, gains5, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a coupling was solved again")
+
+    monkeypatch.setattr(synthesis, "_coupling", no_solve)
+    monkeypatch.setattr(nx, "constrained_lstsq", no_solve)
+    concrete, abstract = sys5
+    report = check_assumption(concrete, abstract, gains5, env5)
+    assert report.passed
+    for name in ("rbar1_consistent", "rbar2_consistent", "rbar3_consistent"):
+        assert condition(report, name).value == 0.0
+
+
+def test_every_record_passes_exactly_at_most_its_tolerance():
+    for value, tolerance, passed in (
+        (-2.25, 5e-9, True), (5e-9, 5e-9, True), (6e-9, 5e-9, False),
+        (math.nan, 1.0, False), (math.inf, 0.0, False),
+    ):
+        for name in ("output_weight_dominated", "input_bound"):
+            assert synthesis.ConditionRecord(name, value, tolerance).passed is passed
