@@ -77,16 +77,6 @@ def _write(path: Path, text: str) -> Path:
     return path
 
 
-def _write_run(out: Path, stem: str, record) -> list[Path]:
-    """Write trajectory{stem}.csv, streamed, never holding its text, and
-    jumps{stem}.csv of `record` to `out`; return their paths."""
-    path = out / f"trajectory{stem}.csv"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as f:
-        sim.write_trajectory_csv(record, f)
-    return [path, _write(out / f"jumps{stem}.csv", sim.jumps_csv(record))]
-
-
 def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
@@ -150,7 +140,14 @@ def cmd_synthesize(args) -> int:
     return 0 if report.passed else 1
 
 
-def _run_simulation(scenario: Scenario, gains: RefinementGains):
+def _run(scenario: Scenario, gains: RefinementGains, out: Path, stem: str,
+         outputs: list) -> sim.VerificationReport:
+    """Simulate `scenario` under `gains` from its x0, or from the lifted
+    start where it has none, verify the run, write trajectory{stem}.csv
+    (streamed, never holding its text), jumps{stem}.csv and
+    verify{stem}.json to `out`, append their paths to `outputs`, and return
+    the verdict.  The record dies here, before the caller's next run, so a
+    command holds one run at a time, as `sim._preflight` counts."""
     x0 = scenario.x0
     if x0 is None:
         x0, _ = synthesis.lifted_start(scenario.concrete, gains, scenario.policy, scenario.xhat0)
@@ -164,7 +161,13 @@ def _run_simulation(scenario: Scenario, gains: RefinementGains):
         record, gains, scenario.epsilon, scenario.envelope,
         scenario.b_U, rbar_max,
     )
-    return record, verdict
+    path = out / f"trajectory{stem}.csv"
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("wb") as f:
+        sim.write_trajectory_csv(record, f)
+    jumps = _write(out / f"jumps{stem}.csv", sim.jumps_csv(record))
+    outputs += [path, jumps, _write(out / f"verify{stem}.json", _json_text(verdict.to_dict()))]
+    return verdict
 
 
 def cmd_simulate(args) -> int:
@@ -183,10 +186,8 @@ def cmd_simulate(args) -> int:
             f"gains dimensions (n, m, n_r, m_r) = {bundle} do not match the "
             f"configured systems {systems}"
         )
-    out = Path(args.out)
-    record, verdict = _run_simulation(scenario, gains)
-    outputs = _write_run(out, "", record)
-    outputs.append(_write(out / "verify.json", _json_text(verdict.to_dict())))
+    out, outputs = Path(args.out), []
+    verdict = _run(scenario, gains, out, "", outputs)
     outputs.append(_manifest(out, "simulate", _digest(emit_config(scenario)), outputs, started))
     print(
         f"max |y - yhat| = {verdict.max_output_error:.6g}, max vg = "
@@ -199,10 +200,10 @@ def cmd_simulate(args) -> int:
 
 def _compare_runs(scenario: Scenario, out: Path, prefix: str, outputs: list) -> dict | None:
     """Run `scenario` with the full interface ("gaas") and with S = 0
-    ("s_zero"), write trajectory_{prefix}{label}.csv and
-    jumps_{prefix}{label}.csv for each to `out`, appending their paths to
-    `outputs`, and return each run's figures by label, or None, after one
-    stderr line, when a run's gains are not constructible."""
+    ("s_zero"), one after the other, write each run's artifacts with stem
+    _{prefix}{label} to `out`, appending their paths to `outputs`, and
+    return each run's figures by label, or None, after one stderr line,
+    when a run's gains are not constructible."""
     results = {}
     for label, force in (("gaas", False), ("s_zero", True)):
         gains, report = _synthesize_pipeline(scenario, force)
@@ -210,8 +211,7 @@ def _compare_runs(scenario: Scenario, out: Path, prefix: str, outputs: list) -> 
             print(f"{label}: gains not constructible: {report.records[0].detail}",
                   file=sys.stderr)
             return None
-        record, verdict = _run_simulation(scenario, gains)
-        outputs += _write_run(out, f"_{prefix}{label}", record)
+        verdict = _run(scenario, gains, out, f"_{prefix}{label}", outputs)
         verified = verdict.to_dict()
         results[label] = {
             **{key: verified[key] for key in (
@@ -279,10 +279,8 @@ def cmd_casestudy(args) -> int:
     )
     ratio_allow = 2.0 * rmax_allow / gains.a1
 
-    switched_rec, switched_verdict = _run_simulation(switched, gains)
-    outputs += _write_run(out, "_switched", switched_rec)
+    switched_verdict = _run(switched, gains, out, "_switched", outputs)
     verified = switched_verdict.to_dict()
-    outputs.append(_write(out / "verify_switched.json", _json_text(verified)))
 
     compare_results = _compare_runs(ramp, out, "ramp_", outputs)
     if compare_results is None:

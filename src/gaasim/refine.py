@@ -140,8 +140,10 @@ def omega(tau, vg0: float, a1: float, rbar_max: float):
 
 def jump_admissible(
     delta, tau: float, vg0: float, gains, epsilon: float, rbar_max: float
-) -> tuple[float, float, bool]:
-    """Jump-budget check delta^T S^T M S delta <= (epsilon - omega(tau))^2.
+) -> tuple[float, float]:
+    """The two sides (lhs, rhs) of the jump budget
+    delta^T S^T M S delta <= (epsilon - omega(tau))^2, which the jump
+    passes where lhs <= rhs, as `sim.JumpRecord.passed` judges it.
 
     omega(tau) bounds V just before the jump and sqrt(lhs) = ||M^{1/2} S
     delta|| bounds how far the jump moves it, so a passing jump keeps
@@ -156,4 +158,4 @@ def jump_admissible(
     lhs = float(s_delta @ gains.M @ s_delta)
     w = omega(tau, vg0, gains.a1, rbar_max)
     rhs = 0.0 if w > epsilon else (epsilon - w) ** 2
-    return lhs, rhs, lhs <= rhs
+    return lhs, rhs

@@ -431,7 +431,7 @@ def _judge_jump(anchor, tau, delta, gains, epsilon, rbar_max):
     (tau, omega(tau - t, v) + ||M^{1/2} S delta||), the most V can be just
     after the jump.  The first anchor is (t0, vg0)."""
     t_prev, v_prev = anchor
-    lhs, rhs, _ = refine.jump_admissible(delta, tau - t_prev, v_prev, gains, epsilon, rbar_max)
+    lhs, rhs = refine.jump_admissible(delta, tau - t_prev, v_prev, gains, epsilon, rbar_max)
     restart = refine.omega(tau - t_prev, v_prev, gains.a1, rbar_max) + math.sqrt(lhs)
     return JumpRecord(tau, delta, lhs, rhs), (tau, restart)
 

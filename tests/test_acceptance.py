@@ -17,7 +17,7 @@ from gaasim.model import (
     parse_config,
 )
 from gaasim.refine import lift_initial, omega
-from gaasim.sim import eval_policy, simulate, simulate_calibrated, verify_trajectory
+from gaasim.sim import simulate, verify_trajectory
 from gaasim.synthesis import (
     check_assumption,
     feasibility,
@@ -261,7 +261,7 @@ def _random_feasible_scenario(rng):
             OpenLoopSegment(t_start=horizon / 2, t_end=horizon, coeffs=[list(shifted)]),
         ),
     )
-    uhat0, _, _ = eval_policy(policy, abstract, 0.0, xhat0)
+    uhat0 = policy.uhat_at(0.0, xhat0)
     e0 = np.linalg.inv(gains.M_sqrt) @ rng.standard_normal(n)
     e0 *= rng.uniform(0.0, 0.3) * EPS5 / math.sqrt(e0 @ gains.M @ e0)
     x0 = lift_initial(xhat0, uhat0, gains) + e0
@@ -277,9 +277,7 @@ def test_criterion_7b_decay_bound_random_scenarios():
         concrete, abstract, gains, policy, x0, xhat0, horizon = (
             _random_feasible_scenario(rng)
         )
-        rec = simulate_calibrated(
-            concrete, abstract, gains, policy, x0, xhat0, horizon, h=2e-3
-        )
+        rec = simulate(concrete, abstract, gains, policy, x0, xhat0, horizon, h=2e-3)
         # the envelope is the realized suprema, so the declared budget
         # genuinely bounds the disturbance along the run
         env = OperatingEnvelope(

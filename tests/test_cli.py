@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,19 @@ def short_ramp(tmp_path):
     return write_config(
         tmp_path, casestudy.ramp_config(horizon=120.0, step=5e-3), "ramp.json"
     )
+
+
+@pytest.fixture
+def simulated(monkeypatch):
+    """The records `sim.simulate` returns while the test runs, in call order."""
+    records, simulate = [], sim.simulate
+
+    def keep(*args, **kwargs):
+        records.append(simulate(*args, **kwargs))
+        return records[-1]
+
+    monkeypatch.setattr(sim, "simulate", keep)
+    return records
 
 
 class TestSynthesize:
@@ -493,22 +507,23 @@ class TestWrite:
         assert written.read_bytes() == expected.read_bytes()
         assert cli._write(tmp_path / "empty.csv", "").read_bytes() == b""
 
-    def test_trajectory_is_streamed_in_binary(self, tmp_path):
-        from gaasim import sim
-        from gaasim.model import parse_config
+    def test_trajectory_is_streamed_in_binary(self, tmp_path, simulated):
         from gaasim.synthesis import synthesize_gains
 
         sc = parse_config(casestudy.switched_config(horizon=2.0, step=1e-2))
         gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
                                  sc.epsilon, sc.envelope, M=sc.M)
-        record = sim.simulate(sc.concrete, sc.abstract, gains, sc.policy,
-                              sc.x0, sc.xhat0, sc.horizon, sc.step)
-        trajectory, jumps = cli._write_run(tmp_path / "sub", "_x", record)
-        assert (trajectory.name, jumps.name) == ("trajectory_x.csv", "jumps_x.csv")
+        outputs = []
+        verdict = cli._run(sc, gains, tmp_path / "sub", "_x", outputs)
+        (record,) = simulated
+        trajectory, jumps, verify = outputs
+        assert (trajectory.name, jumps.name, verify.name) == (
+            "trajectory_x.csv", "jumps_x.csv", "verify_x.json")
         data = trajectory.read_bytes()
         assert data == csv_text(record).encode("ascii")
         assert b"\r" not in data and data.count(b"\n") == record.t.size + 1
         assert jumps.read_text(encoding="utf-8") == sim.jumps_csv(record)
+        assert json.loads(verify.read_text(encoding="utf-8")) == verdict.to_dict()
 
 
 @pytest.fixture
@@ -570,11 +585,14 @@ class TestCompare:
         assert summary["verdict"] == "gaas_pass_baseline_fail"
         assert summary["runs"]["gaas"]["max_output_error"] <= 0.5
         assert summary["runs"]["s_zero"]["max_output_error"] > 0.5
-        for run in summary["runs"].values():
+        for label, run in summary["runs"].items():
             ok = run["max_output_error"] + run["decay_slack"] <= 0.5
             assert run["output_error_ok"] is ok and run["decay_slack"] > 0
-        assert (out / "trajectory_gaas.csv").exists()
-        assert (out / "trajectory_s_zero.csv").exists()
+            assert (out / f"trajectory_{label}.csv").exists()
+            assert (out / f"jumps_{label}.csv").exists()
+            verify = json.loads((out / f"verify_{label}.json").read_text())
+            assert verify["passed"] is run["verification_passed"]
+            assert verify["max_output_error"] == run["max_output_error"]
 
     def test_verdict_word_takes_the_proven_slack(self, tmp_path, short_ramp,
                                                  slack_across_epsilon):
@@ -745,7 +763,7 @@ class TestFrozenReaders:
         "initial_lift",
     ]
 
-    def test_artifact_keys_and_library_attributes(self, tmp_path):
+    def test_artifact_keys_and_library_attributes(self, tmp_path, simulated):
         document = casestudy.switched_config(horizon=320.0, step=0.05)
         config = write_config(tmp_path, document)
         syn, run = tmp_path / "syn", tmp_path / "run"
@@ -766,7 +784,8 @@ class TestFrozenReaders:
 
         scenario = parse_config(document)
         gains, conditions = cli._synthesize_pipeline(scenario, force_s_zero=False)
-        record, verdict = cli._run_simulation(scenario, gains)
+        verdict = cli._run(scenario, gains, tmp_path / "again", "", [])
+        record = simulated[-1]
         assert verdict.to_dict() == verify
         for r in conditions.records:
             assert type(r.value) is float and type(r.passed) is bool and r.name
@@ -779,3 +798,29 @@ class TestFrozenReaders:
         assert all(type(j.lhs) is float and type(j.rhs) is float for j in record.jumps)
         for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "vg"):
             assert len(getattr(record, name)) == record.t.size
+
+
+class TestMemory:
+    def test_compare_holds_one_run_at_a_time(self, tmp_path, monkeypatch):
+        """`compare` frees each run's record before the next run starts, so
+        its traced peak is that of `simulate` on one of its runs (100,001
+        rows each), not that of two runs (about 1.5 times as much).  The
+        CSV text blocks in flight are cut to two of 4,096 rows, so that the
+        run arrays, not the text, set the peak."""
+        monkeypatch.setattr(sim, "_cpus", lambda: 1)
+        monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", 4096)
+        config = write_config(tmp_path, casestudy.ramp_config(horizon=100.0, step=1e-3))
+        syn = tmp_path / "syn"
+        assert main(["synthesize", "--config", str(config), "--out", str(syn)]) == 0
+        peaks = {}
+        for command, extra in (
+            ("compare", []), ("simulate", ["--gains", str(syn / "gains.json")])
+        ):
+            tracemalloc.start()
+            try:
+                argv = [command, "--config", str(config), "--out", str(tmp_path / command)]
+                assert main(argv + extra) == 0
+                peaks[command] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks["compare"] < 1.25 * peaks["simulate"], peaks

@@ -15,7 +15,7 @@ from gaasim.model import (
     OperatingEnvelope,
 )
 from gaasim.refine import lift_initial
-from gaasim.sim import eval_policy, simulate, verify_trajectory
+from gaasim.sim import simulate, verify_trajectory
 from gaasim.synthesis import (
     check_assumption,
     feasibility,
@@ -91,7 +91,7 @@ def two_dim_regions():
 def simulate_lifted(mimo_pair, policy, xhat0, horizon, rbar_max):
     """The run at h = 1e-3 from xhat0 and its lift onto the relation."""
     concrete, abstract, gains = mimo_pair
-    uhat0, _, _ = eval_policy(policy, abstract, 0.0, xhat0)
+    uhat0 = policy.uhat_at(0.0, xhat0)
     x0 = lift_initial(xhat0, uhat0, gains)
     return simulate(concrete, abstract, gains, policy, x0, xhat0,
                     horizon=horizon, h=1e-3, rbar_max=rbar_max)

@@ -158,7 +158,8 @@ class TestOmega:
 
 class TestJumpAdmissible:
     def test_zero_jump_always_passes(self, gains5):
-        lhs, rhs, ok = jump_admissible([0.0], 5.0, 0.19886, gains5, EPS5, 0.09991)
+        lhs, rhs = jump_admissible([0.0], 5.0, 0.19886, gains5, EPS5, 0.09991)
+        ok = lhs <= rhs
         assert lhs == 0.0 and ok and rhs >= 0.0
 
     def test_study_region_crossing(self, gains5):
@@ -166,7 +167,8 @@ class TestJumpAdmissible:
         delta = np.array([-0.009])
         rbar_max = 4.1115e-4  # runtime-envelope budget
         tau = 290.18
-        lhs, rhs, ok = jump_admissible(delta, tau, 0.19886, gains5, EPS5, rbar_max)
+        lhs, rhs = jump_admissible(delta, tau, 0.19886, gains5, EPS5, rbar_max)
+        ok = lhs <= rhs
         assert lhs == pytest.approx(0.009**2 * M5[1, 1], rel=1e-12)
         assert lhs == pytest.approx(3.423e-4, abs=2e-7)
         w = omega(tau, 0.19886, gains5.a1, rbar_max)
@@ -178,17 +180,15 @@ class TestJumpAdmissible:
         w = omega(10.0, 0.19886, gains5.a1, rbar_max)
         budget = (EPS5 - w) ** 2
         delta_mag = math.sqrt((budget + 1e-6) / M5[1, 1])
-        lhs, rhs, ok = jump_admissible([delta_mag], 10.0, 0.19886, gains5, EPS5, rbar_max)
+        lhs, rhs = jump_admissible([delta_mag], 10.0, 0.19886, gains5, EPS5, rbar_max)
         assert lhs > rhs
-        assert not ok
 
     def test_degenerate_budget_reports_zero(self, gains5):
         # saturated omega above eps: 2 rbar_max / a1 = 0.6 > 0.5
-        lhs, rhs, ok = jump_admissible([0.01], 300.0, 0.19886, gains5, EPS5, 0.15)
-        assert rhs == 0.0
-        assert not ok
-        _, rhs0, ok0 = jump_admissible([0.0], 300.0, 0.19886, gains5, EPS5, 0.15)
-        assert rhs0 == 0.0 and ok0
+        lhs, rhs = jump_admissible([0.01], 300.0, 0.19886, gains5, EPS5, 0.15)
+        assert rhs == 0.0 < lhs
+        lhs0, rhs0 = jump_admissible([0.0], 300.0, 0.19886, gains5, EPS5, 0.15)
+        assert rhs0 == 0.0 and lhs0 <= rhs0
 
     def test_budget_is_in_units_of_v(self, gains5):
         # omega bounds V, not V^2: at eps = 5 with omega = 2.46 the budget
@@ -201,7 +201,8 @@ class TestJumpAdmissible:
 
         def post_jump_vg(lhs_target):
             delta = np.array([math.sqrt(lhs_target) / v_unit])
-            lhs, rhs, ok = jump_admissible(delta, 0.0, w, gains5, eps, 0.0)
+            lhs, rhs = jump_admissible(delta, 0.0, w, gains5, eps, 0.0)
+            ok = lhs <= rhs
             e_post = e - gains5.S @ delta
             return lhs, rhs, ok, math.sqrt(e_post @ gains5.M @ e_post)
 
@@ -232,7 +233,8 @@ class TestJumpAdmissible:
                     e = -w / reach * (gains5.S @ delta)
                 else:
                     e = sample_in_weighted_ball(rng, gains5, w)
-                lhs, rhs, ok = jump_admissible(delta, tau, eps, gains5, eps, 0.0)
+                lhs, rhs = jump_admissible(delta, tau, eps, gains5, eps, 0.0)
+                ok = lhs <= rhs
                 e_post = e - gains5.S @ delta
                 vg_post = math.sqrt(e_post @ gains5.M @ e_post)
                 if ok:

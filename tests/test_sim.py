@@ -171,7 +171,7 @@ class TestSimulate:
                 ),
             ),
         )
-        uhat0, _, _ = eval_policy(policy, abstract, 0.0, [0.5, -0.2])
+        uhat0 = policy.uhat_at(0.0, [0.5, -0.2])
         x0 = lift_initial([0.5, -0.2], uhat0, gains)
         rec = simulate(concrete, abstract, gains, policy, x0, [0.5, -0.2],
                        horizon=3.0, h=1e-3)
