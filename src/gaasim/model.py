@@ -69,7 +69,9 @@ class Box:
 
     def corners(self) -> np.ndarray:
         """All 2^d corner points (deduplicated for degenerate axes)."""
-        cols = [np.unique([lo, hi]) for lo, hi in zip(self.lows, self.highs)]
+        # [lo] or [lo, hi] per axis: the bounds are ordered and finite, and
+        # np.unique would import numpy.ma on its first call in a process
+        cols = [[lo] if lo == hi else [lo, hi] for lo, hi in zip(self.lows, self.highs)]
         grid = np.meshgrid(*cols, indexing="ij")
         return np.stack([g.reshape(-1) for g in grid], axis=-1)
 

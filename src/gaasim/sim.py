@@ -25,7 +25,8 @@ norms, the decay envelope) run over cache-sized blocks of rows
 
 Integration within a run is sequential; distinct runs share no mutable
 state and may execute in parallel.  `write_trajectory_csv` streams CSV row
-blocks, formatted on every CPU the process may use, to a file in row order.
+blocks, formatted on min(CPUs, 4) threads, to a file in row order, so it
+holds at most 2 x min(CPUs, 4) blocks of text whatever the host.
 """
 
 from __future__ import annotations
@@ -767,9 +768,12 @@ def verify_trajectory(
 # the 15 digits come from one longdouble product whose error is below
 # 1.01 eps_ld 1e15 (two roundings), and every value whose fraction lies
 # within 16 eps_ld 1e15 of 1/2 is formatted by Python instead.
-# A pool of CPUs threads formats row blocks ahead of the calling thread,
-# which only writes them, in row order; at most 2 x CPUs blocks are submitted
-# but unwritten, so CSV memory is the record plus them.
+
+#: most threads that format CSV blocks, so that the text in flight (about
+#: 6 MB per block at 16,384 rows) does not grow with the host's CPU count;
+#: on a 2-CPU host two threads write 1.5-1.8x faster than one, and whether
+#: a third or fourth pays off is unmeasured
+_CSV_MAX_THREADS = 4
 
 #: rows formatted and compressed per block of `write_trajectory_csv`; at 16,384
 #: rows one column's gather index (1.4 MB) fits in a 2 MB L2 cache
@@ -790,22 +794,23 @@ def _cpus() -> int:
 
 def _stream_blocks(fn, count: int, sink) -> int:
     """Call sink(fn(0)), ..., sink(fn(count - 1)) in this order, with the fn
-    calls run on a pool of CPUs threads and the calling thread only sinking,
-    and return the total length of the blocks.
+    calls run on a pool of min(CPUs, 4) threads and the calling thread only
+    sinking, and return the total length of the blocks.
 
-    At most 2 x CPUs blocks are submitted but not yet sunk.  On the first
-    exception, from `fn` or from `sink`, the blocks not yet started are
-    cancelled and the error is re-raised once the pool is joined.
+    At most 2 x min(CPUs, 4) blocks are submitted but not yet sunk.  On the
+    first exception, from `fn` or from `sink`, the blocks not yet started
+    are cancelled and the error is re-raised once the pool is joined.
     """
     # imported on first use: `concurrent.futures` imports `logging`, which
     # runs without CSV output need not pay for
     import collections
     import concurrent.futures
 
-    window = 2 * _cpus()
+    threads = min(_cpus(), _CSV_MAX_THREADS)
+    window = 2 * threads
     pending = collections.deque()
     total = 0
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_cpus()) as pool:
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         try:
             for i in range(count + 1):
                 # sink the oldest block when the window is full, all at the end
@@ -824,8 +829,9 @@ def _stream_blocks(fn, count: int, sink) -> int:
 
 def write_trajectory_csv(record: TrajectoryRecord, f: BinaryIO) -> int:
     """Write the trajectory CSV of `record` to the binary file `f` and return
-    the number of bytes written.  Row blocks are formatted on every CPU and
-    written in row order, so at most 2 x CPUs blocks of text are held."""
+    the number of bytes written.  Row blocks are formatted on min(CPUs, 4)
+    threads and written in row order, so at most 2 x min(CPUs, 4) blocks of
+    text are held."""
     # imported on first use: building its tables takes milliseconds that
     # runs without CSV output need not pay at import
     from . import textfmt

@@ -212,7 +212,9 @@ def _coupling(A, B, C, M_sqrt, G, W, H, x_free: bool = True):
         lam, V = numerics.sym_eig(G, "G")
         target, eq_rhs, sol = M_sqrt @ W @ V, H @ V, np.empty((n + m, k))
         eq = np.hstack([C, np.zeros((C.shape[0], m))])
-        for value in np.unique(lam):
+        # lam ascends: its distinct values without np.unique, which would
+        # import numpy.ma on its first call in a process
+        for value in lam[np.r_[True, lam[1:] != lam[:-1]]]:
             cols, obj = lam == value, np.hstack([M_sqrt @ A - value * M_sqrt, M_sqrt @ B])
             sol[:, cols] = numerics.constrained_lstsq(obj, target[:, cols], eq, eq_rhs[:, cols])
         X, Y = sol[:n] @ V.T, sol[n:] @ V.T

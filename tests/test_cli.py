@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from pathlib import Path
 
@@ -824,3 +828,46 @@ class TestMemory:
             finally:
                 tracemalloc.stop()
         assert peaks["compare"] < 1.25 * peaks["simulate"], peaks
+
+
+class TestFirstUseImports:
+    def test_run_path_never_imports_numpy_ma(self, tmp_path):
+        """numpy.ma costs a fresh process some 15 ms and 1.3 MB on first
+        use, and plain np.unique imports it; no step of a run may, so a
+        fresh interpreter runs the library pipeline on both studies and the
+        `synthesize` and `simulate` commands without ever loading it."""
+        script = textwrap.dedent("""
+            import json, sys
+            from pathlib import Path
+            from gaasim import casestudy, cli, sim, synthesis
+            from gaasim.model import parse_config
+
+            out = Path(sys.argv[1])
+            for make in (casestudy.switched_config, casestudy.ramp_config):
+                sc = parse_config(make(horizon=20.0, step=0.05))
+                gains = synthesis.synthesize_gains(
+                    sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon, sc.envelope, M=sc.M)
+                synthesis.check_assumption(
+                    sc.concrete, sc.abstract, gains, sc.envelope, policy=sc.policy)
+                x0 = sc.x0
+                if x0 is None:
+                    x0, _ = synthesis.lifted_start(sc.concrete, gains, sc.policy, sc.xhat0)
+                rbar_max = cli._rbar_max(gains, sc)
+                record = sim.simulate(sc.concrete, sc.abstract, gains, sc.policy, x0,
+                                      sc.xhat0, sc.horizon, sc.step,
+                                      rbar_max=rbar_max, epsilon=sc.epsilon)
+                sim.verify_trajectory(record, gains, sc.epsilon, sc.envelope, sc.b_U,
+                                      rbar_max)
+            config = out / "switched.json"
+            config.write_text(json.dumps(casestudy.switched_config(horizon=20.0, step=0.05)))
+            assert cli.main(["synthesize", "--config", str(config), "--out", str(out / "s")]) == 0
+            assert cli.main(["simulate", "--config", str(config), "--gains",
+                             str(out / "s" / "gains.json"), "--out", str(out / "r")]) == 0
+            print("numpy.ma" in sys.modules)
+        """)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "False"

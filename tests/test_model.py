@@ -172,6 +172,15 @@ class TestTypes:
         assert np.allclose(b.clamp([5.0, 0.0]), [2.0, 1.0])
         assert b.corners().shape == (2, 2)  # degenerate second axis deduplicated
 
+    def test_corners_bits(self):
+        # -0.0 == 0.0: the axis is one point and keeps its lower bound, -0.0,
+        # as np.unique kept it; a proper axis gives [lo, hi] in that order
+        corners = Box([0.0, -0.0], [1.0, 0.0]).corners()
+        assert corners.tobytes() == np.array([[0.0, -0.0], [1.0, -0.0]]).tobytes()
+        corners = Box([-1.5, 2.0, 7.0], [3.0, 5.0, 7.0]).corners()
+        expected = [[-1.5, 2.0, 7.0], [-1.5, 5.0, 7.0], [3.0, 2.0, 7.0], [3.0, 5.0, 7.0]]
+        assert corners.tobytes() == np.array(expected).tobytes()
+
     def test_envelope_rejects_negative(self):
         with pytest.raises(ConfigError, match=r"envelope\.xhat_max must be finite and >= 0"):
             OperatingEnvelope(xhat_max=-1.0, uhat_max=0.0, uhatdot_max=0.0)

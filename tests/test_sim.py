@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import io
 import math
 import sys
@@ -691,6 +692,35 @@ class TestWriteTrajectoryCsv:
         assert counts["writes"] == 1 + 51
         assert counts["formatted"] == 51
         assert 1 <= counts["peak"] <= 2 * cpus
+
+    def test_text_in_flight_does_not_grow_past_four_threads(self, monkeypatch, record):
+        """On a 64-CPU host the blocks are formatted on 4 threads, so the
+        traced peak above the record is that of a 4-CPU host, not up to 16
+        times as much, and the bytes are those of one thread."""
+
+        class SlowHashingFile:  # keeps no text: the peak is the blocks in flight
+            def __init__(self):
+                self.digest = hashlib.sha256()
+
+            def write(self, data):
+                time.sleep(1e-3)  # formatted blocks queue up behind the file
+                self.digest.update(data)
+                return len(data)
+
+        monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", 100)  # 51 blocks
+        peaks, digests = {}, {}
+        for cpus in (1, 4, 64):
+            monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+            f = SlowHashingFile()
+            tracemalloc.start()
+            try:
+                sim.write_trajectory_csv(record, f)
+                peaks[cpus] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            digests[cpus] = f.digest.digest()
+        assert digests[64] == digests[4] == digests[1]
+        assert peaks[64] <= 1.5 * peaks[4], peaks
 
     def test_write_error_stops_new_blocks(self, monkeypatch, record):
         from gaasim import textfmt

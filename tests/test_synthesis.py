@@ -156,7 +156,8 @@ class TestCouplingColumnSplit:
         np.diag([-1.0, -0.25, 0.5, -1.0]),
         dense_with_repeated_eigenvalue(),
         np.zeros((3, 3)),
-    ], ids=["diagonal", "dense_repeated", "zero"])
+        np.diag([-1.0, -1.0, -2.0]),
+    ], ids=["diagonal", "dense_repeated", "zero", "repeated_pair"])
     @pytest.mark.parametrize("m", [1, 3])
     def test_matches_the_kronecker_reference(self, G, m, x_free, monkeypatch):
         args = self.problem(G, m)
@@ -171,6 +172,29 @@ class TestCouplingColumnSplit:
         a, b, _, root, g, w, _ = args
         resid = root @ (a @ ref_x - ref_x @ g + b @ ref_y - w)
         assert rbar == pytest.approx(nx.spectral_norm(resid), rel=1e-12)
+
+    @pytest.mark.parametrize("G, solves", [
+        (np.diag([-1.0, -1.0, -2.0]), 2),
+        (np.zeros((3, 3)), 1),  # the (S, R) problem
+    ], ids=["repeated_pair", "zero"])
+    def test_one_solve_per_distinct_eigenvalue(self, G, solves, monkeypatch):
+        """The columns of each distinct eigenvalue of G, grouped by == in
+        ascending order, are one solve, and its operator is the one that
+        np.unique's grouping gave, so the coupling keeps its bits."""
+        args = self.problem(G, m=2)
+        A, root = args[0], args[3]
+        operators, solve = [], nx.constrained_lstsq
+
+        def recording(obj, *rest):
+            operators.append(obj)
+            return solve(obj, *rest)
+
+        monkeypatch.setattr(nx, "constrained_lstsq", recording)
+        synthesis._coupling(*args)
+        distinct = np.unique(nx.sym_eig(G).values)
+        assert len(operators) == distinct.size == solves
+        for obj, value in zip(operators, distinct):
+            assert obj[:, : A.shape[0]].tobytes() == (root @ A - value * root).tobytes()
 
     @pytest.mark.parametrize("x_free", [True, False])
     def test_one_state_abstraction_is_bit_identical(self, x_free):
