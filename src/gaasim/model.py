@@ -331,30 +331,24 @@ class AbstractInputPolicy:
         xhat = np.asarray(xhat, dtype=float).reshape(-1)
         return self.regimes[self.regime_index(t, xhat)].uhat(t, xhat)
 
-    def uhat(self, times: np.ndarray, xhat: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """(len(times), m_r) uhat, F-contiguous, at rows (times, xhat) whose
-        regime indices are `ids`, one vectorized evaluation per run of one
-        index."""
+    def uhat(self, times: np.ndarray, xhat: np.ndarray, runs) -> np.ndarray:
+        """(len(times), m_r) uhat, F-contiguous, at rows (times, xhat) that
+        `runs` covers as (start, stop, regime index), one vectorized
+        evaluation per run."""
         out = np.empty((times.size, self.m_r), order="F")
-        for a, b, idx in _runs(ids):
+        for a, b, idx in runs:
             out[a:b] = self.regimes[idx].uhat(times[a:b], xhat[a:b])
         return out
 
     def uhatdot(
         self, abstract: "AbstractLinearSystem", times: np.ndarray, xhat: np.ndarray,
-        uhat: np.ndarray, ids: np.ndarray,
+        uhat: np.ndarray, runs,
     ) -> np.ndarray:
         """duhat/dt at the rows of `uhat`, laid out as `uhat`."""
         out = np.empty_like(uhat)
-        for a, b, idx in _runs(ids):
+        for a, b, idx in runs:
             out[a:b] = self.regimes[idx].uhatdot(abstract, times[a:b], xhat[a:b], uhat[a:b])
         return out
-
-
-def _runs(ids: np.ndarray) -> list[tuple[int, int, int]]:
-    """(start, stop, id) of each contiguous run of one regime id."""
-    starts = [0, *(np.flatnonzero(ids[1:] != ids[:-1]) + 1).tolist(), ids.size]
-    return [(a, b, int(ids[a])) for a, b in zip(starts, starts[1:])]
 
 
 @dataclass(frozen=True, eq=False)

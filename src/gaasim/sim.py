@@ -14,8 +14,9 @@ feedback run is one span): it propagates by repeated doubling
 (`_propagate`) until a sample leaves the regime's box, which a segment does
 not have, locates the crossing by bisection, splits the enclosing step
 there, and switches regime.  One rule (`_is_jump`) decides whether the
-input change at a switch (new minus old uhat) is a jump.  A jump time's row
-stores the right limit of the abstract input.  Each run proves a bound on
+input change at a switch (new minus old uhat) is a jump, which the driver
+only logs; one function (`_judge_jumps`) judges the logged jumps.  A jump
+time's row stores the right limit of the abstract input.  Each run proves a bound on
 the integration error of its sampled vg from its own rows (`_ErrorBound`)
 and records it as `decay_slack`.  Samples are held column-major from the
 propagated blocks, joined once, to the record, so per-sample formulas run over
@@ -233,8 +234,8 @@ def _preflight(concrete, abstract, policy, horizon: float, h: float) -> None:
     w = nz + max((seg.coeffs.shape[1] for seg in policy.segments), default=0)
     rows = horizon / h + 1.0
     need = max(rows * per_row + min(rows, size) * per_slice for per_row, per_slice, size in (
-        (1 + nz + 1.5 * w, w + 2 * nz + 8, _BOUND_ROWS),  # integrating, and a bound slice
-        (nz + 2 + 4 * m_r + 3 * n_r, 0, 0),  # evaluating the policy
+        (1 + nz + w, w + 2 * nz + 8, _BOUND_ROWS),  # integrating, and a bound slice
+        (nz + 1 + 4 * m_r + 3 * n_r, 0, 0),  # evaluating the policy
         (4 + nz + 2 * m_r + m + 2 * p, 3 * n + 4 * m + p + 4, _BLOCK_ROWS),  # the record
     ))
     numerics.require_memory(8.0 * need, "the run")
@@ -401,73 +402,78 @@ def simulate(
     """Co-simulate the refined interconnection over [t0, t0 + horizon].
 
     Identical inputs produce bit-identical records.  A warning is issued
-    when the initial triple is outside the relation at `epsilon`; the
-    verdict on it is `verify_trajectory`'s, at the epsilon given there.
-    Each jump is checked against the budget of the envelope derived from
-    `rbar_max`, which restarts after every logged jump, and logged.
-    `epsilon` defaults to the bundle's value and
-    can be tightened per run.  A run whose arrays would exceed
-    physical memory raises TooLarge, a MemoryError, before it allocates them.
+    when the initial triple is outside the relation at `epsilon` (by default
+    the bundle's); the verdict on it is `verify_trajectory`'s.  Each logged
+    jump is judged against the envelope of `rbar_max`, restarted after every
+    jump (`_judge_jumps`): pass the `rbar_max` of `synthesis.feasibility`, as
+    the default 0.0 makes omega smaller and each `JumpRecord.passed`
+    optimistic.  Neither parameter changes the run's rows or `decay_slack`.
+    A run whose arrays would exceed physical memory raises TooLarge, a
+    MemoryError, before it allocates them.
 
     The record's `decay_slack` is a proven bound on |vg(t_k) - vg_exact(t_k)|
     at every sample of a decay window (the rows between logged jumps), where
     vg_exact is the exact flow of the recorded regime sequence started from
     the window's first row, taken over the steps the run made.  It is built
-    from this run alone (`_ErrorBound`) and does not depend on `rbar_max`.
+    from this run alone (`_ErrorBound`).
     So a window that passes `verify_trajectory` has vg_exact(t_k) <=
     omega(t_k - t_a, vg(t_a)) + 2 decay_slack at its samples.  The error of
     locating region crossings by bisection (to 1e-9 of the horizon) is
     outside the bound.
     """
     _preflight(concrete, abstract, policy, horizon, h)
-    run = _integrate(
-        concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon
-    )
-    return _assemble_record(concrete, abstract, gains, *run)
-
-
-def _judge_jump(anchor, tau, delta, gains, epsilon, rbar_max):
-    """The `JumpRecord` of the jump `delta` at `tau`, judged against the
-    envelope that starts at anchor = (t, v), and the anchor after it:
-    (tau, omega(tau - t, v) + ||M^{1/2} S delta||), the most V can be just
-    after the jump.  The first anchor is (t0, vg0)."""
-    t_prev, v_prev = anchor
-    lhs, rhs = refine.jump_admissible(delta, tau - t_prev, v_prev, gains, epsilon, rbar_max)
-    restart = refine.omega(tau - t_prev, v_prev, gains.a1, rbar_max) + math.sqrt(lhs)
-    return JumpRecord(tau, delta, lhs, rhs), (tau, restart)
-
-
-def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_max, t0, epsilon):
-    """Grid times, joint states z = [x; xhat], the policy's uhat and
-    duhat/dt at them, the jump log and the `_ErrorBound` of one run (see
-    `simulate`).  The grid has a row at every
-    step and at each located region crossing, which carries the regime after
-    it; `bound` advances over every step in order.
-    """
-    eps_run = gains.epsilon if epsilon is None else float(epsilon)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     xhat0 = np.asarray(xhat0, dtype=float).reshape(-1)
-    n, n_r = concrete.n, abstract.n_r
-    if x0.size != n or xhat0.size != n_r:
-        raise ValueError(f"initial states must have sizes {(n, n_r)}")
-
-    uhat0 = policy.uhat_at(t0, xhat0)
-    vg0 = refine.vg(refine.RelationPoint(x0, xhat0, uhat0), gains)
+    if x0.size != concrete.n or xhat0.size != abstract.n_r:
+        raise ValueError(f"initial states must have sizes {(concrete.n, abstract.n_r)}")
+    eps_run = gains.epsilon if epsilon is None else float(epsilon)
+    vg0 = refine.vg(refine.RelationPoint(x0, xhat0, policy.uhat_at(t0, xhat0)), gains)
     if not vg0 <= eps_run:
         warnings.warn(
             f"initial triple outside the relation: vg = {vg0:.6g} > "
             f"epsilon = {eps_run:.6g}",
-            stacklevel=3,
+            stacklevel=2,
         )
+    times, zs, runs, log, bound = _integrate(
+        concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0
+    )
+    xhat = zs[:, concrete.n :]
+    uhat = policy.uhat(times, xhat, runs)
+    uhatdot = policy.uhatdot(abstract, times, xhat, uhat, runs)
+    jumps = _judge_jumps(log, (t0, vg0), gains, eps_run, rbar_max)
+    return _assemble_record(concrete, abstract, gains, times, zs, uhat, uhatdot, jumps, bound)
 
+
+def _judge_jumps(log, anchor, gains, epsilon, rbar_max) -> list[JumpRecord]:
+    """The `JumpRecord` of each logged jump (tau, delta), in time order,
+    judged against the envelope that starts at anchor = (t0, vg0) and
+    restarts after every jump at (tau, omega(tau - t, v) + ||M^{1/2} S
+    delta||), the most V can be just after it."""
+    t_prev, v_prev = anchor
+    records = []
+    for tau, delta in log:
+        lhs, rhs = refine.jump_admissible(delta, tau - t_prev, v_prev, gains, epsilon, rbar_max)
+        records.append(JumpRecord(tau, delta, lhs, rhs))
+        v_prev = refine.omega(tau - t_prev, v_prev, gains.a1, rbar_max) + math.sqrt(lhs)
+        t_prev = tau
+    return records
+
+
+def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
+    """Grid times, joint states z = [x; xhat], the (start, stop, regime
+    index) runs of their rows, the jump log of (tau, delta) and the
+    `_ErrorBound` of one run (see `simulate`).  The grid has a row at every
+    step and at each located region crossing, which carries the regime after
+    it; `bound` advances over every step in order and restarts at each jump.
+    """
+    n, n_r = concrete.n, abstract.n_r
     F, N = _joint_matrices(concrete, abstract, gains)
     to_xhat = np.eye(n + n_r)[n:]
     t_end = t0 + horizon
-    # the kept rows: time blocks, (n + n_r, rows) state blocks, their regime ids
-    kept_t, kept_z, kept_ids = [], [], []
-    jumps: list[JumpRecord] = []
+    # the kept rows: time blocks, (n + n_r, rows) state blocks, their runs
+    kept_t, kept_z, runs = [], [], []
+    log: list[tuple[float, np.ndarray]] = []
     min_sep = MIN_JUMP_SEPARATION_STEPS * h
-    anchor = (t0, vg0)
     bound = _ErrorBound(concrete, gains)
 
     def regime(index: int, a: float, b: float) -> _Regime:
@@ -485,10 +491,13 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
         return _Regime(index, step, steps, gen, phi, **kind)
 
     def keep(ts: np.ndarray, rows: np.ndarray, index: int) -> None:
-        """Keep the rows (ts, rows) of regime `index` as a trimmed copy."""
+        """Keep the rows (ts, rows) of regime `index` as a trimmed copy, in
+        the run of the rows before them when that has the same regime."""
+        stop = (runs[-1][1] if runs else 0) + ts.size
+        start = runs.pop()[0] if runs and runs[-1][2] == index else stop - ts.size
+        runs.append((start, stop, index))
         kept_t.append(ts)
         kept_z.append(rows.T.copy())
-        kept_ids.append(index)
 
     def outside(r: _Regime, rows: np.ndarray) -> np.ndarray:
         """Indices of the rows of z outside r's box: none for a segment."""
@@ -498,22 +507,20 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
 
     def switch(old, tau: float, xhat_next, xhat_tau, a: float, b: float) -> _Regime:
         """The regime after `old` at tau, picked at xhat_next, for [a, b].
-        Its input change, new minus old uhat at (tau, xhat_tau), is judged
-        and logged when it is a jump; the first regime (old None) has none."""
-        nonlocal anchor
+        Its input change, new minus old uhat at (tau, xhat_tau), is logged
+        when it is a jump; the first regime (old None) has none."""
         new = regime(policy.regime_index(tau, xhat_next), a, b)
         if old is None:
             return new
         before, after = (policy.regimes[q.index].uhat(tau, xhat_tau) for q in (old, new))
         delta = after - before
         if _is_jump(delta, before):
-            if jumps and tau - jumps[-1].time < min_sep:
+            if log and tau - log[-1][0] < min_sep:
                 raise SimulationError(
-                    f"jumps at {jumps[-1].time:.6g} and {tau:.6g} violate the "
+                    f"jumps at {log[-1][0]:.6g} and {tau:.6g} violate the "
                     f"minimum separation {min_sep:.6g}"
                 )
-            jump, anchor = _judge_jump(anchor, tau, delta, gains, eps_run, rbar_max)
-            jumps.append(jump)
+            log.append((tau, delta))
             bound.restart()
         return new
 
@@ -581,14 +588,10 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, rbar_ma
     final = r.index if r.box is not None else policy.regime_index(t_end, z[n:])
     keep(np.array([t_end]), z[None], final)
 
-    # one join of the kept blocks; the input rows are the regime ids' last
-    # use, so these are freed before the record's other columns are allocated
+    # one join of the kept blocks
     times, zs = np.concatenate(kept_t), np.concatenate(kept_z, axis=1).T
-    regimes = np.repeat(kept_ids, [ts.size for ts in kept_t])
     del kept_t[:], kept_z[:]  # free the joined blocks
-    uhat = policy.uhat(times, zs[:, n:], regimes)
-    uhatdot = policy.uhatdot(abstract, times, zs[:, n:], uhat, regimes)
-    return times, zs, uhat, uhatdot, jumps, bound
+    return times, zs, runs, log, bound
 
 
 def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndarray:
@@ -604,7 +607,7 @@ def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndar
             if stop is not None and stop(out[:, last:filled].T):
                 return out[:, :filled].T
             take = min(filled, count - filled)
-            out[:, filled : filled + take] = power @ out[:, :take]
+            np.matmul(power, out[:, :take], out=out[:, filled : filled + take])
             last, filled = filled, filled + take
             if filled < count:
                 power = power @ power
@@ -727,12 +730,12 @@ def verify_trajectory(
             if bad.size and first_violation is None:  # windows and blocks in time order
                 first_violation = float(ts[bad[0]])
 
-    jumps_passed = 0
-    anchor = (record.t[0], float(record.vg[0]))
-    for j in record.jumps:
-        again, anchor = _judge_jump(anchor, j.time, j.delta, gains, epsilon, rbar_max)
-        if again.passed and abs(again.lhs - j.lhs) <= 1e-9 * max(1.0, abs(j.lhs)):
-            jumps_passed += 1
+    log = [(j.time, j.delta) for j in record.jumps]
+    again = _judge_jumps(log, (record.t[0], float(record.vg[0])), gains, epsilon, rbar_max)
+    jumps_passed = sum(
+        a.passed and abs(a.lhs - j.lhs) <= 1e-9 * max(1.0, abs(j.lhs))
+        for a, j in zip(again, record.jumps)
+    )
 
     max_err = float(np.max(record.err))
     max_vg = float(np.max(record.vg))

@@ -344,19 +344,20 @@ def test_criterion_7c_jump_budget_implies_membership(gains5):
             frac = (w1 - limit) / (vg0 - limit)
             tau1 = -2.0 / gains5.a1 * math.log(max(frac, 1e-300))
             delta1, vg_post1 = draw_jump(w1, eps, aligned)
-            first, anchor = sim._judge_jump((0.0, vg0), tau1, delta1, gains5, eps, rmax)
+            # a second jump later on: V before it is at most the envelope
+            # restarted from V just after the first jump; both are judged as
+            # one log, so the second from the anchor that the first restarts
+            tau2 = tau1 + rng.exponential(2.0 / gains5.a1)
+            w2 = omega(tau2 - tau1, vg_post1, gains5.a1, rmax)
+            delta2, vg_post2 = draw_jump(w2, eps, aligned)
+            first, second = sim._judge_jumps(
+                [(tau1, delta1), (tau2, delta2)], (0.0, vg0), gains5, eps, rmax
+            )
             if not first.passed:
                 # a rejected worst-case jump really leaves the relation
                 assert not aligned or vg_post1 > eps - 1e-9
                 continue
             assert vg_post1 <= eps + 1e-9
-            # a second jump later on: V before it is at most the envelope
-            # restarted from V just after the first jump, and is judged from
-            # the restarted anchor that `simulate` carries
-            tau2 = tau1 + rng.exponential(2.0 / gains5.a1)
-            w2 = omega(tau2 - tau1, vg_post1, gains5.a1, rmax)
-            delta2, vg_post2 = draw_jump(w2, eps, aligned)
-            second, _ = sim._judge_jump(anchor, tau2, delta2, gains5, eps, rmax)
             if not second.passed:
                 assert not aligned or vg_post2 > eps - 1e-9
                 continue

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from gaasim import numerics as nx
+from gaasim import sim
 from gaasim.model import (
     AbstractInputPolicy,
     AbstractLinearSystem,
@@ -134,6 +135,32 @@ def test_two_dim_region_crossing(mimo_pair):
     expected_delta = (regions[0].gain - regions[1].gain) @ rec.xhat[idx]
     assert np.allclose(jump.delta, expected_delta, atol=1e-12)
     assert jump.passed
+
+
+def test_uhat_is_one_evaluation_per_run_of_one_region(mimo_pair):
+    """The kept blocks of one region join into one run of rows, and the
+    record's uhat and uhatdot there are one evaluation of that region over
+    the whole run: `FeedbackRegion.uhat` goes through BLAS, whose bits may
+    change with how the rows are split."""
+    concrete, abstract, gains = mimo_pair
+    policy, xhat0, horizon, _ = run = two_dim_regions()
+    rec = simulate_lifted(mimo_pair, *run)
+    x0 = lift_initial(xhat0, policy.uhat_at(0.0, xhat0), gains)
+    times, _, runs, log, _ = sim._integrate(
+        concrete, abstract, gains, policy, x0, xhat0, horizon, 1e-3, 0.0
+    )
+    assert times.tobytes() == rec.t.tobytes()
+    # the second run joins the jump's row, kept alone, to the block after it
+    assert [idx for _, _, idx in runs] == [0, 1]
+    assert [tau for tau, _ in log] == [rec.jumps[0].time] == [rec.t[runs[1][0]]]
+    assert runs[0][0] == 0 and runs[0][1] == runs[1][0] and runs[1][1] == rec.t.size
+    for a, b, idx in runs:
+        region = policy.regions[idx]
+        assert np.all(region.box.contains(rec.xhat[a:b]))
+        uhat = region.uhat(rec.t[a:b], rec.xhat[a:b])
+        uhatdot = region.uhatdot(abstract, rec.t[a:b], rec.xhat[a:b], uhat)
+        assert rec.uhat[a:b].tobytes() == uhat.tobytes()
+        assert rec.uhatdot[a:b].tobytes() == uhatdot.tobytes()
 
 
 @pytest.mark.parametrize("scenario", [two_channel_open_loop, two_dim_regions])

@@ -299,6 +299,35 @@ class TestSimulate:
         report = verify_trajectory(rec, gains, EPS5, sc.envelope, sc.b_U, 0.0)
         assert (report.jumps_passed, report.jumps_total) == (1, 2)
 
+    @pytest.mark.parametrize("kind", ["switched", "open_loop"])
+    def test_judge_jumps_gives_back_the_record_jumps(self, kind):
+        """Re-judged from the record's (t[0], vg[0]) at the run's own epsilon
+        and rbar_max, the logged jumps are the record's jumps: on the study's
+        region crossing, and on two open-loop value jumps, the second judged
+        from the anchor that the first restarts."""
+        if kind == "switched":
+            args, rmax = TestDecaySlack.study("switched")
+            gains = args[2]
+        else:
+            segments = [
+                {"t_start": 0.0, "t_end": 1.0, "coeffs": [[0.0]]},
+                {"t_start": 1.0, "t_end": 1.1, "coeffs": [[0.1]]},
+                {"t_start": 1.1, "t_end": 3.0, "coeffs": [[0.2]]},
+            ]
+            sc = parse_config(open_loop_config(segments, horizon=2.0))
+            gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
+                                     sc.epsilon, sc.envelope, M=sc.M)
+            x0 = lift_initial(sc.xhat0, [0.0], gains)
+            args = (sc.concrete, sc.abstract, gains, sc.policy, x0, sc.xhat0, 2.0, 1e-3)
+            rmax = 1e-3
+        eps = 0.9 * gains.epsilon
+        rec = simulate(*args, rbar_max=rmax, epsilon=eps)
+        log = [(j.time, j.delta) for j in rec.jumps]
+        again = sim._judge_jumps(log, (rec.t[0], rec.vg[0]), gains, eps, rmax)
+        assert len(rec.jumps) == (1 if kind == "switched" else 2)
+        assert [(j.time, j.delta.tobytes(), j.lhs, j.rhs) for j in again] == [
+            (j.time, j.delta.tobytes(), j.lhs, j.rhs) for j in rec.jumps]
+
     def test_jump_record_judges_itself(self):
         # `passed` is no stored field but lhs <= rhs, like a condition record
         assert [f.name for f in dataclasses.fields(sim.JumpRecord)] == [
@@ -319,9 +348,10 @@ class TestSimulate:
 
     def test_membership_warning(self, switched5):
         sc, gains, rmax = switched5
-        with pytest.warns(UserWarning, match="outside the relation"):
+        with pytest.warns(UserWarning, match="outside the relation") as caught:
             rec = simulate(sc.concrete, sc.abstract, gains, sc.policy,
                            [45.0, 0.0], sc.xhat0, horizon=1.0, h=1e-2)
+        assert caught[0].filename == __file__  # it points at simulate's caller
         report = verify_trajectory(rec, gains, EPS5, sc.envelope, sc.b_U, rmax)
         assert not report.to_dict()["initial_membership"]
 
@@ -553,8 +583,10 @@ class TestTrajectoryCsvBytes:
         assert csv_text(rec) == rowwise_trajectory_csv(rec)
 
 
-class TestTrajectoryCsvThreads:
-    """Blocks formatted on several threads join to the row-wise bytes."""
+class TestWriteTrajectoryCsv:
+    """The streaming writer: row-order bytes from blocks formatted on several
+    threads, a bounded window of formatted blocks, and a clean stop when a
+    block or the file fails."""
 
     @pytest.fixture
     def record(self, switched5):
@@ -564,9 +596,19 @@ class TestTrajectoryCsvThreads:
         assert rec.t.size == 5001
         return rec
 
+    @staticmethod
+    def empty(record):
+        return dataclasses.replace(record, **{
+            name: getattr(record, name)[:0]
+            for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err")
+        })
+
     @pytest.mark.parametrize("cpus", [1, 4])
     @pytest.mark.parametrize("chunk", [7, 1000])
     def test_bytes_match_rowwise_reference(self, monkeypatch, record, cpus, chunk):
+        """The bytes and size of the row-wise writer, for the record and for
+        the empty record (the header alone), formatted on at most `cpus`
+        threads that are all joined at the end."""
         from gaasim import textfmt
 
         threads = set()
@@ -583,74 +625,6 @@ class TestTrajectoryCsvThreads:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)  # interleave the threads finely
         try:
-            text = csv_text(record)
-        finally:
-            sys.setswitchinterval(interval)
-        assert text == rowwise_trajectory_csv(record)
-        assert threading.active_count() == before
-        assert len(threads) <= cpus
-
-    def test_block_error_propagates_after_join(self, monkeypatch, record):
-        from gaasim import textfmt
-
-        cpus = 4
-        started = []
-        csv_rows = textfmt.csv_rows
-
-        def failing(table):
-            started.append(table[0, 0])
-            if table[0, 0] == record.t[7 * 100]:
-                raise ValueError("block 100 failed")
-            if table[0, 0] > record.t[7 * 100]:
-                time.sleep(0.2)  # keep the pool busy while the error surfaces
-            return csv_rows(table)
-
-        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
-        monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", 7)
-        monkeypatch.setattr(textfmt, "csv_rows", failing)
-        before = threading.active_count()
-        with pytest.raises(ValueError, match="block 100 failed"):
-            csv_text(record)
-        assert threading.active_count() == before
-        # of 715 blocks, only the window beyond block 100 was submitted, and
-        # the blocks queued behind the busy pool were cancelled
-        assert len(started) <= 101 + 2 * cpus
-        assert len(started) <= 101 + cpus
-
-    def test_empty_record_is_the_header(self, record):
-        empty = dataclasses.replace(record, **{
-            name: getattr(record, name)[:0]
-            for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err")
-        })
-        assert csv_text(empty) == rowwise_trajectory_csv(empty)
-
-
-class TestWriteTrajectoryCsv:
-    """The streaming writer: row-order bytes, a bounded window of formatted
-    blocks, and a clean stop when the file fails."""
-
-    @pytest.fixture
-    def record(self, switched5):
-        sc, gains, _ = switched5
-        return simulate(sc.concrete, sc.abstract, gains, sc.policy,
-                        sc.x0, sc.xhat0, horizon=50.0, h=1e-2)
-
-    @staticmethod
-    def empty(record):
-        return dataclasses.replace(record, **{
-            name: getattr(record, name)[:0]
-            for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err")
-        })
-
-    @pytest.mark.parametrize("cpus", [1, 4])
-    @pytest.mark.parametrize("chunk", [7, 1000])
-    def test_bytes_match_rowwise_reference(self, monkeypatch, record, cpus, chunk):
-        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
-        monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", chunk)
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
             for rec in (record, self.empty(record)):
                 f = io.BytesIO()
                 size = sim.write_trajectory_csv(rec, f)
@@ -660,6 +634,7 @@ class TestWriteTrajectoryCsv:
         finally:
             sys.setswitchinterval(interval)
         assert threading.active_count() == before
+        assert len(threads) <= cpus
 
     @pytest.mark.parametrize("cpus", [1, 4])
     def test_formatted_blocks_wait_for_a_slow_file(self, monkeypatch, record, cpus):
@@ -753,6 +728,32 @@ class TestWriteTrajectoryCsv:
         # blocks the window already held were started, of 715
         assert 2 <= len(started) <= 1 + 2 * cpus
 
+    def test_block_error_propagates_after_join(self, monkeypatch, record):
+        from gaasim import textfmt
+
+        cpus = 4
+        started = []
+        csv_rows = textfmt.csv_rows
+
+        def failing(table):
+            started.append(table[0, 0])
+            if table[0, 0] == record.t[7 * 100]:
+                raise ValueError("block 100 failed")
+            if table[0, 0] > record.t[7 * 100]:
+                time.sleep(0.2)  # keep the pool busy while the error surfaces
+            return csv_rows(table)
+
+        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+        monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", 7)
+        monkeypatch.setattr(textfmt, "csv_rows", failing)
+        before = threading.active_count()
+        with pytest.raises(ValueError, match="block 100 failed"):
+            csv_text(record)
+        assert threading.active_count() == before
+        # of 715 blocks, only the window beyond block 100 was submitted, and
+        # the blocks queued behind the busy pool were cancelled
+        assert len(started) <= 101 + 2 * cpus
+        assert len(started) <= 101 + cpus
 
 def plant_config(n: int, kind: str):
     """The study's policy of `kind` over 1000 s at h = 0.005 on the plant
@@ -776,7 +777,7 @@ class TestPreflight:
         args = (sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0, 1.0, 1e-2)
         # 101 rows at h, the largest set is the record's: 101 x (4 + 3 + 2 +
         # 1 + 2) doubles and a block of 101 x (6 + 4 + 1 + 4); integrating,
-        # 101 x (1 + 3 + 1.5 x 3) and a bound slice of 101 x (3 + 2 x 3 + 8)
+        # 101 x (1 + 3 + 3) and a bound slice of 101 x (3 + 2 x 3 + 8)
         # stay below it; no second run at h/2 is made
         need = 8 * 101 * (12 + 15)
         monkeypatch.setattr(numerics, "physical_memory", lambda: need)
@@ -1272,9 +1273,19 @@ class TestDecaySlack:
             assert len(rec.jumps) == 1
 
     def test_bound_ignores_rbar_max(self):
+        """The rows and `decay_slack` of a run depend on neither epsilon nor
+        rbar_max, which only judge its jumps: those differ in rhs alone."""
         args, rmax = self.study("switched")
         assert rmax > 0
-        assert simulate(*args, rbar_max=rmax).decay_slack == simulate(*args).decay_slack
+        plain = simulate(*args)
+        judged = simulate(*args, rbar_max=rmax, epsilon=2.0 * args[2].epsilon)
+        for name in ("t", "x", "xhat", "uhat", "uhatdot", "vg"):
+            assert getattr(judged, name).tobytes() == getattr(plain, name).tobytes(), name
+        assert judged.decay_slack == plain.decay_slack
+        assert len(judged.jumps) == len(plain.jumps) >= 1
+        for a, b in zip(judged.jumps, plain.jumps):
+            assert (a.time, a.delta.tobytes(), a.lhs) == (b.time, b.delta.tobytes(), b.lhs)
+            assert a.rhs != b.rhs
 
     def test_step_far_outside_rk4_stability_gives_a_vacuous_bound(self):
         # one step of 400 s: h |G| is in the hundreds, the bound overflows,
