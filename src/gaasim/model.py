@@ -198,10 +198,10 @@ class OpenLoopSegment:
         the product t^(j-1) t, so a time gives the same bits alone as among
         others."""
         times = np.asarray(t, dtype=float).reshape(-1)
-        rows, power = np.zeros((coeffs.shape[0], times.size)), np.ones_like(times)
-        for j in range(coeffs.shape[1]):
-            rows += coeffs[:, j, None] * power
-            power = power * times
+        rows = np.zeros((coeffs.shape[0], times.size))
+        for j in range(coeffs.shape[1]):  # t^0 = 1 and t^1 = t take no product
+            power = None if j == 0 else times if j == 1 else power * times
+            rows += coeffs[:, j, None] if j == 0 else coeffs[:, j, None] * power
         return rows.T[0] if np.ndim(t) == 0 else rows.T
 
     def holds(self, t: float, xhat) -> bool:

@@ -114,8 +114,8 @@ def sym_eig(A, name: str = "A") -> SymEigResult:
 
 
 def spectral_norm(A) -> float:
-    """Largest singular value."""
-    return float(_lapack(np.linalg.norm, as_matrix(A, "A"), 2))
+    """Largest singular value, the first of LAPACK's descending ones."""
+    return float(_lapack(np.linalg.svd, as_matrix(A, "A"), compute_uv=False)[0])
 
 
 def eigenvalues(A) -> np.ndarray:

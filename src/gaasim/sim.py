@@ -18,11 +18,11 @@ input change at a switch (new minus old uhat) is a jump, which the driver
 only logs; one function (`_judge_jumps`) judges the logged jumps.  A jump
 time's row stores the right limit of the abstract input.  Each run proves a bound on
 the integration error of its sampled vg from its own rows (`_ErrorBound`)
-and records it as `decay_slack`.  Samples are held column-major from the
-propagated blocks, joined once, to the record, so per-sample formulas run over
-contiguous columns; the row-local ones (`refine`'s relation formulas, the
-norms, the decay envelope) run over cache-sized blocks of rows
-(`_blocks`), which give each row the bits it has in one whole-run block.
+and records it as `decay_slack`.  The record keeps a run as its state: times,
+joint states (column-major from the propagated blocks, joined once), vg and
+regime runs.  `_formed` forms the other columns on each read, a cache-sized
+block of rows at a time (`_blocks`), the policy over the block's slice of each
+run, so a row has the bits of one whole-run block (BLAS products aside).
 
 Integration within a run is sequential; distinct runs share no mutable
 state and may execute in parallel.  `write_trajectory_csv` streams CSV row
@@ -64,7 +64,7 @@ MIN_JUMP_SEPARATION_STEPS = 10
 #: rows per slice of `_ErrorBound.stretch`, so that its temporaries stay small
 _BOUND_ROWS = 65536
 
-#: rows per block of the row-local formulas of `_assemble_record` and
+#: rows per block of the columns `_formed` forms for the record and
 #: `verify_trajectory`: at 32,768 rows a block's columns stay in cache
 _BLOCK_ROWS = 32768
 
@@ -105,8 +105,9 @@ class JumpRecord:
 
 @dataclass
 class TrajectoryRecord:
-    """Sampled joint evolution plus the jump log; the systems, the step and
-    the horizon stay with the caller, who passed them to `simulate`.
+    """A run as its state: times `t`, joint states `z` = [x; xhat], `vg`,
+    the (start, stop, regime index) `runs` of the rows, the jump log and
+    `decay_slack`, with the policy, gains and systems that form the rest.
 
     Rows are strictly increasing in time, cover [t0, t0 + horizon], and
     every jump time appears exactly on the grid (its row stores the
@@ -114,23 +115,41 @@ class TrajectoryRecord:
     run anchored its jump envelope on, and `decay_slack` bounds the
     integration error of `vg` (see `simulate`).
     Each array is (rows,) or (rows, k) and F-contiguous: `x` and `xhat` are
-    views of the run's joined states, one contiguous column per coordinate,
-    and the other arrays share that layout.  A caller that needs C order
-    copies with `np.ascontiguousarray`.
+    views of `z`, one contiguous column per coordinate.  `uhat`, `uhatdot`,
+    `u`, `y`, `yhat` and `err` are formed anew, block by block
+    (`_formed`), on every read, so a caller that needs one reads it once.
+    A caller that needs C order copies with `np.ascontiguousarray`.
     """
 
     t: np.ndarray
-    x: np.ndarray
-    xhat: np.ndarray
-    uhat: np.ndarray
-    uhatdot: np.ndarray
-    u: np.ndarray
-    y: np.ndarray
-    yhat: np.ndarray
+    z: np.ndarray
     vg: np.ndarray
-    err: np.ndarray
+    runs: list[tuple[int, int, int]]
     jumps: list[JumpRecord]
     decay_slack: float
+    policy: AbstractInputPolicy
+    gains: RefinementGains
+    concrete: ConcreteLinearSystem
+    abstract: AbstractLinearSystem
+
+    x = property(lambda self: self.z[:, : self.concrete.n])
+    xhat = property(lambda self: self.z[:, self.concrete.n :])
+    uhat = property(lambda self: self._column("uhat"))
+    uhatdot = property(lambda self: self._column("uhatdot"))
+    u = property(lambda self: self._column("u"))
+    y = property(lambda self: self._column("y"))
+    yhat = property(lambda self: self._column("yhat"))
+    err = property(lambda self: self._column("err"))
+
+    def _column(self, name: str) -> np.ndarray:
+        """The formed column `name` over every row, F-contiguous."""
+        out = None
+        for b in _blocks(0, self.t.size) if self.t.size else [slice(0, 0)]:
+            values = _formed(self, b, (name,))[name]
+            if out is None:
+                out = np.empty((self.t.size, *values.shape[1:]), order="F")
+            out[b] = values
+        return out
 
 
 def eval_policy(policy: AbstractInputPolicy, abstract: AbstractLinearSystem, t: float, xhat):
@@ -235,8 +254,7 @@ def _preflight(concrete, abstract, policy, horizon: float, h: float) -> None:
     rows = horizon / h + 1.0
     need = max(rows * per_row + min(rows, size) * per_slice for per_row, per_slice, size in (
         (1 + nz + w, w + 2 * nz + 8, _BOUND_ROWS),  # integrating, and a bound slice
-        (nz + 1 + 4 * m_r + 3 * n_r, 0, 0),  # evaluating the policy
-        (4 + nz + 2 * m_r + m + 2 * p, 3 * n + 4 * m + p + 4, _BLOCK_ROWS),  # the record
+        (2 + nz, 2 * n + 4 * m + 4 * m_r + 3 * n_r + 3 * p + 4, _BLOCK_ROWS),  # the record
     ))
     numerics.require_memory(8.0 * need, "the run")
 
@@ -349,7 +367,7 @@ class _ErrorBound:
             per_w = (min(g_abs, 700.0) ** 8 / 362880.0 + (9 * gen.shape[0] + 30) * _U) * g_abs
             per_w *= _exp(g_abs)
             e_abs = _norm_bound(e_map)
-            block = min(count, _BOUND_ROWS, max(1, int(40.0 / abs(self.mu * h or 1.0))))
+            block = min(count, max(1, int(min(40.0 / abs(self.mu * h or 1.0), _BOUND_ROWS))))
             powers = _exp(max(self.mu * h, -700.0)) ** np.arange(1.0, block + 1.0)
             columns = rows.T  # one sample per column
             # an overflow anywhere below ends as an infinite, vacuous bound,
@@ -434,14 +452,15 @@ def simulate(
             f"epsilon = {eps_run:.6g}",
             stacklevel=2,
         )
-    times, zs, runs, log, bound = _integrate(
-        concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0
-    )
-    xhat = zs[:, concrete.n :]
-    uhat = policy.uhat(times, xhat, runs)
-    uhatdot = policy.uhatdot(abstract, times, xhat, uhat, runs)
+    with np.errstate(over="ignore", invalid="ignore"):  # see `_check_finite`, `_exp`
+        times, zs, runs, log, bound = _integrate(
+            concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0
+        )
     jumps = _judge_jumps(log, (t0, vg0), gains, eps_run, rbar_max)
-    return _assemble_record(concrete, abstract, gains, times, zs, uhat, uhatdot, jumps, bound)
+    record = TrajectoryRecord(times, zs, None, runs, jumps, 0.0, policy, gains, concrete, abstract)
+    record.vg = record._column("vg")
+    record.decay_slack = bound.slack + bound.v_rounding * float(np.max(record.vg))
+    return record
 
 
 def _judge_jumps(log, anchor, gains, epsilon, rbar_max) -> list[JumpRecord]:
@@ -614,36 +633,28 @@ def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndar
     return out.T
 
 
-def _assemble_record(
-    concrete, abstract, gains, times, zs, uhat, uhatdot, jumps, bound,
-) -> TrajectoryRecord:
-    n, rows = concrete.n, times.size
-    x = zs[:, :n]
-    xhat = zs[:, n:]
-    y = (concrete.C @ x.T).T
-    yhat = (abstract.C @ xhat.T).T
-    vg, err = np.empty(rows), np.empty(rows)
-    u = np.empty((rows, concrete.m), order="F")
-    for b in _blocks(0, rows):
-        block = refine.RelationPoint(x[b], xhat[b], uhat[b])
-        e = refine.error_vector(block, gains)
-        vg[b] = refine.vg(block, gains, e)
-        u[b] = refine.interface_u(block, gains, e)
-        err[b] = np.linalg.norm(y[b] - yhat[b], axis=1)
-    return TrajectoryRecord(
-        t=times,
-        x=x,
-        xhat=xhat,
-        uhat=uhat,
-        uhatdot=uhatdot,
-        u=u,
-        y=y,
-        yhat=yhat,
-        vg=vg,
-        err=err,
-        jumps=jumps,
-        decay_slack=bound.slack + bound.v_rounding * float(np.max(vg)),
-    )
+def _formed(record: TrajectoryRecord, b: slice,
+            names=("uhat", "uhatdot", "u", "y", "yhat", "err")) -> dict:
+    """The columns `names` of `record` at its rows b, and those they need:
+    uhat and uhatdot from the policy over b's slice of each regime run, u
+    and vg from the relation (`refine`), y, yhat and err from the outputs."""
+    t, x, xhat = record.t[b], record.x[b], record.xhat[b]
+    runs = [(max(a, b.start) - b.start, min(s, b.stop) - b.start, i)
+            for a, s, i in record.runs if a < b.stop and s > b.start]
+    out = {"uhat": record.policy.uhat(t, xhat, runs)}
+    if "uhatdot" in names:
+        out["uhatdot"] = record.policy.uhatdot(record.abstract, t, xhat, out["uhat"], runs)
+    if "u" in names or "vg" in names:
+        point = refine.RelationPoint(x, xhat, out["uhat"])
+        e = refine.error_vector(point, record.gains)
+        if "u" in names:
+            out["u"] = refine.interface_u(point, record.gains, e)
+        if "vg" in names:
+            out["vg"] = refine.vg(point, record.gains, e)
+    if {"y", "yhat", "err"} & set(names):
+        out["y"], out["yhat"] = (record.concrete.C @ x.T).T, (record.abstract.C @ xhat.T).T
+        out["err"] = np.linalg.norm(out["y"] - out["yhat"], axis=1)
+    return out
 
 
 def simulate_calibrated(*args, **kwargs) -> TrajectoryRecord:
@@ -701,11 +712,13 @@ def verify_trajectory(
     """
     names = ("xhat_max", "uhat_max", "uhatdot_max")
     found: dict[str, list[dict]] = {name: [] for name in names}
-    count, max_u = 0, 0.0
+    count, max_u, max_err = 0, 0.0, 0.0
     for b in _blocks(0, record.t.size):
+        formed = _formed(record, b, ("uhatdot", "u", "err"))
         # np.maximum, like np.max over all rows, keeps a NaN
-        max_u = float(np.maximum(max_u, np.max(np.linalg.norm(record.u[b], axis=1))))
-        for name, values in zip(names, (record.xhat[b], record.uhat[b], record.uhatdot[b])):
+        max_u = float(np.maximum(max_u, np.max(np.linalg.norm(formed["u"], axis=1))))
+        max_err = float(np.maximum(max_err, np.max(formed["err"])))
+        for name, values in zip(names, (record.xhat[b], formed["uhat"], formed["uhatdot"])):
             norms = np.linalg.norm(values, axis=1)
             bad = np.flatnonzero(norms > getattr(envelope, name))
             count += bad.size
@@ -737,7 +750,6 @@ def verify_trajectory(
         for a, j in zip(again, record.jumps)
     )
 
-    max_err = float(np.max(record.err))
     max_vg = float(np.max(record.vg))
     slack = record.decay_slack
     return VerificationReport(
@@ -839,24 +851,28 @@ def write_trajectory_csv(record: TrajectoryRecord, f: BinaryIO) -> int:
     # runs without CSV output need not pay at import
     from . import textfmt
 
-    columns = [getattr(record, name) for name in _CSV_COLUMNS]
+    rows, chunk = record.t.size, _CSV_CHUNK_ROWS
+    slices = [slice(a, min(a + chunk, rows)) for a in range(0, rows, chunk)]
+
+    def columns(b: slice) -> list[np.ndarray]:
+        formed = _formed(record, b)
+        return [formed[name] if name in formed else getattr(record, name)[b]
+                for name in _CSV_COLUMNS]
+
     header = []
-    for name, c in zip(_CSV_COLUMNS, columns):
+    for name, c in zip(_CSV_COLUMNS, columns(slice(0, 0))):
         header += [name] if c.ndim == 1 else [f"{name}{i + 1}" for i in range(c.shape[1])]
-    chunk = _CSV_CHUNK_ROWS
 
     def block_bytes(k: int) -> bytes:
-        a = k * chunk
-        return textfmt.csv_rows(np.column_stack([c[a : a + chunk] for c in columns]))
+        return textfmt.csv_rows(np.column_stack(columns(slices[k])))
 
     head = (",".join(header) + "\n").encode("ascii")
     f.write(head)
-    return len(head) + _stream_blocks(block_bytes, -(-record.t.size // chunk), f.write)
+    return len(head) + _stream_blocks(block_bytes, len(slices), f.write)
 
 
 def jumps_csv(record: TrajectoryRecord) -> str:
-    m_r = record.uhat.shape[1]
-    header = ["tau"] + [f"delta{i + 1}" for i in range(m_r)] + ["lhs", "rhs", "pass"]
+    header = ["tau"] + [f"delta{i + 1}" for i in range(record.policy.m_r)] + ["lhs", "rhs", "pass"]
     lines = [",".join(header)]
     for j in record.jumps:
         values = ",".join(f"{v:.15g}" for v in (j.time, *j.delta, j.lhs, j.rhs))

@@ -332,6 +332,8 @@ def synthesize_gains(
     S, R, rbar2 = solve_SR(concrete.A, concrete.B, concrete.C, P, abstract.B, M_sqrt, force_s_zero)
     rbar3 = rbar3_of(M_sqrt, S)
     b = input_bound(K, Q, R, lam_min, epsilon, envelope)
+    if not math.isfinite(b):
+        raise numerics.NumericsError(f"the input bound overflows ({b})")
     return RefinementGains(
         M=M,
         M_sqrt=M_sqrt,
@@ -407,10 +409,12 @@ def check_assumption(
     check("output_weight_dominated", -gap, 1e-9 * m_norm, "-lambda_min(M - C^T C)")
 
     acl = A + B @ K
-    lyap = acl.T @ M + M @ acl + gains.a1 * M
-    lyap_top = float(numerics.sym_eig(0.5 * (lyap + lyap.T)).values[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the record
+        lyap = acl.T @ M + M @ acl + gains.a1 * M
+    finite = bool(np.all(np.isfinite(lyap)))
+    lyap_top = numerics.sym_eig(0.5 * (lyap + lyap.T)).values[-1] if finite else np.inf
     check("lyapunov_decay", lyap_top, 1e-9 * m_norm,
-          "lambda_max((A+BK)^T M + M (A+BK) + a1 M)")
+          "lambda_max((A+BK)^T M + M (A+BK) + a1 M)" + ("" if finite else ": overflows"))
 
     m_r = gains.S.shape[1]
     r1 = _residual(A, B, gains.M_sqrt, abstract.A, 0.0, gains.P, gains.Q)

@@ -502,6 +502,55 @@ class TestBadFilesExit2:
         assert names in self.simulate_edited_bundle(tmp_path, short_switched, capsys, edit)
 
 
+class TestOverflowingNumbers:
+    """Three inputs whose numbers overflow, each fixed where the number is
+    formed: a count derived from a float is clamped before int, and a check
+    whose number is not finite fails its record, its cause in `detail`.
+    None ends in a traceback or prints more than one stderr line."""
+
+    def test_subnormal_horizon_is_a_two_row_run(self, tmp_path, short_switched, capsys):
+        # mu h is subnormal there, and 40 / (mu h) was an infinite block count
+        syn = tmp_path / "syn"
+        assert main(["synthesize", "--config", str(short_switched), "--out", str(syn)]) == 0
+        for command, extra in (("simulate", ["--gains", str(syn / "gains.json")]),
+                               ("compare", [])):
+            argv = [command, "--config", str(short_switched), "--out", str(tmp_path / command),
+                    "--horizon", "1e-308", *extra]
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        rows = (tmp_path / "simulate" / "trajectory.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["0", "1e-308"]
+
+    def test_epsilon_whose_input_bound_overflows(self, tmp_path, short_switched, capsys):
+        out = tmp_path / "syn"
+        argv = ["synthesize", "--config", str(short_switched), "--out", str(out),
+                "--epsilon", "1e308"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == ""
+        (record,) = json.loads((out / "report.json").read_text())["records"]
+        assert record["name"] == "gains_constructible" and record["passed"] is False
+        assert record["detail"] == "NumericsError: the input bound overflows (inf)"
+        assert not (out / "gains.json").exists()
+
+    @pytest.mark.parametrize("command", ["synthesize", "compare"])
+    def test_gain_whose_closed_loop_overflows(self, tmp_path, capsys, command):
+        cfg = casestudy.switched_config(horizon=30.0, step=0.05)
+        cfg["scenario"]["K"] = [[1e308, 1e308]]
+        out = tmp_path / "out"
+        assert main([command, "--config", str(write_config(tmp_path, cfg)), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        if command == "compare":  # the run itself diverges at its first step
+            assert err == "simulation failed: non-finite state near t = 0.05\n"
+            return
+        assert err == ""
+        records = {r["name"]: r for r in json.loads((out / "report.json").read_text())["records"]}
+        lyapunov = records["lyapunov_decay"]
+        assert lyapunov["value"] == np.inf and lyapunov["passed"] is False
+        assert lyapunov["detail"] == "lambda_max((A+BK)^T M + M (A+BK) + a1 M): overflows"
+        assert [name for name, r in records.items() if not r["passed"]] == [
+            "lyapunov_decay", "input_bound"]
+
+
 class TestWrite:
     def test_writes_the_bytes_of_write_text(self, tmp_path):
         text = "t,x1\n" + "".join(f"{k},{k / 7:.15g}\u00b5\n" for k in range(50))

@@ -24,7 +24,7 @@ from gaasim.synthesis import (
     synthesize_gains,
 )
 
-from conftest import assert_same_bits, csv_text, under_row_blocks
+from conftest import assert_formed_by_blocks, assert_same_bits, csv_text, under_row_blocks
 
 
 @pytest.fixture(scope="module")
@@ -139,9 +139,10 @@ def test_two_dim_region_crossing(mimo_pair):
 
 def test_uhat_is_one_evaluation_per_run_of_one_region(mimo_pair):
     """The kept blocks of one region join into one run of rows, and the
-    record's uhat and uhatdot there are one evaluation of that region over
-    the whole run: `FeedbackRegion.uhat` goes through BLAS, whose bits may
-    change with how the rows are split."""
+    record's uhat and uhatdot there have the bits of one evaluation of that
+    region over the whole run, which fits in one row block:
+    `FeedbackRegion.uhat` goes through BLAS, whose bits may change with how
+    the rows are split."""
     concrete, abstract, gains = mimo_pair
     policy, xhat0, horizon, _ = run = two_dim_regions()
     rec = simulate_lifted(mimo_pair, *run)
@@ -180,3 +181,13 @@ def test_row_blocks_give_the_bits_of_one_block(monkeypatch, mimo_pair, scenario)
     blocked, whole = under_row_blocks(monkeypatch, run)
     assert blocked[0].t.size > 6000 and blocked[1].envelope_violation_count > 3000
     assert_same_bits(blocked, whole)
+
+
+def test_formed_columns_by_blocks_on_two_regions(monkeypatch, mimo_pair):
+    """A two-state feedback run, whose uhat and uhatdot go through BLAS: its
+    columns formed over 7- or 1,000-row blocks have the bits of one block.
+    Its gains and output matrices have one nonzero entry per row, so every
+    product sum there is exact."""
+    rec = simulate_lifted(mimo_pair, *two_dim_regions())
+    assert [idx for _, _, idx in rec.runs] == [0, 1]
+    assert_formed_by_blocks(monkeypatch, rec)

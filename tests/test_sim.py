@@ -46,7 +46,7 @@ from gaasim.synthesis import RefinementGains, feasibility, max_feasible_a1, synt
 from conftest import (
     EPS5,
     M5,
-    RECORD_ARRAYS,
+    assert_formed_by_blocks,
     assert_same_bits,
     csv_text,
     point_box,
@@ -563,13 +563,17 @@ class TestTrajectoryCsvBytes:
             1e15, -1e16, 1e-5, 9.99999999999999e-05, 3.5e-7, -1.234e-300,
             1.7976931348623157e308, 999999999999999.5, np.inf, -np.inf, np.nan,
         ])
-        x = rec.x.copy()
-        x[: special.size, 0] = special
-        err = rec.err.copy()
-        err[-special.size :] = special[::-1]
-        injected = dataclasses.replace(rec, x=x, err=err)
-        text = csv_text(injected)
-        assert text == rowwise_trajectory_csv(injected)
+        # through the stored state and vg: x1 carries them into y1, u and err
+        z = rec.z.copy(order="F")
+        z[: special.size, 0] = special
+        vg_values = rec.vg.copy()
+        vg_values[-special.size :] = special[::-1]
+        injected = dataclasses.replace(rec, z=z, vg=vg_values)
+        assert np.array_equal(injected.x[: special.size, 0], special, equal_nan=True)
+        with warnings.catch_warnings():  # the formed columns overflow, on the writer's threads too
+            warnings.simplefilter("ignore", RuntimeWarning)
+            text = csv_text(injected)
+            assert text == rowwise_trajectory_csv(injected)
         assert text.splitlines()[2].split(",")[1] == "-0"
         assert text.splitlines()[3].split(",")[1] == "4.94065645841247e-324"
 
@@ -598,10 +602,10 @@ class TestWriteTrajectoryCsv:
 
     @staticmethod
     def empty(record):
-        return dataclasses.replace(record, **{
-            name: getattr(record, name)[:0]
-            for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err")
-        })
+        """`record` with no rows: every array it stores cut to length 0."""
+        return dataclasses.replace(
+            record, t=record.t[:0], z=record.z[:0], vg=record.vg[:0], runs=[]
+        )
 
     @pytest.mark.parametrize("cpus", [1, 4])
     @pytest.mark.parametrize("chunk", [7, 1000])
@@ -775,11 +779,11 @@ class TestPreflight:
     def test_counts_the_run_at_h_only(self, monkeypatch, switched5):
         sc, gains, _ = switched5
         args = (sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0, 1.0, 1e-2)
-        # 101 rows at h, the largest set is the record's: 101 x (4 + 3 + 2 +
-        # 1 + 2) doubles and a block of 101 x (6 + 4 + 1 + 4); integrating,
-        # 101 x (1 + 3 + 3) and a bound slice of 101 x (3 + 2 x 3 + 8)
-        # stay below it; no second run at h/2 is made
-        need = 8 * 101 * (12 + 15)
+        # 101 rows at h, the largest set is the record's: 101 x (2 + 3)
+        # doubles and a block of its formed columns, 101 x (4 + 4 + 4 + 3 +
+        # 3 + 4); integrating, 101 x (1 + 3 + 3) and a bound slice of 101 x
+        # (3 + 2 x 3 + 8) stay below it; no second run at h/2 is made
+        need = 8 * 101 * (5 + 22)
         monkeypatch.setattr(numerics, "physical_memory", lambda: need)
         assert simulate(*args).t.size == 101
         assert simulate_calibrated(*args).t.size == 101
@@ -1072,6 +1076,15 @@ class TestRecordLayout:
                 values = getattr(rec, name)
                 assert values.shape == (rows, k) and values.flags.f_contiguous, name
 
+    def test_record_stores_its_state_alone(self):
+        """The record's own arrays are t, z and vg: (2 + n_z) doubles a row,
+        whatever the number of inputs and outputs it forms."""
+        for concrete, abstract, _, rec in self.runs():
+            stored = [getattr(rec, f.name) for f in dataclasses.fields(rec)]
+            nbytes = sum(a.nbytes for a in stored if isinstance(a, np.ndarray))
+            assert nbytes == (2 + concrete.n + abstract.n_r) * 8 * rec.t.size
+            assert np.shares_memory(rec.x, rec.z) and np.shares_memory(rec.xhat, rec.z)
+
     def test_relation_columns_are_the_one_point_values(self):
         for _, _, gains, rec in self.runs():
             picks = np.unique(np.r_[np.linspace(0, rec.t.size - 1, 400).astype(int),
@@ -1084,10 +1097,27 @@ class TestRecordLayout:
                 assert np.array_equal(interface_u(point, gains), rec.u[i])
 
 
+class SpikedPolicy:
+    """`policy`, with uhat set to `value` at the rows whose time is one of
+    `times`; uhatdot stays the policy's own, and so does every other row."""
+
+    def __init__(self, policy, times, value):
+        self.policy, self.times, self.value = policy, times, value
+        self.m_r = policy.m_r
+
+    def uhat(self, t, xhat, runs):
+        out = self.policy.uhat(t, xhat, runs)
+        out[np.isin(t, self.times)] = self.value
+        return out
+
+    def uhatdot(self, abstract, t, xhat, uhat, runs):
+        return self.policy.uhatdot(abstract, t, xhat, self.policy.uhat(t, xhat, runs), runs)
+
+
 class TestRowBlocks:
-    """`_assemble_record` and `verify_trajectory` evaluate their row-local
-    formulas a block of rows at a time; 1,000-row blocks give the bits of
-    one block over the whole record."""
+    """`simulate`, `verify_trajectory` and the record's reads form its
+    columns a block of rows at a time; 1,000-row blocks give the bits of one
+    block over the whole record."""
 
     @staticmethod
     def crossing_run():
@@ -1135,6 +1165,27 @@ class TestRowBlocks:
         }
         assert_same_bits(blocked, whole)
 
+    @pytest.mark.parametrize("kind", ["switched", "open_loop"])
+    def test_formed_columns_by_blocks(self, monkeypatch, kind):
+        """Forming a record's columns over each block's slice of each regime
+        run gives the bits of one block over all rows, across the switched
+        study's region crossing and the open-loop run's jump.  The open-loop
+        run's C has three nonzero entries, so BLAS may round its y apart in
+        7-row blocks (`assert_formed_by_blocks`)."""
+        if kind == "switched":
+            args, _ = TestDecaySlack.study("switched", step=0.05)
+            rec = simulate(*args)
+            assert len(rec.runs) == 2 and len(rec.jumps) == 1
+        else:
+            from test_acceptance import _random_feasible_scenario
+
+            concrete, abstract, gains, policy, x0, xhat0, horizon = (
+                _random_feasible_scenario(np.random.default_rng(4))
+            )
+            rec = simulate(concrete, abstract, gains, policy, x0, xhat0, horizon, 2e-3)
+            assert np.count_nonzero(concrete.C) == 3 and len(rec.jumps) == 1
+        assert_formed_by_blocks(monkeypatch, rec, exact_outputs=kind == "switched")
+
     def test_decay_window_across_a_block_boundary(self, monkeypatch):
         gains, rec = self.crossing_run()
         window = next(w for w in _decay_windows(rec) if w[0] // 1000 < w[-1] // 1000)
@@ -1152,9 +1203,8 @@ class TestRowBlocks:
     def test_first_ten_envelope_violations_across_blocks(self, monkeypatch):
         gains, rec = self.crossing_run()
         rows = [3, 999, 1000, 1001, 2999, 3000, 5000, 7001, 8999, 9000, 9999, 10_000]
-        uhat = rec.uhat.copy(order="F")
-        uhat[rows] = 20.0
-        run = dataclasses.replace(rec, uhat=uhat)
+        run = dataclasses.replace(rec, policy=SpikedPolicy(rec.policy, rec.t[rows], 20.0))
+        assert np.all(run.uhat[rows] == 20.0) and np.array_equal(run.uhatdot, rec.uhatdot)
         env = OperatingEnvelope(10.0, 10.0, 10.0)
         blocked, whole = under_row_blocks(
             monkeypatch, lambda: verify_trajectory(run, gains, 0.5, env, 1e3, 0.0)
@@ -1166,8 +1216,10 @@ class TestRowBlocks:
 
 class TestRowBlockMemory:
     def test_peaks_above_the_record_do_not_grow_with_the_run(self):
-        """Beyond the record itself, `simulate` and `verify_trajectory` hold
-        no more memory over 400,002 rows than over 100,001."""
+        """Beyond the record itself (t, z and vg), `verify_trajectory` holds
+        no more memory over 400,002 rows than over 100,001, and nor does
+        `simulate` beyond the record and the second copy of z that joining
+        the kept blocks makes."""
         args, rmax = TestDecaySlack.study("switched", step=1e-3)
         sc = parse_config(casestudy.switched_config())
         extra = []
@@ -1181,8 +1233,8 @@ class TestRowBlockMemory:
                 verify_peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            size = sum(getattr(rec, name).nbytes for name in RECORD_ARRAYS)
-            extra.append((simulate_peak - size, verify_peak - size))
+            size = rec.t.nbytes + rec.z.nbytes + rec.vg.nbytes
+            extra.append((simulate_peak - size - rec.z.nbytes, verify_peak - size))
         assert rec.t.size == 400_002
         (simulate_short, verify_short), (simulate_long, verify_long) = extra
         assert simulate_long <= simulate_short + 2**20
