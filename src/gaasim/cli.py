@@ -152,6 +152,8 @@ def _run(scenario: Scenario, gains: RefinementGains, out: Path, stem: str,
     if x0 is None:
         x0, _ = synthesis.lifted_start(scenario.concrete, gains, scenario.policy, scenario.xhat0)
     rbar_max = _rbar_max(gains, scenario)
+    if rbar_max == float("inf"):  # no decay or jump bound of the run could hold
+        raise sim.SimulationError(f"the disturbance budget rbar_max overflows ({rbar_max})")
     record = sim.simulate(
         scenario.concrete, scenario.abstract, gains, scenario.policy,
         x0, scenario.xhat0, scenario.horizon, scenario.step,

@@ -4,10 +4,9 @@ The factorizations are numpy's LAPACK routines: symmetric eigendecomposition
 (``eigh``), general eigenvalues (``eigvals``), the inverse, and the SVD
 behind spectral norms and the pseudoinverse and null space of
 equality-constrained least squares.  This module adds input validation and
-the checks the callers rely on: symmetry, positive semidefiniteness, the
-Sylvester residual and the consistency of equality constraints.
-Sylvester/Lyapunov equations with Hurwitz coefficients are solved by the
-scaled matrix-sign iteration in O((n + k)^3) time, O(n^3) for Lyapunov
+the checks the callers rely on: symmetry, the Lyapunov residual and the
+consistency of equality constraints.  Lyapunov equations with a Hurwitz
+coefficient are solved by the scaled matrix-sign iteration in O(n^3) time
 (numpy has no Schur form).  Every failure, LAPACK's included, is a
 ``NumericsError`` whose message says what failed; ``TooLarge`` is the one
 told apart, a problem refused for its size (`require_memory`).
@@ -89,7 +88,7 @@ class SymEigResult(NamedTuple):
     vectors: np.ndarray
 
 
-#: relative asymmetry accepted by sym_eig / psd_sqrt
+#: relative asymmetry accepted by sym_eig
 SYMMETRY_RTOL = 1e-12
 
 
@@ -134,34 +133,26 @@ def real_spectral_abscissa(A) -> float:
 SIGN_STEPS = 60
 
 
-def solve_sylvester(F, G, W) -> np.ndarray:
-    """Solve F X + X G = W for Hurwitz F (n x n) and G (k x k).
+def solve_lyapunov(F, W) -> np.ndarray:
+    """Solve F X + X F^T = W for Hurwitz F (n x n) and any W (n x n).
 
     Scaled Newton iteration for the matrix sign function (Roberts 1980;
-    Benner & Quintana-Orti 1999) on D Y + Y D^T = V: from (A, C) = (D, -V),
+    Benner & Quintana-Orti 1999): from (A, C) = (F, -W),
     A <- (mu A + A^-1 / mu) / 2 and C <- (mu C + A^-1 C A^-T / mu) / 2 until
-    A reaches -I; then Y = C / 2.  D = F when G = F^T; else D = diag(F, G^T),
-    V has W as its top right block, and so has Y the solution X.  Raises
-    NumericsError that F or G is not Hurwitz when an iterate is singular or
-    A does not reach -I in SIGN_STEPS steps, or when the residual exceeds
-    1e-8 of its scale.
+    A reaches -I; then X = C / 2.  Raises NumericsError that F is not
+    Hurwitz when an iterate is singular or A does not reach -I in
+    SIGN_STEPS steps, or when the residual exceeds 1e-8 of its scale.
     """
     F = as_matrix(F, "F")
-    G = as_matrix(G, "G")
     W = as_matrix(W, "W")
     _require_square(F, "F")
-    _require_square(G, "G")
-    n, k = F.shape[0], G.shape[0]
-    if W.shape != (n, k):
-        raise NumericsError(f"W: expected shape {(n, k)}, got {W.shape}")
+    n = F.shape[0]
+    if W.shape != (n, n):
+        raise NumericsError(f"W: expected shape {(n, n)}, got {W.shape}")
 
-    if np.array_equal(G, F.T):
-        a, c = F, -W
-    else:
-        a = np.block([[F, np.zeros((n, k))], [np.zeros((k, n)), G.T]])
-        c = np.block([[np.zeros((n, n)), -W], [np.zeros((k, n + k))]])
-    eye, last = np.eye(a.shape[0]), False
-    not_hurwitz = "F or G is not Hurwitz: the sign iteration did not reach -I"
+    a, c = F, -W
+    eye, last = np.eye(n), False
+    not_hurwitz = "F is not Hurwitz: the sign iteration did not reach -I"
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(SIGN_STEPS):
             try:
@@ -180,23 +171,13 @@ def solve_sylvester(F, G, W) -> np.ndarray:
             last = np.vdot(gap, gap) <= 1e-16
         else:
             raise NumericsError(not_hurwitz)
-    X = 0.5 * c[:n, -k:]
+    X = 0.5 * c
 
-    resid = np.linalg.norm(F @ X + X @ G - W)
-    scale = (np.linalg.norm(F) + np.linalg.norm(G)) * np.linalg.norm(X) + np.linalg.norm(W)
+    resid = np.linalg.norm(F @ X + X @ F.T - W)
+    scale = 2 * np.linalg.norm(F) * np.linalg.norm(X) + np.linalg.norm(W)
     if not resid <= 1e-8 * max(scale, 1e-300):
-        raise NumericsError(f"Sylvester residual {resid:.3e} > 1e-8 of its scale {scale:.3e}")
+        raise NumericsError(f"Lyapunov residual {resid:.3e} > 1e-8 of its scale {scale:.3e}")
     return X
-
-
-def psd_sqrt(M) -> np.ndarray:
-    """Symmetric PSD square root; eigenvalues within -1e-10*lambda_max clamp to 0."""
-    values, vectors = sym_eig(M, "M")
-    lam_max = max(values[-1], 0.0)
-    if values[0] < -1e-10 * max(lam_max, 1e-300):
-        raise NumericsError(f"M not positive semidefinite: eigenvalue {values[0]:.3e}")
-    root = vectors @ np.diag(np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
-    return 0.5 * (root + root.T)
 
 
 #: relative rank cutoff on Gram-matrix eigenvalues (squared singular values)

@@ -54,8 +54,8 @@ from .synthesis import ConditionRecord, RefinementGains
 
 class SimulationError(RuntimeError):
     """A run that cannot go on: a non-finite state (divergence), two input
-    jumps closer than the minimum separation of 10 steps, or two region
-    crossings within one step."""
+    jumps closer than the minimum separation of 10 steps, two region
+    crossings within one step, or (in the CLI) an infinite disturbance budget."""
 
 
 #: minimum admissible spacing between jump events, in units of the step h

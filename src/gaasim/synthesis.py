@@ -38,14 +38,14 @@ STRUCT_TOL = 1e-9
 
 @dataclass(frozen=True, eq=False)
 class RefinementGains:
-    """Full parameter bundle of the simulation function and interface."""
+    """Full parameter bundle of the simulation function and interface.  M is
+    its one weight: M_sqrt and lambda_min_M are attributes derived from it."""
 
-    _MATRICES = ("M", "M_sqrt", "K", "P", "Q", "S", "R")
+    _MATRICES = ("M", "K", "P", "Q", "S", "R")
     #: the scalars that must be positive; the others must be nonnegative
-    _POSITIVE = ("a1", "epsilon", "lambda_min_M")
+    _POSITIVE = ("a1", "epsilon")
 
     M: np.ndarray
-    M_sqrt: np.ndarray
     K: np.ndarray
     P: np.ndarray
     Q: np.ndarray
@@ -56,7 +56,6 @@ class RefinementGains:
     rbar1: float
     rbar2: float
     rbar3: float
-    lambda_min_M: float
     input_bound: float
 
     def __post_init__(self):
@@ -67,7 +66,6 @@ class RefinementGains:
         m_r = self.S.shape[1]
         expected = {
             "M": (n, n),
-            "M_sqrt": (n, n),
             "K": (m, n),
             "P": (n, n_r),
             "Q": (m, n_r),
@@ -85,11 +83,8 @@ class RefinementGains:
             if not (math.isfinite(value) and (value > 0 if positive else value >= 0)):
                 rule = "> 0" if positive else ">= 0"
                 raise ValueError(f"gains.{name} must be finite and {rule}, got {value}")
-        if numerics.sym_eig(self.M, "gains.M").values[0] <= 0:
-            raise ValueError("gains.M is not positive definite")
-        miss = np.linalg.norm(self.M_sqrt @ self.M_sqrt - self.M)
-        if not miss <= 1e-9 * np.linalg.norm(self.M):
-            raise ValueError(f"gains.M_sqrt squared misses M by {miss:.3e}, beyond 1e-9 ||M||")
+        for name, value in zip(("M_sqrt", "lambda_min_M"), _weight(self.M, "gains.M")):
+            object.__setattr__(self, name, value)
 
     def to_dict(self) -> dict:
         """Every field; matrices as lists of rows."""
@@ -152,13 +147,12 @@ def max_feasible_a1(A, B, K) -> float:
     return -2.0 * alpha
 
 
-def synthesize_M(A, B, C, K, a1: float) -> tuple[np.ndarray, np.ndarray, float]:
+def synthesize_M(A, B, C, K, a1: float) -> np.ndarray:
     """Weight matrix from a shifted Lyapunov solve with unit right-hand side.
 
     Solves (Acl + a1/2 I)^T M0 + M0 (Acl + a1/2 I) = -I, then scales so the
     output Gramian C^T C is dominated; the scaling preserves the decay
-    inequality because both sides are homogeneous in M.  Returns
-    (M, M_sqrt, lambda_min(M)).
+    inequality because both sides are homogeneous in M.
     """
     A = as_matrix(A, "A")
     B = as_matrix(B, "B")
@@ -170,7 +164,7 @@ def synthesize_M(A, B, C, K, a1: float) -> tuple[np.ndarray, np.ndarray, float]:
             f"a1 = {a1:.6g} is not strictly below the feasible bound {feasible:.6g}"
         )
     shifted = A + B @ K + 0.5 * a1 * np.eye(A.shape[0])
-    m0 = numerics.solve_sylvester(shifted.T, shifted, -np.eye(A.shape[0]))
+    m0 = numerics.solve_lyapunov(shifted.T, -np.eye(A.shape[0]))
     m0 = 0.5 * (m0 + m0.T)
 
     values, vectors = numerics.sym_eig(m0)
@@ -182,17 +176,19 @@ def synthesize_M(A, B, C, K, a1: float) -> tuple[np.ndarray, np.ndarray, float]:
     weight = inv_sqrt @ (C.T @ C) @ inv_sqrt
     lam_top = numerics.sym_eig(0.5 * (weight + weight.T)).values[-1]
     scale = max(1.0, lam_top * (1.0 + 1e-6))
-    return _weight(scale * m0)
+    return scale * m0
 
 
-def _weight(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """(M, M^{1/2}, lambda_min(M)) of a symmetric M, which must be positive
-    definite."""
-    M_sqrt = numerics.psd_sqrt(M)
-    lam_min = float(numerics.sym_eig(M).values[0])
-    if lam_min <= 0:
-        raise numerics.NumericsError(f"M has lambda_min {lam_min:.3e} <= 0")
-    return M, M_sqrt, lam_min
+def _weight(M, name: str = "M") -> tuple[np.ndarray, float]:
+    """(M^{1/2}, lambda_min(M)) of a symmetric M from one eigendecomposition
+    M = V diag(lam) V^T, with the root 0.5 (R + R^T), R = V diag(sqrt(lam)) V^T.
+    Raises NumericsError, its message starting with `name`, when M is not
+    positive definite."""
+    values, vectors = numerics.sym_eig(M, name)
+    if not values[0] > 0:
+        raise numerics.NumericsError(f"{name} not positive definite: eigenvalue {values[0]:.3e}")
+    root = vectors @ np.diag(np.sqrt(values)) @ vectors.T
+    return 0.5 * (root + root.T), float(values[0])
 
 
 def _coupling(A, B, C, M_sqrt, G, W, H, x_free: bool = True):
@@ -317,16 +313,17 @@ def synthesize_gains(
 ) -> RefinementGains:
     """End-to-end bundle computation.
 
-    When M is supplied it is used as-is (after a PSD sanity check); whether
-    it satisfies the decay inequality at the requested a1 is reported by
-    check_assumption rather than raised here.
+    A supplied M is symmetrized and must be positive definite (`_weight`);
+    whether it satisfies the decay inequality at the requested a1 is
+    reported by check_assumption rather than raised here.
     """
     K = as_matrix(K, "K")
     if M is None:
-        M, M_sqrt, lam_min = synthesize_M(concrete.A, concrete.B, concrete.C, K, a1)
+        M = synthesize_M(concrete.A, concrete.B, concrete.C, K, a1)
     else:
         M = as_matrix(M, "M")
-        M, M_sqrt, lam_min = _weight(0.5 * (M + M.T))
+        M = 0.5 * (M + M.T)
+    M_sqrt, lam_min = _weight(M)
 
     P, Q, rbar1 = solve_PQ(concrete.A, abstract.A, concrete.B, concrete.C, abstract.C, M_sqrt)
     S, R, rbar2 = solve_SR(concrete.A, concrete.B, concrete.C, P, abstract.B, M_sqrt, force_s_zero)
@@ -336,7 +333,6 @@ def synthesize_gains(
         raise numerics.NumericsError(f"the input bound overflows ({b})")
     return RefinementGains(
         M=M,
-        M_sqrt=M_sqrt,
         K=K,
         P=P,
         Q=Q,
@@ -347,7 +343,6 @@ def synthesize_gains(
         rbar1=float(rbar1),
         rbar2=float(rbar2),
         rbar3=float(rbar3),
-        lambda_min_M=float(lam_min),
         input_bound=float(b),
     )
 
@@ -405,16 +400,18 @@ def check_assumption(
     check("CS_zero", cs, STRUCT_TOL, "||C S||_F")
 
     m_norm = numerics.spectral_norm(M)
-    gap = numerics.sym_eig(M - C.T @ C).values[0]
-    check("output_weight_dominated", -gap, 1e-9 * m_norm, "-lambda_min(M - C^T C)")
-
     acl = A + B @ K
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the record
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails its record
+        dominance = M - C.T @ C
         lyap = acl.T @ M + M @ acl + gains.a1 * M
-    finite = bool(np.all(np.isfinite(lyap)))
-    lyap_top = numerics.sym_eig(0.5 * (lyap + lyap.T)).values[-1] if finite else np.inf
-    check("lyapunov_decay", lyap_top, 1e-9 * m_norm,
-          "lambda_max((A+BK)^T M + M (A+BK) + a1 M)" + ("" if finite else ": overflows"))
+        lyap = 0.5 * (lyap + lyap.T)
+    for name, sym, pick, detail in (
+        ("output_weight_dominated", dominance, lambda lam: -lam[0], "-lambda_min(M - C^T C)"),
+        ("lyapunov_decay", lyap, lambda lam: lam[-1], "lambda_max((A+BK)^T M + M (A+BK) + a1 M)"),
+    ):
+        finite = bool(np.all(np.isfinite(sym)))
+        value = pick(numerics.sym_eig(sym).values) if finite else np.inf
+        check(name, value, 1e-9 * m_norm, detail + ("" if finite else ": overflows"))
 
     m_r = gains.S.shape[1]
     r1 = _residual(A, B, gains.M_sqrt, abstract.A, 0.0, gains.P, gains.Q)

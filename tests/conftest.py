@@ -11,13 +11,18 @@ from gaasim.model import (
     ConcreteLinearSystem,
     OperatingEnvelope,
 )
-from gaasim.synthesis import synthesize_gains
+from gaasim.synthesis import _weight, synthesize_gains
 
 # double-integrator study values (weight, stabilizing gain, decay rate)
 M5 = np.array([[3.9544, 1.1805], [1.1805, 4.2262]])
 K5 = np.array([[-1.3298, -1.4108]])
 A1_5 = 0.5
 EPS5 = 0.5
+
+
+def m_root(M) -> np.ndarray:
+    """M^{1/2}, as a gains bundle derives it from M."""
+    return _weight(M)[0]
 
 
 def kron_coupling(A, B, C, M_sqrt, G, W, H, x_free=True):

@@ -139,7 +139,7 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("fault, detail", [
         ("K not stabilizing", "NotStabilizing: A + B K has spectral abscissa 1.61803 >= 0"),
-        ("M indefinite", "NumericsError: M not positive semidefinite: eigenvalue -1.000e+00"),
+        ("M indefinite", "NumericsError: M not positive definite: eigenvalue -1.000e+00"),
     ])
     def test_bundle_that_cannot_be_built_is_one_failing_record(
         self, tmp_path, capsys, fault, detail
@@ -460,20 +460,27 @@ class TestBadFilesExit2:
         assert err.startswith(f"config error: gains file {gains}: ")
         return err
 
-    @pytest.mark.parametrize("fault", ["lambda_min_M zero", "M zero", "M_sqrt not a root"])
+    @pytest.mark.parametrize("fault", [
+        "lambda_min_M zero", "lambda_min_M 1e12", "M zero", "M indefinite", "M_sqrt not a root",
+    ])
     def test_gains_bundle_without_a_positive_definite_weight(
         self, tmp_path, short_switched, capsys, fault
     ):
-        def edit(bundle):
-            if fault == "lambda_min_M zero":
-                bundle["lambda_min_M"] = 0
-            elif fault == "M zero":
-                bundle["M"] = bundle["M_sqrt"] = np.zeros_like(bundle["M"]).tolist()
-            else:
-                bundle["M_sqrt"] = bundle["M"]
-            return bundle
-
-        self.simulate_edited_bundle(tmp_path, short_switched, capsys, edit)
+        # M^{1/2} and lambda_min(M) are derived from M, so a file that still
+        # states either (the old format), true or stale, is refused by name
+        changes, line = {
+            "lambda_min_M zero": ({"lambda_min_M": 0}, "gains: unknown keys ['lambda_min_M']"),
+            "lambda_min_M 1e12": ({"lambda_min_M": 1e12}, "gains: unknown keys ['lambda_min_M']"),
+            "M zero": ({"M": [[0.0, 0.0], [0.0, 0.0]]},
+                       "gains.M not positive definite: eigenvalue 0.000e+00"),
+            "M indefinite": ({"M": [[1.0, 0.0], [0.0, -1.0]]},
+                             "gains.M not positive definite: eigenvalue -1.000e+00"),
+            "M_sqrt not a root": ({"M_sqrt": [[1.0, 0.0], [0.0, 1.0]]},
+                                  "gains: unknown keys ['M_sqrt']"),
+        }[fault]
+        err = self.simulate_edited_bundle(
+            tmp_path, short_switched, capsys, lambda bundle: {**bundle, **changes})
+        assert err.endswith(f": {line}\n")
 
     @pytest.mark.parametrize("fault, names", [
         ("array", "gains: expected an object"),
@@ -503,7 +510,7 @@ class TestBadFilesExit2:
 
 
 class TestOverflowingNumbers:
-    """Three inputs whose numbers overflow, each fixed where the number is
+    """Inputs whose numbers overflow, each fixed where the number is
     formed: a count derived from a float is clamped before int, and a check
     whose number is not finite fails its record, its cause in `detail`.
     None ends in a traceback or prints more than one stderr line."""
@@ -549,6 +556,39 @@ class TestOverflowingNumbers:
         assert lyapunov["detail"] == "lambda_max((A+BK)^T M + M (A+BK) + a1 M): overflows"
         assert [name for name, r in records.items() if not r["passed"]] == [
             "lyapunov_decay", "input_bound"]
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_disturbance_budget_that_overflows(self, tmp_path, capsys, command):
+        # rbar1 xhat_max + rbar2 uhat_max + rbar3 uhatdot_max is infinite, which
+        # the decay envelope refused with a ValueError, a traceback
+        cfg = casestudy.ramp_config(horizon=60.0, step=0.05)
+        config = write_config(tmp_path, cfg)
+        argv = [command, "--config", str(config), "--out", str(tmp_path / "out")]
+        if command == "simulate":
+            assert main(["synthesize", "--config", str(config), "--out", str(tmp_path)]) == 0
+            bundle = json.loads((tmp_path / "gains.json").read_text())
+            (tmp_path / "gains.json").write_text(json.dumps({**bundle, "rbar1": 1e308}))
+            argv += ["--gains", str(tmp_path / "gains.json")]
+        else:
+            cfg["envelope"]["uhat_max"] = 1e308
+            write_config(tmp_path, cfg)
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "simulation failed: the disturbance budget rbar_max overflows (inf)\n")
+
+    def test_output_matrix_whose_gramian_overflows(self, tmp_path, capsys):
+        # C^T C overflows, and taking the eigenvalues of M - C^T C raised
+        cfg = casestudy.ramp_config(horizon=60.0, step=0.05)
+        cfg["concrete"]["C"] = [[1e300, 0.0]]
+        out = tmp_path / "out"
+        assert main(["synthesize", "--config", str(write_config(tmp_path, cfg)),
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == ""
+        records = {r["name"]: r for r in json.loads((out / "report.json").read_text())["records"]}
+        dominated = records["output_weight_dominated"]
+        assert dominated["value"] == np.inf and dominated["passed"] is False
+        assert dominated["detail"] == "-lambda_min(M - C^T C): overflows"
 
 
 class TestWrite:

@@ -6,7 +6,10 @@ any certificate, and neither can shifting the start time of a run together
 with its policy.  So every condition record, jump verdict and decay verdict
 must come out the same, and the proven decay slack must scale with c.
 
-The coordinate change x -> T x is not covered yet.
+The same holds for an orthogonal change x -> T x of the concrete state
+(a rotation, a permutation, -I), under which the slack must stay within a
+factor 2.  A non-orthogonal T is not covered yet: the proven slack is
+taken in the raw coordinates of the joint state, and grows with cond(T).
 """
 
 import dataclasses
@@ -31,6 +34,12 @@ from test_acceptance import _random_feasible_scenario
 
 SCALES = (1e-3, 1.0, 1e3)
 SHIFT = 10.0
+#: orthogonal changes x -> T x of the studies' two-state concrete plant
+ORTHOGONAL = {
+    "rotation": np.array([[np.cos(0.7), -np.sin(0.7)], [np.sin(0.7), np.cos(0.7)]]),
+    "swap": np.array([[0.0, 1.0], [1.0, 0.0]]),
+    "minus_identity": -np.eye(2),
+}
 
 
 def _box(box: Box, c: float) -> Box:
@@ -73,6 +82,20 @@ def _scaled(sc: Scenario, c: float) -> Scenario:
     )
 
 
+def _transformed(sc: Scenario, T: np.ndarray) -> Scenario:
+    """`sc` in the coordinates T x of its concrete state: A -> T A T^-1,
+    B -> T B, C -> C T^-1, K -> K T^-1, M -> T^-T M T^-1, x0 -> T x0, and
+    the concrete initial box the point T x0."""
+    t_inv = np.linalg.inv(T)
+    x0 = T @ sc.x0
+    concrete = dataclasses.replace(
+        sc.concrete, A=T @ sc.concrete.A @ t_inv, B=T @ sc.concrete.B,
+        C=sc.concrete.C @ t_inv, initial_state_set=Box(x0, x0),
+    )
+    return dataclasses.replace(sc, concrete=concrete, K=sc.K @ t_inv,
+                               M=t_inv.T @ sc.M @ t_inv, x0=x0)
+
+
 def _certify(sc: Scenario, force_s_zero: bool = False, shift: float = 0.0):
     """The verdicts of synthesis, checks, run and verification, and the
     run's decay slack, with the run and its policy started `shift` later."""
@@ -108,14 +131,28 @@ def _assert_invariant(sc: Scenario, force_s_zero: bool = False) -> None:
     assert 0.5 <= slack_shifted / slack <= 2.0
 
 
+def _study(kind: str) -> Scenario:
+    if kind == "switched":
+        return parse_config(casestudy.switched_config(horizon=320.0, step=5e-3))
+    return parse_config(casestudy.ramp_config(horizon=120.0, step=5e-3))
+
+
 @pytest.mark.parametrize("kind", ["switched", "ramp", "ramp_s_zero"])
 def test_study_verdicts_are_invariant(kind):
-    if kind == "switched":
-        cfg = casestudy.switched_config(horizon=320.0, step=5e-3)
-    else:
-        cfg = casestudy.ramp_config(horizon=120.0, step=5e-3)
-    sc = parse_config(cfg)
-    _assert_invariant(sc, force_s_zero=kind == "ramp_s_zero")
+    _assert_invariant(_study(kind), force_s_zero=kind == "ramp_s_zero")
+
+
+@pytest.mark.parametrize("kind", ["switched", "ramp", "ramp_s_zero"])
+def test_study_verdicts_are_invariant_under_orthogonal_coordinates(kind):
+    sc, force_s_zero = _study(kind), kind == "ramp_s_zero"
+    assert np.all(sc.concrete.initial_state_set.lows == sc.concrete.initial_state_set.highs)
+    records, run, slack = _certify(sc, force_s_zero)
+    for name, T in ORTHOGONAL.items():
+        assert np.allclose(T @ T.T, np.eye(2), rtol=0.0, atol=1e-15), name
+        records_t, run_t, slack_t = _certify(_transformed(sc, T), force_s_zero)
+        assert records_t == records, name
+        assert run_t == run, name
+        assert 0.5 <= slack_t / slack <= 2.0, (name, slack_t / slack)
 
 
 def test_random_scenario_verdicts_are_invariant():

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from gaasim import numerics as nx
 from gaasim import synthesis
 
-from conftest import M5
+from conftest import M5, m_root
 
 
 def eig2_sym_oracle(m):
@@ -61,7 +62,7 @@ class TestSpectralNorm:
         assert nx.spectral_norm(np.array([[0.0], [1.0]])) == pytest.approx(1.0)
 
     def test_weighted_unit_column(self):
-        root = nx.psd_sqrt(M5)
+        root = m_root(M5)
         got = nx.spectral_norm(root @ np.array([[0.0], [1.0]]))
         assert got == pytest.approx(np.sqrt(4.2262), abs=1e-9)
 
@@ -98,28 +99,37 @@ class TestSpectralAbscissa:
             assert nx.real_spectral_abscissa(a) == pytest.approx(ref, abs=1e-8 * max(1, abs(ref)))
 
 
-def kron_oracle(f, g, w):
-    """F X + X G = W solved through its dense Kronecker operator."""
-    n, k = w.shape
-    op = np.kron(np.eye(k), f) + np.kron(g.T, np.eye(n))
-    return np.linalg.solve(op, w.reshape(-1, order="F")).reshape((n, k), order="F")
+def kron_oracle(f, w):
+    """F X + X F^T = W solved through its dense Kronecker operator."""
+    n = len(f)
+    op = np.kron(np.eye(n), f) + np.kron(f, np.eye(n))
+    return np.linalg.solve(op, w.reshape(-1, order="F")).reshape((n, n), order="F")
+
+
+def hurwitz(rng, n):
+    """A random n x n matrix shifted to spectral abscissa -0.5."""
+    f = rng.standard_normal((n, n))
+    return f - (nx.real_spectral_abscissa(f) + 0.5) * np.eye(n)
 
 
 class TestSylvester:
+    """The Lyapunov equation F X + X F^T = W, the Sylvester equation whose
+    second coefficient is F^T, with any right-hand side W."""
+
     def test_scalar(self):
-        x = nx.solve_sylvester([[-1.0]], [[-1.0]], [[-2.0]])
+        x = nx.solve_lyapunov([[-1.0]], [[-2.0]])
         assert x[0, 0] == pytest.approx(1.0)
 
     def test_identity_pair(self):
         rng = np.random.default_rng(5)
         w0 = rng.standard_normal((2, 2))
-        x = nx.solve_sylvester(-np.eye(2), -np.eye(2), -w0)
+        x = nx.solve_lyapunov(-np.eye(2), -w0)
         assert np.allclose(x, w0 / 2.0, atol=1e-14)
 
     def test_shifted_lyapunov_study(self):
         acl = np.array([[0.0, 1.0], [-1.3298, -1.4108]])
         shifted = acl + 0.25 * np.eye(2)
-        x = nx.solve_sylvester(shifted.T, shifted, -np.eye(2))
+        x = nx.solve_lyapunov(shifted.T, -np.eye(2))
         # independent 4x4 Kronecker oracle assembled by hand
         op = np.kron(np.eye(2), shifted.T) + np.kron(shifted.T, np.eye(2))
         ref = np.linalg.solve(op, (-np.eye(2)).reshape(-1, order="F")).reshape(
@@ -130,8 +140,8 @@ class TestSylvester:
         assert np.all(eig2_sym_oracle(x) > 0)
 
     def test_singular_detection(self):
-        with pytest.raises(nx.NumericsError, match="F or G is not Hurwitz"):
-            nx.solve_sylvester([[1.0]], [[-1.0]], [[1.0]])
+        with pytest.raises(nx.NumericsError, match="F is not Hurwitz"):
+            nx.solve_lyapunov([[1.0]], [[1.0]])
 
     def test_size_cap_refuses_before_building_the_operator(self, monkeypatch):
         # the coupling of a 10-state plant (m = p = 1) with a 3-state
@@ -160,9 +170,9 @@ class TestSylvester:
         # one defective eigenvalue: F^T and F have a single Jordan block
         j = lam * np.eye(n) + np.eye(n, k=1)
         w = np.random.default_rng(n).standard_normal((n, n))
-        for f, g, rhs in ((j.T, j, -np.eye(n)), (j, j.T, -np.eye(n)), (j, j, w)):
-            x = nx.solve_sylvester(f, g, rhs)
-            ref = kron_oracle(f, g, rhs)
+        for f, rhs in ((j.T, -np.eye(n)), (j, -np.eye(n)), (j, w)):
+            x = nx.solve_lyapunov(f, rhs)
+            ref = kron_oracle(f, rhs)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("f", [
@@ -173,13 +183,13 @@ class TestSylvester:
     def test_pole_near_the_imaginary_axis(self, f, monkeypatch):
         f, steps, inv = np.array(f), [], np.linalg.inv
         monkeypatch.setattr(np.linalg, "inv", lambda a: steps.append(1) or inv(a))
-        x = nx.solve_sylvester(f.T, f, -np.eye(len(f)))
-        ref = kron_oracle(f.T, f, -np.eye(len(f)))
+        x = nx.solve_lyapunov(f.T, -np.eye(len(f)))
+        ref = kron_oracle(f.T, -np.eye(len(f)))
         assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
         assert len(steps) <= 8  # the unscaled iteration takes 18 to 19
 
-    #: what solve_sylvester says of a pair that is not Hurwitz
-    NOT_HURWITZ = "F or G is not Hurwitz|Sylvester residual"
+    #: what solve_lyapunov says of a coefficient that is not Hurwitz
+    NOT_HURWITZ = "F is not Hurwitz|Lyapunov residual"
 
     @pytest.mark.parametrize("f, g", [
         ([[1.0]], [[-1.0]]),  # F anti-stable
@@ -190,11 +200,17 @@ class TestSylvester:
         ([[0.0, 1.0], [-1.0, 0.0]], [[0.0, 1.0], [-1.0, 0.0]]),  # G = -F^T: a singular iterate
     ])
     def test_refuses_a_pair_that_is_not_hurwitz(self, f, g):
+        # F X + X G = W is the top right block of the Lyapunov equation in
+        # diag(F, G^T) with W as the top right block of its right-hand side;
+        # diag(F, G^T) is Hurwitz exactly when F and G are
         f, g = np.array(f), np.array(g)
+        n, k = len(f), len(g)
+        d = np.block([[f, np.zeros((n, k))], [np.zeros((k, n)), g.T]])
+        w = np.block([[np.zeros((n, n)), np.ones((n, k))], [np.zeros((k, n + k))]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(nx.NumericsError, match=self.NOT_HURWITZ) as info:
-                nx.solve_sylvester(f, g, np.ones((len(f), len(g))))
+                nx.solve_lyapunov(d, w)
         assert len(str(info.value).splitlines()) == 1
 
     @pytest.mark.parametrize("n", [100, 200])
@@ -202,73 +218,60 @@ class TestSylvester:
         rng = np.random.default_rng(n)
         f = rng.standard_normal((n, n)) / np.sqrt(n)
         f -= (nx.real_spectral_abscissa(f) + 0.05) * np.eye(n)
-        jordan = -np.eye(7) + np.eye(7, k=1)
-        for g, w in ((f.T, -np.eye(n)), (jordan, rng.standard_normal((n, 7)))):
-            x = nx.solve_sylvester(f, g, w)
-            resid = np.linalg.norm(f @ x + x @ g - w)
-            scale = np.linalg.norm(f) * np.linalg.norm(x)
-            scale += np.linalg.norm(x) * np.linalg.norm(g) + np.linalg.norm(w)
+        for w in (-np.eye(n), rng.standard_normal((n, n))):
+            x = nx.solve_lyapunov(f, w)
+            resid = np.linalg.norm(f @ x + x @ f.T - w)
+            scale = 2 * np.linalg.norm(f) * np.linalg.norm(x) + np.linalg.norm(w)
             assert resid <= 1e-8 * scale
 
     def test_agrees_with_kronecker_oracle(self):
         rng = np.random.default_rng(23)
         for i in range(60):
             n = int(rng.integers(1, 21))
-            f = rng.standard_normal((n, n))
-            f -= (nx.real_spectral_abscissa(f) + 0.5) * np.eye(n)
-            if i % 2:
-                g, w = f.T, -np.eye(n)
-            else:
-                k = int(rng.integers(1, 21))
-                g = rng.standard_normal((k, k))
-                g -= (nx.real_spectral_abscissa(g) + 0.5) * np.eye(k)
-                w = rng.standard_normal((n, k))
-            ref = kron_oracle(f, g, w)
-            assert np.linalg.norm(nx.solve_sylvester(f, g, w) - ref) <= 1e-12 * np.linalg.norm(ref)
+            f = hurwitz(rng, n)
+            w = -np.eye(n) if i % 2 else rng.standard_normal((n, n))
+            ref = kron_oracle(f, w)
+            assert np.linalg.norm(nx.solve_lyapunov(f, w) - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_residual_bound_random(self):
         rng = np.random.default_rng(17)
         for _ in range(150):
             n = int(rng.integers(1, 6))
-            k = int(rng.integers(1, 6))
-            f = rng.standard_normal((n, n))
-            f -= (nx.real_spectral_abscissa(f) + 0.5) * np.eye(n)
-            g = rng.standard_normal((k, k))
-            g -= (nx.real_spectral_abscissa(g) + 0.5) * np.eye(k)
-            w = rng.standard_normal((n, k))
-            x = nx.solve_sylvester(f, g, w)
-            resid = np.linalg.norm(f @ x + x @ g - w)
-            bound = (
-                np.linalg.norm(f) * np.linalg.norm(x)
-                + np.linalg.norm(x) * np.linalg.norm(g)
-                + np.linalg.norm(w)
-            )
-            assert resid <= 1e-8 * bound
+            f, w = hurwitz(rng, n), rng.standard_normal((n, n))
+            x = nx.solve_lyapunov(f, w)
+            resid = np.linalg.norm(f @ x + x @ f.T - w)
+            assert resid <= 1e-8 * (2 * np.linalg.norm(f) * np.linalg.norm(x) + np.linalg.norm(w))
 
 
 class TestPsdSqrt:
+    """The weight's root M^{1/2}, which `synthesis._weight` derives with
+    lambda_min(M) from one eigendecomposition."""
+
     def test_identity(self):
-        assert np.allclose(nx.psd_sqrt(np.eye(3)), np.eye(3))
+        assert np.allclose(m_root(np.eye(3)), np.eye(3))
 
     def test_diagonal(self):
-        assert np.allclose(nx.psd_sqrt(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        root, lam = synthesis._weight(np.diag([4.0, 9.0]))
+        assert np.allclose(root, np.diag([2.0, 3.0])) and lam == 4.0
 
     def test_study_weight(self):
-        r = nx.psd_sqrt(M5)
+        r = m_root(M5)
         assert np.linalg.norm(r @ r - M5) <= 1e-9 * np.linalg.norm(M5)
         assert np.allclose(r, r.T)
 
     def test_not_psd(self):
-        with pytest.raises(nx.NumericsError, match="not positive semidefinite: eigenvalue -5"):
-            nx.psd_sqrt(np.diag([1.0, -0.5]))
+        for m, lam in ((np.diag([1.0, -0.5]), "-5.000e-01"), (np.zeros((2, 2)), "0.000e+00")):
+            message = f"M not positive definite: eigenvalue {lam}"
+            with pytest.raises(nx.NumericsError, match=f"^{re.escape(message)}$"):
+                synthesis._weight(m)
 
     def test_orthogonal_conjugation(self):
         rng = np.random.default_rng(23)
         a = rng.standard_normal((4, 4))
         m = a @ a.T
         q = np.linalg.qr(rng.standard_normal((4, 4)))[0]
-        left = nx.psd_sqrt(q.T @ m @ q)
-        right = q.T @ nx.psd_sqrt(m) @ q
+        left = m_root(q.T @ m @ q)
+        right = q.T @ m_root(m) @ q
         assert np.linalg.norm(left - right) <= 1e-8 * np.linalg.norm(m)
 
 
@@ -282,7 +285,7 @@ class TestConstrainedLstsq:
 
     def test_study_pq_problem(self):
         # unknowns [p11, p21, q]; objective M^{1/2} [p21; q]; constraint p11 = 1
-        root = nx.psd_sqrt(M5)
+        root = m_root(M5)
         obj = np.zeros((2, 3))
         obj[:, 1] = root @ np.array([1.0, 0.0])
         obj[:, 2] = root @ np.array([0.0, 1.0])
@@ -291,7 +294,7 @@ class TestConstrainedLstsq:
 
     def test_study_sr_problem(self):
         # unknowns [s1, s2, r]; objective M^{1/2} ([s2; r] - [1; 0]); constraint s1 = 0
-        root = nx.psd_sqrt(M5)
+        root = m_root(M5)
         obj = np.zeros((2, 3))
         obj[:, 1] = root @ np.array([1.0, 0.0])
         obj[:, 2] = root @ np.array([0.0, 1.0])

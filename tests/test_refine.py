@@ -45,7 +45,7 @@ class TestVg:
     def test_identity_weight_unit_error(self, gains5):
         import dataclasses
 
-        gains = dataclasses.replace(gains5, M=np.eye(2), M_sqrt=np.eye(2))
+        gains = dataclasses.replace(gains5, M=np.eye(2))
         point = RelationPoint([41.1, -0.0401], [40.1], [-0.0401])  # e = [1, 0]
         assert vg(point, gains) == pytest.approx(1.0)
 
@@ -248,11 +248,10 @@ def random_bundle(rng, n, m, n_r, m_r) -> RefinementGains:
     root = rng.standard_normal((n, n))
     root = root @ root.T + np.eye(n)
     return RefinementGains(
-        M=root @ root, M_sqrt=root, K=rng.standard_normal((m, n)),
+        M=root @ root, K=rng.standard_normal((m, n)),
         P=rng.standard_normal((n, n_r)), Q=rng.standard_normal((m, n_r)),
         S=rng.standard_normal((n, m_r)), R=rng.standard_normal((m, m_r)),
-        a1=0.5, epsilon=1.0, rbar1=0.0, rbar2=0.0, rbar3=0.0,
-        lambda_min_M=1.0, input_bound=1.0,
+        a1=0.5, epsilon=1.0, rbar1=0.0, rbar2=0.0, rbar3=0.0, input_bound=1.0,
     )
 
 

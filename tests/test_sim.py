@@ -103,7 +103,6 @@ class TestEvalPolicy:
 def identity_gains(n, epsilon=1.0):
     return RefinementGains(
         M=np.eye(n),
-        M_sqrt=np.eye(n),
         K=np.zeros((n, n)),
         P=np.eye(n),
         Q=np.zeros((n, n)),
@@ -114,7 +113,6 @@ def identity_gains(n, epsilon=1.0):
         rbar1=0.0,
         rbar2=0.0,
         rbar3=0.0,
-        lambda_min_M=1.0,
         input_bound=1.0,
     )
 

@@ -27,7 +27,7 @@ from gaasim.synthesis import (
     synthesize_gains,
 )
 
-from conftest import A1_5, EPS5, K5, M5, condition, kron_coupling
+from conftest import A1_5, EPS5, K5, M5, condition, kron_coupling, m_root
 
 A5 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B5 = np.array([[0.0], [1.0]])
@@ -51,14 +51,15 @@ class TestMaxFeasibleA1:
 class TestSynthesizeM:
     def test_scalar_example(self):
         # a = -1, b = 0, k = 0, c = 1, a1 = 1: (-1 + 0.5) 2 M0 = -1 so M0 = 1
-        m, m_sqrt, lam = synthesize_M([[-1.0]], [[0.0]], [[1.0]], [[0.0]], 1.0)
+        m = synthesize_M([[-1.0]], [[0.0]], [[1.0]], [[0.0]], 1.0)
         assert m[0, 0] == pytest.approx(1.0, rel=1e-5)
         assert m[0, 0] >= 1.0  # output weight dominated
+        m_sqrt, lam = synthesis._weight(m)
         assert m_sqrt[0, 0] == pytest.approx(np.sqrt(m[0, 0]))
         assert lam == pytest.approx(m[0, 0])
 
     def test_study_inputs_satisfy_decay(self):
-        m, _, _ = synthesize_M(A5, B5, C5, K5, A1_5)
+        m = synthesize_M(A5, B5, C5, K5, A1_5)
         acl = A5 + B5 @ K5
         t = acl.T @ m + m @ acl + A1_5 * m
         assert nx.sym_eig(0.5 * (t + t.T)).values[-1] <= 1e-9 * nx.spectral_norm(m)
@@ -86,7 +87,7 @@ class TestSolvePQ:
         assert gains5.rbar1 < 1e-9
 
     def test_self_abstraction(self):
-        m_sqrt = nx.psd_sqrt(M5)
+        m_sqrt = m_root(M5)
         p, q, rbar1 = solve_PQ(A5, A5, B5, C5, C5, m_sqrt)
         assert np.allclose(p, np.eye(2), atol=1e-10)
         assert np.allclose(q, np.zeros((1, 2)), atol=1e-10)
@@ -99,7 +100,7 @@ class TestSolvePQ:
         b = rng.standard_normal((3, 2))
         c = rng.standard_normal((1, 3))
         spd = rng.standard_normal((3, 3))
-        m_sqrt = nx.psd_sqrt(spd @ spd.T + np.eye(3))
+        m_sqrt = m_root(spd @ spd.T + np.eye(3))
         chat = np.array([[0.7]])
         p, q, rbar1 = solve_PQ(a, ahat, b, c, chat, m_sqrt)
 
@@ -142,7 +143,7 @@ class TestCouplingColumnSplit:
             B[:, -1] = B[:, 0] - 2.0 * B[:, -2]
         root = rng.standard_normal((n, n))
         return (rng.standard_normal((n, n)), B, rng.standard_normal((2, n)),
-                nx.psd_sqrt(root @ root.T + np.eye(n)), G,
+                m_root(root @ root.T + np.eye(n)), G,
                 rng.standard_normal((n, k)), rng.standard_normal((2, k)))
 
     @staticmethod
@@ -215,7 +216,7 @@ class TestSolveSR:
     def test_forced_s_zero_closed_form(self):
         # minimizing [-1, r] M [-1; r] over r gives r = m12 / m22 and
         # residual sqrt(m11 - m12^2 / m22)
-        m_sqrt = nx.psd_sqrt(M5)
+        m_sqrt = m_root(M5)
         p = np.array([[1.0], [0.0]])
         s, r, rbar2 = solve_SR(A5, B5, C5, p, np.array([[1.0]]), m_sqrt, force_s_zero=True)
         assert np.allclose(s, np.zeros((2, 1)))
@@ -225,7 +226,7 @@ class TestSolveSR:
         assert rbar2 == pytest.approx(resid_star, abs=1e-9)
 
     def test_zero_abstract_input_matrix(self):
-        m_sqrt = nx.psd_sqrt(M5)
+        m_sqrt = m_root(M5)
         s, r, rbar2 = solve_SR(A5, B5, C5, np.array([[1.0], [0.0]]), np.array([[0.0]]), m_sqrt)
         assert np.allclose(s, 0.0, atol=1e-12)
         assert np.allclose(r, 0.0, atol=1e-12)
@@ -279,7 +280,7 @@ class TestScalars:
 
 class TestRefinementGains:
     @pytest.mark.parametrize("name, value", [
-        ("a1", 0.0), ("epsilon", -0.5), ("epsilon", math.inf), ("lambda_min_M", math.nan),
+        ("a1", 0.0), ("epsilon", -0.5), ("epsilon", math.inf),
         ("rbar1", math.nan), ("rbar2", math.inf), ("rbar3", -1e-3), ("input_bound", -math.inf),
     ])
     def test_bad_scalar_refused(self, gains5, name, value):
@@ -290,6 +291,41 @@ class TestRefinementGains:
     def test_zero_budget_terms_accepted(self, gains5):
         bundle = dataclasses.replace(gains5, rbar1=0, rbar2=0.0, rbar3=0.0, input_bound=0.0)
         assert bundle.rbar1 == 0.0 and isinstance(bundle.rbar1, float)
+
+    @staticmethod
+    def stated_weight(M):
+        """(M^{1/2}, lambda_min(M)) as gains.json stated them: the symmetric
+        PSD root of M's eigendecomposition and its least eigenvalue."""
+        values, vectors = nx.sym_eig(M, "M")
+        root = vectors @ np.diag(np.sqrt(np.clip(values, 0.0, None))) @ vectors.T
+        return 0.5 * (root + root.T), values[0]
+
+    def test_weight_is_derived_from_M_alone(self, sys5, env5, gains5):
+        rng = np.random.default_rng(8)
+        names = {f.name for f in dataclasses.fields(synthesis.RefinementGains)}
+        assert not {"M_sqrt", "lambda_min_M"} & (names | set(gains5.to_dict()))
+        concrete, abstract = sys5
+        weights = [M5, None] + [a @ a.T + np.eye(2) for a in rng.standard_normal((10, 2, 2))]
+        for M in weights:
+            gains = synthesize_gains(concrete, abstract, K5, A1_5, EPS5, env5, M=M)
+            root, lam = self.stated_weight(gains.M)
+            for bundle in (gains, synthesis.RefinementGains.from_dict(gains.to_dict())):
+                assert bundle.M_sqrt.tobytes() == root.tobytes()
+                assert bundle.lambda_min_M == lam
+            scaled = dataclasses.replace(gains, M=3.0 * gains.M)
+            root, lam = self.stated_weight(3.0 * gains.M)
+            assert scaled.M_sqrt.tobytes() == root.tobytes() and scaled.lambda_min_M == lam
+
+    def test_one_eigendecomposition_of_M_per_bundle(self, sys5, env5, monkeypatch):
+        concrete, abstract = sys5
+        calls, sym_eig = [], nx.sym_eig
+        monkeypatch.setattr(nx, "sym_eig", lambda a, *args: calls.append(
+            np.array_equal(a, M5)) or sym_eig(a, *args))
+        gains = synthesize_gains(concrete, abstract, K5, A1_5, EPS5, env5, M=M5)
+        assert calls.count(True) == 2  # the couplings' and the bundle's
+        calls.clear()
+        synthesis.RefinementGains.from_dict(gains.to_dict())
+        assert calls == [True]
 
 
 class TestCheckAssumption:
@@ -396,12 +432,7 @@ class TestInvariants:
     def test_decay_record_scaling_invariance(self, sys5, env5, gains5):
         concrete, abstract = sys5
         for c in (0.5, 2.0, 10.0):
-            scaled = dataclasses.replace(
-                gains5,
-                M=c * gains5.M,
-                M_sqrt=np.sqrt(c) * gains5.M_sqrt,
-                lambda_min_M=c * gains5.lambda_min_M,
-            )
+            scaled = dataclasses.replace(gains5, M=c * gains5.M)
             report = check_assumption(concrete, abstract, scaled, env5)
             assert condition(report, "lyapunov_decay").passed
 
