@@ -20,6 +20,7 @@ import hashlib
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from . import __version__, casestudy, sim, synthesis
@@ -154,11 +155,14 @@ def _run(scenario: Scenario, gains: RefinementGains, out: Path, stem: str,
     rbar_max = _rbar_max(gains, scenario)
     if rbar_max == float("inf"):  # no decay or jump bound of the run could hold
         raise sim.SimulationError(f"the disturbance budget rbar_max overflows ({rbar_max})")
-    record = sim.simulate(
-        scenario.concrete, scenario.abstract, gains, scenario.policy,
-        x0, scenario.xhat0, scenario.horizon, scenario.step,
-        rbar_max=rbar_max, epsilon=scenario.epsilon,
-    )
+    with warnings.catch_warnings(record=True) as caught:
+        record = sim.simulate(
+            scenario.concrete, scenario.abstract, gains, scenario.policy,
+            x0, scenario.xhat0, scenario.horizon, scenario.step,
+            rbar_max=rbar_max, epsilon=scenario.epsilon,
+        )
+    for caveat in caught:  # one line each, without the source line `warnings` shows
+        print(f"warning: {caveat.message}", file=sys.stderr)
     verdict = sim.verify_trajectory(
         record, gains, scenario.epsilon, scenario.envelope,
         scenario.b_U, rbar_max,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import as_matrix
+from .numerics import as_matrix, ordered_dot
 
 #: scenario defaults applied when the config omits the keys
 DEFAULT_EPSILON = 0.5
@@ -240,12 +240,14 @@ class FeedbackRegion:
 
     def uhat(self, t, xhat: np.ndarray) -> np.ndarray:
         """-K xhat at one abstract state, or at each row of xhat."""
-        return -(self.gain @ xhat.T).T
+        out = -ordered_dot(self.gain, np.reshape(xhat, (-1, self.box.dim)).T)
+        return out[:, 0] if np.ndim(xhat) < 2 else out.T
 
     def uhatdot(self, abstract, t, xhat: np.ndarray, uhat: np.ndarray) -> np.ndarray:
         """duhat/dt at the rows (t, xhat, uhat): -K (A xhat + B uhat), by the
         chain rule."""
-        return -(self.gain @ (abstract.A @ xhat.T + abstract.B @ uhat.T)).T
+        rate = ordered_dot(abstract.A, xhat.T) + ordered_dot(abstract.B, uhat.T)
+        return -ordered_dot(self.gain, rate).T
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,15 +1,16 @@
 """Dense real-matrix kernels used by the synthesis and runtime layers.
 
 The factorizations are numpy's LAPACK routines: symmetric eigendecomposition
-(``eigh``), general eigenvalues (``eigvals``), the inverse, and the SVD
-behind spectral norms and the pseudoinverse and null space of
-equality-constrained least squares.  This module adds input validation and
-the checks the callers rely on: symmetry, the Lyapunov residual and the
-consistency of equality constraints.  Lyapunov equations with a Hurwitz
-coefficient are solved by the scaled matrix-sign iteration in O(n^3) time
-(numpy has no Schur form).  Every failure, LAPACK's included, is a
-``NumericsError`` whose message says what failed; ``TooLarge`` is the one
-told apart, a problem refused for its size (`require_memory`).
+(``eigh``), general eigenvalues (``eigvals``), the inverse, and the SVD behind
+spectral norms and the pseudoinverse and null space of equality-constrained
+least squares.  This module adds input validation and the checks the callers
+rely on: symmetry, the Lyapunov residual and the consistency of equality
+constraints.  Lyapunov equations with a Hurwitz coefficient are solved by the
+scaled matrix-sign iteration in O(n^3) time (numpy has no Schur form).  Every
+failure, LAPACK's included, is a ``NumericsError`` whose message says what
+failed; ``TooLarge`` is the one told apart, a problem refused for its size
+(`require_memory`).  `ordered_dot` sums each per-row product of a run left to
+right (Higham 2002), so a point has its row's bits in any block of rows.
 """
 
 from __future__ import annotations
@@ -74,6 +75,18 @@ def require_memory(nbytes, what: str) -> None:
         need, have = (f"{Decimal(b) / 2**30:.3g}" for b in (nbytes, limit))
         raise TooLarge(f"{what} needs about {need} GiB of arrays, more than "
                        f"the {have} GiB of physical memory")
+
+
+def ordered_dot(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """a @ cols for columns of points (width, rows): row i adds a[i, j]
+    cols[j] to zero over j in order, each product and sum rounded once, so a
+    point's bits depend neither on the other rows, nor on their layout, nor
+    on the BLAS."""
+    out = a[:, 0, None] * cols[0]
+    out += 0.0  # the sum starts at zero: a product -0 adds up to +0
+    for j in range(1, a.shape[1]):
+        out += a[:, j, None] * cols[j]
+    return out
 
 
 def _require_square(a: np.ndarray, name: str) -> None:

@@ -8,9 +8,9 @@ norm; the interface never clamps the concrete input, whose norm
 `vg`, `interface_u` and `omega` take one point or rows of points; a point
 is evaluated as a one-row array, by the expression that evaluates a
 record's rows, so these formulas are written only here.  Rows come as
-(rows, k) arrays and are evaluated column by column (`_dot`), so a record
-stored column-major is read contiguously, and a point gives the bits its
-row gives within any record.
+(rows, k) arrays and are evaluated column by column, each product summed
+left to right (`numerics.ordered_dot`), so a record stored column-major is
+read contiguously, and a point has its row's bits in any block of rows.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+
+from .numerics import ordered_dot
 
 
 class RelationPoint(NamedTuple):
@@ -42,22 +44,10 @@ def _columns(point, gains) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
     return (*cols, single)
 
 
-def _dot(a: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """a @ cols for columns of points (width, rows): row i adds a[i, j]
-    cols[j] to zero over j in order, each product and sum rounded once, so a
-    point's bits depend neither on the other rows, nor on their layout, nor
-    on the BLAS."""
-    out = a[:, 0, None] * cols[0]
-    out += 0.0  # the sum starts at zero: a product -0 adds up to +0
-    for j in range(1, a.shape[1]):
-        out += a[:, j, None] * cols[j]
-    return out
-
-
 def _error_columns(point, gains) -> np.ndarray:
     x, xhat, uhat, _ = _columns(point, gains)
-    e = x - _dot(gains.P, xhat)
-    e -= _dot(gains.S, uhat)
+    e = x - ordered_dot(gains.P, xhat)
+    e -= ordered_dot(gains.S, uhat)
     return e
 
 
@@ -94,8 +84,8 @@ def interface_u(point: RelationPoint, gains, e=None) -> np.ndarray:
     never clamped: (m,) for one point, (rows, m) F-contiguous for rows."""
     _, xhat, uhat, single = _columns(point, gains)
     e = _error_columns(point, gains) if e is None else _points(e)
-    u = _dot(gains.K, e) + _dot(gains.Q, xhat)
-    u += _dot(gains.R, uhat)
+    u = ordered_dot(gains.K, e) + ordered_dot(gains.Q, xhat)
+    u += ordered_dot(gains.R, uhat)
     return u[:, 0] if single else u.T
 
 
@@ -116,8 +106,8 @@ def lift_initial(xhat0, uhat0, gains) -> np.ndarray:
     the products summed as `error_vector` sums them, so the lifted triple
     has vg = 0 whenever that sum is exact, as it is when S uhat0 = 0."""
     xhat0 = np.asarray(xhat0, dtype=float)
-    x0 = _dot(gains.P, np.reshape(xhat0, (-1, gains.P.shape[1])).T)
-    x0 += _dot(gains.S, np.reshape(np.asarray(uhat0, dtype=float), (-1, gains.S.shape[1])).T)
+    x0 = ordered_dot(gains.P, np.reshape(xhat0, (-1, gains.P.shape[1])).T)
+    x0 += ordered_dot(gains.S, np.reshape(np.asarray(uhat0, dtype=float), (-1, gains.S.shape[1])).T)
     return x0[:, 0] if xhat0.ndim < 2 else x0.T
 
 

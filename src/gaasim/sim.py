@@ -20,9 +20,10 @@ time's row stores the right limit of the abstract input.  Each run proves a boun
 the integration error of its sampled vg from its own rows (`_ErrorBound`)
 and records it as `decay_slack`.  The record keeps a run as its state: times,
 joint states (column-major from the propagated blocks, joined once), vg and
-regime runs.  `_formed` forms the other columns on each read, a cache-sized
-block of rows at a time (`_blocks`), the policy over the block's slice of each
-run, so a row has the bits of one whole-run block (BLAS products aside).
+regime runs.  `_formed` forms the other columns on each read, a block of
+rows at a time (`_blocks`), the policy over the block's slice of each run,
+every product summed left to right (`numerics.ordered_dot`), so a row, and a
+point, has the same bits in any block.
 
 Integration within a run is sequential; distinct runs share no mutable
 state and may execute in parallel.  `write_trajectory_csv` streams CSV row
@@ -61,12 +62,13 @@ class SimulationError(RuntimeError):
 #: minimum admissible spacing between jump events, in units of the step h
 MIN_JUMP_SEPARATION_STEPS = 10
 
-#: rows per slice of `_ErrorBound.stretch`, so that its temporaries stay small
+#: rows per slice of `_ErrorBound.stretch`, so that its temporaries stay small;
+#: `decay_slack` takes its maxima per slice, so its value depends on this size
 _BOUND_ROWS = 65536
 
-#: rows per block of the columns `_formed` forms for the record and
-#: `verify_trajectory`: at 32,768 rows a block's columns stay in cache
-_BLOCK_ROWS = 32768
+#: rows per block of every reader of the formed columns (`_blocks`); at 16,384
+#: rows one column's CSV gather index (1.4 MB) fits in a 2 MB L2 cache
+_BLOCK_ROWS = 16384
 
 #: unit roundoff of float64
 _U = 2.0**-53
@@ -143,12 +145,10 @@ class TrajectoryRecord:
 
     def _column(self, name: str) -> np.ndarray:
         """The formed column `name` over every row, F-contiguous."""
-        out = None
-        for b in _blocks(0, self.t.size) if self.t.size else [slice(0, 0)]:
-            values = _formed(self, b, (name,))[name]
-            if out is None:
-                out = np.empty((self.t.size, *values.shape[1:]), order="F")
-            out[b] = values
+        width = _formed(self, slice(0, 0), (name,))[name].shape[1:]
+        out = np.empty((self.t.size, *width), order="F")
+        for b in _blocks(0, self.t.size):
+            out[b] = _formed(self, b, (name,))[name]
         return out
 
 
@@ -652,7 +652,8 @@ def _formed(record: TrajectoryRecord, b: slice,
         if "vg" in names:
             out["vg"] = refine.vg(point, record.gains, e)
     if {"y", "yhat", "err"} & set(names):
-        out["y"], out["yhat"] = (record.concrete.C @ x.T).T, (record.abstract.C @ xhat.T).T
+        out["y"] = numerics.ordered_dot(record.concrete.C, x.T).T
+        out["yhat"] = numerics.ordered_dot(record.abstract.C, xhat.T).T
         out["err"] = np.linalg.norm(out["y"] - out["yhat"], axis=1)
     return out
 
@@ -785,14 +786,10 @@ def verify_trajectory(
 # within 16 eps_ld 1e15 of 1/2 is formatted by Python instead.
 
 #: most threads that format CSV blocks, so that the text in flight (about
-#: 6 MB per block at 16,384 rows) does not grow with the host's CPU count;
+#: 6 MB per block of `_BLOCK_ROWS` rows) does not grow with the host's CPU count;
 #: on a 2-CPU host two threads write 1.5-1.8x faster than one, and whether
 #: a third or fourth pays off is unmeasured
 _CSV_MAX_THREADS = 4
-
-#: rows formatted and compressed per block of `write_trajectory_csv`; at 16,384
-#: rows one column's gather index (1.4 MB) fits in a 2 MB L2 cache
-_CSV_CHUNK_ROWS = 16384
 
 #: the record arrays of the trajectory CSV, in column order; a 2-D array
 #: `name` of width k gives the columns name1 .. namek
@@ -807,10 +804,10 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _stream_blocks(fn, count: int, sink) -> int:
-    """Call sink(fn(0)), ..., sink(fn(count - 1)) in this order, with the fn
-    calls run on a pool of min(CPUs, 4) threads and the calling thread only
-    sinking, and return the total length of the blocks.
+def _stream_blocks(fn, blocks, sink) -> int:
+    """Call sink(fn(b)) for each row slice b of `blocks`, in this order, with
+    the fn calls run on a pool of min(CPUs, 4) threads and the calling thread
+    only sinking, and return the total length of the results.
 
     At most 2 x min(CPUs, 4) blocks are submitted but not yet sunk.  On the
     first exception, from `fn` or from `sink`, the blocks not yet started
@@ -818,23 +815,22 @@ def _stream_blocks(fn, count: int, sink) -> int:
     """
     # imported on first use: `concurrent.futures` imports `logging`, which
     # runs without CSV output need not pay for
-    import collections
     import concurrent.futures
 
     threads = min(_cpus(), _CSV_MAX_THREADS)
     window = 2 * threads
-    pending = collections.deque()
+    pending = []
     total = 0
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
         try:
-            for i in range(count + 1):
+            for b in (*blocks, None):
                 # sink the oldest block when the window is full, all at the end
-                while pending and (len(pending) == window or i == count):
-                    part = pending.popleft().result()
+                while pending and (len(pending) == window or b is None):
+                    part = pending.pop(0).result()
                     sink(part)
                     total += len(part)
-                if i < count:
-                    pending.append(pool.submit(fn, i))
+                if b is not None:
+                    pending.append(pool.submit(fn, b))
         except BaseException:
             for future in pending:
                 future.cancel()
@@ -851,9 +847,6 @@ def write_trajectory_csv(record: TrajectoryRecord, f: BinaryIO) -> int:
     # runs without CSV output need not pay at import
     from . import textfmt
 
-    rows, chunk = record.t.size, _CSV_CHUNK_ROWS
-    slices = [slice(a, min(a + chunk, rows)) for a in range(0, rows, chunk)]
-
     def columns(b: slice) -> list[np.ndarray]:
         formed = _formed(record, b)
         return [formed[name] if name in formed else getattr(record, name)[b]
@@ -863,12 +856,10 @@ def write_trajectory_csv(record: TrajectoryRecord, f: BinaryIO) -> int:
     for name, c in zip(_CSV_COLUMNS, columns(slice(0, 0))):
         header += [name] if c.ndim == 1 else [f"{name}{i + 1}" for i in range(c.shape[1])]
 
-    def block_bytes(k: int) -> bytes:
-        return textfmt.csv_rows(np.column_stack(columns(slices[k])))
-
     head = (",".join(header) + "\n").encode("ascii")
     f.write(head)
-    return len(head) + _stream_blocks(block_bytes, len(slices), f.write)
+    return len(head) + _stream_blocks(lambda b: textfmt.csv_rows(np.column_stack(columns(b))),
+                                      _blocks(0, record.t.size), f.write)
 
 
 def jumps_csv(record: TrajectoryRecord) -> str:

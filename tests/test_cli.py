@@ -194,16 +194,20 @@ class TestSimulate:
         assert (out / "trajectory.csv").exists()
         assert (out / "jumps.csv").exists()
 
-    def test_tight_epsilon_fails(self, tmp_path, short_switched):
+    def test_tight_epsilon_fails(self, tmp_path, short_switched, capsys):
         syn = tmp_path / "syn"
         main(["synthesize", "--config", str(short_switched), "--out", str(syn)])
-        with pytest.warns(UserWarning, match="outside the relation"):
-            code = main([
-                "simulate", "--config", str(short_switched),
-                "--gains", str(syn / "gains.json"), "--out", str(tmp_path / "run2"),
-                "--epsilon", "0.15",
-            ])
+        capsys.readouterr()
+        code = main([
+            "simulate", "--config", str(short_switched),
+            "--gains", str(syn / "gains.json"), "--out", str(tmp_path / "run2"),
+            "--epsilon", "0.15",
+        ])
         assert code == 1
+        # the warning is one line of its own, with no source file or line
+        err = capsys.readouterr().err
+        assert err.startswith("warning: initial triple outside the relation: vg = ")
+        assert err.endswith(" > epsilon = 0.15\n") and err.count("\n") == 1
 
     def test_missing_gains_file_exits_2(self, tmp_path, short_switched):
         code = main([
@@ -258,7 +262,7 @@ class TestSimulate:
             "match the configured systems (2, 2, 1, 1)\n"
         )
 
-    def test_start_without_x0_is_the_clamped_lift(self, tmp_path):
+    def test_start_without_x0_is_the_clamped_lift(self, tmp_path, capsys):
         # uhat(0) = 0.5 lifts xhat0 = 40.1 to [40.1, 0.5], outside the point
         # box [40, -0.0401]; the run starts in the box, where synthesize's
         # initial_lift judges it, and fails with it
@@ -276,12 +280,15 @@ class TestSimulate:
         lift = next(r for r in report["records"] if r["name"] == "initial_lift")
         assert lift["value"] == pytest.approx(1.18316, abs=1e-5) and not lift["passed"]
         out = tmp_path / "run"
-        with pytest.warns(UserWarning, match="outside the relation"):
-            code = main([
-                "simulate", "--config", str(config),
-                "--gains", str(syn / "gains.json"), "--out", str(out),
-            ])
+        capsys.readouterr()
+        code = main([
+            "simulate", "--config", str(config),
+            "--gains", str(syn / "gains.json"), "--out", str(out),
+        ])
         assert code == 1
+        assert capsys.readouterr().err == (
+            "warning: initial triple outside the relation: vg = 1.18316 > epsilon = 0.5\n"
+        )
         first = (out / "trajectory.csv").read_text().splitlines()[1].split(",")
         assert first[:4] == ["0", "40", "-0.0401", "40.1"]
         verify = json.loads((out / "verify.json").read_text())
@@ -901,7 +908,7 @@ class TestMemory:
         CSV text blocks in flight are cut to two of 4,096 rows, so that the
         run arrays, not the text, set the peak."""
         monkeypatch.setattr(sim, "_cpus", lambda: 1)
-        monkeypatch.setattr(sim, "_CSV_CHUNK_ROWS", 4096)
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 4096)
         config = write_config(tmp_path, casestudy.ramp_config(horizon=100.0, step=1e-3))
         syn = tmp_path / "syn"
         assert main(["synthesize", "--config", str(config), "--out", str(syn)]) == 0

@@ -46,7 +46,6 @@ DERIVED_KEYS = ("M_sqrt", "lambda_min_M")
 #: (category, message prefixes) of the warnings a case may give
 ALLOWED_WARNINGS = (
     (RuntimeWarning, ("overflow encountered", "invalid value encountered")),
-    (UserWarning, ("initial triple outside the relation",)),
 )
 #: the scalar overrides each command takes
 FLAGS = {

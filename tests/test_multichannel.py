@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gaasim import numerics as nx
-from gaasim import sim
+from gaasim import refine, sim
 from gaasim.model import (
     AbstractInputPolicy,
     AbstractLinearSystem,
@@ -15,7 +15,7 @@ from gaasim.model import (
     OpenLoopSegment,
     OperatingEnvelope,
 )
-from gaasim.refine import lift_initial
+from gaasim.refine import RelationPoint, lift_initial
 from gaasim.sim import simulate, verify_trajectory
 from gaasim.synthesis import (
     check_assumption,
@@ -140,9 +140,7 @@ def test_two_dim_region_crossing(mimo_pair):
 def test_uhat_is_one_evaluation_per_run_of_one_region(mimo_pair):
     """The kept blocks of one region join into one run of rows, and the
     record's uhat and uhatdot there have the bits of one evaluation of that
-    region over the whole run, which fits in one row block:
-    `FeedbackRegion.uhat` goes through BLAS, whose bits may change with how
-    the rows are split."""
+    region over the whole run."""
     concrete, abstract, gains = mimo_pair
     policy, xhat0, horizon, _ = run = two_dim_regions()
     rec = simulate_lifted(mimo_pair, *run)
@@ -184,10 +182,44 @@ def test_row_blocks_give_the_bits_of_one_block(monkeypatch, mimo_pair, scenario)
 
 
 def test_formed_columns_by_blocks_on_two_regions(monkeypatch, mimo_pair):
-    """A two-state feedback run, whose uhat and uhatdot go through BLAS: its
-    columns formed over 7- or 1,000-row blocks have the bits of one block.
-    Its gains and output matrices have one nonzero entry per row, so every
-    product sum there is exact."""
+    """A two-state feedback run: its columns formed over 7- or 1,000-row
+    blocks have the bits of one block."""
     rec = simulate_lifted(mimo_pair, *two_dim_regions())
     assert [idx for _, _, idx in rec.runs] == [0, 1]
+    assert_formed_by_blocks(monkeypatch, rec)
+
+
+def test_points_have_the_bits_of_their_rows(monkeypatch, mimo_pair):
+    """Under region gains with two nonzero entries in every row, started off
+    the relation: uhat at each row's point has the bits of the record's row,
+    the start's vg is the record's vg[0], each logged jump has the budget
+    `verify_trajectory` finds when it judges the jump again from vg[0], and
+    the columns formed in blocks have the bits of one block."""
+    concrete, abstract, gains = mimo_pair
+    regions = (
+        FeedbackRegion(Box([2.0, -10.0], [10.0, 10.0]), [[0.05, 0.02], [-0.013, 0.047]]),
+        FeedbackRegion(Box([-10.0, -10.0], [2.0, 10.0]), [[0.12, -0.031], [0.017, 0.11]]),
+    )
+    policy = AbstractInputPolicy(kind="switched_feedback", regions=regions)
+    xhat0, rbar_max = np.array([5.0, 2.0]), 1e-3
+    x0 = lift_initial(xhat0, policy.uhat_at(0.0, xhat0), gains) + [0.05, -0.03, 0.02, 0.01]
+    rec = simulate(concrete, abstract, gains, policy, x0, xhat0,
+                   horizon=12.0, h=1e-3, rbar_max=rbar_max)
+    assert [idx for _, _, idx in rec.runs] == [0, 1] and len(rec.jumps) == 1
+    uhat = rec.uhat
+    assert all(policy.uhat_at(t, xhat).tobytes() == row.tobytes()
+               for t, xhat, row in zip(rec.t, rec.xhat, uhat))
+    start = RelationPoint(x0, xhat0, policy.uhat_at(0.0, xhat0))
+    assert refine.vg(start, gains) == rec.vg[0]
+
+    judge, again = sim._judge_jumps, []
+
+    def judging(*args):
+        again.extend(judge(*args))
+        return again
+
+    monkeypatch.setattr(sim, "_judge_jumps", judging)
+    verify_trajectory(rec, gains, gains.epsilon, realized_envelope(rec),
+                      concrete.input_ball_radius, rbar_max)
+    assert [(j.lhs, j.rhs) for j in again] == [(j.lhs, j.rhs) for j in rec.jumps]
     assert_formed_by_blocks(monkeypatch, rec)

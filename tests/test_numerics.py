@@ -365,3 +365,18 @@ class TestRequireMemory:
         # 8 * 2^1100 bytes: beyond any float, where nbytes / 2**30 overflows
         with pytest.raises(nx.TooLarge, match="needs about 1.01e[+]323 GiB of arrays"):
             nx.require_memory(8 * 2**1100, "2^1100 corners")
+
+
+def test_ordered_dot_sums_each_row_left_to_right():
+    """Entry (i, k) is 0 + a[i, 0] c[0, k] + a[i, 1] c[1, k] + ..., added in
+    this order, alone or among other columns, so a product -0 sums to +0."""
+    rng = np.random.default_rng(3)
+    a, cols = rng.standard_normal((3, 5)), rng.standard_normal((5, 40))
+    out = nx.ordered_dot(a, cols)
+    for i in range(3):
+        for k in range(40):
+            ref = 0.0
+            for j in range(5):
+                ref += float(a[i, j]) * float(cols[j, k])
+            assert out[i, k] == ref == nx.ordered_dot(a, cols[:, k : k + 1])[i, 0]
+    assert np.signbit(nx.ordered_dot(np.array([[-1.0]]), np.zeros((1, 2)))).sum() == 0
