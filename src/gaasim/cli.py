@@ -155,14 +155,11 @@ def _run(scenario: Scenario, gains: RefinementGains, out: Path, stem: str,
     rbar_max = _rbar_max(gains, scenario)
     if rbar_max == float("inf"):  # no decay or jump bound of the run could hold
         raise sim.SimulationError(f"the disturbance budget rbar_max overflows ({rbar_max})")
-    with warnings.catch_warnings(record=True) as caught:
-        record = sim.simulate(
-            scenario.concrete, scenario.abstract, gains, scenario.policy,
-            x0, scenario.xhat0, scenario.horizon, scenario.step,
-            rbar_max=rbar_max, epsilon=scenario.epsilon,
-        )
-    for caveat in caught:  # one line each, without the source line `warnings` shows
-        print(f"warning: {caveat.message}", file=sys.stderr)
+    record = sim.simulate(
+        scenario.concrete, scenario.abstract, gains, scenario.policy,
+        x0, scenario.xhat0, scenario.horizon, scenario.step,
+        rbar_max=rbar_max, epsilon=scenario.epsilon,
+    )
     verdict = sim.verify_trajectory(
         record, gains, scenario.epsilon, scenario.envelope,
         scenario.b_U, rbar_max,
@@ -366,6 +363,12 @@ def cmd_casestudy(args) -> int:
     return 0
 
 
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """Print a warning as one stderr line, without the source file and line
+    that `warnings` shows."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handlers = {
@@ -374,21 +377,23 @@ def main(argv=None) -> int:
         "compare": cmd_compare,
         "casestudy": cmd_casestudy,
     }
-    try:
-        return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:  # a missing input, a directory as a file, a file as --out
-        print(f"file error: {exc}", file=sys.stderr)
-        return 2
-    except sim.SimulationError as exc:
-        print(f"simulation failed: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"error: out of memory ({str(exc) or 'allocation failed'}); "
-              "shorten the horizon or enlarge the step", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            return handlers[args.command](args)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:  # a missing input, a directory as a file, a file as --out
+            print(f"file error: {exc}", file=sys.stderr)
+            return 2
+        except sim.SimulationError as exc:
+            print(f"simulation failed: {exc}", file=sys.stderr)
+            return 1
+        except MemoryError as exc:
+            print(f"error: out of memory ({str(exc) or 'allocation failed'}); "
+                  "shorten the horizon or enlarge the step", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

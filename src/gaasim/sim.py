@@ -19,9 +19,9 @@ only logs; one function (`_judge_jumps`) judges the logged jumps.  A jump
 time's row stores the right limit of the abstract input.  Each run proves a bound on
 the integration error of its sampled vg from its own rows (`_ErrorBound`)
 and records it as `decay_slack`.  The record keeps a run as its state: times,
-joint states (column-major from the propagated blocks, joined once), vg and
-regime runs.  `_formed` forms the other columns on each read, a block of
-rows at a time (`_blocks`), the policy over the block's slice of each run,
+joint states (column-major, propagated into place), vg and regime runs.
+`_formed` forms the other columns on each read, a block of rows at a time
+(`_blocks`), the policy over the block's slice of each run,
 every product summed left to right (`numerics.ordered_dot`), so a row, and a
 point, has the same bits in any block.
 
@@ -70,6 +70,11 @@ _BOUND_ROWS = 65536
 #: rows one column's CSV gather index (1.4 MB) fits in a 2 MB L2 cache
 _BLOCK_ROWS = 16384
 
+#: rows `_integrate` allocates beyond its grid for the rows of located region
+#: crossings; a run with more crossings grows its arrays in place, each time
+#: by the larger of this and 1/64 of their rows
+_CROSSING_ROWS = 64
+
 #: unit roundoff of float64
 _U = 2.0**-53
 
@@ -116,9 +121,10 @@ class TrajectoryRecord:
     post-jump abstract input).  `vg[0]` is the value at t[0] = t0 that the
     run anchored its jump envelope on, and `decay_slack` bounds the
     integration error of `vg` (see `simulate`).
-    Each array is (rows,) or (rows, k) and F-contiguous: `x` and `xhat` are
-    views of `z`, one contiguous column per coordinate.  `uhat`, `uhatdot`,
-    `u`, `y`, `yhat` and `err` are formed anew, block by block
+    Each array is (rows,) or (rows, k) and F-contiguous: `t` and `z` are the
+    arrays the run was integrated into, trimmed to its rows, and `x` and
+    `xhat` are views of `z`, one contiguous column per coordinate.  `uhat`,
+    `uhatdot`, `u`, `y`, `yhat` and `err` are formed anew, block by block
     (`_formed`), on every read, so a caller that needs one reads it once.
     A caller that needs C order copies with `np.ascontiguousarray`.
     """
@@ -242,7 +248,7 @@ def _preflight(concrete, abstract, policy, horizon: float, h: float) -> None:
     """Refuse a run before anything is allocated: ValueError for a step that
     is not positive and finite or a negative horizon, and TooLarge, a
     MemoryError, when its largest live set would exceed physical memory.
-    Each set is counted in doubles per row, plus per row of a slice or block
+    Each set is counted in doubles: per row, and per row of a slice or block
     (README, "What a run holds in memory")."""
     if not (h > 0 and math.isfinite(h)):
         raise ValueError(f"step h must be positive and finite, got {h}")
@@ -252,18 +258,25 @@ def _preflight(concrete, abstract, policy, horizon: float, h: float) -> None:
     nz = n + n_r
     w = nz + max((seg.coeffs.shape[1] for seg in policy.segments), default=0)
     rows = horizon / h + 1.0
-    need = max(rows * per_row + min(rows, size) * per_slice for per_row, per_slice, size in (
-        (1 + nz + w, w + 2 * nz + 8, _BOUND_ROWS),  # integrating, and a bound slice
-        (2 + nz, 2 * n + 4 * m + 4 * m_r + 3 * n_r + 3 * p + 4, _BLOCK_ROWS),  # the record
-    ))
+    # integrating: t and z with their crossing rows, then an open-loop span's
+    # augmented scratch or a bound slice; the record: t, z and vg, and a
+    # block of formed columns
+    scratch = rows * w if policy.segments else 0.0
+    need = max((rows + _CROSSING_ROWS) * (1 + nz)
+               + max(scratch, min(rows, _BOUND_ROWS) * (w + 2 * nz + 8)),
+               rows * (2 + nz) + min(rows, _BLOCK_ROWS) * (
+                   2 * n + 4 * m + 4 * m_r + 3 * n_r + 3 * p + 4))
     numerics.require_memory(8.0 * need, "the run")
 
 
-def _check_finite(zs: np.ndarray, ts) -> None:
-    if not np.all(np.isfinite(zs)):
-        bad = np.flatnonzero(~np.all(np.isfinite(np.atleast_2d(zs)), axis=1))[0]
-        t_bad = float(np.atleast_1d(ts)[min(bad, np.atleast_1d(ts).size - 1)])
-        raise SimulationError(f"non-finite state near t = {t_bad:.6g}")
+def _check_finite(zs: np.ndarray, time) -> None:
+    """SimulationError at time(k) when row k of zs is the first not finite,
+    looked for a block of rows at a time."""
+    for b in _blocks(0, zs.shape[0]):
+        finite = np.isfinite(zs[b])
+        if not finite.all():
+            bad = b.start + int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise SimulationError(f"non-finite state near t = {time(bad):.6g}")
 
 
 def _norm_bound(a: np.ndarray) -> float:
@@ -484,13 +497,25 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
     `_ErrorBound` of one run (see `simulate`).  The grid has a row at every
     step and at each located region crossing, which carries the regime after
     it; `bound` advances over every step in order and restarts at each jump.
+
+    t and z are allocated once, for the grid and `_CROSSING_ROWS` crossings,
+    and each row is written where it is kept: a feedback span propagates
+    into the rows themselves, an open-loop span copies z's rows out of its
+    augmented scratch.  More crossings grow both arrays in place, and the
+    end trims them in place to the rows kept, so z is never held twice.
     """
     n, n_r = concrete.n, abstract.n_r
+    nz = n + n_r
     F, N = _joint_matrices(concrete, abstract, gains)
-    to_xhat = np.eye(n + n_r)[n:]
+    to_xhat = np.eye(nz)[n:]
     t_end = t0 + horizon
-    # the kept rows: time blocks, (n + n_r, rows) state blocks, their runs
-    kept_t, kept_z, runs = [], [], []
+    breaks = [t0, *(tau for tau in policy.breakpoints() if t0 + 1e-12 < tau < t_end - 1e-12)]
+    spans = list(zip(breaks, [*breaks[1:], t_end]))
+    grid = 1 + sum(_n_steps(a, b, h) for a, b in spans if b > a)
+    # the kept rows: times, states as one contiguous row per coordinate, runs
+    t = np.empty(grid + _CROSSING_ROWS)
+    zt = np.empty((nz, t.size))
+    runs: list[tuple[int, int, int]] = []
     log: list[tuple[float, np.ndarray]] = []
     min_sep = MIN_JUMP_SEPARATION_STEPS * h
     bound = _ErrorBound(concrete, gains)
@@ -509,20 +534,61 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
         phi = None if gen is None else _rk4_phi(gen, step)
         return _Regime(index, step, steps, gen, phi, **kind)
 
-    def keep(ts: np.ndarray, rows: np.ndarray, index: int) -> None:
-        """Keep the rows (ts, rows) of regime `index` as a trimmed copy, in
-        the run of the rows before them when that has the same regime."""
-        stop = (runs[-1][1] if runs else 0) + ts.size
-        start = runs.pop()[0] if runs and runs[-1][2] == index else stop - ts.size
-        runs.append((start, stop, index))
-        kept_t.append(ts)
-        kept_z.append(rows.T.copy())
+    def kept() -> int:
+        return runs[-1][1] if runs else 0
 
-    def outside(r: _Regime, rows: np.ndarray) -> np.ndarray:
-        """Indices of the rows of z outside r's box: none for a segment."""
-        if r.box is None:
-            return np.empty(0, dtype=int)
-        return np.flatnonzero(~r.box.contains(rows[:, n:]))
+    def keep(count: int, index: int) -> None:
+        """Keep the next `count` rows, written in place, for regime `index`,
+        in the run of the rows before them when that has the same regime."""
+        stop = kept() + count
+        start = runs.pop()[0] if runs and runs[-1][2] == index else stop - count
+        runs.append((start, stop, index))
+
+    def keep_row(tau: float, z: np.ndarray, index: int) -> None:
+        """Write and keep the row (tau, z) of regime `index`."""
+        t[kept()], zt[:, kept()] = tau, z
+        keep(1, index)
+
+    def resize(rows: int) -> None:
+        """Give t and z exactly `rows` rows in place, keeping the kept ones.
+        No view of either is alive here (each is a local of the step that
+        made it), so the reference check, which also counts a profiler's or
+        debugger's reference to the array itself, is off."""
+        old, used = t.size, kept()
+        if rows == old:
+            return
+        t.resize(rows, refcheck=False)
+        if rows > old:
+            zt.resize((nz, rows), refcheck=False)
+        _move_coordinates(zt.reshape(-1), nz, old, rows, used)
+        if rows < old:
+            zt.resize((nz, rows), refcheck=False)
+
+    def propagate(r: _Regime, z: np.ndarray, count: int, stop) -> np.ndarray:
+        """The rows z, phi z, ... of r, written from the next row on, as a
+        (rows, n_z) view of the record's z: `count` of them, or fewer if
+        `stop` ends the propagation early (`_propagate`)."""
+        if kept() + count > t.size:
+            resize(kept() + count + max(_CROSSING_ROWS, t.size // 64))
+        rows = zt[:, kept() : kept() + count]
+        if r.tail.size:  # an open-loop span's augmented state [z; 1; s; ...]
+            w = np.empty((nz + r.tail.size, count))
+            w[:nz, 0], w[nz:, 0] = z, r.tail
+            filled = _propagate(r.phi, w, stop)
+            rows[:, :filled] = w[:nz, :filled]
+        else:
+            rows[:, 0] = z
+            filled = _propagate(r.phi, rows, stop)
+        return rows[:, :filled].T
+
+    def first_outside(r: _Regime, rows: np.ndarray) -> int:
+        """The index of the first row of z outside r's box, looked for a
+        block of rows at a time, or -1: always for a segment."""
+        for b in _blocks(0, rows.shape[0] if r.box is not None else 0):
+            exits = np.flatnonzero(~r.box.contains(rows[b, n:]))
+            if exits.size:
+                return b.start + int(exits[0])
+        return -1
 
     def switch(old, tau: float, xhat_next, xhat_tau, a: float, b: float) -> _Regime:
         """The regime after `old` at tau, picked at xhat_next, for [a, b].
@@ -546,25 +612,34 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
     def run_span(r: _Regime, a: float, b: float, z: np.ndarray):
         """Integrate from z at a to b, starting in r: (z at b, the regime
         there).  Keeps every row but the one at b."""
-        ts = a + r.step * np.arange(r.steps + 1)
-        ts[r.steps] = b
+        step, steps = r.step, r.steps
+
+        def time(k: int) -> float:
+            """The time of the span's grid row k."""
+            return b if k == steps else a + step * k
+
+        def keep_grid(lo: int, hi: int, index: int) -> None:
+            """Keep grid rows lo..hi - 1, writing their times block by block."""
+            at = kept() - lo
+            for blk in _blocks(lo, hi):
+                t[at + blk.start : at + blk.stop] = a + step * np.arange(blk.start, blk.stop)
+            keep(hi - lo, index)
+
         tol_t = max(1e-9 * (b - a), 1e-15)
         i = 0
         while True:
-            stop = None if r.box is None else (lambda rows: outside(r, rows).size > 0)
-            w = np.concatenate([z, r.tail])
-            block = _propagate(r.phi, w, r.steps - i + 1, stop)[:, : z.size]
-            _check_finite(block, ts[i:])
-            exits = outside(r, block)
-            if exits.size == 0:
-                keep(ts[i : r.steps], block[:-1], r.index)
-                bound.stretch(r, r.step, block)
-                return block[-1].copy(), r  # not a view that keeps the block
+            stop = None if r.box is None else (lambda rows: first_outside(r, rows) >= 0)
+            block = propagate(r, z, steps - i + 1, stop)
+            _check_finite(block, lambda k: time(i + k))
+            j = first_outside(r, block)  # j >= 1 since z is inside
+            if j < 0:
+                keep_grid(i, steps, r.index)
+                bound.stretch(r, step, block)
+                return block[-1].copy(), r  # a view would not survive a resize
 
-            j = int(exits[0])  # first sample outside; j >= 1 since z is inside
-            keep(ts[i : i + j], block[:j], r.index)
+            keep_grid(i, i + j, r.index)
             z_a, z_b = block[j - 1].copy(), block[j].copy()
-            t_a, t_b = ts[i + j - 1], ts[i + j]
+            t_a, t_b = time(i + j - 1), time(i + j)
             # bisect the crossing inside (t_a, t_b]
             lo_s, hi_s = 0.0, t_b - t_a
             while hi_s - lo_s > tol_t:
@@ -577,15 +652,16 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
             split = (t_b - t_a) - s_cross > tol_t
             if split:
                 tau, z_tau = t_a + s_cross, _rk4_phi(r.gen, s_cross) @ z_a
-                bound.stretch(r, r.step, block[:j])
+                bound.stretch(r, step, block[:j])
                 bound.stretch(r, s_cross, np.stack([z_a, z_tau]))
             else:
                 # crossing at (numerically) the step end: snap to the grid point
                 tau, z_tau = t_b, z_b
-                bound.stretch(r, r.step, block[: j + 1])
+                bound.stretch(r, step, block[: j + 1])
+            del block  # a view of z's rows, which a resize may move
             r = switch(r, tau, z_b[n:], z_tau[n:], a, b)
             if split:
-                keep(np.array([tau]), z_tau[None], r.index)
+                keep_row(tau, z_tau, r.index)
                 z = _rk4_phi(r.gen, t_b - tau) @ z_tau
                 bound.stretch(r, t_b - tau, np.stack([z_tau, z]))
                 if not r.box.contains(z[n:]):
@@ -594,43 +670,48 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
                     )
             else:
                 z = z_tau
-            _check_finite(z, t_b)
-            del block  # its rows are kept; free them before the next block
+            _check_finite(z[None], lambda k: t_b)
             i += j
 
-    breaks = [t0, *(tau for tau in policy.breakpoints() if t0 + 1e-12 < tau < t_end - 1e-12)]
     z, r = np.concatenate([x0, xhat0]), None
-    for a, b in zip(breaks, [*breaks[1:], t_end]):
+    for a, b in spans:
         r = switch(r, a, z[n:], z[n:], a, b)
         z, r = run_span(r, a, b, z)
     # a segment ends at t_end, where the next one may start
     final = r.index if r.box is not None else policy.regime_index(t_end, z[n:])
-    keep(np.array([t_end]), z[None], final)
-
-    # one join of the kept blocks
-    times, zs = np.concatenate(kept_t), np.concatenate(kept_z, axis=1).T
-    del kept_t[:], kept_z[:]  # free the joined blocks
-    return times, zs, runs, log, bound
+    keep_row(t_end, z, final)
+    resize(kept())
+    return t, zt.T, runs, log, bound
 
 
-def _propagate(phi: np.ndarray, z: np.ndarray, count: int, stop=None) -> np.ndarray:
-    """Rows z, phi z, ..., phi^(count-1) z by repeated doubling, shaped
-    (count, z.size) with contiguous columns, or the rows filled before the
-    first doubling stage whose new rows make stop(new rows) hold."""
-    out = np.empty((z.size, count))
-    out[:, 0] = z
+def _move_coordinates(flat: np.ndarray, nz: int, old: int, new: int, used: int) -> None:
+    """Move the first `used` entries of each of the `nz` coordinates in
+    `flat` from `old` entries apart to `new` entries apart, in place: the
+    last coordinate first when they spread, so that none is written over
+    before it moves (numpy assigns a source that overlaps its destination
+    as if from a copy)."""
+    for k in range(nz - 1, 0, -1) if new > old else range(1, nz):
+        flat[k * new : k * new + used] = flat[k * old : k * old + used]
+
+
+def _propagate(phi: np.ndarray, out: np.ndarray, stop=None) -> int:
+    """Fill the columns of `out`, (w, count) with z given as its first,
+    with phi z, ..., phi^(count-1) z by repeated doubling, and return how
+    many are filled: all, or those filled before the first doubling stage
+    whose new columns, as rows, make stop(rows) hold."""
+    count = out.shape[1]
     last, filled = 0, 1
     power = phi
     with np.errstate(over="ignore", invalid="ignore"):
         while filled < count:
             if stop is not None and stop(out[:, last:filled].T):
-                return out[:, :filled].T
+                return filled
             take = min(filled, count - filled)
             np.matmul(power, out[:, :take], out=out[:, filled : filled + take])
             last, filled = filled, filled + take
             if filled < count:
                 power = power @ power
-    return out.T
+    return count
 
 
 def _formed(record: TrajectoryRecord, b: slice,

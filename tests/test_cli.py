@@ -597,6 +597,19 @@ class TestOverflowingNumbers:
         assert dominated["value"] == np.inf and dominated["passed"] is False
         assert dominated["detail"] == "-lambda_min(M - C^T C): overflows"
 
+    @pytest.mark.filterwarnings("always")  # shown, not raised, under -W error too
+    def test_overflow_outside_the_run_is_one_line(self, tmp_path, capsys):
+        # y = C x overflows where `verify_trajectory` forms it, outside the
+        # run, whose warning the command printed as its source file and line
+        cfg = casestudy.switched_config(horizon=30.0, step=0.05)
+        cfg["concrete"]["C"] = [[1e300, 0.0]]
+        argv = ["compare", "--config", str(write_config(tmp_path, cfg)),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        lines = capsys.readouterr().err.splitlines()
+        assert "warning: overflow encountered in multiply" in lines
+        assert all(line.startswith("warning: ") and ".py:" not in line for line in lines)
+
 
 class TestWrite:
     def test_writes_the_bytes_of_write_text(self, tmp_path):

@@ -1,3 +1,4 @@
+import cProfile
 import dataclasses
 import hashlib
 import io
@@ -779,8 +780,9 @@ class TestPreflight:
         args = (sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0, 1.0, 1e-2)
         # 101 rows at h, the largest set is the record's: 101 x (2 + 3)
         # doubles and a block of its formed columns, 101 x (4 + 4 + 4 + 3 +
-        # 3 + 4); integrating, 101 x (1 + 3 + 3) and a bound slice of 101 x
-        # (3 + 2 x 3 + 8) stay below it; no second run at h/2 is made
+        # 3 + 4); integrating, 101 x (1 + 3), with no open-loop scratch, and a
+        # bound slice of 101 x (3 + 2 x 3 + 8) stay below it; no second run
+        # at h/2 is made
         need = 8 * 101 * (5 + 22)
         monkeypatch.setattr(numerics, "physical_memory", lambda: need)
         assert simulate(*args).t.size == 101
@@ -791,8 +793,8 @@ class TestPreflight:
             simulate(*args)
 
     def test_refused_before_recorder_allocates(self, monkeypatch, switched5):
-        """A run keeps the blocks `_propagate` returns; a refused run never
-        calls it."""
+        """A run propagates into the rows it keeps; a refused run never
+        calls `_propagate`."""
         sc, gains, _ = switched5
 
         def no_propagation(*a, **k):
@@ -830,7 +832,7 @@ class TestPreflight:
         monkeypatch.undo()
         if n < 20:
             return
-        record = 8 * 200_001 * (4 + n + 1 + 2 * 1 + 1 + 2 * 1)
+        record = 8 * 200_001 * (2 + n + sc.abstract.n_r)  # t, vg and z
         limit = 0.5 * (record + peak)
         assert record < limit < peak
         monkeypatch.setattr(numerics, "physical_memory", lambda: limit)
@@ -840,18 +842,19 @@ class TestPreflight:
 
 def test_a_span_frees_its_buffer_before_the_next(monkeypatch):
     """The state carried from one span to the next is a copy: when the
-    second span starts propagating, the first span's buffer is gone."""
+    second span starts propagating, the first span's augmented scratch,
+    which the open-loop kernel fills, is gone."""
     sc = parse_config(casestudy.ramp_config(horizon=100.0, step=1e-2))
     gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon, sc.envelope,
                              M=sc.M)
     buffers, alive = [], []
     propagate = sim._propagate
 
-    def tracing(*args, **kwargs):
+    def tracing(phi, out, stop=None):
         alive.append([ref() is not None for ref in buffers])
-        rows = propagate(*args, **kwargs)
-        buffers.append(weakref.ref(rows.base))
-        return rows
+        filled = propagate(phi, out, stop)
+        buffers.append(weakref.ref(out))
+        return filled
 
     monkeypatch.setattr(sim, "_propagate", tracing)
     simulate(sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0, sc.horizon, sc.step)
@@ -949,6 +952,17 @@ class TestOpenLoopKernel:
         self.assert_matches_reference(sc.concrete, sc.abstract, gains, seg, x0, [40.1], 1e-2)
 
 
+def assert_same_record(rec, ref):
+    """`rec` and `ref` have the same rows, columns and jump log, bit for bit."""
+    for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err"):
+        assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
+    assert rec.runs == ref.runs and rec.decay_slack == ref.decay_slack
+    assert len(rec.jumps) == len(ref.jumps)
+    for j, k in zip(rec.jumps, ref.jumps):
+        assert (j.time, j.lhs, j.rhs, j.passed) == (k.time, k.lhs, k.rhs, k.passed)
+        assert np.array_equal(j.delta, k.delta)
+
+
 class TestFeedbackStopsAtRegionExit:
     """Each feedback stretch is propagated only until it leaves its region."""
 
@@ -983,10 +997,10 @@ class TestFeedbackStopsAtRegionExit:
         computed = []
         propagate = sim._propagate
 
-        def counting(phi, z, count, stop=None):
-            rows = propagate(phi, z, count, None if drop_stop else stop)
-            computed.append(rows.shape[0])
-            return rows
+        def counting(phi, out, stop=None):
+            filled = propagate(phi, out, None if drop_stop else stop)
+            computed.append(filled)
+            return filled
 
         monkeypatch.setattr(sim, "_propagate", counting)
         rec = simulate(*cls.scenario(), horizon=100.0, h=1e-2)
@@ -1004,14 +1018,31 @@ class TestFeedbackStopsAtRegionExit:
         rec, _ = self.run(monkeypatch, drop_stop=False)
         ref, computed = self.run(monkeypatch, drop_stop=True)
         assert computed > 4 * ref.t.size
-        # joined from a kept block per crossing, the states are still columns
+        # propagated into the record a stretch per crossing, the states are
+        # still columns
         assert rec.x.flags.f_contiguous and rec.xhat.flags.f_contiguous
-        for name in ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err"):
-            assert np.array_equal(getattr(rec, name), getattr(ref, name)), name
-        assert len(rec.jumps) == len(ref.jumps)
-        for j, k in zip(rec.jumps, ref.jumps):
-            assert (j.time, j.lhs, j.rhs, j.passed) == (k.time, k.lhs, k.rhs, k.passed)
-            assert np.array_equal(j.delta, k.delta)
+        assert_same_record(rec, ref)
+
+    @pytest.mark.parametrize("h", [1e-2, 0.1])
+    def test_arrays_grown_past_the_crossing_rows(self, monkeypatch, h):
+        """With room for one crossing, the run's 64 crossings grow t and z in
+        place (once at h = 0.01, several times at 0.1), and the record has
+        the bits of the run that fits its arrays, also under a profiler,
+        which holds references to the arrays whose methods it sees called."""
+        moves = []
+        move = sim._move_coordinates
+        monkeypatch.setattr(sim, "_move_coordinates", lambda *a: moves.append(a[2:]) or move(*a))
+        rec = simulate(*self.scenario(), horizon=100.0, h=h)
+        assert len(rec.jumps) == 64 and moves == []  # 64 crossings: no growth, no trim
+        monkeypatch.setattr(sim, "_CROSSING_ROWS", 1)
+        grown = cProfile.Profile().runcall(simulate, *self.scenario(), horizon=100.0, h=h)
+        growths = len(moves) - 1
+        assert growths >= (1 if h < 0.1 else 2)
+        assert [old < new for old, new, _ in moves] == [True] * growths + [False]  # then a trim
+        assert moves[-1][1] == grown.t.size
+        for r in (rec, grown):
+            assert r.z.flags.f_contiguous and r.t.flags.c_contiguous
+        assert_same_record(grown, rec)
 
     def test_decay_windows_match_a_per_window_reference(self):
         """`verify_trajectory` finds each decay window by binary search; over
@@ -1213,10 +1244,9 @@ class TestRowBlocks:
 
 class TestRowBlockMemory:
     def test_peaks_above_the_record_do_not_grow_with_the_run(self):
-        """Beyond the record itself (t, z and vg), `verify_trajectory` holds
-        no more memory over 400,002 rows than over 100,001, and nor does
-        `simulate` beyond the record and the second copy of z that joining
-        the kept blocks makes."""
+        """Beyond the record itself (t, z and vg), neither `simulate` nor
+        `verify_trajectory` holds more memory over 400,002 rows than over
+        100,001."""
         args, rmax = TestDecaySlack.study("switched", step=1e-3)
         sc = parse_config(casestudy.switched_config())
         extra = []
@@ -1231,7 +1261,7 @@ class TestRowBlockMemory:
             finally:
                 tracemalloc.stop()
             size = rec.t.nbytes + rec.z.nbytes + rec.vg.nbytes
-            extra.append((simulate_peak - size - rec.z.nbytes, verify_peak - size))
+            extra.append((simulate_peak - size, verify_peak - size))
         assert rec.t.size == 400_002
         (simulate_short, verify_short), (simulate_long, verify_long) = extra
         assert simulate_long <= simulate_short + 2**20
