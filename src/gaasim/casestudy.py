@@ -30,6 +30,9 @@ import copy
 #: input-rate allowance used by the quoted feasibility arithmetic
 STUDY_UHATDOT_ALLOWANCE = 0.0486
 
+#: default switched horizon (it covers the three crossings), ramp horizon cap and step
+HORIZON, RAMP_HORIZON, STEP = 1000.0, 200.0, 1e-3
+
 #: quoted reference values with acceptance windows
 EXPECTED = {
     "input_bound": (0.5685, 0.5695),
@@ -66,7 +69,7 @@ def _scenario(horizon: float, step: float, x0: list[float]) -> dict:
     return {**copy.deepcopy(_GAINS), "horizon": horizon, "step": step, "x0": x0, "xhat0": [40.1]}
 
 
-def switched_config(horizon: float = 1000.0, step: float = 1e-3) -> dict:
+def switched_config(horizon: float = HORIZON, step: float = STEP) -> dict:
     """Switched-feedback scenario (region gains 0.001 / 0.0013 / 0.002 / 0.004).
 
     The three region crossings happen near t ~ 290, 600, 950 s, so the
@@ -89,7 +92,7 @@ def switched_config(horizon: float = 1000.0, step: float = 1e-3) -> dict:
     return cfg
 
 
-def ramp_config(horizon: float = 200.0, step: float = 1e-3) -> dict:
+def ramp_config(horizon: float = RAMP_HORIZON, step: float = STEP) -> dict:
     """Open-loop comparison scenario: uhat = 0.02 t on [0, 50], then 1.
 
     The ramp value is continuous at t = 50 (only its slope jumps), so the

@@ -254,9 +254,9 @@ def cmd_compare(args) -> int:
 def cmd_casestudy(args) -> int:
     started = time.monotonic()
     out = Path(args.out)
-    horizon = args.horizon if args.horizon is not None else 1000.0
-    step = args.step if args.step is not None else 1e-3
-    ramp_horizon = min(horizon, 200.0)
+    horizon = args.horizon if args.horizon is not None else casestudy.HORIZON
+    step = args.step if args.step is not None else casestudy.STEP
+    ramp_horizon = min(horizon, casestudy.RAMP_HORIZON)
 
     scalars = {"epsilon": args.epsilon, "a1": args.a1}
     switched = parse_config(casestudy.switched_config(horizon=horizon, step=step), **scalars)
@@ -281,6 +281,7 @@ def cmd_casestudy(args) -> int:
         gains.rbar1, gains.rbar2, gains.rbar3, allowance, gains.a1, gains.epsilon
     )
     ratio_allow = 2.0 * rmax_allow / gains.a1
+    rbar_max = _rbar_max(gains, switched)
 
     switched_verdict = _run(switched, gains, out, "_switched", outputs)
     verified = switched_verdict.to_dict()
@@ -316,7 +317,7 @@ def cmd_casestudy(args) -> int:
         "allowance_rbar_max": rmax_allow,
         "allowance_decay_ratio": ratio_allow,
         "allowance_margin": margin_allow,
-        "scenario_rbar_max": _rbar_max(gains, switched),
+        "scenario_rbar_max": rbar_max,
         "note_rbar3_vs_rbar_max": (
             "the quoted study figure 0.1 corresponds to rbar_max = rbar3 * "
             "uhatdot allowance, not to rbar3 itself (which is "
@@ -343,7 +344,7 @@ def cmd_casestudy(args) -> int:
          note("allowance_rbar_max_in_window", "matches the quoted 0.1")),
         ("2 rbar_max / a1 @ allowance", f"{ratio_allow:.6g}",
          note("allowance_decay_ratio_in_window", f"<= eps {gains.epsilon}")),
-        ("scenario rbar_max", f"{_rbar_max(gains, switched):.6g}", "runtime envelope"),
+        ("scenario rbar_max", f"{rbar_max:.6g}", "runtime envelope"),
         ("switched max |y - yhat|", f"{switched_verdict.max_output_error:.6g}",
          f"jumps {switched_verdict.jumps_passed}/{switched_verdict.jumps_total}"),
         ("ramp gaas max |y - yhat|", f"{gaas['max_output_error']:.6g}",

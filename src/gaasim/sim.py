@@ -5,25 +5,25 @@ trajectory-level verification.
 The joint state z = [x; xhat] evolves under classical fixed-step RK4.  Each
 control regime (`_Regime`) has an exact autonomous generator: a feedback
 region's closed loop is autonomous as it is, and an open-loop segment
-carries its polynomial drive on the augmented state [z; 1; s; ...; s^deg]
-of normalized local time s.  The step map of every regime is RK4 of its
+carries its polynomial drive on the augmented state [z; 1; s; ...; s^deg] of
+normalized local time s.  The step map of every regime is RK4 of its
 generator, one matrix (`_rk4_phi`); on a segment's powers of s it is their
-exact flow.  One driver integrates a run span by span between
-the open-loop breakpoints, which it inserts into the grid exactly (a
-feedback run is one span): it propagates by repeated doubling
-(`_propagate`) until a sample leaves the regime's box, which a segment does
-not have, locates the crossing by bisection, splits the enclosing step
-there, and switches regime.  One rule (`_is_jump`) decides whether the
-input change at a switch (new minus old uhat) is a jump, which the driver
-only logs; one function (`_judge_jumps`) judges the logged jumps.  A jump
-time's row stores the right limit of the abstract input.  Each run proves a bound on
-the integration error of its sampled vg from its own rows (`_ErrorBound`)
-and records it as `decay_slack`.  The record keeps a run as its state: times,
+exact flow.  One driver integrates a run span by span between the open-loop
+breakpoints, which it inserts into the grid exactly (a feedback run is one
+span): it propagates by repeated doubling (`_propagate`) until a sample
+leaves the regime: a non-finite one fails the run, and a region's crossing
+out of its box is located by bisection, the enclosing step split there, and
+the regime switched.  One rule (`_is_jump`) decides whether the input change
+at a switch (new minus old uhat) is a jump, which the driver only logs; one
+function (`_judge_jumps`) judges the logged jumps.  A jump time's row stores
+the right limit of the abstract input.  Each run proves a bound on the
+integration error of its sampled vg from its own rows (`_ErrorBound`) and
+records it as `decay_slack`.  The record keeps a run as its state: times,
 joint states (column-major, propagated into place), vg and regime runs.
 `_formed` forms the other columns on each read, a block of rows at a time
-(`_blocks`), the policy over the block's slice of each run,
-every product summed left to right (`numerics.ordered_dot`), so a row, and a
-point, has the same bits in any block.
+(`_blocks`), the policy over the block's slice of each run, every product
+summed left to right (`numerics.ordered_dot`), so a row, and a point, has
+the same bits in any block.
 
 Integration within a run is sequential; distinct runs share no mutable
 state and may execute in parallel.  `write_trajectory_csv` streams CSV row
@@ -220,12 +220,12 @@ def _segment_generator(F, N, seg: OpenLoopSegment, a: float, length: float):
 
 @dataclass(frozen=True, eq=False)
 class _Regime:
-    """One control regime of a run, for a span [a, b] of it: a feedback
-    region with its box and gain, whose propagated state w is z, or an
-    open-loop segment, whose w is [z; 1; s; ...; s^deg] with s = (t - a) /
-    (b - a), and which has no box, so it never exits.  `gen` is the exact
-    generator of w and `phi` = `_rk4_phi(gen, step)` its RK4 map over one of
-    the `steps` steps of length `step` that cover the span (an empty span
+    """One control regime of a run, for a span [a, b] of it: a feedback region
+    with its box and gain, whose propagated state w is z, or an open-loop
+    segment, whose w is [z; 1; s; ...; s^deg] with s = (t - a) / (b - a).  A
+    sample leaves it where z is not finite or outside the box.  `gen` is the
+    exact generator of w and `phi` = `_rk4_phi(gen, step)` its RK4 map over one
+    of the `steps` steps of length `step` that cover the span (an empty span
     takes none, and a segment there has neither); `tail` is w after z at a."""
 
     index: int
@@ -267,16 +267,6 @@ def _preflight(concrete, abstract, policy, horizon: float, h: float) -> None:
                rows * (2 + nz) + min(rows, _BLOCK_ROWS) * (
                    2 * n + 4 * m + 4 * m_r + 3 * n_r + 3 * p + 4))
     numerics.require_memory(8.0 * need, "the run")
-
-
-def _check_finite(zs: np.ndarray, time) -> None:
-    """SimulationError at time(k) when row k of zs is the first not finite,
-    looked for a block of rows at a time."""
-    for b in _blocks(0, zs.shape[0]):
-        finite = np.isfinite(zs[b])
-        if not finite.all():
-            bad = b.start + int(np.flatnonzero(~finite.all(axis=1))[0])
-            raise SimulationError(f"non-finite state near t = {time(bad):.6g}")
 
 
 def _norm_bound(a: np.ndarray) -> float:
@@ -383,27 +373,24 @@ class _ErrorBound:
             block = min(count, max(1, int(min(40.0 / abs(self.mu * h or 1.0), _BOUND_ROWS))))
             powers = _exp(max(self.mu * h, -700.0)) ** np.arange(1.0, block + 1.0)
             columns = rows.T  # one sample per column
-            # an overflow anywhere below ends as an infinite, vacuous bound,
-            # and a NaN is kept by np.max and read as infinity at the end
-            with np.errstate(over="ignore", invalid="ignore"):
-                for k0 in range(0, count, _BOUND_ROWS):
-                    z = columns[:, k0 : k0 + _BOUND_ROWS + 1]
-                    w = z[:, :-1]
-                    if regime.seg is not None:
-                        s = np.arange(k0, k0 + w.shape[1]) / regime.steps
-                        w = np.vstack([w, theta * s ** np.arange(gen.shape[0] - nz)[:, None]])
-                    v = z[:, 1:] - z[:, :-1]
-                    v -= y @ w
-                    w_max = _max_column_norm(w)
-                    local = per_w * w_max + 3 * _U * _max_column_norm(v)  # on the whole slice
-                    d_x = _column_norms(v[n:]) + local
-                    sums = np.cumsum(d_x)
-                    c = _column_norms(e_map @ v)
-                    c += gamma * beta * (acc + sums - d_x) + e_abs * local
-                    bs = _linear_recursion(b, powers, c)
-                    acc += float(sums[-1])
-                    b, b_max = float(bs[-1]), float(np.max((b_max, bs.max())))
-                    z_max = max(z_max, w_max)
+            for k0 in range(0, count, _BOUND_ROWS):
+                z = columns[:, k0 : k0 + _BOUND_ROWS + 1]
+                w = z[:, :-1]
+                if regime.seg is not None:
+                    s = np.arange(k0, k0 + w.shape[1]) / regime.steps
+                    w = np.vstack([w, theta * s ** np.arange(gen.shape[0] - nz)[:, None]])
+                v = z[:, 1:] - z[:, :-1]
+                v -= y @ w
+                w_max = _max_column_norm(w)
+                local = per_w * w_max + 3 * _U * _max_column_norm(v)  # on the whole slice
+                d_x = _column_norms(v[n:]) + local
+                sums = np.cumsum(d_x)
+                c = _column_norms(e_map @ v)
+                c += gamma * beta * (acc + sums - d_x) + e_abs * local
+                bs = _linear_recursion(b, powers, c)
+                acc += float(sums[-1])
+                b, b_max = float(bs[-1]), float(np.max((b_max, bs.max())))
+                z_max = max(z_max, w_max)
             acc *= beta
         self.a, self.b, b_max = (q if q <= math.inf else math.inf for q in (acc, b, b_max))
         # the absolute terms sum_j |c_j| |t|^j of the record's uhat bound its rounding
@@ -465,7 +452,10 @@ def simulate(
             f"epsilon = {eps_run:.6g}",
             stacklevel=2,
         )
-    with np.errstate(over="ignore", invalid="ignore"):  # see `_check_finite`, `_exp`
+    # the run's one overflow policy: a non-finite state ends the run, and an overflow
+    # in `_ErrorBound.stretch` an infinite, vacuous bound (np.max keeps a NaN, read as
+    # infinity at the end; see also `_exp`)
+    with np.errstate(over="ignore", invalid="ignore"):
         times, zs, runs, log, bound = _integrate(
             concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0
         )
@@ -564,31 +554,32 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
         if rows < old:
             zt.resize((nz, rows), refcheck=False)
 
-    def propagate(r: _Regime, z: np.ndarray, count: int, stop) -> np.ndarray:
+    def first_leaving(r: _Regime, rows: np.ndarray) -> int:
+        """The index of the first of `rows`, each w with z first, that leaves
+        r (see `_Regime`), looked for a block of rows at a time, or -1."""
+        for b in _blocks(0, rows.shape[0]):
+            leaves = ~np.isfinite(rows[b, :nz]).all(axis=1)
+            if r.box is not None:
+                leaves |= ~r.box.contains(rows[b, n:nz])
+            if leaves.any():
+                return b.start + int(leaves.argmax())
+        return -1
+
+    def propagate(r: _Regime, z: np.ndarray, count: int):
         """The rows z, phi z, ... of r, written from the next row on, as a
-        (rows, n_z) view of the record's z: `count` of them, or fewer if
-        `stop` ends the propagation early (`_propagate`)."""
+        (rows, n_z) view of the record's z, and the index of the first that
+        leaves r, or -1 (`_propagate`): `count` rows, or those up to that one."""
         if kept() + count > t.size:
             resize(kept() + count + max(_CROSSING_ROWS, t.size // 64))
         rows = zt[:, kept() : kept() + count]
-        if r.tail.size:  # an open-loop span's augmented state [z; 1; s; ...]
-            w = np.empty((nz + r.tail.size, count))
-            w[:nz, 0], w[nz:, 0] = z, r.tail
-            filled = _propagate(r.phi, w, stop)
+        # an open-loop span propagates its augmented state [z; 1; s; ...]
+        w = np.empty((nz + r.tail.size, count)) if r.tail.size else rows
+        w[:nz, 0], w[nz:, 0] = z, r.tail
+        j = _propagate(r.phi, w, lambda new: first_leaving(r, new))
+        filled = count if j < 0 else j + 1
+        if w is not rows:
             rows[:, :filled] = w[:nz, :filled]
-        else:
-            rows[:, 0] = z
-            filled = _propagate(r.phi, rows, stop)
-        return rows[:, :filled].T
-
-    def first_outside(r: _Regime, rows: np.ndarray) -> int:
-        """The index of the first row of z outside r's box, looked for a
-        block of rows at a time, or -1: always for a segment."""
-        for b in _blocks(0, rows.shape[0] if r.box is not None else 0):
-            exits = np.flatnonzero(~r.box.contains(rows[b, n:]))
-            if exits.size:
-                return b.start + int(exits[0])
-        return -1
+        return rows[:, :filled].T, j
 
     def switch(old, tau: float, xhat_next, xhat_tau, a: float, b: float) -> _Regime:
         """The regime after `old` at tau, picked at xhat_next, for [a, b].
@@ -628,15 +619,15 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
         tol_t = max(1e-9 * (b - a), 1e-15)
         i = 0
         while True:
-            stop = None if r.box is None else (lambda rows: first_outside(r, rows) >= 0)
-            block = propagate(r, z, steps - i + 1, stop)
-            _check_finite(block, lambda k: time(i + k))
-            j = first_outside(r, block)  # j >= 1 since z is inside
+            block, j = propagate(r, z, steps - i + 1)
             if j < 0:
                 keep_grid(i, steps, r.index)
                 bound.stretch(r, step, block)
                 return block[-1].copy(), r  # a view would not survive a resize
+            if not np.isfinite(block[j]).all():
+                raise SimulationError(f"non-finite state near t = {time(i + j):.6g}")
 
+            # row j is outside the box; j >= 1 since z is inside
             keep_grid(i, i + j, r.index)
             z_a, z_b = block[j - 1].copy(), block[j].copy()
             t_a, t_b = time(i + j - 1), time(i + j)
@@ -670,8 +661,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
                     )
             else:
                 z = z_tau
-            _check_finite(z[None], lambda k: t_b)
-            i += j
+            i += j  # the next block's first row, z, is judged at t_b
 
     z, r = np.concatenate([x0, xhat0]), None
     for a, b in spans:
@@ -694,24 +684,27 @@ def _move_coordinates(flat: np.ndarray, nz: int, old: int, new: int, used: int) 
         flat[k * new : k * new + used] = flat[k * old : k * old + used]
 
 
-def _propagate(phi: np.ndarray, out: np.ndarray, stop=None) -> int:
+def _propagate(phi: np.ndarray, out: np.ndarray, leaves) -> int:
     """Fill the columns of `out`, (w, count) with z given as its first,
-    with phi z, ..., phi^(count-1) z by repeated doubling, and return how
-    many are filled: all, or those filled before the first doubling stage
-    whose new columns, as rows, make stop(rows) hold."""
+    with phi z, ..., phi^(count-1) z by repeated doubling, and return the
+    index of the first column that leaves the regime, or -1 when all are
+    filled and none does.  Each doubling stage, z alone the first, asks
+    leaves(rows) of its new columns, as rows, for the index of the first
+    that leaves, or -1, and the stage that finds one is the last filled."""
     count = out.shape[1]
     last, filled = 0, 1
     power = phi
-    with np.errstate(over="ignore", invalid="ignore"):
-        while filled < count:
-            if stop is not None and stop(out[:, last:filled].T):
-                return filled
-            take = min(filled, count - filled)
-            np.matmul(power, out[:, :take], out=out[:, filled : filled + take])
-            last, filled = filled, filled + take
-            if filled < count:
-                power = power @ power
-    return count
+    while True:
+        j = leaves(out[:, last:filled].T)
+        if j >= 0:
+            return last + j
+        if filled == count:
+            return -1
+        take = min(filled, count - filled)
+        np.matmul(power, out[:, :take], out=out[:, filled : filled + take])
+        last, filled = filled, filled + take
+        if filled < count:
+            power = power @ power
 
 
 def _formed(record: TrajectoryRecord, b: slice,

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from gaasim.model import (
     AbstractLinearSystem,
     Box,
     ConcreteLinearSystem,
+    OpenLoopSegment,
     OperatingEnvelope,
 )
 from gaasim.synthesis import _weight, synthesize_gains
@@ -90,6 +92,81 @@ def assert_same_bits(blocked, whole) -> None:
         assert a.flags.f_contiguous and a.tobytes("F") == b.tobytes("F"), name
     assert rec.decay_slack == ref.decay_slack
     assert report.to_dict() == ref_report.to_dict()
+
+
+def exact_vg(record, extra_squarings: int = 0) -> np.ndarray:
+    """vg_exact of `record` at every row, in np.longdouble, as `sim.simulate`
+    defines it: the exact flow of the recorded regime sequence, restarted
+    from the recorded state at the first row of each decay window (a jump
+    row opens one), each step from row k to row k + 1 under the regime of
+    row k.  A step of length dt maps w = [z; p] by exp(dt G), with G the
+    regime's generator: a region's closed loop on w = z, or a segment's Van
+    Loan generator on p_i = (t - t_start)^i / i!, which carries its drive
+    exactly.  exp is the Taylor series of dt G / 2^s, squared s times, where
+    s is the least with |dt G / 2^s|_1 <= 1/2, plus `extra_squarings`."""
+    ld = np.longdouble
+    con, ab, g, policy = record.concrete, record.abstract, record.gains, record.policy
+    A, B, Ah, Bh, K, P, Q, R, S, M = (np.asarray(v, dtype=ld) for v in (
+        con.A, con.B, ab.A, ab.B, g.K, g.P, g.Q, g.R, g.S, g.M))
+    n, nz = con.n, con.n + ab.n_r
+    F = np.block([[A + B @ K, B @ (Q - K @ P)], [np.zeros((ab.n_r, n), ld), Ah]])
+    N = np.vstack([B @ (R - K @ S), Bh])
+    t, z = record.t.astype(ld), record.z.astype(ld)
+    regime = np.empty(t.size, dtype=int)
+    for a, b, index in record.runs:
+        regime[a:b] = index
+
+    def generator(index):
+        """G and the tail p(t) of w, one row per time, of regime `index`."""
+        item = policy.regimes[index]
+        if not isinstance(item, OpenLoopSegment):
+            return F - N @ np.asarray(item.gain, ld) @ np.eye(nz, dtype=ld)[n:], None
+        size, origin = item.coeffs.shape[1], ld(item.t_start)
+        shift = np.array([[math.comb(i, k) for k in range(size)] for i in range(size)], ld)
+        shift *= origin ** np.maximum(np.subtract.outer(np.arange(size), np.arange(size)), 0)
+        fact = np.array([math.factorial(i) for i in range(size)], ld)
+        gen = np.zeros((nz + size, nz + size), ld)
+        gen[:nz, :nz] = F
+        gen[:nz, nz:] = N @ ((np.asarray(item.coeffs, ld) @ shift) * fact)
+        gen[nz + 1 :, nz:-1] = np.eye(size - 1, dtype=ld)
+        return gen, lambda times: (times[:, None] - origin) ** np.arange(size) / fact
+
+    def expm(a):
+        norm = float(np.abs(a).sum(axis=0).max())
+        s = (math.ceil(math.log2(2 * norm)) if norm > 0.5 else 0) + extra_squarings
+        b, eye = a / ld(2) ** s, np.eye(len(a), dtype=ld)
+        out = eye
+        for k in range(24, 0, -1):  # Horner: |b| <= 1/2 leaves 2^-25 / 25!
+            out = eye + b @ out / k
+        for _ in range(s):
+            out = out @ out
+        return out
+
+    gens = {index: generator(index) for index in set(regime.tolist())}
+    tails = {index: tail(t) for index, (_, tail) in gens.items() if tail is not None}
+    maps, exact = {}, np.empty_like(z)
+    starts = set(np.searchsorted(record.t, [record.t[0], *(j.time for j in record.jumps)]).tolist())
+    for k in range(t.size):
+        if k in starts:
+            exact[k] = z[k]
+            continue
+        index, dt = int(regime[k - 1]), t[k] - t[k - 1]
+        step = maps.get((index, dt))
+        if step is None:  # the z rows of the step's map
+            step = maps[index, dt] = expm(dt * gens[index][0])[:nz]
+        w = exact[k - 1] if index not in tails else np.concatenate([exact[k - 1], tails[index][k - 1]])
+        exact[k] = step @ w
+    x, xhat = exact[:, :n], exact[:, n:]
+    uhat = np.empty((t.size, ab.m_r), ld)
+    for a, b, index in record.runs:
+        item = policy.regimes[index]
+        if isinstance(item, OpenLoopSegment):
+            uhat[a:b] = (t[a:b, None] ** np.arange(item.coeffs.shape[1])) @ np.asarray(
+                item.coeffs, ld).T
+        else:
+            uhat[a:b] = -xhat[a:b] @ np.asarray(item.gain, ld).T
+    e = x - xhat @ P.T - uhat @ S.T
+    return np.sqrt(np.einsum("ij,jk,ik->i", e, M, e))
 
 
 def condition(report, name: str):

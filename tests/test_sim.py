@@ -50,6 +50,7 @@ from conftest import (
     assert_formed_by_blocks,
     assert_same_bits,
     csv_text,
+    exact_vg,
     point_box,
     under_row_blocks,
 )
@@ -367,7 +368,10 @@ class TestSimulate:
             simulate(sc.concrete, sc.abstract, gains, sc.policy,
                      [40.0, 0.0], [40.1], horizon=1.0, h=0.01)
 
-    def test_divergence_detected(self):
+    def test_divergence_detected(self, monkeypatch):
+        """The state overflows at row 79 (t = 39.5) of 1,001: the span stops
+        at the doubling stage that holds that row, columns 64..127, so at
+        most twice the rows up to it are written."""
         concrete = ConcreteLinearSystem(
             A=[[40.0]], B=[[1.0]], C=[[1.0]],
             input_ball_radius=1.0, initial_state_set=point_box([1.0]),
@@ -375,13 +379,25 @@ class TestSimulate:
         abstract = AbstractLinearSystem(
             A=[[0.0]], B=[[1.0]], C=[[1.0]], initial_state_set=point_box([1.0]),
         )
+        sentinel, written = -7.25e300, []
+        propagate = sim._propagate
+
+        def marked(phi, out, leaves):
+            out[:, 1:] = sentinel
+            j = propagate(phi, out, leaves)
+            written.append(1 + int((out[:, 1:] != sentinel).any(axis=0).sum()))
+            return j
+
+        monkeypatch.setattr(sim, "_propagate", marked)
         # a zero and a cubic drive: both propagate through the augmented map
         for coeffs in ([[0.0]], [[0.1, 0.0, 0.0, 1e-3]]):
             sc = parse_config(open_loop_config(
-                [{"t_start": 0.0, "t_end": 60.0, "coeffs": coeffs}], horizon=50.0))
-            with pytest.raises(SimulationError, match="non-finite state near t = "):
+                [{"t_start": 0.0, "t_end": 600.0, "coeffs": coeffs}], horizon=500.0))
+            written.clear()
+            with pytest.raises(SimulationError, match=r"^non-finite state near t = 39\.5$"):
                 simulate(concrete, abstract, identity_gains(1), sc.policy,
-                         [1.0], [1.0], horizon=50.0, h=0.5)
+                         [1.0], [1.0], horizon=500.0, h=0.5)
+            assert len(written) == 1 and written[0] <= 2 * (79 + 1)
 
     def test_horizon_zero_single_sample(self, switched5):
         sc, gains, rmax = switched5
@@ -797,7 +813,7 @@ class TestPreflight:
         calls `_propagate`."""
         sc, gains, _ = switched5
 
-        def no_propagation(*a, **k):
+        def no_propagation(phi, out, leaves):
             raise AssertionError("nothing may be propagated")
 
         monkeypatch.setattr(numerics, "physical_memory", lambda: 1e6)
@@ -850,11 +866,11 @@ def test_a_span_frees_its_buffer_before_the_next(monkeypatch):
     buffers, alive = [], []
     propagate = sim._propagate
 
-    def tracing(phi, out, stop=None):
+    def tracing(phi, out, leaves):
         alive.append([ref() is not None for ref in buffers])
-        filled = propagate(phi, out, stop)
+        j = propagate(phi, out, leaves)
         buffers.append(weakref.ref(out))
-        return filled
+        return j
 
     monkeypatch.setattr(sim, "_propagate", tracing)
     simulate(sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0, sc.horizon, sc.step)
@@ -993,21 +1009,27 @@ class TestFeedbackStopsAtRegionExit:
         return concrete, abstract, gains, policy, x0, xhat0
 
     @classmethod
-    def run(cls, monkeypatch, drop_stop: bool):
+    def run(cls, monkeypatch, whole_horizon: bool):
+        """The scenario's record and the rows propagated for it: as
+        `simulate` propagates, where the predicate sees each computed row
+        once, or with every stretch filled to the horizon and then judged by
+        the same predicate as one block."""
         computed = []
         propagate = sim._propagate
 
-        def counting(phi, out, stop=None):
-            filled = propagate(phi, out, None if drop_stop else stop)
-            computed.append(filled)
-            return filled
+        def counting(phi, out, leaves):
+            if not whole_horizon:
+                return propagate(phi, out, lambda rows: computed.append(len(rows)) or leaves(rows))
+            assert propagate(phi, out, lambda rows: -1) == -1
+            computed.append(out.shape[1])
+            return leaves(out.T)
 
         monkeypatch.setattr(sim, "_propagate", counting)
         rec = simulate(*cls.scenario(), horizon=100.0, h=1e-2)
         return rec, sum(computed)
 
     def test_rows_computed_within_4x_of_kept(self, monkeypatch):
-        rec, computed = self.run(monkeypatch, drop_stop=False)
+        rec, computed = self.run(monkeypatch, whole_horizon=False)
         assert len(rec.jumps) >= 50
         for j in rec.jumps:  # a located crossing: a row inserted inside a step
             i = int(np.searchsorted(rec.t, j.time))
@@ -1015,8 +1037,8 @@ class TestFeedbackStopsAtRegionExit:
         assert computed <= 4 * rec.t.size
 
     def test_same_record_as_whole_horizon_propagation(self, monkeypatch):
-        rec, _ = self.run(monkeypatch, drop_stop=False)
-        ref, computed = self.run(monkeypatch, drop_stop=True)
+        rec, _ = self.run(monkeypatch, whole_horizon=False)
+        ref, computed = self.run(monkeypatch, whole_horizon=True)
         assert computed > 4 * ref.t.size
         # propagated into the record a stretch per crossing, the states are
         # still columns
@@ -1278,11 +1300,11 @@ class TestDecaySlack:
     """`decay_slack` is a proven bound on the integration error of vg."""
 
     @staticmethod
-    def study(kind, step=5e-3):
+    def study(kind, step=5e-3, horizon=None):
         if kind == "switched":
-            cfg = casestudy.switched_config(horizon=320.0, step=step)
+            cfg = casestudy.switched_config(horizon=horizon or 320.0, step=step)
         else:
-            cfg = casestudy.ramp_config(horizon=120.0, step=step)
+            cfg = casestudy.ramp_config(horizon=horizon or 120.0, step=step)
         sc = parse_config(cfg)
         gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon,
                                  sc.envelope, M=sc.M, force_s_zero=kind == "ramp_s_zero")
@@ -1327,6 +1349,23 @@ class TestDecaySlack:
         # the switched run crosses into a second gain region near t = 290
         assert len(_decay_windows(rec)) == (2 if kind == "switched" else 1)
         assert checked > 0.99 * 2 * rec.t.size
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-17,
+                        reason="np.longdouble is no wider than float64 here, so the "
+                        "exact-flow oracle cannot resolve a float64 run's error")
+    @pytest.mark.parametrize("step", [0.05, 5e-3])
+    @pytest.mark.parametrize("kind", ["switched", "ramp", "ramp_s_zero"])
+    def test_bound_covers_the_exact_flow(self, kind, step):
+        """Over one 280 s decay window, 5,601 or 56,001 rows, vg is within
+        `decay_slack` of vg_exact at every sample, with room for the oracle's
+        own error: its change from s to s + 2 squarings, under 1 % of it."""
+        args, _ = self.study(kind, step, horizon=280.0)
+        rec = simulate(*args)
+        assert rec.t.size == round(280.0 / step) + 1 and not rec.jumps
+        exact = exact_vg(rec)
+        oracle_error = float(np.max(np.abs(exact_vg(rec, extra_squarings=2) - exact)))
+        assert oracle_error <= 1e-2 * rec.decay_slack
+        assert float(np.max(np.abs(rec.vg - exact))) + oracle_error <= rec.decay_slack
 
     def test_a_vacuous_budget_is_refused(self):
         # one late sample raised to 0.45: within eps, but above the envelope;
