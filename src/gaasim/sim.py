@@ -16,9 +16,9 @@ out of its box is located by bisection, the enclosing step split there, and
 the regime switched.  One rule (`_is_jump`) decides whether the input change
 at a switch (new minus old uhat) is a jump, which the driver only logs; one
 function (`_judge_jumps`) judges the logged jumps.  A jump time's row stores
-the right limit of the abstract input.  Each run proves a bound on the
-integration error of its sampled vg from its own rows (`_ErrorBound`) and
-records it as `decay_slack`.  The record keeps a run as its state: times,
+the right limit of the abstract input.  One pass over a finished run's
+rows (`_error_bound`) proves a bound on the integration error of its
+sampled vg, `decay_slack`.  The record keeps a run as its state: times,
 joint states (column-major, propagated into place), vg and regime runs.
 `_formed` forms the other columns on each read, a block of rows at a time
 (`_blocks`), the policy over the block's slice of each run, every product
@@ -33,6 +33,7 @@ holds at most 2 x min(CPUs, 4) blocks of text whatever the host.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import warnings
@@ -62,8 +63,8 @@ class SimulationError(RuntimeError):
 #: minimum admissible spacing between jump events, in units of the step h
 MIN_JUMP_SEPARATION_STEPS = 10
 
-#: rows per slice of `_ErrorBound.stretch`, so that its temporaries stay small;
-#: `decay_slack` takes its maxima per slice, so its value depends on this size
+#: rows per slice of a stretch of `_error_bound`, so that its temporaries
+#: stay small; `decay_slack` takes its maxima per slice, so depends on this size
 _BOUND_ROWS = 65536
 
 #: rows per block of every reader of the formed columns (`_blocks`); at 16,384
@@ -220,28 +221,41 @@ def _segment_generator(F, N, seg: OpenLoopSegment, a: float, length: float):
 
 @dataclass(frozen=True, eq=False)
 class _Regime:
-    """One control regime of a run, for a span [a, b] of it: a feedback region
-    with its box and gain, whose propagated state w is z, or an open-loop
-    segment, whose w is [z; 1; s; ...; s^deg] with s = (t - a) / (b - a).  A
-    sample leaves it where z is not finite or outside the box.  `gen` is the
-    exact generator of w and `phi` = `_rk4_phi(gen, step)` its RK4 map over one
-    of the `steps` steps of length `step` that cover the span (an empty span
-    takes none, and a segment there has neither); `tail` is w after z at a."""
+    """One control regime of a run, for a span [a, b] of it that `steps` steps
+    of length `step` cover: a feedback region with its box, whose propagated
+    state w is z, or an open-loop segment, whose w is [z; 1; s; ...; s^deg]
+    with s = (t - a) / (b - a), `tail` after z at a.  A sample leaves it
+    where z is not finite or outside the box.  `gen` is the exact generator
+    of w (None for a segment over an empty span, which takes no step)."""
 
     index: int
     step: float
     steps: int
     gen: np.ndarray | None
-    phi: np.ndarray | None
     tail: np.ndarray
     box: Box | None = None
-    gain: np.ndarray | None = None
-    seg: OpenLoopSegment | None = None
-    span: tuple[float, float] = (0.0, 0.0)
 
 
 def _n_steps(a: float, b: float, h: float) -> int:
     return max(1, int(math.ceil((b - a) / h - 1e-9)))
+
+
+def _spans(policy, t0: float, t_end: float) -> list[tuple[float, float]]:
+    """The spans [a, b] of a run over [t0, t_end], cut at the policy's breakpoints."""
+    breaks = [t0, *(tau for tau in policy.breakpoints() if t0 + 1e-12 < tau < t_end - 1e-12)]
+    return list(zip(breaks, [*breaks[1:], t_end]))
+
+
+def _regime(policy, F, N, index: int, a: float, b: float, h: float) -> _Regime:
+    """The policy's regime `index` for the span [a, b] of a run of step h."""
+    steps = _n_steps(a, b, h) if b > a else 0
+    step = (b - a) / max(steps, 1)
+    item = policy.regimes[index]
+    if isinstance(item, OpenLoopSegment):
+        gen = _segment_generator(F, N, item, a, b - a) if steps else None
+        return _Regime(index, step, steps, gen, np.eye(item.coeffs.shape[1])[0])
+    to_xhat = np.eye(F.shape[0])[F.shape[0] - item.gain.shape[1] :]
+    return _Regime(index, step, steps, F - N @ (item.gain @ to_xhat), np.empty(0), item.box)
 
 
 def _preflight(concrete, abstract, policy, horizon: float, h: float) -> None:
@@ -303,61 +317,56 @@ def _linear_recursion(b0: float, powers: np.ndarray, c: np.ndarray) -> np.ndarra
     return out
 
 
-class _ErrorBound:
-    """A-posteriori bound on the integration error of the sampled vg of one
-    run, from its rows alone (defect control; the derivation is in README,
-    "What `decay_slack` bounds").  Per regime stretch of generator G and step
-    h, the local defect d_k = z_{k+1} - [exp(hG) w_k]_z is evaluated as
-    z_{k+1} - z_k - Y w_k, Y = sum_{j=1..8} (hG)^j / j!, up to the Taylor
-    remainder and rounding.  In (e, xhat) coordinates a >= |eps_xhat| and
-    b >= |eps_e|_M then obey a' <= beta a + |d_xhat| and b' <= rho b + gamma
-    a + |d_e|_M, solved row by row in vector form.  `slack` is the largest b
-    plus the rounding of e from a row; `v_rounding` is that of V from e,
-    relative to V."""
+def _error_bound(record: TrajectoryRecord, h: float) -> tuple[float, float]:
+    """(slack, v_rounding) of a run of step h, from its rows alone: slack +
+    v_rounding max vg bounds the integration error of its sampled vg, by
+    defect control over each stretch of one regime (derived in README, "What
+    `decay_slack` bounds").  The walk retraces the run span by span, each
+    step from row k to row k + 1 under the regime of row k, at the span's
+    grid step.  A region's run ends where the run crossed out of its box,
+    and a crossing row off the grid split its step in two, each read from
+    t: exactly where the two times have one sign and are within a factor 2
+    (Sterbenz), else with its rounding in the local term.  A row at a jump
+    time restarts the window."""
+    t, zs, gains, policy, con = record.t, record.z, record.gains, record.policy, record.concrete
+    n = con.n
+    F, N = _joint_matrices(con, record.abstract, gains)
+    regime = functools.cache(lambda index, a, b: _regime(policy, F, N, index, a, b, h))
+    # log-norm of A + BK in the M-norm: |exp(h (A + BK))|_M <= e^(mu h)
+    a_m = gains.M_sqrt @ (con.A + con.B @ gains.K) @ np.linalg.inv(gains.M_sqrt)
+    mu = float(np.linalg.eigvalsh(a_m + a_m.T).max()) / 2.0
+    e_rounding = 2 * (gains.P.shape[1] + gains.S.shape[1] + 2) * _U * _norm_bound(gains.M_sqrt)
+    p_abs, s_abs = _norm_bound(gains.P), _norm_bound(gains.S)
+    fresh = (0.0, 0.0, None)  # a, b and the e map of a window's last stretch
+    slack, window = 0.0, fresh
 
-    def __init__(self, concrete, gains):
-        self.n, self.gains = concrete.n, gains
-        # log-norm of A + BK in the M-norm: |exp(h (A + BK))|_M <= e^(mu h)
-        a_m = gains.M_sqrt @ (concrete.A + concrete.B @ gains.K) @ np.linalg.inv(gains.M_sqrt)
-        self.mu = float(np.linalg.eigvalsh(a_m + a_m.T).max()) / 2.0
-        terms = gains.P.shape[1] + gains.S.shape[1] + 2
-        self.e_rounding = 2 * terms * _U * _norm_bound(gains.M_sqrt)
-        self.v_rounding = 2 * (self.n**2 + 4) * _U * _norm_bound(gains.M) / gains.lambda_min_M
-        self.p_abs, self.s_abs = _norm_bound(gains.P), _norm_bound(gains.S)
-        self.slack = 0.0
-        self.restart()
-
-    def restart(self) -> None:
-        """A logged jump: the next window's reference starts at this row."""
-        self.a = self.b = 0.0
-        self.e_map = None
-
-    def stretch(self, regime: _Regime, h: float, rows) -> None:
-        """Advance over `rows`, samples h apart under `regime`: a region's
-        closed loop with uhat = -gain xhat, or a segment's augmented system,
-        with s = k / steps at row k of its span.  A single row takes no step
-        and adds only its rounding."""
-        g, n, nz, count = self.gains, self.n, rows.shape[1], rows.shape[0] - 1
+    def stretch(r: _Regime, h: float, first: int, last: int, exact: bool = True) -> None:
+        """Advance the window's a >= |eps_xhat| and b >= |eps_e|_M, which obey
+        a' <= beta a + |d_xhat| and b' <= rho b + gamma a + |d_e|_M, over rows
+        first..last, h apart under r (s = k / steps at row k of a segment's
+        span).  A single row takes no step and adds only the rounding of e
+        from it; an h that is not `exact`ly the difference of two times, its own."""
+        nonlocal slack, window
+        rows, item = zs[first : last + 1], policy.regimes[r.index]
+        nz, count = rows.shape[1], rows.shape[0] - 1
         to_e = np.eye(nz)  # eps -> (eps_e, eps_xhat)
-        to_e[:n] = refine.error_map(g, None if regime.gain is None else -regime.gain)
-        e_map = g.M_sqrt @ to_e[:n]
-        if self.e_map is not None:  # a region change within the window
-            self.b += _norm_bound(e_map[:, n:] - self.e_map[:, n:]) * self.a
-        self.e_map = e_map
-        acc, b, b_max, z_max = self.a, self.b, self.b, float(np.linalg.norm(rows[-1]))
+        to_e[:n] = refine.error_map(gains, None if r.box is None else -item.gain)
+        e_map = gains.M_sqrt @ to_e[:n]
+        acc, b, e_prev = window
+        if e_prev is not None:  # a region change within the window
+            b += _norm_bound(e_map[:, n:] - e_prev[:, n:]) * acc
+        b_max, z_max = b, float(np.linalg.norm(rows[-1]))
         if count:
             # theta weighs s^j by the drive, so the bound scales with the states
-            gen, theta = regime.gen, 1.0
-            if regime.seg is not None:
-                theta = _norm_bound(gen[:nz, nz:]) / max(
-                    _norm_bound(gen[:nz, :nz]), 1.0 / (h * regime.steps)
-                )
+            gen, theta = r.gen, 1.0
+            if r.box is None:
+                theta = _norm_bound(gen[:nz, nz:]) / max(_norm_bound(gen[:nz, :nz]),
+                                                         1.0 / (h * r.steps))
                 gen = gen.copy()
                 gen[:nz, nz:] = gen[:nz, nz:] / theta if theta > 0 else 0.0
-            from_e = 2 * np.eye(nz) - to_e
-            gt = to_e @ gen[:nz, :nz] @ from_e
+            gt = to_e @ gen[:nz, :nz] @ (2 * np.eye(nz) - to_e)  # from_e = 2 I - to_e
             mu_x = float(np.linalg.eigvalsh(gt[n:, n:] + gt[n:, n:].T).max()) / 2.0
-            gamma = h * _norm_bound(g.M_sqrt @ gt[:n, n:]) * _exp(h * max(self.mu, mu_x, 0.0))
+            gamma = h * _norm_bound(gains.M_sqrt @ gt[:n, n:]) * _exp(h * max(mu, mu_x, 0.0))
             beta = _exp(max(mu_x, 0.0) * h * count)  # >= beta^k here
             hg, eye = h * gen, np.eye(gen.shape[0])
             inner = eye
@@ -365,19 +374,17 @@ class _ErrorBound:
                 inner = eye + hg @ inner / j
             y = (hg @ inner)[:nz]
             # |d_k - v_k| <= per_w |w_k| + 3 u |v_k|: the remainder, and the
-            # rounding of Y, of the exact powers of s, of Y w_k and of v_k
-            g_abs = _norm_bound(hg)
-            per_w = (min(g_abs, 700.0) ** 8 / 362880.0 + (9 * gen.shape[0] + 30) * _U) * g_abs
-            per_w *= _exp(g_abs)
+            # rounding of h, of Y, of the exact powers of s, of Y w_k and of v_k
+            g_abs, rounding = _norm_bound(hg), (9 * gen.shape[0] + 30 + 2 * (not exact)) * _U
+            per_w = (min(g_abs, 700.0) ** 8 / 362880.0 + rounding) * g_abs * _exp(g_abs)
             e_abs = _norm_bound(e_map)
-            block = min(count, max(1, int(min(40.0 / abs(self.mu * h or 1.0), _BOUND_ROWS))))
-            powers = _exp(max(self.mu * h, -700.0)) ** np.arange(1.0, block + 1.0)
-            columns = rows.T  # one sample per column
+            block = min(count, max(1, int(min(40.0 / abs(mu * h or 1.0), _BOUND_ROWS))))
+            powers = _exp(max(mu * h, -700.0)) ** np.arange(1.0, block + 1.0)
             for k0 in range(0, count, _BOUND_ROWS):
-                z = columns[:, k0 : k0 + _BOUND_ROWS + 1]
+                z = rows[k0 : k0 + _BOUND_ROWS + 1].T  # one sample per column
                 w = z[:, :-1]
-                if regime.seg is not None:
-                    s = np.arange(k0, k0 + w.shape[1]) / regime.steps
+                if r.box is None:
+                    s = np.arange(k0, k0 + w.shape[1]) / r.steps
                     w = np.vstack([w, theta * s ** np.arange(gen.shape[0] - nz)[:, None]])
                 v = z[:, 1:] - z[:, :-1]
                 v -= y @ w
@@ -392,16 +399,44 @@ class _ErrorBound:
                 b, b_max = float(bs[-1]), float(np.max((b_max, bs.max())))
                 z_max = max(z_max, w_max)
             acc *= beta
-        self.a, self.b, b_max = (q if q <= math.inf else math.inf for q in (acc, b, b_max))
+        acc, b, b_max = (q if q <= math.inf else math.inf for q in (acc, b, b_max))
+        window = (acc, b, e_map)
         # the absolute terms sum_j |c_j| |t|^j of the record's uhat bound its rounding
-        if regime.seg is None:
-            u_terms = _norm_bound(regime.gain) * z_max
+        if r.box is None:
+            t_pow = max(abs(t[first]), abs(t[last])) ** np.arange(item.coeffs.shape[1])
+            u_terms = float(np.linalg.norm(np.abs(item.coeffs) @ t_pow))
         else:
-            t_pow = max(map(abs, regime.span)) ** np.arange(regime.seg.coeffs.shape[1])
-            u_terms = float(np.linalg.norm(np.abs(regime.seg.coeffs) @ t_pow))
-        self.slack = max(self.slack, b_max + self.e_rounding * (
-            (1.0 + self.p_abs) * z_max + self.s_abs * u_terms
-        ))
+            u_terms = _norm_bound(item.gain) * z_max
+        slack = max(slack, b_max + e_rounding * ((1.0 + p_abs) * z_max + s_abs * u_terms))
+
+    def sub_step(r: _Regime, k: int) -> None:
+        """Advance from row k to row k + 1, the step read from their times."""
+        dt = float(t[k + 1] - t[k])
+        stretch(r, dt, k, k + 1, exact=dt < min(abs(t[k]), abs(t[k + 1])))
+
+    jump_rows = set(np.searchsorted(t, [j.time for j in record.jumps]).tolist())
+    # an overflow gives an infinite, vacuous bound (a NaN reads as infinity; see `_exp`)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for a, b in _spans(policy, float(t[0]), float(t[-1])):
+            lo, hi = np.searchsorted(t, (a, b)).tolist()
+            r = regime(next(i for s, e, i in record.runs if s <= lo < e), a, b)
+            cuts = [(s, i) for (s, _, i), (_, _, prev) in zip(record.runs[1:], record.runs)
+                    if lo < s <= hi and regime(prev, a, b).box is not None]
+            k, splits = lo, 0
+            window = fresh if lo in jump_rows else window
+            for c, index in cuts:
+                g = c - lo - splits  # the grid step that row c ends, or splits
+                off = bool(t[c] != (b if g == r.steps else a + r.step * g))
+                stretch(r, r.step, k, c - off)
+                if off:
+                    sub_step(r, c - 1)
+                window = fresh if c in jump_rows else window
+                r = regime(index, a, b)
+                if off:
+                    sub_step(r, c)
+                k, splits = c + off, splits + off
+            stretch(r, r.step, k, hi)
+    return slack, 2 * (n**2 + 4) * _U * _norm_bound(gains.M) / gains.lambda_min_M
 
 
 def simulate(
@@ -432,8 +467,8 @@ def simulate(
     The record's `decay_slack` is a proven bound on |vg(t_k) - vg_exact(t_k)|
     at every sample of a decay window (the rows between logged jumps), where
     vg_exact is the exact flow of the recorded regime sequence started from
-    the window's first row, taken over the steps the run made.  It is built
-    from this run alone (`_ErrorBound`).
+    the window's first row, over the recorded steps t[k+1] - t[k].  It is
+    computed after the run, from its rows alone (`_error_bound`).
     So a window that passes `verify_trajectory` has vg_exact(t_k) <=
     omega(t_k - t_a, vg(t_a)) + 2 decay_slack at its samples.  The error of
     locating region crossings by bisection (to 1e-9 of the horizon) is
@@ -452,17 +487,17 @@ def simulate(
             f"epsilon = {eps_run:.6g}",
             stacklevel=2,
         )
-    # the run's one overflow policy: a non-finite state ends the run, and an overflow
-    # in `_ErrorBound.stretch` an infinite, vacuous bound (np.max keeps a NaN, read as
-    # infinity at the end; see also `_exp`)
+    # an overflow in a step makes a non-finite state, which ends the run
     with np.errstate(over="ignore", invalid="ignore"):
-        times, zs, runs, log, bound = _integrate(
+        times, zs, runs, log = _integrate(
             concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0
         )
     jumps = _judge_jumps(log, (t0, vg0), gains, eps_run, rbar_max)
     record = TrajectoryRecord(times, zs, None, runs, jumps, 0.0, policy, gains, concrete, abstract)
+    # proved before vg is formed, so that the bound's slices and vg never coexist
+    slack, v_rounding = _error_bound(record, h)
     record.vg = record._column("vg")
-    record.decay_slack = bound.slack + bound.v_rounding * float(np.max(record.vg))
+    record.decay_slack = slack + v_rounding * float(np.max(record.vg))
     return record
 
 
@@ -483,10 +518,9 @@ def _judge_jumps(log, anchor, gains, epsilon, rbar_max) -> list[JumpRecord]:
 
 def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
     """Grid times, joint states z = [x; xhat], the (start, stop, regime
-    index) runs of their rows, the jump log of (tau, delta) and the
-    `_ErrorBound` of one run (see `simulate`).  The grid has a row at every
-    step and at each located region crossing, which carries the regime after
-    it; `bound` advances over every step in order and restarts at each jump.
+    index) runs of their rows and the jump log of (tau, delta) of one run
+    (see `simulate`).  The grid has a row at every step and at each located
+    region crossing, which carries the regime after it.
 
     t and z are allocated once, for the grid and `_CROSSING_ROWS` crossings,
     and each row is written where it is kept: a feedback span propagates
@@ -497,10 +531,8 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
     n, n_r = concrete.n, abstract.n_r
     nz = n + n_r
     F, N = _joint_matrices(concrete, abstract, gains)
-    to_xhat = np.eye(nz)[n:]
     t_end = t0 + horizon
-    breaks = [t0, *(tau for tau in policy.breakpoints() if t0 + 1e-12 < tau < t_end - 1e-12)]
-    spans = list(zip(breaks, [*breaks[1:], t_end]))
+    spans = _spans(policy, t0, t_end)
     grid = 1 + sum(_n_steps(a, b, h) for a, b in spans if b > a)
     # the kept rows: times, states as one contiguous row per coordinate, runs
     t = np.empty(grid + _CROSSING_ROWS)
@@ -508,21 +540,6 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
     runs: list[tuple[int, int, int]] = []
     log: list[tuple[float, np.ndarray]] = []
     min_sep = MIN_JUMP_SEPARATION_STEPS * h
-    bound = _ErrorBound(concrete, gains)
-
-    def regime(index: int, a: float, b: float) -> _Regime:
-        """The policy's regime `index` for the span [a, b]."""
-        steps = _n_steps(a, b, h) if b > a else 0
-        step = (b - a) / max(steps, 1)
-        item = policy.regimes[index]
-        if isinstance(item, OpenLoopSegment):
-            gen = _segment_generator(F, N, item, a, b - a) if steps else None
-            kind = dict(tail=np.eye(item.coeffs.shape[1])[0], seg=item, span=(a, b))
-        else:
-            gen = F - N @ (item.gain @ to_xhat)
-            kind = dict(tail=np.empty(0), box=item.box, gain=item.gain)
-        phi = None if gen is None else _rk4_phi(gen, step)
-        return _Regime(index, step, steps, gen, phi, **kind)
 
     def kept() -> int:
         return runs[-1][1] if runs else 0
@@ -575,7 +592,8 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
         # an open-loop span propagates its augmented state [z; 1; s; ...]
         w = np.empty((nz + r.tail.size, count)) if r.tail.size else rows
         w[:nz, 0], w[nz:, 0] = z, r.tail
-        j = _propagate(r.phi, w, lambda new: first_leaving(r, new))
+        phi = _rk4_phi(r.gen, r.step) if count > 1 else None  # one row takes no step
+        j = _propagate(phi, w, lambda new: first_leaving(r, new))
         filled = count if j < 0 else j + 1
         if w is not rows:
             rows[:, :filled] = w[:nz, :filled]
@@ -585,7 +603,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
         """The regime after `old` at tau, picked at xhat_next, for [a, b].
         Its input change, new minus old uhat at (tau, xhat_tau), is logged
         when it is a jump; the first regime (old None) has none."""
-        new = regime(policy.regime_index(tau, xhat_next), a, b)
+        new = _regime(policy, F, N, policy.regime_index(tau, xhat_next), a, b, h)
         if old is None:
             return new
         before, after = (policy.regimes[q.index].uhat(tau, xhat_tau) for q in (old, new))
@@ -597,7 +615,6 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
                     f"minimum separation {min_sep:.6g}"
                 )
             log.append((tau, delta))
-            bound.restart()
         return new
 
     def run_span(r: _Regime, a: float, b: float, z: np.ndarray):
@@ -622,7 +639,6 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
             block, j = propagate(r, z, steps - i + 1)
             if j < 0:
                 keep_grid(i, steps, r.index)
-                bound.stretch(r, step, block)
                 return block[-1].copy(), r  # a view would not survive a resize
             if not np.isfinite(block[j]).all():
                 raise SimulationError(f"non-finite state near t = {time(i + j):.6g}")
@@ -640,27 +656,16 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
                 else:
                     hi_s = mid
             s_cross = max(hi_s, tol_t)
+            # a crossing at (numerically) the step end snaps to the grid point
             split = (t_b - t_a) - s_cross > tol_t
-            if split:
-                tau, z_tau = t_a + s_cross, _rk4_phi(r.gen, s_cross) @ z_a
-                bound.stretch(r, step, block[:j])
-                bound.stretch(r, s_cross, np.stack([z_a, z_tau]))
-            else:
-                # crossing at (numerically) the step end: snap to the grid point
-                tau, z_tau = t_b, z_b
-                bound.stretch(r, step, block[: j + 1])
+            tau, z_tau = (t_a + s_cross, _rk4_phi(r.gen, s_cross) @ z_a) if split else (t_b, z_b)
             del block  # a view of z's rows, which a resize may move
             r = switch(r, tau, z_b[n:], z_tau[n:], a, b)
             if split:
                 keep_row(tau, z_tau, r.index)
-                z = _rk4_phi(r.gen, t_b - tau) @ z_tau
-                bound.stretch(r, t_b - tau, np.stack([z_tau, z]))
-                if not r.box.contains(z[n:]):
-                    raise SimulationError(
-                        f"second region crossing within one step at t ~ {t_b:.6g}"
-                    )
-            else:
-                z = z_tau
+            z = _rk4_phi(r.gen, t_b - tau) @ z_tau if split else z_tau
+            if not r.box.contains(z[n:]):
+                raise SimulationError(f"second region crossing within one step at t ~ {t_b:.6g}")
             i += j  # the next block's first row, z, is judged at t_b
 
     z, r = np.concatenate([x0, xhat0]), None
@@ -671,7 +676,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
     final = r.index if r.box is not None else policy.regime_index(t_end, z[n:])
     keep_row(t_end, z, final)
     resize(kept())
-    return t, zt.T, runs, log, bound
+    return t, zt.T, runs, log
 
 
 def _move_coordinates(flat: np.ndarray, nz: int, old: int, new: int, used: int) -> None:

@@ -145,7 +145,7 @@ def test_uhat_is_one_evaluation_per_run_of_one_region(mimo_pair):
     policy, xhat0, horizon, _ = run = two_dim_regions()
     rec = simulate_lifted(mimo_pair, *run)
     x0 = lift_initial(xhat0, policy.uhat_at(0.0, xhat0), gains)
-    times, _, runs, log, _ = sim._integrate(
+    times, _, runs, log = sim._integrate(
         concrete, abstract, gains, policy, x0, xhat0, horizon, 1e-3, 0.0
     )
     assert times.tobytes() == rec.t.tobytes()

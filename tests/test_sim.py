@@ -1353,19 +1353,62 @@ class TestDecaySlack:
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-17,
                         reason="np.longdouble is no wider than float64 here, so the "
                         "exact-flow oracle cannot resolve a float64 run's error")
-    @pytest.mark.parametrize("step", [0.05, 5e-3])
-    @pytest.mark.parametrize("kind", ["switched", "ramp", "ramp_s_zero"])
+    @pytest.mark.parametrize("kind, step", [
+        *((kind, step) for kind in ("switched", "ramp", "ramp_s_zero") for step in (0.05, 5e-3)),
+        ("crossings", 0.1), ("crossings", 0.01), ("crossings", 3e-3), ("crossings_t0", 0.1),
+    ])
     def test_bound_covers_the_exact_flow(self, kind, step):
-        """Over one 280 s decay window, 5,601 or 56,001 rows, vg is within
+        """Over one 280 s decay window of a study run, 5,601 or 56,001 rows,
+        and over the 65 windows of the 64 region crossings, each step split
+        at its crossing and both parts read from t, vg is within
         `decay_slack` of vg_exact at every sample, with room for the oracle's
-        own error: its change from s to s + 2 squarings, under 1 % of it."""
-        args, _ = self.study(kind, step, horizon=280.0)
-        rec = simulate(*args)
-        assert rec.t.size == round(280.0 / step) + 1 and not rec.jumps
+        own error: its change from s to s + 2 squarings, under 1 % of it.
+        From t0 = -0.75 the first crossing splits the step from -0.05 to
+        0.05, whose first part, a difference of times of two signs, the
+        bound takes with its rounding."""
+        if kind.startswith("crossings"):
+            t0 = -0.75 if kind == "crossings_t0" else 0.0
+            rec = simulate(*TestFeedbackStopsAtRegionExit.scenario(), horizon=100.0, h=step,
+                           t0=t0)
+            assert len(rec.jumps) == 64
+            assert t0 == 0.0 or rec.t[7] < 0.0 < rec.t[8] == rec.jumps[0].time
+        else:
+            args, _ = self.study(kind, step, horizon=280.0)
+            rec = simulate(*args)
+            assert rec.t.size == round(280.0 / step) + 1 and not rec.jumps
         exact = exact_vg(rec)
         oracle_error = float(np.max(np.abs(exact_vg(rec, extra_squarings=2) - exact)))
         assert oracle_error <= 1e-2 * rec.decay_slack
         assert float(np.max(np.abs(rec.vg - exact))) + oracle_error <= rec.decay_slack
+
+    @pytest.mark.parametrize("kind", ["switched", "ramp_late_start", "crossings"])
+    def test_slack_is_a_function_of_the_record(self, kind):
+        """`decay_slack` is recomputed bit for bit from a record rebuilt out of
+        copies of the run's t, z, runs and jumps, with its policy, gains and
+        systems: the bound reads nothing else of the run.  The runs are the
+        switched study at h = 0.05, the ramp study from t0 = 7.25, whose two
+        spans meet at the breakpoint at 50, and the 64 region crossings at
+        h = 0.003, whose split steps are read from t."""
+        if kind == "crossings":
+            h = 3e-3
+            rec = simulate(*TestFeedbackStopsAtRegionExit.scenario(), horizon=100.0, h=h)
+            assert len(rec.jumps) == 64
+        elif kind == "switched":
+            args, _ = self.study("switched", 0.05, horizon=1000.0)
+            rec, h = simulate(*args), args[-1]
+            assert len(rec.jumps) >= 2
+        else:
+            args, _ = self.study("ramp", 0.05)
+            concrete, abstract, gains, policy, _, xhat0, horizon, h = args
+            x0 = lift_initial(xhat0, policy.uhat_at(7.25, xhat0), gains)
+            rec = simulate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0=7.25)
+            assert rec.t[0] == 7.25 and 50.0 in rec.t
+        rebuilt = sim.TrajectoryRecord(
+            rec.t.copy(), rec.z.copy(order="F"), None, list(rec.runs), list(rec.jumps), 0.0,
+            rec.policy, rec.gains, rec.concrete, rec.abstract)
+        slack, v_rounding = sim._error_bound(rebuilt, h)
+        assert 0.0 < rec.decay_slack < math.inf
+        assert slack + v_rounding * float(np.max(rebuilt._column("vg"))) == rec.decay_slack
 
     def test_a_vacuous_budget_is_refused(self):
         # one late sample raised to 0.45: within eps, but above the envelope;
