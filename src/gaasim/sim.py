@@ -345,7 +345,7 @@ def _error_bound(record: TrajectoryRecord, h: float) -> tuple[float, float]:
         a' <= beta a + |d_xhat| and b' <= rho b + gamma a + |d_e|_M, over rows
         first..last, h apart under r (s = k / steps at row k of a segment's
         span).  A single row takes no step and adds only the rounding of e
-        from it; an h that is not `exact`ly the difference of two times, its own."""
+        from it; an h not `exact`ly its rows' time difference adds its own."""
         nonlocal slack, window
         rows, item = zs[first : last + 1], policy.regimes[r.index]
         nz, count = rows.shape[1], rows.shape[0] - 1
@@ -373,8 +373,8 @@ def _error_bound(record: TrajectoryRecord, h: float) -> tuple[float, float]:
             for j in range(8, 1, -1):
                 inner = eye + hg @ inner / j
             y = (hg @ inner)[:nz]
-            # |d_k - v_k| <= per_w |w_k| + 3 u |v_k|: the remainder, and the
-            # rounding of h, of Y, of the exact powers of s, of Y w_k and of v_k
+            # |d_k - v_k| <= per_w |w_k| + 3 u |v_k|: the remainder, and the rounding
+            # of an inexact h, of Y, of the exact powers of s, of Y w_k and of v_k
             g_abs, rounding = _norm_bound(hg), (9 * gen.shape[0] + 30 + 2 * (not exact)) * _U
             per_w = (min(g_abs, 700.0) ** 8 / 362880.0 + rounding) * g_abs * _exp(g_abs)
             e_abs = _norm_bound(e_map)
