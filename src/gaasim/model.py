@@ -67,18 +67,44 @@ class Box:
         """x, or each row of x, clamped into the box."""
         return np.clip(np.asarray(x, dtype=float), self.lows, self.highs)
 
-    def corners(self) -> np.ndarray:
-        """All 2^d corner points (deduplicated for degenerate axes)."""
-        # [lo] or [lo, hi] per axis: the bounds are ordered and finite, and
-        # np.unique would import numpy.ma on its first call in a process
-        cols = [[lo] if lo == hi else [lo, hi] for lo, hi in zip(self.lows, self.highs)]
-        grid = np.meshgrid(*cols, indexing="ij")
-        return np.stack([g.reshape(-1) for g in grid], axis=-1)
+    def meet(self, other: "Box") -> "Box | None":
+        """The closed intersection of the two boxes, or None when it is empty."""
+        lo = np.maximum(self.lows, other.lows)
+        hi = np.minimum(self.highs, other.highs)
+        return Box(lo, hi) if np.all(lo <= hi) else None
 
     def interior_overlaps(self, other: "Box") -> bool:
         lo = np.maximum(self.lows, other.lows)
         hi = np.minimum(self.highs, other.highs)
         return bool(np.all(lo < hi))
+
+    def uncovered(self, covers) -> np.ndarray | None:
+        """A point of the box that no box of `covers` holds, or None when
+        their union holds the whole box, by recursive box subtraction: each
+        cover cuts every piece left into the part it holds, dropped, and at
+        most two pieces per axis that it does not.  What no cover holds is
+        open in the box, so it is empty exactly when no piece is left that
+        has width along every axis where the box has width; a cover that
+        shares no such width with a piece leaves it whole, so every piece
+        left has it.  The point is the middle of the first piece left."""
+        axes = np.flatnonzero(self.lows < self.highs)
+        pieces = [(self.lows, self.highs)]
+        for cover in covers:
+            left = []
+            for lo, hi in pieces:
+                cut_lo, cut_hi = np.maximum(lo, cover.lows), np.minimum(hi, cover.highs)
+                if not (np.all(cut_lo <= cut_hi) and np.all(cut_lo[axes] < cut_hi[axes])):
+                    left.append((lo, hi))
+                    continue
+                for k in axes:
+                    at = np.arange(self.dim) == k
+                    if lo[k] < cut_lo[k]:
+                        left.append((lo, np.where(at, cut_lo, hi)))
+                    if cut_hi[k] < hi[k]:
+                        left.append((np.where(at, cut_hi, lo), hi))
+                    lo, hi = np.where(at, cut_lo, lo), np.where(at, cut_hi, hi)
+            pieces = left
+        return 0.5 * pieces[0][0] + 0.5 * pieces[0][1] if pieces else None
 
     def as_lists(self) -> list[list[float]]:
         return [[float(lo), float(hi)] for lo, hi in zip(self.lows, self.highs)]
@@ -322,6 +348,21 @@ class AbstractInputPolicy:
         if t >= self.t_end:
             return len(self.regimes) - 1
         raise DomainGap(f"abstract state {np.asarray(xhat).tolist()} outside all regions")
+
+    def pieces(self, t: float, box: Box) -> list[tuple[int, Box]]:
+        """(i, part) for each regime i that `regime_index` can pick at time
+        t at a point of `box`, with the part of the box where it can: the
+        segment it picks at t, over the whole box, or each region whose
+        closed box meets `box`, over their intersection.  The parts cover the
+        box, and may overlap.  Raises DomainGap, as `regime_index` does,
+        where a point of the box lies in no region."""
+        if self.kind == "open_loop":
+            return [(self.regime_index(t, box.lows), box)]
+        gap = box.uncovered([r.box for r in self.regions])
+        if gap is not None:
+            raise DomainGap(f"abstract state {gap.tolist()} outside all regions")
+        parts = [(i, box.meet(r.box)) for i, r in enumerate(self.regions)]
+        return [(i, part) for i, part in parts if part is not None]
 
     def breakpoints(self) -> list[float]:
         """Interior open-loop segment boundaries (candidate jump times)."""

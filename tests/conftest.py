@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from gaasim import casestudy, sim
 from gaasim import numerics as nx
-from gaasim import sim
 from gaasim.model import (
     AbstractLinearSystem,
     Box,
     ConcreteLinearSystem,
     OpenLoopSegment,
     OperatingEnvelope,
+    parse_config,
 )
 from gaasim.synthesis import _weight, synthesize_gains
 
@@ -177,6 +178,18 @@ def condition(report, name: str):
 def point_box(values) -> Box:
     v = np.asarray(values, dtype=float)
     return Box(v, v)
+
+
+def box_study(x0_box, xhat0_box, epsilon: float, horizon: float = 320.0, step: float = 5e-3):
+    """The switched study with the initial boxes `x0_box` and `xhat0_box` and
+    `epsilon`, started from the abstract box's lower corner and the point of
+    the concrete box nearest [xhat0, 0]."""
+    cfg = casestudy.switched_config(horizon=horizon, step=step)
+    cfg["concrete"]["x0_box"], cfg["abstract"]["x0_box"] = x0_box, xhat0_box
+    xhat0 = [lo for lo, _ in xhat0_box]
+    x0 = Box(*zip(*x0_box)).clamp([xhat0[0], 0.0]).tolist()
+    cfg["scenario"].update(epsilon=epsilon, xhat0=xhat0, x0=x0)
+    return parse_config(cfg)
 
 
 @pytest.fixture

@@ -170,16 +170,38 @@ class TestTypes:
         assert b.contains([1.0, 1.0])
         assert not b.contains([3.0, 1.0])
         assert np.allclose(b.clamp([5.0, 0.0]), [2.0, 1.0])
-        assert b.corners().shape == (2, 2)  # degenerate second axis deduplicated
+        assert b.meet(Box([1.0, 1.0], [3.0, 4.0])).as_lists() == [[1.0, 2.0], [1.0, 1.0]]
+        # closed: boxes that touch meet in their common face, here a point
+        assert b.meet(Box([2.0, 0.0], [3.0, 5.0])).as_lists() == [[2.0, 2.0], [1.0, 1.0]]
+        assert b.meet(Box([2.0, 0.0], [3.0, 0.5])) is None
 
-    def test_corners_bits(self):
-        # -0.0 == 0.0: the axis is one point and keeps its lower bound, -0.0,
-        # as np.unique kept it; a proper axis gives [lo, hi] in that order
-        corners = Box([0.0, -0.0], [1.0, 0.0]).corners()
-        assert corners.tobytes() == np.array([[0.0, -0.0], [1.0, -0.0]]).tobytes()
-        corners = Box([-1.5, 2.0, 7.0], [3.0, 5.0, 7.0]).corners()
-        expected = [[-1.5, 2.0, 7.0], [-1.5, 5.0, 7.0], [3.0, 2.0, 7.0], [3.0, 5.0, 7.0]]
-        assert corners.tobytes() == np.array(expected).tobytes()
+    @pytest.mark.parametrize("covers, gap", [
+        # two halves meeting on a face cover the square, in either order
+        ([[[0, 0], [1, 2]], [[1, 0], [2, 2]]], None),
+        ([[[1, 0], [2, 2]], [[0, 0], [1, 2]]], None),
+        # four quadrants, and a cover wider than the box
+        ([[[0, 0], [1, 1]], [[1, 0], [2, 1]], [[0, 1], [1, 2]], [[1, 1], [2, 2]]], None),
+        ([[[-5, -5], [5, 5]]], None),
+        # a slit of width 0.5 between the halves; a missing quadrant
+        ([[[0, 0], [1, 2]], [[1.5, 0], [2, 2]]], [1.25, 1.0]),
+        ([[[0, 0], [1, 1]], [[1, 0], [2, 1]], [[0, 1], [1, 2]]], [1.5, 1.5]),
+        # a cover that only touches the box's edge leaves it all uncovered
+        ([[[2, 0], [3, 2]]], [1.0, 1.0]),
+    ])
+    def test_uncovered(self, covers, gap):
+        square = Box([0.0, 0.0], [2.0, 2.0])
+        found = square.uncovered([Box(*c) for c in covers])
+        assert (found is None) if gap is None else found.tolist() == gap
+
+    def test_uncovered_flat_box(self):
+        # a box that is a segment is covered by covers that hold its line:
+        # width across that line does not count
+        segment = Box([0.0, 1.0], [2.0, 1.0])
+        halves = [Box([0.0, 0.0], [1.0, 1.0]), Box([1.0, 1.0], [2.0, 3.0])]
+        assert segment.uncovered(halves) is None
+        assert segment.uncovered(halves[:1]).tolist() == [1.5, 1.0]
+        assert segment.uncovered([Box([0.0, 1.5], [2.0, 3.0])]).tolist() == [1.0, 1.0]
+        assert Box([1.0], [1.0]).uncovered([Box([0.0], [1.0])]) is None
 
     def test_envelope_rejects_negative(self):
         with pytest.raises(ConfigError, match=r"envelope\.xhat_max must be finite and >= 0"):

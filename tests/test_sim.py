@@ -1381,6 +1381,29 @@ class TestDecaySlack:
         assert oracle_error <= 1e-2 * rec.decay_slack
         assert float(np.max(np.abs(rec.vg - exact))) + oracle_error <= rec.decay_slack
 
+    #: the decay_slack of each run below
+    PINNED = {
+        "switched": 2.1001823414644133e-08,
+        "ramp": 1.1093984314242183e-06,
+        "ramp_s_zero": 1.4999470790047986e-07,
+        "crossings": 1.1306195873398558e-13,
+    }
+
+    @pytest.mark.parametrize("kind", list(PINNED))
+    def test_slack_is_pinned(self, kind):
+        """`decay_slack` keeps its value to a relative 1e-9 on the studies at
+        h = 0.05 (320 s switched, 120 s ramp) and on the 64 region crossings
+        at h = 0.003.  The other checks compare a slack only with the same
+        code's, so a change to how the bound walks steps, split steps at
+        crossings and jumps would show nowhere else."""
+        if kind == "crossings":
+            rec = simulate(*TestFeedbackStopsAtRegionExit.scenario(), horizon=100.0, h=3e-3)
+            assert len(rec.jumps) == 64
+        else:
+            args, _ = self.study(kind, 0.05)
+            rec = simulate(*args)
+        assert rec.decay_slack == pytest.approx(self.PINNED[kind], rel=1e-9, abs=0.0)
+
     @pytest.mark.parametrize("kind", ["switched", "ramp_late_start", "crossings"])
     def test_slack_is_a_function_of_the_record(self, kind):
         """`decay_slack` is recomputed bit for bit from a record rebuilt out of

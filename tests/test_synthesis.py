@@ -1,15 +1,20 @@
 import dataclasses
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from gaasim import casestudy, synthesis
+from gaasim import casestudy, refine, synthesis
 from gaasim import numerics as nx
 from gaasim.model import (
+    AbstractInputPolicy,
     AbstractLinearSystem,
     Box,
     ConcreteLinearSystem,
+    FeedbackRegion,
+    OpenLoopSegment,
     OperatingEnvelope,
     parse_config,
 )
@@ -27,11 +32,77 @@ from gaasim.synthesis import (
     synthesize_gains,
 )
 
-from conftest import A1_5, EPS5, K5, M5, condition, kron_coupling, m_root
+from conftest import A1_5, EPS5, K5, M5, box_study, condition, kron_coupling, m_root
 
 A5 = np.array([[0.0, 1.0], [0.0, 0.0]])
 B5 = np.array([[0.0], [1.0]])
 C5 = np.array([[1.0, 0.0]])
+
+
+def lift_study(x0_box, xhat0_box, epsilon):
+    """`conftest.box_study` and its bundle."""
+    sc = box_study(x0_box, xhat0_box, epsilon)
+    return sc, synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon,
+                                sc.envelope, M=sc.M)
+
+
+def random_lift_case(rng, kind, n_r):
+    """(concrete, abstract, gains, policy, t0): a random bundle of a 3-state
+    plant and an n_r-state abstraction, an abstract box across the origin,
+    where the feedback regions (the orthants of [-5, 5]^n_r) meet, and a
+    concrete box about the lift of the box's middle.  With n_r = 1 the box
+    holds every lift, so vg is rounding alone; with n_r = 2 its half-widths
+    are 20-90 % of the lift's spread, so lifts pass it."""
+    n = 3
+    a = rng.standard_normal((n, n))
+    gains = synthesis.RefinementGains(
+        M=a @ a.T + np.eye(n), K=np.zeros((1, n)), P=rng.standard_normal((n, n_r)),
+        Q=np.zeros((1, n_r)), S=rng.standard_normal((n, n_r)), R=np.zeros((1, n_r)),
+        a1=0.5, epsilon=1.0, rbar1=0.0, rbar2=0.0, rbar3=0.0, input_bound=0.0)
+    box = Box(rng.uniform(-2.0, -0.1, n_r), rng.uniform(0.1, 2.0, n_r))
+    abstract = AbstractLinearSystem(A=-np.eye(n_r), B=np.eye(n_r), C=np.ones((1, n_r)),
+                                    initial_state_set=box)
+    policy, t0, reach = None, 0.0, np.zeros(n_r)
+    if kind == "open_loop":
+        t0 = float(rng.uniform(0.0, 2.0))
+        policy = AbstractInputPolicy(kind, segments=(
+            OpenLoopSegment(0.0, 1.0, rng.standard_normal((n_r, 3))),
+            OpenLoopSegment(1.0, 3.0, rng.standard_normal((n_r, 2)))))
+        reach = np.abs(policy.uhat_at(t0, box.lows))
+    elif kind == "switched_feedback":
+        regions = tuple(
+            FeedbackRegion(Box(np.minimum(signs, 0.0), np.maximum(signs, 0.0)),
+                           rng.standard_normal((n_r, n_r)))
+            for signs in itertools.product((-5.0, 5.0), repeat=n_r))
+        policy = AbstractInputPolicy(kind, regions=regions)
+        reach = 2.0 * np.ones(n_r)
+    middle = 0.5 * (box.lows + box.highs)
+    lift = refine.lift_initial(
+        middle, np.zeros(n_r) if policy is None else policy.uhat_at(t0, middle), gains)
+    spread = np.abs(gains.P) @ (box.highs - middle) + np.abs(gains.S) @ reach
+    half = (2.0 if n_r == 1 else rng.uniform(0.2, 0.9, n)) * spread
+    concrete = ConcreteLinearSystem(A=-np.eye(n), B=np.ones((n, 1)), C=np.ones((1, n)),
+                                    input_ball_radius=1.0,
+                                    initial_state_set=Box(lift - half, lift + half))
+    return concrete, abstract, gains, policy, t0
+
+
+def wide_config(n, k, half):
+    """A config of an n-state plant (A = -I, B = e1, K = 0, M solved) against
+    a k-state diagonal abstraction under the ramp policy, its concrete
+    initial box the origin and its abstract one [40.1, 0, ...] +- half."""
+    cfg = casestudy.ramp_config()
+    e = lambda i, j: float(i == j)  # noqa: E731
+    cfg["concrete"].update(A=[[-e(i, j) for j in range(n)] for i in range(n)],
+                           B=[[e(i, 0)] for i in range(n)], C=[[e(0, j) for j in range(n)]],
+                           x0_box=[[0.0, 0.0]] * n)
+    x = [40.1] + [0.0] * (k - 1)
+    cfg["abstract"].update(A=[[-(1.0 + i / k) * e(i, j) for j in range(k)] for i in range(k)],
+                           B=[[e(i, 0)] for i in range(k)], C=[[e(0, j) for j in range(k)]],
+                           x0_box=[[v - half, v + half] for v in x])
+    cfg["scenario"].update(K=[[0.0] * n], x0=[0.0] * n, xhat0=x)
+    cfg["scenario"].pop("M")
+    return cfg
 
 
 class TestMaxFeasibleA1:
@@ -386,39 +457,72 @@ class TestCheckAssumption:
         assert lift.value == pytest.approx(expected, rel=1e-9)
         assert not lift.passed
 
-    @pytest.mark.parametrize("make", [casestudy.switched_config, casestudy.ramp_config, None])
-    def test_lifted_start_rows_equal_its_points(self, make):
-        # check_assumption lifts all corners in one call; each row must be
-        # the start a run from that corner takes, bit for bit
-        sc = parse_config((make or casestudy.switched_config)(horizon=20.0))
-        gains = synthesize_gains(
-            sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon, sc.envelope, M=sc.M
-        )
-        policy = sc.policy if make else None
-        xhats = np.random.default_rng(7).uniform(0.5, 40.0, (50, 1))
-        x0, uhat0 = lifted_start(sc.concrete, gains, policy, xhats, 3.0)
-        assert x0.shape == (50, 2) and uhat0.shape == (50, 1)
-        for xhat, x, u in zip(xhats, x0, uhat0):
-            px, pu = lifted_start(sc.concrete, gains, policy, xhat, 3.0)
-            assert px.tobytes() == x.tobytes() and pu.tobytes() == u.tobytes()
+    def test_initial_lift_fails_where_an_interior_start_leaves_epsilon(self):
+        # the gain switches at the region edge xhat = 10 inside the abstract
+        # box, so the lift jumps there: the box's ends lift to vg 0.1128 at
+        # most, while a start just below 10 reaches 0.14555 > epsilon = 0.129
+        sc, gains = lift_study([[4.69, 12.85], [0.0308, 0.0760]], [[5.67, 12.03]], 0.129)
+        lift = condition(check_assumption(
+            sc.concrete, sc.abstract, gains, sc.envelope, policy=sc.policy), "initial_lift")
+        below = np.nextafter(10.0, 0.0)
+        x0, uhat0 = lifted_start(sc.concrete, gains, sc.policy, [below])
+        interior = refine.vg(refine.RelationPoint(x0, [below], uhat0), gains)
+        assert interior == pytest.approx(0.14555, abs=1e-5)
+        assert lift.value >= interior and lift.value == pytest.approx(interior, rel=1e-9)
+        assert not lift.passed and lift.detail.endswith("largest on region 3")
 
-    def test_initial_lift_refuses_corners_beyond_memory(self, sys5, env5, gains5, monkeypatch):
-        # two corners of (n + n_r + m_r) = 4 doubles each: 64 bytes
-        concrete, abstract = sys5
-        abstract = dataclasses.replace(abstract, initial_state_set=Box([40.0], [40.2]))
-        monkeypatch.setattr(nx, "physical_memory", lambda: 64.0)
-        lift = condition(check_assumption(concrete, abstract, gains5, env5), "initial_lift")
-        assert lift.detail.startswith("max vg") and math.isfinite(lift.value)
+    def test_initial_lift_over_a_box_beyond_the_regions_is_a_domain_gap(self):
+        sc, gains = lift_study([[0.0, 50.0], [-1.0, 1.0]], [[35.0, 45.0]], 0.5)
+        lift = condition(check_assumption(
+            sc.concrete, sc.abstract, gains, sc.envelope, policy=sc.policy), "initial_lift")
+        assert lift.value == math.inf
+        assert lift.detail == "abstract state [42.55] outside all regions"
 
-        def no_corners(self):
-            raise AssertionError("corner grid built beyond physical memory")
+    @pytest.mark.parametrize("n_r", [1, 2])
+    @pytest.mark.parametrize("kind", [None, "open_loop", "switched_feedback"])
+    def test_initial_lift_bounds_every_start_of_the_box(self, kind, n_r):
+        """On a seeded random bundle and box (`random_lift_case`), which
+        straddles the region edges, the record is at least the vg of each of
+        10^4 starts, each lifted by `lifted_start` at one point: the box's
+        corners, points on the edges and either side of them, and uniform
+        points; and it is no vacuous bound."""
+        rng = np.random.default_rng([5, n_r, len(kind or "")])
+        concrete, abstract, gains, policy, t0 = random_lift_case(rng, kind, n_r)
+        box = abstract.initial_state_set
+        report = check_assumption(concrete, abstract, gains, OperatingEnvelope(1.0, 1.0, 1.0),
+                                  policy=policy, t0=t0)
+        lift = condition(report, "initial_lift")
+        starts = rng.uniform(box.lows, box.highs, (10_000, n_r))
+        corners = np.stack(np.meshgrid(*zip(box.lows, box.highs), indexing="ij"), -1)
+        starts[: 2**n_r] = corners.reshape(-1, n_r)
+        for j, edge in enumerate([-5e-324, 0.0, 5e-324]):  # on and either side of 0
+            for axis in range(n_r):
+                starts[100 * (3 * axis + j + 1): 100 * (3 * axis + j + 2), axis] = edge
+        lifted = [lifted_start(concrete, gains, policy, xhat, t0) for xhat in starts]
+        x0, uhat0 = (np.array(column) for column in zip(*lifted))
+        worst = float(np.max(refine.vg(refine.RelationPoint(x0, starts, uhat0), gains)))
+        assert lift.value >= worst
+        assert lift.value <= 2 * worst if n_r == 2 else lift.value <= 1e-12
 
-        monkeypatch.setattr(nx, "physical_memory", lambda: 63.0)
-        monkeypatch.setattr(Box, "corners", no_corners)
-        lift = condition(check_assumption(concrete, abstract, gains5, env5), "initial_lift")
-        assert not lift.passed and lift.value == math.inf
-        assert lift.detail.startswith("TooLarge: the lift of 2^1 corners needs about ")
-        assert lift.detail.endswith(" GiB of physical memory") and len(lift.detail.splitlines()) == 1
+    def test_initial_lift_over_a_wide_box_is_polynomial(self):
+        # a 64-state plant against a 16-state abstraction whose initial box
+        # spans +-0.5 on every axis: 65,536 corners, one affine piece
+        sc = parse_config(wide_config(64, 16, 0.5))
+        gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon, sc.envelope)
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            report = check_assumption(sc.concrete, sc.abstract, gains, sc.envelope, sc.policy)
+            times.append(time.perf_counter() - start)
+        lift = condition(report, "initial_lift")
+        assert math.isfinite(lift.value) and lift.detail.endswith("largest on segment 0")
+        assert min(times) <= 0.1
+        # 2^30 corners were never enumerable: the record is still a number
+        sc = parse_config(wide_config(30, 30, 0.5))
+        gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon, sc.envelope)
+        lift = condition(check_assumption(sc.concrete, sc.abstract, gains, sc.envelope),
+                         "initial_lift")
+        assert math.isfinite(lift.value) and lift.detail.endswith("largest on the whole box")
 
     def test_report_json_stable_names(self, sys5, env5, gains5):
         concrete, abstract = sys5
