@@ -45,7 +45,7 @@ class Box:
         object.__setattr__(self, "highs", highs)
         if lows.shape != highs.shape:
             raise ConfigError("box lows/highs length mismatch")
-        if not (np.all(np.isfinite(lows)) and np.all(np.isfinite(highs))):
+        if not (np.isfinite(lows).all() and np.isfinite(highs).all()):
             raise ConfigError("box bounds must be finite")
         if np.any(lows > highs):
             raise ConfigError("box requires lo <= hi in every axis")
@@ -58,6 +58,8 @@ class Box:
         """Whether x lies in the box: a bool for one point, one bool per
         row for rows of points."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 1:
+            return bool((self.lows <= x).all() and (x <= self.highs).all())
         inside = np.ones(x.shape[:-1], dtype=bool)
         for k in range(self.dim):  # one pass per column of rows
             inside &= (x[..., k] >= self.lows[k]) & (x[..., k] <= self.highs[k])

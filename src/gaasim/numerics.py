@@ -43,7 +43,7 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
         raise NumericsError(f"{name}: expected a 2-D array, got ndim={m.ndim}")
     if m.shape[0] < 1 or m.shape[1] < 1:
         raise NumericsError(f"{name}: empty matrix {m.shape}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise NumericsError(f"{name}: non-finite entries")
     return m
 
@@ -53,7 +53,7 @@ def _rhs(a, rows: int, name: str) -> np.ndarray:
     v = np.asarray(a, dtype=float)
     if v.ndim not in (1, 2) or v.shape[0] != rows:
         raise NumericsError(f"{name}: expected length {rows}, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise NumericsError(f"{name}: non-finite entries")
     return v
 
@@ -204,6 +204,27 @@ def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _lapack(np.linalg.lstsq, A, b, rcond=np.sqrt(PINV_RANK_RTOL))[0]
 
 
+class EqualityConstraint(NamedTuple):
+    """An equality map E with the parts of one SVD E = U diag(s) V^T that
+    `constrained_lstsq` reads: the singular triplets above its rank cutoff,
+    and an orthonormal basis of the null space of E."""
+
+    E: np.ndarray
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
+    null_basis: np.ndarray
+
+
+def equality_constraint(eq_map) -> EqualityConstraint:
+    """eq_map validated and factored once, for `constrained_lstsq` to use
+    in every problem that shares it; the rank cutoff is _lstsq's."""
+    E = as_matrix(eq_map, "eq_map")
+    u, s, vt = _lapack(np.linalg.svd, E)
+    rank = int(np.count_nonzero(s > np.sqrt(PINV_RANK_RTOL) * s[0]))
+    return EqualityConstraint(E, u[:, :rank], s[:rank], vt[:rank], vt[rank:].T)
+
+
 def constrained_lstsq(obj_map, obj_rhs, eq_map=None, eq_rhs=None) -> np.ndarray:
     """Minimize ||obj_map @ x - obj_rhs|| subject to eq_map @ x = eq_rhs.
 
@@ -213,28 +234,28 @@ def constrained_lstsq(obj_map, obj_rhs, eq_map=None, eq_rhs=None) -> np.ndarray:
     null-space basis.  Among objective minimizers the minimum-norm point is
     returned.  Passing eq_map=None solves the unconstrained problem.  With
     one column per problem in obj_rhs and eq_rhs, one factorization solves
-    them all, one column of the result each.
+    them all, one column of the result each; an eq_map given as its
+    `equality_constraint` is not factored again.
     """
     A = as_matrix(obj_map, "obj_map")
     c = _rhs(obj_rhs, A.shape[0], "obj_rhs")
     d = A.shape[1]
 
-    if eq_map is None or np.size(eq_map) == 0:
+    factored = isinstance(eq_map, EqualityConstraint)
+    if not factored and (eq_map is None or np.size(eq_map) == 0):
         return _lstsq(A, c)
 
-    E = as_matrix(eq_map, "eq_map")
+    # one SVD of E gives the particular solution and the null-space basis
+    eq = eq_map if factored else equality_constraint(eq_map)
+    E = eq.E
     b = _rhs(np.zeros(E.shape[:1] + c.shape[1:]) if eq_rhs is None else eq_rhs,
              E.shape[0], "eq_rhs")
     if E.shape[1] != d or b.shape[1:] != c.shape[1:]:
         raise NumericsError(f"eq_map, eq_rhs: shapes {E.shape}, {b.shape} do not fit "
                             f"{d} unknowns and obj_rhs {c.shape}")
 
-    # one SVD of E gives the particular solution and the null-space basis,
-    # with the same rank cutoff as _lstsq
-    u, s, vt = _lapack(np.linalg.svd, E)
-    rank = int(np.count_nonzero(s > np.sqrt(PINV_RANK_RTOL) * s[0]))
-    x_part = vt[:rank].T @ ((u[:, :rank].T @ b).T / s[:rank]).T
-    null_basis = vt[rank:].T
+    x_part = eq.vt.T @ ((eq.u.T @ b).T / eq.s).T
+    null_basis = eq.null_basis
     resid, scale = np.linalg.norm(E @ x_part - b), np.linalg.norm(b)
     if resid > 1e-8 * max(scale, 1e-300):
         raise NumericsError(

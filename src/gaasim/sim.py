@@ -258,6 +258,12 @@ def _regime(policy, F, N, index: int, a: float, b: float, h: float) -> _Regime:
     return _Regime(index, step, steps, F - N @ (item.gain @ to_xhat), np.empty(0), item.box)
 
 
+def _regimes(policy, F, N, h: float):
+    """`_regime` of the policy for a run of step h with joint matrices F and
+    N, memoized by (index, a, b), so that a run builds each regime once."""
+    return functools.cache(lambda index, a, b: _regime(policy, F, N, index, a, b, h))
+
+
 def _preflight(concrete, abstract, policy, horizon: float, h: float) -> None:
     """Refuse a run before anything is allocated: ValueError for a step that
     is not positive and finite or a negative horizon, and TooLarge, a
@@ -293,6 +299,16 @@ def _column_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->j", a, a))
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """The 2-norm of each row of a (rows, k): the squares of its columns
+    added in order, then the root.  On an F-ordered a this is the arithmetic
+    of np.linalg.norm(a, axis=1), without its copies."""
+    out = a[:, 0] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        out += a[:, j] * a[:, j]
+    return np.sqrt(out, out=out)
+
+
 def _exp(x: float) -> float:
     """exp(x), or infinity where that overflows: a step far too large for the
     bound then gives a vacuous, infinite slack rather than an error."""
@@ -317,7 +333,7 @@ def _linear_recursion(b0: float, powers: np.ndarray, c: np.ndarray) -> np.ndarra
     return out
 
 
-def _error_bound(record: TrajectoryRecord, h: float) -> tuple[float, float]:
+def _error_bound(record: TrajectoryRecord, h: float, regime=None) -> tuple[float, float]:
     """(slack, v_rounding) of a run of step h, from its rows alone: slack +
     v_rounding max vg bounds the integration error of its sampled vg, by
     defect control over each stretch of one regime (derived in README, "What
@@ -327,16 +343,20 @@ def _error_bound(record: TrajectoryRecord, h: float) -> tuple[float, float]:
     and a crossing row off the grid split its step in two, each read from
     t: exactly where the two times have one sign and are within a factor 2
     (Sterbenz), else with its rounding in the local term.  A row at a jump
-    time restarts the window."""
+    time restarts the window.  `regime`, the run's `_regimes`, is built
+    from the record when not given."""
     t, zs, gains, policy, con = record.t, record.z, record.gains, record.policy, record.concrete
     n = con.n
-    F, N = _joint_matrices(con, record.abstract, gains)
-    regime = functools.cache(lambda index, a, b: _regime(policy, F, N, index, a, b, h))
+    if regime is None:
+        regime = _regimes(policy, *_joint_matrices(con, record.abstract, gains), h)
     # log-norm of A + BK in the M-norm: |exp(h (A + BK))|_M <= e^(mu h)
     a_m = gains.M_sqrt @ (con.A + con.B @ gains.K) @ np.linalg.inv(gains.M_sqrt)
     mu = float(np.linalg.eigvalsh(a_m + a_m.T).max()) / 2.0
     e_rounding = 2 * (gains.P.shape[1] + gains.S.shape[1] + 2) * _U * _norm_bound(gains.M_sqrt)
     p_abs, s_abs = _norm_bound(gains.P), _norm_bound(gains.S)
+    # rho^1..rho^L, built once for each distinct (step, L) of the run
+    powers_of = functools.cache(
+        lambda h, block: _exp(max(mu * h, -700.0)) ** np.arange(1.0, block + 1.0))
     fresh = (0.0, 0.0, None)  # a, b and the e map of a window's last stretch
     slack, window = 0.0, fresh
 
@@ -379,7 +399,7 @@ def _error_bound(record: TrajectoryRecord, h: float) -> tuple[float, float]:
             per_w = (min(g_abs, 700.0) ** 8 / 362880.0 + rounding) * g_abs * _exp(g_abs)
             e_abs = _norm_bound(e_map)
             block = min(count, max(1, int(min(40.0 / abs(mu * h or 1.0), _BOUND_ROWS))))
-            powers = _exp(max(mu * h, -700.0)) ** np.arange(1.0, block + 1.0)
+            powers = powers_of(h, block)
             for k0 in range(0, count, _BOUND_ROWS):
                 z = rows[k0 : k0 + _BOUND_ROWS + 1].T  # one sample per column
                 w = z[:, :-1]
@@ -475,6 +495,7 @@ def simulate(
     outside the bound.
     """
     _preflight(concrete, abstract, policy, horizon, h)
+    regime = _regimes(policy, *_joint_matrices(concrete, abstract, gains), h)
     x0 = np.asarray(x0, dtype=float).reshape(-1)
     xhat0 = np.asarray(xhat0, dtype=float).reshape(-1)
     if x0.size != concrete.n or xhat0.size != abstract.n_r:
@@ -490,12 +511,12 @@ def simulate(
     # an overflow in a step makes a non-finite state, which ends the run
     with np.errstate(over="ignore", invalid="ignore"):
         times, zs, runs, log = _integrate(
-            concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0
+            concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0, regime
         )
     jumps = _judge_jumps(log, (t0, vg0), gains, eps_run, rbar_max)
     record = TrajectoryRecord(times, zs, None, runs, jumps, 0.0, policy, gains, concrete, abstract)
     # proved before vg is formed, so that the bound's slices and vg never coexist
-    slack, v_rounding = _error_bound(record, h)
+    slack, v_rounding = _error_bound(record, h, regime)
     record.vg = record._column("vg")
     record.decay_slack = slack + v_rounding * float(np.max(record.vg))
     return record
@@ -516,7 +537,7 @@ def _judge_jumps(log, anchor, gains, epsilon, rbar_max) -> list[JumpRecord]:
     return records
 
 
-def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
+def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0, regime=None):
     """Grid times, joint states z = [x; xhat], the (start, stop, regime
     index) runs of their rows and the jump log of (tau, delta) of one run
     (see `simulate`).  The grid has a row at every step and at each located
@@ -527,10 +548,14 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
     into the rows themselves, an open-loop span copies z's rows out of its
     augmented scratch.  More crossings grow both arrays in place, and the
     end trims them in place to the rows kept, so z is never held twice.
+    Each regime, from `regime` (the run's `_regimes`, built when not given),
+    and its grid-step map are built once.
     """
     n, n_r = concrete.n, abstract.n_r
     nz = n + n_r
-    F, N = _joint_matrices(concrete, abstract, gains)
+    if regime is None:
+        regime = _regimes(policy, *_joint_matrices(concrete, abstract, gains), h)
+    grid_map = functools.cache(lambda r: _rk4_phi(r.gen, r.step))
     t_end = t0 + horizon
     spans = _spans(policy, t0, t_end)
     grid = 1 + sum(_n_steps(a, b, h) for a, b in spans if b > a)
@@ -571,17 +596,6 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
         if rows < old:
             zt.resize((nz, rows), refcheck=False)
 
-    def first_leaving(r: _Regime, rows: np.ndarray) -> int:
-        """The index of the first of `rows`, each w with z first, that leaves
-        r (see `_Regime`), looked for a block of rows at a time, or -1."""
-        for b in _blocks(0, rows.shape[0]):
-            leaves = ~np.isfinite(rows[b, :nz]).all(axis=1)
-            if r.box is not None:
-                leaves |= ~r.box.contains(rows[b, n:nz])
-            if leaves.any():
-                return b.start + int(leaves.argmax())
-        return -1
-
     def propagate(r: _Regime, z: np.ndarray, count: int):
         """The rows z, phi z, ... of r, written from the next row on, as a
         (rows, n_z) view of the record's z, and the index of the first that
@@ -592,8 +606,8 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
         # an open-loop span propagates its augmented state [z; 1; s; ...]
         w = np.empty((nz + r.tail.size, count)) if r.tail.size else rows
         w[:nz, 0], w[nz:, 0] = z, r.tail
-        phi = _rk4_phi(r.gen, r.step) if count > 1 else None  # one row takes no step
-        j = _propagate(phi, w, lambda new: first_leaving(r, new))
+        phi = grid_map(r) if count > 1 else None  # one row takes no step
+        j = _propagate(phi, w, lambda new: _first_leaving(r, new, n, nz))
         filled = count if j < 0 else j + 1
         if w is not rows:
             rows[:, :filled] = w[:nz, :filled]
@@ -603,7 +617,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
         """The regime after `old` at tau, picked at xhat_next, for [a, b].
         Its input change, new minus old uhat at (tau, xhat_tau), is logged
         when it is a jump; the first regime (old None) has none."""
-        new = _regime(policy, F, N, policy.regime_index(tau, xhat_next), a, b, h)
+        new = regime(policy.regime_index(tau, xhat_next), a, b)
         if old is None:
             return new
         before, after = (policy.regimes[q.index].uhat(tau, xhat_tau) for q in (old, new))
@@ -679,6 +693,22 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0):
     return t, zt.T, runs, log
 
 
+def _first_leaving(r: _Regime, rows: np.ndarray, n: int, nz: int) -> int:
+    """The index of the first of `rows`, each w with z = [x; xhat] (n and nz
+    entries) first, that leaves r (see `_Regime`), or -1: looked for a block
+    of rows at a time, for a segment only when one test of all the rows
+    finds a non-finite z."""
+    if r.box is None and np.isfinite(rows[:, :nz]).all():
+        return -1
+    for b in _blocks(0, rows.shape[0]):
+        leaves = ~np.isfinite(rows[b, :nz]).all(axis=1)
+        if r.box is not None:
+            leaves |= ~r.box.contains(rows[b, n:nz])
+        if leaves.any():
+            return b.start + int(leaves.argmax())
+    return -1
+
+
 def _move_coordinates(flat: np.ndarray, nz: int, old: int, new: int, used: int) -> None:
     """Move the first `used` entries of each of the `nz` coordinates in
     `flat` from `old` entries apart to `new` entries apart, in place: the
@@ -733,7 +763,7 @@ def _formed(record: TrajectoryRecord, b: slice,
     if {"y", "yhat", "err"} & set(names):
         out["y"] = numerics.ordered_dot(record.concrete.C, x.T).T
         out["yhat"] = numerics.ordered_dot(record.abstract.C, xhat.T).T
-        out["err"] = np.linalg.norm(out["y"] - out["yhat"], axis=1)
+        out["err"] = _row_norms(out["y"] - out["yhat"])
     return out
 
 
@@ -796,10 +826,10 @@ def verify_trajectory(
     for b in _blocks(0, record.t.size):
         formed = _formed(record, b, ("uhatdot", "u", "err"))
         # np.maximum, like np.max over all rows, keeps a NaN
-        max_u = float(np.maximum(max_u, np.max(np.linalg.norm(formed["u"], axis=1))))
+        max_u = float(np.maximum(max_u, np.max(_row_norms(formed["u"]))))
         max_err = float(np.maximum(max_err, np.max(formed["err"])))
         for name, values in zip(names, (record.xhat[b], formed["uhat"], formed["uhatdot"])):
-            norms = np.linalg.norm(values, axis=1)
+            norms = _row_norms(values)
             bad = np.flatnonzero(norms > getattr(envelope, name))
             count += bad.size
             found[name] += [

@@ -191,7 +191,7 @@ def _weight(M, name: str = "M") -> tuple[np.ndarray, float]:
     return 0.5 * (root + root.T), float(values[0])
 
 
-def _coupling(A, B, C, M_sqrt, G, W, H, x_free: bool = True):
+def _coupling(A, B, C, M_sqrt, G, W, H, x_free: bool = True, constraint=None):
     """(X, Y, ||M^{1/2}((A X - X G + B Y) - W)||) at the minimizer of that
     weighted residual's Frobenius norm subject to C X = H, or over Y alone
     with X = 0 when not `x_free` (the S = 0 baseline).  Among minimizers,
@@ -199,15 +199,17 @@ def _coupling(A, B, C, M_sqrt, G, W, H, x_free: bool = True):
     for a symmetric G = V diag(lam) V^T, the columns are separate problems
     in A - lam_j I, one solve per distinct lam_j: V is orthogonal, so the
     norms, the minimizer and its tie-break are unchanged (Golub, Nash & Van
-    Loan 1979).  Only a non-symmetric G builds the Kronecker operator, and
-    TooLarge is raised before any np.kron when its doubles exceed memory."""
+    Loan 1979); they share one `constraint`, [C 0] factored by
+    `numerics.equality_constraint` (factored here when not given).  Only a
+    non-symmetric G builds the Kronecker operator, and TooLarge is raised
+    before any np.kron when its doubles exceed memory."""
     n, m, k = A.shape[0], B.shape[1], G.shape[0]
     if not x_free:
         X, Y = np.zeros((n, k)), numerics.constrained_lstsq(M_sqrt @ B, M_sqrt @ W)
     elif np.array_equal(G, G.T):
         lam, V = numerics.sym_eig(G, "G")
         target, eq_rhs, sol = M_sqrt @ W @ V, H @ V, np.empty((n + m, k))
-        eq = np.hstack([C, np.zeros((C.shape[0], m))])
+        eq = constraint or numerics.equality_constraint(np.hstack([C, np.zeros((C.shape[0], m))]))
         # lam ascends: its distinct values without np.unique, which would
         # import numpy.ma on its first call in a process
         for value in lam[np.r_[True, lam[1:] != lam[:-1]]]:
@@ -230,32 +232,35 @@ def _residual(A, B, M_sqrt, G, W, X, Y) -> float:
     return numerics.spectral_norm(M_sqrt @ (((A @ X - X @ G) + B @ Y) - W))
 
 
-def solve_PQ(A, Ahat, B, C, Chat, M_sqrt) -> tuple[np.ndarray, np.ndarray, float]:
+def solve_PQ(
+    A, Ahat, B, C, Chat, M_sqrt, constraint=None
+) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimize ||M^{1/2}(A P - P Ahat + B Q)|| subject to C P = Chat.
 
     Returns (P, Q, rbar1) with rbar1 the spectral norm of the achieved
-    weighted residual.
+    weighted residual.  `constraint` is [C 0] as `_coupling` takes it.
     """
     A, Ahat = as_matrix(A, "A"), as_matrix(Ahat, "Ahat")
     B, C, Chat = as_matrix(B, "B"), as_matrix(C, "C"), as_matrix(Chat, "Chat")
     W = np.zeros((A.shape[0], Ahat.shape[0]))
-    return _coupling(A, B, C, as_matrix(M_sqrt, "M_sqrt"), Ahat, W, Chat)
+    return _coupling(A, B, C, as_matrix(M_sqrt, "M_sqrt"), Ahat, W, Chat, constraint=constraint)
 
 
 def solve_SR(
-    A, B, C, P, Bhat, M_sqrt, force_s_zero: bool = False
+    A, B, C, P, Bhat, M_sqrt, force_s_zero: bool = False, constraint=None
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Minimize ||M^{1/2}(A S + B R - P Bhat)|| subject to C S = 0.
 
     With force_s_zero the S = 0 interface of the classical refinement is
     reproduced and only R is optimized.  Returns (S, R, rbar2).
+    `constraint` is [C 0] as `_coupling` takes it.
     """
     A, B, C = as_matrix(A, "A"), as_matrix(B, "B"), as_matrix(C, "C")
     P, Bhat = as_matrix(P, "P"), as_matrix(Bhat, "Bhat")
     m_r = Bhat.shape[1]
     return _coupling(
         A, B, C, as_matrix(M_sqrt, "M_sqrt"), np.zeros((m_r, m_r)), P @ Bhat,
-        np.zeros((C.shape[0], m_r)), x_free=not force_s_zero,
+        np.zeros((C.shape[0], m_r)), x_free=not force_s_zero, constraint=constraint,
     )
 
 
@@ -325,8 +330,11 @@ def synthesize_gains(
         M = 0.5 * (M + M.T)
     M_sqrt, lam_min = _weight(M)
 
-    P, Q, rbar1 = solve_PQ(concrete.A, abstract.A, concrete.B, concrete.C, abstract.C, M_sqrt)
-    S, R, rbar2 = solve_SR(concrete.A, concrete.B, concrete.C, P, abstract.B, M_sqrt, force_s_zero)
+    A, B, C = concrete.A, concrete.B, concrete.C
+    # C P = Chat and C S = 0 constrain one map [C 0], factored once for both
+    eq = numerics.equality_constraint(np.hstack([C, np.zeros((C.shape[0], B.shape[1]))]))
+    P, Q, rbar1 = solve_PQ(A, abstract.A, B, C, abstract.C, M_sqrt, eq)
+    S, R, rbar2 = solve_SR(A, B, C, P, abstract.B, M_sqrt, force_s_zero, eq)
     rbar3 = rbar3_of(M_sqrt, S)
     b = input_bound(K, Q, R, lam_min, epsilon, envelope)
     if not math.isfinite(b):
@@ -460,7 +468,7 @@ def check_assumption(
         ("output_weight_dominated", dominance, lambda lam: -lam[0], "-lambda_min(M - C^T C)"),
         ("lyapunov_decay", lyap, lambda lam: lam[-1], "lambda_max((A+BK)^T M + M (A+BK) + a1 M)"),
     ):
-        finite = bool(np.all(np.isfinite(sym)))
+        finite = bool(np.isfinite(sym).all())
         value = pick(numerics.sym_eig(sym).values) if finite else np.inf
         check(name, value, 1e-9 * m_norm, detail + ("" if finite else ": overflows"))
 

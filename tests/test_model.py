@@ -175,6 +175,25 @@ class TestTypes:
         assert b.meet(Box([2.0, 0.0], [3.0, 5.0])).as_lists() == [[2.0, 2.0], [1.0, 1.0]]
         assert b.meet(Box([2.0, 0.0], [3.0, 0.5])) is None
 
+    def test_point_and_row_paths_agree(self):
+        """One point gives the bool its row gives, on random points, NaN,
+        infinities and points on each face."""
+        rng = np.random.default_rng(3)
+        box = Box([-1.0, 0.0, 2.0], [1.0, 0.0, 5.0])
+        faces = np.array([box.lows, box.highs])
+        points = rng.uniform(-2.0, 6.0, (400, 3))
+        for k in range(3):  # one coordinate on a face, a NaN or an infinity
+            pick = rng.integers(0, 8, 400)
+            points[pick == 0, k] = faces[0, k]
+            points[pick == 1, k] = faces[1, k]
+            points[pick == 2, k] = np.nan
+            points[pick == 3, k] = rng.choice([np.inf, -np.inf])
+        points = np.vstack([points, faces, [[0.5, 0.0, 3.0], [0.5, -0.0, 5.0]]])
+        rows = box.contains(points)
+        assert rows.any() and not rows.all()
+        for point, inside in zip(points, rows):
+            assert box.contains(point) is bool(inside)
+
     @pytest.mark.parametrize("covers, gap", [
         # two halves meeting on a face cover the square, in either order
         ([[[0, 0], [1, 2]], [[1, 0], [2, 2]]], None),

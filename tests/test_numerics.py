@@ -302,6 +302,23 @@ class TestConstrainedLstsq:
         x = nx.constrained_lstsq(obj, rhs, np.array([[1.0, 0.0, 0.0]]), [0.0])
         assert np.allclose(x, [0.0, 1.0, 0.0], atol=1e-12)
 
+    def test_factored_constraint_has_the_bits_of_the_matrix(self):
+        """A constraint factored once gives every problem that shares it the
+        bits that factoring it in the call gives."""
+        rng = np.random.default_rng(8)
+        e = np.hstack([rng.standard_normal((2, 4)), np.zeros((2, 2))])
+        eq = nx.equality_constraint(e)
+        assert eq.null_basis.shape == (6, 4)
+        for rhs_cols in ((), (3,)):
+            a = rng.standard_normal((5, 6))
+            c = rng.standard_normal((5, *rhs_cols))
+            b = rng.standard_normal((2, *rhs_cols))
+            x = nx.constrained_lstsq(a, c, eq, b)
+            assert x.tobytes() == nx.constrained_lstsq(a, c, e, b).tobytes()
+        with pytest.raises(nx.NumericsError, match="inconsistent equality constraints"):
+            nx.constrained_lstsq(np.eye(2), np.zeros(2), nx.equality_constraint(
+                [[1.0, 0.0], [1.0, 0.0]]), [0.0, 1.0])
+
     def test_inconsistent(self):
         with pytest.raises(nx.NumericsError, match="inconsistent equality constraints"):
             nx.constrained_lstsq(

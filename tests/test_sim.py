@@ -1,4 +1,5 @@
 import cProfile
+import collections
 import dataclasses
 import hashlib
 import io
@@ -1515,3 +1516,66 @@ class TestDecaySlack:
                 assert rec.jumps[0].rhs == jump_admissible(
                     rec.jumps[0].delta, rec.jumps[0].time, anchor, gains, gains.epsilon, 0.0
                 )[1]
+
+
+class TestPerRunSetUp:
+    """A run builds its set-up once, and the cheaper tests keep the bits
+    of the ones they replace."""
+
+    @pytest.mark.parametrize("kind", ["switched", "ramp", "crossings"])
+    def test_each_regime_is_built_once_per_run(self, monkeypatch, kind):
+        """Each regime of a run, by (index, a, b), is built once: the error
+        bound reads the integrator's, and a region entered again at one of
+        the 64 crossings is not rebuilt."""
+        built = collections.Counter()
+        regime = sim._regime
+
+        def counting(policy, F, N, index, a, b, h):
+            built[index, a, b] += 1
+            return regime(policy, F, N, index, a, b, h)
+
+        monkeypatch.setattr(sim, "_regime", counting)
+        if kind == "crossings":
+            rec = simulate(*TestFeedbackStopsAtRegionExit.scenario(), horizon=100.0, h=0.1)
+            assert len(rec.jumps) == 64 and len(built) == 2
+        else:
+            rec = simulate(*TestDecaySlack.study(kind, 0.05)[0])
+            spans = len(sim._spans(rec.policy, float(rec.t[0]), float(rec.t[-1])))
+            assert len(built) >= spans
+        assert 0.0 < rec.decay_slack < math.inf
+        assert set(built.values()) == {1}, built
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_row_norms_have_the_bits_of_linalg_norm(self, k):
+        """On F-ordered (rows, k) arrays, with zeros of both signs,
+        subnormals, squares that overflow or underflow, infinities and NaN."""
+        rng = np.random.default_rng(k)
+        special = np.array([0.0, -0.0, 5e-324, -2.5e-310, 1e-160, -3e-170, 1e154,
+                            -2e160, 1e308, np.inf, -np.inf, np.nan, 1.0, -1.5])
+        for _ in range(50):
+            a = rng.standard_normal((200, k)) * 10.0 ** rng.integers(-200, 200, (200, k))
+            mask = rng.random((200, k)) < 0.3
+            a[mask] = rng.choice(special, size=int(mask.sum()))
+            a = np.asfortranarray(a)
+            with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+                assert sim._row_norms(a).tobytes() == np.linalg.norm(a, axis=1).tobytes()
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "none"])
+    def test_stage_test_finds_the_block_scan_row(self, monkeypatch, where):
+        """A segment's stage, tested in one call, stops at the row a block
+        by block scan of its z finds, in any block; its tail is not read."""
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 7)
+        n, nz, count = 2, 3, 50
+        segment = sim._Regime(0, 0.1, count, None, np.ones(2))
+        for bad in (np.nan, np.inf, -np.inf):
+            w = np.arange(1.0, 1.0 + 5 * count).reshape(5, count)  # (w, count), as propagated
+            w[nz:, ::3] = np.nan
+            if where != "none":
+                row = {"first": 0, "middle": count // 2, "last": count - 1}[where]
+                w[row % nz, row] = bad
+                w[1, row + 3 :: 5] = bad  # later rows leave too
+            rows = w.T
+            scan = np.flatnonzero(~np.isfinite(rows[:, :nz]).all(axis=1))
+            expected = int(scan[0]) if scan.size else -1
+            assert expected == (-1 if where == "none" else row)
+            assert sim._first_leaving(segment, rows, n, nz) == expected

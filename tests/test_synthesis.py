@@ -278,6 +278,23 @@ class TestCouplingColumnSplit:
         assert x.tobytes() == ref_x.tobytes() and y.tobytes() == ref_y.tobytes()
 
 
+def test_bundle_factors_its_constraint_once(sys5, env5, monkeypatch):
+    """The (P, Q) and (S, R) couplings of a bundle share one factored [C 0],
+    and the bundle keeps the bits of one factored per solve."""
+    concrete, abstract = sys5
+    factored, factor = [], nx.equality_constraint
+    monkeypatch.setattr(nx, "equality_constraint", lambda e: factored.append(e) or factor(e))
+    gains = synthesize_gains(concrete, abstract, K5, A1_5, EPS5, env5, M=M5)
+    assert len(factored) == 1
+    A, B, C = concrete.A, concrete.B, concrete.C
+    p, q, rbar1 = solve_PQ(A, abstract.A, B, C, abstract.C, gains.M_sqrt)
+    s, r, rbar2 = solve_SR(A, B, C, p, abstract.B, gains.M_sqrt)
+    assert len(factored) == 3
+    for name, value in zip("PQSR", (p, q, s, r)):
+        assert getattr(gains, name).tobytes() == value.tobytes(), name
+    assert (gains.rbar1, gains.rbar2) == (rbar1, rbar2)
+
+
 class TestSolveSR:
     def test_study_solution(self, gains5):
         assert np.allclose(gains5.S, [[0.0], [1.0]], atol=1e-12)
