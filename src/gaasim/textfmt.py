@@ -29,8 +29,11 @@ Python too, as does any N outside [10^14, 10^15).
 Text.  N splits into four 4-digit groups by three int64 divisions; each
 group's ASCII bytes and trailing-zero count come from lookup tables.  The
 sign, the decimal exponent X and the number of significant digits pick one
-of a fixed set of byte templates: fixed notation for -4 <= X < 15, else
-d.ddde+XX with at least two exponent digits.
+of 630 byte templates (its class), which map each output byte to a byte of
+the value's source row: fixed notation for -4 <= X < 15, else d.ddde+XX
+with at least two exponent digits.  About 88 % of a study column's values
+share one class, so a call writes its commonest class into every row by a
+few slice writes (`_RUNS`) and gathers only the other rows byte by byte.
 """
 
 from __future__ import annotations
@@ -67,7 +70,8 @@ _EXP_LOW = -400
 _EXP4 = np.frombuffer(
     b"".join(b"%+04d" % k for k in range(_EXP_LOW, -_EXP_LOW + 1)), dtype=np.uint32
 )
-_CONST_WORD = np.frombuffer(b"-.0e", dtype=np.uint32)[0]
+_CONST_BYTES = b"-.0e\0"  # source bytes _MINUS.._PAD
+_CONST_WORD = np.frombuffer(_CONST_BYTES[:4], dtype=np.uint32)[0]
 
 #: template forms: fixed notation for X = -4..14, then the exponent form
 #: with two and with three exponent digits
@@ -102,6 +106,24 @@ _TEMPLATES = np.array(
     ],
     dtype=np.int32,
 )
+
+
+def _runs(template: list[int]) -> list[list]:
+    """`template` as a few slice writes [out offset, length, source offset,
+    byte]: a stretch of consecutive source bytes is one copy (byte None), a
+    stretch of one constant byte ('-', '.', '0', 'e' or NUL) one fill."""
+    runs = []
+    for o, s in enumerate(template):
+        byte = _CONST_BYTES[s - _MINUS] if s >= _MINUS else None
+        if runs and runs[-1][3] == byte and (byte is not None or sum(runs[-1][1:3]) == s):
+            runs[-1][1] += 1
+        else:
+            runs.append([o, 1, s, byte])
+    return runs
+
+
+#: each template's slice writes, by class
+_RUNS = [_runs(t) for t in _TEMPLATES.tolist()]
 
 
 def _python_fields(values: np.ndarray) -> np.ndarray:
@@ -169,11 +191,18 @@ def g15_fields(values) -> np.ndarray:
     fixed = (e >= -4) & (e < _PRECISION)
     form = np.where(fixed, e + 4, np.where(np.abs(e) >= 100, _FIXED_FORMS + 1, _FIXED_FORMS))
     cls = (np.signbit(v) * _FORMS + form) * _PRECISION + (_PRECISION - 1 - trailing)
+    # slice writes of the commonest class in every row, then the other rows' gather
+    raw = src.view(np.uint8)
+    out = np.empty((count, FIELD_WIDTH), dtype=np.uint8)
+    major = int(np.bincount(cls, minlength=len(_RUNS)).argmax())
+    for o, size, s, byte in _RUNS[major]:
+        out[:, o : o + size] = raw[:, s : s + size] if byte is None else byte
+    rows = np.flatnonzero(cls != major)
     # int32 offsets gather faster while they fit
-    offset_type = np.int32 if count < 2**31 // (4 * _SOURCE_WORDS) else np.intp
-    index = np.take(_TEMPLATES, cls, axis=0).astype(offset_type, copy=False)
-    index += (np.arange(count, dtype=offset_type) * (4 * _SOURCE_WORDS))[:, None]
-    out = np.take(src.view(np.uint8).reshape(-1), index)
+    offset_type = np.int32 if count < 2**31 // raw.shape[1] else np.intp
+    index = np.take(_TEMPLATES, cls[rows], axis=0).astype(offset_type, copy=False)
+    index += (rows.astype(offset_type) * raw.shape[1])[:, None]
+    out[rows] = np.take(raw.reshape(-1), index)
 
     slow = np.flatnonzero(fallback)
     if slow.size:
@@ -181,17 +210,18 @@ def g15_fields(values) -> np.ndarray:
     return out
 
 
-def csv_rows(table: np.ndarray) -> bytes:
-    """ASCII CSV lines of a 2-D float table, each value as `'%.15g' % v`,
-    every line ending in a newline.  A column whose bit patterns equal an
-    earlier column's is copied from it, not formatted again."""
+def csv_rows(table: np.ndarray) -> np.ndarray:
+    """ASCII CSV lines, as a uint8 array, of a 2-D float table, each value as
+    `'%.15g' % v`, every line ending in a newline.  A column whose bit patterns
+    equal an earlier column's is copied from it, not formatted again."""
     rows, cols = table.shape
+    bits = np.asarray(table, dtype=np.float64).view(np.uint64)  # keeps -0.0, NaNs apart
     buf = np.empty((rows, cols, FIELD_WIDTH + 1), dtype=np.uint8)
     buf[:, :, FIELD_WIDTH] = ord(",")
     buf[:, -1, FIELD_WIDTH] = ord("\n")
-    first = {}  # a column's bytes -> the first column with those bytes
-    for c in range(cols):
-        d = first.setdefault(table[:, c].tobytes(), c)
+    for c in range(cols):  # d: the first column with c's bit patterns
+        d = next((d for d in range(c) if np.array_equal(bits[:1, d], bits[:1, c])
+                  and np.array_equal(bits[:, d], bits[:, c])), c)
         buf[:, c, :FIELD_WIDTH] = g15_fields(table[:, c]) if d == c else buf[:, d, :FIELD_WIDTH]
     flat = buf.reshape(-1)
-    return flat[flat != 0].tobytes()
+    return flat[flat != 0]

@@ -940,16 +940,25 @@ class TestMemory:
 
 
 class TestFirstUseImports:
-    def test_run_path_never_imports_numpy_ma(self, tmp_path):
-        """numpy.ma costs a fresh process some 15 ms and 1.3 MB on first
-        use, and plain np.unique imports it; no step of a run may, so a
-        fresh interpreter runs the library pipeline on both studies and the
-        `synthesize` and `simulate` commands without ever loading it."""
+    #: loaded only to write a trajectory CSV: the formatter's tables and its
+    #: run layout, and the thread pool, which imports logging
+    CSV_MODULES = ("gaasim.textfmt", "concurrent.futures", "logging")
+
+    @pytest.fixture(scope="class")
+    def loaded(self, tmp_path_factory):
+        """A fresh interpreter runs the library pipeline on both studies and
+        the `synthesize` command, then the `simulate` command, which writes a
+        trajectory CSV; after each part it prints which of `CSV_MODULES` and
+        `numpy.ma` it has loaded."""
         script = textwrap.dedent("""
             import json, sys
             from pathlib import Path
             from gaasim import casestudy, cli, sim, synthesis
             from gaasim.model import parse_config
+
+            def loaded():
+                names = ("gaasim.textfmt", "concurrent.futures", "logging", "numpy.ma")
+                print("loaded", json.dumps([name for name in names if name in sys.modules]))
 
             out = Path(sys.argv[1])
             for make in (casestudy.switched_config, casestudy.ramp_config):
@@ -970,13 +979,29 @@ class TestFirstUseImports:
             config = out / "switched.json"
             config.write_text(json.dumps(casestudy.switched_config(horizon=20.0, step=0.05)))
             assert cli.main(["synthesize", "--config", str(config), "--out", str(out / "s")]) == 0
+            loaded()
             assert cli.main(["simulate", "--config", str(config), "--gains",
                              str(out / "s" / "gains.json"), "--out", str(out / "r")]) == 0
+            loaded()
             print("numpy.ma" in sys.modules)
         """)
         src = str(Path(cli.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
-                              capture_output=True, text=True, timeout=300)
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path_factory.mktemp("run"))],
+                              env=env, capture_output=True, text=True, timeout=300)
         assert done.returncode == 0, done.stderr
-        assert done.stdout.splitlines()[-1] == "False"
+        return done.stdout.splitlines()
+
+    def test_run_path_never_imports_numpy_ma(self, loaded):
+        """numpy.ma costs a fresh process some 15 ms and 1.3 MB on first
+        use, and plain np.unique imports it; no step of a run may, so a
+        fresh interpreter runs the library pipeline on both studies and the
+        `synthesize` and `simulate` commands without ever loading it."""
+        assert loaded[-1] == "False"
+
+    def test_csv_modules_load_only_to_write_a_csv(self, loaded):
+        """The library pipeline and `synthesize` load none of the CSV
+        modules, so their set-up pays neither the formatter's tables nor the
+        thread pool; `simulate` loads them to write its CSV."""
+        after = [json.loads(line[len("loaded "):]) for line in loaded if line.startswith("loaded ")]
+        assert after == [[], list(self.CSV_MODULES)]

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -547,6 +548,62 @@ class TestCheckAssumption:
         payload = report.to_dict()
         assert payload["passed"] is True
         assert all({"name", "value", "tolerance", "passed", "detail"} <= set(r) for r in payload["records"])
+
+
+def exact_decay_holds(concrete, gains) -> bool:
+    """Whether (A+BK)^T M + M (A+BK) + a1 M is negative definite, decided in
+    exact rational arithmetic from the float entries of A, B, K, M and a1
+    taken exactly: an LDL^T of its negation, whose pivots must all be
+    positive."""
+    def exact(matrix):
+        return [[Fraction(v) for v in row] for row in np.asarray(matrix).tolist()]
+
+    def mul(x, y):
+        return [[sum(a * b for a, b in zip(row, col)) for col in zip(*y)] for row in x]
+
+    A, B, K, M = (exact(m) for m in (concrete.A, concrete.B, gains.K, gains.M))
+    acl = [[a + bk for a, bk in zip(ra, rb)] for ra, rb in zip(A, mul(B, K))]
+    lhs = mul([list(col) for col in zip(*acl)], M)
+    rhs = mul(M, acl)
+    a1 = Fraction(gains.a1)
+    neg = [[-(p + q + a1 * m) for p, q, m in zip(*rows)] for rows in zip(lhs, rhs, M)]
+    for k in range(len(neg)):
+        if neg[k][k] <= 0:
+            return False
+        for i in range(k + 1, len(neg)):
+            f = neg[i][k] / neg[k][k]
+            for j in range(k + 1, len(neg)):
+                neg[i][j] -= f * neg[k][j]
+    return True
+
+
+class TestDecayRecordAgainstTheExactLmi:
+    """Falsifier cases of `lyapunov_decay` on the switched study's A, B, K
+    and M: the record must pass only where the exact inequality holds.  The
+    largest float a1 where it holds is 0.54215050149730948."""
+
+    @staticmethod
+    def decay(a1):
+        sc = parse_config(casestudy.switched_config())
+        gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon,
+                                 sc.envelope, M=sc.M)
+        gains = dataclasses.replace(gains, a1=a1)
+        report = check_assumption(sc.concrete, sc.abstract, gains, sc.envelope)
+        return condition(report, "lyapunov_decay").passed, exact_decay_holds(sc.concrete, gains)
+
+    @pytest.mark.parametrize("a1", [0.5, 0.54215050149730948])
+    def test_passes_where_the_lmi_holds(self, a1):
+        assert self.decay(a1) == (True, True)
+
+    def test_fails_well_past_the_boundary(self):
+        assert self.decay(0.54215051) == (False, False)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 8: the record compares computed eigenvalues with "
+        "1e-9 ||M||, which admits a violated inequality just past the boundary"))
+    @pytest.mark.parametrize("a1", [0.5421505015, 0.5421505020, 0.54215050313728674])
+    def test_fails_just_past_the_boundary(self, a1):
+        assert self.decay(a1) == (False, False)
 
 
 class TestInvariants:

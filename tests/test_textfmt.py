@@ -12,8 +12,13 @@ def reference(values) -> str:
     return "".join("%.15g\n" % v for v in np.asarray(values, dtype=float).tolist())
 
 
+def csv_bytes(table) -> bytes:
+    """`textfmt.csv_rows(table)`, whose uint8 array holds the text, as bytes."""
+    return bytes(textfmt.csv_rows(table))
+
+
 def formatted(values) -> str:
-    return textfmt.csv_rows(np.asarray(values, dtype=float).reshape(-1, 1)).decode("ascii")
+    return csv_bytes(np.asarray(values, dtype=float).reshape(-1, 1)).decode("ascii")
 
 
 @pytest.fixture
@@ -123,8 +128,8 @@ def test_fields_are_nul_padded_to_fixed_width():
 
 def test_table_rows_and_separators():
     table = np.array([[1.0, -0.0, 3.5e20], [np.nan, 2e-7, 0.25]])
-    assert textfmt.csv_rows(table) == b"1,-0,3.5e+20\nnan,2e-07,0.25\n"
-    assert textfmt.csv_rows(np.empty((0, 3))) == b""
+    assert csv_bytes(table) == b"1,-0,3.5e+20\nnan,2e-07,0.25\n"
+    assert csv_bytes(np.empty((0, 3))) == b""
 
 
 def test_equal_columns_are_formatted_once(python_path):
@@ -137,7 +142,7 @@ def test_equal_columns_are_formatted_once(python_path):
     zeros, nans = np.zeros(200), np.full(200, quiet)
     table = np.column_stack([x, zeros, -zeros, x, nans, np.full(200, payload), -x, x])
     expected = "".join(",".join("%.15g" % v for v in row) + "\n" for row in table.tolist())
-    assert textfmt.csv_rows(table).decode("ascii") == expected
+    assert csv_bytes(table).decode("ascii") == expected
     assert expected.split("\n", 1)[0].split(",")[1:3] == ["0", "-0"]
     # the +0.0, -0.0 and both NaN columns each reach the fallback once
     assert sum(v == 0.0 or v != v for v in python_path) == 4 * 200
@@ -154,6 +159,84 @@ def test_equal_columns_skip_the_kernel(monkeypatch):
     monkeypatch.setattr(textfmt, "g15_fields", counting)
     x = np.linspace(-3.0, 3.0, 50)
     table = np.column_stack([x, x * 2.0, x, x * 2.0, x])
-    rows = textfmt.csv_rows(table).decode("ascii").splitlines()
+    rows = csv_bytes(table).decode("ascii").splitlines()
     assert rows == [",".join("%.15g" % v for v in row) for row in table.tolist()]
     assert calls == [50, 50]
+
+
+def class_values(neg: bool, form: int, digits: int, count: int = 1) -> list[float]:
+    """`count` values of the template class (sign, form, digit count): `form`
+    is X + 4 in fixed notation (X = -4..14), then an exponent of two, then
+    of three digits; each value has `digits` significant digits, none of
+    them 0, and a different last digit."""
+    exponents = {19: (20, -20), 20: (200, -200)}.get(form, (form - 4,))
+    values = []
+    for k in range(count):
+        mantissa = "123456789123456"[: digits - 1] + "123456789"[k % 9]
+        x = exponents[k % len(exponents)]
+        values.append(float(f"{'-' if neg else ''}{mantissa[0]}.{mantissa[1:]}e{x}"))
+    return values
+
+
+CLASSES = [(neg, form, digits) for neg in (False, True) for form in range(textfmt._FORMS)
+           for digits in range(1, textfmt._PRECISION + 1)]
+
+
+def test_class_values_cover_every_template():
+    assert len(CLASSES) == len(textfmt._TEMPLATES) == len(textfmt._RUNS) == 630
+    for neg, form, digits in CLASSES:
+        for text in ("%.15g" % v for v in class_values(neg, form, digits, 9)):
+            significand, _, exponent = text.lstrip("-").partition("e")
+            assert text.startswith("-") == neg
+            assert len(significand.replace(".", "").strip("0")) == digits
+            if form < 19:
+                assert not exponent and np.floor(np.log10(abs(float(text)))) == form - 4
+            else:
+                assert len(exponent) == (3 if form == 19 else 4)
+
+
+def test_every_class_as_commonest_and_as_minority(monkeypatch, python_path):
+    """Each of the 630 classes is the commonest of one block, written by its
+    slice writes, while every other class appears in that block once and is
+    gathered through its template."""
+    used = []
+
+    class Recording(list):
+        def __getitem__(self, i):
+            used.append(i)
+            return super().__getitem__(i)
+
+    monkeypatch.setattr(textfmt, "_RUNS", Recording(textfmt._RUNS))
+    others = [v for key in CLASSES for v in class_values(*key)]
+    for key in CLASSES:
+        values = class_values(*key, count=9) + others
+        assert formatted(values) == reference(values)
+    assert used == list(range(len(CLASSES)))
+    assert python_path == []
+
+
+def test_block_with_no_majority():
+    """Every class once, or two classes tied: the bytes are Python's
+    whichever class is written by slice writes."""
+    rng = np.random.default_rng(11)
+    values = [v for key in CLASSES for v in class_values(*key)]
+    values = np.array(values)[rng.permutation(len(values))]
+    assert formatted(values) == reference(values)
+    tied = class_values(False, 4, 15, 50) + class_values(True, 19, 3, 50)
+    assert formatted(tied) == reference(tied)
+    assert formatted(tied[::-1]) == reference(tied[::-1])
+
+
+def test_empty_input():
+    assert textfmt.g15_fields([]).shape == (0, textfmt.FIELD_WIDTH)
+    assert csv_bytes(np.empty((0, 1))) == b""
+
+
+@pytest.mark.parametrize("value", [0.0, -0.0, np.nan, -np.nan, np.inf], ids=repr)
+def test_column_of_one_special_value(value):
+    """A column all zeros, NaNs or infinities: its commonest class is
+    written into every row and then overwritten by Python's bytes."""
+    table = np.column_stack([np.full(300, value), np.linspace(-1.0, 1.0, 300),
+                             np.full(300, value)])
+    expected = "".join(",".join("%.15g" % v for v in row) + "\n" for row in table.tolist())
+    assert csv_bytes(table).decode("ascii") == expected
