@@ -891,9 +891,9 @@ def verify_trajectory(
 # CSV artifacts (15 significant digits, deterministic bytes)
 #
 # Trajectory values go through `textfmt`, whose bytes equal `'%.15g' % v`:
-# the 15 digits come from one longdouble product whose error is below
-# 1.01 eps_ld 1e15 (two roundings), and every value whose fraction lies
-# within 16 eps_ld 1e15 of 1/2 is formatted by Python instead.
+# the 15 digits come from a float64 double-double product whose fraction is
+# within 1.8e-16 of the exact one, and every value whose fraction lies
+# within 2^-50 of 1/2 is formatted by Python instead.
 
 #: most threads that format CSV blocks, so that the text in flight (about
 #: 6 MB per block of `_BLOCK_ROWS` rows) does not grow with the host's CPU count;
@@ -968,8 +968,10 @@ def write_trajectory_csv(record: TrajectoryRecord, f: BinaryIO) -> int:
 
     head = (",".join(header) + "\n").encode("ascii")
     f.write(head)
-    return len(head) + _stream_blocks(lambda b: textfmt.csv_rows(np.column_stack(columns(b))),
-                                      _blocks(0, record.t.size), f.write)
+    def text(b: slice) -> np.ndarray:  # each column where it lies, F-contiguous
+        return textfmt.csv_rows([c for a in columns(b) for c in (a.T if a.ndim == 2 else [a])])
+
+    return len(head) + _stream_blocks(text, _blocks(0, record.t.size), f.write)
 
 
 def jumps_csv(record: TrajectoryRecord) -> str:

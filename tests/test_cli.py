@@ -948,8 +948,8 @@ class TestFirstUseImports:
     def loaded(self, tmp_path_factory):
         """A fresh interpreter runs the library pipeline on both studies and
         the `synthesize` command, then the `simulate` command, which writes a
-        trajectory CSV; after each part it prints which of `CSV_MODULES` and
-        `numpy.ma` it has loaded."""
+        trajectory CSV; after each part it prints which of `CSV_MODULES`,
+        `numpy.ma`, `fractions` and `decimal` it has loaded."""
         script = textwrap.dedent("""
             import json, sys
             from pathlib import Path
@@ -957,7 +957,8 @@ class TestFirstUseImports:
             from gaasim.model import parse_config
 
             def loaded():
-                names = ("gaasim.textfmt", "concurrent.futures", "logging", "numpy.ma")
+                names = ("gaasim.textfmt", "concurrent.futures", "logging", "numpy.ma",
+                         "fractions", "decimal")
                 print("loaded", json.dumps([name for name in names if name in sys.modules]))
 
             out = Path(sys.argv[1])
@@ -1003,5 +1004,14 @@ class TestFirstUseImports:
         """The library pipeline and `synthesize` load none of the CSV
         modules, so their set-up pays neither the formatter's tables nor the
         thread pool; `simulate` loads them to write its CSV."""
-        after = [json.loads(line[len("loaded "):]) for line in loaded if line.startswith("loaded ")]
+        after = [[name for name in json.loads(line[len("loaded "):]) if name in self.CSV_MODULES]
+                 for line in loaded if line.startswith("loaded ")]
         assert after == [[], list(self.CSV_MODULES)]
+
+    def test_csv_writing_loads_neither_fractions_nor_decimal(self, loaded):
+        """The formatter's power table is built from float and int
+        arithmetic, so writing the CSV imports neither `fractions` nor
+        `decimal`; `decimal` is loaded only to report a memory refusal."""
+        after = [json.loads(line[len("loaded "):]) for line in loaded if line.startswith("loaded ")]
+        assert len(after) == 2 and "gaasim.textfmt" in after[1]
+        assert not {"fractions", "decimal"} & {name for names in after for name in names}

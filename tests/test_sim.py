@@ -634,9 +634,9 @@ class TestWriteTrajectoryCsv:
         threads = set()
         csv_rows = textfmt.csv_rows
 
-        def recording(table):
+        def recording(columns):
             threads.add(threading.get_ident())
-            return csv_rows(table)
+            return csv_rows(columns)
 
         monkeypatch.setattr(sim, "_cpus", lambda: cpus)
         monkeypatch.setattr(sim, "_BLOCK_ROWS", block)
@@ -664,8 +664,8 @@ class TestWriteTrajectoryCsv:
         counts = {"formatted": 0, "writes": 0, "peak": 0}
         csv_rows = textfmt.csv_rows
 
-        def recording(table):
-            part = csv_rows(table)
+        def recording(columns):
+            part = csv_rows(columns)
             with lock:
                 counts["formatted"] += 1
                 # the first write is the header
@@ -724,9 +724,9 @@ class TestWriteTrajectoryCsv:
         started = []
         csv_rows = textfmt.csv_rows
 
-        def recording(table):
-            started.append(table[0, 0])
-            return csv_rows(table)
+        def recording(columns):
+            started.append(columns[0][0])
+            return csv_rows(columns)
 
         class FailingFile:
             calls = 0
@@ -755,13 +755,13 @@ class TestWriteTrajectoryCsv:
         started = []
         csv_rows = textfmt.csv_rows
 
-        def failing(table):
-            started.append(table[0, 0])
-            if table[0, 0] == record.t[7 * 100]:
+        def failing(columns):
+            started.append(columns[0][0])
+            if columns[0][0] == record.t[7 * 100]:
                 raise ValueError("block 100 failed")
-            if table[0, 0] > record.t[7 * 100]:
+            if columns[0][0] > record.t[7 * 100]:
                 time.sleep(0.2)  # keep the pool busy while the error surfaces
-            return csv_rows(table)
+            return csv_rows(columns)
 
         monkeypatch.setattr(sim, "_cpus", lambda: cpus)
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 7)

@@ -1,6 +1,13 @@
 """The vectorized `%.15g` kernel must give exactly Python's bytes."""
 
+import json
+import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +20,9 @@ def reference(values) -> str:
 
 
 def csv_bytes(table) -> bytes:
-    """`textfmt.csv_rows(table)`, whose uint8 array holds the text, as bytes."""
-    return bytes(textfmt.csv_rows(table))
+    """`textfmt.csv_rows` of the columns of `table`, whose uint8 array holds
+    the text, as bytes."""
+    return bytes(textfmt.csv_rows(np.asarray(table).T))
 
 
 def formatted(values) -> str:
@@ -94,29 +102,121 @@ def test_zeros_nan_and_inf_take_the_fallback(python_path):
     assert len(python_path) == 4 and 1.25 not in python_path
 
 
-def test_float64_margin_sends_every_value_to_python(monkeypatch, python_path):
-    """Where longdouble is plain float64 the margin exceeds 1/2: every
-    value falls back and the bytes stay exact."""
-    margin = textfmt._MARGIN_FACTOR * np.finfo(np.float64).eps * 1e15
-    assert margin > 0.5
-    monkeypatch.setattr(textfmt, "_HALF_MARGIN", margin)
-    values = np.random.default_rng(3).standard_normal(1000)
-    assert formatted(values) == reference(values)
-    assert len(python_path) == values.size
-
-
-def test_margin_follows_longdouble_precision():
-    eps = float(np.finfo(np.longdouble).eps)
-    assert textfmt._MARGIN_FACTOR >= 2
-    assert textfmt._HALF_MARGIN == textfmt._MARGIN_FACTOR * eps * 1e15
-
-
-def test_power_table_is_correctly_rounded():
-    for k in range(textfmt._P10_LOW, textfmt._P10_HIGH + 1):
-        p = textfmt._P10[k - textfmt._P10_LOW]
+def test_power_table_hi_is_correctly_rounded():
+    for k, hi in zip(range(textfmt._K_LOW, textfmt._K_HIGH + 1), textfmt._HI.tolist()):
         exact = Fraction(10) ** k
-        half_ulp = Fraction(*np.spacing(p).as_integer_ratio()) / 2
-        assert abs(Fraction(*p.as_integer_ratio()) - exact) <= half_ulp
+        half_ulp = Fraction(*np.spacing(hi).as_integer_ratio()) / 2
+        assert abs(Fraction(hi) - exact) <= half_ulp
+
+
+def test_power_table_hi_plus_lo_is_within_2_to_the_minus_106():
+    for k, hi, lo in zip(range(textfmt._K_LOW, textfmt._K_HIGH + 1), textfmt._HI.tolist(),
+                         textfmt._LO.tolist()):
+        exact = Fraction(10) ** k
+        assert abs(Fraction(hi) + Fraction(lo) - exact) <= exact / 2**106
+
+
+def test_power_table_halves_are_exact_26_bit_splits():
+    def bits(x: float) -> int:
+        """Significant bits of x: its odd numerator's length (0 for 0)."""
+        num = abs(Fraction(x).numerator)
+        return (num // (num & -num)).bit_length() if num else 0
+
+    for hi, h1, h2 in zip(textfmt._HI.tolist(), textfmt._HI1.tolist(), textfmt._HI2.tolist()):
+        assert Fraction(h1) + Fraction(h2) == Fraction(hi)
+        assert bits(h1) <= 26 and bits(h2) <= 26
+
+
+def test_power_table_covers_every_exponent_in_range():
+    """Every e = floor(log10 |v|) of an |v| in range, moved one either way,
+    has its 10^(14 - e) in the table, and no entry is infinite or subnormal."""
+    e_low = int(np.floor(np.log10(textfmt._V_LOW))) - 1
+    e_high = int(np.floor(np.log10(textfmt._V_HIGH))) + 1
+    assert textfmt._K_LOW <= 14 - e_high and 14 - e_low <= textfmt._K_HIGH
+    for table in (textfmt._HI, textfmt._LO, textfmt._HI1, textfmt._HI2):
+        nonzero = np.abs(table[table != 0.0])
+        assert np.all(np.isfinite(table)) and np.all(nonzero >= np.finfo(float).tiny)
+
+
+def must_reach_python(v: float) -> bool:
+    """Whether the kernel must leave v to Python: a zero, a non-finite
+    value, an |v| outside [1e-290, 1e300] or an exact tie, whose 15-digit
+    significand |v| 10^(14 - X) has fraction exactly 1/2."""
+    if v == 0.0 or not math.isfinite(v) or not 1e-290 <= abs(v) <= 1e300:
+        return True
+    x = Fraction(abs(v))
+    guess = math.floor(math.log10(abs(v)))
+    for e in (guess - 1, guess, guess + 1):
+        q = x * Fraction(10) ** (14 - e)
+        if 10**14 <= q < 10**15:
+            return q - math.floor(q) == Fraction(1, 2)
+    raise AssertionError(v)
+
+
+def test_kernel_takes_no_longdouble_and_no_fallback():
+    """A fresh interpreter binds numpy.longdouble to float64 (as on hosts
+    whose long double is a double) before importing textfmt: the bytes are
+    Python's, and only the values that must reach Python do."""
+    script = textwrap.dedent("""
+        import json
+        import numpy as np
+        np.longdouble = np.float64
+        from gaasim import textfmt
+        seen = []
+        original = textfmt._python_fields
+        textfmt._python_fields = lambda v: seen.extend(v.tolist()) or original(v)
+        rng = np.random.default_rng(5)
+        values = rng.standard_normal(50_000) * 10.0 ** rng.integers(-30, 30, 50_000)
+        values = np.concatenate([values, [0.0, -0.0, np.inf, np.nan, 1e-5, 1e15]])
+        text = bytes(textfmt.csv_rows([values])).decode("ascii")
+        assert text == "".join("%.15g\\n" % v for v in values.tolist())
+        print(json.dumps(seen))
+    """)
+    src = str(Path(textfmt.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-W", "error", "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    seen = json.loads(done.stdout)
+    assert seen[-4:][:2] == [0.0, -0.0] and math.isinf(seen[-2]) and math.isnan(seen[-1])
+    assert all(must_reach_python(v) for v in seen)
+
+
+def neighbours(values, ulps: int = 3) -> list[float]:
+    """Each value and the doubles up to `ulps` steps below and above it."""
+    out = []
+    for v in values:
+        out.append(v)
+        for direction in (-math.inf, math.inf):
+            w = v
+            for _ in range(ulps):
+                w = math.nextafter(w, direction)
+                out.append(w)
+    return out
+
+
+def test_near_ties_and_decade_edges(python_path):
+    """A seeded falsifier: the doubles nearest the ties (N + 1/2) 10^(X - 14)
+    for random 15-digit N and X in [-290, 300] (and X near 14, where ties
+    are exact), every 10^k, the ends of the kernel's range and subnormals,
+    each with its neighbours up to 3 ulps away, of both signs.  Every field
+    is Python's, and exactly the values that must reach Python do."""
+    rng = np.random.default_rng(20261020)
+    n = rng.integers(10**14, 10**15, size=1500).tolist()
+    x = rng.integers(-290, 301, size=1500).tolist()
+    x[:300] = rng.integers(12, 17, size=300).tolist()
+    ties = [float((Fraction(2 * k + 1, 2)) * Fraction(10) ** (e - 14)) for k, e in zip(n, x)]
+    powers = [float("1e%d" % k) for k in range(-323, 309)]
+    edges = [1e-290, 1e300, 2.2250738585072014e-308, 5e-324, 2.225073858507201e-308,
+             1.2345678901234567e-310, 1.7976931348623157e308]
+    values = neighbours(ties + powers + edges)
+    values = [v for v in values + [-v for v in values] if math.isfinite(v)]
+    assert formatted(values) == reference(values)
+    reached = set(np.array(python_path).view(np.uint64).tolist())
+    expected = {b for v, b in zip(values, np.array(values).view(np.uint64).tolist())
+                if must_reach_python(v)}
+    assert reached == expected
+    assert sum(v != 0.0 and 1e-290 <= abs(v) <= 1e300 for v in python_path) > 0  # exact ties
 
 
 def test_fields_are_nul_padded_to_fixed_width():
@@ -183,7 +283,7 @@ CLASSES = [(neg, form, digits) for neg in (False, True) for form in range(textfm
 
 
 def test_class_values_cover_every_template():
-    assert len(CLASSES) == len(textfmt._TEMPLATES) == len(textfmt._RUNS) == 630
+    assert len(CLASSES) == len(textfmt._TEMPLATES) == 630
     for neg, form, digits in CLASSES:
         for text in ("%.15g" % v for v in class_values(neg, form, digits, 9)):
             significand, _, exponent = text.lstrip("-").partition("e")
@@ -200,13 +300,13 @@ def test_every_class_as_commonest_and_as_minority(monkeypatch, python_path):
     slice writes, while every other class appears in that block once and is
     gathered through its template."""
     used = []
+    runs = textfmt._runs
 
-    class Recording(list):
-        def __getitem__(self, i):
-            used.append(i)
-            return super().__getitem__(i)
+    def recording(cls):
+        used.append(cls)
+        return runs(cls)
 
-    monkeypatch.setattr(textfmt, "_RUNS", Recording(textfmt._RUNS))
+    monkeypatch.setattr(textfmt, "_runs", recording)
     others = [v for key in CLASSES for v in class_values(*key)]
     for key in CLASSES:
         values = class_values(*key, count=9) + others
