@@ -152,9 +152,11 @@ class TrajectoryRecord:
     err = property(lambda self: self._column("err"))
 
     def _column(self, name: str) -> np.ndarray:
-        """The formed column `name` over every row, F-contiguous."""
-        width = _formed(self, slice(0, 0), (name,))[name].shape[1:]
-        out = np.empty((self.t.size, *width), order="F")
+        """The formed column `name` over every row, F-contiguous: one
+        coordinate per input or output channel, vg and err one value a row."""
+        width = {"uhat": self.policy.m_r, "uhatdot": self.policy.m_r, "u": self.concrete.m,
+                 "y": self.concrete.p, "yhat": self.abstract.p}
+        out = np.empty((self.t.size, *((width[name],) if name in width else ())), order="F")
         for b in _blocks(0, self.t.size):
             out[b] = _formed(self, b, (name,))[name]
         return out
@@ -297,7 +299,8 @@ def _norm_bound(a: np.ndarray) -> float:
 
 
 def _column_norms(a: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.einsum("ij,ij->j", a, a))
+    norms = np.einsum("ij,ij->j", a, a)
+    return np.sqrt(norms, out=norms)
 
 
 def _row_norms(a: np.ndarray) -> np.ndarray:
@@ -324,14 +327,58 @@ def _max_column_norm(a: np.ndarray) -> float:
 def _linear_recursion(b0: float, powers: np.ndarray, c: np.ndarray) -> np.ndarray:
     """b_1, ..., b_K of b_{k+1} = rho b_k + c_k >= 0 from b_0, given powers =
     rho^1..rho^L with rho^-L <= e^40, as discounted prefix sums over blocks
-    of L rows, each rounded up by its count of roundings."""
-    out = np.empty(c.size)
+    of L rows, each rounded up by its count of roundings; written over c."""
     for k0 in range(0, c.size, powers.size):
-        p = powers[: c.size - k0]
-        out[k0 : k0 + p.size] = p * (b0 + np.cumsum(c[k0 : k0 + p.size] / p))
-        out[k0 : k0 + p.size] *= 1.0 + 4.0 * (p.size + 2) * _U
-        b0 = out[k0 + p.size - 1]
-    return out
+        p, block = powers[: c.size - k0], c[k0 : k0 + powers.size]
+        np.cumsum(np.divide(block, p, out=block), out=block)
+        block += b0
+        block *= p
+        block *= 1.0 + 4.0 * (p.size + 2) * _U
+        b0 = block[-1]
+    return c
+
+
+def _error_maps(gains: RefinementGains, nz: int, uhat_gain) -> tuple:
+    """(to_e, e_map, e_abs) of a stretch whose uhat is `uhat_gain` xhat, or
+    does not depend on z (None): to_e maps eps to (eps_e, eps_xhat), e_map is
+    M^{1/2} times its e rows and e_abs is `_norm_bound` of e_map."""
+    n = gains.P.shape[0]
+    to_e = np.eye(nz)
+    to_e[:n] = refine.error_map(gains, uhat_gain)
+    e_map = gains.M_sqrt @ to_e[:n]
+    return to_e, e_map, _norm_bound(e_map)
+
+
+def _xhat_rates(gains: RefinementGains, mu: float, to_e: np.ndarray, gen_z: np.ndarray,
+                h: float) -> tuple[float, float]:
+    """(mu_x, gamma) of a stretch at step h whose generator has z-block
+    gen_z: the log-norm of the xhat block of the error generator gt, and
+    h |M^{1/2} C| e^(h max(mu, mu_x, 0)) of its coupling block C."""
+    n, nz = gains.P.shape[0], to_e.shape[0]
+    gt = to_e @ gen_z @ (2 * np.eye(nz) - to_e)  # from_e = 2 I - to_e
+    mu_x = float(np.linalg.eigvalsh(gt[n:, n:] + gt[n:, n:].T).max()) / 2.0
+    return mu_x, h * _norm_bound(gains.M_sqrt @ gt[:n, n:]) * _exp(h * max(mu, mu_x, 0.0))
+
+
+def _step_terms(r: _Regime, h: float, exact: bool, nz: int) -> tuple:
+    """(theta, Y, per_w) of a stretch of r at step h.  theta weighs a
+    segment's powers of s by its drive, so that the bound scales with the
+    states (1 for a region); Y is the first nz rows of sum_{j=1..8} (hG)^j / j!
+    for the generator G of r with its drive divided by theta; and |d_k - v_k|
+    <= per_w |w_k| + 3 u |v_k| bounds the Taylor remainder and the rounding
+    of an inexact h, of Y, of the exact powers of s, of Y w_k and of v_k."""
+    hg, theta = h * r.gen, 1.0
+    if r.box is None:
+        drive = r.gen[:nz, nz:]
+        theta = _norm_bound(drive) / max(_norm_bound(r.gen[:nz, :nz]), 1.0 / (h * r.steps))
+        hg[:nz, nz:] = h * (drive / theta) if theta > 0 else 0.0
+    eye = np.eye(hg.shape[0])
+    inner = eye
+    for j in range(8, 1, -1):
+        inner = eye + hg @ inner / j
+    g_abs, rounding = _norm_bound(hg), (9 * hg.shape[0] + 30 + 2 * (not exact)) * _U
+    per_w = (min(g_abs, 700.0) ** 8 / 362880.0 + rounding) * g_abs * _exp(g_abs)
+    return theta, (hg @ inner)[:nz], per_w
 
 
 def _error_bound(record: TrajectoryRecord, h: float, regime=None) -> tuple[float, float]:
@@ -345,9 +392,11 @@ def _error_bound(record: TrajectoryRecord, h: float, regime=None) -> tuple[float
     t: exactly where the two times have one sign and are within a factor 2
     (Sterbenz), else with its rounding in the local term.  A row at a jump
     time restarts the window.  `regime`, the run's `_regimes`, is built
-    from the record when not given."""
+    from the record when not given.  The per-regime algebra is a table of
+    the run, each entry built on first use and keyed by what it reads (see
+    README), so that a stretch does only row arithmetic."""
     t, zs, gains, policy, con = record.t, record.z, record.gains, record.policy, record.concrete
-    n = con.n
+    n, nz = con.n, zs.shape[1]
     if regime is None:
         regime = _regimes(policy, *_joint_matrices(con, record.abstract, gains), h)
     # log-norm of A + BK in the M-norm: |exp(h (A + BK))|_M <= e^(mu h)
@@ -358,8 +407,15 @@ def _error_bound(record: TrajectoryRecord, h: float, regime=None) -> tuple[float
     # rho^1..rho^L, built once for each distinct (step, L) of the run
     powers_of = functools.cache(
         lambda h, block: _exp(max(mu * h, -700.0)) ** np.arange(1.0, block + 1.0))
+    maps, rates, terms = {}, {}, {}  # the run's table
     fresh = (0.0, 0.0, None)  # a, b and the e map of a window's last stretch
     slack, window = 0.0, fresh
+
+    def entry(table: dict, key, build, *args):
+        """table[key], built as build(*args) on first use."""
+        if key not in table:
+            table[key] = build(*args)
+        return table[key]
 
     def stretch(r: _Regime, h: float, first: int, last: int, exact: bool = True) -> None:
         """Advance the window's a >= |eps_xhat| and b >= |eps_e|_M, which obey
@@ -369,55 +425,52 @@ def _error_bound(record: TrajectoryRecord, h: float, regime=None) -> tuple[float
         from it; an h not `exact`ly its rows' time difference adds its own."""
         nonlocal slack, window
         rows, item = zs[first : last + 1], policy.regimes[r.index]
-        nz, count = rows.shape[1], rows.shape[0] - 1
-        to_e = np.eye(nz)  # eps -> (eps_e, eps_xhat)
-        to_e[:n] = refine.error_map(gains, None if r.box is None else -item.gain)
-        e_map = gains.M_sqrt @ to_e[:n]
+        count = rows.shape[0] - 1
+        gain = None if r.box is None else r.index
+        to_e, e_map, e_abs = entry(maps, gain, _error_maps, gains, nz,
+                                   None if gain is None else -item.gain)
         acc, b, e_prev = window
         if e_prev is not None:  # a region change within the window
             b += _norm_bound(e_map[:, n:] - e_prev[:, n:]) * acc
         b_max, z_max = b, float(np.linalg.norm(rows[-1]))
         if count:
-            # theta weighs s^j by the drive, so the bound scales with the states
-            gen, theta = r.gen, 1.0
-            if r.box is None:
-                theta = _norm_bound(gen[:nz, nz:]) / max(_norm_bound(gen[:nz, :nz]),
-                                                         1.0 / (h * r.steps))
-                gen = gen.copy()
-                gen[:nz, nz:] = gen[:nz, nz:] / theta if theta > 0 else 0.0
-            gt = to_e @ gen[:nz, :nz] @ (2 * np.eye(nz) - to_e)  # from_e = 2 I - to_e
-            mu_x = float(np.linalg.eigvalsh(gt[n:, n:] + gt[n:, n:].T).max()) / 2.0
-            gamma = h * _norm_bound(gains.M_sqrt @ gt[:n, n:]) * _exp(h * max(mu, mu_x, 0.0))
+            mu_x, gamma = entry(rates, (gain, h), _xhat_rates, gains, mu, to_e,
+                                r.gen[:nz, :nz], h)
+            theta, y, per_w = entry(terms, (r, h, exact), _step_terms, r, h, exact, nz)
             beta = _exp(max(mu_x, 0.0) * h * count)  # >= beta^k here
-            hg, eye = h * gen, np.eye(gen.shape[0])
-            inner = eye
-            for j in range(8, 1, -1):
-                inner = eye + hg @ inner / j
-            y = (hg @ inner)[:nz]
-            # |d_k - v_k| <= per_w |w_k| + 3 u |v_k|: the remainder, and the rounding
-            # of an inexact h, of Y, of the exact powers of s, of Y w_k and of v_k
-            g_abs, rounding = _norm_bound(hg), (9 * gen.shape[0] + 30 + 2 * (not exact)) * _U
-            per_w = (min(g_abs, 700.0) ** 8 / 362880.0 + rounding) * g_abs * _exp(g_abs)
-            e_abs = _norm_bound(e_map)
             block = min(count, max(1, int(min(40.0 / abs(mu * h or 1.0), _BOUND_ROWS))))
             powers = powers_of(h, block)
             for k0 in range(0, count, _BOUND_ROWS):
                 z = rows[k0 : k0 + _BOUND_ROWS + 1].T  # one sample per column
                 w = z[:, :-1]
-                if r.box is None:
+                if r.box is None:  # [z; theta s^0; theta s^1; ...]
+                    # s^0 = 1 and s^1 = s as power gives them; the higher powers
+                    # take integer exponents, as float ones run a loop of other bits
                     s = np.arange(k0, k0 + w.shape[1]) / r.steps
-                    w = np.vstack([w, theta * s ** np.arange(gen.shape[0] - nz)[:, None]])
+                    w = np.empty((y.shape[1], s.size))
+                    w[:nz], w[nz] = z[:, :-1], theta
+                    if w.shape[0] > nz + 1:
+                        np.multiply(theta, s, out=w[nz + 1])
+                        np.multiply(theta, s ** np.arange(2, w.shape[0] - nz)[:, None],
+                                    out=w[nz + 2 :])
                 v = z[:, 1:] - z[:, :-1]
                 v -= y @ w
                 w_max = _max_column_norm(w)
                 local = per_w * w_max + 3 * _U * _max_column_norm(v)  # on the whole slice
-                d_x = _column_norms(v[n:]) + local
+                d_x = _column_norms(v[n:])
+                d_x += local
                 sums = np.cumsum(d_x)
+                added = float(sums[-1])
+                # c += gamma beta (acc + sums - d_x) + e_abs local, in place over sums
                 c = _column_norms(e_map @ v)
-                c += gamma * beta * (acc + sums - d_x) + e_abs * local
+                sums += acc
+                sums -= d_x
+                sums *= gamma * beta
+                sums += e_abs * local
+                c += sums
                 bs = _linear_recursion(b, powers, c)
-                acc += float(sums[-1])
-                b, b_max = float(bs[-1]), float(np.max((b_max, bs.max())))
+                acc += added
+                b, b_max = float(bs[-1]), float(np.maximum(b_max, bs.max()))  # keeps a NaN
                 z_max = max(z_max, w_max)
             acc *= beta
         acc, b, b_max = (q if q <= math.inf else math.inf for q in (acc, b, b_max))

@@ -47,6 +47,7 @@ from gaasim.synthesis import RefinementGains, feasibility, max_feasible_a1, synt
 
 from conftest import (
     EPS5,
+    FORMED_COLUMNS,
     M5,
     assert_formed_by_blocks,
     assert_same_bits,
@@ -1237,6 +1238,39 @@ class TestRowBlocks:
             assert np.count_nonzero(concrete.C) == 3 and len(rec.jumps) == 1
         assert_formed_by_blocks(monkeypatch, rec)
 
+    @pytest.mark.parametrize("kind", ["switched", "open_loop", "spiked"])
+    def test_column_forms_each_block_once(self, monkeypatch, kind):
+        """A read of a formed column calls `_formed` once per block, for that
+        column alone, and over no empty slice: its width comes from the
+        record's systems and policy.  The column has the shape and bits of
+        one block over every row, for both policy kinds and for
+        `SpikedPolicy`, which has only `m_r`, `uhat` and `uhatdot`."""
+        if kind == "open_loop":
+            from test_acceptance import _random_feasible_scenario
+
+            concrete, abstract, gains, policy, x0, xhat0, horizon = (
+                _random_feasible_scenario(np.random.default_rng(4))
+            )
+            rec = simulate(concrete, abstract, gains, policy, x0, xhat0, horizon, 2e-3)
+        else:
+            rec = simulate(*TestDecaySlack.study("switched", step=0.05)[0])
+            if kind == "spiked":
+                rec = dataclasses.replace(
+                    rec, policy=SpikedPolicy(rec.policy, rec.t[[3, 999, 1000, 4000]], 20.0))
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 1000)
+        assert rec.t.size > 2 * sim._BLOCK_ROWS
+        formed, calls = sim._formed, []
+        monkeypatch.setattr(sim, "_formed", lambda record, b, names: (
+            calls.append((b.start, b.stop, names)) or formed(record, b, names)))
+        names = (*FORMED_COLUMNS, "vg")
+        whole = formed(rec, slice(0, rec.t.size), names)
+        for name in names:
+            calls.clear()
+            column = rec._column(name)
+            assert calls == [(b.start, b.stop, (name,)) for b in sim._blocks(0, rec.t.size)]
+            assert column.shape == whole[name].shape and column.flags.f_contiguous, name
+            assert column.tobytes("F") == whole[name].tobytes("F"), name
+
     def test_decay_window_across_a_block_boundary(self, monkeypatch):
         gains, rec = self.crossing_run()
         window = next(w for w in _decay_windows(rec) if w[0] // 1000 < w[-1] // 1000)
@@ -1557,6 +1591,59 @@ class TestPerRunSetUp:
             assert len(built) >= spans
         assert 0.0 < rec.decay_slack < math.inf
         assert set(built.values()) == {1}, built
+
+    @pytest.mark.parametrize("kind", ["crossings", "open_loop"])
+    def test_bound_table_builds_each_key_once(self, monkeypatch, kind):
+        """The error bound builds each entry of its per-run table once: the
+        error maps by uhat gain, the xhat rates by (gain, step) and the step
+        terms by (regime, step).  The 64 crossings at h = 0.1 re-enter their
+        2 regions 64 times: one grid-step entry per region, and one per
+        distinct step of the sub-steps, each read from t.  The two segments
+        of an open-loop run share one error map and, at one step, one rate
+        entry."""
+        built = {name: collections.Counter() for name in ("maps", "rates", "terms")}
+
+        def counting(name, build, key):
+            def wrapper(*args):
+                built[name][key(*args)] += 1
+                return build(*args)
+            return wrapper
+
+        monkeypatch.setattr(sim, "_error_maps", counting(
+            "maps", sim._error_maps, lambda gains, nz, gain: None if gain is None else gain.tobytes()))
+        monkeypatch.setattr(sim, "_xhat_rates", counting(
+            "rates", sim._xhat_rates,
+            lambda gains, mu, to_e, gen_z, h: (to_e.tobytes(), gen_z.tobytes(), h)))
+        monkeypatch.setattr(sim, "_step_terms", counting(
+            "terms", sim._step_terms, lambda r, h, exact, nz: (r.index, h, exact)))
+        if kind == "crossings":
+            h = 0.1
+            rec = simulate(*TestFeedbackStopsAtRegionExit.scenario(), horizon=100.0, h=h)
+            assert len(rec.jumps) == 64
+            regime_of = np.empty(rec.t.size, dtype=int)
+            for start, stop, index in rec.runs:
+                regime_of[start:stop] = index
+            # each crossing row off the grid splits its step in two
+            off = np.flatnonzero(~np.isin(rec.t, h * np.arange(1001)))
+            assert off.size == rec.t.size - 1001 > 0
+            steps = {(i, h) for i in (0, 1)} | {
+                (int(regime_of[k]), float(rec.t[k + 1] - rec.t[k])) for c in off for k in (c - 1, c)}
+            assert len(built["maps"]) == 2
+            assert {(i, h) for i, h, _ in built["terms"]} == steps
+            assert len(built["terms"]) == len(built["rates"]) == len(steps)
+        else:
+            from test_acceptance import _random_feasible_scenario
+
+            concrete, abstract, gains, policy, x0, xhat0, horizon = (
+                _random_feasible_scenario(np.random.default_rng(4))
+            )
+            rec = simulate(concrete, abstract, gains, policy, x0, xhat0, horizon, 2e-3)
+            assert len(policy.segments) == 2 and len(rec.jumps) == 1
+            assert list(built["maps"]) == [None] and len(built["rates"]) == 1
+            assert len(built["terms"]) == 2
+        assert 0.0 < rec.decay_slack < math.inf
+        for name, counts in built.items():
+            assert set(counts.values()) == {1}, (name, counts)
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_row_norms_have_the_bits_of_linalg_norm(self, k):
