@@ -2,14 +2,15 @@
 
 Subcommands
     synthesize   config -> gains.json + report.json + manifest.json
-    simulate     config + gains -> trajectory.csv + jumps.csv + verify.json
+    simulate     config + gains -> trajectory.npz + jumps.csv + verify.json
     compare      config -> paired runs (full interface vs forced S = 0)
     casestudy    embedded double-integrator study, end to end
 
 Exit codes: 0 pass, 1 check/verification failure, 2 usage/config error
 (including a run too large to sample in memory).
 All reports are machine-readable JSON; the printed tables render the same
-data.  CSV columns are documented in the README for external plotting.
+data.  The layout of each run's arrays in trajectory.npz is documented in
+the README.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ import sys
 import time
 import warnings
 from pathlib import Path
+
+import numpy as np
 
 from . import __version__, casestudy, sim, synthesis
 from .model import ConfigError, Scenario, emit_config, parse_config
@@ -144,11 +147,12 @@ def cmd_synthesize(args) -> int:
 def _run(scenario: Scenario, gains: RefinementGains, out: Path, stem: str,
          outputs: list) -> sim.VerificationReport:
     """Simulate `scenario` under `gains` from its x0, or from the lifted
-    start where it has none, verify the run, write trajectory{stem}.csv
-    (streamed, never holding its text), jumps{stem}.csv and
-    verify{stem}.json to `out`, append their paths to `outputs`, and return
-    the verdict.  The record dies here, before the caller's next run, so a
-    command holds one run at a time, as `sim._preflight` counts."""
+    start where it has none, verify the run, write trajectory{stem}.npz
+    (the record's t, z, vg and runs, as they are in memory),
+    jumps{stem}.csv and verify{stem}.json to `out`, append their paths to
+    `outputs`, and return the verdict.  The record dies here, before the
+    caller's next run, so a command holds one run at a time, as
+    `sim._preflight` counts."""
     x0 = scenario.x0
     if x0 is None:
         x0, _ = synthesis.lifted_start(scenario.concrete, gains, scenario.policy, scenario.xhat0)
@@ -164,10 +168,10 @@ def _run(scenario: Scenario, gains: RefinementGains, out: Path, stem: str,
         record, gains, scenario.epsilon, scenario.envelope,
         scenario.b_U, rbar_max,
     )
-    path = out / f"trajectory{stem}.csv"
+    path = out / f"trajectory{stem}.npz"
     path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("wb") as f:
-        sim.write_trajectory_csv(record, f)
+    np.savez(path, t=record.t, z=record.z, vg=record.vg,
+             runs=np.array(record.runs, dtype=np.int64).reshape(-1, 3))
     jumps = _write(out / f"jumps{stem}.csv", sim.jumps_csv(record))
     outputs += [path, jumps, _write(out / f"verify{stem}.json", _json_text(verdict.to_dict()))]
     return verdict

@@ -26,16 +26,16 @@ summed left to right (`numerics.ordered_dot`), so a row, and a point, has
 the same bits in any block.
 
 Integration within a run is sequential; distinct runs share no mutable
-state and may execute in parallel.  `write_trajectory_csv` streams CSV row
-blocks, formatted on min(CPUs, 4) threads, to a file in row order, so it
-holds at most 2 x min(CPUs, 4) blocks of text whatever the host.
+state and may execute in parallel.  `write_trajectory_csv`, the CSV export,
+writes a block of rows at a time with `np.savetxt`, so it holds one block
+of text.
 """
 
 from __future__ import annotations
 
 import functools
+import io
 import math
-import os
 import warnings
 from dataclasses import dataclass, fields
 from typing import BinaryIO
@@ -67,9 +67,9 @@ MIN_JUMP_SEPARATION_STEPS = 10
 #: stay small; `decay_slack` takes its maxima per slice, so depends on this size
 _BOUND_ROWS = 65536
 
-#: rows per block of every reader of the formed columns (`_blocks`); on a
-#: 2-CPU host, 8,192-row blocks lowered `casestudy`'s peak RSS by 17 % but
-#: raised its wall time by about 15 %
+#: rows per block of every reader of the formed columns (`_blocks`): a
+#: block's columns are the memory a reader holds beyond the record, which
+#: `_preflight` counts; no bit depends on the size (see `_formed`)
 _BLOCK_ROWS = 16384
 
 #: rows `_integrate` allocates beyond its grid for the rows of located region
@@ -941,74 +941,18 @@ def verify_trajectory(
 
 
 # ---------------------------------------------------------------------------
-# CSV artifacts (15 significant digits, deterministic bytes)
-#
-# Trajectory values go through `textfmt`, whose bytes equal `'%.15g' % v`:
-# the 15 digits come from a float64 double-double product whose fraction is
-# within 1.8e-16 of the exact one, and every value whose fraction lies
-# within 2^-50 of 1/2 is formatted by Python instead.
-
-#: most threads that format CSV blocks, so that the text in flight (about
-#: 6 MB per block of `_BLOCK_ROWS` rows) does not grow with the host's CPU count;
-#: on a 2-CPU host two threads write 1.5-1.8x faster than one, and whether
-#: a third or fourth pays off is unmeasured
-_CSV_MAX_THREADS = 4
+# CSV text (15 significant digits, deterministic bytes): every value is
+# written as `'%.15g' % v`
 
 #: the record arrays of the trajectory CSV, in column order; a 2-D array
 #: `name` of width k gives the columns name1 .. namek
 _CSV_COLUMNS = ("t", "x", "xhat", "uhat", "uhatdot", "u", "y", "yhat", "vg", "err")
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
-
-
-def _stream_blocks(fn, blocks, sink) -> int:
-    """Call sink(fn(b)) for each row slice b of `blocks`, in this order, with
-    the fn calls run on a pool of min(CPUs, 4) threads and the calling thread
-    only sinking, and return the total length of the results.
-
-    At most 2 x min(CPUs, 4) blocks are submitted but not yet sunk.  On the
-    first exception, from `fn` or from `sink`, the blocks not yet started
-    are cancelled and the error is re-raised once the pool is joined.
-    """
-    # imported on first use: `concurrent.futures` imports `logging`, which
-    # runs without CSV output need not pay for
-    import concurrent.futures
-
-    threads = min(_cpus(), _CSV_MAX_THREADS)
-    window = 2 * threads
-    pending = []
-    total = 0
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        try:
-            for b in (*blocks, None):
-                # sink the oldest block when the window is full, all at the end
-                while pending and (len(pending) == window or b is None):
-                    part = pending.pop(0).result()
-                    sink(part)
-                    total += len(part)
-                if b is not None:
-                    pending.append(pool.submit(fn, b))
-        except BaseException:
-            for future in pending:
-                future.cancel()
-            raise
-    return total
-
-
 def write_trajectory_csv(record: TrajectoryRecord, f: BinaryIO) -> int:
     """Write the trajectory CSV of `record` to the binary file `f` and return
-    the number of bytes written.  Row blocks are formatted on min(CPUs, 4)
-    threads and written in row order, so at most 2 x min(CPUs, 4) blocks of
-    text are held; `f.write` gets each block's text as a uint8 array."""
-    # imported on first use: building its tables takes milliseconds that
-    # runs without CSV output need not pay at import
-    from . import textfmt
+    the number of bytes written: the header line, then each block of rows
+    as `np.savetxt` formats it, one `f.write` a block."""
 
     def columns(b: slice) -> list[np.ndarray]:
         formed = _formed(record, b)
@@ -1021,10 +965,13 @@ def write_trajectory_csv(record: TrajectoryRecord, f: BinaryIO) -> int:
 
     head = (",".join(header) + "\n").encode("ascii")
     f.write(head)
-    def text(b: slice) -> np.ndarray:  # each column where it lies, F-contiguous
-        return textfmt.csv_rows([c for a in columns(b) for c in (a.T if a.ndim == 2 else [a])])
-
-    return len(head) + _stream_blocks(text, _blocks(0, record.t.size), f.write)
+    total = len(head)
+    for b in _blocks(0, record.t.size):
+        text = io.BytesIO()
+        np.savetxt(text, np.column_stack(columns(b)), fmt="%.15g", delimiter=",")
+        f.write(text.getvalue())
+        total += text.tell()
+    return total
 
 
 def jumps_csv(record: TrajectoryRecord) -> str:

@@ -1,8 +1,12 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -12,8 +16,6 @@ import pytest
 from gaasim import casestudy, cli, sim
 from gaasim.cli import main
 from gaasim.model import parse_config
-
-from conftest import csv_text
 
 
 def write_config(tmp_path: Path, cfg: dict, name: str = "config.json") -> Path:
@@ -191,7 +193,7 @@ class TestSimulate:
         verify = json.loads((out / "verify.json").read_text())
         assert verify["passed"] is True
         assert verify["max_output_error"] <= 0.5
-        assert (out / "trajectory.csv").exists()
+        assert (out / "trajectory.npz").exists()
         assert (out / "jumps.csv").exists()
 
     def test_tight_epsilon_fails(self, tmp_path, short_switched, capsys):
@@ -226,7 +228,8 @@ class TestSimulate:
             "--horizon", "0",
         ])
         assert code == 0
-        assert len((out / "trajectory.csv").read_text().splitlines()) == 2
+        with np.load(out / "trajectory.npz") as saved:
+            assert saved["t"].tolist() == [0.0] and saved["z"].shape == (1, 3)
 
     def test_mismatched_gains_exit_2(self, tmp_path, short_switched, short_ramp):
         syn = tmp_path / "syn"
@@ -289,8 +292,8 @@ class TestSimulate:
         assert capsys.readouterr().err == (
             "warning: initial triple outside the relation: vg = 1.18316 > epsilon = 0.5\n"
         )
-        first = (out / "trajectory.csv").read_text().splitlines()[1].split(",")
-        assert first[:4] == ["0", "40", "-0.0401", "40.1"]
+        with np.load(out / "trajectory.npz") as saved:
+            assert saved["t"][0] == 0.0 and saved["z"][0].tolist() == [40.0, -0.0401, 40.1]
         verify = json.loads((out / "verify.json").read_text())
         assert verify["max_vg"] == pytest.approx(lift["value"], rel=1e-12)
         assert not verify["vg_ok"]
@@ -335,7 +338,7 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory (the run needs about ")
         assert len(err.strip().splitlines()) == 1
-        assert not (out / "trajectory.csv").exists()
+        assert not (out / "trajectory.npz").exists()
 
 
 class TestInitialSets:
@@ -532,8 +535,8 @@ class TestOverflowingNumbers:
                     "--horizon", "1e-308", *extra]
             assert main(argv) == 0
         assert capsys.readouterr().err == ""
-        rows = (tmp_path / "simulate" / "trajectory.csv").read_text().splitlines()[1:]
-        assert [row.split(",")[0] for row in rows] == ["0", "1e-308"]
+        with np.load(tmp_path / "simulate" / "trajectory.npz") as saved:
+            assert saved["t"].tolist() == [0.0, 1e-308]
 
     def test_epsilon_whose_input_bound_overflows(self, tmp_path, short_switched, capsys):
         out = tmp_path / "syn"
@@ -631,12 +634,72 @@ class TestWrite:
         (record,) = simulated
         trajectory, jumps, verify = outputs
         assert (trajectory.name, jumps.name, verify.name) == (
-            "trajectory_x.csv", "jumps_x.csv", "verify_x.json")
-        data = trajectory.read_bytes()
-        assert data == csv_text(record).encode("ascii")
-        assert b"\r" not in data and data.count(b"\n") == record.t.size + 1
+            "trajectory_x.npz", "jumps_x.csv", "verify_x.json")
+        with np.load(trajectory) as saved:
+            assert list(saved) == ["t", "z", "vg", "runs"]
         assert jumps.read_text(encoding="utf-8") == sim.jumps_csv(record)
         assert json.loads(verify.read_text(encoding="utf-8")) == verdict.to_dict()
+
+
+class TestTrajectoryRecordFile:
+    """Each run's trajectory{stem}.npz holds its record's state, t, z, vg and
+    runs, bit for bit: enough to re-derive the run's verdicts, with the same
+    bytes each time the run is written."""
+
+    STEMS = ("_switched", "_ramp_gaas", "_ramp_s_zero")
+
+    @staticmethod
+    def study(out: Path) -> Path:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["casestudy", "--out", str(out), "--horizon", "320",
+                         "--step", "0.05"]) == 0
+        return out
+
+    @staticmethod
+    def loaded(path: Path) -> dict:
+        with np.load(path) as saved:
+            assert list(saved) == ["t", "z", "vg", "runs"]
+            return {name: saved[name] for name in saved}
+
+    def test_loads_each_record_bit_for_bit(self, tmp_path, simulated):
+        out = self.study(tmp_path / "cs")
+        assert len(simulated) == len(self.STEMS)
+        for stem, record in zip(self.STEMS, simulated):
+            saved = self.loaded(out / f"trajectory{stem}.npz")
+            runs = np.array(record.runs, dtype=np.int64)
+            for name, value in (("t", record.t), ("z", record.z), ("vg", record.vg),
+                                ("runs", runs)):
+                assert saved[name].dtype == value.dtype, (stem, name)
+                assert saved[name].shape == value.shape, (stem, name)
+                assert saved[name].tobytes() == value.tobytes(), (stem, name)
+            assert saved["z"].flags.f_contiguous and saved["runs"].shape[1:] == (3,)
+
+    def test_verify_on_the_loaded_record_reproduces_verify_json(self, tmp_path, simulated):
+        out = self.study(tmp_path / "cs")
+        switched = parse_config((out / "casestudy_switched.json").read_bytes())
+        ramp = parse_config((out / "casestudy_ramp.json").read_bytes())
+        for stem, record, sc in zip(self.STEMS, simulated, (switched, ramp, ramp)):
+            saved = self.loaded(out / f"trajectory{stem}.npz")
+            rebuilt = dataclasses.replace(
+                record, t=saved["t"], z=saved["z"], vg=saved["vg"],
+                runs=[tuple(r) for r in saved["runs"].tolist()])
+            verdict = sim.verify_trajectory(rebuilt, record.gains, sc.epsilon, sc.envelope,
+                                            sc.b_U, cli._rbar_max(record.gains, sc))
+            assert cli._json_text(verdict.to_dict()) == (
+                out / f"verify{stem}.json").read_text(encoding="utf-8"), stem
+
+    def test_two_writes_of_a_run_have_the_same_bytes(self, tmp_path, monkeypatch):
+        sc = parse_config(casestudy.switched_config(horizon=40.0, step=5e-3))
+        gains, _ = cli._synthesize_pipeline(sc, force_s_zero=False)
+        first, second = [], []
+        cli._run(sc, gains, tmp_path / "first", "", first)
+        # a day later, as far as the clock that could date a zip entry knows
+        now = time.time
+        monkeypatch.setattr(time, "time", lambda: now() + 86400.0)
+        cli._run(sc, gains, tmp_path / "second", "", second)
+        assert [p.name for p in first] == [p.name for p in second]
+        for a, b in zip(first, second):
+            assert a.read_bytes() == b.read_bytes(), a.name
 
 
 @pytest.fixture
@@ -701,7 +764,7 @@ class TestCompare:
         for label, run in summary["runs"].items():
             ok = run["max_output_error"] + run["decay_slack"] <= 0.5
             assert run["output_error_ok"] is ok and run["decay_slack"] > 0
-            assert (out / f"trajectory_{label}.csv").exists()
+            assert (out / f"trajectory_{label}.npz").exists()
             assert (out / f"jumps_{label}.csv").exists()
             verify = json.loads((out / f"verify_{label}.json").read_text())
             assert verify["passed"] is run["verification_passed"]
@@ -812,7 +875,7 @@ class TestCaseStudy:
             main(["simulate", "--config", str(out / "casestudy_switched.json"),
                   "--gains", str(out / "gains.json"), "--out", str(run)])
             for mine, study in (
-                ("trajectory.csv", "trajectory_switched.csv"),
+                ("trajectory.npz", "trajectory_switched.npz"),
                 ("jumps.csv", "jumps_switched.csv"),
                 ("verify.json", "verify_switched.json"),
             ):
@@ -918,9 +981,8 @@ class TestMemory:
         """`compare` frees each run's record before the next run starts, so
         its traced peak is that of `simulate` on one of its runs (100,001
         rows each), not that of two runs (about 1.5 times as much).  The
-        CSV text blocks in flight are cut to two of 4,096 rows, so that the
-        run arrays, not the text, set the peak."""
-        monkeypatch.setattr(sim, "_cpus", lambda: 1)
+        blocks of formed columns are cut to 4,096 rows, so that the run
+        arrays, not a block, set the peak."""
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 4096)
         config = write_config(tmp_path, casestudy.ramp_config(horizon=100.0, step=1e-3))
         syn = tmp_path / "syn"
@@ -940,25 +1002,23 @@ class TestMemory:
 
 
 class TestFirstUseImports:
-    #: loaded only to write a trajectory CSV: the formatter's tables and its
-    #: run layout, and the thread pool, which imports logging
-    CSV_MODULES = ("gaasim.textfmt", "concurrent.futures", "logging")
+    #: the thread pool and the logging it imports, which no command needs
+    POOL_MODULES = ("concurrent.futures", "logging")
 
     @pytest.fixture(scope="class")
     def loaded(self, tmp_path_factory):
         """A fresh interpreter runs the library pipeline on both studies and
-        the `synthesize` command, then the `simulate` command, which writes a
-        trajectory CSV; after each part it prints which of `CSV_MODULES`,
-        `numpy.ma`, `fractions` and `decimal` it has loaded."""
+        the `synthesize` command, then the `simulate` command, then the CSV
+        export of a record; after each part it prints which of
+        `POOL_MODULES`, `numpy.ma`, `fractions` and `decimal` it has loaded."""
         script = textwrap.dedent("""
-            import json, sys
+            import io, json, sys
             from pathlib import Path
             from gaasim import casestudy, cli, sim, synthesis
             from gaasim.model import parse_config
 
             def loaded():
-                names = ("gaasim.textfmt", "concurrent.futures", "logging", "numpy.ma",
-                         "fractions", "decimal")
+                names = ("concurrent.futures", "logging", "numpy.ma", "fractions", "decimal")
                 print("loaded", json.dumps([name for name in names if name in sys.modules]))
 
             out = Path(sys.argv[1])
@@ -984,6 +1044,8 @@ class TestFirstUseImports:
             assert cli.main(["simulate", "--config", str(config), "--gains",
                              str(out / "s" / "gains.json"), "--out", str(out / "r")]) == 0
             loaded()
+            sim.write_trajectory_csv(record, io.BytesIO())
+            loaded()
             print("numpy.ma" in sys.modules)
         """)
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -996,22 +1058,22 @@ class TestFirstUseImports:
     def test_run_path_never_imports_numpy_ma(self, loaded):
         """numpy.ma costs a fresh process some 15 ms and 1.3 MB on first
         use, and plain np.unique imports it; no step of a run may, so a
-        fresh interpreter runs the library pipeline on both studies and the
-        `synthesize` and `simulate` commands without ever loading it."""
+        fresh interpreter runs the library pipeline on both studies, the
+        `synthesize` and `simulate` commands and the CSV export without ever
+        loading it."""
         assert loaded[-1] == "False"
 
-    def test_csv_modules_load_only_to_write_a_csv(self, loaded):
-        """The library pipeline and `synthesize` load none of the CSV
-        modules, so their set-up pays neither the formatter's tables nor the
-        thread pool; `simulate` loads them to write its CSV."""
-        after = [[name for name in json.loads(line[len("loaded "):]) if name in self.CSV_MODULES]
+    def test_no_command_loads_the_thread_pool_or_logging(self, loaded):
+        """No part loads `concurrent.futures` or `logging`: not the library
+        pipeline, not `synthesize` or `simulate`, which writes its run as a
+        binary record, and not the CSV export."""
+        after = [[name for name in json.loads(line[len("loaded "):]) if name in self.POOL_MODULES]
                  for line in loaded if line.startswith("loaded ")]
-        assert after == [[], list(self.CSV_MODULES)]
+        assert after == [[], [], []]
 
     def test_csv_writing_loads_neither_fractions_nor_decimal(self, loaded):
-        """The formatter's power table is built from float and int
-        arithmetic, so writing the CSV imports neither `fractions` nor
-        `decimal`; `decimal` is loaded only to report a memory refusal."""
+        """Neither a run nor the CSV export imports `fractions` or `decimal`;
+        `decimal` is loaded only to report a memory refusal."""
         after = [json.loads(line[len("loaded "):]) for line in loaded if line.startswith("loaded ")]
-        assert len(after) == 2 and "gaasim.textfmt" in after[1]
+        assert len(after) == 3
         assert not {"fractions", "decimal"} & {name for names in after for name in names}

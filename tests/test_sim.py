@@ -1,12 +1,8 @@
 import cProfile
 import collections
 import dataclasses
-import hashlib
 import io
 import math
-import sys
-import threading
-import time
 import tracemalloc
 import warnings
 import weakref
@@ -587,7 +583,7 @@ class TestTrajectoryCsvBytes:
         vg_values[-special.size :] = special[::-1]
         injected = dataclasses.replace(rec, z=z, vg=vg_values)
         assert np.array_equal(injected.x[: special.size, 0], special, equal_nan=True)
-        with warnings.catch_warnings():  # the formed columns overflow, on the writer's threads too
+        with warnings.catch_warnings():  # the formed columns overflow
             warnings.simplefilter("ignore", RuntimeWarning)
             text = csv_text(injected)
             assert text == rowwise_trajectory_csv(injected)
@@ -605,9 +601,8 @@ class TestTrajectoryCsvBytes:
 
 
 class TestWriteTrajectoryCsv:
-    """The streaming writer: row-order bytes from blocks formatted on several
-    threads, a bounded window of formatted blocks, and a clean stop when a
-    block or the file fails."""
+    """The CSV export: row-order bytes from blocks of rows, and a clean stop
+    when a block or the file fails."""
 
     @pytest.fixture
     def record(self, switched5):
@@ -624,111 +619,34 @@ class TestWriteTrajectoryCsv:
             record, t=record.t[:0], z=record.z[:0], vg=record.vg[:0], runs=[]
         )
 
-    @pytest.mark.parametrize("cpus", [1, 4])
+    @staticmethod
+    def recording_formed(monkeypatch, on_call=None) -> list:
+        """The first row of each block that `sim._formed` forms, in call
+        order, with `on_call(b)` run before each block is formed."""
+        started, formed = [], sim._formed
+
+        def recording(record, b, *args):
+            started.append(b.start)
+            if on_call is not None:
+                on_call(b)
+            return formed(record, b, *args)
+
+        monkeypatch.setattr(sim, "_formed", recording)
+        return started
+
     @pytest.mark.parametrize("block", [7, 1000])
-    def test_bytes_match_rowwise_reference(self, monkeypatch, record, cpus, block):
+    def test_bytes_match_rowwise_reference(self, monkeypatch, record, block):
         """The bytes and size of the row-wise writer, for the record and for
-        the empty record (the header alone), formatted on at most `cpus`
-        threads that are all joined at the end."""
-        from gaasim import textfmt
-
-        threads = set()
-        csv_rows = textfmt.csv_rows
-
-        def recording(columns):
-            threads.add(threading.get_ident())
-            return csv_rows(columns)
-
-        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
+        the empty record (the header alone)."""
         monkeypatch.setattr(sim, "_BLOCK_ROWS", block)
-        monkeypatch.setattr(textfmt, "csv_rows", recording)
-        before = threading.active_count()
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # interleave the threads finely
-        try:
-            for rec in (record, self.empty(record)):
-                f = io.BytesIO()
-                size = sim.write_trajectory_csv(rec, f)
-                expected = rowwise_trajectory_csv(rec).encode()
-                assert f.getvalue() == expected
-                assert size == len(expected)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == before
-        assert len(threads) <= cpus
-
-    @pytest.mark.parametrize("cpus", [1, 4])
-    def test_formatted_blocks_wait_for_a_slow_file(self, monkeypatch, record, cpus):
-        from gaasim import textfmt
-
-        lock = threading.Lock()
-        counts = {"formatted": 0, "writes": 0, "peak": 0}
-        csv_rows = textfmt.csv_rows
-
-        def recording(columns):
-            part = csv_rows(columns)
-            with lock:
-                counts["formatted"] += 1
-                # the first write is the header
-                unwritten = counts["formatted"] - max(counts["writes"] - 1, 0)
-                counts["peak"] = max(counts["peak"], unwritten)
-            return part
-
-        class SlowFile:
-            def write(self, data):
-                time.sleep(2e-3)
-                with lock:
-                    counts["writes"] += 1
-                return len(data)
-
-        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
-        monkeypatch.setattr(sim, "_BLOCK_ROWS", 100)
-        monkeypatch.setattr(textfmt, "csv_rows", recording)
-        sim.write_trajectory_csv(record, SlowFile())
-        assert counts["writes"] == 1 + 51
-        assert counts["formatted"] == 51
-        assert 1 <= counts["peak"] <= 2 * cpus
-
-    def test_text_in_flight_does_not_grow_past_four_threads(self, monkeypatch, record):
-        """On a 64-CPU host the blocks are formatted on 4 threads, so the
-        traced peak above the record is that of a 4-CPU host, not up to 16
-        times as much, and the bytes are those of one thread."""
-
-        class SlowHashingFile:  # keeps no text: the peak is the blocks in flight
-            def __init__(self):
-                self.digest = hashlib.sha256()
-
-            def write(self, data):
-                time.sleep(1e-3)  # formatted blocks queue up behind the file
-                self.digest.update(data)
-                return len(data)
-
-        monkeypatch.setattr(sim, "_BLOCK_ROWS", 100)  # 51 blocks
-        peaks, digests = {}, {}
-        for cpus in (1, 4, 64):
-            monkeypatch.setattr(sim, "_cpus", lambda: cpus)
-            f = SlowHashingFile()
-            tracemalloc.start()
-            try:
-                sim.write_trajectory_csv(record, f)
-                peaks[cpus] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            digests[cpus] = f.digest.digest()
-        assert digests[64] == digests[4] == digests[1]
-        assert peaks[64] <= 1.5 * peaks[4], peaks
+        for rec in (record, self.empty(record)):
+            f = io.BytesIO()
+            size = sim.write_trajectory_csv(rec, f)
+            expected = rowwise_trajectory_csv(rec).encode()
+            assert f.getvalue() == expected
+            assert size == len(expected)
 
     def test_write_error_stops_new_blocks(self, monkeypatch, record):
-        from gaasim import textfmt
-
-        cpus = 4
-        started = []
-        csv_rows = textfmt.csv_rows
-
-        def recording(columns):
-            started.append(columns[0][0])
-            return csv_rows(columns)
-
         class FailingFile:
             calls = 0
 
@@ -738,43 +656,26 @@ class TestWriteTrajectoryCsv:
                     raise OSError("disk full")
                 return len(data)
 
-        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 7)
-        monkeypatch.setattr(textfmt, "csv_rows", recording)
-        before = threading.active_count()
+        started = self.recording_formed(monkeypatch)
         with pytest.raises(OSError, match="disk full"):
             sim.write_trajectory_csv(record, FailingFile())
-        assert threading.active_count() == before
-        # the header and block 0 were written and block 1 failed: only the
-        # blocks the window already held were started, of 715
-        assert 2 <= len(started) <= 1 + 2 * cpus
+        # the header (formed from no rows) and block 0 were written and block
+        # 1 failed: no block of the 715 after it was formed
+        assert started == [0, 0, 7]
 
-    def test_block_error_propagates_after_join(self, monkeypatch, record):
-        from gaasim import textfmt
-
-        cpus = 4
-        started = []
-        csv_rows = textfmt.csv_rows
-
-        def failing(columns):
-            started.append(columns[0][0])
-            if columns[0][0] == record.t[7 * 100]:
+    def test_block_error_propagates(self, monkeypatch, record):
+        def fail_at_block_100(b):
+            if b.start == 7 * 100:
                 raise ValueError("block 100 failed")
-            if columns[0][0] > record.t[7 * 100]:
-                time.sleep(0.2)  # keep the pool busy while the error surfaces
-            return csv_rows(columns)
 
-        monkeypatch.setattr(sim, "_cpus", lambda: cpus)
         monkeypatch.setattr(sim, "_BLOCK_ROWS", 7)
-        monkeypatch.setattr(textfmt, "csv_rows", failing)
-        before = threading.active_count()
+        started = self.recording_formed(monkeypatch, fail_at_block_100)
         with pytest.raises(ValueError, match="block 100 failed"):
             csv_text(record)
-        assert threading.active_count() == before
-        # of 715 blocks, only the window beyond block 100 was submitted, and
-        # the blocks queued behind the busy pool were cancelled
-        assert len(started) <= 101 + 2 * cpus
-        assert len(started) <= 101 + cpus
+        # the header's call, then blocks 0 to 100 of 715, in row order
+        assert started == [0, *range(0, 7 * 101, 7)]
+
 
 def plant_config(n: int, kind: str):
     """The study's policy of `kind` over 1000 s at h = 0.005 on the plant
