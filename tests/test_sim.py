@@ -3,6 +3,7 @@ import collections
 import dataclasses
 import io
 import math
+import time
 import tracemalloc
 import warnings
 import weakref
@@ -634,10 +635,23 @@ class TestWriteTrajectoryCsv:
         monkeypatch.setattr(sim, "_formed", recording)
         return started
 
+    @staticmethod
+    def plant_record(n: int):
+        """5,001 rows of the switched policy on the plant of n states of
+        `plant_config`, whose CSV has n columns x1 .. xn."""
+        sc = plant_config(n, "switched_feedback")
+        gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1, sc.epsilon, sc.envelope)
+        rec = simulate(sc.concrete, sc.abstract, gains, sc.policy,
+                       sc.x0, sc.xhat0, horizon=50.0, h=1e-2)
+        assert rec.t.size == 5001 and rec.x.shape[1] == n
+        return rec
+
+    @pytest.mark.parametrize("n", [1, 4])
     @pytest.mark.parametrize("block", [7, 1000])
-    def test_bytes_match_rowwise_reference(self, monkeypatch, record, block):
-        """The bytes and size of the row-wise writer, for the record and for
-        the empty record (the header alone)."""
+    def test_bytes_match_rowwise_reference(self, monkeypatch, block, n):
+        """The bytes and size of the row-wise writer, for the record of a
+        plant of n states and for its empty record (the header alone)."""
+        record = self.plant_record(n)
         monkeypatch.setattr(sim, "_BLOCK_ROWS", block)
         for rec in (record, self.empty(record)):
             f = io.BytesIO()
@@ -645,6 +659,31 @@ class TestWriteTrajectoryCsv:
             expected = rowwise_trajectory_csv(rec).encode()
             assert f.getvalue() == expected
             assert size == len(expected)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_formatted_blocks_wait_for_a_slow_file(self, monkeypatch, n):
+        """Each block is written before the next one is formed, so however
+        slow the file, one formed block at a time waits for it."""
+        record = self.plant_record(n)
+        counts = {"formed": 0, "writes": 0, "peak": 0}
+
+        def on_call(b):
+            counts["formed"] += 1
+            counts["peak"] = max(counts["peak"], counts["formed"] - counts["writes"])
+
+        class SlowFile:
+            def write(self, data):
+                time.sleep(1e-3)
+                counts["writes"] += 1
+                return len(data)
+
+        monkeypatch.setattr(sim, "_BLOCK_ROWS", 100)
+        started = self.recording_formed(monkeypatch, on_call)
+        sim.write_trajectory_csv(record, SlowFile())
+        # the header's call forms no rows, then blocks 0 to 50
+        assert started == [0, *range(0, 5001, 100)]
+        assert counts["writes"] == counts["formed"] == 1 + 51
+        assert counts["peak"] == 1
 
     def test_write_error_stops_new_blocks(self, monkeypatch, record):
         class FailingFile:
