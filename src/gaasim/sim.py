@@ -13,10 +13,12 @@ breakpoints, which it inserts into the grid exactly (a feedback run is one
 span): it propagates by repeated doubling (`_propagate`) until a sample
 leaves the regime: a non-finite one fails the run, and a region's crossing
 out of its box is located by bisection, the enclosing step split there, and
-the regime switched.  One rule (`_is_jump`) decides whether the input change
-at a switch (new minus old uhat) is a jump, which the driver only logs; one
-function (`_judge_jumps`) judges the logged jumps.  A jump time's row stores
-the right limit of the abstract input.  One pass over a finished run's
+the regime switched.  The driver only integrates; its last row keeps the
+regime of the span it ends, so every run boundary is a switch, where
+`_jump_log` reads the input change (new minus old uhat) off the rows, one
+rule (`_is_jump`) decides whether it is a jump, and one function
+(`_judge_jumps`) judges the jumps.  A jump time's row stores the right
+limit of the abstract input.  One pass over a finished run's
 rows (`_error_bound`) proves a bound on the integration error of its
 sampled vg, `decay_slack`.  The record keeps a run as its state: times,
 joint states (column-major, propagated into place), vg and regime runs.
@@ -91,8 +93,8 @@ JUMP_VALUE_RTOL = 1e-12
 
 
 def _is_jump(delta, before) -> bool:
-    """Whether an input change `delta` away from the value `before` is a jump:
-    its norm exceeds JUMP_VALUE_RTOL * max(1, ||before||)."""
+    """Whether the input change `delta` at a switch away from `before` is a
+    jump: its norm exceeds JUMP_VALUE_RTOL * max(1, ||before||)."""
     return bool(
         np.linalg.norm(delta) > JUMP_VALUE_RTOL * max(1.0, float(np.linalg.norm(before)))
     )
@@ -530,11 +532,13 @@ def simulate(
 
     Identical inputs produce bit-identical records.  A warning is issued
     when the initial triple is outside the relation at `epsilon` (by default
-    the bundle's); the verdict on it is `verify_trajectory`'s.  Each logged
-    jump is judged against the envelope of `rbar_max`, restarted after every
-    jump (`_judge_jumps`): pass the `rbar_max` of `synthesis.feasibility`, as
-    the default 0.0 makes omega smaller and each `JumpRecord.passed`
-    optimistic.  Neither parameter changes the run's rows or `decay_slack`.
+    the bundle's); the verdict on it is `verify_trajectory`'s.  Two jumps of
+    the integrated rows (`_jump_log`) closer than 10 steps raise
+    SimulationError; each is judged against the envelope of `rbar_max`,
+    restarted after every jump (`_judge_jumps`): pass the `rbar_max` of
+    `synthesis.feasibility`, as the default 0.0 makes omega smaller and each
+    `JumpRecord.passed` optimistic.  Neither parameter changes the run's
+    rows or `decay_slack`.
     A run whose arrays would exceed physical memory raises TooLarge, a
     MemoryError, before it allocates them.
 
@@ -564,9 +568,13 @@ def simulate(
         )
     # an overflow in a step makes a non-finite state, which ends the run
     with np.errstate(over="ignore", invalid="ignore"):
-        times, zs, runs, log = _integrate(
-            concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0, regime
-        )
+        times, zs, runs = _integrate(concrete, abstract, policy, x0, xhat0, horizon, h, t0, regime)
+    log = _jump_log(policy, times, zs[:, concrete.n :], runs)
+    min_sep = MIN_JUMP_SEPARATION_STEPS * h
+    for (t_a, _), (t_b, _) in zip(log, log[1:]):
+        if t_b - t_a < min_sep:
+            raise SimulationError(f"jumps at {t_a:.6g} and {t_b:.6g} violate the "
+                                  f"minimum separation {min_sep:.6g}")
     jumps = _judge_jumps(log, (t0, vg0), gains, eps_run, rbar_max)
     record = TrajectoryRecord(times, zs, None, runs, jumps, 0.0, policy, gains, concrete, abstract)
     # proved before vg is formed, so that the bound's slices and vg never coexist
@@ -591,24 +599,35 @@ def _judge_jumps(log, anchor, gains, epsilon, rbar_max) -> list[JumpRecord]:
     return records
 
 
-def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0, regime=None):
-    """Grid times, joint states z = [x; xhat], the (start, stop, regime
-    index) runs of their rows and the jump log of (tau, delta) of one run
-    (see `simulate`).  The grid has a row at every step and at each located
-    region crossing, which carries the regime after it.
+def _jump_log(policy, t, xhat, runs) -> list[tuple[float, np.ndarray]]:
+    """The jumps (tau, delta) of the rows (t, xhat) that `runs` covers: at
+    the first row of each run after the first, the new regime's uhat minus
+    the old one's there, where `_is_jump` says so."""
+    log = []
+    for (_, _, old), (k, _, new) in zip(runs, runs[1:]):
+        before, after = (policy.regimes[i].uhat(float(t[k]), xhat[k]) for i in (old, new))
+        if _is_jump(after - before, before):
+            log.append((float(t[k]), after - before))
+    return log
+
+
+def _integrate(concrete, abstract, policy, x0, xhat0, horizon, h, t0, regime):
+    """Grid times, joint states z = [x; xhat] and the (start, stop, regime
+    index) runs of their rows of one run (see `simulate`), each regime the
+    one `policy.regime_index` picks.  The grid has a row at every step and at
+    each located region crossing, which carries the regime after it; the
+    last row keeps the regime of the span it ends.
 
     t and z are allocated once, for the grid and `_CROSSING_ROWS` crossings,
     and each row is written where it is kept: a feedback span propagates
     into the rows themselves, an open-loop span copies z's rows out of its
     augmented scratch.  More crossings grow both arrays in place, and the
     end trims them in place to the rows kept, so z is never held twice.
-    Each regime, from `regime` (the run's `_regimes`, built when not given),
-    and its grid-step map are built once.
+    Each regime, from `regime` (the run's `_regimes`), and its grid-step map
+    are built once.
     """
     n, n_r = concrete.n, abstract.n_r
     nz = n + n_r
-    if regime is None:
-        regime = _regimes(policy, *_joint_matrices(concrete, abstract, gains), h)
     grid_map = functools.cache(lambda r: _rk4_phi(r.gen, r.step))
     t_end = t0 + horizon
     spans = _spans(policy, t0, t_end)
@@ -617,8 +636,6 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0, reg
     t = np.empty(grid + _CROSSING_ROWS)
     zt = np.empty((nz, t.size))
     runs: list[tuple[int, int, int]] = []
-    log: list[tuple[float, np.ndarray]] = []
-    min_sep = MIN_JUMP_SEPARATION_STEPS * h
 
     def kept() -> int:
         return runs[-1][1] if runs else 0
@@ -667,24 +684,6 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0, reg
             rows[:, :filled] = w[:nz, :filled]
         return rows[:, :filled].T, j
 
-    def switch(old, tau: float, xhat_next, xhat_tau, a: float, b: float) -> _Regime:
-        """The regime after `old` at tau, picked at xhat_next, for [a, b].
-        Its input change, new minus old uhat at (tau, xhat_tau), is logged
-        when it is a jump; the first regime (old None) has none."""
-        new = regime(policy.regime_index(tau, xhat_next), a, b)
-        if old is None:
-            return new
-        before, after = (policy.regimes[q.index].uhat(tau, xhat_tau) for q in (old, new))
-        delta = after - before
-        if _is_jump(delta, before):
-            if log and tau - log[-1][0] < min_sep:
-                raise SimulationError(
-                    f"jumps at {log[-1][0]:.6g} and {tau:.6g} violate the "
-                    f"minimum separation {min_sep:.6g}"
-                )
-            log.append((tau, delta))
-        return new
-
     def run_span(r: _Regime, a: float, b: float, z: np.ndarray):
         """Integrate from z at a to b, starting in r: (z at b, the regime
         there).  Keeps every row but the one at b."""
@@ -728,7 +727,7 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0, reg
             split = (t_b - t_a) - s_cross > tol_t
             tau, z_tau = (t_a + s_cross, _rk4_phi(r.gen, s_cross) @ z_a) if split else (t_b, z_b)
             del block  # a view of z's rows, which a resize may move
-            r = switch(r, tau, z_b[n:], z_tau[n:], a, b)
+            r = regime(policy.regime_index(tau, z_b[n:]), a, b)
             if split:
                 keep_row(tau, z_tau, r.index)
             z = _rk4_phi(r.gen, t_b - tau) @ z_tau if split else z_tau
@@ -736,15 +735,12 @@ def _integrate(concrete, abstract, gains, policy, x0, xhat0, horizon, h, t0, reg
                 raise SimulationError(f"second region crossing within one step at t ~ {t_b:.6g}")
             i += j  # the next block's first row, z, is judged at t_b
 
-    z, r = np.concatenate([x0, xhat0]), None
+    z = np.concatenate([x0, xhat0])
     for a, b in spans:
-        r = switch(r, a, z[n:], z[n:], a, b)
-        z, r = run_span(r, a, b, z)
-    # a segment ends at t_end, where the next one may start
-    final = r.index if r.box is not None else policy.regime_index(t_end, z[n:])
-    keep_row(t_end, z, final)
+        z, r = run_span(regime(policy.regime_index(a, z[n:]), a, b), a, b, z)
+    keep_row(t_end, z, r.index)
     resize(kept())
-    return t, zt.T, runs, log
+    return t, zt.T, runs
 
 
 def _first_leaving(r: _Regime, rows: np.ndarray, n: int, nz: int) -> int:

@@ -145,9 +145,10 @@ def test_uhat_is_one_evaluation_per_run_of_one_region(mimo_pair):
     policy, xhat0, horizon, _ = run = two_dim_regions()
     rec = simulate_lifted(mimo_pair, *run)
     x0 = lift_initial(xhat0, policy.uhat_at(0.0, xhat0), gains)
-    times, _, runs, log = sim._integrate(
-        concrete, abstract, gains, policy, x0, xhat0, horizon, 1e-3, 0.0
-    )
+    regime = sim._regimes(policy, *sim._joint_matrices(concrete, abstract, gains), 1e-3)
+    times, zs, runs = sim._integrate(concrete, abstract, policy, x0, xhat0, horizon, 1e-3, 0.0,
+                                     regime)
+    log = sim._jump_log(policy, times, zs[:, concrete.n :], runs)
     assert times.tobytes() == rec.t.tobytes()
     # the second run joins the jump's row, kept alone, to the block after it
     assert [idx for _, _, idx in runs] == [0, 1]

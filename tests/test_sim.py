@@ -216,6 +216,61 @@ class TestSimulate:
         assert np.all(rec.uhat[rec.t >= 80.0, 0] == 1.0)
         assert [(j.time, float(j.delta[0])) for j in rec.jumps] == [(40.0, 0.5), (80.0, 0.5)]
 
+    @staticmethod
+    def value_jump_at_50(horizon):
+        """The ramp study with uhat 0 on [0, 50] and 0.3 on [50, 300], run
+        to `horizon` at h = 0.05: its record and its verdict."""
+        sc = parse_config(open_loop_config([
+            {"t_start": 0.0, "t_end": 50.0, "coeffs": [[0.0]]},
+            {"t_start": 50.0, "t_end": 300.0, "coeffs": [[0.3]]},
+        ], horizon=horizon, step=0.05))
+        assert sc.envelope.uhat_max == 1.0
+        gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
+                                 sc.epsilon, sc.envelope, M=sc.M)
+        rmax, _, _ = feasibility(gains.rbar1, gains.rbar2, gains.rbar3,
+                                 sc.envelope, sc.a1, sc.epsilon)
+        rec = simulate(sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0,
+                       horizon, sc.step, rbar_max=rmax)
+        return rec, verify_trajectory(rec, gains, sc.epsilon, sc.envelope, sc.b_U, rmax)
+
+    @pytest.mark.parametrize("horizon", [50.0, 50.0 + 5e-13])
+    def test_a_run_that_ends_on_a_jump_ends_in_the_segment_it_ran(self, horizon):
+        """A horizon on the breakpoint, or within 1e-12 past it, ends the
+        run's one span: the last row keeps its segment's input 0, and no jump
+        is logged.  Stored with the next segment's 0.3 and no jump judged,
+        that one row failed `decay_ok` and `vg_ok` (max vg 0.617)."""
+        rec, report = self.value_jump_at_50(horizon)
+        assert rec.runs == [(0, 1001, 0)]
+        assert rec.t[-1] == horizon and rec.uhat[-1, 0] == 0.0
+        assert rec.jumps == []
+        assert report.decay_violations == 0 and report.max_vg < 0.2
+        assert report.passed
+
+    def test_a_run_one_step_past_a_jump_judges_it(self):
+        rec, report = self.value_jump_at_50(50.05)
+        assert rec.runs == [(0, 1000, 0), (1000, 1002, 1)]
+        assert [(j.time, j.delta.tolist()) for j in rec.jumps] == [(50.0, [0.3])]
+        jump = rec.jumps[0]
+        assert jump.lhs == pytest.approx(0.380358, rel=1e-6)
+        assert jump.rhs == pytest.approx(0.112586, rel=1e-5)
+        assert not jump.passed and not report.passed
+
+    @pytest.mark.parametrize("kind", ["switched", "crossings"])
+    def test_jump_times_are_the_first_rows_of_the_later_runs(self, kind):
+        """Every run boundary is a switch, so on the switched study (1000 s
+        at h = 0.05) and on 64 region crossings the jumps are at exactly
+        the times of the first rows of runs 2..k."""
+        if kind == "switched":
+            sc = parse_config(casestudy.switched_config(horizon=1000.0, step=0.05))
+            gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
+                                     sc.epsilon, sc.envelope, M=sc.M)
+            rec = simulate(sc.concrete, sc.abstract, gains, sc.policy, sc.x0, sc.xhat0,
+                           sc.horizon, sc.step)
+        else:
+            rec = simulate(*TestFeedbackStopsAtRegionExit.scenario(), horizon=100.0, h=1e-2)
+        assert len(rec.runs) == (4 if kind == "switched" else 65)
+        assert [j.time for j in rec.jumps] == [float(rec.t[s]) for s, _, _ in rec.runs[1:]]
+
     def test_continuous_breakpoint_is_not_a_jump(self):
         sc = parse_config(casestudy.ramp_config(horizon=120.0))
         gains = synthesize_gains(sc.concrete, sc.abstract, sc.K, sc.a1,
