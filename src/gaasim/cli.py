@@ -22,6 +22,7 @@ import json
 import sys
 import time
 import warnings
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,22 @@ def _manifest(out: Path, command: str, digest: str, outputs: list[Path], started
     return _write(out / "manifest.json", _json_text(payload))
 
 
+def _write_npz(path: Path, **arrays: np.ndarray) -> Path:
+    """Write `arrays` to `path` as `np.savez` does, byte for byte, but from
+    each array's own memory, where `np.savez` copies it out in 16 MiB chunks."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, a in arrays.items():
+            if not (a.flags.c_contiguous or a.flags.f_contiguous):
+                a = np.ascontiguousarray(a)
+            with zf.open(name + ".npy", "w", force_zip64=True) as f:
+                header = np.lib.format.header_data_from_array_1_0(a)
+                np.lib.format.write_array_header_1_0(f, header)
+                if a.size:  # memoryview.cast refuses a zero in the shape
+                    f.write(memoryview(a if a.flags.c_contiguous else a.T).cast("B"))
+    return path
+
+
 def _rbar_max(gains: RefinementGains, scenario: Scenario) -> float:
     rbar_max, _, _ = synthesis.feasibility(
         gains.rbar1, gains.rbar2, gains.rbar3,
@@ -148,11 +165,11 @@ def _run(scenario: Scenario, gains: RefinementGains, out: Path, stem: str,
          outputs: list) -> sim.VerificationReport:
     """Simulate `scenario` under `gains` from its x0, or from the lifted
     start where it has none, verify the run, write trajectory{stem}.npz
-    (the record's t, z, vg and runs, as they are in memory),
+    (the record's t, z, vg and runs, from their own memory by `_write_npz`),
     jumps{stem}.csv and verify{stem}.json to `out`, append their paths to
     `outputs`, and return the verdict.  The record dies here, before the
     caller's next run, so a command holds one run at a time, as
-    `sim._preflight` counts."""
+    `sim._preflight` counts, and nothing beyond it."""
     x0 = scenario.x0
     if x0 is None:
         x0, _ = synthesis.lifted_start(scenario.concrete, gains, scenario.policy, scenario.xhat0)
@@ -168,10 +185,8 @@ def _run(scenario: Scenario, gains: RefinementGains, out: Path, stem: str,
         record, gains, scenario.epsilon, scenario.envelope,
         scenario.b_U, rbar_max,
     )
-    path = out / f"trajectory{stem}.npz"
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, t=record.t, z=record.z, vg=record.vg,
-             runs=np.array(record.runs, dtype=np.int64).reshape(-1, 3))
+    path = _write_npz(out / f"trajectory{stem}.npz", t=record.t, z=record.z, vg=record.vg,
+                      runs=np.array(record.runs, dtype=np.int64).reshape(-1, 3))
     jumps = _write(out / f"jumps{stem}.csv", sim.jumps_csv(record))
     outputs += [path, jumps, _write(out / f"verify{stem}.json", _json_text(verdict.to_dict()))]
     return verdict
