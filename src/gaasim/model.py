@@ -21,6 +21,10 @@ from .numerics import as_matrix, ordered_dot
 DEFAULT_EPSILON = 0.5
 DEFAULT_STEP = 1e-3
 
+#: two times closer than this are one instant: segments abut within it, and
+#: a time within it before a segment's end belongs to the next segment
+TIME_TOL = 1e-12
+
 
 class ConfigError(ValueError):
     """A missing, unknown or wrongly-typed field, a dimension mismatch or a
@@ -233,8 +237,8 @@ class OpenLoopSegment:
         return rows.T[0] if np.ndim(t) == 0 else rows.T
 
     def holds(self, t: float, xhat) -> bool:
-        """Whether the segment ends after t."""
-        return t < self.t_end
+        """Whether the segment ends after t, by more than TIME_TOL."""
+        return t + TIME_TOL < self.t_end
 
     def uhat(self, t, xhat) -> np.ndarray:
         """uhat at t: (m_r,) for a scalar t, (len(t), m_r) for a 1-D array."""
@@ -297,7 +301,7 @@ class AbstractInputPolicy:
             if not self.segments:
                 raise ConfigError("open_loop policy needs at least one segment")
             for a, b in zip(self.segments, self.segments[1:]):
-                if b.t_start < a.t_end - 1e-12 or b.t_start > a.t_end + 1e-12:
+                if b.t_start < a.t_end - TIME_TOL or b.t_start > a.t_end + TIME_TOL:
                     raise ConfigError(
                         f"segments must abut: [{a.t_start}, {a.t_end}] then "
                         f"[{b.t_start}, {b.t_end}]"
@@ -341,13 +345,13 @@ class AbstractInputPolicy:
         return self.regimes[-1].t_end
 
     def regime_index(self, t: float, xhat) -> int:
-        """The index of the first regime that holds at time t and abstract
-        state xhat: the first segment that ends after t, and the last one
-        from its end on, or the first region whose box holds xhat."""
+        """The index of the first regime that holds from time t on at
+        abstract state xhat: the first segment that ends more than TIME_TOL
+        after t, else the last one, or the first region whose box holds xhat."""
         for i, regime in enumerate(self.regimes):
             if regime.holds(t, xhat):
                 return i
-        if t >= self.t_end:
+        if t + TIME_TOL >= self.t_end:
             return len(self.regimes) - 1
         raise DomainGap(f"abstract state {np.asarray(xhat).tolist()} outside all regions")
 
@@ -366,9 +370,11 @@ class AbstractInputPolicy:
         parts = [(i, box.meet(r.box)) for i, r in enumerate(self.regions)]
         return [(i, part) for i, part in parts if part is not None]
 
-    def breakpoints(self) -> list[float]:
-        """Interior open-loop segment boundaries (candidate jump times)."""
-        return [r.t_end for r in self.regimes[:-1] if r.t_end < math.inf]
+    def spans(self, t0: float, t_end: float) -> list[tuple[float, float]]:
+        """The spans [a, b] of a run over [t0, t_end], cut at each segment
+        end more than TIME_TOL inside it (a feedback run is one span)."""
+        cuts = [r.t_end for r in self.regimes[:-1] if t0 + TIME_TOL < r.t_end < t_end - TIME_TOL]
+        return list(zip([t0, *cuts], [*cuts, t_end]))
 
     def uhat_at(self, t: float, xhat) -> np.ndarray:
         """uhat at one time t and abstract state xhat, from the regime that
@@ -612,7 +618,7 @@ def _check_scalars(policy: AbstractInputPolicy, **values: float) -> None:
             raise ConfigError(f"scenario.{name} must be positive")
     horizon = values.get("horizon", 0.0)
     if policy.kind == "open_loop" and horizon > 0:
-        if policy.segments[0].t_start > 1e-12 or policy.t_end < horizon - 1e-12:
+        if policy.segments[0].t_start > TIME_TOL or policy.t_end < horizon - TIME_TOL:
             raise ConfigError(
                 f"open-loop segments cover [{policy.segments[0].t_start}, "
                 f"{policy.t_end}] but the horizon is [0, {horizon}]"

@@ -8,8 +8,8 @@ region's closed loop is autonomous as it is, and an open-loop segment
 carries its polynomial drive on the augmented state [z; 1; s; ...; s^deg] of
 normalized local time s.  The step map of every regime is RK4 of its
 generator, one matrix (`_rk4_phi`); on a segment's powers of s it is their
-exact flow.  One driver integrates a run span by span between the open-loop
-breakpoints, which it inserts into the grid exactly (a feedback run is one
+exact flow.  One driver integrates a run span by span over the policy's
+`spans`, whose cuts it inserts into the grid exactly (a feedback run is one
 span): it propagates by repeated doubling (`_propagate`) until a sample
 leaves the regime: a non-finite one fails the run, and a region's crossing
 out of its box is located by bisection, the enclosing step split there, and
@@ -58,8 +58,8 @@ from .synthesis import ConditionRecord, RefinementGains
 
 class SimulationError(RuntimeError):
     """A run that cannot go on: a non-finite state (divergence), two input
-    jumps closer than the minimum separation of 10 steps, two region
-    crossings within one step, or (in the CLI) an infinite disturbance budget."""
+    jumps closer than 10 steps, a region entered at a crossing and left within
+    the same step, or (in the CLI) an infinite disturbance budget."""
 
 
 #: minimum admissible spacing between jump events, in units of the step h
@@ -243,12 +243,6 @@ class _Regime:
 
 def _n_steps(a: float, b: float, h: float) -> int:
     return max(1, int(math.ceil((b - a) / h - 1e-9)))
-
-
-def _spans(policy, t0: float, t_end: float) -> list[tuple[float, float]]:
-    """The spans [a, b] of a run over [t0, t_end], cut at the policy's breakpoints."""
-    breaks = [t0, *(tau for tau in policy.breakpoints() if t0 + 1e-12 < tau < t_end - 1e-12)]
-    return list(zip(breaks, [*breaks[1:], t_end]))
 
 
 def _regime(policy, F, N, index: int, a: float, b: float, h: float) -> _Regime:
@@ -493,7 +487,7 @@ def _error_bound(record: TrajectoryRecord, h: float, regime=None) -> tuple[float
     jump_rows = set(np.searchsorted(t, [j.time for j in record.jumps]).tolist())
     # an overflow gives an infinite, vacuous bound (a NaN reads as infinity; see `_exp`)
     with np.errstate(over="ignore", invalid="ignore"):
-        for a, b in _spans(policy, float(t[0]), float(t[-1])):
+        for a, b in policy.spans(float(t[0]), float(t[-1])):
             lo, hi = np.searchsorted(t, (a, b)).tolist()
             r = regime(next(i for s, e, i in record.runs if s <= lo < e), a, b)
             cuts = [(s, i) for (s, _, i), (_, _, prev) in zip(record.runs[1:], record.runs)
@@ -613,10 +607,10 @@ def _jump_log(policy, t, xhat, runs) -> list[tuple[float, np.ndarray]]:
 
 def _integrate(concrete, abstract, policy, x0, xhat0, horizon, h, t0, regime):
     """Grid times, joint states z = [x; xhat] and the (start, stop, regime
-    index) runs of their rows of one run (see `simulate`), each regime the
-    one `policy.regime_index` picks.  The grid has a row at every step and at
-    each located region crossing, which carries the regime after it; the
-    last row keeps the regime of the span it ends.
+    index) runs of their rows of one run (see `simulate`): each regime is
+    `policy.regime_index`'s at its start (t0, a cut of `policy.spans`, or a
+    located region crossing, whose row carries it, at its state).  The grid
+    has a row at every step and crossing; the last row keeps its span's regime.
 
     t and z are allocated once, for the grid and `_CROSSING_ROWS` crossings,
     and each row is written where it is kept: a feedback span propagates
@@ -630,7 +624,7 @@ def _integrate(concrete, abstract, policy, x0, xhat0, horizon, h, t0, regime):
     nz = n + n_r
     grid_map = functools.cache(lambda r: _rk4_phi(r.gen, r.step))
     t_end = t0 + horizon
-    spans = _spans(policy, t0, t_end)
+    spans = policy.spans(t0, t_end)
     grid = 1 + sum(_n_steps(a, b, h) for a, b in spans if b > a)
     # the kept rows: times, states as one contiguous row per coordinate, runs
     t = np.empty(grid + _CROSSING_ROWS)
@@ -727,7 +721,7 @@ def _integrate(concrete, abstract, policy, x0, xhat0, horizon, h, t0, regime):
             split = (t_b - t_a) - s_cross > tol_t
             tau, z_tau = (t_a + s_cross, _rk4_phi(r.gen, s_cross) @ z_a) if split else (t_b, z_b)
             del block  # a view of z's rows, which a resize may move
-            r = regime(policy.regime_index(tau, z_b[n:]), a, b)
+            r = regime(policy.regime_index(tau, z_tau[n:]), a, b)
             if split:
                 keep_row(tau, z_tau, r.index)
             z = _rk4_phi(r.gen, t_b - tau) @ z_tau if split else z_tau

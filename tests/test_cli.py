@@ -557,6 +557,11 @@ class TestOverflowingNumbers:
         assert record["detail"] == "NumericsError: the input bound overflows (inf)"
         assert not (out / "gains.json").exists()
 
+    def test_casestudy_whose_input_bound_overflows(self, tmp_path, capsys):
+        assert main(["casestudy", "--epsilon", "1e308", "--out", str(tmp_path / "cs")]) == 1
+        assert capsys.readouterr().err == (
+            "gains not constructible: NumericsError: the input bound overflows (inf)\n")
+
     @pytest.mark.parametrize("command", ["synthesize", "compare"])
     def test_gain_whose_closed_loop_overflows(self, tmp_path, capsys, command):
         cfg = casestudy.switched_config(horizon=30.0, step=0.05)

@@ -16,6 +16,7 @@ from gaasim.model import (
     FeedbackRegion,
     OpenLoopSegment,
     OperatingEnvelope,
+    TIME_TOL,
     emit_config,
     parse_config,
 )
@@ -269,11 +270,55 @@ class TestTypes:
             sc.policy.regime_index(0.0, [100.0])
 
 
+class TestTimeRule:
+    """Two times within TIME_TOL are one instant: the regime that holds
+    from a time on and the cuts of a run follow the same rule."""
+
+    @staticmethod
+    def policy():
+        """uhat 0 on [0, 50], then 1 on [50, 200]."""
+        return AbstractInputPolicy(kind="open_loop", segments=(
+            OpenLoopSegment(0.0, 50.0, [[0.0]]), OpenLoopSegment(50.0, 200.0, [[1.0]])))
+
+    @pytest.mark.parametrize("t, index", [
+        (50.0 - 2e-12, 0), (50.0 - 5e-13, 1), (50.0, 1), (200.0 - 2e-12, 1),
+    ])
+    def test_a_time_within_one_instant_before_an_end_is_the_next_segment(self, t, index):
+        assert self.policy().regime_index(t, [0.0]) == index
+
+    @pytest.mark.parametrize("t", [200.0, 250.0, 200.0 - 5e-13])
+    def test_the_last_segment_holds_from_within_one_instant_of_its_end(self, t):
+        policy = self.policy()
+        assert not policy.segments[-1].holds(t, [0.0])
+        assert policy.regime_index(t, [0.0]) == 1
+
+    @pytest.mark.parametrize("t0, t_end, spans", [
+        (0.0, 100.0, [(0.0, 50.0), (50.0, 100.0)]),
+        (50.0 - 2e-12, 100.0, [(50.0 - 2e-12, 50.0), (50.0, 100.0)]),
+        (50.0 - 0.5 * TIME_TOL, 100.0, [(50.0 - 0.5 * TIME_TOL, 100.0)]),
+        (0.0, 50.0 + 0.5 * TIME_TOL, [(0.0, 50.0 + 0.5 * TIME_TOL)]),
+        (0.0, 50.0, [(0.0, 50.0)]),
+    ])
+    def test_a_cut_within_one_instant_of_either_end_is_dropped(self, t0, t_end, spans):
+        policy = self.policy()
+        assert policy.spans(t0, t_end) == spans
+        # each span after the first starts with the segment that starts there
+        assert [policy.regime_index(a, [0.0]) for a, _ in spans[1:]] == [1] * (len(spans) - 1)
+
+    def test_a_feedback_run_is_one_span(self):
+        policy = parse_config(casestudy.switched_config()).policy
+        assert policy.spans(0.0, 1000.0) == [(0.0, 1000.0)]
+
+    def test_ramp_study_spans(self):
+        policy = parse_config(casestudy.ramp_config(horizon=200.0)).policy
+        assert policy.spans(0.0, 200.0) == [(0.0, 50.0), (50.0, 200.0)]
+
+
 class TestPolicyEvaluationGrid:
     def test_open_loop_smooth_within_segments(self):
         sc = parse_config(casestudy.ramp_config(horizon=200.0))
         policy = sc.policy
-        breaks = set(policy.breakpoints())
+        breaks = {a for a, _ in policy.spans(0.0, 200.0)[1:]}
         ts = np.linspace(0.0, 200.0, 10_000)
         lip = 0.03  # |duhat/dt| <= 0.02 on the ramp, 0 afterwards
         values = []
